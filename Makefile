@@ -12,14 +12,14 @@ GOVULNCHECK_PKG ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 # (bench.QuickConfig, seed 42), and the counts are pinned so reruns are
 # comparable. BENCHOUT is the committed artifact.
 BENCHCOUNT ?= 3
-BENCHOUT ?= BENCH_10.json
+BENCHOUT ?= BENCH_12.json
 # Extra label=file pairs merged into BENCHOUT (e.g. a saved baseline run).
 BENCHMERGE ?=
 # bench-smoke tolerance: one unwarmed iteration is noisy, so the gate only
 # catches order-of-magnitude regressions, not percent-level drift.
 SMOKE_THRESHOLD ?= 200
 
-.PHONY: build test vet lint lint-fixtures staticcheck govulncheck race fuzz-short fuzz chaos-short chaos-net ci bench bench-smoke
+.PHONY: build test vet lint lint-fixtures staticcheck govulncheck race fuzz-short fuzz chaos-short chaos-net benchmark-check ci bench bench-smoke
 
 build:
 	$(GO) build ./...
@@ -90,7 +90,15 @@ chaos-short:
 chaos-net:
 	$(GO) test -race -run 'TestHTTPChaosCampaign|TestShardedEquivalenceHTTP|TestHTTPAnySingleWorkerDeathIsExact|TestHTTPBothReplicasDeadDegrades|TestHTTPRecvCorruptionIsTransportError|TestWorkerDrainPreservesInFlight|TestWorkerEchoesRequestID|TestReplicaFailoverExact|TestBothReplicasDeadDegrades|TestProberRejoinsShard' -count=1 ./internal/shard
 
-ci: vet lint staticcheck govulncheck race fuzz-short chaos-short chaos-net bench-smoke
+# The repository benchmark (benchmark/, see BENCHMARK.json) is a Go module of
+# its own, so the root `go build ./... && go test ./...` never compiles it
+# and API drift against it would otherwise surface only when a performance
+# claim is measured. Vet it and run its short tests (-short skips the
+# 2-second workload miniatures).
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
+
+ci: vet lint staticcheck govulncheck race fuzz-short chaos-short chaos-net benchmark-check bench-smoke
 
 # One short iteration of the same benchmarks, diffed against the committed
 # baseline via `benchjson -compare` with a generous threshold. This is a
@@ -102,7 +110,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTable1_Cell' -count=1 -benchtime=1x . | tee /tmp/bench_smoke_table1.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkDecode|BenchmarkCacheHit' -count=1 -benchtime=100x ./internal/cache | tee /tmp/bench_smoke_decode.txt
 	$(GO) run ./cmd/benchjson -o /tmp/bench_smoke.json table1=/tmp/bench_smoke_table1.txt decode=/tmp/bench_smoke_decode.txt
-	$(GO) run ./cmd/benchjson -compare -threshold $(SMOKE_THRESHOLD) BENCH_10.json /tmp/bench_smoke.json
+	$(GO) run ./cmd/benchjson -compare -threshold $(SMOKE_THRESHOLD) $(BENCHOUT) /tmp/bench_smoke.json
 
 # Run the FPR query benchmarks (Table 1 cells) and the decode/cache
 # micro-benchmarks, then fold the text output into $(BENCHOUT) as JSON.

@@ -10,15 +10,24 @@
 //  2. Functions reachable from the per-object callbacks handed to
 //     runPerTarget must not allocate slices per pair — per-worker scratch
 //     (slot-indexed, see evalCtx.scratch) or a sync.Pool is required.
-//     Allocations inside sync.Once.Do closures are exempt: those are
-//     single-flighted builds, not per-pair work.
+//     Allocations inside sync.Once.Do closures and inside the builder
+//     closure handed to (*mesh.Mesh).Groups are exempt: those run at most
+//     once per structure (a single-flighted build, a per-mesh memo), not
+//     per pair.
+//
+//  3. The same functions must not sort with sort.Slice / sort.SliceStable:
+//     both go through reflection (a reflect.Swapper and an interface-boxed
+//     less per call), which on a path that sorts a handful of elements per
+//     candidate pair costs more than the sort. slices.Sort / slices.SortFunc
+//     are the typed equivalents.
 //
 // One more from the PR-7 batch pipeline:
 //
-//  3. The pipeline's stage goroutines — every `go func() { ... }()` inside a
+//  4. The pipeline's stage goroutines — every `go func() { ... }()` inside a
 //     driver that opens a device stream (calls a method named NewStream) —
-//     must not allocate slices per batch: the pack and gather stages recycle
-//     their batch buffers through a sync.Pool. The same package-local
+//     must not allocate slices per batch (nor sort by reflection): the pack
+//     and gather stages recycle their batch buffers through a sync.Pool. The
+//     same package-local
 //     reachability applies, rooted at the stage goroutine bodies. The
 //     runPerTarget dispatcher itself is exempt (its body runs once per
 //     query; its callbacks are already per-pair roots via rule 2).
@@ -33,13 +42,14 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "hotalloc",
-	Doc: "forbid mesh.Triangles() and per-pair slice allocation on the refine hot path\n\n" +
+	Doc: "forbid mesh.Triangles(), per-pair slice allocation and reflection sorts on the refine hot path\n\n" +
 		"In internal/core, internal/index/aabbtree, internal/shard, and internal/gpusim,\n" +
 		"(*mesh.Mesh).Triangles() must be\n" +
 		"(*mesh.Mesh).TrianglesCached(), functions reachable from runPerTarget\n" +
-		"callbacks must not allocate slices (use per-worker scratch or a pool), and\n" +
-		"goroutines launched by pipeline drivers (functions calling NewStream) must\n" +
-		"not allocate slices per batch (use pooled batch buffers).",
+		"callbacks must not allocate slices (use per-worker scratch or a pool) nor\n" +
+		"call sort.Slice/sort.SliceStable (use slices.SortFunc), and goroutines\n" +
+		"launched by pipeline drivers (functions calling NewStream) must not do\n" +
+		"either per batch (use pooled batch buffers).",
 	Run: run,
 }
 
@@ -81,7 +91,8 @@ func checkTrianglesCalls(pass *analysis.Pass) {
 // everything reachable from the two kinds of hot roots — function literals
 // passed to runPerTarget (per-pair) and stage goroutines of NewStream-calling
 // pipeline drivers (per-batch) — and flags slice allocations (make of a slice
-// type, slice composite literals) inside the reachable region.
+// type, slice composite literals) and reflection-based sorts inside the
+// reachable region.
 func checkHotPathAllocs(pass *analysis.Pass) {
 	// Map every function declaration's object to its body node, so static
 	// calls can be followed.
@@ -147,9 +158,9 @@ func checkHotPathAllocs(pass *analysis.Pass) {
 	visited := make(map[ast.Node]bool)
 	reachedFns := make(map[*types.Func]bool)
 	flagReachable(pass, decls, perPairRoots, visited, reachedFns,
-		"a runPerTarget callback (per-pair hot path); use per-worker scratch or a sync.Pool")
+		"a runPerTarget callback (per-pair hot path)", "use per-worker scratch or a sync.Pool")
 	flagReachable(pass, decls, stageRoots, visited, reachedFns,
-		"a pipeline stage goroutine (per-batch hot path); use pooled batch buffers")
+		"a pipeline stage goroutine (per-batch hot path)", "use pooled batch buffers")
 }
 
 // callsNewStream reports whether body contains a call to any function or
@@ -174,13 +185,23 @@ func callsNewStream(pass *analysis.Pass, body ast.Node) bool {
 	return found
 }
 
+// buildsOnce reports whether callee runs its closure argument at most once
+// per structure rather than per pair: sync.Once.Do, and the partition
+// builder handed to (*mesh.Mesh).Groups, which runs only when the mesh has
+// no memoized partition yet.
+func buildsOnce(callee *types.Func) bool {
+	return analysis.IsMethodOn(callee, "sync", "Once", "Do") ||
+		analysis.IsMethodOn(callee, "internal/mesh", "Mesh", "Groups")
+}
+
 // flagReachable walks the package-local static call graph from the given
-// root bodies, flagging slice allocations in every newly visited body with
-// the given context wording. Edges into sync.Once.Do closures are not
-// followed (a Do body is single-flighted, not per-pair); edges into
+// root bodies, flagging slice allocations and reflection sorts in every
+// newly visited body, naming the hot region and, for allocations, the
+// sanctioned alternative. Edges into build-once
+// closures (see buildsOnce) are not followed; edges into
 // runPerTarget are not followed either — the dispatcher body runs once per
 // query, and its callbacks are already roots of the per-pair region.
-func flagReachable(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, worklist []ast.Node, visited map[ast.Node]bool, reachedFns map[*types.Func]bool, context string) {
+func flagReachable(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, worklist []ast.Node, visited map[ast.Node]bool, reachedFns map[*types.Func]bool, region, allocAdvice string) {
 	for len(worklist) > 0 {
 		body := worklist[len(worklist)-1]
 		worklist = worklist[:len(worklist)-1]
@@ -188,7 +209,7 @@ func flagReachable(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, wor
 			continue
 		}
 		visited[body] = true
-		flagSliceAllocs(pass, body, context)
+		flagSliceAllocs(pass, body, region, allocAdvice)
 		ast.Inspect(body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -198,8 +219,8 @@ func flagReachable(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, wor
 			if callee == nil {
 				return true
 			}
-			if analysis.IsMethodOn(callee, "sync", "Once", "Do") {
-				return false // the Do closure is single-flighted, not per-pair
+			if buildsOnce(callee) {
+				return false // the closure is a one-time build, not per-pair
 			}
 			if callee.Name() == "runPerTarget" {
 				return false // per-query dispatcher; callbacks are separate roots
@@ -213,17 +234,23 @@ func flagReachable(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, wor
 	}
 }
 
-// flagSliceAllocs reports make([]T, ...) and []T{...} inside body, skipping
-// subtrees of sync.Once.Do calls (single-flighted) and runPerTarget calls
-// (whose callback literals are flagged as their own roots).
-func flagSliceAllocs(pass *analysis.Pass, body ast.Node, context string) {
+// flagSliceAllocs reports make([]T, ...), []T{...} and sort.Slice /
+// sort.SliceStable calls inside body, skipping subtrees of build-once calls
+// and runPerTarget calls (whose callback literals are flagged as their own
+// roots).
+func flagSliceAllocs(pass *analysis.Pass, body ast.Node, region, allocAdvice string) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if callee := analysis.CalleeFunc(pass.Info, n); callee != nil {
-				if analysis.IsMethodOn(callee, "sync", "Once", "Do") {
-					// The Do closure is single-flighted; skip its subtree.
+				if buildsOnce(callee) {
+					// The closure is a one-time build; skip its subtree.
 					return false
+				}
+				if pkg := callee.Pkg(); pkg != nil && pkg.Path() == "sort" &&
+					(callee.Name() == "Slice" || callee.Name() == "SliceStable") {
+					pass.Reportf(n.Pos(), "sort.%s sorts through reflection and is reachable from %s; use slices.SortFunc",
+						callee.Name(), region)
 				}
 				if callee.Name() == "runPerTarget" {
 					// The callback literal is a per-pair root of its own;
@@ -234,13 +261,13 @@ func flagSliceAllocs(pass *analysis.Pass, body ast.Node, context string) {
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "make" {
 				if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); isBuiltin && len(n.Args) > 0 {
 					if isSliceType(pass.Info.Types[n.Args[0]].Type) {
-						pass.Reportf(n.Pos(), "slice allocation reachable from %s", context)
+						pass.Reportf(n.Pos(), "slice allocation reachable from %s; %s", region, allocAdvice)
 					}
 				}
 			}
 		case *ast.CompositeLit:
 			if isSliceType(pass.Info.Types[n].Type) {
-				pass.Reportf(n.Pos(), "slice literal reachable from %s", context)
+				pass.Reportf(n.Pos(), "slice literal reachable from %s; %s", region, allocAdvice)
 				return false // don't double-report nested element literals
 			}
 		}

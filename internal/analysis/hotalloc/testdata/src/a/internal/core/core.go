@@ -3,6 +3,8 @@
 package core
 
 import (
+	"slices"
+	"sort"
 	"sync"
 
 	"a/internal/mesh"
@@ -46,9 +48,28 @@ func Evaluate(m *mesh.Mesh, workers int) error {
 			cached = make([]mesh.Triangle, 8) // single-flighted build: OK
 		})
 		_ = cached
+		_ = m.Groups(func() [][]int32 {
+			return make([][]int32, 2) // per-mesh memo build: OK
+		})
 		helper(o)
+		sortHelper(ids)
 		return nil
 	})
+}
+
+// sortHelper is reachable from the callback: the reflection sorts are
+// flagged, the typed ones are not.
+func sortHelper(ids []int) {
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })       // want "sort.Slice sorts through reflection and is reachable from a runPerTarget callback"
+	sort.SliceStable(ids, func(i, j int) bool { return ids[i] < ids[j] }) // want "sort.SliceStable sorts through reflection"
+	sort.Ints(ids)                                                        // typed: OK
+	slices.Sort(ids)
+	slices.SortFunc(ids, func(a, b int) int { return a - b })
+}
+
+// coldSort is never reached from a hot root; sort.Slice is fine here.
+func coldSort(ids []int) {
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
 
 // helper is reachable from the callback, so its allocation is hot too.

@@ -4,7 +4,10 @@
 // buffers and driver-level (per-query) allocations are not.
 package core
 
-import "sync"
+import (
+	"sort"
+	"sync"
+)
 
 type stream struct{ submitted int }
 
@@ -28,6 +31,7 @@ func Pipelined(d *device) {
 			batch = append(batch, i)
 			st.Submit(batch)
 			st.Submit(stageHelper(i))
+			sort.Slice(batch, func(a, b int) bool { return batch[a] < batch[b] }) // want "sort.Slice sorts through reflection and is reachable from a pipeline stage goroutine"
 		}
 	}()
 	<-done

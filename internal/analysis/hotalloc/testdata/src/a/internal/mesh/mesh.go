@@ -14,3 +14,7 @@ func (m *Mesh) Triangles() []Triangle {
 }
 
 func (m *Mesh) TrianglesCached() []Triangle { return m.faces }
+
+// Groups mimics the memoized partition accessor: build runs only when the
+// mesh has no partition yet.
+func (m *Mesh) Groups(build func() [][]int32) [][]int32 { return build() }

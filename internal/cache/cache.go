@@ -48,7 +48,9 @@ type Stats struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
-	// BytesUsed is the current estimated footprint of cached meshes.
+	// BytesUsed is the current footprint of cached meshes, including every
+	// derived memo (triangle slice, SoA lanes, AABB tree, partition groups)
+	// built on them since admission.
 	BytesUsed int64
 
 	// WarmStarts counts misses served by resuming a retained progressive
@@ -219,12 +221,18 @@ func (c *Cache) shardFor(object int64) *shard {
 	return c.shards[h&c.mask]
 }
 
-// meshBytes estimates the memory footprint of a decoded mesh, including any
-// derived memos (triangle slice, SoA lanes) materialized at admission time.
-// Memos built after admission are not re-accounted; they are bounded by a
-// small constant factor of the mesh itself.
+// entryOverhead is the fixed charge per cached entry on top of its mesh.
+const entryOverhead = 64
+
+// meshBytes is what one cached mesh is charged right now: its vertices and
+// faces plus every derived memo currently materialized on it. The charge is
+// not frozen at admission — refinement accelerators (SoA lanes, AABB tree,
+// partition groups) are built on the cached mesh by the first query that
+// needs them, several times the size of the mesh itself, and stay for as
+// long as the entry does. The mesh announces each such change (see
+// shard.reaccount), so the budget governs what the cache really pins.
 func meshBytes(m *mesh.Mesh) int64 {
-	return m.FootprintBytes() + 64
+	return m.FootprintBytes() + entryOverhead
 }
 
 // lookupOrReserve returns the existing entry for key (found=true) or
@@ -260,6 +268,25 @@ func (s *shard) complete(e *entry, m *mesh.Mesh, err error) {
 	e.bytes = meshBytes(m)
 	e.elem = s.lru.PushFront(e)
 	s.used += e.bytes
+	m.OnFootprintChange(func() { s.reaccount(e) })
+	s.evictLocked()
+}
+
+// reaccount re-reads the footprint of a resident entry after its mesh built
+// (or dropped) a derived memo, charges the difference to the budget, and
+// evicts if that overran it. The growing entry is at or near the LRU front —
+// it was just handed to the query building on it — so the victims are the
+// cold entries, as for an admission. Entries already evicted are ignored:
+// their meshes, memos included, belong to whichever queries still hold them.
+func (s *shard) reaccount(e *entry) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e.elem == nil {
+		return
+	}
+	now := meshBytes(e.mesh)
+	s.used += now - e.bytes
+	e.bytes = now
 	s.evictLocked()
 }
 
@@ -541,12 +568,18 @@ func (s *shard) evictLocked() {
 		if back == nil {
 			return
 		}
-		e := back.Value.(*entry)
-		s.lru.Remove(back)
-		delete(s.entries, e.key)
-		s.used -= e.bytes
+		s.removeLocked(back.Value.(*entry))
 		s.stats.Evictions++
 	}
+}
+
+// removeLocked drops a complete entry from the shard and releases its charge.
+// Clearing elem is what tells a late reaccount the entry is gone.
+func (s *shard) removeLocked(e *entry) {
+	s.lru.Remove(e.elem)
+	e.elem = nil
+	delete(s.entries, e.key)
+	s.used -= e.bytes
 }
 
 // InvalidateObject removes every cached LOD of the given object, and its
@@ -557,9 +590,7 @@ func (c *Cache) InvalidateObject(obj int64) {
 	defer s.mu.Unlock()
 	for key, e := range s.entries {
 		if key.Object == obj && e.elem != nil {
-			s.lru.Remove(e.elem)
-			delete(s.entries, key)
-			s.used -= e.bytes
+			s.removeLocked(e)
 		}
 	}
 	s.dropDecoderLocked(obj)
@@ -569,11 +600,9 @@ func (c *Cache) InvalidateObject(obj int64) {
 func (c *Cache) Clear() {
 	for _, s := range c.shards {
 		s.mu.Lock()
-		for key, e := range s.entries {
+		for _, e := range s.entries {
 			if e.elem != nil {
-				s.lru.Remove(e.elem)
-				delete(s.entries, key)
-				s.used -= e.bytes
+				s.removeLocked(e)
 			}
 		}
 		for obj := range s.decoders {

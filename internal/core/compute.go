@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,20 +19,15 @@ import (
 )
 
 // evalCtx is the per-join geometry computer: it decodes objects through the
-// engine cache, lazily builds the accelerator structures (AABB-trees,
-// partition groups) for decoded representations, and dispatches the
-// pairwise evaluations to the selected accelerator.
+// engine cache and dispatches the pairwise evaluations to the selected
+// accelerator. The accelerator structures themselves (AABB-trees, partition
+// groups) are not the query's: they are memoized on the decoded mesh, so
+// they live and die with its cache entry and every query, worker and shard
+// leg that hits the entry shares one build.
 type evalCtx struct {
 	e    *Engine
 	opts QueryOptions
 	col  *collector
-
-	// mu guards only the slot maps below; tree and group construction runs
-	// outside it, single-flighted per key by the slot's sync.Once so two
-	// workers never duplicate a build.
-	mu     sync.Mutex
-	trees  map[ctxKey]*treeSlot
-	groups map[ctxKey]*groupSlot
 
 	// scratch holds per-worker filter buffers, indexed by the worker slot
 	// runPerTarget hands to each callback; no locking needed.
@@ -40,22 +36,6 @@ type evalCtx struct {
 	// deg collects per-object failures when the query runs under the
 	// Degrade error policy; nil under FailFast.
 	deg *degrader
-}
-
-type ctxKey struct {
-	seq int64
-	id  int64
-	lod int
-}
-
-type treeSlot struct {
-	once sync.Once
-	t    *aabbtree.Tree
-}
-
-type groupSlot struct {
-	once sync.Once
-	g    []triGroup
 }
 
 // filterScratch is one worker's reusable filter-step state: the dedup set
@@ -87,20 +67,11 @@ func (f *filterScratch) reset() *filterScratch {
 	return f
 }
 
-// triGroup is one sub-object at one LOD: the decoded faces assigned to a
-// skeleton point, with their box.
-type triGroup struct {
-	tris []geom.Triangle
-	box  geom.Box3
-}
-
 func newEvalCtx(e *Engine, opts QueryOptions, col *collector) *evalCtx {
 	c := &evalCtx{
 		e:       e,
 		opts:    opts,
 		col:     col,
-		trees:   make(map[ctxKey]*treeSlot),
-		groups:  make(map[ctxKey]*groupSlot),
 		scratch: make([]filterScratch, opts.workers(e)),
 	}
 	if opts.OnError == Degrade {
@@ -117,8 +88,6 @@ type obj struct {
 	lod  int
 	mesh *mesh.Mesh
 }
-
-func (c *evalCtx) key(o obj) ctxKey { return ctxKey{seq: o.ds.seq, id: o.id, lod: o.lod} }
 
 // decode fetches the mesh of (ds, id) at lod through the engine cache,
 // accounting decode time and cache hits. Misses resume the object's
@@ -239,53 +208,37 @@ func (c *evalCtx) finish(start time.Time) *Stats {
 	return st
 }
 
-// tree returns (building if needed) the AABB-tree of an object at a LOD.
-// Builds are single-flighted per key: concurrent requesters block on the
-// same sync.Once instead of racing to build duplicates.
+// tree returns the AABB-tree of an object at a LOD: the decoded mesh's own
+// memo, built by whichever query asks first.
 func (c *evalCtx) tree(o obj) *aabbtree.Tree {
-	k := c.key(o)
-	c.mu.Lock()
-	s, ok := c.trees[k]
-	if !ok {
-		s = &treeSlot{}
-		c.trees[k] = s
-	}
-	c.mu.Unlock()
-	s.once.Do(func() { s.t = aabbtree.BuildSoA(o.mesh.SoA()) })
-	return s.t
+	t, built := o.mesh.Tree()
+	c.col.accel(built)
+	return t
 }
 
 // groupsOf returns the partition groups of an object at a LOD: decoded
 // faces assigned to the object's ingest-time skeleton points. Objects
-// without a skeleton form a single group. Like tree, builds are
-// single-flighted per key.
-func (c *evalCtx) groupsOf(o obj) []triGroup {
-	k := c.key(o)
-	c.mu.Lock()
-	s, ok := c.groups[k]
-	if !ok {
-		s = &groupSlot{}
-		c.groups[k] = s
-	}
-	c.mu.Unlock()
-	s.once.Do(func() { s.g = c.buildGroups(o) })
-	return s.g
-}
-
-func (c *evalCtx) buildGroups(o obj) []triGroup {
-	var skel []geom.Vec3
-	if o.ds.skeletons != nil && o.id >= 0 && o.id < int64(len(o.ds.skeletons)) {
-		skel = o.ds.skeletons[o.id]
-	}
-	if len(skel) <= 1 {
-		return []triGroup{{tris: o.mesh.TrianglesCached(), box: o.mesh.Bounds()}}
-	}
-	pgs := partition.AssignFaces(o.mesh, skel)
-	out := make([]triGroup, 0, len(pgs))
-	for _, pg := range pgs {
-		out = append(out, triGroup{tris: partition.GroupTriangles(o.mesh, pg), box: pg.Box})
-	}
-	return out
+// without a skeleton form a single group. Like tree, this is the mesh's
+// memo; the skeleton belongs to the object the mesh was decoded from, so
+// every query supplies the same partition.
+func (c *evalCtx) groupsOf(o obj) []mesh.Group {
+	g, built := o.mesh.Groups(func() [][]int32 {
+		var skel []geom.Vec3
+		if o.ds.skeletons != nil && o.id >= 0 && o.id < int64(len(o.ds.skeletons)) {
+			skel = o.ds.skeletons[o.id]
+		}
+		if len(skel) <= 1 {
+			return nil
+		}
+		pgs := partition.AssignFaces(o.mesh, skel)
+		parts := make([][]int32, len(pgs))
+		for i := range pgs {
+			parts[i] = pgs[i].Faces
+		}
+		return parts
+	})
+	c.col.accel(built)
+	return g.List
 }
 
 // intersects reports whether the two decoded objects' surfaces intersect
@@ -297,7 +250,7 @@ func (c *evalCtx) intersects(a, b obj) bool {
 	case AABB:
 		return c.tree(a).IntersectsTree(c.tree(b))
 	case GPU:
-		return c.e.dev.Intersects(a.mesh.TrianglesCached(), b.mesh.TrianglesCached())
+		return c.e.dev.Intersects(a.mesh.SoA(), b.mesh.SoA())
 	case Partition, PartitionGPU:
 		return c.intersectsPartitioned(a, b)
 	default:
@@ -320,14 +273,14 @@ func (c *evalCtx) intersectsPartitioned(a, b obj) bool {
 	ga, gb := c.groupsOf(a), c.groupsOf(b)
 	for i := range ga {
 		for j := range gb {
-			if !ga[i].box.Intersects(gb[j].box) {
+			if !ga[i].Box.Intersects(gb[j].Box) {
 				continue
 			}
 			if c.opts.Accel == PartitionGPU {
-				if c.e.dev.Intersects(ga[i].tris, gb[j].tris) {
+				if c.e.dev.Intersects(&ga[i].Tris, &gb[j].Tris) {
 					return true
 				}
-			} else if bruteIntersects(ga[i].tris, gb[j].tris) {
+			} else if geom.IntersectsBatch(&ga[i].Tris, &gb[j].Tris) {
 				return true
 			}
 		}
@@ -336,10 +289,10 @@ func (c *evalCtx) intersectsPartitioned(a, b obj) bool {
 }
 
 // minDist returns the distance between the two decoded objects' surfaces
-// when it is ≤ upper; when the true distance exceeds upper the returned
-// value is still ≥ the true distance is NOT guaranteed — callers must treat
-// any result > upper as "greater than upper" only. Pass math.Inf(1) for an
-// exact distance.
+// when it is ≤ upper. When the true distance exceeds upper the search is cut
+// short and the returned value is only known to be > upper: it is neither
+// the true distance nor a bound on it, and callers must read it as "greater
+// than upper" and nothing more. Pass math.Inf(1) for an exact distance.
 func (c *evalCtx) minDist(a, b obj, upper float64) float64 {
 	defer c.col.geomDone(a.lod, time.Now())
 
@@ -353,8 +306,7 @@ func (c *evalCtx) minDist(a, b obj, upper float64) float64 {
 		if !math.IsInf(upper, 1) {
 			up2 = upper * upper * nextAfterFactor
 		}
-		d2 := c.e.dev.MinDist2Bounded(a.mesh.TrianglesCached(), b.mesh.TrianglesCached(), up2)
-		return math.Sqrt(d2)
+		return math.Sqrt(c.e.dev.MinDist2Bounded(a.mesh.SoA(), b.mesh.SoA(), up2))
 	case Partition, PartitionGPU:
 		return c.minDistPartitioned(a, b, upper)
 	default:
@@ -402,11 +354,11 @@ func (c *evalCtx) minDistPartitioned(a, b obj, upper float64) float64 {
 	pairs := (*buf)[:0]
 	for i := range ga {
 		for j := range gb {
-			pairs = append(pairs, groupPair{i, j, ga[i].box.MinDist2(gb[j].box)})
+			pairs = append(pairs, groupPair{i, j, ga[i].Box.MinDist2(gb[j].Box)})
 		}
 	}
 	*buf = pairs
-	sort.Slice(pairs, func(x, y int) bool { return pairs[x].d2 < pairs[y].d2 })
+	slices.SortFunc(pairs, func(x, y groupPair) int { return cmp.Compare(x.d2, y.d2) })
 
 	best2 := math.Inf(1)
 	if !math.IsInf(upper, 1) {
@@ -417,29 +369,20 @@ func (c *evalCtx) minDistPartitioned(a, b obj, upper float64) float64 {
 		if p.d2 >= best2 || p.d2 >= found {
 			break
 		}
+		// Both evaluators are seeded with the best bound so far and hand it
+		// back unchanged when no face pair of this group pair beats it.
+		seed := math.Min(best2, found)
 		var d2 float64
 		if c.opts.Accel == PartitionGPU {
-			d2 = c.e.dev.MinDist2Bounded(ga[p.i].tris, gb[p.j].tris, math.Min(best2, found))
+			d2 = c.e.dev.MinDist2Bounded(&ga[p.i].Tris, &gb[p.j].Tris, seed)
 		} else {
-			d2 = bruteMinDist2(ga[p.i].tris, gb[p.j].tris)
+			d2 = geom.MinDist2Batch(&ga[p.i].Tris, &gb[p.j].Tris, seed)
 		}
 		if d2 < found {
 			found = d2
 		}
 	}
 	return math.Sqrt(found)
-}
-
-func bruteMinDist2(ta, tb []geom.Triangle) float64 {
-	best := math.Inf(1)
-	for i := range ta {
-		for j := range tb {
-			if d := geom.TriTriDist2(ta[i], tb[j]); d < best {
-				best = d
-			}
-		}
-	}
-	return best
 }
 
 // containsObject reports whether outer fully contains inner, given that

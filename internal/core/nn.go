@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/index/rtree"
@@ -79,15 +80,9 @@ func (e *Engine) KNNJoin(ctx context.Context, target, source *Dataset, q QueryOp
 			// MINMAXDIST threshold before the long-shot candidates come up —
 			// those then fall to the pre-decode prune and are never decoded.
 			// Order only shifts which LOD settles a pair, never the verdict.
-			sort.Slice(cands, func(i, j int) bool {
-				//lint:ignore floateq MBB bound tie-break; equality only routes to the deterministic ID order
-				if cands[i].minDist != cands[j].minDist {
-					return cands[i].minDist < cands[j].minDist
-				}
-				return cands[i].id < cands[j].id
-			})
+			slices.SortFunc(cands, byMinDistThenID)
 		} else {
-			sort.Slice(cands, func(i, j int) bool { return cands[i].id < cands[j].id })
+			slices.SortFunc(cands, func(a, b *nnCand) int { return cmp.Compare(a.id, b.id) })
 		}
 
 		// Degrade bookkeeping: candidates whose decode failed are parked
@@ -121,7 +116,7 @@ func (e *Engine) KNNJoin(ctx context.Context, target, source *Dataset, q QueryOp
 			for _, c := range b {
 				maxd = append(maxd, c.maxDist)
 			}
-			sort.Float64s(maxd)
+			slices.Sort(maxd)
 			sc.maxd = maxd
 			return maxd[q.K-1]
 		}
@@ -267,13 +262,7 @@ func (e *Engine) KNNJoin(ctx context.Context, target, source *Dataset, q QueryOp
 			return nil
 		}
 
-		sort.Slice(cands, func(i, j int) bool {
-			//lint:ignore floateq exact tie-break between settled distances; equality only routes to the deterministic ID order
-			if cands[i].minDist != cands[j].minDist {
-				return cands[i].minDist < cands[j].minDist
-			}
-			return cands[i].id < cands[j].id
-		})
+		slices.SortFunc(cands, byMinDistThenID)
 		k := q.K
 		if k > len(cands) {
 			k = len(cands)
@@ -307,21 +296,21 @@ func (e *Engine) KNNJoin(ctx context.Context, target, source *Dataset, q QueryOp
 	for _, b := range sinkBuf {
 		sink = append(sink, b...)
 	}
-	sort.Slice(sink, func(i, j int) bool {
-		if sink[i].Target != sink[j].Target {
-			return sink[i].Target < sink[j].Target
-		}
-		//lint:ignore floateq exact tie-break between settled distances; equality only routes to the deterministic ID order
-		if sink[i].Dist != sink[j].Dist {
-			return sink[i].Dist < sink[j].Dist
-		}
-		return sink[i].Source < sink[j].Source
+	slices.SortFunc(sink, func(a, b Neighbor) int {
+		// Distance ties fall through to the deterministic ID order.
+		return cmp.Or(cmp.Compare(a.Target, b.Target), cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Source, b.Source))
 	})
 	st := ec.finish(start)
 	if q.Paradigm == FPR {
 		e.cal.observe(NNKind, st)
 	}
 	return sink, st, nil
+}
+
+// byMinDistThenID orders candidates by MINDIST, ties (MBB bounds or settled
+// exact distances alike) falling through to the deterministic ID order.
+func byMinDistThenID(a, b *nnCand) int {
+	return cmp.Or(cmp.Compare(a.minDist, b.minDist), cmp.Compare(a.id, b.id))
 }
 
 func allExact(cands []*nnCand) bool {

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/geom"
@@ -80,7 +80,7 @@ func (e *Engine) ContainingObjects(ctx context.Context, d *Dataset, p geom.Vec3,
 		}
 		remaining = next
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, ec.finish(start), nil
 }
 
@@ -196,7 +196,7 @@ func (e *Engine) RangeQuery(ctx context.Context, d *Dataset, box geom.Box3, q Qu
 		}
 		remaining = next
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, ec.finish(start), nil
 }
 

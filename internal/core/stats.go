@@ -92,6 +92,16 @@ type Stats struct {
 	BatchesDispatched int64
 	BatchPairs        int64
 
+	// AccelBuilds counts the refinement accelerators (AABB trees, partition
+	// groups) this query had to build; AccelReuses counts the lookups served
+	// by a structure already memoized on the decoded mesh — built earlier in
+	// this query or by any previous one, since the memo lives as long as the
+	// mesh's cache entry. A warm engine repeating a query reports zero
+	// builds; builds reappearing under steady load mean the cache is
+	// evicting meshes (and their accelerators) it will need again.
+	AccelBuilds int64
+	AccelReuses int64
+
 	// Trace is the query's aggregated span timeline — one event per
 	// (phase, LOD), with counts and first/last/total activity offsets —
 	// recorded only when QueryOptions.Trace was set.
@@ -169,6 +179,8 @@ func (s *Stats) Merge(other *Stats) {
 	s.BatchPairs += other.BatchPairs
 	s.LODsSkippedByMargin += other.LODsSkippedByMargin
 	s.BoundsDecisive += other.BoundsDecisive
+	s.AccelBuilds += other.AccelBuilds
+	s.AccelReuses += other.AccelReuses
 	if n := len(other.PairsEvaluated); n > len(s.PairsEvaluated) {
 		s.PairsEvaluated = append(s.PairsEvaluated, make([]int64, n-len(s.PairsEvaluated))...)
 	}
@@ -211,6 +223,9 @@ func (s *Stats) String() string {
 	if s.LODsSkippedByMargin > 0 || s.BoundsDecisive > 0 {
 		fmt.Fprintf(&b, " marginSkips=%d boundsDecisive=%d", s.LODsSkippedByMargin, s.BoundsDecisive)
 	}
+	if s.AccelBuilds > 0 || s.AccelReuses > 0 {
+		fmt.Fprintf(&b, " accelBuilds=%d accelReuses=%d", s.AccelBuilds, s.AccelReuses)
+	}
 	if len(s.Degraded) > 0 || len(s.Uncertain) > 0 || len(s.UncertainIDs) > 0 || s.QuarantineSkips > 0 || s.DecodeFailures > 0 {
 		fmt.Fprintf(&b, " degraded=%d uncertain=%d quarantineSkips=%d decodeRetries=%d decodeFailures=%d",
 			len(s.Degraded), len(s.Uncertain)+len(s.UncertainIDs), s.QuarantineSkips, s.DecodeRetries, s.DecodeFailures)
@@ -244,6 +259,8 @@ type collector struct {
 	batchPairs      atomic.Int64
 	lodsSkipped     atomic.Int64
 	boundsDecisive  atomic.Int64
+	accelBuilds     atomic.Int64
+	accelReuses     atomic.Int64
 	evaluated       []atomic.Int64
 	pruned          []atomic.Int64
 
@@ -335,6 +352,15 @@ func (c *collector) skipLODs(n int) {
 // boundsDecided counts one pair settled by filter-phase bounds alone.
 func (c *collector) boundsDecided() { c.boundsDecisive.Add(1) }
 
+// accel counts one accelerator lookup: a build, or a reuse of the mesh memo.
+func (c *collector) accel(built bool) {
+	if built {
+		c.accelBuilds.Add(1)
+	} else {
+		c.accelReuses.Add(1)
+	}
+}
+
 func (c *collector) snapshot(elapsed time.Duration) *Stats {
 	s := &Stats{
 		Elapsed:             elapsed,
@@ -351,6 +377,8 @@ func (c *collector) snapshot(elapsed time.Duration) *Stats {
 		BatchPairs:          c.batchPairs.Load(),
 		LODsSkippedByMargin: c.lodsSkipped.Load(),
 		BoundsDecisive:      c.boundsDecisive.Load(),
+		AccelBuilds:         c.accelBuilds.Load(),
+		AccelReuses:         c.accelReuses.Load(),
 		WarmStarts:          c.cacheCtrs.WarmStarts.Load(),
 		RoundsApplied:       c.cacheCtrs.RoundsApplied.Load(),
 		RoundsSkipped:       c.cacheCtrs.RoundsSkipped.Load(),

@@ -44,32 +44,96 @@ func (s *TriSoA) Bytes() int64 {
 	return int64(15 * len(s.AX) * 8)
 }
 
-// SoAFromTriangles packs ts into freshly allocated lanes.
-func SoAFromTriangles(ts []Triangle) *TriSoA {
-	n := len(ts)
+// NewTriSoA returns a set of n zeroed triangles for the caller to fill with
+// Set before publishing it.
+func NewTriSoA(n int) *TriSoA {
 	// One backing array, sliced into the 15 lanes, keeps the whole packing
 	// a single allocation and the lanes adjacent in memory.
 	back := make([]float64, 15*n)
 	lane := func(k int) []float64 { return back[k*n : (k+1)*n : (k+1)*n] }
-	s := &TriSoA{
+	return &TriSoA{
 		AX: lane(0), AY: lane(1), AZ: lane(2),
 		BX: lane(3), BY: lane(4), BZ: lane(5),
 		CX: lane(6), CY: lane(7), CZ: lane(8),
 		MinX: lane(9), MinY: lane(10), MinZ: lane(11),
 		MaxX: lane(12), MaxY: lane(13), MaxZ: lane(14),
 	}
+}
+
+// Set stores triangle (a, b, c) and its bounding box at index i. It is the
+// construction-time writer; a published TriSoA is never written again.
+func (s *TriSoA) Set(i int, a, b, c Vec3) {
+	s.AX[i], s.AY[i], s.AZ[i] = a.X, a.Y, a.Z
+	s.BX[i], s.BY[i], s.BZ[i] = b.X, b.Y, b.Z
+	s.CX[i], s.CY[i], s.CZ[i] = c.X, c.Y, c.Z
+	s.MinX[i] = math.Min(a.X, math.Min(b.X, c.X))
+	s.MinY[i] = math.Min(a.Y, math.Min(b.Y, c.Y))
+	s.MinZ[i] = math.Min(a.Z, math.Min(b.Z, c.Z))
+	s.MaxX[i] = math.Max(a.X, math.Max(b.X, c.X))
+	s.MaxY[i] = math.Max(a.Y, math.Max(b.Y, c.Y))
+	s.MaxZ[i] = math.Max(a.Z, math.Max(b.Z, c.Z))
+}
+
+// SoAFromTriangles packs ts into freshly allocated lanes.
+func SoAFromTriangles(ts []Triangle) *TriSoA {
+	s := NewTriSoA(len(ts))
 	for i, t := range ts {
-		s.AX[i], s.AY[i], s.AZ[i] = t.A.X, t.A.Y, t.A.Z
-		s.BX[i], s.BY[i], s.BZ[i] = t.B.X, t.B.Y, t.B.Z
-		s.CX[i], s.CY[i], s.CZ[i] = t.C.X, t.C.Y, t.C.Z
-		s.MinX[i] = math.Min(t.A.X, math.Min(t.B.X, t.C.X))
-		s.MinY[i] = math.Min(t.A.Y, math.Min(t.B.Y, t.C.Y))
-		s.MinZ[i] = math.Min(t.A.Z, math.Min(t.B.Z, t.C.Z))
-		s.MaxX[i] = math.Max(t.A.X, math.Max(t.B.X, t.C.X))
-		s.MaxY[i] = math.Max(t.A.Y, math.Max(t.B.Y, t.C.Y))
-		s.MaxZ[i] = math.Max(t.A.Z, math.Max(t.B.Z, t.C.Z))
+		s.Set(i, t.A, t.B, t.C)
 	}
 	return s
+}
+
+// lanes lists the 15 lanes in a fixed order, for the whole-set operations.
+func (s *TriSoA) lanes() [15]*[]float64 {
+	return [15]*[]float64{
+		&s.AX, &s.AY, &s.AZ, &s.BX, &s.BY, &s.BZ, &s.CX, &s.CY, &s.CZ,
+		&s.MinX, &s.MinY, &s.MinZ, &s.MaxX, &s.MaxY, &s.MaxZ,
+	}
+}
+
+// Gather returns a new set whose triangle i is s's triangle order[i]. The
+// accelerators use it to lay a mesh's lanes out in their own traversal
+// order (AABB-tree leaves, partition groups become contiguous runs); the
+// cross-product kernels are order-independent, so they run on a gathered
+// set unchanged.
+func (s *TriSoA) Gather(order []int32) *TriSoA {
+	out := NewTriSoA(len(order))
+	src, dst := s.lanes(), out.lanes()
+	for k := range src {
+		from, to := *src[k], *dst[k]
+		for i, o := range order {
+			to[i] = from[o]
+		}
+	}
+	return out
+}
+
+// Slice returns the sub-range [lo, hi) as a set of its own that shares s's
+// lanes (no triangle is copied).
+func (s *TriSoA) Slice(lo, hi int) TriSoA {
+	var out TriSoA
+	src, dst := s.lanes(), out.lanes()
+	for k := range src {
+		*dst[k] = (*src[k])[lo:hi:hi]
+	}
+	return out
+}
+
+// Box returns the bounding box of triangle i.
+func (s *TriSoA) Box(i int) Box3 {
+	return Box3{
+		Min: Vec3{s.MinX[i], s.MinY[i], s.MinZ[i]},
+		Max: Vec3{s.MaxX[i], s.MaxY[i], s.MaxZ[i]},
+	}
+}
+
+// Bounds returns the bounding box of the whole set (empty for no triangles).
+func (s *TriSoA) Bounds() Box3 {
+	b := EmptyBox()
+	for i := 0; i < s.Len(); i++ {
+		b = b.Union(s.Box(i))
+	}
+	return b
 }
 
 // boxesDisjoint reports whether the boxes of a[i] and b[j] are strictly
@@ -123,12 +187,22 @@ func IntersectsBatchRange(a, b *TriSoA, start, end int) bool {
 	for idx := start; idx < end; {
 		i := idx / bn
 		j0 := idx % bn
-		jEnd := j0 + (end - idx)
-		if jEnd > bn {
-			jEnd = bn
+		j1 := min(j0+(end-idx), bn)
+		if IntersectsRect(a, i, i+1, b, j0, j1) {
+			return true
 		}
+		idx += j1 - j0
+	}
+	return false
+}
+
+// IntersectsRect reports whether any of a's triangles [i0, i1) intersects
+// any of b's triangles [j0, j1), box-gated per pair. It is the inner loop
+// of the batch kernels and the leaf×leaf step of the AABB-tree descent.
+func IntersectsRect(a *TriSoA, i0, i1 int, b *TriSoA, j0, j1 int) bool {
+	for i := i0; i < i1; i++ {
 		ta := a.At(i)
-		for j := j0; j < jEnd; j++ {
+		for j := j0; j < j1; j++ {
 			if boxesDisjoint(a, i, b, j) {
 				continue
 			}
@@ -136,7 +210,6 @@ func IntersectsBatchRange(a, b *TriSoA, start, end int) bool {
 				return true
 			}
 		}
-		idx += jEnd - j0
 	}
 	return false
 }
@@ -163,12 +236,20 @@ func MinDist2BatchRange(a, b *TriSoA, start, end int, best float64) float64 {
 	for idx := start; idx < end; {
 		i := idx / bn
 		j0 := idx % bn
-		jEnd := j0 + (end - idx)
-		if jEnd > bn {
-			jEnd = bn
-		}
+		j1 := min(j0+(end-idx), bn)
+		best = MinDist2Rect(a, i, i+1, b, j0, j1, best)
+		idx += j1 - j0
+	}
+	return best
+}
+
+// MinDist2Rect folds the squared distances between a's triangles [i0, i1)
+// and b's triangles [j0, j1) into best, skipping every pair whose boxes
+// cannot beat it; see MinDist2Batch for the bound's contract.
+func MinDist2Rect(a *TriSoA, i0, i1 int, b *TriSoA, j0, j1 int, best float64) float64 {
+	for i := i0; i < i1; i++ {
 		ta := a.At(i)
-		for j := j0; j < jEnd; j++ {
+		for j := j0; j < j1; j++ {
 			if boxDist2(a, i, b, j) >= best {
 				continue
 			}
@@ -176,7 +257,6 @@ func MinDist2BatchRange(a, b *TriSoA, start, end int, best float64) float64 {
 				best = d2
 			}
 		}
-		idx += jEnd - j0
 	}
 	return best
 }

@@ -124,7 +124,60 @@ func (d *Device) EvalPairBatch(tasks []PairTask, verdicts []PairVerdict, abort *
 
 	var totalPairs int64
 	var wg sync.WaitGroup
-	launch := func(st *taskState, kernel func()) {
+	for ti := range tasks {
+		totalPairs += d.launch(&tasks[ti], &states[ti], &wg, abort)
+	}
+	wg.Wait()
+
+	d.batch.batches.Add(1)
+	d.batch.batchPairs.Add(totalPairs)
+	d.batch.hist[histBucket(totalPairs)].Add(1)
+
+	for ti := range tasks {
+		verdicts[ti] = states[ti].verdict()
+	}
+}
+
+// evalOne evaluates a single task outside any batch: the entry point of the
+// per-pair device calls (Intersects, MinDist2Bounded), which the GPU
+// accelerators issue from host closures. It runs the same kernels as a
+// batched task but is not itself a batch, so the batch statistics keep
+// counting pipeline submissions only.
+func (d *Device) evalOne(t *PairTask) PairVerdict {
+	var st taskState
+	var wg sync.WaitGroup
+	d.launch(t, &st, &wg, nil)
+	wg.Wait()
+	v := st.verdict()
+	if v.Err != nil {
+		// Only a kernel panic lands here; with no verdict channel to carry
+		// it, resume it on the caller like an inline evaluation would.
+		panic(v.Err)
+	}
+	return v
+}
+
+// launch resets st for t and starts t's kernels (or, for a host task, runs
+// its closure inline), registering each kernel with wg. It returns the face
+// pairs the task spans.
+func (d *Device) launch(t *PairTask, st *taskState, wg *sync.WaitGroup, abort *atomic.Bool) int64 {
+	// Reset the (possibly pooled) state: distance kernels are seeded with
+	// the task's bound so they can prune against it from the first pair on.
+	st.hit.Store(false)
+	st.err.Store(nil)
+	seed := math.Inf(1)
+	if t.Kind == PairMinDist && t.Upper2 < seed {
+		seed = t.Upper2
+	}
+	st.best.bits.Store(math.Float64bits(seed))
+	if t.Kind == PairHost {
+		runHostTask(st, t, abort)
+		return 0
+	}
+
+	total := t.A.Len() * t.B.Len()
+	for start := 0; start < total; start += d.batchSize {
+		end := min(start+d.batchSize, total)
 		wg.Add(1)
 		d.kernelLaunches.Add(1)
 		d.tasks <- func() {
@@ -137,70 +190,29 @@ func (d *Device) EvalPairBatch(tasks []PairTask, verdicts []PairVerdict, abort *
 			if abort != nil && abort.Load() {
 				return
 			}
-			kernel()
-		}
-	}
-
-	for ti := range tasks {
-		t := &tasks[ti]
-		st := &states[ti]
-		// Reset the (possibly pooled) state: distance kernels are seeded
-		// with the task's bound so they can prune against it from the
-		// first pair on.
-		st.hit.Store(false)
-		st.err.Store(nil)
-		seed := math.Inf(1)
-		if t.Kind == PairMinDist && t.Upper2 < seed {
-			seed = t.Upper2
-		}
-		st.best.bits.Store(math.Float64bits(seed))
-		switch t.Kind {
-		case PairHost:
-			runHostTask(st, t, abort)
-		case PairIntersect:
-			total := t.A.Len() * t.B.Len()
-			totalPairs += int64(total)
-			for start := 0; start < total; start += d.batchSize {
-				start := start
-				end := min(start+d.batchSize, total)
-				launch(st, func() {
-					if st.hit.Load() {
-						return
-					}
-					d.pairsEvaluated.Add(int64(end - start))
-					if geom.IntersectsBatchRange(t.A, t.B, start, end) {
-						st.hit.Store(true)
-					}
-				})
+			if t.Kind == PairIntersect {
+				if st.hit.Load() {
+					return
+				}
+				d.pairsEvaluated.Add(int64(end - start))
+				if geom.IntersectsBatchRange(t.A, t.B, start, end) {
+					st.hit.Store(true)
+				}
+				return
 			}
-		case PairMinDist:
-			total := t.A.Len() * t.B.Len()
-			totalPairs += int64(total)
-			for start := 0; start < total; start += d.batchSize {
-				start := start
-				end := min(start+d.batchSize, total)
-				launch(st, func() {
-					d.pairsEvaluated.Add(int64(end - start))
-					st.best.min(geom.MinDist2BatchRange(t.A, t.B, start, end, st.best.load()))
-				})
-			}
+			d.pairsEvaluated.Add(int64(end - start))
+			st.best.min(geom.MinDist2BatchRange(t.A, t.B, start, end, st.best.load()))
 		}
 	}
-	wg.Wait()
+	return int64(total)
+}
 
-	d.batch.batches.Add(1)
-	d.batch.batchPairs.Add(totalPairs)
-	d.batch.hist[histBucket(totalPairs)].Add(1)
-
-	for ti := range tasks {
-		st := &states[ti]
-		v := &verdicts[ti]
-		if ep := st.err.Load(); ep != nil {
-			*v = PairVerdict{Err: *ep}
-			continue
-		}
-		*v = PairVerdict{Hit: st.hit.Load(), D2: st.best.load()}
+// verdict reads the task's folded outcome once its kernels have finished.
+func (st *taskState) verdict() PairVerdict {
+	if ep := st.err.Load(); ep != nil {
+		return PairVerdict{Err: *ep}
 	}
+	return PairVerdict{Hit: st.hit.Load(), D2: st.best.load()}
 }
 
 // runHostTask executes a PairHost closure inline with the same abort gate

@@ -93,108 +93,29 @@ func (d *Device) KernelLaunches() int64 { return d.kernelLaunches.Load() }
 // PairsEvaluated returns the number of face pairs evaluated so far.
 func (d *Device) PairsEvaluated() int64 { return d.pairsEvaluated.Load() }
 
-// Intersects evaluates the full cross product of face pairs between a and b
-// on the device and reports whether any pair intersects. Kernels terminate
-// early once a hit is found, mirroring the paper's intersection operator.
-func (d *Device) Intersects(a, b []geom.Triangle) bool {
-	if len(a) == 0 || len(b) == 0 {
-		return false
-	}
-	total := len(a) * len(b)
-	var hit atomic.Bool
-	var wg sync.WaitGroup
-
-	// Each task scans a contiguous range of the pair index space.
-	pairsPerTask := d.batchSize
-	for start := 0; start < total; start += pairsPerTask {
-		if hit.Load() {
-			break
-		}
-		start := start
-		end := start + pairsPerTask
-		if end > total {
-			end = total
-		}
-		wg.Add(1)
-		d.kernelLaunches.Add(1)
-		d.tasks <- func() {
-			defer wg.Done()
-			if hit.Load() {
-				return
-			}
-			n := 0
-			for idx := start; idx < end; idx++ {
-				i, j := idx/len(b), idx%len(b)
-				n++
-				if geom.TriTriIntersect(a[i], b[j]) {
-					hit.Store(true)
-					break
-				}
-				if n%512 == 0 && hit.Load() {
-					break
-				}
-			}
-			d.pairsEvaluated.Add(int64(n))
-		}
-	}
-	wg.Wait()
-	return hit.Load()
+// Intersects evaluates the a×b face-pair cross product on the device and
+// reports whether any pair intersects: batch-size kernels over the box-gated
+// SoA kernel, sharing a hit flag so the rest stop once one finds a hit,
+// mirroring the paper's intersection operator.
+func (d *Device) Intersects(a, b *geom.TriSoA) bool {
+	task := PairTask{Kind: PairIntersect, A: a, B: b}
+	return d.evalOne(&task).Hit
 }
 
-// MinDist evaluates the full cross product of face pairs on the device and
-// returns the minimum distance (zero when the sets intersect).
-func (d *Device) MinDist(a, b []geom.Triangle) float64 {
-	d2 := d.MinDist2Bounded(a, b, math.Inf(1))
-	return math.Sqrt(d2)
-}
-
-// MinDist2Bounded returns the squared minimum pair distance, with kernels
-// pruning pairs whose boxes cannot beat the running best (seeded by upper²,
-// pass +Inf when unknown).
-func (d *Device) MinDist2Bounded(a, b []geom.Triangle, upper2 float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return math.Inf(1)
-	}
-	total := len(a) * len(b)
-	best := newAtomicFloat(upper2)
-	var wg sync.WaitGroup
-
-	for start := 0; start < total; start += d.batchSize {
-		start := start
-		end := start + d.batchSize
-		if end > total {
-			end = total
-		}
-		wg.Add(1)
-		d.kernelLaunches.Add(1)
-		d.tasks <- func() {
-			defer wg.Done()
-			local := best.load()
-			n := 0
-			for idx := start; idx < end; idx++ {
-				i, j := idx/len(b), idx%len(b)
-				n++
-				if d2 := geom.TriTriDist2(a[i], b[j]); d2 < local {
-					local = d2
-				}
-			}
-			d.pairsEvaluated.Add(int64(n))
-			best.min(local)
-		}
-	}
-	wg.Wait()
-	return best.load()
+// MinDist2Bounded returns the squared minimum face-pair distance between a
+// and b, seeded with upper2 (+Inf when unknown). Kernels share a CAS-min
+// running best that starts at the seed, and each skips every pair whose
+// boxes cannot beat it, so a bound close to the answer prunes nearly the
+// whole cross product. A result below upper2 is exact; when no pair beats
+// the bound the seed comes back unchanged, meaning only "≥ upper2".
+func (d *Device) MinDist2Bounded(a, b *geom.TriSoA, upper2 float64) float64 {
+	task := PairTask{Kind: PairMinDist, A: a, B: b, Upper2: upper2}
+	return d.evalOne(&task).D2
 }
 
 // atomicFloat is a CAS-min accumulator for non-negative float64 values.
 type atomicFloat struct {
 	bits atomic.Uint64
-}
-
-func newAtomicFloat(v float64) *atomicFloat {
-	a := &atomicFloat{}
-	a.bits.Store(math.Float64bits(v))
-	return a
 }
 
 func (a *atomicFloat) load() float64 { return math.Float64frombits(a.bits.Load()) }

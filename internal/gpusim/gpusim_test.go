@@ -10,6 +10,12 @@ import (
 	"repro/internal/mesh"
 )
 
+// minDist is the unbounded device distance the older tests were written
+// against.
+func minDist(dev *Device, a, b []geom.Triangle) float64 {
+	return math.Sqrt(dev.MinDist2Bounded(geom.SoAFromTriangles(a), geom.SoAFromTriangles(b), math.Inf(1)))
+}
+
 func TestIntersectsMatchesBrute(t *testing.T) {
 	dev := New(4, 64)
 	defer dev.Close()
@@ -35,7 +41,7 @@ func TestIntersectsMatchesBrute(t *testing.T) {
 				}
 			}
 		}
-		if got := dev.Intersects(a, b); got != want {
+		if got := dev.Intersects(geom.SoAFromTriangles(a), geom.SoAFromTriangles(b)); got != want {
 			t.Fatalf("trial %d: got %v, want %v", trial, got, want)
 		}
 	}
@@ -62,7 +68,7 @@ func TestMinDistMatchesBrute(t *testing.T) {
 			}
 		}
 		want = math.Sqrt(want)
-		if got := dev.MinDist(a, b); math.Abs(got-want) > 1e-9 {
+		if got := minDist(dev, a, b); math.Abs(got-want) > 1e-9 {
 			t.Fatalf("shift %v: got %v, want %v", shift, got, want)
 		}
 	}
@@ -71,12 +77,16 @@ func TestMinDistMatchesBrute(t *testing.T) {
 func TestEmptyInputs(t *testing.T) {
 	dev := New(2, 0)
 	defer dev.Close()
-	tris := mesh.Icosphere(1, 0).Triangles()
-	if dev.Intersects(nil, tris) || dev.Intersects(tris, nil) {
+	tris := geom.SoAFromTriangles(mesh.Icosphere(1, 0).Triangles())
+	none := geom.SoAFromTriangles(nil)
+	if dev.Intersects(none, tris) || dev.Intersects(tris, none) {
 		t.Error("empty input intersects")
 	}
-	if !math.IsInf(dev.MinDist(nil, tris), 1) {
-		t.Error("empty MinDist not +Inf")
+	if !math.IsInf(dev.MinDist2Bounded(none, tris, math.Inf(1)), 1) {
+		t.Error("empty unbounded distance not +Inf")
+	}
+	if got := dev.MinDist2Bounded(tris, none, 2.5); got != 2.5 {
+		t.Errorf("empty bounded distance = %v, want the seed back", got)
 	}
 }
 
@@ -90,7 +100,7 @@ func TestCounters(t *testing.T) {
 		b[i].B.X += 10
 		b[i].C.X += 10
 	}
-	dev.MinDist(a, b)
+	minDist(dev, a, b)
 	if dev.KernelLaunches() == 0 {
 		t.Error("no kernel launches recorded")
 	}
@@ -109,15 +119,23 @@ func TestBoundedMinDist(t *testing.T) {
 		b[i].B.X += 9
 		b[i].C.X += 9
 	}
-	unbounded := dev.MinDist2Bounded(a, b, math.Inf(1))
-	bounded := dev.MinDist2Bounded(a, b, unbounded*4)
-	if math.Abs(unbounded-bounded) > 1e-9 {
+	sa, sb := geom.SoAFromTriangles(a), geom.SoAFromTriangles(b)
+	unbounded := dev.MinDist2Bounded(sa, sb, math.Inf(1))
+	if bounded := dev.MinDist2Bounded(sa, sb, unbounded*4); bounded != unbounded {
 		t.Errorf("bounded %v != unbounded %v", bounded, unbounded)
 	}
 	// An upper bound below the true distance is returned unchanged.
-	tight := dev.MinDist2Bounded(a, b, unbounded/4)
-	if tight > unbounded/4+1e-12 {
-		t.Errorf("tight bound grew: %v", tight)
+	if tight := dev.MinDist2Bounded(sa, sb, unbounded/4); tight != unbounded/4 {
+		t.Errorf("tight bound %v came back as %v", unbounded/4, tight)
+	}
+	// A bound exactly equal to the true squared distance is not beaten
+	// (kernels require strictly less), so callers that must find it inflate
+	// the bound; the next float up is enough.
+	if got := dev.MinDist2Bounded(sa, sb, unbounded); got != unbounded {
+		t.Errorf("bound == distance: got %v want %v", got, unbounded)
+	}
+	if got := dev.MinDist2Bounded(sa, sb, math.Nextafter(unbounded, math.Inf(1))); got != unbounded {
+		t.Errorf("bound just above distance: got %v want exact %v", got, unbounded)
 	}
 }
 
@@ -131,7 +149,7 @@ func TestConcurrentLaunches(t *testing.T) {
 		b[i].B.X += 7
 		b[i].C.X += 7
 	}
-	want := dev.MinDist(a, b)
+	want := minDist(dev, a, b)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -139,7 +157,7 @@ func TestConcurrentLaunches(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got := dev.MinDist(a, b); math.Abs(got-want) > 1e-9 {
+			if got := minDist(dev, a, b); math.Abs(got-want) > 1e-9 {
 				errs <- errMismatch
 			}
 		}()
@@ -173,8 +191,48 @@ func BenchmarkDeviceMinDist(b *testing.B) {
 		y[i].B.X += 10
 		y[i].C.X += 10
 	}
+	sx, sy := geom.SoAFromTriangles(x), geom.SoAFromTriangles(y)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dev.MinDist(x, y)
+		dev.MinDist2Bounded(sx, sy, math.Inf(1))
+	}
+}
+
+// TestDeviceKernelsMatchPairwiseAcrossBatchSizes runs the per-pair device
+// calls over cross products that are smaller than, equal to, one more than
+// and many times the batch size, against the unpruned pairwise loops.
+func TestDeviceKernelsMatchPairwiseAcrossBatchSizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tris := func(n int, cx float64) []geom.Triangle {
+		out := make([]geom.Triangle, n)
+		for i := range out {
+			p := func() geom.Vec3 {
+				return geom.V(cx+rng.Float64()*4, rng.Float64()*4, rng.Float64()*4)
+			}
+			out[i] = geom.Tri(p(), p(), p())
+		}
+		return out
+	}
+	// 7×9 = 63 face pairs against batch sizes around it.
+	for _, batch := range []int{1, 8, 62, 63, 64, 1000} {
+		dev := New(3, batch)
+		for _, gap := range []float64{0, 3, 9} {
+			a, b := tris(7, 0), tris(9, gap)
+			wantHit, want2 := false, math.Inf(1)
+			for _, x := range a {
+				for _, y := range b {
+					wantHit = wantHit || geom.TriTriIntersect(x, y)
+					want2 = math.Min(want2, geom.TriTriDist2(x, y))
+				}
+			}
+			sa, sb := geom.SoAFromTriangles(a), geom.SoAFromTriangles(b)
+			if got := dev.Intersects(sa, sb); got != wantHit {
+				t.Errorf("batch %d gap %v: Intersects = %v want %v", batch, gap, got, wantHit)
+			}
+			if got := dev.MinDist2Bounded(sa, sb, math.Inf(1)); got != want2 {
+				t.Errorf("batch %d gap %v: MinDist2 = %v want %v", batch, gap, got, want2)
+			}
+		}
+		dev.Close()
 	}
 }

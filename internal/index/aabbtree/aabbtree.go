@@ -7,7 +7,6 @@ package aabbtree
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/geom"
 )
@@ -15,68 +14,170 @@ import (
 // maxLeafSize is the number of triangles kept per leaf.
 const maxLeafSize = 4
 
-// node is a binary tree node over a contiguous range of the reordered
-// triangle slice.
+// node is a binary tree node over a contiguous range of the tree-ordered
+// lanes. Nodes are stored in preorder.
 type node struct {
 	box         geom.Box3
 	left, right int32 // children indices, -1 for leaves
 	start, end  int32 // triangle range [start, end) for leaves
 }
 
-// Tree is an immutable AABB tree over a set of triangles. It is safe for
-// concurrent queries after Build.
+// nodeBytes is the in-memory size of one node.
+const nodeBytes = 64
+
+// Tree is an immutable AABB tree over a set of triangles: a node array over
+// SoA lanes laid out in tree order, so every leaf is a contiguous run of
+// the lanes and the triangles and their boxes are stored exactly once. It
+// is safe for concurrent queries after construction.
 type Tree struct {
-	tris  []geom.Triangle
-	boxes []geom.Box3
+	s     *geom.TriSoA
 	nodes []node
 	root  int32
 }
 
 // Build constructs a tree over the given triangles. The input slice is not
-// retained; an internal copy is reordered during construction. Build returns
-// an empty tree for no triangles.
+// retained. Build returns an empty tree for no triangles.
 func Build(tris []geom.Triangle) *Tree {
-	t := &Tree{
-		tris:  append([]geom.Triangle(nil), tris...),
-		boxes: make([]geom.Box3, len(tris)),
-		root:  -1,
+	return BuildSoA(geom.SoAFromTriangles(tris))
+}
+
+// BuildSoA constructs a tree from an SoA triangle set. The input is left
+// untouched; the tree retains a copy of its lanes gathered into tree order,
+// available through SoA so that an owner (mesh.Mesh does this) can adopt
+// the tree-ordered lanes as its one resident packing instead of keeping
+// both.
+//
+// Construction is a top-down median split on precomputed centroid keys:
+// each level partitions an index range around the median of the node's
+// longest axis by selection, not by sorting, so a build costs O(n log n)
+// key comparisons with no per-comparison centroid arithmetic.
+func BuildSoA(s *geom.TriSoA) *Tree {
+	n := s.Len()
+	t := &Tree{root: -1}
+	if n == 0 {
+		t.s = geom.NewTriSoA(0)
+		return t
 	}
-	for i, tr := range t.tris {
-		t.boxes[i] = tr.Bounds()
+	b := builder{
+		s:     s,
+		order: make([]int32, n),
+		nodes: make([]node, 0, nodeCount(n)),
 	}
-	if len(t.tris) > 0 {
-		t.nodes = make([]node, 0, 2*len(tris)/maxLeafSize+1)
-		t.root = t.build(0, int32(len(t.tris)))
+	// Centroid ordering keys, one lane per axis. The vertex sum orders
+	// exactly like the centroid (sum/3) and saves the division.
+	keys := make([]float64, 3*n)
+	b.key = [3][]float64{keys[:n:n], keys[n : 2*n : 2*n], keys[2*n:]}
+	for i := 0; i < n; i++ {
+		b.order[i] = int32(i)
+		b.key[0][i] = s.AX[i] + s.BX[i] + s.CX[i]
+		b.key[1][i] = s.AY[i] + s.BY[i] + s.CY[i]
+		b.key[2][i] = s.AZ[i] + s.BZ[i] + s.CZ[i]
 	}
+	t.root = b.build(0, int32(n))
+	t.nodes = b.nodes
+	t.s = s.Gather(b.order)
 	return t
 }
 
-// BuildSoA constructs a tree from an SoA triangle set, reusing the
-// precomputed per-triangle bounding boxes in its lanes instead of
-// recomputing Bounds for every face. The SoA is not retained.
-func BuildSoA(s *geom.TriSoA) *Tree {
-	n := s.Len()
-	t := &Tree{
-		tris:  make([]geom.Triangle, n),
-		boxes: make([]geom.Box3, n),
-		root:  -1,
+// nodeCount returns the exact number of nodes build creates for n > 0
+// triangles, so the node array is allocated once at its final size.
+func nodeCount(n int) int {
+	if n <= maxLeafSize {
+		return 1
 	}
-	for i := 0; i < n; i++ {
-		t.tris[i] = s.At(i)
-		t.boxes[i] = geom.Box3{
-			Min: geom.Vec3{X: s.MinX[i], Y: s.MinY[i], Z: s.MinZ[i]},
-			Max: geom.Vec3{X: s.MaxX[i], Y: s.MaxY[i], Z: s.MaxZ[i]},
+	return 1 + nodeCount(n/2) + nodeCount(n-n/2)
+}
+
+// builder is the construction-time state: the input lanes, the permutation
+// being refined into tree order, and the centroid keys it is refined by.
+type builder struct {
+	s     *geom.TriSoA
+	order []int32
+	key   [3][]float64
+	nodes []node
+}
+
+// build recursively partitions order[lo:hi] by the median centroid along
+// the longest axis of the range's box.
+func (b *builder) build(lo, hi int32) int32 {
+	s := b.s
+	box := geom.EmptyBox()
+	for _, i := range b.order[lo:hi] {
+		box.Min.X = math.Min(box.Min.X, s.MinX[i])
+		box.Min.Y = math.Min(box.Min.Y, s.MinY[i])
+		box.Min.Z = math.Min(box.Min.Z, s.MinZ[i])
+		box.Max.X = math.Max(box.Max.X, s.MaxX[i])
+		box.Max.Y = math.Max(box.Max.Y, s.MaxY[i])
+		box.Max.Z = math.Max(box.Max.Z, s.MaxZ[i])
+	}
+	idx := int32(len(b.nodes))
+	b.nodes = append(b.nodes, node{box: box, left: -1, right: -1, start: lo, end: hi})
+	if hi-lo <= maxLeafSize {
+		return idx
+	}
+	mid := (lo + hi) / 2
+	selectNth(b.order[lo:hi], b.key[box.LongestAxis()], int(mid-lo))
+	left := b.build(lo, mid)
+	right := b.build(mid, hi)
+	b.nodes[idx].left = left
+	b.nodes[idx].right = right
+	return idx
+}
+
+// selectNth reorders idx so that idx[k] holds the element of rank k by key
+// and no element before it has a larger key nor any after it a smaller one
+// (quickselect with a median-of-three pivot; equal keys split evenly, so
+// all-equal input stays linear).
+func selectNth(idx []int32, key []float64, k int) {
+	lo, hi := 0, len(idx)-1
+	for hi > lo {
+		m := lo + (hi-lo)/2
+		if key[idx[m]] < key[idx[lo]] {
+			idx[m], idx[lo] = idx[lo], idx[m]
+		}
+		if key[idx[hi]] < key[idx[lo]] {
+			idx[hi], idx[lo] = idx[lo], idx[hi]
+		}
+		if key[idx[hi]] < key[idx[m]] {
+			idx[hi], idx[m] = idx[m], idx[hi]
+		}
+		pivot := key[idx[m]]
+		i, j := lo, hi
+		for i <= j {
+			for key[idx[i]] < pivot {
+				i++
+			}
+			for key[idx[j]] > pivot {
+				j--
+			}
+			if i <= j {
+				idx[i], idx[j] = idx[j], idx[i]
+				i++
+				j--
+			}
+		}
+		// idx[lo..j] ≤ pivot ≤ idx[i..hi], with j < i.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
 		}
 	}
-	if n > 0 {
-		t.nodes = make([]node, 0, 2*n/maxLeafSize+1)
-		t.root = t.build(0, int32(n))
-	}
-	return t
 }
 
 // NumTriangles returns the number of indexed triangles.
-func (t *Tree) NumTriangles() int { return len(t.tris) }
+func (t *Tree) NumTriangles() int { return t.s.Len() }
+
+// SoA returns the indexed triangles as lanes in tree order. The set is
+// shared with the tree and read-only.
+func (t *Tree) SoA() *geom.TriSoA { return t.s }
+
+// NodeBytes returns the memory held by the node array — the tree's whole
+// footprint beyond the lanes SoA returns.
+func (t *Tree) NodeBytes() int64 { return int64(cap(t.nodes)) * nodeBytes }
 
 // Bounds returns the bounding box of all indexed triangles.
 func (t *Tree) Bounds() geom.Box3 {
@@ -84,48 +185,6 @@ func (t *Tree) Bounds() geom.Box3 {
 		return geom.EmptyBox()
 	}
 	return t.nodes[t.root].box
-}
-
-// build recursively partitions the triangle range [lo, hi) by the median
-// centroid along the longest axis.
-func (t *Tree) build(lo, hi int32) int32 {
-	box := geom.EmptyBox()
-	for i := lo; i < hi; i++ {
-		box = box.Union(t.boxes[i])
-	}
-	idx := int32(len(t.nodes))
-	t.nodes = append(t.nodes, node{box: box, left: -1, right: -1, start: lo, end: hi})
-	if hi-lo <= maxLeafSize {
-		return idx
-	}
-	axis := box.LongestAxis()
-	mid := (lo + hi) / 2
-	// Median split by centroid along the chosen axis.
-	sort.Sort(&triSorter{t: t, lo: lo, n: int(hi - lo), axis: axis})
-	left := t.build(lo, mid)
-	right := t.build(mid, hi)
-	t.nodes[idx].left = left
-	t.nodes[idx].right = right
-	return idx
-}
-
-// triSorter co-sorts the triangle and box ranges by centroid along an axis.
-type triSorter struct {
-	t    *Tree
-	lo   int32
-	n    int
-	axis int
-}
-
-func (s *triSorter) Len() int { return s.n }
-func (s *triSorter) Less(i, j int) bool {
-	return s.t.tris[s.lo+int32(i)].Centroid().Component(s.axis) <
-		s.t.tris[s.lo+int32(j)].Centroid().Component(s.axis)
-}
-func (s *triSorter) Swap(i, j int) {
-	a, b := s.lo+int32(i), s.lo+int32(j)
-	s.t.tris[a], s.t.tris[b] = s.t.tris[b], s.t.tris[a]
-	s.t.boxes[a], s.t.boxes[b] = s.t.boxes[b], s.t.boxes[a]
 }
 
 // IntersectsTriangle reports whether any indexed triangle intersects q.
@@ -143,8 +202,8 @@ func (t *Tree) intersectsTriangleRec(ni int32, q geom.Triangle, qb geom.Box3) bo
 		return false
 	}
 	if n.left < 0 {
-		for i := n.start; i < n.end; i++ {
-			if t.boxes[i].Intersects(qb) && geom.TriTriIntersect(t.tris[i], q) {
+		for i := int(n.start); i < int(n.end); i++ {
+			if t.s.Box(i).Intersects(qb) && geom.TriTriIntersect(t.s.At(i), q) {
 				return true
 			}
 		}
@@ -170,15 +229,7 @@ func intersectsDual(a *Tree, ai int32, b *Tree, bi int32) bool {
 	aLeaf, bLeaf := an.left < 0, bn.left < 0
 	switch {
 	case aLeaf && bLeaf:
-		for i := an.start; i < an.end; i++ {
-			for j := bn.start; j < bn.end; j++ {
-				if a.boxes[i].Intersects(b.boxes[j]) &&
-					geom.TriTriIntersect(a.tris[i], b.tris[j]) {
-					return true
-				}
-			}
-		}
-		return false
+		return geom.IntersectsRect(a.s, int(an.start), int(an.end), b.s, int(bn.start), int(bn.end))
 	case bLeaf || (!aLeaf && an.box.Volume() >= bn.box.Volume()):
 		return intersectsDual(a, an.left, b, bi) || intersectsDual(a, an.right, b, bi)
 	default:
@@ -206,11 +257,11 @@ func (t *Tree) distTriRec(ni int32, q geom.Triangle, qb geom.Box3, best float64)
 		return best
 	}
 	if n.left < 0 {
-		for i := n.start; i < n.end; i++ {
-			if t.boxes[i].MinDist2(qb) >= best {
+		for i := int(n.start); i < int(n.end); i++ {
+			if t.s.Box(i).MinDist2(qb) >= best {
 				continue
 			}
-			if d2 := geom.TriTriDist2(t.tris[i], q); d2 < best {
+			if d2 := geom.TriTriDist2(t.s.At(i), q); d2 < best {
 				best = d2
 			}
 		}
@@ -257,17 +308,7 @@ func distDual(a *Tree, ai int32, b *Tree, bi int32, best float64) float64 {
 	aLeaf, bLeaf := an.left < 0, bn.left < 0
 	switch {
 	case aLeaf && bLeaf:
-		for i := an.start; i < an.end; i++ {
-			for j := bn.start; j < bn.end; j++ {
-				if a.boxes[i].MinDist2(b.boxes[j]) >= best {
-					continue
-				}
-				if d2 := geom.TriTriDist2(a.tris[i], b.tris[j]); d2 < best {
-					best = d2
-				}
-			}
-		}
-		return best
+		return geom.MinDist2Rect(a.s, int(an.start), int(an.end), b.s, int(bn.start), int(bn.end), best)
 	case bLeaf || (!aLeaf && an.box.Volume() >= bn.box.Volume()):
 		// Descend a; nearer child first.
 		l, r := an.left, an.right
@@ -315,8 +356,8 @@ func (t *Tree) countCrossings(ni int32, r geom.Ray) (int, bool) {
 	}
 	if n.left < 0 {
 		total := 0
-		for i := n.start; i < n.end; i++ {
-			c, ok := geom.RayCrossesTriangle(r, t.tris[i])
+		for i := int(n.start); i < int(n.end); i++ {
+			c, ok := geom.RayCrossesTriangle(r, t.s.At(i))
 			if !ok {
 				return 0, false
 			}
@@ -336,4 +377,4 @@ func (t *Tree) countCrossings(ni int32, r geom.Ray) (int, bool) {
 }
 
 // Triangle returns the i-th triangle in tree order.
-func (t *Tree) Triangle(i int) geom.Triangle { return t.tris[i] }
+func (t *Tree) Triangle(i int) geom.Triangle { return t.s.At(i) }

@@ -1,4 +1,4 @@
-package aabbtree
+package aabbtree_test
 
 import (
 	"math"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/index/aabbtree"
 	"repro/internal/mesh"
 )
 
@@ -22,7 +23,7 @@ func randomTris(rng *rand.Rand, n int, space, size float64) []geom.Triangle {
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr := Build(nil)
+	tr := aabbtree.Build(nil)
 	if tr.NumTriangles() != 0 {
 		t.Error("NumTriangles != 0")
 	}
@@ -32,7 +33,7 @@ func TestEmptyTree(t *testing.T) {
 	if tr.IntersectsTriangle(geom.Tri(geom.V(0, 0, 0), geom.V(1, 0, 0), geom.V(0, 1, 0))) {
 		t.Error("intersection in empty tree")
 	}
-	if !math.IsInf(tr.DistToTree(Build(nil)), 1) {
+	if !math.IsInf(tr.DistToTree(aabbtree.Build(nil)), 1) {
 		t.Error("distance between empty trees should be +Inf")
 	}
 	if tr.ContainsPoint(geom.V(0, 0, 0)) {
@@ -43,7 +44,7 @@ func TestEmptyTree(t *testing.T) {
 func TestIntersectsTriangleMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tris := randomTris(rng, 300, 20, 2)
-	tr := Build(tris)
+	tr := aabbtree.Build(tris)
 	if tr.NumTriangles() != 300 {
 		t.Fatalf("NumTriangles = %d", tr.NumTriangles())
 	}
@@ -89,7 +90,7 @@ func TestIntersectsTreeMatchesBrute(t *testing.T) {
 				}
 			}
 		}
-		ta, tb := Build(a), Build(b)
+		ta, tb := aabbtree.Build(a), aabbtree.Build(b)
 		if got := ta.IntersectsTree(tb); got != want {
 			t.Fatalf("trial %d: got %v, want %v", trial, got, want)
 		}
@@ -119,7 +120,7 @@ func TestDistToTreeMatchesBrute(t *testing.T) {
 			}
 		}
 		want = math.Sqrt(want)
-		got := Build(a).DistToTree(Build(b))
+		got := aabbtree.Build(a).DistToTree(aabbtree.Build(b))
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d: got %v, want %v", trial, got, want)
 		}
@@ -129,7 +130,7 @@ func TestDistToTreeMatchesBrute(t *testing.T) {
 func TestDistToTriangle(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	tris := randomTris(rng, 100, 10, 2)
-	tr := Build(tris)
+	tr := aabbtree.Build(tris)
 	for trial := 0; trial < 50; trial++ {
 		base := geom.V(rng.Float64()*30-10, rng.Float64()*30-10, rng.Float64()*30-10)
 		q := geom.Tri(base, base.Add(geom.V(1, 0, 0)), base.Add(geom.V(0, 1, 0)))
@@ -155,7 +156,7 @@ func TestDistToTriangle(t *testing.T) {
 
 func TestContainsPointSphere(t *testing.T) {
 	m := mesh.Icosphere(5, 3)
-	tr := Build(m.Triangles())
+	tr := aabbtree.Build(m.Triangles())
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 3000; i++ {
 		p := geom.V(rng.Float64()*12-6, rng.Float64()*12-6, rng.Float64()*12-6)
@@ -172,7 +173,7 @@ func TestContainsPointSphere(t *testing.T) {
 
 func TestTriangleAccessor(t *testing.T) {
 	tris := []geom.Triangle{geom.Tri(geom.V(0, 0, 0), geom.V(1, 0, 0), geom.V(0, 1, 0))}
-	tr := Build(tris)
+	tr := aabbtree.Build(tris)
 	if tr.Triangle(0) != tris[0] {
 		t.Error("Triangle(0) mismatch")
 	}
@@ -188,7 +189,7 @@ func BenchmarkBuild(b *testing.B) {
 	tris := m.Triangles()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(tris)
+		aabbtree.Build(tris)
 	}
 }
 
@@ -196,7 +197,7 @@ func BenchmarkDistToTree(b *testing.B) {
 	a := mesh.Icosphere(5, 3)
 	c := mesh.Icosphere(5, 3)
 	c.Translate(geom.V(15, 3, 1))
-	ta, tc := Build(a.Triangles()), Build(c.Triangles())
+	ta, tc := aabbtree.Build(a.Triangles()), aabbtree.Build(c.Triangles())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ta.DistToTree(tc)
@@ -207,7 +208,7 @@ func BenchmarkIntersectsTree(b *testing.B) {
 	a := mesh.Icosphere(5, 3)
 	c := mesh.Icosphere(5, 3)
 	c.Translate(geom.V(7, 0, 0))
-	ta, tc := Build(a.Triangles()), Build(c.Triangles())
+	ta, tc := aabbtree.Build(a.Triangles()), aabbtree.Build(c.Triangles())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ta.IntersectsTree(tc)
@@ -225,7 +226,7 @@ func TestContainsPointMultiComponent(t *testing.T) {
 	for _, f := range c2.Faces {
 		v.Faces = append(v.Faces, mesh.Face{f[0] + off, f[1] + off, f[2] + off})
 	}
-	tr := Build(v.Triangles())
+	tr := aabbtree.Build(v.Triangles())
 	rng := rand.New(rand.NewSource(8))
 	b := v.Bounds().Expand(1)
 	tris := v.Triangles()
@@ -264,7 +265,7 @@ func TestDistToTreeBounded(t *testing.T) {
 			b[i].B.X += shift
 			b[i].C.X += shift
 		}
-		ta, tb := Build(a), Build(b)
+		ta, tb := aabbtree.Build(a), aabbtree.Build(b)
 		exact := ta.DistToTree(tb)
 
 		// Generous bound: exact answer.
@@ -292,8 +293,8 @@ func TestDistToTreeBounded(t *testing.T) {
 func TestBuildSoAMatchesBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tris := randomTris(rng, 200, 20, 2)
-	aos := Build(tris)
-	soa := BuildSoA(geom.SoAFromTriangles(tris))
+	aos := aabbtree.Build(tris)
+	soa := aabbtree.BuildSoA(geom.SoAFromTriangles(tris))
 
 	if soa.NumTriangles() != aos.NumTriangles() {
 		t.Fatalf("NumTriangles = %d want %d", soa.NumTriangles(), aos.NumTriangles())
@@ -304,7 +305,7 @@ func TestBuildSoAMatchesBuild(t *testing.T) {
 	// Both constructions must answer identically: same split rule over the
 	// same boxes yields the same tree, so query results agree exactly.
 	for trial := 0; trial < 100; trial++ {
-		other := BuildSoA(geom.SoAFromTriangles(randomTris(rng, 30, 20, 2)))
+		other := aabbtree.BuildSoA(geom.SoAFromTriangles(randomTris(rng, 30, 20, 2)))
 		if got, want := soa.IntersectsTree(other), aos.IntersectsTree(other); got != want {
 			t.Fatalf("trial %d: IntersectsTree = %v want %v", trial, got, want)
 		}
@@ -319,7 +320,7 @@ func TestBuildSoAMatchesBuild(t *testing.T) {
 }
 
 func TestBuildSoAEmpty(t *testing.T) {
-	tr := BuildSoA(geom.SoAFromTriangles(nil))
+	tr := aabbtree.BuildSoA(geom.SoAFromTriangles(nil))
 	if tr.NumTriangles() != 0 || !tr.Bounds().IsEmpty() {
 		t.Fatal("empty SoA tree not empty")
 	}

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/geom"
+	"repro/internal/index/aabbtree"
 )
 
 // Face is a triangle referencing three vertex indices in CCW order as seen
@@ -26,13 +27,24 @@ type Mesh struct {
 	Vertices []geom.Vec3
 	Faces    []Face
 
-	// tris lazily memoizes the materialized triangle slice for read-only
-	// meshes (decoded LODs queried many times). Mutating methods drop it.
-	tris atomic.Pointer[[]geom.Triangle]
+	// The derived memos below are built lazily, at most once per mesh state,
+	// and shared by every reader of a read-only mesh (decoded LODs queried
+	// many times). They live exactly as long as the mesh: whoever holds the
+	// mesh — the decode cache, for the query engine — holds its accelerators,
+	// and dropping the mesh drops them. Mutating methods drop them all.
 
-	// soa lazily memoizes the struct-of-arrays triangle layout consumed by
-	// the batch refinement executor. Same lifecycle as tris.
+	// tris is the materialized triangle slice.
+	tris atomic.Pointer[[]geom.Triangle]
+	// soa is the struct-of-arrays packing consumed by the batch kernels.
+	// Once tree is built it holds the tree-ordered lanes.
 	soa atomic.Pointer[geom.TriSoA]
+	// tree is the AABB tree over soa's lanes (accel.go).
+	tree atomic.Pointer[aabbtree.Tree]
+	// groups is the sub-object partition (accel.go).
+	groups atomic.Pointer[Groups]
+
+	// onFootprint, when set, is called after every memo change.
+	onFootprint atomic.Pointer[func()]
 }
 
 // New returns an empty mesh with the given capacities pre-allocated.
@@ -81,49 +93,85 @@ func (m *Mesh) Triangles() []geom.Triangle {
 
 // TrianglesCached returns the materialized triangle slice, building it at
 // most once per mesh state and sharing the result across callers. The
-// returned slice is read-only. Concurrent first calls may race to build; the
-// duplicate work is benign and bounded to one extra materialization.
+// returned slice is read-only. Concurrent first calls may race to build; one
+// slice is published and the losers' duplicates are discarded.
 func (m *Mesh) TrianglesCached() []geom.Triangle {
 	if p := m.tris.Load(); p != nil {
 		return *p
 	}
 	t := m.Triangles()
-	m.tris.Store(&t)
-	return t
+	if m.tris.CompareAndSwap(nil, &t) {
+		m.footprintChanged()
+		return t
+	}
+	return *m.tris.Load()
 }
 
 // SoA returns the struct-of-arrays triangle layout for the current mesh
-// state, building it at most once per state and sharing the result across
-// callers. The packing reuses TrianglesCached, so a mesh queried through
-// both representations materializes each exactly once. The returned value
-// is read-only; mutating methods drop it along with the triangle memo.
-// Concurrent first calls may race to build; the duplicate work is benign
-// and bounded to one extra packing.
+// state, packed straight from Vertices and Faces at most once per state and
+// shared across callers. The order of the triangles is unspecified: building
+// the AABB tree (see Tree) re-lays the lanes out in tree order. Every
+// consumer is a cross-product kernel, a tree descent, or a containment
+// count, none of which depends on face order. The returned value is
+// read-only; mutating methods drop it along with the other memos.
+// Concurrent first calls may race to build; one packing is published and
+// the losers' duplicates are discarded.
 func (m *Mesh) SoA() *geom.TriSoA {
 	if p := m.soa.Load(); p != nil {
 		return p
 	}
-	s := geom.SoAFromTriangles(m.TrianglesCached())
-	m.soa.Store(s)
-	return s
+	s := geom.NewTriSoA(len(m.Faces))
+	for i, f := range m.Faces {
+		s.Set(i, m.Vertices[f[0]], m.Vertices[f[1]], m.Vertices[f[2]])
+	}
+	if m.soa.CompareAndSwap(nil, s) {
+		m.footprintChanged()
+		return s
+	}
+	return m.soa.Load()
 }
 
-// FootprintBytes estimates the resident size of the mesh plus whatever
-// derived memos (triangle slice, SoA lanes) are currently materialized.
-// The cache uses it to account for decoded objects.
+// FootprintBytes returns the resident size of the mesh plus whatever derived
+// memos (triangle slice, SoA lanes, AABB-tree nodes, partition groups) are
+// materialized right now. It grows as memos are built; an owner that budgets
+// by it (the decode cache) registers with OnFootprintChange to hear when.
 func (m *Mesh) FootprintBytes() int64 {
 	b := int64(len(m.Vertices))*24 + int64(len(m.Faces))*12
 	if p := m.tris.Load(); p != nil {
 		b += int64(len(*p)) * 72
 	}
-	b += m.soa.Load().Bytes()
+	soa := m.soa.Load()
+	b += soa.Bytes()
+	if t := m.tree.Load(); t != nil {
+		b += t.NodeBytes()
+	}
+	if g := m.groups.Load(); g != nil {
+		b += g.bytes(soa)
+	}
 	return b
+}
+
+// OnFootprintChange registers fn to be called, on the goroutine that caused
+// it, after each change to the set of materialized memos — the moments
+// FootprintBytes changes. A mesh reports to one owner: a later call replaces
+// fn. fn must not build memos of this mesh.
+func (m *Mesh) OnFootprintChange(fn func()) {
+	m.onFootprint.Store(&fn)
+}
+
+func (m *Mesh) footprintChanged() {
+	if fn := m.onFootprint.Load(); fn != nil {
+		(*fn)()
+	}
 }
 
 // invalidateTriangles drops the memoized derived layouts after a mutation.
 func (m *Mesh) invalidateTriangles() {
 	m.tris.Store(nil)
 	m.soa.Store(nil)
+	m.tree.Store(nil)
+	m.groups.Store(nil)
+	m.footprintChanged()
 }
 
 // Bounds returns the mesh's minimal bounding box (MBB).

@@ -160,12 +160,3 @@ func GroupCount(faces, targetFaces int) int {
 	}
 	return k
 }
-
-// GroupTriangles materializes the triangles of one group.
-func GroupTriangles(m *mesh.Mesh, g Group) []geom.Triangle {
-	tris := make([]geom.Triangle, len(g.Faces))
-	for i, f := range g.Faces {
-		tris[i] = m.Triangle(int(f))
-	}
-	return tris
-}

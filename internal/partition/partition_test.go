@@ -90,19 +90,18 @@ func TestGroupCount(t *testing.T) {
 	}
 }
 
-func TestGroupTriangles(t *testing.T) {
+func TestGroupsCoverEveryFaceOnce(t *testing.T) {
 	m := mesh.Icosphere(2, 1)
-	groups := PartitionMesh(m, 2)
-	total := 0
-	for _, g := range groups {
-		tris := GroupTriangles(m, g)
-		if len(tris) != len(g.Faces) {
-			t.Fatal("triangle count mismatch")
+	seen := make([]int, m.NumFaces())
+	for _, g := range PartitionMesh(m, 2) {
+		for _, f := range g.Faces {
+			seen[f]++
 		}
-		total += len(tris)
 	}
-	if total != m.NumFaces() {
-		t.Errorf("total triangles %d != faces %d", total, m.NumFaces())
+	for f, n := range seen {
+		if n != 1 {
+			t.Fatalf("face %d assigned to %d groups", f, n)
+		}
 	}
 }
 

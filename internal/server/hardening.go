@@ -125,6 +125,12 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		"ready":    s.ready.Load(),
 		"datasets": names,
 		"inflight": map[string]int{"used": len(s.inflight), "max": s.cfg.MaxInFlight},
+		// Accelerator memo effectiveness over every query served (sharded
+		// or not): builds that keep pace with reuses mean the decode cache
+		// is too small to keep the trees it pays for.
+		"accel": map[string]float64{
+			"builds": s.obs.accelBuilds.Value(), "reuses": s.obs.accelReuses.Value(),
+		},
 	}
 
 	if s.eng != nil {

@@ -27,6 +27,8 @@ type serverObs struct {
 	phaseSeconds  *obs.CounterVec // phase
 	decodeRounds  *obs.Histogram
 	admissionRej  *obs.Counter
+	accelBuilds   *obs.Counter
+	accelReuses   *obs.Counter
 
 	queryLog *obs.QueryLog
 }
@@ -50,6 +52,10 @@ func (s *Server) initObs() {
 			"Decode rounds replayed per query.", obs.RoundBuckets),
 		admissionRej: reg.Counter("threedpro_admission_rejected_total",
 			"Query requests shed by admission control."),
+		accelBuilds: reg.Counter("threedpro_accel_builds_total",
+			"Refinement accelerators (AABB trees, partition groups) built by queries."),
+		accelReuses: reg.Counter("threedpro_accel_reuses_total",
+			"Accelerator lookups served from a decoded mesh's memo instead of a build."),
 		queryLog: obs.NewQueryLog(queryLogCapacity),
 	}
 	reg.GaugeFunc("threedpro_queries_inflight",
@@ -179,6 +185,8 @@ func (s *Server) noteQuery(r *http.Request, kind string, st *core.Stats, err err
 	s.obs.phaseSeconds.With("decode").Add(st.DecodeTime.Seconds())
 	s.obs.phaseSeconds.With("geom").Add(st.GeomTime.Seconds())
 	s.obs.decodeRounds.Observe(float64(st.RoundsApplied))
+	s.obs.accelBuilds.Add(float64(st.AccelBuilds))
+	s.obs.accelReuses.Add(float64(st.AccelReuses))
 
 	s.obs.queryLog.Record(obs.QuerySummary{
 		ID:             requestID(r),

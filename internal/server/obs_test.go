@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -77,6 +78,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"threedpro_query_phase_seconds_total":   "counter",
 		"threedpro_query_decode_rounds":         "histogram",
 		"threedpro_admission_rejected_total":    "counter",
+		"threedpro_accel_builds_total":          "counter",
+		"threedpro_accel_reuses_total":          "counter",
 		"threedpro_queries_inflight":            "gauge",
 		"threedpro_cache_hits_total":            "counter",
 		"threedpro_cache_misses_total":          "counter",
@@ -107,6 +110,54 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "threedpro_cache_misses_total") {
 		t.Error("cache misses family missing")
+	}
+}
+
+// TestAccelCountersExposed: a repeated AABB query builds its trees once; the
+// per-query stats say so, and /metrics and /statusz carry the running totals.
+func TestAccelCountersExposed(t *testing.T) {
+	ts, _ := obsServer(t, Config{})
+	var first, second struct {
+		Stats statsJSON `json:"stats"`
+	}
+	const body = `{"target":"alpha","source":"beta","dist":25,"accel":"aabb"}`
+	if resp := postJSON(t, ts.URL+"/query/within", body, &first); resp.StatusCode != 200 {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if resp := postJSON(t, ts.URL+"/query/within", body, &second); resp.StatusCode != 200 {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if first.Stats.AccelBuilds == 0 || second.Stats.AccelBuilds != 0 || second.Stats.AccelReuses == 0 {
+		t.Fatalf("accel builds/reuses: first %d/%d, second %d/%d; want builds then pure reuse",
+			first.Stats.AccelBuilds, first.Stats.AccelReuses, second.Stats.AccelBuilds, second.Stats.AccelReuses)
+	}
+	builds := first.Stats.AccelBuilds
+	reuses := first.Stats.AccelReuses + second.Stats.AccelReuses
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	scrape, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("threedpro_accel_builds_total %d\n", builds),
+		fmt.Sprintf("threedpro_accel_reuses_total %d\n", reuses),
+	} {
+		if !strings.Contains(string(scrape), want) {
+			t.Errorf("/metrics lacks %q:\n%s", want, grepLines(string(scrape), "threedpro_accel"))
+		}
+	}
+
+	var status struct {
+		Accel map[string]float64 `json:"accel"`
+	}
+	getJSON(t, ts.URL+"/statusz", &status)
+	if status.Accel["builds"] != float64(builds) || status.Accel["reuses"] != float64(reuses) {
+		t.Errorf("/statusz accel = %v, want builds %d reuses %d", status.Accel, builds, reuses)
 	}
 }
 

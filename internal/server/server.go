@@ -448,10 +448,15 @@ type statsJSON struct {
 	// Margin-scheduler counters: ladder entries skipped by margin routing
 	// and pairs settled by filter-phase bounds alone (both 0 under
 	// sched=static, except bounds-driven NN prunes which count always).
-	LODsSkippedByMargin int64   `json:"lods_skipped_by_margin"`
-	BoundsDecisive      int64   `json:"bounds_decisive"`
-	Evaluated           []int64 `json:"pairs_evaluated_per_lod"`
-	Pruned              []int64 `json:"pairs_pruned_per_lod"`
+	LODsSkippedByMargin int64 `json:"lods_skipped_by_margin"`
+	BoundsDecisive      int64 `json:"bounds_decisive"`
+	// Accelerator-memo counters: AABB trees and partition groups this query
+	// built vs lookups served from a decoded mesh's memo (a repeat query on
+	// a warm cache builds none).
+	AccelBuilds int64   `json:"accel_builds"`
+	AccelReuses int64   `json:"accel_reuses"`
+	Evaluated   []int64 `json:"pairs_evaluated_per_lod"`
+	Pruned      []int64 `json:"pairs_pruned_per_lod"`
 	// Partial-failure accounting (degrade policy). The response's pairs are
 	// the certain answer; uncertain lists relations a failure left
 	// unsettled (source -1 = unknown candidate set of that target) and
@@ -526,6 +531,8 @@ func baseStatsOut(st *core.Stats) statsJSON {
 		BatchPairs:          st.BatchPairs,
 		LODsSkippedByMargin: st.LODsSkippedByMargin,
 		BoundsDecisive:      st.BoundsDecisive,
+		AccelBuilds:         st.AccelBuilds,
+		AccelReuses:         st.AccelReuses,
 		Evaluated:           st.PairsEvaluated,
 		Pruned:              st.PairsPruned,
 		Uncertain:           st.Uncertain,
