@@ -2,10 +2,10 @@
 //
 // Two invariants from the PR-2 hot-path overhaul:
 //
-//  1. Code in internal/core and internal/index/aabbtree must call
-//     mesh.TrianglesCached(), never mesh.Triangles(): Triangles() builds a
-//     fresh []geom.Triangle on every call, and the candidate loop evaluates
-//     thousands of pairs per query.
+//  1. Code in the hot-path packages must never call mesh.Triangles(): it
+//     builds a fresh []geom.Triangle on every call, and the candidate loop
+//     evaluates thousands of pairs per query. The kernels run on the
+//     memoized lanes of mesh.SoA().
 //
 //  2. Functions reachable from the per-object callbacks handed to
 //     runPerTarget must not allocate slices per pair — per-worker scratch
@@ -44,8 +44,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "hotalloc",
 	Doc: "forbid mesh.Triangles(), per-pair slice allocation and reflection sorts on the refine hot path\n\n" +
 		"In internal/core, internal/index/aabbtree, internal/shard, and internal/gpusim,\n" +
-		"(*mesh.Mesh).Triangles() must be\n" +
-		"(*mesh.Mesh).TrianglesCached(), functions reachable from runPerTarget\n" +
+		"(*mesh.Mesh).Triangles() must not be called (use SoA()), functions reachable from runPerTarget\n" +
 		"callbacks must not allocate slices (use per-worker scratch or a pool) nor\n" +
 		"call sort.Slice/sort.SliceStable (use slices.SortFunc), and goroutines\n" +
 		"launched by pipeline drivers (functions calling NewStream) must not do\n" +
@@ -80,7 +79,7 @@ func checkTrianglesCalls(pass *analysis.Pass) {
 			if callee := analysis.CalleeFunc(pass.Info, call); callee != nil &&
 				analysis.IsMethodOn(callee, "internal/mesh", "Mesh", "Triangles") {
 				pass.Reportf(call.Pos(),
-					"(*mesh.Mesh).Triangles() allocates per call; hot-path package must use TrianglesCached()")
+					"no (*mesh.Mesh).Triangles() in hot-path packages: it allocates per call; use SoA()")
 			}
 			return true
 		})

@@ -35,7 +35,7 @@ func Evaluate(m *mesh.Mesh, workers int) error {
 	var once sync.Once
 	var cached []mesh.Triangle
 	return runPerTarget(workers, func(w int, o int) error {
-		tris := m.Triangles() // want "TrianglesCached"
+		tris := m.Triangles() // want "Triangles.. in hot-path packages"
 		_ = tris
 		buf := make([]float64, o) // want "slice allocation reachable from a runPerTarget callback"
 		_ = buf
@@ -81,14 +81,14 @@ func helper(n int) []int {
 // are fine.
 func coldPath(m *mesh.Mesh) []mesh.Triangle {
 	out := make([]mesh.Triangle, 0, 8)
-	out = append(out, m.TrianglesCached()...) // cached accessor: OK
+	out = append(out, m.SoA()...) // memoized lanes: OK
 	return out
 }
 
-// Cached uses the sanctioned accessor inside the callback.
-func Cached(m *mesh.Mesh, workers int) error {
+// Lanes uses the sanctioned accessor inside the callback.
+func Lanes(m *mesh.Mesh, workers int) error {
 	return runPerTarget(workers, func(w int, o int) error {
-		_ = m.TrianglesCached()
+		_ = m.SoA()
 		return nil
 	})
 }

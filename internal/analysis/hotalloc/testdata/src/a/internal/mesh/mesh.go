@@ -1,5 +1,5 @@
 // Package mesh is a fixture stub of repro/internal/mesh: hotalloc matches
-// the Mesh type and its Triangles methods by package-path suffix, so this
+// the Mesh type and its Triangles method by package-path suffix, so this
 // stand-in exercises the analyzer without importing the real engine.
 package mesh
 
@@ -13,7 +13,8 @@ func (m *Mesh) Triangles() []Triangle {
 	return out
 }
 
-func (m *Mesh) TrianglesCached() []Triangle { return m.faces }
+// SoA mimics the memoized lane accessor the hot path uses instead.
+func (m *Mesh) SoA() []Triangle { return m.faces }
 
 // Groups mimics the memoized partition accessor: build runs only when the
 // mesh has no partition yet.

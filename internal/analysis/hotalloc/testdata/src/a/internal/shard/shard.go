@@ -7,14 +7,14 @@ import "a/internal/mesh"
 
 // localRefine falls back to engine-local refinement when a shard dies; it
 // runs inside the candidate loop, so Triangles() is the per-call allocation
-// the cache exists to avoid.
+// the memoized lanes exist to avoid.
 func localRefine(m *mesh.Mesh) int {
-	tris := m.Triangles() // want "must use TrianglesCached"
+	tris := m.Triangles() // want "use SoA"
 	return len(tris)
 }
 
-func localRefineCached(m *mesh.Mesh) int {
-	return len(m.TrianglesCached())
+func localRefineSoA(m *mesh.Mesh) int {
+	return len(m.SoA())
 }
 
 // runPerTarget mirrors the core dispatcher's shape; the analyzer roots the

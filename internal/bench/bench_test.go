@@ -253,8 +253,8 @@ func TestProfiledLODsCached(t *testing.T) {
 	}
 }
 
-// TestRunCellExecutorParity pins the batch pipeline and the per-pair
-// reference executor to identical result counts on the actual benchmark
+// TestRunCellExecutorParity pins the pipelined and the inline drive of the
+// refinement stages to identical result counts on the actual benchmark
 // workload — the same datasets and cells BENCH_*.json timings come from —
 // so a pipeline speedup in the committed artifacts can never be the
 // product of silently skipped work.
@@ -267,12 +267,11 @@ func TestRunCellExecutorParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.Exec = core.ExecPipeline
+			s.Exec = core.ExecAuto
 			pipe, err := s.RunCell(test, p, core.BruteForce)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.Exec = core.ExecAuto
 			if per.Results != pipe.Results {
 				t.Errorf("%v/%v: per-pair %d results, pipeline %d", test, p, per.Results, pipe.Results)
 			}

@@ -43,14 +43,12 @@ func checkAccounting(t *testing.T, c *Cache, when string) {
 // buildMemo materializes one of the derived memos on a (possibly shared,
 // possibly already evicted) cached mesh, the way a query would.
 func buildMemo(m *mesh.Mesh, which int) {
-	switch which % 4 {
+	switch which {
 	case 0:
 		m.SoA()
 	case 1:
 		m.Tree()
 	case 2:
-		m.TrianglesCached()
-	case 3:
 		m.Groups(func() [][]int32 {
 			half := int32(m.NumFaces() / 2)
 			var a, b []int32
@@ -90,11 +88,11 @@ func TestAccountingTracksMemos(t *testing.T) {
 			held[key] = m
 		case op < 8:
 			if m := held[key]; m != nil {
-				buildMemo(m, rng.Intn(4))
+				buildMemo(m, rng.Intn(3))
 			}
 		case op < 9:
 			if m := c.Get(key); m != nil {
-				buildMemo(m, rng.Intn(4))
+				buildMemo(m, rng.Intn(3))
 			}
 		default:
 			c.InvalidateObject(key.Object)
@@ -169,7 +167,7 @@ func TestConcurrentMemoBuildsKeepBooks(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				buildMemo(m, rng.Intn(4))
+				buildMemo(m, rng.Intn(3))
 			}
 		}(g)
 	}

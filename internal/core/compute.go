@@ -33,6 +33,13 @@ type evalCtx struct {
 	// runPerTarget hands to each callback; no locking needed.
 	scratch []filterScratch
 
+	// slots is how many actors can record on the query at once, each on a
+	// slot of its own and therefore without locking: the W runPerTarget
+	// workers [0, W), and — in the joins' pipelined drive — W decode workers
+	// [W, 2W) and the gather goroutine 2W. The degrader and the joins'
+	// result sink size their per-slot buffers by it.
+	slots int
+
 	// deg collects per-object failures when the query runs under the
 	// Degrade error policy; nil under FailFast.
 	deg *degrader
@@ -45,9 +52,6 @@ type filterScratch struct {
 	seen map[int64]struct{}
 	ids  []int64
 	def  []int64
-	// dir collects the candidates the margin scheduler routes straight to
-	// the top LOD (planDirect in sched.go); always empty under SchedStatic.
-	dir []int64
 	// maxd is the KNN refinement's MAXDIST sort buffer (see kth in
 	// KNNJoin); reused across targets so the k-th-distance computation
 	// doesn't allocate per call.
@@ -63,19 +67,20 @@ func (f *filterScratch) reset() *filterScratch {
 	}
 	f.ids = f.ids[:0]
 	f.def = f.def[:0]
-	f.dir = f.dir[:0]
 	return f
 }
 
 func newEvalCtx(e *Engine, opts QueryOptions, col *collector) *evalCtx {
+	workers := opts.workers(e)
 	c := &evalCtx{
 		e:       e,
 		opts:    opts,
 		col:     col,
-		scratch: make([]filterScratch, opts.workers(e)),
+		scratch: make([]filterScratch, workers),
+		slots:   2*workers + 1,
 	}
 	if opts.OnError == Degrade {
-		c.deg = newDegrader(opts.workers(e), opts.ErrorBudget)
+		c.deg = newDegrader(c.slots, opts.ErrorBudget)
 	}
 	return c
 }
@@ -254,19 +259,8 @@ func (c *evalCtx) intersects(a, b obj) bool {
 	case Partition, PartitionGPU:
 		return c.intersectsPartitioned(a, b)
 	default:
-		return bruteIntersects(a.mesh.TrianglesCached(), b.mesh.TrianglesCached())
+		return geom.IntersectsBatch(a.mesh.SoA(), b.mesh.SoA())
 	}
-}
-
-func bruteIntersects(ta, tb []geom.Triangle) bool {
-	for i := range ta {
-		for j := range tb {
-			if geom.TriTriIntersect(ta[i], tb[j]) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 func (c *evalCtx) intersectsPartitioned(a, b obj) bool {
@@ -293,41 +287,36 @@ func (c *evalCtx) intersectsPartitioned(a, b obj) bool {
 // short and the returned value is only known to be > upper: it is neither
 // the true distance nor a bound on it, and callers must read it as "greater
 // than upper" and nothing more. Pass math.Inf(1) for an exact distance.
+// Every accelerator folds the same TriTriDist2 primitive over the SoA lanes,
+// so a distance that is found is bit-identical across them.
 func (c *evalCtx) minDist(a, b obj, upper float64) float64 {
 	defer c.col.geomDone(a.lod, time.Now())
 
+	up2 := bound2(upper)
 	switch c.opts.Accel {
 	case AABB:
 		// Dual-tree descent, seeded with the upper bound so subtree pairs
 		// provably out of range are pruned without touching triangles.
-		return c.tree(a).DistToTreeBounded(c.tree(b), upper*nextAfterFactor)
+		return c.tree(a).DistToTreeBounded(c.tree(b), math.Sqrt(up2))
 	case GPU:
-		up2 := math.Inf(1)
-		if !math.IsInf(upper, 1) {
-			up2 = upper * upper * nextAfterFactor
-		}
 		return math.Sqrt(c.e.dev.MinDist2Bounded(a.mesh.SoA(), b.mesh.SoA(), up2))
 	case Partition, PartitionGPU:
-		return c.minDistPartitioned(a, b, upper)
+		return c.minDistPartitioned(a, b, up2)
 	default:
-		return bruteMinDist(a.mesh.TrianglesCached(), b.mesh.TrianglesCached())
+		return math.Sqrt(geom.MinDist2Batch(a.mesh.SoA(), b.mesh.SoA(), up2))
 	}
 }
 
-// nextAfterFactor slightly inflates squared upper bounds so that a true
-// distance exactly equal to the bound is still found.
-const nextAfterFactor = 1 + 1e-12
-
-func bruteMinDist(ta, tb []geom.Triangle) float64 {
-	best := math.Inf(1)
-	for i := range ta {
-		for j := range tb {
-			if d := geom.TriTriDist2(ta[i], tb[j]); d < best {
-				best = d
-			}
-		}
+// bound2 squares a distance bound into the seed of a bounded kernel, which
+// reports only distances strictly below its seed: the square is inflated so
+// a true distance exactly equal to the bound is still found, and kept above
+// zero so that under a zero bound touching pairs (distance exactly 0) are.
+// +Inf stays +Inf.
+func bound2(upper float64) float64 {
+	if u2 := upper * upper * (1 + 1e-12); u2 > 0 {
+		return u2
 	}
-	return math.Sqrt(best)
+	return math.SmallestNonzeroFloat64
 }
 
 // groupPair is one (sub-object group, sub-object group) pair queued for
@@ -344,8 +333,8 @@ var groupPairPool = sync.Pool{New: func() any { return new([]groupPair) }}
 
 // minDistPartitioned runs branch-and-bound over sub-object group pairs
 // ordered by box distance, evaluating pairs until no remaining pair's box
-// can beat the best distance found.
-func (c *evalCtx) minDistPartitioned(a, b obj, upper float64) float64 {
+// can beat the best distance found or the squared bound best2.
+func (c *evalCtx) minDistPartitioned(a, b obj, best2 float64) float64 {
 	ga, gb := c.groupsOf(a), c.groupsOf(b)
 	buf := groupPairPool.Get().(*[]groupPair)
 	defer func() {
@@ -360,10 +349,6 @@ func (c *evalCtx) minDistPartitioned(a, b obj, upper float64) float64 {
 	*buf = pairs
 	slices.SortFunc(pairs, func(x, y groupPair) int { return cmp.Compare(x.d2, y.d2) })
 
-	best2 := math.Inf(1)
-	if !math.IsInf(upper, 1) {
-		best2 = upper * upper * nextAfterFactor
-	}
 	found := math.Inf(1)
 	for _, p := range pairs {
 		if p.d2 >= best2 || p.d2 >= found {
@@ -395,10 +380,5 @@ func (c *evalCtx) containsObject(outer, inner obj) bool {
 	if len(inner.mesh.Vertices) == 0 {
 		return false
 	}
-	defer c.col.geomDone(outer.lod, time.Now())
-	p := inner.mesh.Vertices[0]
-	if c.opts.Accel == AABB {
-		return c.tree(outer).ContainsPoint(p)
-	}
-	return geom.PointInTriangles(p, outer.mesh.TrianglesCached())
+	return c.pointInside(outer, inner.mesh.Vertices[0])
 }

@@ -94,32 +94,32 @@ func (a Accel) UsesPartition() bool { return a == Partition || a == PartitionGPU
 // UsesGPU reports whether the accelerator needs the simulated device.
 func (a Accel) UsesGPU() bool { return a == GPU || a == PartitionGPU }
 
-// Exec selects the refinement executor for the join kinds that support
-// batching (IntersectJoin, WithinJoin). The other query kinds always use the
-// per-pair executor.
+// Exec selects how IntersectJoin and WithinJoin drive their refinement
+// stages (pipeline.go). Both values run the same filter, plan, decode,
+// evaluate and settle code and return the same answer; the other query kinds
+// have one ladder each and ignore it.
 type Exec int
 
 const (
-	// ExecAuto uses the pipelined batch executor where available — the
-	// default.
+	// ExecAuto — the default — overlaps the stages: decode workers, batches
+	// on the device stream, a gather goroutine.
 	ExecAuto Exec = iota
-	// ExecPipeline forces the pipelined batch executor.
-	ExecPipeline
-	// ExecPerPair forces the per-pair reference executor: candidates are
-	// refined one pair at a time inside the filter workers. It is the
-	// semantics baseline the pipeline is proven against.
+	// ExecPerPair drives the stages inline: each filter worker walks its
+	// candidates up the ladder one pair at a time, with no queue, stream or
+	// device batch. It stays an option because it is the sequential
+	// reference the overlapped drive is tested against (and the benchmark
+	// oracle pins it). Its Stats differ from ExecAuto's only in
+	// BatchesDispatched and BatchPairs, which stay 0. Like ExecAuto it looks
+	// the target object up in the cache once per evaluated pair, not once
+	// per LOD, and CacheHits counts every lookup.
 	ExecPerPair
 )
 
 func (x Exec) String() string {
-	switch x {
-	case ExecPipeline:
-		return "pipeline"
-	case ExecPerPair:
+	if x == ExecPerPair {
 		return "per-pair"
-	default:
-		return "auto"
 	}
+	return "auto"
 }
 
 // Sched selects the LOD scheduling policy progressive refinement uses.
@@ -267,8 +267,8 @@ type QueryOptions struct {
 	// (phase, LOD) is returned in Stats.Trace. Off by default — each traced
 	// span takes a mutex on the hot path.
 	Trace bool
-	// Exec selects the refinement executor (pipelined batches vs per-pair)
-	// for IntersectJoin and WithinJoin. Defaults to the pipeline.
+	// Exec selects the drive of the IntersectJoin/WithinJoin refinement
+	// stages: overlapped batches (the default) or inline per pair.
 	Exec Exec
 	// Sched selects the LOD scheduling policy: SchedMargin (the default)
 	// routes each candidate pair by its distance margin over an
@@ -276,9 +276,6 @@ type QueryOptions struct {
 	// rule. Both produce byte-identical results.
 	Sched Sched
 }
-
-// usePipeline reports whether the batch pipeline executor should run.
-func (q *QueryOptions) usePipeline() bool { return q.Exec != ExecPerPair }
 
 // marginSched reports whether the per-pair margin scheduler is active: only
 // under FPR (FR is the decode-everything baseline and stays untouched as

@@ -10,6 +10,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mesh"
 	"repro/internal/ppvp"
+	"repro/internal/sdbms"
 )
 
 // testEngine returns a small engine suitable for unit tests.
@@ -77,28 +78,68 @@ func decodeAll(t *testing.T, d *Dataset) []*mesh.Mesh {
 	return out
 }
 
-func bruteIntersectJoin(t *testing.T, ta, tb []*mesh.Mesh) map[Pair]bool {
-	t.Helper()
-	res := map[Pair]bool{}
-	for i, a := range ta {
-		for j, b := range tb {
-			if !a.Bounds().Intersects(b.Bounds()) {
-				continue
-			}
-			if bruteIntersects(a.Triangles(), b.Triangles()) ||
-				containsBrute(a, b) || containsBrute(b, a) {
-				res[Pair{int64(i), int64(j)}] = true
-			}
-		}
-	}
-	return res
+// reference is the independent oracle for a (target, source) dataset pair:
+// both datasets' objects, decoded at the highest LOD, loaded into sdbms — the
+// []Triangle engine that shares no filter, cache, ladder or batch-kernel code
+// with core.
+type reference struct {
+	targets, sources *sdbms.Engine
+	// all holds targets then sources, for pairwise distances across the two.
+	all *sdbms.Engine
 }
 
-func containsBrute(outer, inner *mesh.Mesh) bool {
-	if !outer.Bounds().Contains(inner.Bounds()) {
-		return false
+func newReference(t *testing.T, target, source *Dataset) reference {
+	t.Helper()
+	load := func(ms []*mesh.Mesh) *sdbms.Engine {
+		e, err := sdbms.New(ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
 	}
-	return geom.PointInTriangles(inner.Vertices[0], outer.Triangles())
+	ta := decodeAll(t, target)
+	r := reference{targets: load(ta)}
+	if source == target {
+		r.sources, r.all = r.targets, r.targets // self-join: sdbms skips identical indices
+		return r
+	}
+	tb := decodeAll(t, source)
+	r.sources, r.all = load(tb), load(append(ta, tb...))
+	return r
+}
+
+// dist is the exact distance between target i and source j.
+func (r reference) dist(i, j int) float64 {
+	if r.all == r.targets {
+		return r.all.Distance(int64(i), int64(j))
+	}
+	return r.all.Distance(int64(i), int64(r.targets.Len()+j))
+}
+
+func (r reference) intersectJoin(t *testing.T) map[Pair]bool {
+	t.Helper()
+	ps, _, err := r.sources.IntersectJoin(r.targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return refPairs(ps)
+}
+
+func (r reference) withinJoin(t *testing.T, dist float64) map[Pair]bool {
+	t.Helper()
+	ps, _, err := r.sources.WithinJoin(r.targets, dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return refPairs(ps)
+}
+
+func refPairs(ps []sdbms.Pair) map[Pair]bool {
+	m := make(map[Pair]bool, len(ps))
+	for _, p := range ps {
+		m[Pair{Target: p.Target, Source: p.Source}] = true
+	}
+	return m
 }
 
 func pairsToSet(ps []Pair) map[Pair]bool {
@@ -132,7 +173,7 @@ var allAccels = []Accel{BruteForce, AABB, Partition, GPU, PartitionGPU}
 func TestIntersectJoinAllConfigsMatchBrute(t *testing.T) {
 	e := testEngine(t)
 	a, b := buildPair(t, e)
-	want := bruteIntersectJoin(t, decodeAll(t, a), decodeAll(t, b))
+	want := newReference(t, a, b).intersectJoin(t)
 	if len(want) == 0 {
 		t.Fatal("workload produced no intersections; tests would be vacuous")
 	}
@@ -154,20 +195,8 @@ func TestIntersectJoinAllConfigsMatchBrute(t *testing.T) {
 func TestWithinJoinAllConfigsMatchBrute(t *testing.T) {
 	e := testEngine(t)
 	a, b := buildDisjointPair(t, e)
-	ta, tb := decodeAll(t, a), decodeAll(t, b)
 	const dist = 12.0
-
-	want := map[Pair]bool{}
-	for i, x := range ta {
-		for j, y := range tb {
-			if x.Bounds().MinDist(y.Bounds()) > dist {
-				continue
-			}
-			if bruteMinDist(x.Triangles(), y.Triangles()) <= dist {
-				want[Pair{int64(i), int64(j)}] = true
-			}
-		}
-	}
+	want := newReference(t, a, b).withinJoin(t, dist)
 	if len(want) == 0 {
 		t.Fatal("no within pairs; tests would be vacuous")
 	}
@@ -186,13 +215,13 @@ func TestWithinJoinAllConfigsMatchBrute(t *testing.T) {
 func TestNNJoinAllConfigsMatchBrute(t *testing.T) {
 	e := testEngine(t)
 	a, b := buildDisjointPair(t, e)
-	ta, tb := decodeAll(t, a), decodeAll(t, b)
+	ref := newReference(t, a, b)
 
-	wantDist := make([]float64, len(ta))
-	for i, x := range ta {
+	wantDist := make([]float64, a.Len())
+	for i := range wantDist {
 		best := math.Inf(1)
-		for _, y := range tb {
-			if d := bruteMinDist(x.Triangles(), y.Triangles()); d < best {
+		for j := 0; j < b.Len(); j++ {
+			if d := ref.dist(i, j); d < best {
 				best = d
 			}
 		}
@@ -205,8 +234,8 @@ func TestNNJoinAllConfigsMatchBrute(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v/%v: %v", paradigm, accel, err)
 			}
-			if len(got) != len(ta) {
-				t.Fatalf("%v/%v: %d results, want %d", paradigm, accel, len(got), len(ta))
+			if len(got) != a.Len() {
+				t.Fatalf("%v/%v: %d results, want %d", paradigm, accel, len(got), a.Len())
 			}
 			for _, n := range got {
 				if math.Abs(n.Dist-wantDist[n.Target]) > 1e-6 {
@@ -221,7 +250,7 @@ func TestNNJoinAllConfigsMatchBrute(t *testing.T) {
 func TestKNNJoinMatchesBrute(t *testing.T) {
 	e := testEngine(t)
 	a, b := buildDisjointPair(t, e)
-	ta, tb := decodeAll(t, a), decodeAll(t, b)
+	ref := newReference(t, a, b)
 	const k = 3
 
 	got, _, err := e.KNNJoin(context.Background(), a, b, QueryOptions{Paradigm: FPR, Accel: AABB, K: k})
@@ -232,10 +261,10 @@ func TestKNNJoinMatchesBrute(t *testing.T) {
 	for _, n := range got {
 		perTarget[n.Target] = append(perTarget[n.Target], n)
 	}
-	for i, x := range ta {
-		dists := make([]float64, len(tb))
-		for j, y := range tb {
-			dists[j] = bruteMinDist(x.Triangles(), y.Triangles())
+	for i := 0; i < a.Len(); i++ {
+		dists := make([]float64, b.Len())
+		for j := range dists {
+			dists[j] = ref.dist(i, j)
 		}
 		ns := perTarget[int64(i)]
 		if len(ns) != k {

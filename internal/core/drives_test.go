@@ -1,0 +1,298 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/faultinject"
+	"repro/internal/geom"
+	"repro/internal/mesh"
+	"repro/internal/quarantine"
+)
+
+// driveFixture is the differential test's data: four dataset pairs chosen so
+// every branch of the refine ladder has pairs in it.
+type driveFixture struct {
+	overlapA, overlapB *Dataset // surfaces intersect: face hits at low LODs
+	nestA, nestB       *Dataset // MBB-nested: containment, and nesting without it
+	distA, distB       *Dataset // interior-disjoint: the distance workload
+}
+
+// buildDriveFixture ingests the fixture with a partition target small enough
+// that the Partition accelerators run their multi-group paths.
+func buildDriveFixture(t *testing.T, e *Engine) driveFixture {
+	t.Helper()
+	opts := fastDatasetOptions()
+	opts.PartitionTargetFaces = 16
+	build := func(name string, ms []*mesh.Mesh) *Dataset {
+		d, err := e.BuildDataset(name, ms, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	sphere := func(r float64, at geom.Vec3) *mesh.Mesh {
+		m := mesh.Icosphere(r, 2)
+		m.Translate(at)
+		return m
+	}
+	var f driveFixture
+
+	gen := datagen.NucleiOptions{Count: 12, SubdivisionLevel: 1, Seed: 21}
+	f.overlapA = build("overlapA", datagen.Nuclei(gen))
+	gen.Seed, gen.Offset = 22, geom.V(2.5, 1.5, 1)
+	f.overlapB = build("overlapB", datagen.Nuclei(gen))
+
+	// Two radius-10 solids; against them a small sphere strictly inside one
+	// (containment, no face contact at any LOD), one inside the other's MBB
+	// corner but outside the solid (MBB-nested, rejected only by the
+	// top-LOD containment pass), one crossing a surface, and one far away.
+	f.nestA = build("nestA", []*mesh.Mesh{sphere(10, geom.V(0, 0, 0)), sphere(10, geom.V(40, 0, 0))})
+	f.nestB = build("nestB", []*mesh.Mesh{
+		sphere(1, geom.V(0, 0, 0)),
+		sphere(1, geom.V(46.5, 6.5, 6.5)),
+		sphere(1, geom.V(9.5, 0, 0)),
+		sphere(1, geom.V(0, 60, 0)),
+	})
+
+	// Interior-disjoint nuclei, plus one solid present in both datasets: its
+	// two copies are at distance exactly 0 at every LOD, which is what makes
+	// the dist == 0 join non-empty.
+	space := geom.Box3{Min: geom.V(0, 0, 0), Max: geom.V(60, 60, 60)}
+	ma, mb := datagen.NucleiPair(datagen.NucleiOptions{Count: 10, SubdivisionLevel: 1, Seed: 31, Space: space})
+	twin := sphere(2, geom.V(80, 80, 80))
+	f.distA = build("distA", append(ma, twin))
+	f.distB = build("distB", append(mb, twin.Clone()))
+	return f
+}
+
+// driveCase is one join of the differential test.
+type driveCase struct {
+	name           string
+	kind           QueryKind
+	target, source *Dataset
+	dist           float64
+}
+
+func (f driveFixture) cases() []driveCase {
+	return []driveCase{
+		{"intersect/overlap", IntersectKind, f.overlapA, f.overlapB, 0},
+		{"intersect/self", IntersectKind, f.overlapA, f.overlapA, 0},
+		{"intersect/nested", IntersectKind, f.nestA, f.nestB, 0},
+		{"intersect/nested-reversed", IntersectKind, f.nestB, f.nestA, 0},
+		{"within/0", WithinKind, f.distA, f.distB, 0},
+		{"within/2", WithinKind, f.distA, f.distB, 2},
+		{"within/12", WithinKind, f.distA, f.distB, 12},
+		{"within/self", WithinKind, f.distA, f.distA, 25},
+	}
+}
+
+// named returns the fixture's case of that name.
+func (f driveFixture) named(name string) driveCase {
+	for _, c := range f.cases() {
+		if c.name == name {
+			return c
+		}
+	}
+	panic("no drive case " + name)
+}
+
+// run executes the case under q.
+func (c driveCase) run(e *Engine, q QueryOptions) ([]Pair, *Stats, error) {
+	if c.kind == IntersectKind {
+		return e.IntersectJoin(context.Background(), c.target, c.source, q)
+	}
+	return e.WithinJoin(context.Background(), c.target, c.source, c.dist, q)
+}
+
+// want is the case's answer by the independent sdbms engine.
+func (c driveCase) want(t *testing.T) map[Pair]bool {
+	ref := newReference(t, c.target, c.source)
+	if c.kind == IntersectKind {
+		return ref.intersectJoin(t)
+	}
+	return ref.withinJoin(t, c.dist)
+}
+
+// sameDriveStats asserts the statistics that describe the ladder — as
+// opposed to how a drive scheduled it — are equal between the two drives.
+func sameDriveStats(t *testing.T, name string, auto, inline *Stats) {
+	t.Helper()
+	type ladder struct {
+		Results, Candidates                 int64
+		PairsEvaluated, PairsPruned         []int64
+		LODsSkippedByMargin, BoundsDecisive int64
+		Uncertain                           []Pair
+		UncertainIDs                        []int64
+	}
+	of := func(s *Stats) ladder {
+		return ladder{s.Results, s.Candidates, s.PairsEvaluated, s.PairsPruned,
+			s.LODsSkippedByMargin, s.BoundsDecisive, s.Uncertain, s.UncertainIDs}
+	}
+	if a, i := of(auto), of(inline); !reflect.DeepEqual(a, i) {
+		t.Errorf("%s: ladder stats differ between drives\n  auto %+v\ninline %+v", name, a, i)
+	}
+	if inline.BatchesDispatched != 0 || inline.BatchPairs != 0 {
+		t.Errorf("%s: inline drive reported batches: %d/%d", name, inline.BatchesDispatched, inline.BatchPairs)
+	}
+}
+
+// soundDegraded asserts the Degrade contract against the full answer: no
+// invented pair, and every missing pair flagged uncertain.
+func soundDegraded(t *testing.T, name string, got []Pair, st *Stats, want map[Pair]bool) {
+	t.Helper()
+	for _, p := range got {
+		if !want[p] {
+			t.Errorf("%s: degraded join invented pair %v", name, p)
+		}
+	}
+	gotSet := pairSet(got)
+	for p := range want {
+		if !gotSet[p] && !uncertainCovers(st, p) {
+			t.Errorf("%s: pair %v missing and not flagged uncertain", name, p)
+		}
+	}
+}
+
+// TestDrivesMatchReference is the one differential check behind "one refine
+// ladder": every intersect and within case, under every accelerator,
+// paradigm, scheduler and ladder shape, run through both drives of the
+// refinement stages and compared with sdbms and with each other.
+func TestDrivesMatchReference(t *testing.T) {
+	e := testEngine(t)
+	f := buildDriveFixture(t, e)
+	full := make([]int, f.overlapA.MaxLOD()+1)
+	for i := range full {
+		full[i] = i
+	}
+	// Ladders are pinned so the per-LOD counters of two runs are comparable:
+	// an unpinned SchedMargin ladder is re-derived per query from the
+	// calibrator the previous run fed.
+	ladders := [][]int{full, {0, len(full) - 1}}
+	scheds := []struct {
+		par   Paradigm
+		sched Sched
+	}{{FR, SchedStatic}, {FPR, SchedStatic}, {FPR, SchedMargin}}
+
+	for _, c := range f.cases() {
+		want := c.want(t)
+		if len(want) == 0 && c.name != "intersect/self" {
+			t.Fatalf("%s: reference answer is empty; the case would be vacuous", c.name)
+		}
+		for _, accel := range allAccels {
+			if c.name == "intersect/nested-reversed" && accel.UsesPartition() {
+				// A known gap in the filter, not in the ladder: the sub-object
+				// R-tree indexes surface patches, so a target wholly inside a
+				// partitioned source meets none of its entries and never
+				// becomes a candidate (ROADMAP open items).
+				continue
+			}
+			for _, s := range scheds {
+				for _, lods := range ladders {
+					name := fmt.Sprintf("%s/%v/%v/%v/%v", c.name, accel, s.par, s.sched, lods)
+					q := QueryOptions{Paradigm: s.par, Sched: s.sched, Accel: accel, LODs: lods}
+					auto, stAuto, err := c.run(e, q)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					q.Exec = ExecPerPair
+					inline, stInline, err := c.run(e, q)
+					if err != nil {
+						t.Fatalf("%s inline: %v", name, err)
+					}
+					sameSets(t, name+" auto", auto, want)
+					sameSets(t, name+" inline", inline, want)
+					sameDriveStats(t, name, stAuto, stInline)
+				}
+			}
+		}
+	}
+
+	// The nested fixture is what it claims to be.
+	nested := f.named("intersect/nested").want(t)
+	if !nested[Pair{0, 0}] || nested[Pair{1, 1}] || !nested[Pair{0, 2}] {
+		t.Errorf("nested fixture: reference answer %v lacks the contained pair, has the MBB-nested outsider, or lacks the crossing pair", nested)
+	}
+
+	// Degrade with two objects the quarantine refuses to decode: a partial
+	// failure both drives must report identically.
+	t.Run("quarantined", func(t *testing.T) {
+		c := f.named("intersect/overlap")
+		want := c.want(t)
+		var some Pair
+		for p := range want {
+			some = p
+			break
+		}
+		e.Quarantine().Trip(quarantine.Key{Dataset: c.target.Seq(), Object: some.Target}, "test trip")
+		e.Quarantine().Trip(quarantine.Key{Dataset: c.source.Seq(), Object: (some.Source + 1) % int64(c.source.Len())}, "test trip")
+		q := QueryOptions{OnError: Degrade, LODs: full}
+		auto, stAuto, err := c.run(e, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Exec = ExecPerPair
+		inline, stInline, err := c.run(e, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePairs(t, "quarantined", inline, auto)
+		soundDegraded(t, "quarantined", auto, stAuto, want)
+		sameDriveStats(t, "quarantined", stAuto, stInline)
+		if len(stAuto.Uncertain) == 0 || !reflect.DeepEqual(stAuto.Degraded, stInline.Degraded) {
+			t.Errorf("uncertain %v; degraded auto %v inline %v", stAuto.Uncertain, stAuto.Degraded, stInline.Degraded)
+		}
+		if _, _, err := c.run(e, QueryOptions{Exec: ExecPerPair}); !errors.Is(err, ErrQuarantined) {
+			t.Errorf("fail-fast inline err = %v, want ErrQuarantined", err)
+		}
+	})
+}
+
+// TestDrivesInjectedDecodeFault arms a decode fault that fails every decode
+// on a cold cache and checks both drives give it the same meaning: FailFast
+// aborts with the injected error; Degrade keeps exactly what bounds alone
+// prove and flags every other candidate uncertain.
+func TestDrivesInjectedDecodeFault(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	// A fresh engine per run: the quarantine remembers failures, and the
+	// second drive must meet the fault itself, not the first drive's breaker.
+	run := func(exec Exec, policy ErrorPolicy) ([]Pair, *Stats, map[Pair]bool, error) {
+		e := NewEngine(EngineOptions{CacheBytes: 64 << 20, Workers: 4, DecodeRetries: -1})
+		defer e.Close()
+		f := buildDriveFixture(t, e)
+		c := f.named("within/12") // has filter-definite accepts and refine candidates
+		want := c.want(t)
+		e.Cache().Clear()
+		faultinject.Arm(faultinject.PointCoreDecode, faultinject.Fault{Err: faultinject.ErrInjected})
+		defer faultinject.Reset()
+		got, st, err := c.run(e, QueryOptions{Exec: exec, OnError: policy, ErrorBudget: -1})
+		return got, st, want, err
+	}
+
+	for _, exec := range []Exec{ExecAuto, ExecPerPair} {
+		if _, st, _, err := run(exec, FailFast); !errors.Is(err, faultinject.ErrInjected) || st == nil {
+			t.Errorf("%v fail-fast: err = %v (stats %v), want the injected error and the work done so far", exec, err, st)
+		}
+	}
+	auto, stAuto, want, err := run(ExecAuto, Degrade)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline, stInline, _, err := run(ExecPerPair, Degrade)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePairs(t, "degrade", inline, auto)
+	soundDegraded(t, "degrade", auto, stAuto, want)
+	sameDriveStats(t, "degrade", stAuto, stInline)
+	if n := int64(len(auto)); n == 0 || n > stAuto.BoundsDecisive {
+		t.Errorf("%d pairs returned with every decode failing, %d decided by bounds; want 0 < pairs ≤ decided", n, stAuto.BoundsDecisive)
+	}
+	if len(stAuto.Degraded) == 0 || !reflect.DeepEqual(stAuto.Degraded, stInline.Degraded) {
+		t.Errorf("degraded auto %v inline %v", stAuto.Degraded, stInline.Degraded)
+	}
+}

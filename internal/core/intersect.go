@@ -3,10 +3,6 @@ package core
 import (
 	"context"
 	"slices"
-	"time"
-
-	"repro/internal/index/rtree"
-	"repro/internal/storage"
 )
 
 // IntersectJoin returns, for each object o of target, every object of
@@ -19,173 +15,9 @@ import (
 // the PPVP progressive-approximation property, so the candidate is settled
 // without ever decoding the higher LODs. Containment — which produces no
 // face intersection — is resolved at the highest LOD for the survivors.
+// The ladder itself is in pipeline.go.
 func (e *Engine) IntersectJoin(ctx context.Context, target, source *Dataset, q QueryOptions) ([]Pair, *Stats, error) {
-	if q.usePipeline() {
-		return e.pipelinedJoin(ctx, joinIntersect, target, source, 0, q)
-	}
-	start := time.Now()
-	col := newCollector(source.maxLOD, q, start)
-	ec := newEvalCtx(e, q, col)
-	lods := e.schedule(&q, minInt(target.maxLOD, source.maxLOD), IntersectKind)
-	tree := source.filterTree(q.Accel)
-	sink := newResultSink(q.workers(e))
-
-	err := runPerTarget(ctx, target, q.workers(e), func(w int, o *storage.Object) error {
-		// Filtering step: MBB intersection against the global index. The
-		// dedup set and candidate buffer are per-worker scratch, reused
-		// across targets instead of reallocated for each one.
-		sc := ec.scratch[w].reset()
-		col.filterPhase(func() {
-			tree.SearchIntersect(o.MBB(), func(ent rtree.Entry) bool {
-				if target.seq == source.seq && ent.ID == o.ID {
-					return true
-				}
-				if _, dup := sc.seen[ent.ID]; !dup {
-					sc.seen[ent.ID] = struct{}{}
-					sc.ids = append(sc.ids, ent.ID)
-				}
-				return true
-			})
-		})
-		candIDs := sc.ids
-		col.candidates.Add(int64(len(candIDs)))
-		if len(candIDs) == 0 {
-			return nil
-		}
-		sortIDs(candIDs)
-
-		// Progressive refinement: settle candidates at the lowest LOD that
-		// exhibits a face intersection — or, for MBB-nested pairs, a vertex
-		// of one low-LOD mesh inside the other low-LOD solid. The latter is
-		// sound by the subset property: a point on a low-LOD surface lies
-		// inside that object's full solid, so finding it inside the other
-		// object's low-LOD solid (⊆ its full solid) proves the two solids
-		// overlap.
-		oMBB := target.Tileset.Object(o.ID).MBB()
-		remaining := candIDs
-		var dir []int64
-		if q.marginSched() {
-			// Margin plan: barely-overlapping MBB pairs rarely intersect, and
-			// only the top LOD (plus the containment pass) can reject them —
-			// send them straight there and spend the intermediate decodes on
-			// the deeply-overlapping pairs a low LOD can settle early.
-			dir = sc.dir
-			keep := remaining[:0]
-			for _, id := range remaining {
-				so := source.Tileset.Object(id)
-				if so == nil {
-					keep = append(keep, id) // let decode surface the error
-					continue
-				}
-				if planIntersect(oMBB, so.MBB()) == planDirect {
-					col.skipLODs(len(lods) - 1)
-					dir = append(dir, id)
-					continue
-				}
-				keep = append(keep, id)
-			}
-			remaining = keep
-			sc.dir = dir
-		}
-		for li, lod := range lods {
-			last := li == len(lods)-1
-			if last && len(dir) > 0 {
-				// Direct-routed pairs join the walkers for the exact pass.
-				remaining = append(remaining, dir...)
-				sortIDs(remaining)
-				dir = dir[:0]
-			}
-			if len(remaining) == 0 {
-				if len(dir) == 0 {
-					break
-				}
-				continue
-			}
-			to, err := ec.decode(target, o.ID, lod)
-			if err != nil {
-				// Degrade: the target itself is unusable from this LOD on;
-				// pairs settled at lower LODs stay certain, the remaining
-				// candidates become uncertain.
-				skip, aerr := ec.degradeErr(w, target, o.ID, err)
-				if !skip {
-					return aerr
-				}
-				ec.deg.uncertainAll(w, o.ID, remaining)
-				ec.deg.uncertainAll(w, o.ID, dir)
-				return nil
-			}
-			next := remaining[:0]
-			for _, id := range remaining {
-				so, err := ec.decode(source, id, lod)
-				if err != nil {
-					skip, aerr := ec.degradeErr(w, source, id, err)
-					if !skip {
-						return aerr
-					}
-					ec.deg.uncertain(w, Pair{Target: o.ID, Source: id})
-					continue
-				}
-				col.evalPair(lod)
-				hit := ec.intersects(to, so)
-				if !hit {
-					cMBB := source.Tileset.Object(id).MBB()
-					if oMBB.Contains(cMBB) && len(so.mesh.Vertices) > 0 {
-						hit = ec.pointInside(to, so.mesh.Vertices[0])
-					} else if cMBB.Contains(oMBB) && len(to.mesh.Vertices) > 0 {
-						hit = ec.pointInside(so, to.mesh.Vertices[0])
-					}
-				}
-				if hit {
-					col.settlePair(lod)
-					sink.add(w, Pair{Target: o.ID, Source: id})
-					col.results.Add(1)
-					continue
-				}
-				next = append(next, id)
-			}
-			remaining = next
-		}
-
-		// Containment handling at the highest LOD (Alg. 1, steps 8–12).
-		if len(remaining) > 0 {
-			top := lods[len(lods)-1]
-			to, err := ec.decode(target, o.ID, top)
-			if err != nil {
-				skip, aerr := ec.degradeErr(w, target, o.ID, err)
-				if !skip {
-					return aerr
-				}
-				ec.deg.uncertainAll(w, o.ID, remaining)
-				return nil
-			}
-			for _, id := range remaining {
-				so, err := ec.decode(source, id, top)
-				if err != nil {
-					skip, aerr := ec.degradeErr(w, source, id, err)
-					if !skip {
-						return aerr
-					}
-					ec.deg.uncertain(w, Pair{Target: o.ID, Source: id})
-					continue
-				}
-				if ec.containsObject(to, so) || ec.containsObject(so, to) {
-					sink.add(w, Pair{Target: o.ID, Source: id})
-					col.results.Add(1)
-				}
-			}
-		}
-		return nil
-	}, ec.deg.backstop(e, target))
-	if err != nil {
-		// Even an aborted query reports the work it did: phase times and
-		// exact cache attribution up to the failure point.
-		return nil, ec.finish(start), err
-	}
-	st := ec.finish(start)
-	if q.Paradigm == FPR {
-		e.cal.observe(IntersectKind, st)
-	}
-	return sink.sorted(), st, nil
+	return e.join(ctx, IntersectKind, target, source, 0, q)
 }
 
 func sortIDs(ids []int64) { slices.Sort(ids) }

@@ -1,28 +1,31 @@
 package core
 
-// The pipelined batch refinement executor: the refine stage of IntersectJoin
-// and WithinJoin restructured as four overlapped stages —
+// The refinement executor of IntersectJoin and WithinJoin: the FPR ladder
+// (Alg. 1/2 of the paper) written once, as stage functions over one
+// candidate pair —
 //
-//	feeder (filter) → decode → pack → evaluate → gather
+//	feed (filter + margin plan) → decodePair → evaluate → gatherOne
 //
-// The feeder runs the unchanged filtering step under runPerTarget and emits
-// one work item per candidate pair at the bottom of the LOD ladder. Decode
-// workers pull items from an unbounded queue and attach the two meshes at
-// the item's current LOD (through the same guarded cache path as the
-// per-pair executor, so quarantine, retries, and degrade semantics are
-// identical). The pack stage folds decoded items into contiguous batches of
-// gpusim.PairTask — SoA cross products under BruteForce, host closures for
-// the tree/partition/GPU accelerators — and submits them to a
-// double-buffered device stream. The gather stage collects verdicts in
-// submission order and settles each pair exactly like the per-pair ladder
-// would: accept, reject-at-top-LOD, or requeue at the next LOD.
+// — and driven two ways over the same functions.
 //
-// Decoding LOD k+1 of one pair therefore overlaps evaluation of LOD k of
-// another, and the BruteForce tri-tri inner loops run over flat SoA lanes
-// with per-pair box gating instead of pointer-heavy []Triangle values.
+// The pipelined drive (ExecAuto) overlaps the stages. The feeder runs feed
+// under runPerTarget and emits one work item per candidate pair at its entry
+// rung of the LOD ladder. Decode workers pull items from an unbounded queue
+// and attach the two meshes at the item's current LOD. The pack stage folds
+// decoded items into contiguous batches of gpusim.PairTask — SoA cross
+// products under BruteForce, host closures around evaluate for the
+// tree/partition/GPU accelerators — and submits them to a double-buffered
+// device stream. The gather stage collects verdicts in submission order and
+// settles each pair through gatherOne: accept, reject-at-top-LOD, or requeue
+// at a higher rung. Decoding LOD k+1 of one pair therefore overlaps
+// evaluation of LOD k of another.
 //
-// Deadlock freedom: the only cycle in the stage graph is gather → decode
-// (requeueing a surviving pair at the next LOD). The decode queue is
+// The inline drive (ExecPerPair) runs the same stages one pair at a time on
+// the runPerTarget worker that filtered the target: no queue, no decode
+// workers, no stream, no device batches.
+//
+// Deadlock freedom of the pipelined drive: the only cycle in the stage graph
+// is gather → decode (requeueing a surviving pair). The decode queue is
 // unbounded, so the gather stage never blocks pushing to it; backpressure is
 // applied at the stream (Submit blocks at StreamDepth in-flight launches),
 // which gather alone drains. Termination: every emitted pair is settled
@@ -44,21 +47,6 @@ import (
 	"repro/internal/storage"
 )
 
-// joinKind selects the predicate the pipeline evaluates.
-type joinKind int
-
-const (
-	joinIntersect joinKind = iota
-	joinWithin
-)
-
-func (k joinKind) queryKind() QueryKind {
-	if k == joinWithin {
-		return WithinKind
-	}
-	return IntersectKind
-}
-
 // maxBatchTasks caps the pair tasks per submitted batch, bounding gather
 // latency and the memory pinned by an in-flight launch.
 const maxBatchTasks = 64
@@ -71,8 +59,8 @@ var taskBufPool = sync.Pool{New: func() any {
 	return &s
 }}
 
-// pairWork is one candidate pair riding the pipeline. The same item is
-// requeued with li advanced until the pair settles, so the pipeline
+// pairWork is one candidate pair riding the ladder. The same item is
+// requeued with li advanced until the pair settles, so the pipelined drive
 // allocates one item per candidate pair, not one per (pair, LOD).
 type pairWork struct {
 	t, s int64
@@ -137,31 +125,100 @@ func (q *pairQueue) close() {
 	q.mu.Unlock()
 }
 
-// pipelinedJoin executes IntersectJoin (dist ignored) or WithinJoin through
-// the batch pipeline. It is proven result-equal to the per-pair executor by
-// the equivalence and property suites; the per-pair path remains the
-// reference semantics.
-func (e *Engine) pipelinedJoin(ctx context.Context, kind joinKind, target, source *Dataset, dist float64, q QueryOptions) ([]Pair, *Stats, error) {
-	start := time.Now()
-	col := newCollector(source.maxLOD, q, start)
-	ec := newEvalCtx(e, q, col)
-	workers := q.workers(e)
-	// The pipeline has more concurrent actors than the per-pair executor:
-	// feeder slots [0,W), decode slots [W,2W), and the gather slot 2W. The
-	// degrader's per-slot buffers are sized accordingly; the feeder's filter
-	// scratch keeps its W slots.
-	gatherSlot := 2 * workers
-	if ec.deg != nil {
-		ec.deg = newDegrader(gatherSlot+1, q.ErrorBudget)
-	}
-	lods := e.schedule(&q, minInt(target.maxLOD, source.maxLOD), kind.queryKind())
-	ftree := source.filterTree(q.Accel)
-	sink := newResultSink(workers + 1)
-	gatherSink := workers // sink slot owned by the gather goroutine
+// joinRun is one IntersectJoin or WithinJoin execution: the query-wide state
+// the stage functions read. Both drives run the same stages over it.
+type joinRun struct {
+	*evalCtx
+	kind           QueryKind // IntersectKind or WithinKind
+	target, source *Dataset
+	dist           float64 // WithinKind only
+	lods           []int
+	ftree          *rtree.Tree
+	sink           *resultSink
+}
 
+// join executes IntersectJoin (dist ignored) or WithinJoin.
+func (e *Engine) join(ctx context.Context, kind QueryKind, target, source *Dataset, dist float64, q QueryOptions) ([]Pair, *Stats, error) {
+	start := time.Now()
+	x := &joinRun{
+		evalCtx: newEvalCtx(e, q, newCollector(source.maxLOD, q, start)),
+		kind:    kind, target: target, source: source, dist: dist,
+		lods:  e.schedule(&q, minInt(target.maxLOD, source.maxLOD), kind),
+		ftree: source.filterTree(q.Accel),
+	}
+	x.sink = newResultSink(x.slots)
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	drive := x.drivePipelined
+	if q.Exec == ExecPerPair {
+		drive = x.driveInline
+	}
+	err := drive(ctx)
+	// Even an aborted query reports the work it did: phase times and exact
+	// cache attribution up to the failure point.
+	st := x.finish(start)
+	if err != nil {
+		return nil, st, err
+	}
+	if q.Paradigm == FPR {
+		e.cal.observe(kind, st)
+	}
+	return x.sink.sorted(), st, nil
+}
+
+// upper is the distance bound for evaluating a within pair at ladder rung
+// li: dist, inflated so a distance exactly equal to it is still found and
+// returned exactly. Under margin scheduling the rungs from which a jump can
+// still skip an entry (two or more below the top) search up to
+// marginJumpFactor·dist instead, so distances up to there are measured
+// exactly — gatherOne's jump signal (see sched.go); the final two rungs keep
+// the narrow bound, since a deeper search would buy nothing. Accepts require
+// d ≤ dist under either bound.
+func (x *joinRun) upper(li int) float64 {
+	u := x.dist * (1 + 1e-12)
+	if x.opts.marginSched() && li < len(x.lods)-2 {
+		u *= marginJumpFactor
+	}
+	return u
+}
+
+// accept reports (t, s) as a result on the caller's slot.
+func (x *joinRun) accept(slot int, t, s int64) {
+	x.sink.add(slot, Pair{Target: t, Source: s})
+	x.col.results.Add(1)
+}
+
+// driveInline is the ExecPerPair drive: each runPerTarget worker feeds its
+// target and walks every emitted pair up the ladder itself, on its own slot.
+func (x *joinRun) driveInline(ctx context.Context) error {
+	return runPerTarget(ctx, x.target, x.opts.workers(x.e), func(slot int, o *storage.Object) error {
+		var abort error
+		fail := func(err error) { abort = err }
+		x.feed(slot, o, func(s int64, li int) {
+			w := pairWork{t: o.ID, s: s, li: li}
+			for abort == nil && x.decodePair(&w, slot, fail) {
+				x.col.evalPair(x.lods[w.li])
+				requeued, err := x.gatherOne(&w, x.evaluate(&w), slot)
+				if err != nil {
+					x.gatherFailure(slot, &w, err, fail)
+				}
+				if !requeued {
+					return
+				}
+			}
+		})
+		return abort
+	}, x.deg.backstop(x.e, x.target))
+}
+
+// drivePipelined is the ExecAuto drive: the stages run as overlapped
+// goroutines connected by the decode queue and the device stream.
+func (x *joinRun) drivePipelined(ctx context.Context) error {
+	workers := x.opts.workers(x.e)
+	// Slot layout (evalCtx.slots): feeder [0,W), decode [W,2W), gather last.
+	gatherSlot := x.slots - 1
+
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	var failOnce sync.Once
@@ -171,37 +228,6 @@ func (e *Engine) pipelinedJoin(ctx context.Context, kind joinKind, target, sourc
 			firstErr = err
 			cancel(err)
 		})
-	}
-
-	// upper is the distance bound handed to the evaluators under joinWithin,
-	// matching the per-pair executor's call sites; upper2 seeds the SoA
-	// distance kernels (squared, inflated so a distance exactly equal to the
-	// bound is still found and returned exactly). Under margin scheduling a
-	// second, widened bound pair serves the ladder rungs from which a jump
-	// can still skip an entry (li two or more below the top): measured
-	// distances up to marginJumpFactor·dist stay exact there — the gather
-	// stage's jump signal (see sched.go) — while the final two rungs keep
-	// the narrow bound, since a deeper search would buy nothing. Accepts
-	// still require d ≤ dist under either bound, identical to the static
-	// path.
-	upper := math.Inf(1)
-	upper2 := math.Inf(1)
-	wideUpper, wideUpper2 := upper, upper2
-	if kind == joinWithin {
-		seed := func(u float64) (float64, float64) {
-			u2 := u * u * nextAfterFactor
-			if u2 == 0 {
-				// dist == 0: keep the seed strictly above zero so touching
-				// pairs (true distance exactly 0) still beat the bound.
-				u2 = math.SmallestNonzeroFloat64
-			}
-			return u, u2
-		}
-		upper, upper2 = seed(dist * (1 + 1e-12))
-		wideUpper, wideUpper2 = upper, upper2
-		if q.marginSched() {
-			wideUpper, wideUpper2 = seed(dist * marginJumpFactor * (1 + 1e-12))
-		}
 	}
 
 	queue := newPairQueue()
@@ -221,70 +247,22 @@ func (e *Engine) pipelinedJoin(ctx context.Context, kind joinKind, target, sourc
 		}
 	}
 
-	// Stage 1 — feeder: the unchanged filtering step, emitting pairs at the
-	// ladder's first LOD. Within-distance whole-subtree acceptances need no
-	// geometry and go to the sink straight from the feeder's slot.
+	// Stage 1 — feeder: filter and plan, emitting pairs at their entry rung.
 	feedErr := make(chan error, 1)
 	go func() {
-		err := runPerTarget(ctx, target, workers, func(w int, o *storage.Object) error {
-			sc := ec.scratch[w].reset()
-			if kind == joinIntersect {
-				ec.filterIntersect(ftree, target, source, o, sc)
-			} else {
-				ec.filterWithin(ftree, target, source, o, sc, dist)
-			}
-			col.candidates.Add(int64(len(sc.def) + len(sc.ids)))
-			sortIDs(sc.def)
-			for _, id := range sc.def {
-				col.boundsDecided() // filter-phase MAXDIST acceptance, no decode
-				sink.add(w, Pair{Target: o.ID, Source: id})
-				col.results.Add(1)
-			}
-			sortIDs(sc.ids)
-			// Margin plan (sched.go): settle bounds-decisive pairs here in
-			// the feeder — they never enter the pipeline at all — and emit
-			// reject-leaning pairs at the top of the ladder instead of the
-			// bottom. Routing never changes a verdict, only where it is
-			// reached, so the pipeline stays result-equal to the per-pair
-			// reference under either scheduler.
-			margin := q.marginSched()
-			topLI := len(lods) - 1
-			tb := o.MBB()
-			for _, id := range sc.ids {
-				li := 0
-				if margin {
-					if so := source.Tileset.Object(id); so != nil {
-						if kind == joinWithin {
-							switch planWithin(tb, so.MBB(), dist) {
-							case planAccept:
-								col.boundsDecided()
-								sink.add(w, Pair{Target: o.ID, Source: id})
-								col.results.Add(1)
-								continue
-							case planReject:
-								col.boundsDecided()
-								continue
-							}
-						} else if planIntersect(tb, so.MBB()) == planDirect {
-							col.skipLODs(topLI)
-							li = topLI
-						}
-					}
-				}
+		err := runPerTarget(ctx, x.target, workers, func(slot int, o *storage.Object) error {
+			x.feed(slot, o, func(s int64, li int) {
 				outstanding.Add(1)
-				queue.push(&pairWork{t: o.ID, s: id, li: li})
-			}
+				queue.push(&pairWork{t: o.ID, s: s, li: li})
+			})
 			return nil
-		}, ec.deg.backstop(e, target))
+		}, x.deg.backstop(x.e, x.target))
 		feederDone.Store(true)
 		maybeClose()
 		feedErr <- err
 	}()
 
-	// Stage 2 — decode workers: attach both meshes at the item's current
-	// LOD through the guarded cache path. Failures follow the per-pair
-	// degrade contract: record the object once, mark this pair uncertain,
-	// abort under FailFast or on budget/context errors.
+	// Stage 2 — decode workers: attach both meshes at the item's current LOD.
 	ready := make(chan *pairWork, 4*workers)
 	var decWG sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -297,11 +275,7 @@ func (e *Engine) pipelinedJoin(ctx context.Context, kind joinKind, target, sourc
 				if !ok {
 					return
 				}
-				if ctx.Err() != nil {
-					settle()
-					continue
-				}
-				if !ec.decodePair(target, source, w, lods[w.li], slot, fail) {
+				if ctx.Err() != nil || !x.decodePair(w, slot, fail) {
 					settle()
 					continue
 				}
@@ -322,23 +296,22 @@ func (e *Engine) pipelinedJoin(ctx context.Context, kind joinKind, target, sourc
 	// them to the double-buffered stream. A batch flushes when full or when
 	// no further input is immediately available, so a trickle of pairs never
 	// stalls behind a half-built batch.
-	stream := e.dev.NewStream()
-	if q.Accel == BruteForce {
+	stream := x.e.dev.NewStream()
+	if x.opts.Accel == BruteForce {
 		// SoA kernels have no per-call geometry accounting of their own;
 		// credit each launch's wall time to the geometry phase. Host tasks
-		// (every other accelerator) self-account inside ec.intersects /
-		// ec.minDist, exactly like the per-pair executor.
-		stream.OnBatchDone = col.geomBatch
+		// (every other accelerator) self-account inside evaluate.
+		stream.OnBatchDone = x.col.geomBatch
 	}
 	packDone := make(chan struct{})
 	go func() {
 		defer close(packDone)
 		defer stream.CloseSubmit()
-		ec.packLoop(ctx, kind, ready, stream, lods, upper, upper2, wideUpper, wideUpper2)
+		x.packLoop(ctx, ready, stream)
 	}()
 
 	// Stage 4 — gather: settle verdicts in submission order, requeueing
-	// survivors at the next LOD.
+	// survivors at their next rung.
 	gatherDone := make(chan struct{})
 	go func() {
 		defer close(gatherDone)
@@ -353,11 +326,13 @@ func (e *Engine) pipelinedJoin(ctx context.Context, kind joinKind, target, sourc
 					settle()
 					continue
 				}
-				requeued, err := ec.gatherOne(kind, target, source, &tasks[i], verdicts[i], lods, dist, sink, gatherSink)
+				v := verdicts[i]
+				if tasks[i].Kind == gpusim.PairMinDist {
+					v.D2 = plainDist(v.D2, tasks[i].Upper2)
+				}
+				requeued, err := x.gatherOne(w, v, gatherSlot)
 				if err != nil {
-					ec.gatherFailure(gatherSlot, target, w, err, fail)
-					settle()
-					continue
+					x.gatherFailure(gatherSlot, w, err, fail)
 				}
 				if requeued {
 					queue.push(w)
@@ -365,7 +340,7 @@ func (e *Engine) pipelinedJoin(ctx context.Context, kind joinKind, target, sourc
 					settle()
 				}
 			}
-			e.dev.PutVerdicts(verdicts)
+			x.e.dev.PutVerdicts(verdicts)
 			tasks = tasks[:0]
 			taskBufPool.Put(&tasks)
 		}
@@ -380,104 +355,138 @@ func (e *Engine) pipelinedJoin(ctx context.Context, kind joinKind, target, sourc
 	// finished), so firstErr is stable.
 	if firstErr == nil && ctx.Err() != nil {
 		// The stages drop pairs silently on cancellation; surface the cause
-		// the way runPerTarget does for the per-pair executor.
+		// the way runPerTarget does.
 		firstErr = context.Cause(ctx)
 	}
-	if firstErr != nil {
-		return nil, ec.finish(start), firstErr
-	}
-	st := ec.finish(start)
-	if q.Paradigm == FPR {
-		e.cal.observe(kind.queryKind(), st)
-	}
-	return sink.sorted(), st, nil
+	return firstErr
 }
 
-// filterIntersect is the IntersectJoin filtering step, verbatim from the
-// per-pair executor: MBB intersection against the global index with
-// per-worker dedup scratch.
-func (c *evalCtx) filterIntersect(tree *rtree.Tree, target, source *Dataset, o *storage.Object, sc *filterScratch) {
-	c.col.filterPhase(func() {
-		tree.SearchIntersect(o.MBB(), func(ent rtree.Entry) bool {
-			if target.seq == source.seq && ent.ID == o.ID {
-				return true
-			}
-			if _, dup := sc.seen[ent.ID]; !dup {
-				sc.seen[ent.ID] = struct{}{}
-				sc.ids = append(sc.ids, ent.ID)
-			}
-			return true
-		})
-	})
-}
-
-// filterWithin is the WithinJoin filtering step, verbatim from the per-pair
-// executor: MINDIST/MAXDIST pruning splits the index answer into definite
-// acceptances (sc.def) and refinement candidates (sc.ids).
-func (c *evalCtx) filterWithin(tree *rtree.Tree, target, source *Dataset, o *storage.Object, sc *filterScratch, dist float64) {
-	c.col.filterPhase(func() {
-		r := tree.SearchWithin(o.MBB(), dist)
-		for _, ent := range r.Definite {
-			if target.seq == source.seq && ent.ID == o.ID {
-				continue
-			}
-			if _, dup := sc.seen[ent.ID]; dup {
-				continue
-			}
-			sc.seen[ent.ID] = struct{}{}
-			sc.def = append(sc.def, ent.ID)
+// feed is stage 1 for one target object: the filtering step, then the
+// margin plan (sched.go). What bounds alone decide is settled here on the
+// caller's slot with no decode at all — within-distance whole-subtree and
+// MBB acceptances, MBB rejections; every other candidate goes to emit with
+// its entry rung: the bottom of the ladder, or the top for reject-leaning
+// pairs. Routing never changes a verdict, only where it is reached.
+func (x *joinRun) feed(slot int, o *storage.Object, emit func(s int64, li int)) {
+	sc := x.scratch[slot].reset()
+	x.col.filterPhase(func() {
+		if x.kind == IntersectKind {
+			x.filterIntersect(o, sc)
+		} else {
+			x.filterWithin(o, sc)
 		}
-		for _, ent := range r.Candidates {
-			if target.seq == source.seq && ent.ID == o.ID {
-				continue
+	})
+	x.col.candidates.Add(int64(len(sc.def) + len(sc.ids)))
+	sortIDs(sc.def)
+	for _, id := range sc.def {
+		x.col.boundsDecided() // filter-phase MAXDIST acceptance
+		x.accept(slot, o.ID, id)
+	}
+	sortIDs(sc.ids)
+	margin := x.opts.marginSched()
+	topLI := len(x.lods) - 1
+	tb := o.MBB()
+	for _, id := range sc.ids {
+		li := 0
+		// A source object missing from the tileset (a salvage hole) is
+		// emitted unplanned; its decode surfaces the error.
+		if so := x.source.Tileset.Object(id); margin && so != nil {
+			if x.kind == WithinKind {
+				switch planWithin(tb, so.MBB(), x.dist) {
+				case planAccept:
+					x.col.boundsDecided()
+					x.accept(slot, o.ID, id)
+					continue
+				case planReject:
+					x.col.boundsDecided()
+					continue
+				}
+			} else if planIntersect(tb, so.MBB()) == planDirect {
+				x.col.skipLODs(topLI)
+				li = topLI
 			}
-			if _, dup := sc.seen[ent.ID]; dup {
-				continue
-			}
+		}
+		emit(id, li)
+	}
+}
+
+// filterIntersect is the IntersectJoin filtering step: MBB intersection
+// against the global index with per-worker dedup scratch.
+func (x *joinRun) filterIntersect(o *storage.Object, sc *filterScratch) {
+	self := x.target.seq == x.source.seq
+	x.ftree.SearchIntersect(o.MBB(), func(ent rtree.Entry) bool {
+		if self && ent.ID == o.ID {
+			return true
+		}
+		if _, dup := sc.seen[ent.ID]; !dup {
 			sc.seen[ent.ID] = struct{}{}
 			sc.ids = append(sc.ids, ent.ID)
 		}
+		return true
 	})
 }
 
-// decodePair attaches both meshes of w at lod, returning false when the pair
-// is finished (decode failure — recorded per the degrade contract, or
-// aborting the query via fail). A panic out of the FailFast decode path is
-// converted to the same per-object error shape the per-pair executor's
-// callRecovered would produce.
-func (c *evalCtx) decodePair(target, source *Dataset, w *pairWork, lod, slot int, fail func(error)) (ok bool) {
+// filterWithin is the WithinJoin filtering step (§4.2): MINDIST/MAXDIST
+// pruning splits the index answer into definite acceptances (sc.def) and
+// refinement candidates (sc.ids).
+func (x *joinRun) filterWithin(o *storage.Object, sc *filterScratch) {
+	self := x.target.seq == x.source.seq
+	dedup := func(ents []rtree.Entry, ids []int64) []int64 {
+		for _, ent := range ents {
+			if self && ent.ID == o.ID {
+				continue
+			}
+			if _, dup := sc.seen[ent.ID]; !dup {
+				sc.seen[ent.ID] = struct{}{}
+				ids = append(ids, ent.ID)
+			}
+		}
+		return ids
+	}
+	r := x.ftree.SearchWithin(o.MBB(), x.dist)
+	sc.def = dedup(r.Definite, sc.def)
+	sc.ids = dedup(r.Candidates, sc.ids)
+}
+
+// decodePair attaches both meshes of w at its current LOD through the
+// guarded cache path (quarantine, retries, warm starts), returning false
+// when the pair is finished: the failed object is recorded once and the
+// pair marked uncertain per the degrade contract, or the query aborts via
+// fail under FailFast and on budget/context errors. A panic out of the
+// FailFast decode path takes the same route as a decode error.
+func (x *joinRun) decodePair(w *pairWork, slot int, fail func(error)) (ok bool) {
 	handle := func(ds *Dataset, id int64, err error) {
-		skip, aerr := c.degradeErr(slot, ds, id, err)
+		skip, aerr := x.degradeErr(slot, ds, id, err)
 		if !skip {
 			fail(aerr)
 			return
 		}
-		c.deg.uncertain(slot, Pair{Target: w.t, Source: w.s})
+		x.deg.uncertain(slot, Pair{Target: w.t, Source: w.s})
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			handle(target, w.t, fmt.Errorf("core: worker panic on object %d: %v", w.t, r))
+			handle(x.target, w.t, fmt.Errorf("core: worker panic on object %d: %v", w.t, r))
 			ok = false
 		}
 	}()
-	to, err := c.decode(target, w.t, lod)
+	lod := x.lods[w.li]
+	to, err := x.decode(x.target, w.t, lod)
 	if err != nil {
-		handle(target, w.t, err)
+		handle(x.target, w.t, err)
 		return false
 	}
-	so, err := c.decode(source, w.s, lod)
+	so, err := x.decode(x.source, w.s, lod)
 	if err != nil {
-		handle(source, w.s, err)
+		handle(x.source, w.s, err)
 		return false
 	}
 	w.to, w.so = to, so
 	return true
 }
 
-// packLoop drains ready into batches and submits them. Counting evalPair at
-// pack time mirrors the per-pair executor, which counts immediately before
-// each evaluation.
-func (c *evalCtx) packLoop(ctx context.Context, kind joinKind, ready <-chan *pairWork, stream *gpusim.Stream, lods []int, upper, upper2, wideUpper, wideUpper2 float64) {
+// packLoop drains ready into batches and submits them, counting each pair
+// as evaluated at its LOD when it is packed.
+func (x *joinRun) packLoop(ctx context.Context, ready <-chan *pairWork, stream *gpusim.Stream) {
 	buf := taskBufPool.Get().(*[]gpusim.PairTask)
 	batch := (*buf)[:0]
 	var batchPairs int64
@@ -487,8 +496,8 @@ func (c *evalCtx) packLoop(ctx context.Context, kind joinKind, ready <-chan *pai
 		if len(batch) == 0 {
 			return
 		}
-		c.col.batches.Add(1)
-		c.col.batchPairs.Add(batchPairs)
+		x.col.batches.Add(1)
+		x.col.batchPairs.Add(batchPairs)
 		batchPairs = 0
 		*buf = batch
 		stream.Submit(batch)
@@ -502,14 +511,9 @@ func (c *evalCtx) packLoop(ctx context.Context, kind joinKind, ready <-chan *pai
 			stream.Abort()
 			aborted = true
 		}
-		c.col.evalPair(lods[w.li])
+		x.col.evalPair(x.lods[w.li])
 		batchPairs += int64(w.to.mesh.NumFaces()) * int64(w.so.mesh.NumFaces())
-		// Widened bound only where a jump can still skip a ladder entry.
-		u, u2 := upper, upper2
-		if w.li < len(lods)-2 {
-			u, u2 = wideUpper, wideUpper2
-		}
-		batch = append(batch, c.makeTask(kind, w, u, u2))
+		batch = append(batch, x.makeTask(w))
 		if len(batch) >= maxBatchTasks {
 			flush()
 		}
@@ -539,35 +543,50 @@ func (c *evalCtx) packLoop(ctx context.Context, kind joinKind, ready <-chan *pai
 }
 
 // makeTask turns one decoded pair into its batch task. Under BruteForce the
-// pair becomes a flat SoA cross product evaluated by the batch kernels;
-// every other accelerator wraps the per-pair evaluator in a host closure so
-// the accelerated paths (and their self-accounting) are reused bit-for-bit.
-// Host within-closures return the evaluator's plain distance in D2 (not its
-// square) so the gather stage can apply the per-pair comparison verbatim.
-func (c *evalCtx) makeTask(kind joinKind, w *pairWork, upper, upper2 float64) gpusim.PairTask {
-	if c.opts.Accel == BruteForce {
-		if kind == joinIntersect {
-			return gpusim.PairTask{Kind: gpusim.PairIntersect, A: w.to.mesh.SoA(), B: w.so.mesh.SoA(), Tag: w}
-		}
-		return gpusim.PairTask{Kind: gpusim.PairMinDist, A: w.to.mesh.SoA(), B: w.so.mesh.SoA(), Upper2: upper2, Tag: w}
+// pair becomes a flat SoA cross product for the device's batch kernels;
+// every other accelerator rides as a host closure around evaluate.
+func (x *joinRun) makeTask(w *pairWork) gpusim.PairTask {
+	if x.opts.Accel != BruteForce {
+		return gpusim.PairTask{Kind: gpusim.PairHost, Tag: w, Fn: func() gpusim.PairVerdict { return x.evaluate(w) }}
 	}
-	if kind == joinIntersect {
-		return gpusim.PairTask{Kind: gpusim.PairHost, Tag: w, Fn: func() gpusim.PairVerdict {
-			return gpusim.PairVerdict{Hit: c.intersects(w.to, w.so)}
-		}}
+	t := gpusim.PairTask{Kind: gpusim.PairIntersect, A: w.to.mesh.SoA(), B: w.so.mesh.SoA(), Tag: w}
+	if x.kind == WithinKind {
+		t.Kind, t.Upper2 = gpusim.PairMinDist, bound2(x.upper(w.li))
 	}
-	return gpusim.PairTask{Kind: gpusim.PairHost, Tag: w, Fn: func() gpusim.PairVerdict {
-		return gpusim.PairVerdict{D2: c.minDist(w.to, w.so, upper)}
-	}}
+	return t
 }
 
-// gatherOne settles one verdict. requeued=true means the pair survived this
-// LOD and was advanced (the caller pushes it back to the decode queue); a
-// non-nil error is a host-closure or kernel failure for the caller's degrade
-// handling. The accept/reject logic is a transcription of the per-pair
-// ladder bodies in IntersectJoin and WithinJoin.
-func (c *evalCtx) gatherOne(kind joinKind, target, source *Dataset, task *gpusim.PairTask, v gpusim.PairVerdict, lods []int, dist float64, sink *resultSink, sinkSlot int) (requeued bool, err error) {
-	w := task.Tag.(*pairWork)
+// evaluate is one decoded pair's predicate at its current LOD, computed on
+// the calling goroutine by the configured accelerator: Hit for intersect,
+// the plain distance (see minDist) in D2 for within. An evaluator panic
+// becomes the verdict's error.
+func (x *joinRun) evaluate(w *pairWork) (v gpusim.PairVerdict) {
+	defer func() {
+		if r := recover(); r != nil {
+			v = gpusim.PairVerdict{Err: fmt.Errorf("core: evaluator panic on pair (%d,%d): %v", w.t, w.s, r)}
+		}
+	}()
+	if x.kind == IntersectKind {
+		return gpusim.PairVerdict{Hit: x.intersects(w.to, w.so)}
+	}
+	return gpusim.PairVerdict{D2: x.minDist(w.to, w.so, x.upper(w.li))}
+}
+
+// plainDist converts an SoA distance verdict — the squared distance, or the
+// untouched seed when no face pair beat the bound — to evaluate's form: the
+// plain distance, +Inf standing for "greater than the bound".
+func plainDist(d2, upper2 float64) float64 {
+	if d2 >= upper2 {
+		return math.Inf(1)
+	}
+	return math.Sqrt(d2)
+}
+
+// gatherOne settles one verdict (in evaluate's form) on the caller's slot.
+// requeued=true means the pair survived this LOD and was advanced to a
+// higher rung for the caller to decode next; a non-nil error is an
+// evaluation failure for gatherFailure.
+func (x *joinRun) gatherOne(w *pairWork, v gpusim.PairVerdict, slot int) (requeued bool, err error) {
 	if v.Err != nil {
 		return false, v.Err
 	}
@@ -577,104 +596,70 @@ func (c *evalCtx) gatherOne(kind joinKind, target, source *Dataset, task *gpusim
 			err = fmt.Errorf("core: worker panic on object %d: %v", w.t, r)
 		}
 	}()
-	lod := lods[w.li]
-	last := w.li == len(lods)-1
+	lod := x.lods[w.li]
+	topLI := len(x.lods) - 1
 
-	if kind == joinWithin {
-		// Reconstruct the per-pair decision d ≤ dist. SoA verdicts carry the
-		// squared distance — or the untouched seed, meaning "no pair beat
-		// the bound", which implies the true distance exceeds dist. Host
-		// verdicts carry the evaluator's plain distance already.
-		accept := false
-		if task.Kind == gpusim.PairMinDist {
-			if v.D2 < task.Upper2 {
-				accept = math.Sqrt(v.D2) <= dist
-			}
-		} else {
-			accept = v.D2 <= dist
-		}
-		if accept {
-			c.col.settlePair(lod)
-			sink.add(sinkSlot, Pair{Target: w.t, Source: w.s})
-			c.col.results.Add(1)
-			return false, nil
-		}
-		if last {
-			c.col.settlePair(lod) // settled by rejection at top LOD
-			return false, nil
-		}
-		if c.opts.marginSched() && w.li < len(lods)-2 {
-			// Margin jump (sched.go): an untouched SoA seed means the true
-			// distance exceeds the widened bound; host verdicts carry the
-			// plain distance. Either way the pair measured over
-			// marginJumpFactor·dist — overwhelmingly a reject — and requeues
-			// at the top LOD instead of the next ladder entry. (At the rung
-			// just below the top the pack stage kept the narrow bound and a
-			// jump would skip nothing, so the pair simply walks.)
-			jump := false
-			if task.Kind == gpusim.PairMinDist {
-				jump = v.D2 >= task.Upper2 || math.Sqrt(v.D2) > dist*marginJumpFactor
-			} else {
-				jump = v.D2 > dist*marginJumpFactor
-			}
-			if jump {
-				topLI := len(lods) - 1
-				c.col.skipLODs(topLI - w.li - 1)
-				w.li = topLI
-				w.to, w.so = obj{}, obj{}
-				return true, nil
-			}
-		}
-		w.li++
-		w.to, w.so = obj{}, obj{}
-		return true, nil
-	}
-
-	// joinIntersect: a face hit — or, for MBB-nested pairs, a vertex of one
-	// low-LOD mesh inside the other low-LOD solid (sound by the PPVP subset
-	// property) — settles the pair at this LOD.
-	hit := v.Hit
-	if !hit {
-		oMBB := target.Tileset.Object(w.t).MBB()
-		cMBB := source.Tileset.Object(w.s).MBB()
+	var hit bool
+	if x.kind == WithinKind {
+		// A low-LOD distance within range is final (PPVP property 2); one
+		// above it is inconclusive below the top LOD.
+		hit = v.D2 <= x.dist
+	} else if hit = v.Hit; !hit {
+		// No face hit: for MBB-nested pairs a vertex of one low-LOD mesh
+		// inside the other low-LOD solid still settles the pair at this LOD
+		// — sound by the subset property: a point on a low-LOD surface lies
+		// inside that object's full solid, so finding it inside the other
+		// object's low-LOD solid (⊆ its full solid) proves the solids overlap.
+		oMBB := x.target.Tileset.Object(w.t).MBB()
+		cMBB := x.source.Tileset.Object(w.s).MBB()
 		if oMBB.Contains(cMBB) && len(w.so.mesh.Vertices) > 0 {
-			hit = c.pointInside(w.to, w.so.mesh.Vertices[0])
+			hit = x.pointInside(w.to, w.so.mesh.Vertices[0])
 		} else if cMBB.Contains(oMBB) && len(w.to.mesh.Vertices) > 0 {
-			hit = c.pointInside(w.so, w.to.mesh.Vertices[0])
+			hit = x.pointInside(w.so, w.to.mesh.Vertices[0])
 		}
 	}
-	if hit {
-		c.col.settlePair(lod)
-		sink.add(sinkSlot, Pair{Target: w.t, Source: w.s})
-		c.col.results.Add(1)
+	switch {
+	case hit:
+		x.col.settlePair(lod)
+		x.accept(slot, w.t, w.s)
 		return false, nil
-	}
-	if last {
+	case w.li == topLI && x.kind == WithinKind:
+		x.col.settlePair(lod) // settled by rejection at top LOD
+		return false, nil
+	case w.li == topLI:
 		// Containment handling at the highest LOD (Alg. 1, steps 8–12);
 		// both meshes are already decoded at the top LOD here.
-		if c.containsObject(w.to, w.so) || c.containsObject(w.so, w.to) {
-			sink.add(sinkSlot, Pair{Target: w.t, Source: w.s})
-			c.col.results.Add(1)
+		if x.containsObject(w.to, w.so) || x.containsObject(w.so, w.to) {
+			x.accept(slot, w.t, w.s)
 		}
 		return false, nil
 	}
 	w.li++
+	if x.kind == WithinKind && x.opts.marginSched() && w.li < topLI && v.D2 > x.dist*marginJumpFactor {
+		// Margin jump (sched.go): the pair measured over marginJumpFactor·dist
+		// — overwhelmingly a reject, which only the top LOD can decide — so
+		// it requeues there instead of at the next rung. (From the rung just
+		// below the top a jump would skip nothing; upper kept the narrow
+		// bound there and the pair simply walks.)
+		x.col.skipLODs(topLI - w.li)
+		w.li = topLI
+	}
 	w.to, w.so = obj{}, obj{}
 	return true, nil
 }
 
 // gatherFailure applies the degrade contract to an evaluation failure: the
-// target object is quarantined and recorded (mirroring the per-pair
-// executor's backstop), the pair marked uncertain; FailFast aborts.
-func (c *evalCtx) gatherFailure(slot int, target *Dataset, w *pairWork, err error, fail func(error)) {
-	if c.deg == nil || isCtxErr(err) {
+// target object is quarantined and recorded (as the runPerTarget backstop
+// would), the pair marked uncertain; FailFast aborts.
+func (x *joinRun) gatherFailure(slot int, w *pairWork, err error, fail func(error)) {
+	if x.deg == nil || isCtxErr(err) {
 		fail(err)
 		return
 	}
-	c.e.quar.Failure(quarantine.Key{Dataset: target.seq, Object: w.t}, firstLine(err.Error()))
-	if aerr := c.deg.fail(slot, target, w.t, err); aerr != nil {
+	x.e.quar.Failure(quarantine.Key{Dataset: x.target.seq, Object: w.t}, firstLine(err.Error()))
+	if aerr := x.deg.fail(slot, x.target, w.t, err); aerr != nil {
 		fail(aerr)
 		return
 	}
-	c.deg.uncertain(slot, Pair{Target: w.t, Source: w.s})
+	x.deg.uncertain(slot, Pair{Target: w.t, Source: w.s})
 }

@@ -29,8 +29,8 @@ func samePairs(t *testing.T, name string, got, want []Pair) {
 	}
 }
 
-// TestPipelineMatchesPerPairAllAccels proves the batch pipeline result-equal
-// to the per-pair reference executor across every accelerator and both
+// TestPipelineMatchesPerPairAllAccels proves the pipelined drive result-equal
+// to the inline (ExecPerPair) drive across every accelerator and both
 // paradigms, for intersection and within-distance joins.
 func TestPipelineMatchesPerPairAllAccels(t *testing.T) {
 	e := testEngine(t)
@@ -48,7 +48,7 @@ func TestPipelineMatchesPerPairAllAccels(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				q.Exec = ExecPipeline
+				q.Exec = ExecAuto
 				got, st, err := e.IntersectJoin(context.Background(), a, b, q)
 				if err != nil {
 					t.Fatal(err)
@@ -66,7 +66,7 @@ func TestPipelineMatchesPerPairAllAccels(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					q.Exec = ExecPipeline
+					q.Exec = ExecAuto
 					got, _, err := e.WithinJoin(context.Background(), da, db, dist, q)
 					if err != nil {
 						t.Fatal(err)
@@ -98,7 +98,7 @@ func TestPipelineMatchesPerPairEveryLOD(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q.Exec = ExecPipeline
+		q.Exec = ExecAuto
 		gotI, _, err := e.IntersectJoin(context.Background(), a, b, q)
 		if err != nil {
 			t.Fatal(err)
@@ -154,7 +154,7 @@ func TestPipelineNearThresholdProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				q.Exec = ExecPipeline
+				q.Exec = ExecAuto
 				got, _, err := e.WithinJoin(context.Background(), da, db, dist, q)
 				if err != nil {
 					t.Fatal(err)
@@ -166,9 +166,9 @@ func TestPipelineNearThresholdProperty(t *testing.T) {
 	}
 }
 
-// TestPipelineBatchCounters checks the executor's batch accounting: the
-// pipeline reports batches and face pairs, the per-pair executor reports
-// zero, and the device-level histogram advances with the dispatches.
+// TestPipelineBatchCounters checks the batch accounting: the pipelined drive
+// reports batches and face pairs, the inline drive reports zero, and the
+// device-level histogram advances with the dispatches.
 func TestPipelineBatchCounters(t *testing.T) {
 	e := testEngine(t)
 	a, b := buildPair(t, e)
@@ -182,7 +182,7 @@ func TestPipelineBatchCounters(t *testing.T) {
 	}
 
 	before := e.Device().BatchesDispatched()
-	_, st, err := e.IntersectJoin(context.Background(), a, b, QueryOptions{Exec: ExecPipeline})
+	_, st, err := e.IntersectJoin(context.Background(), a, b, QueryOptions{Exec: ExecAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestPipelineHammerCancellation(t *testing.T) {
 	e := testEngine(t)
 	a, b := buildPair(t, e)
 
-	want, _, err := e.IntersectJoin(context.Background(), a, b, QueryOptions{Exec: ExecPipeline})
+	want, _, err := e.IntersectJoin(context.Background(), a, b, QueryOptions{Exec: ExecAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestPipelineHammerCancellation(t *testing.T) {
 			delay := time.Duration(i) * 500 * time.Microsecond
 			timer := time.AfterFunc(delay, cancel)
 			defer timer.Stop()
-			got, _, err := e.IntersectJoin(ctx, a, b, QueryOptions{Exec: ExecPipeline})
+			got, _, err := e.IntersectJoin(ctx, a, b, QueryOptions{Exec: ExecAuto})
 			if err != nil {
 				if !errors.Is(err, context.Canceled) {
 					errs[i] = err
@@ -264,41 +264,45 @@ func TestPipelineHammerCancellation(t *testing.T) {
 }
 
 // TestPipelineDegradedObjectsInBatch floods the decode point with transient
-// faults while the pipeline runs under Degrade: batches then mix healthy and
-// failing pairs. The soundness contract must hold exactly as for the
-// per-pair executor — no invented pairs, and every dropped clean pair
-// flagged uncertain.
+// faults while a join runs under Degrade, in either drive: pipelined batches
+// then mix healthy and failing pairs, and the inline drive meets the same
+// failures pair by pair. The soundness contract is the same for both — no
+// invented pairs, and every dropped clean pair flagged uncertain.
 func TestPipelineDegradedObjectsInBatch(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
-	e := testEngine(t)
-	a, b := buildPair(t, e)
+	for _, exec := range []Exec{ExecAuto, ExecPerPair} {
+		t.Run(exec.String(), func(t *testing.T) {
+			t.Cleanup(faultinject.Reset)
+			e := testEngine(t)
+			a, b := buildPair(t, e)
 
-	clean, _, err := e.IntersectJoin(context.Background(), a, b, QueryOptions{Exec: ExecPipeline})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Cache().Clear()
+			clean, _, err := e.IntersectJoin(context.Background(), a, b, QueryOptions{Exec: exec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Cache().Clear()
 
-	faultinject.Arm(faultinject.PointCoreDecode, faultinject.Fault{Err: faultinject.ErrInjected, Times: 8})
-	got, st, err := e.IntersectJoin(context.Background(), a, b,
-		QueryOptions{Exec: ExecPipeline, OnError: Degrade, ErrorBudget: -1})
-	if err != nil {
-		t.Fatalf("degrade pipeline join failed: %v", err)
-	}
-	cleanSet := pairSet(clean)
-	for _, p := range got {
-		if !cleanSet[p] {
-			t.Fatalf("degraded pipeline invented pair %v", p)
-		}
-	}
-	gotSet := pairSet(got)
-	for _, p := range clean {
-		if !gotSet[p] && !uncertainCovers(st, p) {
-			t.Fatalf("dropped pair %v not flagged uncertain (uncertain=%v degraded=%v)",
-				p, st.Uncertain, st.Degraded)
-		}
-	}
-	if len(st.Degraded) == 0 {
-		t.Fatal("faults injected but nothing degraded")
+			faultinject.Arm(faultinject.PointCoreDecode, faultinject.Fault{Err: faultinject.ErrInjected, Times: 8})
+			got, st, err := e.IntersectJoin(context.Background(), a, b,
+				QueryOptions{Exec: exec, OnError: Degrade, ErrorBudget: -1})
+			if err != nil {
+				t.Fatalf("degrade join failed: %v", err)
+			}
+			cleanSet := pairSet(clean)
+			for _, p := range got {
+				if !cleanSet[p] {
+					t.Fatalf("degraded join invented pair %v", p)
+				}
+			}
+			gotSet := pairSet(got)
+			for _, p := range clean {
+				if !gotSet[p] && !uncertainCovers(st, p) {
+					t.Fatalf("dropped pair %v not flagged uncertain (uncertain=%v degraded=%v)",
+						p, st.Uncertain, st.Degraded)
+				}
+			}
+			if len(st.Degraded) == 0 {
+				t.Fatal("faults injected but nothing degraded")
+			}
+		})
 	}
 }

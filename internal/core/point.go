@@ -94,7 +94,7 @@ func (c *evalCtx) pointInside(o obj, p geom.Vec3) bool {
 	if !o.mesh.Bounds().ContainsPoint(p) {
 		return false
 	}
-	return geom.PointInTriangles(p, o.mesh.TrianglesCached())
+	return geom.PointInSoA(p, o.mesh.SoA())
 }
 
 // RangeQuery returns the IDs of every object of d whose geometry intersects

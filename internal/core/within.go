@@ -4,8 +4,6 @@ import (
 	"context"
 	"math"
 	"time"
-
-	"repro/internal/storage"
 )
 
 // WithinJoin returns, for each object o of target, every object of source
@@ -19,174 +17,14 @@ import (
 // ≤ dist, the true distance can only be smaller (PPVP property 2), so the
 // candidate is reported without decoding higher LODs. A low-LOD distance
 // above dist is inconclusive, so unsettled candidates ride up to the
-// highest LOD where the decision is exact.
+// highest LOD where the decision is exact. The ladder itself is in
+// pipeline.go.
 func (e *Engine) WithinJoin(ctx context.Context, target, source *Dataset, dist float64, q QueryOptions) ([]Pair, *Stats, error) {
-	if q.usePipeline() {
-		return e.pipelinedJoin(ctx, joinWithin, target, source, dist, q)
-	}
-	start := time.Now()
-	col := newCollector(source.maxLOD, q, start)
-	ec := newEvalCtx(e, q, col)
-	lods := e.schedule(&q, minInt(target.maxLOD, source.maxLOD), WithinKind)
-	tree := source.filterTree(q.Accel)
-	sink := newResultSink(q.workers(e))
-
-	err := runPerTarget(ctx, target, q.workers(e), func(w int, o *storage.Object) error {
-		// Per-worker scratch: sc.def collects whole-subtree acceptances,
-		// sc.ids the candidates needing refinement; sc.seen dedups both.
-		sc := ec.scratch[w].reset()
-		col.filterPhase(func() {
-			r := tree.SearchWithin(o.MBB(), dist)
-			for _, ent := range r.Definite {
-				if target.seq == source.seq && ent.ID == o.ID {
-					continue
-				}
-				if _, dup := sc.seen[ent.ID]; dup {
-					continue
-				}
-				sc.seen[ent.ID] = struct{}{}
-				sc.def = append(sc.def, ent.ID)
-			}
-			for _, ent := range r.Candidates {
-				if target.seq == source.seq && ent.ID == o.ID {
-					continue
-				}
-				if _, dup := sc.seen[ent.ID]; dup {
-					continue
-				}
-				sc.seen[ent.ID] = struct{}{}
-				sc.ids = append(sc.ids, ent.ID)
-			}
-		})
-		col.candidates.Add(int64(len(sc.def) + len(sc.ids)))
-
-		// Whole-subtree acceptances need no geometry at all.
-		sortIDs(sc.def)
-		for _, id := range sc.def {
-			col.boundsDecided()
-			sink.add(w, Pair{Target: o.ID, Source: id})
-			col.results.Add(1)
-		}
-
-		remaining := sc.ids
-		sortIDs(remaining)
-		margin := q.marginSched()
-		var dir []int64
-		if margin {
-			// Margin plan: settle bounds-decisive pairs with no decode at
-			// all; the rest walk the ladder, with reject-leaning pairs
-			// detected mid-ladder from their measured distance and jumped
-			// to the top LOD (see sched.go). Routing never changes a
-			// verdict, only where it is reached.
-			tb := o.MBB()
-			dir = sc.dir
-			keep := remaining[:0]
-			for _, id := range remaining {
-				so := source.Tileset.Object(id)
-				if so == nil {
-					keep = append(keep, id) // let decode surface the error
-					continue
-				}
-				switch planWithin(tb, so.MBB(), dist) {
-				case planAccept:
-					col.boundsDecided()
-					sink.add(w, Pair{Target: o.ID, Source: id})
-					col.results.Add(1)
-				case planReject:
-					col.boundsDecided()
-				default:
-					keep = append(keep, id)
-				}
-			}
-			remaining = keep
-		}
-		for li, lod := range lods {
-			last := li == len(lods)-1
-			if last && len(dir) > 0 {
-				// Direct-routed pairs join the walkers for the exact pass.
-				remaining = append(remaining, dir...)
-				sortIDs(remaining)
-				dir = dir[:0]
-			}
-			if len(remaining) == 0 {
-				if len(dir) == 0 {
-					break
-				}
-				continue
-			}
-			to, err := ec.decode(target, o.ID, lod)
-			if err != nil {
-				// Degrade: low-LOD acceptances (including the MBB-proven
-				// definite set) stay certain; the rest can't be settled.
-				skip, aerr := ec.degradeErr(w, target, o.ID, err)
-				if !skip {
-					return aerr
-				}
-				ec.deg.uncertainAll(w, o.ID, remaining)
-				ec.deg.uncertainAll(w, o.ID, dir)
-				return nil
-			}
-			// Under margin scheduling the search bound is widened so a
-			// measured distance up to marginJumpFactor·dist is exact — the
-			// jump signal; accepts still require d ≤ dist. Widening only
-			// pays when a jump can actually skip a ladder entry (li two or
-			// more below the top); at the final two rungs the deeper search
-			// would buy nothing.
-			canJump := margin && li < len(lods)-2
-			upper := dist
-			if canJump {
-				upper = dist * marginJumpFactor
-			}
-			next := remaining[:0]
-			for _, id := range remaining {
-				so, err := ec.decode(source, id, lod)
-				if err != nil {
-					skip, aerr := ec.degradeErr(w, source, id, err)
-					if !skip {
-						return aerr
-					}
-					ec.deg.uncertain(w, Pair{Target: o.ID, Source: id})
-					continue
-				}
-				col.evalPair(lod)
-				d := ec.minDist(to, so, upper*(1+1e-12))
-				if d <= dist {
-					col.settlePair(lod)
-					sink.add(w, Pair{Target: o.ID, Source: id})
-					col.results.Add(1)
-					continue
-				}
-				if last {
-					col.settlePair(lod) // settled by rejection at top LOD
-					continue
-				}
-				if canJump && d > dist*marginJumpFactor {
-					// Still over twice the budget after this LOD's shrink:
-					// overwhelmingly a reject, which only the top LOD can
-					// decide — skip the intermediate ladder entries.
-					col.skipLODs(len(lods) - 2 - li)
-					dir = append(dir, id)
-					sc.dir = dir
-					continue
-				}
-				next = append(next, id)
-			}
-			remaining = next
-		}
-		return nil
-	}, ec.deg.backstop(e, target))
-	if err != nil {
-		return nil, ec.finish(start), err
-	}
-	st := ec.finish(start)
-	if q.Paradigm == FPR {
-		e.cal.observe(WithinKind, st)
-	}
-	return sink.sorted(), st, nil
+	return e.join(ctx, WithinKind, target, source, dist, q)
 }
 
-// Dist is a convenience exact distance between two stored objects at the
-// highest LOD (used by examples and tests).
+// ExactDistance returns the exact distance between two stored objects,
+// measured at the highest LOD (used by examples and tests).
 func (e *Engine) ExactDistance(a *Dataset, aid int64, b *Dataset, bid int64, q QueryOptions) (float64, error) {
 	col := newCollector(maxInt(a.maxLOD, b.maxLOD), q, time.Now())
 	ec := newEvalCtx(e, q, col)

@@ -173,3 +173,27 @@ func PointInTriangles(p Vec3, tris []Triangle) bool {
 	}
 	return parity
 }
+
+// PointInSoA is PointInTriangles over SoA lanes, in whatever order they are
+// laid out: crossing parity does not depend on triangle order.
+func PointInSoA(p Vec3, s *TriSoA) bool {
+	parity := false
+	for _, dir := range rayDirections {
+		r := Ray{Origin: p, Dir: dir}
+		crossings := 0
+		ok := true
+		for i, n := 0, s.Len(); i < n && ok; i++ {
+			switch _, kind := r.intersectTriangleEx(s.At(i)); kind {
+			case hitInside:
+				crossings++
+			case hitDegenerate:
+				ok = false
+			}
+		}
+		parity = crossings%2 == 1
+		if ok {
+			return parity
+		}
+	}
+	return parity
+}

@@ -113,3 +113,30 @@ func TestPointInTrianglesMatchesBox(t *testing.T) {
 		}
 	}
 }
+
+// TestPointInSoARecast pins the degenerate-hit path of the lane-native
+// containment test: cast along +X (the first direction) from the cube's
+// centre line, the ray leaves through the centre of a face — a point on the
+// diagonal the face's two triangles share. That hit must trigger a re-cast,
+// not a parity count, for a point inside and for one outside alike.
+func TestPointInSoARecast(t *testing.T) {
+	tris := unitCubeTris()
+	s := SoAFromTriangles(tris)
+	for _, c := range []struct {
+		p      Vec3
+		inside bool
+	}{{V(0.5, 0.5, 0.5), true}, {V(-0.5, 0.5, 0.5), false}} {
+		degenerate := false
+		for _, tri := range tris {
+			if _, ok := RayCrossesTriangle(Ray{Origin: c.p, Dir: RayDirections()[0]}, tri); !ok {
+				degenerate = true
+			}
+		}
+		if !degenerate {
+			t.Fatalf("point %v: the first cast is not degenerate; the case tests nothing", c.p)
+		}
+		if got := PointInSoA(c.p, s); got != c.inside || got != PointInTriangles(c.p, tris) {
+			t.Errorf("point %v: PointInSoA = %v, PointInTriangles = %v, want %v", c.p, got, PointInTriangles(c.p, tris), c.inside)
+		}
+	}
+}

@@ -33,8 +33,6 @@ type Mesh struct {
 	// mesh — the decode cache, for the query engine — holds its accelerators,
 	// and dropping the mesh drops them. Mutating methods drop them all.
 
-	// tris is the materialized triangle slice.
-	tris atomic.Pointer[[]geom.Triangle]
 	// soa is the struct-of-arrays packing consumed by the batch kernels.
 	// Once tree is built it holds the tree-ordered lanes.
 	soa atomic.Pointer[geom.TriSoA]
@@ -91,22 +89,6 @@ func (m *Mesh) Triangles() []geom.Triangle {
 	return out
 }
 
-// TrianglesCached returns the materialized triangle slice, building it at
-// most once per mesh state and sharing the result across callers. The
-// returned slice is read-only. Concurrent first calls may race to build; one
-// slice is published and the losers' duplicates are discarded.
-func (m *Mesh) TrianglesCached() []geom.Triangle {
-	if p := m.tris.Load(); p != nil {
-		return *p
-	}
-	t := m.Triangles()
-	if m.tris.CompareAndSwap(nil, &t) {
-		m.footprintChanged()
-		return t
-	}
-	return *m.tris.Load()
-}
-
 // SoA returns the struct-of-arrays triangle layout for the current mesh
 // state, packed straight from Vertices and Faces at most once per state and
 // shared across callers. The order of the triangles is unspecified: building
@@ -132,14 +114,11 @@ func (m *Mesh) SoA() *geom.TriSoA {
 }
 
 // FootprintBytes returns the resident size of the mesh plus whatever derived
-// memos (triangle slice, SoA lanes, AABB-tree nodes, partition groups) are
+// memos (SoA lanes, AABB-tree nodes, partition groups) are
 // materialized right now. It grows as memos are built; an owner that budgets
 // by it (the decode cache) registers with OnFootprintChange to hear when.
 func (m *Mesh) FootprintBytes() int64 {
 	b := int64(len(m.Vertices))*24 + int64(len(m.Faces))*12
-	if p := m.tris.Load(); p != nil {
-		b += int64(len(*p)) * 72
-	}
 	soa := m.soa.Load()
 	b += soa.Bytes()
 	if t := m.tree.Load(); t != nil {
@@ -167,7 +146,6 @@ func (m *Mesh) footprintChanged() {
 
 // invalidateTriangles drops the memoized derived layouts after a mutation.
 func (m *Mesh) invalidateTriangles() {
-	m.tris.Store(nil)
 	m.soa.Store(nil)
 	m.tree.Store(nil)
 	m.groups.Store(nil)
@@ -236,7 +214,7 @@ func (m *Mesh) ContainsPoint(p geom.Vec3) bool {
 	if !m.Bounds().ContainsPoint(p) {
 		return false
 	}
-	return geom.PointInTriangles(p, m.TrianglesCached())
+	return geom.PointInSoA(p, m.SoA())
 }
 
 // Translate moves every vertex by d.

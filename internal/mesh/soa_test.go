@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/geom"
@@ -56,18 +57,52 @@ func TestFootprintBytesGrowsWithMemos(t *testing.T) {
 	if base != int64(len(m.Vertices))*24+int64(len(m.Faces))*12 {
 		t.Fatalf("cold footprint %d unexpected", base)
 	}
-	m.TrianglesCached()
-	withTris := m.FootprintBytes()
-	if withTris != base+int64(m.NumFaces())*72 {
-		t.Fatalf("footprint with tris %d want %d", withTris, base+int64(m.NumFaces())*72)
-	}
 	m.SoA()
 	withSoA := m.FootprintBytes()
-	if withSoA != withTris+int64(m.NumFaces())*15*8 {
-		t.Fatalf("footprint with SoA %d want %d", withSoA, withTris+int64(m.NumFaces())*15*8)
+	if withSoA != base+int64(m.NumFaces())*15*8 {
+		t.Fatalf("footprint with SoA %d want %d", withSoA, base+int64(m.NumFaces())*15*8)
 	}
 	m.Translate(geom.Vec3{Y: 1})
 	if got := m.FootprintBytes(); got != base {
 		t.Fatalf("footprint after invalidation %d want %d", got, base)
+	}
+}
+
+// TestPointInSoAMatchesTriangles checks the lane-native containment test
+// against the []Triangle reference on closed meshes, with the lanes in face
+// order and — after Tree re-lays the memo — in tree order: crossing parity
+// must not depend on the order.
+func TestPointInSoAMatchesTriangles(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tube := Tube([]geom.Vec3{{}, {X: 4}, {X: 6, Y: 3}, {X: 6, Y: 6, Z: 2}}, []float64{1, 0.8, 0.8, 0.5}, 8)
+	for name, m := range map[string]*Mesh{"sphere": Icosphere(3, 2), "ellipsoid": Ellipsoid(6, 4, 3, 2), "tube": tube} {
+		if err := m.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		tris := m.Triangles()
+		faceOrder := m.SoA()
+		m.Tree()
+		treeOrder := m.SoA()
+		if treeOrder == faceOrder {
+			t.Fatalf("%s: Tree did not re-lay the SoA memo", name)
+		}
+		b := m.Bounds().Expand(0.5)
+		inside := 0
+		for i := 0; i < 1500; i++ {
+			p := b.Min.Add(geom.V(rng.Float64()*b.Size().X, rng.Float64()*b.Size().Y, rng.Float64()*b.Size().Z))
+			want := geom.PointInTriangles(p, tris)
+			if want {
+				inside++
+			}
+			if got := geom.PointInSoA(p, faceOrder); got != want {
+				t.Fatalf("%s: point %v in face order: %v, want %v", name, p, got, want)
+			}
+			if got := geom.PointInSoA(p, treeOrder); got != want {
+				t.Fatalf("%s: point %v in tree order: %v, want %v", name, p, got, want)
+			}
+		}
+		if inside == 0 || inside == 1500 {
+			t.Fatalf("%s: %d of 1500 samples inside; the case tests one side only", name, inside)
+		}
 	}
 }

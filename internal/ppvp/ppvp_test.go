@@ -414,6 +414,94 @@ func TestPruneAnyPolicy(t *testing.T) {
 	if top.NumFaces() != m.NumFaces() {
 		t.Errorf("PruneAny top LOD faces = %d, want %d", top.NumFaces(), m.NumFaces())
 	}
+	// The format is shared with PPVP; the policy byte records the encoder.
+	c2, err := FromBytes(cAny.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cAny.PolicyUsed() != PruneAny || c2.PolicyUsed() != PruneAny {
+		t.Errorf("policy = %v, %v after a round trip; want PruneAny", cAny.PolicyUsed(), c2.PolicyUsed())
+	}
+}
+
+// dentedSphere returns a sphere with a deep pit — plenty of recessing
+// vertices for the any-vertex policy to remove.
+func dentedSphere() *mesh.Mesh {
+	m := mesh.Icosphere(10, 3)
+	for i, v := range m.Vertices {
+		// Push vertices near the +X pole inward.
+		if v.X > 7 {
+			f := (v.X - 7) / 3 // 0..1
+			m.Vertices[i] = v.Mul(1 - 0.45*f)
+		}
+	}
+	return m
+}
+
+// TestPruneAnyFillsPits shows the concrete subset-property violation PPVP
+// avoids (§3.2 of the paper): classic progressive compression (PPMC, the
+// PruneAny policy) removes recessing vertices too, which fills pits, so a low
+// LOD can poke outside the original. Sampling interior points of a lower LOD
+// and finding one outside the full-resolution mesh detects it directly
+// (volume alone can stay monotone by accident).
+func TestPruneAnyFillsPits(t *testing.T) {
+	m := dentedSphere()
+	opts := DefaultOptions()
+	opts.Policy = PruneAny
+	cAny, _, err := Compress(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, err := cAny.Decode(cAny.MaxLOD())
+	if err != nil {
+		t.Fatal(err)
+	}
+	topTris := top.Triangles()
+	rng := rand.New(rand.NewSource(77))
+	violated := false
+	for lod := 0; lod < cAny.MaxLOD() && !violated; lod++ {
+		g, err := cAny.Decode(lod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := g.Bounds()
+		checked := 0
+		for i := 0; i < 30000 && checked < 400; i++ {
+			p := geom.V(
+				b.Min.X+rng.Float64()*b.Size().X,
+				b.Min.Y+rng.Float64()*b.Size().Y,
+				b.Min.Z+rng.Float64()*b.Size().Z,
+			)
+			if !g.ContainsPoint(p) {
+				continue
+			}
+			checked++
+			if !geom.PointInTriangles(p, topTris) {
+				violated = true // pit filled: low LOD pokes outside the original
+				break
+			}
+		}
+	}
+	if !violated {
+		t.Skip("PruneAny happened to produce subsets on this mesh; no guarantee was promised either way")
+	}
+
+	// PPVP on the same mesh must stay monotone.
+	cP, _, err := Compress(m, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := -math.MaxFloat64
+	for lod := 0; lod <= cP.MaxLOD(); lod++ {
+		g, err := cP.Decode(lod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Volume() < prev-1e-9 {
+			t.Fatalf("PPVP volume decreased at LOD %d", lod)
+		}
+		prev = g.Volume()
+	}
 }
 
 func TestCompressRejectsInvalidMesh(t *testing.T) {
