@@ -65,13 +65,14 @@ race:
 
 # Run just the seed corpus of every fuzz target (fast, deterministic; what CI runs).
 fuzz-short:
-	$(GO) test -run='^Fuzz' ./internal/ppvp ./internal/storage ./internal/analysis ./internal/faultinject
+	$(GO) test -run='^Fuzz' ./internal/ppvp ./internal/storage ./internal/analysis ./internal/faultinject ./internal/geom
 
 # Actual coverage-guided fuzzing, $(FUZZTIME) per target.
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/ppvp
 	$(GO) test -fuzz=FuzzDecodeTile -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -fuzz=FuzzCollectSuppressions -fuzztime=$(FUZZTIME) ./internal/analysis
+	$(GO) test -fuzz=FuzzTriTriDist2Bounded -fuzztime=$(FUZZTIME) ./internal/geom
 
 # Seeded chaos campaign under the race detector: $(CHAOSTIME) of fresh-seed
 # iterations of TestChaosCampaignExtended (corrupt tiles + probabilistic

@@ -105,6 +105,22 @@ func TestAccountingTracksMemos(t *testing.T) {
 	if c.Stats().Evictions == 0 {
 		t.Error("the run never evicted; the budget is too generous to test anything")
 	}
+	// What the books were checked against includes the block lanes of every
+	// lane set a memo holds: the SoA's own, and those of each group view.
+	for key, m := range held {
+		bare := int64(len(m.Vertices))*24 + int64(len(m.Faces))*12
+		if c.Get(key) != m || m.FootprintBytes() == bare {
+			continue // evicted, replaced or without memos
+		}
+		soa := m.SoA()
+		if soa.BlockBytes() == 0 || soa.Bytes() != int64(15*soa.Len())*8+soa.BlockBytes() {
+			t.Fatalf("%v: SoA of %d faces reports %d B, %d of them block lanes", key, soa.Len(), soa.Bytes(), soa.BlockBytes())
+		}
+		if m.FootprintBytes() < bare+soa.Bytes() {
+			t.Fatalf("%v: footprint %d leaves out part of the %d B of lanes and block lanes", key, m.FootprintBytes(), soa.Bytes())
+		}
+		checkAccounting(t, c, "after SoA on a resident mesh")
+	}
 
 	c.Clear()
 	checkAccounting(t, c, "after Clear")

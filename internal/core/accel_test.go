@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/datagen"
 	"repro/internal/geom"
 	"repro/internal/mesh"
@@ -192,6 +193,33 @@ func TestAcceleratorsChargedToCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain := e.Cache().Stats().BytesUsed
+	// Every resident mesh now carries its SoA memo, block lanes included:
+	// the books hold the 15 lanes and the block boxes of each, and nothing
+	// unexplained beyond the per-entry overhead.
+	var meshes, lanes, blocks, entries int64
+	for _, d := range []*Dataset{a, b} {
+		for id := int64(0); id < int64(d.Len()); id++ {
+			m := e.Cache().Get(cache.Key{Object: d.seq<<40 | id, LOD: d.MaxLOD()})
+			if m == nil {
+				continue // never a candidate: not decoded
+			}
+			soa := m.SoA()
+			if soa.BlockBytes() != int64((soa.Len()+geom.BlockSize-1)/geom.BlockSize)*6*8 {
+				t.Fatalf("object %d: %d B of block lanes for %d faces", id, soa.BlockBytes(), soa.Len())
+			}
+			if got, want := m.FootprintBytes(), int64(len(m.Vertices))*24+int64(len(m.Faces))*12+soa.Bytes(); got != want {
+				t.Fatalf("object %d: footprint %d, want %d (mesh + lanes + block lanes)", id, got, want)
+			}
+			meshes += m.FootprintBytes() - soa.Bytes()
+			lanes += soa.Bytes() - soa.BlockBytes()
+			blocks += soa.BlockBytes()
+			entries++
+		}
+	}
+	if overhead := plain - meshes - lanes - blocks; entries == 0 || blocks == 0 || overhead < 0 || overhead > 128*entries {
+		t.Errorf("BytesUsed %d = meshes %d + lanes %d + block lanes %d + %d over %d entries: block lanes are not in the books",
+			plain, meshes, lanes, blocks, overhead, entries)
+	}
 	if _, _, err := e.WithinJoin(ctx, a, b, 12, QueryOptions{Paradigm: FR, Accel: AABB}); err != nil {
 		t.Fatal(err)
 	}

@@ -283,28 +283,32 @@ func (c *evalCtx) intersectsPartitioned(a, b obj) bool {
 }
 
 // minDist returns the distance between the two decoded objects' surfaces
-// when it is ≤ upper. When the true distance exceeds upper the search is cut
-// short and the returned value is only known to be > upper: it is neither
-// the true distance nor a bound on it, and callers must read it as "greater
-// than upper" and nothing more. Pass math.Inf(1) for an exact distance.
-// Every accelerator folds the same TriTriDist2 primitive over the SoA lanes,
-// so a distance that is found is bit-identical across them.
+// when it is ≤ upper, and +Inf — "greater than upper", under every
+// accelerator — when it is not: the search is then cut short and nothing
+// else is known. Pass math.Inf(1) for an exact distance.
+//
+// upper is squared once, by bound2, and every accelerator is seeded with
+// that same squared bound: it gates the tree descent or the group pairs,
+// then the blocks and pairs of geom.MinDist2Rect, then the stages of the
+// one bounded tri-tri primitive underneath them all. A distance that is
+// found is therefore the value geom.TriTriDist2 gives for the nearest face
+// pair, bit-identical across accelerators.
 func (c *evalCtx) minDist(a, b obj, upper float64) float64 {
 	defer c.col.geomDone(a.lod, time.Now())
 
 	up2 := bound2(upper)
+	var d2 float64
 	switch c.opts.Accel {
 	case AABB:
-		// Dual-tree descent, seeded with the upper bound so subtree pairs
-		// provably out of range are pruned without touching triangles.
-		return c.tree(a).DistToTreeBounded(c.tree(b), math.Sqrt(up2))
+		d2 = c.tree(a).MinDist2Bounded(c.tree(b), up2)
 	case GPU:
-		return math.Sqrt(c.e.dev.MinDist2Bounded(a.mesh.SoA(), b.mesh.SoA(), up2))
+		d2 = c.e.dev.MinDist2Bounded(a.mesh.SoA(), b.mesh.SoA(), up2)
 	case Partition, PartitionGPU:
-		return c.minDistPartitioned(a, b, up2)
+		d2 = c.minDist2Partitioned(a, b, up2)
 	default:
-		return math.Sqrt(geom.MinDist2Batch(a.mesh.SoA(), b.mesh.SoA(), up2))
+		d2 = geom.MinDist2Batch(a.mesh.SoA(), b.mesh.SoA(), up2)
 	}
+	return plainDist(d2, up2)
 }
 
 // bound2 squares a distance bound into the seed of a bounded kernel, which
@@ -320,21 +324,22 @@ func bound2(upper float64) float64 {
 }
 
 // groupPair is one (sub-object group, sub-object group) pair queued for
-// minDistPartitioned's branch-and-bound, ordered by box distance.
+// minDist2Partitioned's branch-and-bound, ordered by box distance.
 type groupPair struct {
 	i, j int
 	d2   float64
 }
 
-// groupPairPool recycles minDistPartitioned's pair buffers: the function
+// groupPairPool recycles minDist2Partitioned's pair buffers: the function
 // runs once per candidate pair on the refine hot path and would otherwise
 // allocate a len(ga)*len(gb) slice each time (flagged by hotalloc).
 var groupPairPool = sync.Pool{New: func() any { return new([]groupPair) }}
 
-// minDistPartitioned runs branch-and-bound over sub-object group pairs
+// minDist2Partitioned runs branch-and-bound over sub-object group pairs
 // ordered by box distance, evaluating pairs until no remaining pair's box
-// can beat the best distance found or the squared bound best2.
-func (c *evalCtx) minDistPartitioned(a, b obj, best2 float64) float64 {
+// can beat the squared bound best2 or the best squared distance found,
+// which it returns (best2 when no face pair beat it).
+func (c *evalCtx) minDist2Partitioned(a, b obj, best2 float64) float64 {
 	ga, gb := c.groupsOf(a), c.groupsOf(b)
 	buf := groupPairPool.Get().(*[]groupPair)
 	defer func() {
@@ -349,25 +354,19 @@ func (c *evalCtx) minDistPartitioned(a, b obj, best2 float64) float64 {
 	*buf = pairs
 	slices.SortFunc(pairs, func(x, y groupPair) int { return cmp.Compare(x.d2, y.d2) })
 
-	found := math.Inf(1)
 	for _, p := range pairs {
-		if p.d2 >= best2 || p.d2 >= found {
+		if p.d2 >= best2 {
 			break
 		}
 		// Both evaluators are seeded with the best bound so far and hand it
 		// back unchanged when no face pair of this group pair beats it.
-		seed := math.Min(best2, found)
-		var d2 float64
 		if c.opts.Accel == PartitionGPU {
-			d2 = c.e.dev.MinDist2Bounded(&ga[p.i].Tris, &gb[p.j].Tris, seed)
+			best2 = c.e.dev.MinDist2Bounded(&ga[p.i].Tris, &gb[p.j].Tris, best2)
 		} else {
-			d2 = geom.MinDist2Batch(&ga[p.i].Tris, &gb[p.j].Tris, seed)
-		}
-		if d2 < found {
-			found = d2
+			best2 = geom.MinDist2Batch(&ga[p.i].Tris, &gb[p.j].Tris, best2)
 		}
 	}
-	return math.Sqrt(found)
+	return best2
 }
 
 // containsObject reports whether outer fully contains inner, given that

@@ -296,3 +296,48 @@ func TestDrivesInjectedDecodeFault(t *testing.T) {
 		t.Errorf("degraded auto %v inline %v", stAuto.Degraded, stInline.Degraded)
 	}
 }
+
+// TestWithinZeroFindsTouchingObjects pins the other way two objects can be
+// at distance exactly zero: not coincident surfaces (within/0 above) but one
+// shared vertex. It checks the path of a zero bound from WithinJoin to the
+// kernels under every accelerator; that no single face pair touching in a
+// vertex is turned away under the seed a zero bound is squared to is geom's
+// TestTouchingPairsUnderZeroBound (here five faces of each object meet in
+// the vertex, and one found pair is enough).
+func TestWithinZeroFindsTouchingObjects(t *testing.T) {
+	e := testEngine(t)
+	opts := fastDatasetOptions()
+	opts.PartitionTargetFaces = 16
+	sphere := func(at geom.Vec3) *mesh.Mesh {
+		m := mesh.Icosphere(1, 2)
+		m.Translate(at)
+		return m
+	}
+	// The unit icosphere has a vertex on each axis: two of them a diameter
+	// apart along x touch in that vertex, and in nothing else.
+	a, err := e.BuildDataset("touchA", []*mesh.Mesh{sphere(geom.V(0, 0, 0)), sphere(geom.V(0, 30, 0))}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := e.BuildDataset("touchB", []*mesh.Mesh{sphere(geom.V(2, 0, 0)), sphere(geom.V(0, 30, 2.5))}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newReference(t, a, b)
+	want := ref.withinJoin(t, 0)
+	if !want[Pair{0, 0}] || len(want) != 1 || ref.dist(0, 0) != 0 || len(ref.intersectJoin(t)) != 1 {
+		t.Fatalf("fixture: reference within(0) = %v, distance %v; want the touching pair alone", want, ref.dist(0, 0))
+	}
+	for _, accel := range allAccels {
+		for _, exec := range []Exec{ExecAuto, ExecPerPair} {
+			for _, par := range []Paradigm{FR, FPR} {
+				q := QueryOptions{Paradigm: par, Accel: accel, Exec: exec}
+				got, _, err := e.WithinJoin(context.Background(), a, b, 0, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameSets(t, fmt.Sprintf("within(0)/%v/%v/%v", accel, exec, par), got, want)
+			}
+		}
+	}
+}

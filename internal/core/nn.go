@@ -172,9 +172,19 @@ func (e *Engine) KNNJoin(ctx context.Context, target, source *Dataset, q QueryOp
 					continue
 				}
 				col.evalPair(lod)
-				d := ec.minDist(to, so, c.maxDist*(1+1e-12))
+				// The search is bounded by the candidate's own MAXDIST and by
+				// the running k-th MAXDIST: a distance at or beyond the latter
+				// can neither lower it nor enter the top k, so the kernels
+				// need not measure it (d is then +Inf).
+				d := ec.minDist(to, so, math.Min(c.maxDist, minmax)*(1+1e-12))
 				if d < c.maxDist {
 					c.maxDist = d
+				}
+				if last && math.IsInf(d, 1) && minmax < c.maxDist {
+					// Beyond the k-th MAXDIST at full resolution: out of the
+					// top k for good, as the post-pass prune would find.
+					col.settlePair(lod)
+					continue
 				}
 				if last {
 					// The range collapses to the exact distance.

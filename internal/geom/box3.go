@@ -151,14 +151,9 @@ func (b Box3) MinDist(c Box3) float64 {
 
 // MinDist2 returns the squared MINDIST between b and c.
 func (b Box3) MinDist2(c Box3) float64 {
-	var d2 float64
-	for i := 0; i < 3; i++ {
-		gap := math.Max(c.Min.Component(i)-b.Max.Component(i), b.Min.Component(i)-c.Max.Component(i))
-		if gap > 0 {
-			d2 += gap * gap
-		}
-	}
-	return d2
+	return axisGap2(b.Min.X, b.Max.X, c.Min.X, c.Max.X) +
+		axisGap2(b.Min.Y, b.Max.Y, c.Min.Y, c.Max.Y) +
+		axisGap2(b.Min.Z, b.Max.Z, c.Min.Z, c.Max.Z)
 }
 
 // MaxDist returns the paper's MAXDIST estimate between two object MBBs: the

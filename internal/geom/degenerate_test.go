@@ -111,7 +111,11 @@ func TestDegenerateConsistency(t *testing.T) {
 }
 
 // crossesFace reports whether segment ab crosses the (open) face of tri.
-func crossesFace(tri Triangle, a, b Vec3) bool {
+func crossesFace(tri Triangle, a, b Vec3) bool { return crossesFaceWithin(tri, a, b, 1e-12) }
+
+// crossesFaceWithin is crossesFace with the distance tol at which the
+// crossing point counts as on the face.
+func crossesFaceWithin(tri Triangle, a, b Vec3, tol float64) bool {
 	n := tri.Normal()
 	da := n.Dot(a.Sub(tri.A))
 	db := n.Dot(b.Sub(tri.A))
@@ -123,5 +127,5 @@ func crossesFace(tri Triangle, a, b Vec3) bool {
 	}
 	t := da / (da - db)
 	p := a.Lerp(b, t)
-	return tri.ClosestPointToPoint(p).Dist(p) < 1e-12
+	return tri.ClosestPointToPoint(p).Dist(p) < tol
 }

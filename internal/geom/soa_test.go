@@ -162,7 +162,8 @@ func TestBatchEmptyInputs(t *testing.T) {
 	if got := MinDist2Batch(empty, sa, 42); got != 42 {
 		t.Fatalf("empty a: got %v want seed", got)
 	}
-	if empty.Bytes() != 0 || sa.Bytes() != 15*3*8 {
+	// Three triangles: 15 lanes of three, plus one block box.
+	if empty.Bytes() != 0 || sa.Bytes() != 15*3*8+6*8 {
 		t.Fatalf("Bytes: empty=%d sa=%d", empty.Bytes(), sa.Bytes())
 	}
 }

@@ -51,11 +51,21 @@ func (t Triangle) Vertex(i int) Vec3 {
 
 // IsDegenerate reports whether the triangle has (nearly) zero area.
 func (t Triangle) IsDegenerate() bool {
-	// Compare squared area against the squared longest edge scaled by a
-	// relative tolerance so the test is scale-invariant.
-	n2 := t.Normal().Len2()
-	e := math.Max(t.A.Dist2(t.B), math.Max(t.B.Dist2(t.C), t.C.Dist2(t.A)))
-	return n2 <= 1e-24*e*e
+	return t.degenerate(t.Normal().Len2())
+}
+
+// degenerate is IsDegenerate given the squared length nn of t.Normal().
+func (t Triangle) degenerate(nn float64) bool {
+	return degenerateArea(nn, [3]float64{t.A.Dist2(t.B), t.B.Dist2(t.C), t.C.Dist2(t.A)})
+}
+
+// degenerateArea compares the squared normal length nn (four times the
+// squared area) against the squared longest edge, given the three squared
+// edge lengths, scaled by a relative tolerance so the test is
+// scale-invariant.
+func degenerateArea(nn float64, edges2 [3]float64) bool {
+	e := math.Max(edges2[0], math.Max(edges2[1], edges2[2]))
+	return nn <= 1e-24*e*e
 }
 
 // ClosestPointToPoint returns the point on the triangle (including its
@@ -122,50 +132,54 @@ type Segment struct {
 }
 
 // ClosestPoints returns the closest pair of points (one on each segment) and
-// the squared distance between them. Implementation follows Ericson §5.1.9.
+// the squared distance between them.
 func (s Segment) ClosestPoints(o Segment) (onS, onO Vec3, dist2 float64) {
 	d1 := s.Q.Sub(s.P) // direction of s
 	d2 := o.Q.Sub(o.P) // direction of o
-	r := s.P.Sub(o.P)
-	a := d1.Len2()
-	e := d2.Len2()
-	f := d2.Dot(r)
-
-	var t, u float64
-	switch {
-	case a <= Epsilon && e <= Epsilon:
-		// Both segments degenerate to points.
-		onS, onO = s.P, o.P
-		return onS, onO, onS.Dist2(onO)
-	case a <= Epsilon:
-		t = 0
-		u = clamp(f/e, 0, 1)
-	default:
-		c := d1.Dot(r)
-		if e <= Epsilon {
-			u = 0
-			t = clamp(-c/a, 0, 1)
-		} else {
-			b := d1.Dot(d2)
-			denom := a*e - b*b
-			if denom > Epsilon {
-				t = clamp((b*f-c*e)/denom, 0, 1)
-			} else {
-				t = 0 // parallel: pick arbitrary t, recompute u
-			}
-			u = (b*t + f) / e
-			if u < 0 {
-				u = 0
-				t = clamp(-c/a, 0, 1)
-			} else if u > 1 {
-				u = 1
-				t = clamp((b-c)/a, 0, 1)
-			}
-		}
-	}
+	t, u := closestParams(d1, d2, s.P.Sub(o.P), d1.Len2(), d2.Len2())
 	onS = s.P.Add(d1.Mul(t))
 	onO = o.P.Add(d2.Mul(u))
 	return onS, onO, onS.Dist2(onO)
+}
+
+// pointLen2 is the squared length below which a segment counts as a point:
+// shorter ones would underflow the products below. The tests are otherwise
+// relative, so the answer does not depend on the unit of the coordinates.
+const pointLen2 = 1e-150
+
+// closestParams returns the parameters t, u ∈ [0, 1] of the closest points
+// P+t·d1 and O+u·d2 of two segments, given r = P−O and the squared lengths
+// a = |d1|², e = |d2|². Implementation follows Ericson §5.1.9.
+func closestParams(d1, d2, r Vec3, a, e float64) (t, u float64) {
+	f := d2.Dot(r)
+	switch {
+	case a <= pointLen2 && e <= pointLen2:
+		// Both segments degenerate to points.
+		return 0, 0
+	case a <= pointLen2:
+		return 0, clamp(f/e, 0, 1)
+	}
+	c := d1.Dot(r)
+	if e <= pointLen2 {
+		return clamp(-c/a, 0, 1), 0
+	}
+	b := d1.Dot(d2)
+	// denom is a·e·sin² of the angle between the segments.
+	denom := a*e - b*b
+	if denom > Epsilon*a*e {
+		t = clamp((b*f-c*e)/denom, 0, 1)
+	} else {
+		t = 0 // parallel: pick arbitrary t, recompute u
+	}
+	u = (b*t + f) / e
+	if u < 0 {
+		u = 0
+		t = clamp(-c/a, 0, 1)
+	} else if u > 1 {
+		u = 1
+		t = clamp((b-c)/a, 0, 1)
+	}
+	return t, u
 }
 
 // Dist returns the minimum distance between the two segments.

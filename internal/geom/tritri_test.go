@@ -163,15 +163,3 @@ func BenchmarkTriTriIntersect(b *testing.B) {
 		TriTriIntersect(tris[i%256], tris[(i+7)%256])
 	}
 }
-
-func BenchmarkTriTriDist(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	tris := make([]Triangle, 256)
-	for i := range tris {
-		tris[i] = randomTriangle(rng, 2)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		TriTriDist2(tris[i%256], tris[(i+7)%256])
-	}
-}

@@ -2,11 +2,14 @@ package gpusim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/geom"
 )
 
@@ -165,5 +168,46 @@ func TestStreamAbortStopsKernels(t *testing.T) {
 	}
 	if ran.Load() != 0 {
 		t.Fatal("aborted stream still ran host closure")
+	}
+}
+
+var sinkD2 float64
+
+// BenchmarkEvalPairBatch measures what the worker-pool dispatch costs or
+// buys: one batch of distance tasks — every nucleus of a small tissue
+// against a vessel, unbounded, as the repository benchmark's probe submits
+// them — through EvalPairBatch, and the same tasks run one after another
+// through the range kernel on the calling goroutine, at GOMAXPROCS 2 and 4.
+// "device" over "direct" below 1 means the dispatch pays for itself.
+func BenchmarkEvalPairBatch(b *testing.B) {
+	space := geom.Box3{Min: geom.V(0, 0, 0), Max: geom.V(100, 100, 100)}
+	nuclei, vessels := datagen.Tissue(datagen.TissueOptions{
+		Nuclei:  datagen.NucleiOptions{Count: 27, SubdivisionLevel: 2, Space: space, Seed: 45},
+		Vessels: datagen.VesselOptions{Count: 2, Space: space, Seed: 46, RingSegments: 12, PathPoints: 12},
+	})
+	tasks := make([]PairTask, len(nuclei))
+	for i, n := range nuclei {
+		tasks[i] = PairTask{Kind: PairMinDist, A: n.SoA(), B: vessels[0].SoA(), Upper2: math.Inf(1)}
+	}
+	verdicts := make([]PairVerdict, len(tasks))
+
+	for _, procs := range []int{2, 4} {
+		b.Run(fmt.Sprintf("procs=%d/device", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			dev := New(0, 0)
+			defer dev.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dev.EvalPairBatch(tasks, verdicts, nil)
+			}
+		})
+		b.Run(fmt.Sprintf("procs=%d/direct", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for i := 0; i < b.N; i++ {
+				for _, t := range tasks {
+					sinkD2 = geom.MinDist2BatchRange(t.A, t.B, 0, t.A.Len()*t.B.Len(), t.Upper2)
+				}
+			}
+		})
 	}
 }

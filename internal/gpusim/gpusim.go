@@ -94,8 +94,8 @@ func (d *Device) KernelLaunches() int64 { return d.kernelLaunches.Load() }
 func (d *Device) PairsEvaluated() int64 { return d.pairsEvaluated.Load() }
 
 // Intersects evaluates the a×b face-pair cross product on the device and
-// reports whether any pair intersects: batch-size kernels over the box-gated
-// SoA kernel, sharing a hit flag so the rest stop once one finds a hit,
+// reports whether any pair intersects: batch-size kernels over the
+// block- and box-gated SoA kernel, sharing a hit flag so the rest stop once one finds a hit,
 // mirroring the paper's intersection operator.
 func (d *Device) Intersects(a, b *geom.TriSoA) bool {
 	task := PairTask{Kind: PairIntersect, A: a, B: b}
@@ -104,10 +104,14 @@ func (d *Device) Intersects(a, b *geom.TriSoA) bool {
 
 // MinDist2Bounded returns the squared minimum face-pair distance between a
 // and b, seeded with upper2 (+Inf when unknown). Kernels share a CAS-min
-// running best that starts at the seed, and each skips every pair whose
-// boxes cannot beat it, so a bound close to the answer prunes nearly the
-// whole cross product. A result below upper2 is exact; when no pair beats
-// the bound the seed comes back unchanged, meaning only "≥ upper2".
+// running best that starts at the seed; each reads it when it starts and
+// hands it to geom.MinDist2BatchRange, which skips every block and pair
+// whose boxes cannot beat it and lets the tri-tri primitive give up on the
+// rest as soon as they provably cannot, so a bound close to the answer
+// prunes nearly the whole cross product. A result below upper2 is exact —
+// the value geom.TriTriDist2 gives for the nearest pair, whatever the batch
+// size and the order kernels finish in; when no pair beats the bound the
+// seed comes back unchanged, meaning only "≥ upper2".
 func (d *Device) MinDist2Bounded(a, b *geom.TriSoA, upper2 float64) float64 {
 	task := PairTask{Kind: PairMinDist, A: a, B: b, Upper2: upper2}
 	return d.evalOne(&task).D2

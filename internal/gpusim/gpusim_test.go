@@ -200,7 +200,9 @@ func BenchmarkDeviceMinDist(b *testing.B) {
 
 // TestDeviceKernelsMatchPairwiseAcrossBatchSizes runs the per-pair device
 // calls over cross products that are smaller than, equal to, one more than
-// and many times the batch size, against the unpruned pairwise loops.
+// and many times the batch size, against the unpruned pairwise loops. The
+// second shape has rows longer than two lane blocks, so kernel launches
+// begin and end inside, on and across block boundaries of the column set.
 func TestDeviceKernelsMatchPairwiseAcrossBatchSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tris := func(n int, cx float64) []geom.Triangle {
@@ -213,26 +215,34 @@ func TestDeviceKernelsMatchPairwiseAcrossBatchSizes(t *testing.T) {
 		}
 		return out
 	}
-	// 7×9 = 63 face pairs against batch sizes around it.
-	for _, batch := range []int{1, 8, 62, 63, 64, 1000} {
-		dev := New(3, batch)
-		for _, gap := range []float64{0, 3, 9} {
-			a, b := tris(7, 0), tris(9, gap)
-			wantHit, want2 := false, math.Inf(1)
-			for _, x := range a {
-				for _, y := range b {
-					wantHit = wantHit || geom.TriTriIntersect(x, y)
-					want2 = math.Min(want2, geom.TriTriDist2(x, y))
+	// 7×9 = 63 face pairs against batch sizes around it; 5×37 = 185 against
+	// the same sizes, none of which divides a row of 37 into whole blocks.
+	for _, shape := range [][2]int{{7, 9}, {5, 2*geom.BlockSize + 5}} {
+		for _, batch := range []int{1, 8, 62, 63, 64, 1000} {
+			dev := New(3, batch)
+			for _, gap := range []float64{0, 3, 9} {
+				a, b := tris(shape[0], 0), tris(shape[1], gap)
+				wantHit, want2 := false, math.Inf(1)
+				for _, x := range a {
+					for _, y := range b {
+						wantHit = wantHit || geom.TriTriIntersect(x, y)
+						want2 = math.Min(want2, geom.TriTriDist2(x, y))
+					}
+				}
+				sa, sb := geom.SoAFromTriangles(a), geom.SoAFromTriangles(b)
+				if got := dev.Intersects(sa, sb); got != wantHit {
+					t.Errorf("%v batch %d gap %v: Intersects = %v want %v", shape, batch, gap, got, wantHit)
+				}
+				if got := dev.MinDist2Bounded(sa, sb, math.Inf(1)); got != want2 {
+					t.Errorf("%v batch %d gap %v: MinDist2 = %v want %v", shape, batch, gap, got, want2)
+				}
+				// Seeded just above the answer, the gates prune from the
+				// first pair on and the answer must not move.
+				if got := dev.MinDist2Bounded(sa, sb, math.Nextafter(want2, math.Inf(1))); got != want2 {
+					t.Errorf("%v batch %d gap %v: MinDist2 under a tight bound = %v want %v", shape, batch, gap, got, want2)
 				}
 			}
-			sa, sb := geom.SoAFromTriangles(a), geom.SoAFromTriangles(b)
-			if got := dev.Intersects(sa, sb); got != wantHit {
-				t.Errorf("batch %d gap %v: Intersects = %v want %v", batch, gap, got, wantHit)
-			}
-			if got := dev.MinDist2Bounded(sa, sb, math.Inf(1)); got != want2 {
-				t.Errorf("batch %d gap %v: MinDist2 = %v want %v", batch, gap, got, want2)
-			}
+			dev.Close()
 		}
-		dev.Close()
 	}
 }

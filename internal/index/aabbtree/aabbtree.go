@@ -187,31 +187,6 @@ func (t *Tree) Bounds() geom.Box3 {
 	return t.nodes[t.root].box
 }
 
-// IntersectsTriangle reports whether any indexed triangle intersects q.
-func (t *Tree) IntersectsTriangle(q geom.Triangle) bool {
-	if t.root < 0 {
-		return false
-	}
-	qb := q.Bounds()
-	return t.intersectsTriangleRec(t.root, q, qb)
-}
-
-func (t *Tree) intersectsTriangleRec(ni int32, q geom.Triangle, qb geom.Box3) bool {
-	n := &t.nodes[ni]
-	if !n.box.Intersects(qb) {
-		return false
-	}
-	if n.left < 0 {
-		for i := int(n.start); i < int(n.end); i++ {
-			if t.s.Box(i).Intersects(qb) && geom.TriTriIntersect(t.s.At(i), q) {
-				return true
-			}
-		}
-		return false
-	}
-	return t.intersectsTriangleRec(n.left, q, qb) || t.intersectsTriangleRec(n.right, q, qb)
-}
-
 // IntersectsTree reports whether any triangle of t intersects any triangle
 // of o, using simultaneous descent of both trees.
 func (t *Tree) IntersectsTree(o *Tree) bool {
@@ -237,96 +212,62 @@ func intersectsDual(a *Tree, ai int32, b *Tree, bi int32) bool {
 	}
 }
 
-// DistToTriangle returns the minimum distance from q to the indexed set,
-// pruned with an optional upper bound: pass math.Inf(1) when unknown.
-func (t *Tree) DistToTriangle(q geom.Triangle, upper float64) float64 {
-	if t.root < 0 {
-		return math.Inf(1)
-	}
-	best := upper * upper
-	if math.IsInf(upper, 1) {
-		best = math.Inf(1)
-	}
-	best = t.distTriRec(t.root, q, q.Bounds(), best)
-	return math.Sqrt(best)
-}
-
-func (t *Tree) distTriRec(ni int32, q geom.Triangle, qb geom.Box3, best float64) float64 {
-	n := &t.nodes[ni]
-	if d2 := n.box.MinDist2(qb); d2 >= best {
-		return best
-	}
-	if n.left < 0 {
-		for i := int(n.start); i < int(n.end); i++ {
-			if t.s.Box(i).MinDist2(qb) >= best {
-				continue
-			}
-			if d2 := geom.TriTriDist2(t.s.At(i), q); d2 < best {
-				best = d2
-			}
-		}
-		return best
-	}
-	// Visit the closer child first for tighter pruning.
-	l, r := n.left, n.right
-	if t.nodes[l].box.MinDist2(qb) > t.nodes[r].box.MinDist2(qb) {
-		l, r = r, l
-	}
-	best = t.distTriRec(l, q, qb, best)
-	best = t.distTriRec(r, q, qb, best)
-	return best
-}
-
-// DistToTree returns the minimum distance between the two triangle sets via
-// branch-and-bound simultaneous descent. It is zero when they intersect.
-func (t *Tree) DistToTree(o *Tree) float64 {
-	return t.DistToTreeBounded(o, math.Inf(1))
-}
-
-// DistToTreeBounded is DistToTree with the descent seeded by an upper bound:
-// subtree pairs whose box distance is ≥ upper are pruned without ever
-// touching their triangles. When the true distance exceeds upper the
-// returned value is ≥ upper but otherwise meaningless — callers must treat
-// it as "greater than upper" only. Pass math.Inf(1) for an exact distance.
+// DistToTreeBounded returns the minimum distance between the two triangle
+// sets (zero when they intersect) if it is ≤ upper, and +Inf otherwise;
+// pass math.Inf(1) for an exact distance. It is MinDist2Bounded for callers
+// that hold a plain distance: the bound is squared here and nudged one
+// float up, so that a distance equal to upper is still below it.
 func (t *Tree) DistToTreeBounded(o *Tree, upper float64) float64 {
+	return math.Sqrt(t.MinDist2Bounded(o, math.Nextafter(upper*upper, math.Inf(1))))
+}
+
+// MinDist2Bounded returns the squared minimum distance between the two
+// triangle sets if it is below upper2, and +Inf otherwise (also for an
+// empty set). The bound seeds the branch-and-bound descent of both trees:
+// subtree pairs whose boxes are at or beyond it are pruned without ever
+// touching their triangles, and the leaves fold through geom.MinDist2Rect
+// under the best distance found so far.
+func (t *Tree) MinDist2Bounded(o *Tree, upper2 float64) float64 {
 	if t.root < 0 || o.root < 0 {
 		return math.Inf(1)
 	}
-	best := math.Inf(1)
-	if !math.IsInf(upper, 1) {
-		best = upper * upper
+	d2 := t.nodes[t.root].box.MinDist2(o.nodes[o.root].box)
+	if best := distDual(t, t.root, o, o.root, d2, upper2); best < upper2 {
+		return best
 	}
-	best = distDual(t, t.root, o, o.root, best)
-	return math.Sqrt(best)
+	return math.Inf(1)
 }
 
-func distDual(a *Tree, ai int32, b *Tree, bi int32, best float64) float64 {
+// distDual folds the distances between the subtrees under a.nodes[ai] and
+// b.nodes[bi], whose boxes are boxD2 apart, into best. A caller computes
+// the box distance of a node pair once — to order the two children by it —
+// and hands it down for the pruning test.
+func distDual(a *Tree, ai int32, b *Tree, bi int32, boxD2, best float64) float64 {
+	if boxD2 >= best {
+		return best
+	}
 	an, bn := &a.nodes[ai], &b.nodes[bi]
-	if d2 := an.box.MinDist2(bn.box); d2 >= best {
-		return best
-	}
 	aLeaf, bLeaf := an.left < 0, bn.left < 0
-	switch {
-	case aLeaf && bLeaf:
+	if aLeaf && bLeaf {
 		return geom.MinDist2Rect(a.s, int(an.start), int(an.end), b.s, int(bn.start), int(bn.end), best)
-	case bLeaf || (!aLeaf && an.box.Volume() >= bn.box.Volume()):
-		// Descend a; nearer child first.
-		l, r := an.left, an.right
-		if a.nodes[l].box.MinDist2(bn.box) > a.nodes[r].box.MinDist2(bn.box) {
-			l, r = r, l
-		}
-		best = distDual(a, l, b, bi, best)
-		best = distDual(a, r, b, bi, best)
-		return best
-	default:
-		l, r := bn.left, bn.right
-		if b.nodes[l].box.MinDist2(an.box) > b.nodes[r].box.MinDist2(an.box) {
-			l, r = r, l
-		}
-		best = distDual(a, ai, b, l, best)
-		best = distDual(a, ai, b, r, best)
-		return best
 	}
+	// Split the larger node; nearer child first, for tighter pruning.
+	if bLeaf || (!aLeaf && an.box.Volume() >= bn.box.Volume()) {
+		l, r := an.left, an.right
+		ld, rd := a.nodes[l].box.MinDist2(bn.box), a.nodes[r].box.MinDist2(bn.box)
+		if ld > rd {
+			l, r, ld, rd = r, l, rd, ld
+		}
+		best = distDual(a, l, b, bi, ld, best)
+		return distDual(a, r, b, bi, rd, best)
+	}
+	l, r := bn.left, bn.right
+	ld, rd := an.box.MinDist2(b.nodes[l].box), an.box.MinDist2(b.nodes[r].box)
+	if ld > rd {
+		l, r, ld, rd = r, l, rd, ld
+	}
+	best = distDual(a, ai, b, l, ld, best)
+	return distDual(a, ai, b, r, rd, best)
 }
 
 // ContainsPoint reports whether p is inside the closed surface indexed by
@@ -375,6 +316,3 @@ func (t *Tree) countCrossings(ni int32, r geom.Ray) (int, bool) {
 	}
 	return lc + rc, true
 }
-
-// Triangle returns the i-th triangle in tree order.
-func (t *Tree) Triangle(i int) geom.Triangle { return t.s.At(i) }

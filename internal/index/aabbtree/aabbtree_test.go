@@ -30,18 +30,24 @@ func TestEmptyTree(t *testing.T) {
 	if !tr.Bounds().IsEmpty() {
 		t.Error("Bounds not empty")
 	}
-	if tr.IntersectsTriangle(geom.Tri(geom.V(0, 0, 0), geom.V(1, 0, 0), geom.V(0, 1, 0))) {
+	one := aabbtree.Build([]geom.Triangle{geom.Tri(geom.V(0, 0, 0), geom.V(1, 0, 0), geom.V(0, 1, 0))})
+	if tr.IntersectsTree(one) || one.IntersectsTree(tr) {
 		t.Error("intersection in empty tree")
 	}
-	if !math.IsInf(tr.DistToTree(aabbtree.Build(nil)), 1) {
-		t.Error("distance between empty trees should be +Inf")
+	for _, o := range []*aabbtree.Tree{aabbtree.Build(nil), one} {
+		if !math.IsInf(tr.DistToTreeBounded(o, math.Inf(1)), 1) || !math.IsInf(o.DistToTreeBounded(tr, 5), 1) {
+			t.Error("distance to an empty tree should be +Inf")
+		}
 	}
 	if tr.ContainsPoint(geom.V(0, 0, 0)) {
 		t.Error("point inside empty tree")
 	}
 }
 
-func TestIntersectsTriangleMatchesBrute(t *testing.T) {
+// TestSingleTriangleTreeMatchesBrute queries a tree with one-triangle trees:
+// the degenerate dual descent (one side is a single leaf) must agree with
+// the pairwise loop.
+func TestSingleTriangleTreeMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tris := randomTris(rng, 300, 20, 2)
 	tr := aabbtree.Build(tris)
@@ -62,7 +68,7 @@ func TestIntersectsTriangleMatchesBrute(t *testing.T) {
 				break
 			}
 		}
-		if got := tr.IntersectsTriangle(q); got != want {
+		if got := tr.IntersectsTree(aabbtree.Build([]geom.Triangle{q})); got != want {
 			t.Fatalf("trial %d: got %v, want %v", trial, got, want)
 		}
 	}
@@ -120,14 +126,14 @@ func TestDistToTreeMatchesBrute(t *testing.T) {
 			}
 		}
 		want = math.Sqrt(want)
-		got := aabbtree.Build(a).DistToTree(aabbtree.Build(b))
+		got := aabbtree.Build(a).DistToTreeBounded(aabbtree.Build(b), math.Inf(1))
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d: got %v, want %v", trial, got, want)
 		}
 	}
 }
 
-func TestDistToTriangle(t *testing.T) {
+func TestDistToSingleTriangleTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	tris := randomTris(rng, 100, 10, 2)
 	tr := aabbtree.Build(tris)
@@ -141,13 +147,14 @@ func TestDistToTriangle(t *testing.T) {
 			}
 		}
 		want = math.Sqrt(want)
-		got := tr.DistToTriangle(q, math.Inf(1))
+		qt := aabbtree.Build([]geom.Triangle{q})
+		got := tr.DistToTreeBounded(qt, math.Inf(1))
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("got %v, want %v", got, want)
 		}
 		// With a tight upper bound the result is still correct when the
 		// bound is not smaller than the true distance.
-		got2 := tr.DistToTriangle(q, want*1.001+1e-9)
+		got2 := qt.DistToTreeBounded(tr, want*1.001+1e-9)
 		if math.Abs(got2-want) > 1e-9 {
 			t.Fatalf("bounded: got %v, want %v", got2, want)
 		}
@@ -171,15 +178,15 @@ func TestContainsPointSphere(t *testing.T) {
 	}
 }
 
-func TestTriangleAccessor(t *testing.T) {
+func TestBuildCopiesInput(t *testing.T) {
 	tris := []geom.Triangle{geom.Tri(geom.V(0, 0, 0), geom.V(1, 0, 0), geom.V(0, 1, 0))}
 	tr := aabbtree.Build(tris)
-	if tr.Triangle(0) != tris[0] {
-		t.Error("Triangle(0) mismatch")
+	if tr.SoA().At(0) != tris[0] {
+		t.Error("SoA().At(0) mismatch")
 	}
 	// Build must not retain the caller's slice.
 	tris[0].A = geom.V(9, 9, 9)
-	if tr.Triangle(0).A == tris[0].A {
+	if tr.SoA().At(0).A == tris[0].A {
 		t.Error("Build retained input slice")
 	}
 }
@@ -193,16 +200,28 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-func BenchmarkDistToTree(b *testing.B) {
+// BenchmarkDistToTreeBounded measures the dual descent between two
+// 1280-face spheres five radii apart: unbounded, and seeded with a bound
+// just above the answer, as the refinement ladder's upper LODs are.
+func BenchmarkDistToTreeBounded(b *testing.B) {
 	a := mesh.Icosphere(5, 3)
 	c := mesh.Icosphere(5, 3)
 	c.Translate(geom.V(15, 3, 1))
 	ta, tc := aabbtree.Build(a.Triangles()), aabbtree.Build(c.Triangles())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ta.DistToTree(tc)
+	exact := ta.DistToTreeBounded(tc, math.Inf(1))
+	for _, bc := range []struct {
+		name  string
+		upper float64
+	}{{"inf", math.Inf(1)}, {"tight", exact * 1.01}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkDist = ta.DistToTreeBounded(tc, bc.upper)
+			}
+		})
 	}
 }
+
+var sinkDist float64
 
 func BenchmarkIntersectsTree(b *testing.B) {
 	a := mesh.Icosphere(5, 3)
@@ -266,7 +285,7 @@ func TestDistToTreeBounded(t *testing.T) {
 			b[i].C.X += shift
 		}
 		ta, tb := aabbtree.Build(a), aabbtree.Build(b)
-		exact := ta.DistToTree(tb)
+		exact := ta.DistToTreeBounded(tb, math.Inf(1))
 
 		// Generous bound: exact answer.
 		if got := ta.DistToTreeBounded(tb, exact*2+1); math.Abs(got-exact) > 1e-9 {
@@ -309,8 +328,8 @@ func TestBuildSoAMatchesBuild(t *testing.T) {
 		if got, want := soa.IntersectsTree(other), aos.IntersectsTree(other); got != want {
 			t.Fatalf("trial %d: IntersectsTree = %v want %v", trial, got, want)
 		}
-		if got, want := soa.DistToTree(other), aos.DistToTree(other); got != want {
-			t.Fatalf("trial %d: DistToTree = %v want %v", trial, got, want)
+		if got, want := soa.DistToTreeBounded(other, math.Inf(1)), aos.DistToTreeBounded(other, math.Inf(1)); got != want {
+			t.Fatalf("trial %d: DistToTreeBounded = %v want %v", trial, got, want)
 		}
 		p := geom.V(rng.Float64()*20, rng.Float64()*20, rng.Float64()*20)
 		if got, want := soa.ContainsPoint(p), aos.ContainsPoint(p); got != want {

@@ -71,7 +71,7 @@ func checkStructure(t *testing.T, tr *Tree, input []geom.Triangle) {
 	cmp := func(a, b [9]float64) int { return slices.Compare(a[:], b[:]) }
 	want, got := make([][9]float64, n), make([][9]float64, n)
 	for i := range input {
-		want[i], got[i] = key(input[i]), key(tr.Triangle(i))
+		want[i], got[i] = key(input[i]), key(tr.s.At(i))
 	}
 	slices.SortFunc(want, cmp)
 	slices.SortFunc(got, cmp)
@@ -186,8 +186,8 @@ func TestDegenerateSetsMatchBrute(t *testing.T) {
 				t.Errorf("%s × %s: IntersectsTree = %v, brute %v", an, bn, got, wantHit)
 			}
 			want := math.Sqrt(want2)
-			if got := ta.DistToTree(tb); got != want {
-				t.Errorf("%s × %s: DistToTree = %v, brute %v", an, bn, got, want)
+			if got := ta.DistToTreeBounded(tb, math.Inf(1)); got != want {
+				t.Errorf("%s × %s: DistToTreeBounded(+Inf) = %v, brute %v", an, bn, got, want)
 			}
 			if math.IsInf(want, 1) {
 				continue

@@ -48,8 +48,8 @@ type Groups struct {
 	List  []Group
 }
 
-// groupBytes is the in-memory size of one Group (15 slice headers + a box).
-const groupBytes = 15*24 + 48
+// groupBytes is the in-memory size of one Group (21 slice headers + a box).
+const groupBytes = 21*24 + 48
 
 // singleGroup is the partition of an unpartitioned mesh: one group viewing
 // the mesh's own SoA lanes, copying nothing.
@@ -60,11 +60,17 @@ func singleGroup(soa *geom.TriSoA, box geom.Box3) *Groups {
 // bytes returns the memory the partition holds beyond the mesh's own SoA
 // memo: a single-group partition views that memo's lanes and adds only its
 // header (unless it lost the race against a tree build re-laying the memo,
-// and still views the packing the tree replaced).
+// and still views the packing the tree replaced); the views of a real
+// partition each add the block lanes Slice built for them.
 func (g *Groups) bytes(soa *geom.TriSoA) int64 {
 	b := int64(len(g.List)) * groupBytes
 	if g.lanes != soa {
 		b += g.lanes.Bytes()
+	}
+	if len(g.List) > 1 {
+		for i := range g.List {
+			b += g.List[i].Tris.BlockBytes()
+		}
 	}
 	return b
 }

@@ -96,8 +96,17 @@ func TestGroupsMemo(t *testing.T) {
 			}
 		}
 	}
-	if perFace := float64(g.bytes(m.SoA())) / float64(m.NumFaces()); perFace > 130 {
-		t.Errorf("groups cost %.1f B/face, budget is 120 plus headers", perFace)
+	// The packing, the block lanes of each view, and the headers — all of it
+	// in the books, and within budget.
+	wantBytes := g.lanes.Bytes() + int64(len(g.List))*groupBytes
+	for i := range g.List {
+		wantBytes += g.List[i].Tris.BlockBytes()
+	}
+	if got := g.bytes(m.SoA()); got != wantBytes {
+		t.Errorf("groups account for %d B, hold %d", got, wantBytes)
+	}
+	if perFace := float64(wantBytes) / float64(m.NumFaces()); perFace > 130 {
+		t.Errorf("groups cost %.1f B/face, budget is 120 + 2×3 of block lanes plus headers", perFace)
 	}
 
 	// An unpartitioned object is one group over the mesh's own lanes.

@@ -59,8 +59,9 @@ func TestFootprintBytesGrowsWithMemos(t *testing.T) {
 	}
 	m.SoA()
 	withSoA := m.FootprintBytes()
-	if withSoA != base+int64(m.NumFaces())*15*8 {
-		t.Fatalf("footprint with SoA %d want %d", withSoA, base+int64(m.NumFaces())*15*8)
+	// 15 lanes of four faces, and the one block box that covers them.
+	if want := base + int64(m.NumFaces())*15*8 + 6*8; withSoA != want {
+		t.Fatalf("footprint with SoA %d want %d", withSoA, want)
 	}
 	m.Translate(geom.Vec3{Y: 1})
 	if got := m.FootprintBytes(); got != base {
