@@ -104,15 +104,29 @@ func (s *TriSoA) setBlockLanes(back []float64) {
 	}
 }
 
-// growBlock extends the block box of triangle i by that triangle's box.
+// growBlock extends the block box of triangle i by that triangle's box,
+// with plain compares: it runs once per triangle of every packing, and
+// math.Min/Max pay for NaN and signed-zero handling a box has no use for.
 func (s *TriSoA) growBlock(i int) {
 	k := i >> blockShift
-	s.BlkMinX[k] = math.Min(s.BlkMinX[k], s.MinX[i])
-	s.BlkMinY[k] = math.Min(s.BlkMinY[k], s.MinY[i])
-	s.BlkMinZ[k] = math.Min(s.BlkMinZ[k], s.MinZ[i])
-	s.BlkMaxX[k] = math.Max(s.BlkMaxX[k], s.MaxX[i])
-	s.BlkMaxY[k] = math.Max(s.BlkMaxY[k], s.MaxY[i])
-	s.BlkMaxZ[k] = math.Max(s.BlkMaxZ[k], s.MaxZ[i])
+	if v := s.MinX[i]; v < s.BlkMinX[k] {
+		s.BlkMinX[k] = v
+	}
+	if v := s.MinY[i]; v < s.BlkMinY[k] {
+		s.BlkMinY[k] = v
+	}
+	if v := s.MinZ[i]; v < s.BlkMinZ[k] {
+		s.BlkMinZ[k] = v
+	}
+	if v := s.MaxX[i]; v > s.BlkMaxX[k] {
+		s.BlkMaxX[k] = v
+	}
+	if v := s.MaxY[i]; v > s.BlkMaxY[k] {
+		s.BlkMaxY[k] = v
+	}
+	if v := s.MaxZ[i]; v > s.BlkMaxZ[k] {
+		s.BlkMaxZ[k] = v
+	}
 }
 
 // Set stores triangle (a, b, c) and its bounding box at index i and grows

@@ -384,15 +384,16 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-func escapeLabel(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(s)
-}
+// The escapers are shared: a Replacer compiles several KiB of lookup tables
+// on first use, and With renders labels on every request.
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
 
-func escapeHelp(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(s)
-}
+func escapeLabel(s string) string { return labelEscaper.Replace(s) }
+
+func escapeHelp(s string) string { return helpEscaper.Replace(s) }
 
 // mustValidName enforces the Prometheus metric/label name charset.
 func mustValidName(s string) {

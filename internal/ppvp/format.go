@@ -139,9 +139,20 @@ func deflate(raw []byte) ([]byte, error) {
 // more is corrupt (or hostile), not a real object.
 const maxSectionBytes = 1 << 30
 
+// inflaters recycles DEFLATE readers between sections: a fresh reader
+// allocates its 32 KiB window and Huffman tables, ≈ 40 KiB for a section of
+// a few hundred bytes, and a worker parses every loaned object anew.
+var inflaters sync.Pool
+
 func inflate(comp []byte) ([]byte, error) {
-	fr := flate.NewReader(bytes.NewReader(comp))
-	defer fr.Close()
+	src := bytes.NewReader(comp)
+	fr, _ := inflaters.Get().(io.ReadCloser)
+	if fr == nil {
+		fr = flate.NewReader(src)
+	} else if err := fr.(flate.Resetter).Reset(src, nil); err != nil {
+		return nil, err
+	}
+	defer inflaters.Put(fr)
 	raw, err := io.ReadAll(io.LimitReader(fr, maxSectionBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptBlob, err)
