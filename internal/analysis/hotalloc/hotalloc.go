@@ -31,6 +31,11 @@
 //     reachability applies, rooted at the stage goroutine bodies. The
 //     runPerTarget dispatcher itself is exempt (its body runs once per
 //     query; its callbacks are already per-pair roots via rule 2).
+//
+// And one from the PR-18 encoder work: internal/ppvp is the write path's hot
+// package — the decimation round runs its inner loop per candidate vertex —
+// and has no dispatcher to root a reachability walk at, so there rules 1
+// and 3 hold for the whole package: no Triangles(), no reflection sort.
 package hotalloc
 
 import (
@@ -42,13 +47,14 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "hotalloc",
-	Doc: "forbid mesh.Triangles(), per-pair slice allocation and reflection sorts on the refine hot path\n\n" +
+	Doc: "forbid mesh.Triangles(), per-pair slice allocation and reflection sorts on the refine and encode hot paths\n\n" +
 		"In internal/core, internal/index/aabbtree, internal/shard, and internal/gpusim,\n" +
 		"(*mesh.Mesh).Triangles() must not be called (use SoA()), functions reachable from runPerTarget\n" +
 		"callbacks must not allocate slices (use per-worker scratch or a pool) nor\n" +
 		"call sort.Slice/sort.SliceStable (use slices.SortFunc), and goroutines\n" +
 		"launched by pipeline drivers (functions calling NewStream) must not do\n" +
-		"either per batch (use pooled batch buffers).",
+		"either per batch (use pooled batch buffers). In internal/ppvp, Triangles() and\n" +
+		"sort.Slice/sort.SliceStable must not be called anywhere.",
 	Run: run,
 }
 
@@ -57,7 +63,11 @@ var Analyzer = &analysis.Analyzer{
 // internal/gpusim joined in issue 8: the coordinator's merge path and the
 // simulated device's stage goroutines run per query and per batch
 // respectively, so the same allocation discipline applies.
-var hotPackages = []string{"internal/core", "internal/index/aabbtree", "internal/shard", "internal/gpusim"}
+var hotPackages = []string{"internal/core", "internal/index/aabbtree", "internal/shard", "internal/gpusim", "internal/ppvp"}
+
+// encoderPackages are the hot packages whose every function is on the hot
+// path, so the reflection-sort rule applies package-wide.
+var encoderPackages = []string{"internal/ppvp"}
 
 func run(pass *analysis.Pass) error {
 	if !analysis.PathHasAnySuffix(pass.PkgPath, hotPackages...) {
@@ -65,7 +75,30 @@ func run(pass *analysis.Pass) error {
 	}
 	checkTrianglesCalls(pass)
 	checkHotPathAllocs(pass)
+	if analysis.PathHasAnySuffix(pass.PkgPath, encoderPackages...) {
+		checkReflectionSorts(pass)
+	}
 	return nil
+}
+
+// isReflectionSort reports whether callee is sort.Slice or sort.SliceStable.
+func isReflectionSort(callee *types.Func) bool {
+	pkg := callee.Pkg()
+	return pkg != nil && pkg.Path() == "sort" && (callee.Name() == "Slice" || callee.Name() == "SliceStable")
+}
+
+// checkReflectionSorts flags every reflection sort of the package.
+func checkReflectionSorts(pass *analysis.Pass) {
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if callee := analysis.CalleeFunc(pass.Info, call); callee != nil && isReflectionSort(callee) {
+					pass.Reportf(call.Pos(), "sort.%s sorts through reflection, in a package that is hot path throughout; use slices.SortFunc", callee.Name())
+				}
+			}
+			return true
+		})
+	}
 }
 
 // checkTrianglesCalls flags every call of (*mesh.Mesh).Triangles().
@@ -246,8 +279,7 @@ func flagSliceAllocs(pass *analysis.Pass, body ast.Node, region, allocAdvice str
 					// The closure is a one-time build; skip its subtree.
 					return false
 				}
-				if pkg := callee.Pkg(); pkg != nil && pkg.Path() == "sort" &&
-					(callee.Name() == "Slice" || callee.Name() == "SliceStable") {
+				if isReflectionSort(callee) {
 					pass.Reportf(n.Pos(), "sort.%s sorts through reflection and is reachable from %s; use slices.SortFunc",
 						callee.Name(), region)
 				}

@@ -12,6 +12,7 @@ func TestHotAlloc(t *testing.T) {
 		"a/internal/core",   // flagging fixtures
 		"a/internal/shard",  // coordinator tier, in scope since issue 8
 		"a/internal/gpusim", // device tier, in scope since issue 8
+		"a/internal/ppvp",   // encoder, in scope since issue 18 (rules 1 and 3, package-wide)
 		"a/other",           // out-of-scope package: no findings expected
 	)
 }

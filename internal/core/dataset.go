@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/datagen"
 	"repro/internal/geom"
@@ -93,18 +95,9 @@ func (e *Engine) BuildDataset(name string, meshes []*mesh.Mesh, opts DatasetOpti
 	comps := make([]*ppvp.Compressed, len(meshes))
 	stats := make([]ppvp.Stats, len(meshes))
 	errs := make([]error, len(meshes))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, e.opts.Workers)
-	for i := range meshes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			comps[i], stats[i], errs[i] = ppvp.Compress(meshes[i], opts.Compression)
-		}(i)
-	}
-	wg.Wait()
+	e.largestFirst(meshes, func(i int) {
+		comps[i], stats[i], errs[i] = ppvp.Compress(meshes[i], opts.Compression)
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("core: compressing object %d of %q: %w", i, name, err)
@@ -140,43 +133,56 @@ func (e *Engine) BuildDataset(name string, meshes []*mesh.Mesh, opts DatasetOpti
 
 	// Skeleton partitioning + sub-object index.
 	if opts.PartitionTargetFaces > 0 {
-		d.skeletons = make([][]geom.Vec3, len(meshes))
 		var partEntries []rtree.Entry
-		var mu sync.Mutex
-		var pwg sync.WaitGroup
-		perr := make([]error, len(meshes))
-		for i := range meshes {
-			pwg.Add(1)
-			go func(i int) {
-				defer pwg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				k := partition.GroupCount(meshes[i].NumFaces(), opts.PartitionTargetFaces)
-				if k <= 1 {
-					mu.Lock()
-					partEntries = append(partEntries, rtree.Entry{Box: comps[i].MBB(), ID: int64(i)})
-					mu.Unlock()
-					return
-				}
-				skel := partition.Skeleton(meshes[i], k)
-				groups := partition.AssignFaces(meshes[i], skel)
-				mu.Lock()
-				d.skeletons[i] = skel
-				for _, g := range groups {
-					partEntries = append(partEntries, rtree.Entry{Box: g.Box, ID: int64(i)})
-				}
-				mu.Unlock()
-			}(i)
-		}
-		pwg.Wait()
-		for _, err := range perr {
-			if err != nil {
-				return nil, err
-			}
-		}
+		d.skeletons, partEntries = e.partitionObjects(meshes, comps, opts.PartitionTargetFaces)
 		d.partTree = rtree.BulkLoad(partEntries)
 	}
 	return d, nil
+}
+
+// partitionObjects splits every object of more than targetFaces faces along
+// its skeleton. It returns the skeletons by object id (nil for an object
+// left whole) and the sub-object boxes, collected per object and
+// concatenated in id order — so the R-tree bulk load sees the same entry
+// sequence whichever worker finishes first.
+func (e *Engine) partitionObjects(meshes []*mesh.Mesh, comps []*ppvp.Compressed, targetFaces int) ([][]geom.Vec3, []rtree.Entry) {
+	skeletons := make([][]geom.Vec3, len(meshes))
+	parts := make([][]rtree.Entry, len(meshes))
+	e.largestFirst(meshes, func(i int) {
+		k := partition.GroupCount(meshes[i].NumFaces(), targetFaces)
+		if k <= 1 {
+			parts[i] = []rtree.Entry{{Box: comps[i].MBB(), ID: int64(i)}}
+			return
+		}
+		skeletons[i] = partition.Skeleton(meshes[i], k)
+		for _, g := range partition.AssignFaces(meshes[i], skeletons[i]) {
+			parts[i] = append(parts[i], rtree.Entry{Box: g.Box, ID: int64(i)})
+		}
+	})
+	return skeletons, slices.Concat(parts...)
+}
+
+// largestFirst runs fn(i) once for every mesh on the engine's Workers
+// goroutines, which pull indices in descending face count: the largest
+// object is the long pole of an ingest and must not be the last to start.
+func (e *Engine) largestFirst(meshes []*mesh.Mesh, fn func(i int)) {
+	order := make([]int, len(meshes))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return meshes[b].NumFaces() - meshes[a].NumFaces() })
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < e.opts.Workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := next.Add(1) - 1; k < int64(len(order)); k = next.Add(1) - 1 {
+				fn(order[k])
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // AssembleDataset builds a queryable dataset directly from an existing

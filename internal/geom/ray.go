@@ -72,6 +72,50 @@ func (r Ray) intersectTriangleEx(tri Triangle) (float64, hitKind) {
 	return t, hitInside
 }
 
+// intersectTriangleX is intersectTriangleEx for the ray from o along
+// Dir = {1,0,0}, with the terms the two zero components annihilate left
+// out: Dir × e2 = (0, −e2.Z, e2.Y), |Dir| = 1 and Dir·q = q.X. What remains
+// is the generic test's arithmetic in the generic test's order, so for
+// finite input t and kind are bit-equal to it (TestIntersectTriangleXMatches).
+func intersectTriangleX(o Vec3, tri Triangle) (float64, hitKind) {
+	const eps = 1e-12
+	e1 := tri.B.Sub(tri.A)
+	e2 := tri.C.Sub(tri.A)
+	det := e1.Z*e2.Y - e1.Y*e2.Z
+	if math.Abs(det) <= eps*(e1.Len()*e2.Len()) {
+		return 0, hitDegenerate
+	}
+	inv := 1 / det
+	s := o.Sub(tri.A)
+	u := (s.Z*e2.Y - s.Y*e2.Z) * inv
+	if u < 0 || u > 1 {
+		if u > -1e-9 && u < 1+1e-9 {
+			return 0, hitDegenerate
+		}
+		return 0, hitNone
+	}
+	q := s.Cross(e1)
+	v := q.X * inv
+	if v < 0 || u+v > 1 {
+		if v > -1e-9 && u+v < 1+1e-9 {
+			return 0, hitDegenerate
+		}
+		return 0, hitNone
+	}
+	t := e2.Dot(q) * inv
+	if t <= 0 {
+		if t > -1e-12 {
+			return 0, hitDegenerate // origin on the surface
+		}
+		return 0, hitNone
+	}
+	const edgeEps = 1e-9
+	if u < edgeEps || v < edgeEps || u+v > 1-edgeEps {
+		return t, hitDegenerate
+	}
+	return t, hitInside
+}
+
 // IntersectBox reports whether the ray intersects the box, using the slab
 // method. Used by AABB-tree ray traversal.
 func (r Ray) IntersectBox(b Box3) bool {
@@ -138,6 +182,21 @@ func RayCrossesTriangle(r Ray, tri Triangle) (crossings int, ok bool) {
 	default:
 		return 0, true
 	}
+}
+
+// CrossingsX counts how many of the triangles s[lo:hi) the ray from o along
+// +X — the first of RayDirections — crosses in their interior. ok is false
+// as soon as one of them is a degenerate hit, as for RayCrossesTriangle.
+func CrossingsX(o Vec3, s *TriSoA, lo, hi int) (crossings int, ok bool) {
+	for i := lo; i < hi; i++ {
+		switch _, kind := intersectTriangleX(o, s.At(i)); kind {
+		case hitInside:
+			crossings++
+		case hitDegenerate:
+			return 0, false
+		}
+	}
+	return crossings, true
 }
 
 // PointInTriangles reports whether p lies inside the closed surface defined

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -137,6 +138,64 @@ func TestPointInSoARecast(t *testing.T) {
 		}
 		if got := PointInSoA(c.p, s); got != c.inside || got != PointInTriangles(c.p, tris) {
 			t.Errorf("point %v: PointInSoA = %v, PointInTriangles = %v, want %v", c.p, got, PointInTriangles(c.p, tris), c.inside)
+		}
+	}
+}
+
+// TestIntersectTriangleXMatches is the differential test the +X
+// specialisation is allowed on: (t, kind) must be bit-equal to the generic
+// test's for Dir = {1,0,0}, on random triangles and on the inputs built to
+// land in each tolerance band — origins whose ray grazes an edge or a
+// vertex, triangles coplanar with or parallel to the ray, origins on the
+// surface, and all of those at three coordinate scales.
+func TestIntersectTriangleXMatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	kinds := map[hitKind]int{}
+	check := func(o Vec3, tri Triangle) {
+		t.Helper()
+		gt, gk := Ray{Origin: o, Dir: rayDirections[0]}.intersectTriangleEx(tri)
+		xt, xk := intersectTriangleX(o, tri)
+		if gk != xk || math.Float64bits(gt) != math.Float64bits(xt) {
+			t.Fatalf("origin %v tri %v: generic (%v, %d), +X (%v, %d)", o, tri, gt, gk, xt, xk)
+		}
+		kinds[gk]++
+	}
+	for _, unit := range []float64{1e-3, 1, 1e3} {
+		r := func() Vec3 {
+			return V(rng.Float64()-0.5, rng.Float64()-0.5, rng.Float64()-0.5).Mul(unit)
+		}
+		for i := 0; i < 20000; i++ {
+			tri := Tri(r(), r(), r())
+			check(r(), tri)
+			// A point of the triangle (interior, edge or vertex, by turns),
+			// seen from behind along X, from itself, and from just off it.
+			u, v := rng.Float64(), rng.Float64()
+			if u+v > 1 {
+				u, v = 1-u, 1-v
+			}
+			switch i % 4 {
+			case 1:
+				v = 0
+			case 2:
+				u, v = 0, 0
+			case 3:
+				u = 1e-9 * rng.Float64() // inside the grazing band
+			}
+			on := tri.A.Add(tri.B.Sub(tri.A).Mul(u)).Add(tri.C.Sub(tri.A).Mul(v))
+			check(on.Sub(V(unit*rng.Float64(), 0, 0)), tri)
+			check(on, tri)
+			check(on.Add(V(unit*1e-13*(rng.Float64()-0.5), 0, 0)), tri)
+			// Triangles the ray lies in or runs parallel to.
+			flat := Tri(tri.A, tri.A.Add(V(unit, 0, 0)), tri.C)
+			check(tri.A.Sub(V(unit, 0, 0)), flat)
+			check(r(), flat)
+			// Axis-aligned faces, as a cube has them.
+			check(r(), Tri(V(tri.A.X, tri.A.Y, tri.A.Z), V(tri.A.X, tri.B.Y, tri.A.Z), V(tri.A.X, tri.B.Y, tri.C.Z)))
+		}
+	}
+	for _, k := range []hitKind{hitNone, hitInside, hitDegenerate} {
+		if kinds[k] < 1000 {
+			t.Errorf("only %d inputs classified %d; the differential test does not cover that outcome", kinds[k], k)
 		}
 	}
 }

@@ -273,21 +273,50 @@ func distDual(a *Tree, ai int32, b *Tree, bi int32, boxD2, best float64) float64
 // ContainsPoint reports whether p is inside the closed surface indexed by
 // the tree, by counting ray crossings. Degenerate hits (edges, vertices,
 // parallel faces) trigger a re-cast along a different direction, exactly as
-// geom.PointInTriangles does, but each cast costs O(log N) instead of O(N).
+// geom.PointInSoA does, but each cast costs O(log N) instead of O(N). The
+// first direction is +X and gets a descent of its own (crossingsX); only
+// the re-casts pay for the generic slab test.
 func (t *Tree) ContainsPoint(p geom.Vec3) bool {
 	if t.root < 0 || !t.Bounds().ContainsPoint(p) {
 		return false
 	}
-	parity := false
-	for _, dir := range geom.RayDirections() {
-		r := geom.Ray{Origin: p, Dir: dir}
-		crossings, ok := t.countCrossings(t.root, r)
-		parity = crossings%2 == 1
-		if ok {
-			return parity
-		}
+	dirs := geom.RayDirections()
+	crossings, ok := t.crossingsX(p) // dirs[0]
+	for i := 1; !ok && i < len(dirs); i++ {
+		crossings, ok = t.countCrossings(t.root, geom.Ray{Origin: p, Dir: dirs[i]})
 	}
-	return parity
+	return crossings%2 == 1
+}
+
+// crossingsX is countCrossings for the ray from o along +X. It visits
+// exactly the nodes Ray.IntersectBox accepts for Dir = {1,0,0} — the two
+// zero components make the y and z slabs containment tests, and the x slab
+// reduces to "the box does not end before o" — iteratively, and counts a
+// leaf straight off the tree-ordered lanes.
+func (t *Tree) crossingsX(o geom.Vec3) (int, bool) {
+	// The median split halves every range, so the depth is at most
+	// log2(2^31) and the stack never holds more than depth+1 nodes.
+	var stack [48]int32
+	stack[0] = t.root
+	total := 0
+	for top := 1; top > 0; {
+		top--
+		n := &t.nodes[stack[top]]
+		if n.box.Max.X < o.X || o.Y < n.box.Min.Y || o.Y > n.box.Max.Y || o.Z < n.box.Min.Z || o.Z > n.box.Max.Z {
+			continue
+		}
+		if n.left >= 0 {
+			stack[top], stack[top+1] = n.right, n.left
+			top += 2
+			continue
+		}
+		c, ok := geom.CrossingsX(o, t.s, int(n.start), int(n.end))
+		if !ok {
+			return 0, false
+		}
+		total += c
+	}
+	return total, true
 }
 
 func (t *Tree) countCrossings(ni int32, r geom.Ray) (int, bool) {

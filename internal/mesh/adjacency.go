@@ -1,6 +1,9 @@
 package mesh
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // EdgeKey identifies an undirected edge by its sorted vertex pair.
 type EdgeKey struct {
@@ -15,100 +18,55 @@ func MakeEdgeKey(a, b int32) EdgeKey {
 	return EdgeKey{a, b}
 }
 
-// Adjacency holds the connectivity structures needed for decimation and
-// validation: incident faces per vertex and per edge.
-type Adjacency struct {
-	// VertexFaces[v] lists the indices of faces incident to vertex v.
-	VertexFaces [][]int32
-	// EdgeFaces maps each undirected edge to the faces sharing it.
-	EdgeFaces map[EdgeKey][]int32
-}
-
-// BuildAdjacency computes the adjacency structures of m.
-func BuildAdjacency(m *Mesh) *Adjacency {
-	a := &Adjacency{
-		VertexFaces: make([][]int32, len(m.Vertices)),
-		EdgeFaces:   make(map[EdgeKey][]int32, 3*len(m.Faces)/2+1),
-	}
-	for fi, f := range m.Faces {
-		for k := 0; k < 3; k++ {
-			v := f[k]
-			a.VertexFaces[v] = append(a.VertexFaces[v], int32(fi))
-			e := MakeEdgeKey(f[k], f[(k+1)%3])
-			a.EdgeFaces[e] = append(a.EdgeFaces[e], int32(fi))
-		}
-	}
-	return a
-}
-
-// VertexDegree returns the number of faces incident to v.
-func (a *Adjacency) VertexDegree(v int32) int { return len(a.VertexFaces[v]) }
-
 // OneRing returns the ordered cycle of neighbor vertices around v, walking
-// the incident faces in CCW order as seen from outside. ok is false when the
+// faces — all the faces incident to v, which the caller keeps track of — in
+// CCW order as seen from outside. The cycle starts at the CCW successor of v
+// in faces[0] and is appended to ring[:0]. ok is false when the
 // neighborhood is not a simple disk (non-manifold, boundary, or a duplicated
 // neighbor), in which case v must not be removed by decimation.
 //
-// For a face (v, a, b) the ring contributes the directed edge a→b; chaining
-// these directed edges yields the ring in consistent CCW orientation.
-func (a *Adjacency) OneRing(m *Mesh, v int32) (ring []int32, ok bool) {
-	faces := a.VertexFaces[v]
+// For a face (v, a, b) the ring contributes the directed edge a→b; the walk
+// chains these edges with a scan of the fan per step — no map, a fan is a
+// handful of faces. It closes into a simple disk iff every step finds
+// exactly one edge leaving the current neighbor, no neighbor repeats, and
+// the last edge returns to the first neighbor.
+func OneRing(v int32, faces []Face, ring []int32) (_ []int32, ok bool) {
 	if len(faces) < 3 {
 		return nil, false
 	}
-	next := make(map[int32]int32, len(faces))
-	for _, fi := range faces {
-		f := m.Faces[fi]
-		var from, to int32
-		switch v {
-		case f[0]:
-			from, to = f[1], f[2]
-		case f[1]:
-			from, to = f[2], f[0]
-		default:
-			from, to = f[0], f[1]
+	ring = ring[:0]
+	cur, _ := faces[0].ringEdge(v)
+	for range faces {
+		if slices.Contains(ring, cur) {
+			return nil, false // duplicated neighbor
 		}
-		if _, dup := next[from]; dup {
-			return nil, false // non-manifold fan
+		var next int32
+		found := 0
+		for _, f := range faces {
+			if from, to := f.ringEdge(v); from == cur {
+				next = to
+				found++
+			}
 		}
-		next[from] = to
-	}
-	// Chain the directed edges into a single cycle.
-	start := m.Faces[faces[0]].otherFirst(v)
-	ring = make([]int32, 0, len(faces))
-	cur := start
-	for i := 0; i < len(faces); i++ {
+		if found != 1 {
+			return nil, false // open fan (boundary vertex) or non-manifold fan
+		}
 		ring = append(ring, cur)
-		n, exists := next[cur]
-		if !exists {
-			return nil, false // open fan (boundary vertex)
-		}
-		cur = n
+		cur = next
 	}
-	if cur != start {
-		return nil, false // edges do not close into one cycle
-	}
-	// All neighbors must be distinct.
-	seen := make(map[int32]bool, len(ring))
-	for _, r := range ring {
-		if seen[r] {
-			return nil, false
-		}
-		seen[r] = true
-	}
-	return ring, true
+	return ring, cur == ring[0]
 }
 
-// otherFirst returns the ring-edge source vertex of face f relative to v
-// (the vertex after v in CCW order).
-func (f Face) otherFirst(v int32) int32 {
+// ringEdge returns the directed edge face f contributes to the one-ring of
+// its vertex v: the two vertices after v in CCW order.
+func (f Face) ringEdge(v int32) (from, to int32) {
 	switch v {
 	case f[0]:
-		return f[1]
+		return f[1], f[2]
 	case f[1]:
-		return f[2]
+		return f[2], f[0]
 	default:
-		return f[0]
+		return f[0], f[1]
 	}
 }
 
@@ -131,20 +89,4 @@ func (m *Mesh) Edges() []EdgeKey {
 		return edges[i].Hi < edges[j].Hi
 	})
 	return edges
-}
-
-// VertexNeighbors returns the set of vertices sharing an edge with v
-// (unordered, deduplicated).
-func (a *Adjacency) VertexNeighbors(m *Mesh, v int32) []int32 {
-	seen := map[int32]bool{}
-	var out []int32
-	for _, fi := range a.VertexFaces[v] {
-		for _, w := range m.Faces[fi] {
-			if w != v && !seen[w] {
-				seen[w] = true
-				out = append(out, w)
-			}
-		}
-	}
-	return out
 }

@@ -1,40 +1,28 @@
 package mesh
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
 )
 
-func TestBuildAdjacencyCube(t *testing.T) {
-	m := Cube(geom.V(0, 0, 0), geom.V(1, 1, 1))
-	a := BuildAdjacency(m)
-
-	// 12 edges on a cube surface... actually a triangulated cube has
-	// 12 quad-diagonal edges: V=8, F=12, so E = V+F-2 = 18.
-	if got := len(a.EdgeFaces); got != 18 {
-		t.Errorf("edge count = %d, want 18", got)
-	}
-	for e, faces := range a.EdgeFaces {
-		if len(faces) != 2 {
-			t.Errorf("edge %v has %d faces, want 2", e, len(faces))
+// incident lists the faces of m that have vertex v.
+func incident(m *Mesh, v int32) []Face {
+	var fs []Face
+	for _, f := range m.Faces {
+		if f[0] == v || f[1] == v || f[2] == v {
+			fs = append(fs, f)
 		}
 	}
-	// Total vertex-face incidences = 3 × faces.
-	var inc int
-	for _, fs := range a.VertexFaces {
-		inc += len(fs)
-	}
-	if inc != 3*m.NumFaces() {
-		t.Errorf("incidences = %d, want %d", inc, 3*m.NumFaces())
-	}
+	return fs
 }
 
 func TestOneRingIcosahedron(t *testing.T) {
 	m := Icosahedron(1)
-	a := BuildAdjacency(m)
+	edges := m.Edges()
 	for v := int32(0); v < int32(m.NumVertices()); v++ {
-		ring, ok := a.OneRing(m, v)
+		ring, ok := OneRing(v, incident(m, v), nil)
 		if !ok {
 			t.Fatalf("vertex %d: one-ring failed", v)
 		}
@@ -44,8 +32,7 @@ func TestOneRingIcosahedron(t *testing.T) {
 		// Each consecutive ring pair must share an edge with v via a face.
 		for i := range ring {
 			j := (i + 1) % len(ring)
-			key := MakeEdgeKey(ring[i], ring[j])
-			if _, exists := a.EdgeFaces[key]; !exists {
+			if !slices.Contains(edges, MakeEdgeKey(ring[i], ring[j])) {
 				t.Errorf("vertex %d: ring edge %v-%v not in mesh", v, ring[i], ring[j])
 			}
 		}
@@ -68,9 +55,8 @@ func TestOneRingOrientation(t *testing.T) {
 	// viewed from outside: the polygon normal should point away from the
 	// center (positive dot with the vertex direction).
 	m := Icosphere(1, 1)
-	a := BuildAdjacency(m)
 	for v := int32(0); v < int32(m.NumVertices()); v++ {
-		ring, ok := a.OneRing(m, v)
+		ring, ok := OneRing(v, incident(m, v), nil)
 		if !ok {
 			t.Fatalf("vertex %d: one-ring failed", v)
 		}
@@ -93,20 +79,21 @@ func TestOneRingRejectsBoundary(t *testing.T) {
 		Vertices: []geom.Vec3{geom.V(0, 0, 0), geom.V(1, 0, 0), geom.V(0, 1, 0)},
 		Faces:    []Face{{0, 1, 2}},
 	}
-	a := BuildAdjacency(m)
-	if _, ok := a.OneRing(m, 0); ok {
+	if _, ok := OneRing(0, incident(m, 0), nil); ok {
 		t.Error("boundary vertex should not yield a one-ring")
 	}
 }
 
-func TestVertexNeighbors(t *testing.T) {
-	m := Tetrahedron(1)
-	a := BuildAdjacency(m)
-	for v := int32(0); v < 4; v++ {
-		nbrs := a.VertexNeighbors(m, v)
-		if len(nbrs) != 3 {
-			t.Errorf("vertex %d: %d neighbors, want 3", v, len(nbrs))
-		}
+func TestOneRingRejectsNonDisk(t *testing.T) {
+	// Two closed fans sharing only v: every edge finds a successor, but the
+	// walk closes after three of the six faces.
+	bowtie := []Face{{0, 1, 2}, {0, 2, 3}, {0, 3, 1}, {0, 4, 5}, {0, 5, 6}, {0, 6, 4}}
+	if _, ok := OneRing(0, bowtie, nil); ok {
+		t.Error("a vertex joining two fans should not yield a one-ring")
+	}
+	// Two faces leaving the same neighbor: a non-manifold fan.
+	if _, ok := OneRing(0, []Face{{0, 1, 2}, {0, 1, 3}, {0, 3, 1}}, nil); ok {
+		t.Error("a duplicated fan edge should not yield a one-ring")
 	}
 }
 

@@ -1,7 +1,7 @@
 package ppvp
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/index/aabbtree"
@@ -29,110 +29,155 @@ func keyOf(f mesh.Face) faceKey {
 
 // work is the mutable mesh state threaded through the decimation rounds.
 // Vertices are tombstoned (never reindexed) so ops can reference original
-// indices throughout the encode.
+// indices throughout the encode. Connectivity is one structure, kept alive
+// across rounds: the live faces incident to each vertex.
 type work struct {
-	verts []geom.Vec3
-	alive []bool
-	faces map[faceKey]mesh.Face
-	edges map[mesh.EdgeKey]int // incidence count per undirected edge
+	verts  []geom.Vec3
+	dead   []bool
+	vfaces [][]mesh.Face // live faces incident to each vertex, as oriented in the mesh
+	nfaces int
+
+	// Scratch reused by every candidate of every round of one Compress.
+	ring   []int32
+	pts    []geom.Vec3
+	tri    triScratch
+	use    []uint8     // patchValid's n×n edge-use counts, zero between calls
+	faces  []mesh.Face // liveFaces' result
+	carved tetGrid
 }
 
-func newWork(m *mesh.Mesh) *work {
+// newWork starts from the given vertices (shared, never written) and faces.
+func newWork(verts []geom.Vec3, faces []mesh.Face) *work {
 	w := &work{
-		verts: append([]geom.Vec3(nil), m.Vertices...),
-		alive: make([]bool, len(m.Vertices)),
-		faces: make(map[faceKey]mesh.Face, len(m.Faces)),
-		edges: make(map[mesh.EdgeKey]int, 3*len(m.Faces)/2+1),
+		verts:  verts,
+		dead:   make([]bool, len(verts)),
+		vfaces: make([][]mesh.Face, len(verts)),
 	}
-	for i := range w.alive {
-		w.alive[i] = true
-	}
-	for _, f := range m.Faces {
+	for _, f := range faces {
 		w.addFace(f)
 	}
 	return w
 }
 
 func (w *work) addFace(f mesh.Face) {
-	w.faces[keyOf(f)] = f
-	for k := 0; k < 3; k++ {
-		w.edges[mesh.MakeEdgeKey(f[k], f[(k+1)%3])]++
+	for _, v := range f {
+		w.vfaces[v] = append(w.vfaces[v], f)
 	}
+	w.nfaces++
 }
 
-func (w *work) removeFace(f mesh.Face) {
-	delete(w.faces, keyOf(f))
-	for k := 0; k < 3; k++ {
-		e := mesh.MakeEdgeKey(f[k], f[(k+1)%3])
-		if w.edges[e]--; w.edges[e] == 0 {
-			delete(w.edges, e)
-		}
-	}
+// uses returns the predicate "the face has vertex v".
+func uses(v int32) func(mesh.Face) bool {
+	return func(f mesh.Face) bool { return f[0] == v || f[1] == v || f[2] == v }
 }
 
-// snapshotMesh materializes the current face set as a mesh that still uses
-// the original (tombstoned) vertex indexing. Faces are emitted in sorted key
-// order for determinism.
-func (w *work) snapshotMesh() *mesh.Mesh {
-	keys := make([]faceKey, 0, len(w.faces))
-	for k := range w.faces {
-		keys = append(keys, k)
+// cmpFaces orders faces by their sorted vertex triples.
+func cmpFaces(f, g mesh.Face) int {
+	a, b := keyOf(f), keyOf(g)
+	return slices.Compare(a[:], b[:])
+}
+
+// removeFan deletes every face incident to v; ring is v's one-ring.
+func (w *work) removeFan(v int32, ring []int32) {
+	for _, r := range ring {
+		w.vfaces[r] = slices.DeleteFunc(w.vfaces[r], uses(v))
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a[0] != b[0] {
-			return a[0] < b[0]
+	w.nfaces -= len(w.vfaces[v])
+	w.vfaces[v] = nil
+}
+
+// hasEdge reports whether a live face uses the undirected edge {a, b}.
+func (w *work) hasEdge(a, b int32) bool { return slices.ContainsFunc(w.vfaces[a], uses(b)) }
+
+// hasFace reports whether a live face has f's vertex set, in either
+// orientation.
+func (w *work) hasFace(f mesh.Face) bool {
+	k := keyOf(f)
+	return slices.ContainsFunc(w.vfaces[f[0]], func(g mesh.Face) bool { return keyOf(g) == k })
+}
+
+// liveFaces lists every live face once, in w.faces.
+func (w *work) liveFaces() []mesh.Face {
+	w.faces = w.faces[:0]
+	for v, fs := range w.vfaces {
+		for _, f := range fs {
+			if keyOf(f)[0] == int32(v) {
+				w.faces = append(w.faces, f)
+			}
 		}
-		if a[1] != b[1] {
-			return a[1] < b[1]
-		}
-		return a[2] < b[2]
-	})
-	m := &mesh.Mesh{Vertices: w.verts, Faces: make([]mesh.Face, 0, len(keys))}
-	for _, k := range keys {
-		m.Faces = append(m.Faces, w.faces[k])
 	}
-	return m
+	return w.faces
+}
+
+// ringOf returns the ordered CCW one-ring of v and its positions, in
+// scratch the next call overwrites. The ring starts at the CCW successor of
+// v in the incident face with the smallest sorted key — part of the
+// bitstream, because the strategy byte and the ring order are relative to
+// it. ok is false when v's neighborhood is not a simple disk.
+func (w *work) ringOf(v int32) (ring []int32, pts []geom.Vec3, ok bool) {
+	fs := w.vfaces[v]
+	if len(fs) < 3 {
+		return nil, nil, false
+	}
+	for i := range fs { // smallest key first: the ring starts there
+		if cmpFaces(fs[i], fs[0]) < 0 {
+			fs[0], fs[i] = fs[i], fs[0]
+		}
+	}
+	if ring, ok = mesh.OneRing(v, fs, w.ring); !ok {
+		return nil, nil, false
+	}
+	w.ring, w.pts = ring, w.pts[:0]
+	for _, r := range ring {
+		w.pts = append(w.pts, w.verts[r])
+	}
+	return ring, w.pts, true
 }
 
 // decimateRound runs one round of decimation: it removes a maximal
 // independent set of removable vertices (under the policy) in ascending
 // index order. The returned ops record the removals in application order.
+//
+// A round reads the live incidence and, under the PPVP policy, an AABB tree
+// over the round-start surface; it maintains the incidence, the face count
+// and the grid of carved tetrahedra as it goes, and rebuilds nothing. A
+// removal touches only the faces of the removed vertex and its ring, and
+// the ring is locked for the rest of the round, so every candidate still
+// sees the incidence it had at round start.
 func (w *work) decimateRound(policy Policy, minFaces int, stats *Stats) []op {
-	snap := w.snapshotMesh()
-	adj := mesh.BuildAdjacency(snap)
-
 	// The acute-angle test of §3.1 is evaluated per patch face; with a
 	// folded hole triangulation it can pass even though part of the patch
 	// pokes outside the solid, which would break the progressive-subset
 	// guarantee. Under the PPVP policy every accepted patch is therefore
-	// verified against the round-start surface (indexed by an AABB tree)
-	// minus the tetrahedra already carved out this round.
+	// verified against the round-start surface (indexed by an AABB tree,
+	// whose shape and leaf order no verdict depends on) minus the
+	// tetrahedra already carved out this round.
 	var tree *aabbtree.Tree
-	var carved []tet
 	var diag float64
 	if policy == PruneProtruding {
-		tree = aabbtree.Build(snap.Triangles())
+		faces := w.liveFaces()
+		s := geom.NewTriSoA(len(faces))
+		for i, f := range faces {
+			s.Set(i, w.verts[f[0]], w.verts[f[1]], w.verts[f[2]])
+		}
+		tree = aabbtree.BuildSoA(s)
 		diag = tree.Bounds().Diagonal()
+		w.carved.reset(tree.Bounds(), len(faces))
 	}
 
 	locked := make([]bool, len(w.verts))
 	var ops []op
 
 	for v := int32(0); int(v) < len(w.verts); v++ {
-		if !w.alive[v] || locked[v] {
+		if w.dead[v] || locked[v] {
 			continue
 		}
-		if len(w.faces)-2 < minFaces {
+		if w.nfaces-2 < minFaces {
 			break // removing any vertex would shrink the mesh below the floor
 		}
-		ring, ok := adj.OneRing(snap, v)
+		ring, pts, ok := w.ringOf(v)
 		if !ok {
 			continue
-		}
-		pts := make([]geom.Vec3, len(ring))
-		for i, r := range ring {
-			pts[i] = w.verts[r]
 		}
 
 		// The prune-only guarantee depends on the hole triangulation: a
@@ -152,18 +197,15 @@ func (w *work) decimateRound(policy Policy, minFaces int, stats *Stats) []op {
 			if prot {
 				protrudingSeen = true
 			}
-			if policy == PruneProtruding && !prot {
-				return false
-			}
-			if policy == PruneProtruding && !patchContained(pts, patch, tree, carved, diag) {
+			if policy == PruneProtruding && !(prot && patchContained(pts, patch, tree, &w.carved, diag)) {
 				return false
 			}
 			chosen, strat = patch, s
 			return true
 		}
-		if ear, ok := triangulateRing(pts); !ok || !tryPatch(ear, 0) {
+		if ear, ok := triangulateRing(pts, &w.tri); !ok || !tryPatch(ear, 0) {
 			for apex := 0; apex < len(ring); apex++ {
-				if tryPatch(fanTriangulation(len(ring), apex), uint16(apex+1)) {
+				if tryPatch(fanTriangulation(len(ring), apex, w.tri.tris), uint16(apex+1)) {
 					break
 				}
 			}
@@ -179,24 +221,22 @@ func (w *work) decimateRound(policy Policy, minFaces int, stats *Stats) []op {
 			continue
 		}
 
-		// Apply the removal: delete the fan, add the patch.
-		for i := range ring {
-			w.removeFace(mesh.Face{v, ring[i], ring[(i+1)%len(ring)]})
-		}
-		for _, t := range chosen {
+		// Apply the removal: delete the fan, add the patch. The op keeps its
+		// own copies of the ring and the patch; both live in scratch here.
+		o := op{pos: w.verts[v], ring: slices.Clone(ring), patch: slices.Clone(chosen), strat: strat, origIdx: v}
+		w.removeFan(v, ring)
+		w.dead[v] = true
+		for _, t := range o.patch {
 			w.addFace(mesh.Face{ring[t[0]], ring[t[1]], ring[t[2]]})
+			if policy == PruneProtruding {
+				w.carved.add(makeTet(pts[t[0]], pts[t[1]], pts[t[2]], w.verts[v]))
+			}
 		}
-		w.alive[v] = false
 		for _, r := range ring {
 			locked[r] = true
 		}
-		if policy == PruneProtruding {
-			for _, t := range chosen {
-				carved = append(carved, makeTet(pts[t[0]], pts[t[1]], pts[t[2]], w.verts[v]))
-			}
-		}
 		stats.VerticesRemoved++
-		ops = append(ops, op{pos: w.verts[v], ring: append([]int32(nil), ring...), patch: chosen, strat: strat, origIdx: v})
+		ops = append(ops, o)
 	}
 	return ops
 }
@@ -206,20 +246,52 @@ func (w *work) decimateRound(policy Policy, minFaces int, stats *Stats) []op {
 //   - every patch triangle is non-degenerate,
 //   - no patch triangle duplicates an existing face (in either orientation),
 //   - every interior diagonal is a brand-new edge used by exactly two patch
-//     triangles, and every ring boundary edge is used by exactly one.
+//     triangles, and every ring boundary edge a triangle uses is used by
+//     exactly one.
+//
+// Patch indices are ring-local, so all of it is index arithmetic: (i, j) is
+// a ring edge iff |i−j| is 1 or n−1, and the use counts live in an n×n byte
+// table that is counted up, judged, and counted back down to zero.
 func (w *work) patchValid(ring []int32, patch [][3]uint16) bool {
 	n := len(ring)
-	ringEdge := make(map[mesh.EdgeKey]bool, n)
-	for i := 0; i < n; i++ {
-		ringEdge[mesh.MakeEdgeKey(ring[i], ring[(i+1)%n])] = true
+	if len(w.use) < n*n {
+		w.use = make([]uint8, n*n)
 	}
-	edgeUse := make(map[mesh.EdgeKey]int, 2*n)
+	for _, t := range patch {
+		for k := 0; k < 3; k++ {
+			// More than two uses are as invalid as three, and saturating
+			// there keeps the byte from wrapping.
+			if i, j := patchEdge(t, k); w.use[i*n+j] < 3 {
+				w.use[i*n+j]++
+			}
+		}
+	}
+	ok := w.patchFits(ring, patch)
+	for _, t := range patch {
+		for k := 0; k < 3; k++ {
+			i, j := patchEdge(t, k)
+			w.use[i*n+j] = 0
+		}
+	}
+	return ok
+}
+
+// patchEdge returns edge k of patch triangle t as ascending ring-local
+// indices.
+func patchEdge(t [3]uint16, k int) (i, j int) {
+	i, j = int(t[k]), int(t[(k+1)%3])
+	if i > j {
+		i, j = j, i
+	}
+	return i, j
+}
+
+// patchFits is patchValid's verdict, given the edge-use counts in w.use.
+func (w *work) patchFits(ring []int32, patch [][3]uint16) bool {
+	n := len(ring)
 	for _, t := range patch {
 		f := mesh.Face{ring[t[0]], ring[t[1]], ring[t[2]]}
-		if f[0] == f[1] || f[1] == f[2] || f[0] == f[2] {
-			return false
-		}
-		if _, dup := w.faces[keyOf(f)]; dup {
+		if f[0] == f[1] || f[1] == f[2] || f[0] == f[2] || w.hasFace(f) {
 			return false
 		}
 		tri := geom.Triangle{A: w.verts[f[0]], B: w.verts[f[1]], C: w.verts[f[2]]}
@@ -227,23 +299,15 @@ func (w *work) patchValid(ring []int32, patch [][3]uint16) bool {
 			return false
 		}
 		for k := 0; k < 3; k++ {
-			e := mesh.MakeEdgeKey(f[k], f[(k+1)%3])
-			edgeUse[e]++
-			if !ringEdge[e] {
-				// Interior diagonal: must not already exist in the mesh.
-				if w.edges[e] > 0 {
+			i, j := patchEdge(t, k)
+			if d := j - i; d == 1 || d == n-1 {
+				if w.use[i*n+j] != 1 {
 					return false
 				}
-			}
-		}
-	}
-	for e, c := range edgeUse {
-		if ringEdge[e] {
-			if c != 1 {
+			} else if w.use[i*n+j] != 2 || w.hasEdge(ring[i], ring[j]) {
+				// An interior diagonal must not already exist in the mesh.
 				return false
 			}
-		} else if c != 2 {
-			return false
 		}
 	}
 	return true

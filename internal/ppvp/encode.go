@@ -3,6 +3,7 @@ package ppvp
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/mesh"
@@ -65,13 +66,13 @@ func Compress(m *mesh.Mesh, opts Options) (*Compressed, Stats, error) {
 
 	// Snap all vertices to the quantization grid up front so every stage of
 	// the pipeline (including the protruding test) sees the stored values.
-	qm := m.Clone()
-	for i, v := range qm.Vertices {
-		qm.Vertices[i] = quant.snap(v)
+	verts := make([]geom.Vec3, len(m.Vertices))
+	for i, v := range m.Vertices {
+		verts[i] = quant.snap(v)
 	}
 
-	w := newWork(qm)
-	stats.FacesPerRound = append(stats.FacesPerRound, len(w.faces))
+	w := newWork(verts, m.Faces)
+	stats.FacesPerRound = append(stats.FacesPerRound, w.nfaces)
 
 	var encodeRounds []round
 	for r := 0; r < opts.Rounds; r++ {
@@ -80,34 +81,28 @@ func Compress(m *mesh.Mesh, opts Options) (*Compressed, Stats, error) {
 			break
 		}
 		encodeRounds = append(encodeRounds, round{ops: ops})
-		stats.FacesPerRound = append(stats.FacesPerRound, len(w.faces))
+		stats.FacesPerRound = append(stats.FacesPerRound, w.nfaces)
 		stats.RoundsRun++
 	}
 
-	// Base mesh: compact the surviving vertices; permanent IDs start with
-	// the base vertices in ascending original order.
-	base := w.snapshotMesh().Clone()
+	// Base mesh: the surviving faces in sorted key order (part of the
+	// bitstream) over the compacted surviving vertices; permanent IDs start
+	// with the base vertices in ascending original order.
 	perm := make([]int32, len(w.verts))
-	for i := range perm {
+	base := mesh.New(0, w.nfaces)
+	for i, dead := range w.dead {
 		perm[i] = -1
-	}
-	var next int32
-	for i, a := range w.alive {
-		if a {
-			perm[i] = next
-			next++
+		if !dead {
+			perm[i] = int32(len(base.Vertices))
+			base.Vertices = append(base.Vertices, w.verts[i])
 		}
 	}
-	baseVerts := make([]geom.Vec3, next)
-	for i, a := range w.alive {
-		if a {
-			baseVerts[perm[i]] = w.verts[i]
-		}
-	}
+	next := int32(len(base.Vertices))
+	base.Faces = append(base.Faces, w.liveFaces()...)
+	slices.SortFunc(base.Faces, cmpFaces)
 	for i, f := range base.Faces {
 		base.Faces[i] = mesh.Face{perm[f[0]], perm[f[1]], perm[f[2]]}
 	}
-	base.Vertices = baseVerts
 
 	// Decode order: undo the last encode round first. Removed vertices are
 	// assigned permanent IDs in that order. A ring member of an op was

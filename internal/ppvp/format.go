@@ -119,13 +119,26 @@ type Compressed struct {
 	rounds []*round   // parsed decode rounds, nil until needed
 }
 
-// deflate compresses raw with DEFLATE (the entropy-coding stage).
+// deflaters recycles DEFLATE writers between sections: a fresh writer is
+// ≈ 800 KB of hash chains and window, built to squeeze a section of a few
+// hundred bytes, and an object has one section per round.
+var deflaters sync.Pool
+
+// deflate compresses raw with DEFLATE (the entropy-coding stage). The
+// stream of a Reset writer is the stream of a fresh one, so recycling the
+// writer leaves the blob unchanged.
 func deflate(raw []byte) ([]byte, error) {
 	var buf bytes.Buffer
-	fw, err := flate.NewWriter(&buf, flate.DefaultCompression)
-	if err != nil {
-		return nil, err
+	fw, _ := deflaters.Get().(*flate.Writer)
+	if fw == nil {
+		var err error
+		if fw, err = flate.NewWriter(&buf, flate.DefaultCompression); err != nil {
+			return nil, err
+		}
+	} else {
+		fw.Reset(&buf)
 	}
+	defer deflaters.Put(fw)
 	if _, err := fw.Write(raw); err != nil {
 		return nil, err
 	}

@@ -1,9 +1,6 @@
 package ppvp
 
-import (
-	"repro/internal/geom"
-	"repro/internal/mesh"
-)
+import "repro/internal/mesh"
 
 // ProfileProtruding examines every vertex of a mesh once (as the first
 // decimation round would) and reports how many are protruding. This is the
@@ -93,18 +90,11 @@ func lessTriple(a, b [3]float64) bool {
 }
 
 func ProfileProtruding(m *mesh.Mesh) (protruding, examined int) {
-	w := newWork(m)
-	snap := w.snapshotMesh()
-	adj := mesh.BuildAdjacency(snap)
-
+	w := newWork(m.Vertices, m.Faces)
 	for v := int32(0); int(v) < len(w.verts); v++ {
-		ring, ok := adj.OneRing(snap, v)
+		ring, pts, ok := w.ringOf(v)
 		if !ok {
 			continue
-		}
-		pts := make([]geom.Vec3, len(ring))
-		for i, r := range ring {
-			pts[i] = w.verts[r]
 		}
 		valid, prot := false, false
 		check := func(patch [][3]uint16) {
@@ -116,11 +106,11 @@ func ProfileProtruding(m *mesh.Mesh) (protruding, examined int) {
 				prot = true
 			}
 		}
-		if ear, ok := triangulateRing(pts); ok {
+		if ear, ok := triangulateRing(pts, &w.tri); ok {
 			check(ear)
 		}
 		for apex := 0; apex < len(ring) && !prot; apex++ {
-			check(fanTriangulation(len(ring), apex))
+			check(fanTriangulation(len(ring), apex, w.tri.tris))
 		}
 		if valid {
 			examined++

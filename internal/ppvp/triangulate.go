@@ -6,6 +6,24 @@ import (
 	"repro/internal/geom"
 )
 
+// triScratch is the working memory of the hole triangulators: the encoder
+// keeps one per Compress, the decoder hands in an empty one per op.
+type triScratch struct {
+	xy   [][2]float64
+	idx  []uint16
+	tris [][3]uint16
+}
+
+// grown returns s resized to n elements, reallocated (by make, which a
+// decoder's empty scratch takes every time) only when its capacity is
+// short; the contents are unspecified.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // triangulateRing triangulates the hole left by removing a vertex whose
 // ordered CCW one-ring is given by pts. The result is a list of triangles as
 // ring-local index triples, wound CCW in the projection plane so that their
@@ -13,14 +31,16 @@ import (
 //
 // The polygon is projected onto its best-fit plane and ear-clipped. ok is
 // false when the projected polygon is degenerate or self-intersecting in a
-// way that leaves no clippable ear.
-func triangulateRing(pts []geom.Vec3) (tris [][3]uint16, ok bool) {
+// way that leaves no clippable ear. The triangles live in s and are valid
+// until its next use.
+func triangulateRing(pts []geom.Vec3, s *triScratch) (tris [][3]uint16, ok bool) {
 	n := len(pts)
 	if n < 3 || n > 65535 {
 		return nil, false
 	}
+	s.tris = grown(s.tris, n-2)[:0]
 	if n == 3 {
-		return [][3]uint16{{0, 1, 2}}, true
+		return append(s.tris, [3]uint16{0, 1, 2}), true
 	}
 
 	// Newell's method for the polygon normal: robust for non-planar rings.
@@ -40,17 +60,19 @@ func triangulateRing(pts []geom.Vec3) (tris [][3]uint16, ok bool) {
 	// Build a 2D basis in the projection plane.
 	u := perpTo(normal)
 	v := normal.Cross(u)
-	xy := make([][2]float64, n)
+	s.xy = grown(s.xy, n)
+	xy := s.xy
 	for i, p := range pts {
 		xy[i] = [2]float64{p.Dot(u), p.Dot(v)}
 	}
 
 	// Ear clipping over the index list.
-	idx := make([]uint16, n)
+	s.idx = grown(s.idx, n)
+	idx := s.idx
 	for i := range idx {
 		idx[i] = uint16(i)
 	}
-	tris = make([][3]uint16, 0, n-2)
+	tris = s.tris
 	guard := 0
 	for len(idx) > 3 {
 		clipped := false
@@ -127,12 +149,12 @@ func pointInTri2(p, a, b, c [2]float64) bool {
 }
 
 // fanTriangulation triangulates the ring polygon as a fan rooted at ring
-// vertex `apex`, preserving the CCW orientation of the ring.
-func fanTriangulation(n, apex int) [][3]uint16 {
+// vertex `apex`, preserving the CCW orientation of the ring, into tris[:0].
+func fanTriangulation(n, apex int, tris [][3]uint16) [][3]uint16 {
 	if n < 3 || apex < 0 || apex >= n {
 		return nil
 	}
-	tris := make([][3]uint16, 0, n-2)
+	tris = grown(tris, n-2)[:0]
 	for i := 1; i+1 < n; i++ {
 		tris = append(tris, [3]uint16{
 			uint16(apex),
@@ -147,13 +169,13 @@ func fanTriangulation(n, apex int) [][3]uint16 {
 // byte: 0 re-runs ear clipping, k ≥ 1 builds the fan rooted at k-1.
 func patchForStrategy(pts []geom.Vec3, strat uint16) ([][3]uint16, bool) {
 	if strat == 0 {
-		return triangulateRing(pts)
+		return triangulateRing(pts, new(triScratch))
 	}
 	apex := int(strat) - 1
 	if apex >= len(pts) {
 		return nil, false
 	}
-	return fanTriangulation(len(pts), apex), true
+	return fanTriangulation(len(pts), apex, nil), true
 }
 
 // perpTo returns an arbitrary unit vector perpendicular to n.
