@@ -86,10 +86,11 @@ chaos-short:
 # The multi-process robustness ladder over real HTTP loopback workers, under
 # the race detector: seeded retry/hedge/failover/breaker/rejoin campaign,
 # replicated-placement failover, both-replicas-dead degradation, wire
-# corruption, and graceful worker drain (see internal/shard/http_test.go
-# and failover_test.go).
+# corruption, graceful worker drain, loans by reference (warm-cache hits,
+# the missing path and its CRC check) and re-added datasets (see
+# internal/shard/http_test.go, failover_test.go and loans_test.go).
 chaos-net:
-	$(GO) test -race -run 'TestHTTPChaosCampaign|TestShardedEquivalenceHTTP|TestHTTPAnySingleWorkerDeathIsExact|TestHTTPBothReplicasDeadDegrades|TestHTTPRecvCorruptionIsTransportError|TestWorkerDrainPreservesInFlight|TestWorkerEchoesRequestID|TestReplicaFailoverExact|TestBothReplicasDeadDegrades|TestProberRejoinsShard' -count=1 ./internal/shard
+	$(GO) test -race -run 'TestHTTPChaosCampaign|TestShardedEquivalenceHTTP|TestHTTPAnySingleWorkerDeathIsExact|TestHTTPBothReplicasDeadDegrades|TestHTTPRecvCorruptionIsTransportError|TestWorkerDrainPreservesInFlight|TestWorkerEchoesRequestID|TestReplicaFailoverExact|TestBothReplicasDeadDegrades|TestProberRejoinsShard|TestLoansHitWorkerCache|TestHTTPLoansMissingAndCRC|TestReAddDatasetReplacesGroups|TestHTTPLoansConcurrentColdJoins' -count=1 ./internal/shard
 
 # The repository benchmark (benchmark/, see BENCHMARK.json) is a Go module of
 # its own, so the root `go build ./... && go test ./...` never compiles it

@@ -199,7 +199,7 @@ func TestAcceleratorsChargedToCache(t *testing.T) {
 	var meshes, lanes, blocks, entries int64
 	for _, d := range []*Dataset{a, b} {
 		for id := int64(0); id < int64(d.Len()); id++ {
-			m := e.Cache().Get(cache.Key{Object: d.seq<<40 | id, LOD: d.MaxLOD()})
+			m := e.Cache().Get(cacheKey(d, id, d.MaxLOD()))
 			if m == nil {
 				continue // never a candidate: not decoded
 			}
@@ -227,4 +227,9 @@ func TestAcceleratorsChargedToCache(t *testing.T) {
 	if withTrees <= plain {
 		t.Errorf("BytesUsed %d did not grow past %d after building trees on cached meshes", withTrees, plain)
 	}
+}
+
+// cacheKey is the decode-cache key of object id of d at lod.
+func cacheKey(d *Dataset, id int64, lod int) cache.Key {
+	return cache.Key{Object: d.Tileset.Object(id).Comp.ID(), LOD: lod}
 }

@@ -150,7 +150,7 @@ func (c *evalCtx) decodeGuarded(ds *Dataset, sto *storage.Object, id int64, lod 
 	}
 	for try := 0; ; try++ {
 		var m *mesh.Mesh
-		m, err = c.decodeOnce(sto, ds.seq, id, lod)
+		m, err = c.decodeOnce(sto, lod)
 		if err == nil {
 			settled = true
 			c.e.quar.Success(qk)
@@ -172,11 +172,13 @@ func (c *evalCtx) decodeGuarded(ds *Dataset, sto *storage.Object, id int64, lod 
 	return obj{}, err
 }
 
-// decodeOnce is a single decode attempt through the engine cache. Under
-// Degrade, a panic out of the decoder (or the cache's re-panic after its own
-// cleanup) is converted into an error so the attempt can be retried or the
-// object skipped; under FailFast panics propagate to callRecovered.
-func (c *evalCtx) decodeOnce(sto *storage.Object, seq, id int64, lod int) (m *mesh.Mesh, err error) {
+// decodeOnce is a single decode attempt through the engine cache, keyed by
+// blob (ppvp.Compressed.ID): datasets holding the same object share its
+// decodes, warm decoder and accelerators. Under Degrade, a panic out of the
+// decoder (or the cache's re-panic after its own cleanup) is converted into
+// an error so the attempt can be retried or the object skipped; under
+// FailFast panics propagate to callRecovered.
+func (c *evalCtx) decodeOnce(sto *storage.Object, lod int) (m *mesh.Mesh, err error) {
 	if c.deg != nil {
 		defer func() {
 			if r := recover(); r != nil {
@@ -184,7 +186,7 @@ func (c *evalCtx) decodeOnce(sto *storage.Object, seq, id int64, lod int) (m *me
 			}
 		}()
 	}
-	key := cache.Key{Object: seq<<40 | id, LOD: lod}
+	key := cache.Key{Object: sto.Comp.ID(), LOD: lod}
 	missed := false
 	t0 := time.Now()
 	m, err = c.e.cache.GetOrDecodeProgressiveCounted(key, sto.Comp, func() error {
@@ -224,8 +226,10 @@ func (c *evalCtx) tree(o obj) *aabbtree.Tree {
 // groupsOf returns the partition groups of an object at a LOD: decoded
 // faces assigned to the object's ingest-time skeleton points. Objects
 // without a skeleton form a single group. Like tree, this is the mesh's
-// memo; the skeleton belongs to the object the mesh was decoded from, so
-// every query supplies the same partition.
+// memo, cached per blob, so every dataset holding the blob must supply the
+// same skeleton: only AssembleDataset shares blobs, and it never has
+// skeletons; BuildDataset and LoadDataset construct blobs of their own.
+// (A violation costs speed, not answers: any face partition is exact.)
 func (c *evalCtx) groupsOf(o obj) []mesh.Group {
 	g, built := o.mesh.Groups(func() [][]int32 {
 		var skel []geom.Vec3

@@ -46,8 +46,8 @@ func (o *DatasetOptions) setDefaults() {
 // Dataset is an ingested, compressed, indexed object collection.
 type Dataset struct {
 	Name string
-	// seq is the engine-unique dataset number, used to namespace decode
-	// cache keys.
+	// seq is the engine-unique dataset number: it namespaces quarantine
+	// keys and identifies self-joins (decode-cache keys follow the blob).
 	seq int64
 
 	Tileset *storage.Tileset
@@ -72,7 +72,7 @@ type Dataset struct {
 func (d *Dataset) MaxLOD() int { return d.maxLOD }
 
 // Seq returns the engine-unique dataset sequence number — the namespace of
-// the dataset's decode-cache and quarantine keys.
+// the dataset's quarantine keys (decoded meshes are cached per blob).
 func (d *Dataset) Seq() int64 { return d.seq }
 
 // Len returns the object count.
@@ -192,7 +192,7 @@ func (e *Engine) largestFirst(meshes []*mesh.Mesh, fn func(i int)) {
 // accelerators transparently fall back to the whole-object tree — keeping
 // assembly cheap enough for the sharded serving tier, which assembles one
 // sub-tileset per shard (and per-query loan sets) out of blobs that already
-// exist in memory.
+// exist in memory, sharing their cached decodes with other datasets.
 func (e *Engine) AssembleDataset(name string, ts *storage.Tileset) (*Dataset, error) {
 	d := &Dataset{Name: name, seq: e.nextSeq.Add(1), Tileset: ts, maxLOD: -1}
 	var entries []rtree.Entry

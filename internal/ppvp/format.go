@@ -5,9 +5,11 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/mesh"
@@ -102,6 +104,8 @@ func (r *rbuf) byte() byte {
 // lazily parsed sections shared by all decoders.
 type Compressed struct {
 	blob []byte
+	id   int64
+	crc  uint32
 
 	policy       Policy
 	quantBits    int
@@ -154,7 +158,7 @@ const maxSectionBytes = 1 << 30
 
 // inflaters recycles DEFLATE readers between sections: a fresh reader
 // allocates its 32 KiB window and Huffman tables, ≈ 40 KiB for a section of
-// a few hundred bytes, and a worker parses every loaned object anew.
+// a few hundred bytes, and a cold cache parses every section it decodes.
 var inflaters sync.Pool
 
 func inflate(comp []byte) ([]byte, error) {
@@ -262,6 +266,8 @@ func assemble(base *mesh.Mesh, decodeRounds []round, quant quantizer, opts Optio
 
 	c := &Compressed{
 		blob:         blob,
+		id:           blobIDs.Add(1),
+		crc:          crc32.ChecksumIEEE(blob),
 		policy:       opts.Policy,
 		quantBits:    opts.QuantBits,
 		roundsPerLOD: opts.RoundsPerLOD,
@@ -284,6 +290,17 @@ func assemble(base *mesh.Mesh, decodeRounds []round, quant quantizer, opts Optio
 // Bytes returns the serialized blob. The caller must not modify it.
 func (c *Compressed) Bytes() []byte { return c.blob }
 
+// blobIDs hands out Compressed IDs.
+var blobIDs atomic.Int64
+
+// ID returns the process-unique identity Compress or FromBytes gave this
+// value (two values parsed from the same bytes differ): the decode cache's
+// object key.
+func (c *Compressed) ID() int64 { return c.id }
+
+// CRC returns the CRC-32 (IEEE) of the blob.
+func (c *Compressed) CRC() uint32 { return c.crc }
+
 // TotalSize returns the blob size in bytes.
 func (c *Compressed) TotalSize() int { return len(c.blob) }
 
@@ -301,7 +318,7 @@ func FromBytes(blob []byte) (*Compressed, error) {
 	if v := r.byte(); v != formatVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptBlob, v)
 	}
-	c := &Compressed{blob: blob}
+	c := &Compressed{blob: blob, id: blobIDs.Add(1), crc: crc32.ChecksumIEEE(blob)}
 	c.policy = Policy(r.byte())
 	c.quantBits = int(r.byte())
 	c.roundsPerLOD = int(r.byte())

@@ -10,13 +10,16 @@ package shard_test
 // worker.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"log"
 	"log/slog"
 	"net"
 	"net/http"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -44,8 +47,53 @@ type httpCluster struct {
 	nodes []*shard.Node
 	addrs []string // listen addresses, stable across restarts
 	srvs  []*http.Server
+	taps  []*loanTap
 	tr    *shard.HTTPTransport
 	coord *shard.Coordinator
+}
+
+// loanTap reads the query requests crossing one worker's listener, like the
+// benchmark's wireCounter wraps its handler, and counts the loan refs and
+// the loan blobs (by object ID) they carry.
+type loanTap struct {
+	mu      sync.Mutex
+	refs    int
+	shipped map[int64]int
+}
+
+func (tp *loanTap) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/shard/query" {
+			body, err := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			var req struct {
+				Loans []struct {
+					ID   int64  `json:"id"`
+					Blob []byte `json:"blob"`
+				} `json:"loans"`
+			}
+			if err == nil && json.Unmarshal(body, &req) == nil {
+				tp.mu.Lock()
+				for _, l := range req.Loans {
+					tp.refs++
+					if len(l.Blob) > 0 {
+						tp.shipped[l.ID]++
+					}
+				}
+				tp.mu.Unlock()
+			}
+		}
+		h.ServeHTTP(rw, r)
+	})
+}
+
+// take returns the refs and blobs counted since the last take.
+func (tp *loanTap) take() (refs int, shipped map[int64]int) {
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	refs, shipped = tp.refs, tp.shipped
+	tp.refs, tp.shipped = 0, make(map[int64]int)
+	return refs, shipped
 }
 
 // startHTTPCluster builds the fleet, installs the datasets through the
@@ -60,10 +108,12 @@ func startHTTPCluster(t *testing.T, opts shard.Options, datasets ...*core.Datase
 		nodes: make([]*shard.Node, opts.Shards),
 		addrs: make([]string, opts.Shards),
 		srvs:  make([]*http.Server, opts.Shards),
+		taps:  make([]*loanTap, opts.Shards),
 	}
 	urls := make([]string, opts.Shards)
 	for i := range cl.nodes {
 		cl.nodes[i] = shard.NewNode(i, testEngineOptions())
+		cl.taps[i] = &loanTap{shipped: make(map[int64]int)}
 	}
 	t.Cleanup(func() {
 		for _, n := range cl.nodes {
@@ -98,7 +148,7 @@ func startHTTPCluster(t *testing.T, opts shard.Options, datasets ...*core.Datase
 
 func (cl *httpCluster) serveOn(i int, ln net.Listener) {
 	w := server.NewWorker(cl.nodes[i], quietServerConfig())
-	srv := &http.Server{Handler: w.Handler(), ErrorLog: log.New(io.Discard, "", 0)}
+	srv := &http.Server{Handler: cl.taps[i].wrap(w.Handler()), ErrorLog: log.New(io.Discard, "", 0)}
 	cl.srvs[i] = srv
 	go func() { _ = srv.Serve(ln) }()
 }

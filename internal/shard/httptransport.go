@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -26,8 +27,9 @@ import (
 //	GET  /readyz        — liveness/readiness (also the prober's probe)
 //
 // Everything rides JSON: the protocol types are small, the payload bulk is
-// the compressed blobs, and Go's encoding base64s []byte fields — fine for
-// the loopback/LAN deployments this tier targets.
+// the compressed blobs (of installs, and of loans a worker lacks), and Go's
+// encoding base64s []byte fields — fine for the loopback/LAN deployments
+// this tier targets.
 const (
 	queryPath   = "/shard/query"
 	datasetPath = "/shard/dataset"
@@ -42,12 +44,14 @@ const (
 	ridHeader = "X-Request-Id"
 )
 
-// wireLoan is one loaned source object: identity plus the immutable
-// compressed blob.
+// wireLoan is one source object. A query's loan is a reference, the ID and
+// the blob's CRC-32, until the worker answers it missing; an install always
+// carries the blob.
 type wireLoan struct {
 	ID     int64  `json:"id"`
-	Cuboid int    `json:"cuboid"`
-	Blob   []byte `json:"blob"`
+	CRC    uint32 `json:"crc,omitempty"`
+	Cuboid int    `json:"cuboid,omitempty"`
+	Blob   []byte `json:"blob,omitempty"`
 }
 
 // wireRequest is the query envelope. Loans travel alongside the Request
@@ -58,12 +62,14 @@ type wireRequest struct {
 }
 
 // wireResponse is the answer envelope. Error carries an application error
-// (engine failure) verbatim; transport-class failures never produce a
+// (engine failure) verbatim; Missing asks for the blobs of the loan refs
+// the worker could not resolve. Transport-class failures never produce a
 // wireResponse — they surface as connection errors, non-200 statuses, or
 // integrity mismatches.
 type wireResponse struct {
-	Resp  *Response `json:"resp,omitempty"`
-	Error string    `json:"error,omitempty"`
+	Resp    *Response `json:"resp,omitempty"`
+	Error   string    `json:"error,omitempty"`
+	Missing []int64   `json:"missing,omitempty"`
 }
 
 // wireInstall ships one home group of a dataset to a worker.
@@ -133,26 +139,43 @@ func (t *HTTPTransport) Close() { t.client.CloseIdleConnections() }
 // Shards returns the number of workers the transport addresses.
 func (t *HTTPTransport) Shards() int { return len(t.addrs) }
 
-// Send implements Transport.
+// Send implements Transport. Loans go out as references; a worker missing
+// some of their blobs gets one resend, within the attempt, carrying those.
 func (t *HTTPTransport) Send(ctx context.Context, shard int, req *Request) (*Response, error) {
 	if shard < 0 || shard >= len(t.addrs) {
 		return nil, fmt.Errorf("%w: no shard %d", ErrTransport, shard)
 	}
 	wreq := wireRequest{Req: req, Loans: make([]wireLoan, len(req.Loans))}
 	for i, o := range req.Loans {
-		wreq.Loans[i] = wireLoan{ID: o.ID, Cuboid: o.Cuboid, Blob: o.Comp.Bytes()}
-	}
-	body, err := json.Marshal(wreq)
-	if err != nil {
-		return nil, fmt.Errorf("shard: encoding request for shard %d: %w", shard, err)
-	}
-	raw, err := t.roundTrip(ctx, shard, http.MethodPost, queryPath, body)
-	if err != nil {
-		return nil, err
+		wreq.Loans[i] = wireLoan{ID: o.ID, CRC: o.Comp.CRC()}
 	}
 	var wresp wireResponse
-	if err := json.Unmarshal(raw, &wresp); err != nil {
-		return nil, fmt.Errorf("%w: shard %d: undecodable response: %v", ErrTransport, shard, err)
+	for resent := false; ; resent = true {
+		body, err := json.Marshal(wreq)
+		if err != nil {
+			return nil, fmt.Errorf("shard: encoding request for shard %d: %w", shard, err)
+		}
+		raw, err := t.roundTrip(ctx, shard, http.MethodPost, queryPath, body)
+		if err != nil {
+			return nil, err
+		}
+		wresp = wireResponse{}
+		if err := json.Unmarshal(raw, &wresp); err != nil {
+			return nil, fmt.Errorf("%w: shard %d: undecodable response: %v", ErrTransport, shard, err)
+		}
+		if len(wresp.Missing) == 0 {
+			break
+		}
+		if resent {
+			return nil, fmt.Errorf("%w: shard %d: loaned blobs %v still missing", ErrTransport, shard, wresp.Missing)
+		}
+		j := 0 // Missing is in ref order
+		for i, o := range req.Loans {
+			if j < len(wresp.Missing) && wresp.Missing[j] == o.ID {
+				wreq.Loans[i].Cuboid, wreq.Loans[i].Blob = o.Cuboid, o.Comp.Bytes()
+				j++
+			}
+		}
 	}
 	if wresp.Error != "" {
 		// The worker ran the request and the engine failed: an application
@@ -282,14 +305,26 @@ func WorkerMux(node *Node) *http.ServeMux {
 			return
 		}
 		req := wreq.Req
-		req.Loans = make([]*storage.Object, 0, len(wreq.Loans))
+		// A blob whose CRC is not its ref's was damaged on the way.
+		var shipped []*storage.Object
 		for _, l := range wreq.Loans {
+			if len(l.Blob) == 0 {
+				continue
+			}
 			comp, err := ppvp.FromBytes(l.Blob)
+			if err == nil && comp.CRC() != l.CRC {
+				err = errors.New("CRC mismatch")
+			}
 			if err != nil {
 				http.Error(w, fmt.Sprintf("bad loan blob %d: %v", l.ID, err), http.StatusBadRequest)
 				return
 			}
-			req.Loans = append(req.Loans, &storage.Object{ID: l.ID, Cuboid: l.Cuboid, Comp: comp})
+			shipped = append(shipped, &storage.Object{ID: l.ID, Cuboid: l.Cuboid, Comp: comp})
+		}
+		var missing []int64
+		if req.Loans, missing = node.resolveLoans(req.Source, wreq.Loans, shipped); len(missing) > 0 {
+			writeWire(w, &wireResponse{Missing: missing})
+			return
 		}
 		var wresp wireResponse
 		resp, err := node.Handle(r.Context(), req)

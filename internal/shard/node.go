@@ -13,23 +13,26 @@ import (
 
 // Node is one shard: an engine plus the home-group subsets of every
 // dataset it replicates. A node only ever sees the objects of the groups
-// placed on it and the per-query loans the coordinator ships; it has no
-// knowledge of the other shards. Under replication a node holds several
-// groups of the same dataset (its primary group plus the replica groups
-// that wrap onto it), kept separate so a request serves exactly one
-// group's targets.
+// placed on it and the per-query loans the coordinator names, which
+// resolve to blobs it holds; it has no knowledge of the other shards.
+// Under replication a node holds several groups of the same dataset (its
+// primary group plus the replica groups that wrap onto it), kept separate
+// so a request serves exactly one group's targets.
 type Node struct {
 	id  int
 	eng *core.Engine
 
 	mu       sync.RWMutex
 	datasets map[string]map[int]*core.Dataset // name → group → home subset
+	// lent holds blobs shipped with earlier queries: name → ID → object.
+	// Installing the name drops them, so they stay within its blobs' size.
+	lent map[string]map[int64]*storage.Object
 }
 
 // NewNode creates a shard node with its own engine (decode cache, GPU
 // device, and object quarantine are all per-shard).
 func NewNode(id int, opts core.EngineOptions) *Node {
-	return &Node{id: id, eng: core.NewEngine(opts), datasets: make(map[string]map[int]*core.Dataset)}
+	return &Node{id: id, eng: core.NewEngine(opts), datasets: make(map[string]map[int]*core.Dataset), lent: make(map[string]map[int64]*storage.Object)}
 }
 
 // ID returns the shard index.
@@ -41,23 +44,29 @@ func (n *Node) Engine() *core.Engine { return n.eng }
 // Close releases the node's engine resources.
 func (n *Node) Close() { n.eng.Close() }
 
-// AddDataset installs one home group's subset of a dataset. A nil or empty
-// tileset means no object of that group lives here; queries naming it
-// return empty results. Re-adding a (name, group) replaces the subset.
+// AddDataset installs one home group's subset of a dataset; a nil or empty
+// tileset removes the group, so queries naming it return empty results.
+// Re-adding a (name, group) replaces the subset and drops the blobs lent
+// under name, which may be the previous version's.
 func (n *Node) AddDataset(name string, group int, ts *storage.Tileset) error {
-	if ts == nil || !hasObjects(ts) {
-		return nil
-	}
-	d, err := n.eng.AssembleDataset(name, ts)
-	if err != nil {
-		return fmt.Errorf("shard %d: %w", n.id, err)
+	var d *core.Dataset
+	if ts != nil && hasObjects(ts) {
+		var err error
+		if d, err = n.eng.AssembleDataset(name, ts); err != nil {
+			return fmt.Errorf("shard %d: %w", n.id, err)
+		}
 	}
 	n.mu.Lock()
+	defer n.mu.Unlock()
+	delete(n.lent, name)
+	if d == nil {
+		delete(n.datasets[name], group)
+		return nil
+	}
 	if n.datasets[name] == nil {
 		n.datasets[name] = make(map[int]*core.Dataset)
 	}
 	n.datasets[name][group] = d
-	n.mu.Unlock()
 	return nil
 }
 
@@ -167,25 +176,46 @@ func (n *Node) handleJoin(ctx context.Context, target *core.Dataset, req *Reques
 	return resp, nil
 }
 
-// assembleLoans builds a per-query dataset from the loaned source objects.
-// Object IDs are global (the coordinator's), so pairs produced against
-// loans line up with pairs produced anywhere else.
+// assembleLoans indexes the loan objects, which the node already holds, in
+// a per-query dataset; nothing is parsed or decoded, and the join's decodes
+// hit the cache entries of the blobs themselves. Object IDs are global (the
+// coordinator's), so pairs produced against loans line up with pairs
+// produced anywhere else.
 func (n *Node) assembleLoans(source string, loans []*storage.Object) (*core.Dataset, error) {
-	var maxID int64 = -1
-	for _, o := range loans {
-		if o.ID > maxID {
-			maxID = o.ID
+	return n.eng.AssembleDataset(source+"@loan", tilesetFor(storage.Grid{}, loans))
+}
+
+// resolveLoans lends the node the blobs shipped with a request over source,
+// then maps the request's loan refs to objects it holds — an installed
+// group's, else a lent one, only ever with the ref's CRC — and returns the
+// IDs it cannot resolve, in ref order.
+func (n *Node) resolveLoans(source string, refs []wireLoan, shipped []*storage.Object) (objs []*storage.Object, missing []int64) {
+	if len(shipped) > 0 {
+		n.mu.Lock()
+		if n.lent[source] == nil {
+			n.lent[source] = make(map[int64]*storage.Object)
+		}
+		for _, o := range shipped {
+			n.lent[source][o.ID] = o
+		}
+		n.mu.Unlock()
+	}
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	for _, r := range refs {
+		o := n.lent[source][r.ID]
+		for _, d := range n.datasets[source] {
+			if h := d.Tileset.Object(r.ID); h != nil && h.Comp.CRC() == r.CRC {
+				o = h
+			}
+		}
+		if o != nil && o.Comp.CRC() == r.CRC {
+			objs = append(objs, o)
+		} else {
+			missing = append(missing, r.ID)
 		}
 	}
-	ts := &storage.Tileset{
-		Objects: make([]*storage.Object, maxID+1),
-		Tiles:   make(map[int][]*storage.Object),
-	}
-	for _, o := range loans {
-		ts.Objects[o.ID] = o
-		ts.Tiles[o.Cuboid] = append(ts.Tiles[o.Cuboid], o)
-	}
-	return n.eng.AssembleDataset(source+"@loan", ts)
+	return objs, missing
 }
 
 // mergeTopK merges per-source KNN result lists into the top k per target.

@@ -74,8 +74,9 @@ type Request struct {
 	// Loans are the non-home source objects the coordinator determined this
 	// shard may need: every source whose MBB summary pairs with one of the
 	// shard's home targets under the query predicate. The in-process
-	// transport passes them by reference; a wire transport would ship the
-	// compressed blobs (they are immutable after ingest).
+	// transport passes the coordinator's objects, which are the ones it
+	// installed on the other shards; the HTTP transport names each by
+	// (ID, blob CRC) and the worker resolves the names to objects it holds.
 	Loans []*storage.Object `json:"-"`
 }
 

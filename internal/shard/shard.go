@@ -198,9 +198,10 @@ func (c *Coordinator) Nodes() []*Node { return c.nodes }
 func (c *Coordinator) Breaker() *quarantine.Breaker[int] { return c.breaker }
 
 // DatasetInstaller is the transport capability AddDataset requires: it
-// ships one home group's objects to one shard. The in-process transport
-// installs by function call; the HTTP transport PUTs the compressed blobs
-// to the worker.
+// ships one home group's objects to one shard, replacing the group there
+// (an empty objs removes it). The in-process transport installs by
+// function call; the HTTP transport PUTs the compressed blobs to the
+// worker.
 type DatasetInstaller interface {
 	InstallDataset(ctx context.Context, shard int, name string, group int, grid storage.Grid, objs []*storage.Object) error
 }
@@ -208,9 +209,10 @@ type DatasetInstaller interface {
 // AddDataset places a fully built dataset across the shards: each object's
 // home group is its cuboid index mod Shards, so spatial neighbors land
 // together and per-group tilesets keep their cache locality; group g is
-// installed on shards (g+k) mod Shards for k < Replicas. The coordinator
-// retains the full dataset for loan computation; re-adding a name
-// replaces it.
+// installed on shards (g+k) mod Shards for k < Replicas. A group with no
+// objects is installed empty, which deletes whatever an earlier version of
+// the name left there. The coordinator retains the full dataset for loan
+// computation; re-adding a name replaces it.
 func (c *Coordinator) AddDataset(d *core.Dataset) error {
 	inst, ok := c.tr.(DatasetInstaller)
 	if !ok {
@@ -236,9 +238,6 @@ func (c *Coordinator) AddDataset(d *core.Dataset) error {
 	}
 	ctx := context.Background()
 	for g := 0; g < n; g++ {
-		if len(parts[g]) == 0 {
-			continue
-		}
 		for k := 0; k < c.opts.Replicas; k++ {
 			s := (g + k) % n
 			if err := inst.InstallDataset(ctx, s, d.Name, g, full.Grid, parts[g]); err != nil {

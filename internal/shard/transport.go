@@ -19,9 +19,10 @@ import (
 var ErrTransport = errors.New("shard: transport error")
 
 // Transport delivers a request to one shard and returns its response. The
-// in-process implementation calls the node directly; an HTTP or TCP
-// implementation is a drop-in replacement (the protocol types are
-// JSON-serializable, loans travel as compressed blobs).
+// in-process implementation calls the node directly, loans included by
+// pointer; the HTTP implementation serializes the protocol types as JSON
+// and sends loans as references the worker resolves to blobs it holds,
+// shipping a blob only when the worker reports it missing.
 //
 // Send must honor ctx: the coordinator derives per-attempt deadlines from
 // the request context and cancels the loser of a hedged pair.
