@@ -73,6 +73,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeTile -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -fuzz=FuzzCollectSuppressions -fuzztime=$(FUZZTIME) ./internal/analysis
 	$(GO) test -fuzz=FuzzTriTriDist2Bounded -fuzztime=$(FUZZTIME) ./internal/geom
+	$(GO) test -fuzz=FuzzMinDist2BatchRange -fuzztime=$(FUZZTIME) ./internal/geom
 
 # Seeded chaos campaign under the race detector: $(CHAOSTIME) of fresh-seed
 # iterations of TestChaosCampaignExtended (corrupt tiles + probabilistic

@@ -293,26 +293,40 @@ func (c *evalCtx) intersectsPartitioned(a, b obj) bool {
 //
 // upper is squared once, by bound2, and every accelerator is seeded with
 // that same squared bound: it gates the tree descent or the group pairs,
-// then the blocks and pairs of geom.MinDist2Rect, then the stages of the
-// one bounded tri-tri primitive underneath them all. A distance that is
-// found is therefore the value geom.TriTriDist2 gives for the nearest face
-// pair, bit-identical across accelerators.
-func (c *evalCtx) minDist(a, b obj, upper float64) float64 {
+// then the block pairs, blocks and pairs of geom.MinDist2BatchRange, then
+// the stages of the one bounded tri-tri primitive underneath them all. A
+// distance that is found is therefore the value geom.TriTriDist2 gives for
+// the nearest face pair, bit-identical across accelerators — unless it is
+// ≤ stop2, where every accelerator may stop early on a face pair that is
+// not the nearest (see withinStop2). A distance that is reported passes 0.
+func (c *evalCtx) minDist(a, b obj, upper, stop2 float64) float64 {
 	defer c.col.geomDone(a.lod, time.Now())
 
 	up2 := bound2(upper)
 	var d2 float64
 	switch c.opts.Accel {
 	case AABB:
-		d2 = c.tree(a).MinDist2Bounded(c.tree(b), up2)
+		d2 = c.tree(a).MinDist2Bounded(c.tree(b), up2, stop2)
 	case GPU:
-		d2 = c.e.dev.MinDist2Bounded(a.mesh.SoA(), b.mesh.SoA(), up2)
+		d2 = c.e.dev.MinDist2Bounded(a.mesh.SoA(), b.mesh.SoA(), up2, stop2)
 	case Partition, PartitionGPU:
-		d2 = c.minDist2Partitioned(a, b, up2)
+		d2 = c.minDist2Partitioned(a, b, up2, stop2)
 	default:
-		d2 = geom.MinDist2Batch(a.mesh.SoA(), b.mesh.SoA(), up2)
+		sa, sb := a.mesh.SoA(), b.mesh.SoA()
+		d2 = geom.MinDist2BatchRange(sa, sb, 0, sa.Len()*sb.Len(), up2, stop2)
 	}
 	return plainDist(d2, up2)
+}
+
+// withinStop2 is the stop bound of a within evaluation against dist, fl(dist²):
+// a face pair with d² ≤ fl(dist²) has sqrt(d²) ≤ fl(sqrt(fl(dist²))) == dist,
+// so gatherOne accepts it as it would the exact minimum. The identity needs
+// fl(dist²) to be a normal float; otherwise the evaluation stays exact.
+func withinStop2(dist float64) float64 {
+	if s := dist * dist; dist > 0 && s >= 0x1p-1022 && s <= math.MaxFloat64 {
+		return s
+	}
+	return 0
 }
 
 // bound2 squares a distance bound into the seed of a bounded kernel, which
@@ -342,8 +356,9 @@ var groupPairPool = sync.Pool{New: func() any { return new([]groupPair) }}
 // minDist2Partitioned runs branch-and-bound over sub-object group pairs
 // ordered by box distance, evaluating pairs until no remaining pair's box
 // can beat the squared bound best2 or the best squared distance found,
-// which it returns (best2 when no face pair beat it).
-func (c *evalCtx) minDist2Partitioned(a, b obj, best2 float64) float64 {
+// which it returns (best2 when no face pair beat it), or until that is
+// ≤ stop2.
+func (c *evalCtx) minDist2Partitioned(a, b obj, best2, stop2 float64) float64 {
 	ga, gb := c.groupsOf(a), c.groupsOf(b)
 	buf := groupPairPool.Get().(*[]groupPair)
 	defer func() {
@@ -359,15 +374,16 @@ func (c *evalCtx) minDist2Partitioned(a, b obj, best2 float64) float64 {
 	slices.SortFunc(pairs, func(x, y groupPair) int { return cmp.Compare(x.d2, y.d2) })
 
 	for _, p := range pairs {
-		if p.d2 >= best2 {
+		if p.d2 >= best2 || best2 <= stop2 {
 			break
 		}
 		// Both evaluators are seeded with the best bound so far and hand it
 		// back unchanged when no face pair of this group pair beats it.
+		ta, tb := &ga[p.i].Tris, &gb[p.j].Tris
 		if c.opts.Accel == PartitionGPU {
-			best2 = c.e.dev.MinDist2Bounded(&ga[p.i].Tris, &gb[p.j].Tris, best2)
+			best2 = c.e.dev.MinDist2Bounded(ta, tb, best2, stop2)
 		} else {
-			best2 = geom.MinDist2Batch(&ga[p.i].Tris, &gb[p.j].Tris, best2)
+			best2 = geom.MinDist2BatchRange(ta, tb, 0, ta.Len()*tb.Len(), best2, stop2)
 		}
 	}
 	return best2

@@ -158,7 +158,9 @@ type EngineOptions struct {
 	CacheBytes int64
 	// Workers bounds query parallelism (default GOMAXPROCS).
 	Workers int
-	// GPUWorkers and GPUBatch configure the simulated GPU device.
+	// GPUWorkers and GPUBatch configure the simulated GPU device: workers,
+	// and the least face pairs one kernel launch covers, rounded up to whole
+	// 16-row blocks of one object × all faces of the other (gpusim.New).
 	GPUWorkers int
 	GPUBatch   int
 
@@ -232,9 +234,6 @@ func (e *Engine) Close() { e.dev.Close() }
 
 // Cache exposes the decode cache (for statistics and experiments).
 func (e *Engine) Cache() *cache.Cache { return e.cache }
-
-// Device exposes the simulated GPU (for statistics).
-func (e *Engine) Device() *gpusim.Device { return e.dev }
 
 // Quarantine exposes the per-object circuit-breaker registry (for
 // statistics, readiness probes, and operator inspection).

@@ -176,7 +176,7 @@ func (e *Engine) KNNJoin(ctx context.Context, target, source *Dataset, q QueryOp
 				// the running k-th MAXDIST: a distance at or beyond the latter
 				// can neither lower it nor enter the top k, so the kernels
 				// need not measure it (d is then +Inf).
-				d := ec.minDist(to, so, math.Min(c.maxDist, minmax)*(1+1e-12))
+				d := ec.minDist(to, so, math.Min(c.maxDist, minmax)*(1+1e-12), 0)
 				if d < c.maxDist {
 					c.maxDist = d
 				}
@@ -250,7 +250,7 @@ func (e *Engine) KNNJoin(ctx context.Context, target, source *Dataset, q QueryOp
 						continue
 					}
 					col.evalPair(top)
-					d := ec.minDist(to, so, c.maxDist*(1+1e-12))
+					d := ec.minDist(to, so, c.maxDist*(1+1e-12), 0)
 					c.minDist = math.Min(d, c.maxDist)
 					c.maxDist = c.minDist
 					c.exact = true

@@ -132,6 +132,7 @@ type joinRun struct {
 	kind           QueryKind // IntersectKind or WithinKind
 	target, source *Dataset
 	dist           float64 // WithinKind only
+	stop2          float64 // withinStop2(dist); WithinKind only
 	lods           []int
 	ftree          *rtree.Tree
 	sink           *resultSink
@@ -142,7 +143,7 @@ func (e *Engine) join(ctx context.Context, kind QueryKind, target, source *Datas
 	start := time.Now()
 	x := &joinRun{
 		evalCtx: newEvalCtx(e, q, newCollector(source.maxLOD, q, start)),
-		kind:    kind, target: target, source: source, dist: dist,
+		kind:    kind, target: target, source: source, dist: dist, stop2: withinStop2(dist),
 		lods:  e.schedule(&q, minInt(target.maxLOD, source.maxLOD), kind),
 		ftree: source.filterTree(q.Accel),
 	}
@@ -551,15 +552,15 @@ func (x *joinRun) makeTask(w *pairWork) gpusim.PairTask {
 	}
 	t := gpusim.PairTask{Kind: gpusim.PairIntersect, A: w.to.mesh.SoA(), B: w.so.mesh.SoA(), Tag: w}
 	if x.kind == WithinKind {
-		t.Kind, t.Upper2 = gpusim.PairMinDist, bound2(x.upper(w.li))
+		t.Kind, t.Upper2, t.Stop2 = gpusim.PairMinDist, bound2(x.upper(w.li)), x.stop2
 	}
 	return t
 }
 
 // evaluate is one decoded pair's predicate at its current LOD, computed on
 // the calling goroutine by the configured accelerator: Hit for intersect,
-// the plain distance (see minDist) in D2 for within. An evaluator panic
-// becomes the verdict's error.
+// the plain distance (see minDist; exact unless within dist) in D2 for
+// within. An evaluator panic becomes the verdict's error.
 func (x *joinRun) evaluate(w *pairWork) (v gpusim.PairVerdict) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -569,7 +570,7 @@ func (x *joinRun) evaluate(w *pairWork) (v gpusim.PairVerdict) {
 	if x.kind == IntersectKind {
 		return gpusim.PairVerdict{Hit: x.intersects(w.to, w.so)}
 	}
-	return gpusim.PairVerdict{D2: x.minDist(w.to, w.so, x.upper(w.li))}
+	return gpusim.PairVerdict{D2: x.minDist(w.to, w.so, x.upper(w.li), x.stop2)}
 }
 
 // plainDist converts an SoA distance verdict — the squared distance, or the
@@ -602,7 +603,7 @@ func (x *joinRun) gatherOne(w *pairWork, v gpusim.PairVerdict, slot int) (requeu
 	var hit bool
 	if x.kind == WithinKind {
 		// A low-LOD distance within range is final (PPVP property 2); one
-		// above it is inconclusive below the top LOD.
+		// above it is inconclusive below the top LOD, and exact (no stop).
 		hit = v.D2 <= x.dist
 	} else if hit = v.Hit; !hit {
 		// No face hit: for MBB-nested pairs a vertex of one low-LOD mesh

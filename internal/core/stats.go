@@ -87,8 +87,7 @@ type Stats struct {
 	// BatchesDispatched counts the face-pair batches this query's pipelined
 	// executor submitted to the batch evaluator, and BatchPairs the total
 	// face pairs those batches spanned (BatchPairs/BatchesDispatched is the
-	// mean batch width; the device keeps the full pairs-per-batch histogram
-	// for /metrics). Zero under the per-pair executor.
+	// mean batch width). Zero under the per-pair executor.
 	BatchesDispatched int64
 	BatchPairs        int64
 

@@ -36,7 +36,7 @@ func (e *Engine) ExactDistance(a *Dataset, aid int64, b *Dataset, bid int64, q Q
 	if err != nil {
 		return 0, err
 	}
-	return ec.minDist(ao, bo, math.Inf(1)), nil
+	return ec.minDist(ao, bo, math.Inf(1), 0), nil
 }
 
 func maxInt(a, b int) int {

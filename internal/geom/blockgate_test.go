@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -121,7 +122,7 @@ func TestBlockGateMatchesPairwise(t *testing.T) {
 							}
 							for _, seed := range []float64{math.Inf(1), want * 1.0001, want, want / 2, 0} {
 								expect := math.Min(seed, want) // the seed comes back when nothing beats it
-								if got := geom.MinDist2Rect(x, x0, x1, y, y0, y1, seed); got != expect {
+								if got := geom.MinDist2Rect(x, x0, x1, y, y0, y1, seed, 0); got != expect {
 									t.Fatalf("%s seed %v: MinDist2Rect = %v, pairwise %v", where, seed, got, expect)
 								}
 							}
@@ -135,33 +136,134 @@ func TestBlockGateMatchesPairwise(t *testing.T) {
 	}
 }
 
-// TestBatchKernelsMatchPairwiseOnEveryLayout runs the whole-product kernels
-// — what brute force, the device and the partition groups call — over
-// layout × layout, and the range kernel split at every kind of boundary.
+// pairTable is every pair of the row-major a×b cross product through the
+// unbounded primitives, nothing skipped: the reference the range kernels
+// must equal over any range of it.
+type pairTable struct {
+	hit []bool
+	d2  []float64
+}
+
+func newPairTable(a, b *geom.TriSoA) pairTable {
+	var p pairTable
+	for i := 0; i < a.Len(); i++ {
+		for j := 0; j < b.Len(); j++ {
+			h, d := pairwise(a, i, i+1, b, j, j+1, math.Inf(1))
+			p.hit, p.d2 = append(p.hit, h), append(p.d2, d)
+		}
+	}
+	return p
+}
+
+// fold is the pairwise answer over pair indices [start, end), seeded.
+func (p pairTable) fold(start, end int, best float64) (hit bool, d2 float64) {
+	for idx := start; idx < end; idx++ {
+		hit, best = hit || p.hit[idx], math.Min(best, p.d2[idx])
+	}
+	return hit, best
+}
+
+// rangeCuts returns pair indices of an an×bn cross product at which the
+// range kernels' tests start and end ranges: the first pair, mid-row in the
+// first block of rows, on row and block boundaries, mid-row inside and just
+// past a later block, and the last pairs.
+func rangeCuts(an, bn int) []int {
+	total := an * bn
+	at := func(i, j int) int { return min(max(i*bn+j, 0), total) }
+	cuts := []int{0, at(0, 1), at(1, 5), at(3, 0), at(5, bn-1), at(16, 0), at(16, 7), at(17, 3), at(an-1, bn/3), total}
+	slices.Sort(cuts)
+	return slices.Compact(cuts)
+}
+
+// TestBatchKernelsMatchPairwiseOnEveryLayout runs the whole-product and
+// range kernels — what brute force, the device and the partition groups
+// call — over layout × layout and over A and B lengths on both sides of the
+// block size: ranges that start and end mid-row and mid-block, full rows
+// that are whole and partial blocks, and a distance fold split at every
+// kind of boundary, the first part's result seeding the second.
 func TestBatchKernelsMatchPairwiseOnEveryLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	as := layouts(rng, 37, geom.Vec3{})
-	bs := layouts(rng, 50, geom.V(3, 2, 1.5))
-	for an, a := range as {
-		for bn, b := range bs {
-			wantHit, want := pairwise(a, 0, a.Len(), b, 0, b.Len(), math.Inf(1))
-			if got := geom.IntersectsBatch(a, b); got != wantHit {
-				t.Errorf("%s × %s: IntersectsBatch = %v, pairwise %v", an, bn, got, wantHit)
-			}
-			if got := geom.MinDist2Batch(a, b, math.Inf(1)); got != want {
-				t.Errorf("%s × %s: MinDist2Batch = %v, pairwise %v", an, bn, got, want)
-			}
-			total := a.Len() * b.Len()
-			for _, cut := range []int{0, 1, 15, 16, 17, 50, 51, 66, 67, total - 1, total} {
-				d := geom.MinDist2BatchRange(a, b, 0, cut, math.Inf(1))
-				if got := geom.MinDist2BatchRange(a, b, cut, total, d); got != want {
-					t.Errorf("%s × %s cut %d: split MinDist2BatchRange = %v, pairwise %v", an, bn, cut, got, want)
-				}
-				hit := geom.IntersectsBatchRange(a, b, 0, cut) || geom.IntersectsBatchRange(a, b, cut, total)
-				if hit != wantHit {
-					t.Errorf("%s × %s cut %d: split IntersectsBatchRange = %v, pairwise %v", an, bn, cut, hit, wantHit)
+	for _, an := range []int{1, 15, 16, 17, 33} {
+		for _, bn := range []int{0, 1, 16, 17, 320} {
+			as := layouts(rng, an, geom.Vec3{})
+			bs := layouts(rng, bn, geom.V(3, 2, 1.5))
+			for aName, a := range as {
+				for bName, b := range bs {
+					where := fmt.Sprintf("%s[%d] × %s[%d]", aName, an, bName, bn)
+					ref := newPairTable(a, b)
+					total := an * bn
+					wantHit, want := ref.fold(0, total, math.Inf(1))
+					if got := geom.IntersectsBatch(a, b); got != wantHit {
+						t.Errorf("%s: IntersectsBatch = %v, pairwise %v", where, got, wantHit)
+					}
+					if got := geom.MinDist2Batch(a, b, math.Inf(1)); got != want {
+						t.Errorf("%s: MinDist2Batch = %v, pairwise %v", where, got, want)
+					}
+					cuts := rangeCuts(an, bn)
+					for _, cut := range cuts {
+						d := geom.MinDist2BatchRange(a, b, 0, cut, math.Inf(1), 0)
+						if got := geom.MinDist2BatchRange(a, b, cut, total, d, 0); got != want {
+							t.Errorf("%s cut %d: split MinDist2BatchRange = %v, pairwise %v", where, cut, got, want)
+						}
+					}
+					for i, start := range cuts {
+						for _, end := range cuts[i:] {
+							rHit, r := ref.fold(start, end, math.Inf(1))
+							if got := geom.IntersectsBatchRange(a, b, start, end); got != rHit {
+								t.Errorf("%s [%d,%d): IntersectsBatchRange = %v, pairwise %v", where, start, end, got, rHit)
+							}
+							// Exact; seeded a float above the answer; stopping
+							// at the answer itself, which must then be what
+							// comes back, since nothing lies below it.
+							for _, c := range [][2]float64{{math.Inf(1), 0}, {math.Nextafter(r, math.Inf(1)), 0}, {math.Inf(1), r}} {
+								if got := geom.MinDist2BatchRange(a, b, start, end, c[0], c[1]); got != r {
+									t.Errorf("%s [%d,%d) seed %v stop %v: MinDist2BatchRange = %v, pairwise %v", where, start, end, c[0], c[1], got, r)
+								}
+							}
+						}
+					}
 				}
 			}
 		}
 	}
+}
+
+// FuzzMinDist2BatchRange holds the range kernels to the pairwise fold over
+// any range of any two small sets in any layout, under any seed and stop
+// bound: the exact minimum (or the seed) when it is above stop2, and else a
+// value between the minimum and stop2.
+func FuzzMinDist2BatchRange(f *testing.F) {
+	inf := math.Inf(1)
+	f.Add(uint8(17), uint8(20), uint16(5), uint16(300), inf, 0.0, uint8(0), int64(1))
+	f.Add(uint8(33), uint8(17), uint16(20), uint16(561), inf, 1.0, uint8(5), int64(2))
+	f.Add(uint8(16), uint8(16), uint16(0), uint16(256), 4.0, 0.25, uint8(10), int64(3))
+	f.Add(uint8(15), uint8(1), uint16(3), uint16(14), inf, 0.0, uint8(15), int64(4))
+	f.Add(uint8(1), uint8(39), uint16(7), uint16(30), 0.5, 0.5, uint8(3), int64(5))
+	f.Add(uint8(0), uint8(9), uint16(0), uint16(0), inf, 0.0, uint8(12), int64(6))
+	names := []string{"packed", "gathered", "sliced", "tree-ordered"}
+	f.Fuzz(func(t *testing.T, an, bn uint8, start, end uint16, seed, stop2 float64, layout uint8, src int64) {
+		na, nb := int(an%40), int(bn%40)
+		rng := rand.New(rand.NewSource(src))
+		a := layouts(rng, na, geom.Vec3{})[names[layout%4]]
+		b := layouts(rng, nb, geom.V(3, 2, 1.5))[names[layout/4%4]]
+		total := na * nb
+		s, e := int(start)%(total+1), int(end)%(total+1)
+		if s > e {
+			s, e = e, s
+		}
+		if !(seed >= 0) {
+			seed = inf
+		}
+		if !(stop2 >= 0) {
+			stop2 = 0
+		}
+		wantHit, want := newPairTable(a, b).fold(s, e, seed)
+		if got := geom.IntersectsBatchRange(a, b, s, e); got != wantHit {
+			t.Fatalf("[%d,%d) of %d×%d: IntersectsBatchRange = %v, pairwise %v", s, e, na, nb, got, wantHit)
+		}
+		got := geom.MinDist2BatchRange(a, b, s, e, seed, stop2)
+		if want > stop2 && got != want || want <= stop2 && !(want <= got && got <= stop2) {
+			t.Fatalf("[%d,%d) of %d×%d seed %v stop %v: MinDist2BatchRange = %v, pairwise %v", s, e, na, nb, seed, stop2, got, want)
+		}
+	})
 }

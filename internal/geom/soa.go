@@ -104,29 +104,29 @@ func (s *TriSoA) setBlockLanes(back []float64) {
 	}
 }
 
-// growBlock extends the block box of triangle i by that triangle's box,
-// with plain compares: it runs once per triangle of every packing, and
+// GrowInterval extends the interval [lo, hi] over [vlo, vhi]. It is how the
+// boxes of the lanes and of the AABB tree grow, with plain compares: they
+// run once per triangle of every packing and every tree level, and
 // math.Min/Max pay for NaN and signed-zero handling a box has no use for.
+// Of +0 and −0 it keeps the first where math.Min/Max would pick by sign, a
+// difference no box test can see: they compare or subtract, and ±0 compare
+// equal.
+func GrowInterval(lo, hi, vlo, vhi float64) (float64, float64) {
+	if vlo < lo {
+		lo = vlo
+	}
+	if vhi > hi {
+		hi = vhi
+	}
+	return lo, hi
+}
+
+// growBlock extends the block box of triangle i by that triangle's box.
 func (s *TriSoA) growBlock(i int) {
 	k := i >> blockShift
-	if v := s.MinX[i]; v < s.BlkMinX[k] {
-		s.BlkMinX[k] = v
-	}
-	if v := s.MinY[i]; v < s.BlkMinY[k] {
-		s.BlkMinY[k] = v
-	}
-	if v := s.MinZ[i]; v < s.BlkMinZ[k] {
-		s.BlkMinZ[k] = v
-	}
-	if v := s.MaxX[i]; v > s.BlkMaxX[k] {
-		s.BlkMaxX[k] = v
-	}
-	if v := s.MaxY[i]; v > s.BlkMaxY[k] {
-		s.BlkMaxY[k] = v
-	}
-	if v := s.MaxZ[i]; v > s.BlkMaxZ[k] {
-		s.BlkMaxZ[k] = v
-	}
+	s.BlkMinX[k], s.BlkMaxX[k] = GrowInterval(s.BlkMinX[k], s.BlkMaxX[k], s.MinX[i], s.MaxX[i])
+	s.BlkMinY[k], s.BlkMaxY[k] = GrowInterval(s.BlkMinY[k], s.BlkMaxY[k], s.MinY[i], s.MaxY[i])
+	s.BlkMinZ[k], s.BlkMaxZ[k] = GrowInterval(s.BlkMinZ[k], s.BlkMaxZ[k], s.MinZ[i], s.MaxZ[i])
 }
 
 // Set stores triangle (a, b, c) and its bounding box at index i and grows
@@ -136,13 +136,16 @@ func (s *TriSoA) Set(i int, a, b, c Vec3) {
 	s.AX[i], s.AY[i], s.AZ[i] = a.X, a.Y, a.Z
 	s.BX[i], s.BY[i], s.BZ[i] = b.X, b.Y, b.Z
 	s.CX[i], s.CY[i], s.CZ[i] = c.X, c.Y, c.Z
-	s.MinX[i] = math.Min(a.X, math.Min(b.X, c.X))
-	s.MinY[i] = math.Min(a.Y, math.Min(b.Y, c.Y))
-	s.MinZ[i] = math.Min(a.Z, math.Min(b.Z, c.Z))
-	s.MaxX[i] = math.Max(a.X, math.Max(b.X, c.X))
-	s.MaxY[i] = math.Max(a.Y, math.Max(b.Y, c.Y))
-	s.MaxZ[i] = math.Max(a.Z, math.Max(b.Z, c.Z))
+	s.MinX[i], s.MaxX[i] = minMax3(a.X, b.X, c.X)
+	s.MinY[i], s.MaxY[i] = minMax3(a.Y, b.Y, c.Y)
+	s.MinZ[i], s.MaxZ[i] = minMax3(a.Z, b.Z, c.Z)
 	s.growBlock(i)
+}
+
+// minMax3 returns the least and the greatest of three coordinates.
+func minMax3(a, b, c float64) (float64, float64) {
+	lo, hi := GrowInterval(a, a, b, b)
+	return GrowInterval(lo, hi, c, c)
 }
 
 // SoAFromTriangles packs ts into freshly allocated lanes.
@@ -240,29 +243,56 @@ func axisDisjoint(amin, amax, bmin, bmax float64) bool {
 
 // IntersectsBatch reports whether any triangle of a intersects any triangle
 // of b. It is the batch variant of TriTriIntersect over the full cross
-// product, with per-pair box gating, and returns exactly what the pairwise
-// loop would: a pair whose boxes are disjoint cannot intersect, and every
-// surviving pair runs the same TriTriIntersect primitive.
+// product, with block-pair, block and per-pair box gating, and returns
+// exactly what the pairwise loop would: a pair whose boxes are disjoint
+// cannot intersect, and every surviving pair runs TriTriIntersect.
 func IntersectsBatch(a, b *TriSoA) bool {
 	return IntersectsBatchRange(a, b, 0, a.Len()*b.Len())
 }
 
 // IntersectsBatchRange scans pair indices [start, end) of the a×b cross
 // product (row-major: index = i*b.Len() + j) and reports whether any pair
-// intersects. The range form is the kernel the simulated GPU launches.
+// intersects. The range form is the kernel the simulated GPU launches; it
+// splits the range like MinDist2BatchRange.
 func IntersectsBatchRange(a, b *TriSoA, start, end int) bool {
 	bn := b.Len()
-	if bn == 0 {
+	if bn == 0 || start >= end {
 		return false
 	}
-	for idx := start; idx < end; {
-		i := idx / bn
-		j0 := idx % bn
-		j1 := min(j0+(end-idx), bn)
-		if IntersectsRect(a, i, i+1, b, j0, j1) {
+	r0, j0, r1, j1 := start/bn, start%bn, end/bn, end%bn
+	if r0 == r1 {
+		return IntersectsRect(a, r0, r0+1, b, j0, j1)
+	}
+	if j0 > 0 {
+		if IntersectsRect(a, r0, r0+1, b, j0, bn) {
 			return true
 		}
-		idx += j1 - j0
+		r0++
+	}
+	return intersectsBlocks(a, r0, r1, b) || j1 > 0 && IntersectsRect(a, r1, r1+1, b, 0, j1)
+}
+
+// intersectsBlocks reports whether any of a's rows [i0, i1) intersects any
+// triangle of b, gated block against block like minDist2Blocks: a pair of
+// blocks whose boxes are disjoint holds no intersecting pair.
+func intersectsBlocks(a *TriSoA, i0, i1 int, b *TriSoA) bool {
+	bn := b.Len()
+	for i := i0; i < i1; {
+		ka := i >> blockShift
+		iend := min((ka+1)<<blockShift, i1)
+		minX, minY, minZ := a.BlkMinX[ka], a.BlkMinY[ka], a.BlkMinZ[ka]
+		maxX, maxY, maxZ := a.BlkMaxX[ka], a.BlkMaxY[ka], a.BlkMaxZ[ka]
+		for kb, j := 0, 0; j < bn; kb, j = kb+1, j+BlockSize {
+			if axisDisjoint(minX, maxX, b.BlkMinX[kb], b.BlkMaxX[kb]) ||
+				axisDisjoint(minY, maxY, b.BlkMinY[kb], b.BlkMaxY[kb]) ||
+				axisDisjoint(minZ, maxZ, b.BlkMinZ[kb], b.BlkMaxZ[kb]) {
+				continue
+			}
+			if IntersectsRect(a, i, iend, b, j, min(j+BlockSize, bn)) {
+				return true
+			}
+		}
+		i = iend
 	}
 	return false
 }
@@ -311,41 +341,88 @@ func IntersectsRect(a *TriSoA, i0, i1 int, b *TriSoA, j0, j1 int) bool {
 // ≥ upper2 the seed is returned unchanged, so callers must treat any result
 // ≥ upper2 as "no pair beat the bound" only. Pass math.Inf(1) for an exact
 // minimum. The bound is the kernel's running best from the first pair on:
-// it gates blocks, then single pairs, and is handed to the bounded
-// primitive, which gives up on a pair as soon as it provably cannot beat
-// it. A pair that can is evaluated exactly as TriTriDist2 would, so any
-// result < upper2 is exact and independent of the order of evaluation.
+// it gates block pairs, blocks, then single pairs, and is handed to the
+// bounded primitive, which gives up on a pair as soon as it provably
+// cannot beat it. A pair that can is evaluated exactly as TriTriDist2
+// would, so any result < upper2 is exact and independent of the order of
+// evaluation.
 func MinDist2Batch(a, b *TriSoA, upper2 float64) float64 {
-	return MinDist2BatchRange(a, b, 0, a.Len()*b.Len(), upper2)
+	return MinDist2BatchRange(a, b, 0, a.Len()*b.Len(), upper2, 0)
 }
 
 // MinDist2BatchRange is MinDist2Batch over pair indices [start, end) of the
-// row-major a×b cross product, the kernel form the simulated GPU launches.
-func MinDist2BatchRange(a, b *TriSoA, start, end int, best float64) float64 {
+// row-major a×b cross product, the kernel form the simulated GPU launches,
+// with a stop bound below the seed (or 0): it may return as soon as its
+// best is ≤ stop2. Such a result is the distance of some pair, not
+// necessarily the least; a caller that only asks "is the minimum ≤ stop2"
+// gets the same answer as from the exact fold, and one that needs the value
+// passes 0 — distances are ≥ 0, so a zero stop ends only a search whose
+// minimum is 0 already. A result above stop2 is exact.
+//
+// The full rows of the range go block against block (see minDist2Blocks);
+// a partial first and last row go through MinDist2Rect.
+func MinDist2BatchRange(a, b *TriSoA, start, end int, best, stop2 float64) float64 {
 	bn := b.Len()
-	if bn == 0 {
+	if bn == 0 || start >= end {
 		return best
 	}
-	for idx := start; idx < end; {
-		i := idx / bn
-		j0 := idx % bn
-		j1 := min(j0+(end-idx), bn)
-		best = MinDist2Rect(a, i, i+1, b, j0, j1, best)
-		idx += j1 - j0
+	r0, j0, r1, j1 := start/bn, start%bn, end/bn, end%bn
+	if r0 == r1 {
+		return MinDist2Rect(a, r0, r0+1, b, j0, j1, best, stop2)
+	}
+	if j0 > 0 {
+		best = MinDist2Rect(a, r0, r0+1, b, j0, bn, best, stop2)
+		r0++
+	}
+	best = minDist2Blocks(a, r0, r1, b, best, stop2)
+	if j1 > 0 {
+		best = MinDist2Rect(a, r1, r1+1, b, 0, j1, best, stop2)
+	}
+	return best
+}
+
+// minDist2Blocks folds a's rows [i0, i1) × all of b into best, gated block
+// against block: the box of each block of a's rows is tested against each
+// block box of b, so a block pair at or beyond best costs one box test for
+// up to BlockSize² face pairs, and a pair of blocks that survives goes
+// through MinDist2Rect and its row and triangle gates. A partly covered
+// block of a is tested by its full box, which is looser and still sound.
+func minDist2Blocks(a *TriSoA, i0, i1 int, b *TriSoA, best, stop2 float64) float64 {
+	bn := b.Len()
+	for i := i0; i < i1; {
+		ka := i >> blockShift
+		iend := min((ka+1)<<blockShift, i1)
+		minX, minY, minZ := a.BlkMinX[ka], a.BlkMinY[ka], a.BlkMinZ[ka]
+		maxX, maxY, maxZ := a.BlkMaxX[ka], a.BlkMaxY[ka], a.BlkMaxZ[ka]
+		for kb, j := 0, 0; j < bn; kb, j = kb+1, j+BlockSize {
+			if best <= stop2 {
+				return best
+			}
+			if axisGap2(minX, maxX, b.BlkMinX[kb], b.BlkMaxX[kb])+
+				axisGap2(minY, maxY, b.BlkMinY[kb], b.BlkMaxY[kb])+
+				axisGap2(minZ, maxZ, b.BlkMinZ[kb], b.BlkMaxZ[kb]) >= best {
+				continue
+			}
+			best = MinDist2Rect(a, i, iend, b, j, min(j+BlockSize, bn), best, stop2)
+		}
+		i = iend
 	}
 	return best
 }
 
 // MinDist2Rect folds the squared distances between a's triangles [i0, i1)
 // and b's triangles [j0, j1) into best; see MinDist2Batch for the bound's
-// contract. It is the one leaf kernel of every distance path (brute force,
-// device kernels, partition groups, AABB-tree leaves), gated on two levels:
-// row i's box is held in locals and tested against the box of each block
-// of b the range touches — a block at or beyond best is skipped whole, a
-// partly covered block by its full (looser, still sound) box — then against
-// the block's single triangles, and row i itself is only materialized once
-// a pair survives both.
-func MinDist2Rect(a *TriSoA, i0, i1 int, b *TriSoA, j0, j1 int, best float64) float64 {
+// contract and MinDist2BatchRange for stop2's. It is the one leaf kernel
+// of every distance path (brute force, device kernels, partition groups,
+// AABB-tree leaves), gated on two levels: row i's box is held in locals and
+// tested against the box of each block of b the range touches — a block at
+// or beyond best is skipped whole, a partly covered block by its full
+// (looser, still sound) box — then against the block's single triangles,
+// and row i itself is only materialized once a pair survives both.
+func MinDist2Rect(a *TriSoA, i0, i1 int, b *TriSoA, j0, j1 int, best, stop2 float64) float64 {
+	if best <= stop2 {
+		return best
+	}
 	for i := i0; i < i1; i++ {
 		minX, minY, minZ := a.MinX[i], a.MinY[i], a.MinZ[i]
 		maxX, maxY, maxZ := a.MaxX[i], a.MaxY[i], a.MaxZ[i]
@@ -370,7 +447,9 @@ func MinDist2Rect(a *TriSoA, i0, i1 int, b *TriSoA, j0, j1 int, best float64) fl
 					ta, loaded = a.At(i), true
 				}
 				if d2 := triTriDist2Bounded(ta, b.At(j), best); d2 < best {
-					best = d2
+					if best = d2; best <= stop2 {
+						return best
+					}
 				}
 			}
 		}

@@ -57,6 +57,96 @@ func TestSoARoundTrip(t *testing.T) {
 	}
 }
 
+// TestSignedZeroBoxesGateAlike pins what the plain compares of Set and
+// growBlock change: of +0 and −0 a box bound keeps the first where
+// math.Min/Max pick by sign. Over triangles whose coordinates mix ±0, the
+// boxes built both ways are equal as numbers, and every gate — triangle,
+// block and row box against triangle and block box, by gap and by
+// disjointness — decides each pair alike, so the kernels return the same
+// bits.
+func TestSignedZeroBoxesGateAlike(t *testing.T) {
+	coords := []float64{0, math.Copysign(0, -1), 1, -1, 0.5}
+	rng := rand.New(rand.NewSource(9))
+	signBits := 0
+	// both packs ts by Set, and again with every box by math.Min/Max.
+	both := func(n int) (plain, signed *TriSoA) {
+		ts := make([]Triangle, n)
+		c := func() float64 { return coords[rng.Intn(len(coords))] }
+		for i := range ts {
+			ts[i] = Triangle{Vec3{c(), c(), c()}, Vec3{c(), c(), c()}, Vec3{c(), c(), c()}}
+		}
+		plain, signed = SoAFromTriangles(ts), SoAFromTriangles(ts)
+		lanes := func(s *TriSoA) [4][3][]float64 {
+			return [4][3][]float64{{s.MinX, s.MinY, s.MinZ}, {s.MaxX, s.MaxY, s.MaxZ},
+				{s.BlkMinX, s.BlkMinY, s.BlkMinZ}, {s.BlkMaxX, s.BlkMaxY, s.BlkMaxZ}}
+		}
+		p, s := lanes(plain), lanes(signed)
+		for ax := 0; ax < 3; ax++ {
+			for k := range s[2][ax] {
+				s[2][ax][k], s[3][ax][k] = math.Inf(1), math.Inf(-1)
+			}
+			for i, tr := range ts {
+				a, b, c := tr.A.Component(ax), tr.B.Component(ax), tr.C.Component(ax)
+				s[0][ax][i], s[1][ax][i] = math.Min(a, math.Min(b, c)), math.Max(a, math.Max(b, c))
+				k := i >> blockShift
+				s[2][ax][k], s[3][ax][k] = math.Min(s[2][ax][k], s[0][ax][i]), math.Max(s[3][ax][k], s[1][ax][i])
+			}
+			for l := range p {
+				for i := range p[l][ax] {
+					if p[l][ax][i] != s[l][ax][i] {
+						t.Fatalf("lane %d axis %d [%d]: %v by plain compares, %v by math.Min/Max", l, ax, i, p[l][ax][i], s[l][ax][i])
+					}
+					if math.Signbit(p[l][ax][i]) != math.Signbit(s[l][ax][i]) {
+						signBits++
+					}
+				}
+			}
+		}
+		return plain, signed
+	}
+	pa, sa := both(37)
+	pb, sb := both(45)
+	if signBits == 0 {
+		t.Fatal("no box bound differs in the sign of zero; the test is vacuous")
+	}
+
+	// boxes lists, for one set, its triangle boxes and its block boxes as
+	// (min, max) lanes per axis.
+	boxes := func(s *TriSoA) [2][3][2][]float64 {
+		return [2][3][2][]float64{
+			{{s.MinX, s.MaxX}, {s.MinY, s.MaxY}, {s.MinZ, s.MaxZ}},
+			{{s.BlkMinX, s.BlkMaxX}, {s.BlkMinY, s.BlkMaxY}, {s.BlkMinZ, s.BlkMaxZ}},
+		}
+	}
+	pA, sA, pB, sB := boxes(pa), boxes(sa), boxes(pb), boxes(sb)
+	for la := range pA {
+		for lb := range pB {
+			for ax := 0; ax < 3; ax++ {
+				for i := range pA[la][ax][0] {
+					for j := range pB[lb][ax][0] {
+						p0, p1, q0, q1 := pA[la][ax][0][i], pA[la][ax][1][i], pB[lb][ax][0][j], pB[lb][ax][1][j]
+						s0, s1, r0, r1 := sA[la][ax][0][i], sA[la][ax][1][i], sB[lb][ax][0][j], sB[lb][ax][1][j]
+						if axisGap2(p0, p1, q0, q1) != axisGap2(s0, s1, r0, r1) || axisDisjoint(p0, p1, q0, q1) != axisDisjoint(s0, s1, r0, r1) {
+							t.Fatalf("levels %d×%d axis %d boxes %d×%d: the gates decide [%v,%v]×[%v,%v] unlike [%v,%v]×[%v,%v]",
+								la, lb, ax, i, j, p0, p1, q0, q1, s0, s1, r0, r1)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	total := pa.Len() * pb.Len()
+	if IntersectsBatch(pa, pb) != IntersectsBatch(sa, sb) {
+		t.Error("IntersectsBatch differs between the two box builds")
+	}
+	for _, r := range [][2]int{{0, total}, {7, total - 50}, {45*17 + 3, 45*33 + 1}} {
+		if p, s := MinDist2BatchRange(pa, pb, r[0], r[1], math.Inf(1), 0), MinDist2BatchRange(sa, sb, r[0], r[1], math.Inf(1), 0); math.Float64bits(p) != math.Float64bits(s) {
+			t.Errorf("[%d,%d): MinDist2BatchRange %v with plain-compare boxes, %v with math.Min/Max boxes", r[0], r[1], p, s)
+		}
+	}
+}
+
 // bruteIntersects is the reference pairwise loop the batch kernel must match.
 func bruteIntersects(as, bs []Triangle) bool {
 	for _, ta := range as {
@@ -142,8 +232,8 @@ func TestBatchRangeCoversCrossProduct(t *testing.T) {
 		}
 
 		wantD := MinDist2Batch(sa, sb, math.Inf(1))
-		d1 := MinDist2BatchRange(sa, sb, 0, cut, math.Inf(1))
-		gotD := MinDist2BatchRange(sa, sb, cut, total, d1)
+		d1 := MinDist2BatchRange(sa, sb, 0, cut, math.Inf(1), 0)
+		gotD := MinDist2BatchRange(sa, sb, cut, total, d1, 0)
 		if gotD != wantD {
 			t.Fatalf("round %d cut=%d: split dist %v want %v", round, cut, gotD, wantD)
 		}

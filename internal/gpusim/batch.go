@@ -3,7 +3,6 @@ package gpusim
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,11 +37,13 @@ const (
 )
 
 // PairTask is one unit of refinement work in a batch: a full A×B face-pair
-// cross product in SoA form, or a host closure.
+// cross product in SoA form, or a host closure. A PairMinDist task's
+// kernels stop once their shared best is ≤ Stop2, with the contract of
+// geom.MinDist2BatchRange; the zero value asks for the exact minimum.
 type PairTask struct {
-	Kind   PairKind
-	A, B   *geom.TriSoA
-	Upper2 float64
+	Kind          PairKind
+	A, B          *geom.TriSoA
+	Upper2, Stop2 float64
 	// Tag is caller-owned correlation state, carried through untouched.
 	Tag any
 	// Fn is the host closure for PairHost tasks.
@@ -56,39 +57,6 @@ type PairVerdict struct {
 	Hit bool
 	D2  float64
 	Err error
-}
-
-// numHistBuckets is the number of power-of-two pairs-per-batch buckets;
-// the last bucket absorbs everything ≥ 2^(numHistBuckets-1).
-const numHistBuckets = 24
-
-// batchStats aggregates the device's batch-dispatch accounting.
-type batchStats struct {
-	batches    atomic.Int64
-	batchPairs atomic.Int64
-	// hist[k] counts batches whose total face-pair count p satisfies
-	// 2^k ≤ p < 2^(k+1) (bucket 0 also takes p ≤ 1). Exposed raw so the
-	// server can project it into an obs histogram at scrape time.
-	hist [numHistBuckets]atomic.Int64
-}
-
-// BatchesDispatched returns the number of EvalPairBatch calls so far.
-func (d *Device) BatchesDispatched() int64 { return d.batch.batches.Load() }
-
-// BatchPairs returns the total face pairs across all dispatched batches.
-func (d *Device) BatchPairs() int64 { return d.batch.batchPairs.Load() }
-
-// PairsPerBatchBuckets returns the pairs-per-batch histogram as cumulative
-// power-of-two buckets: element k counts batches with ≤ 2^(k+1)−1 pairs.
-// The last element equals BatchesDispatched (the +Inf bucket).
-func (d *Device) PairsPerBatchBuckets() []int64 {
-	out := make([]int64, len(d.batch.hist))
-	var cum int64
-	for i := range d.batch.hist {
-		cum += d.batch.hist[i].Load()
-		out[i] = cum
-	}
-	return out
 }
 
 // taskState is the shared accumulator kernels of one task fold into.
@@ -105,13 +73,14 @@ func (st *taskState) setErr(err error) {
 }
 
 // EvalPairBatch evaluates tasks on the device, writing verdicts[i] for
-// tasks[i]. Each SoA task's pair index space is split into batch-size
-// kernel launches; kernels of one task share a hit flag (intersection
-// early-exit) and a CAS-min accumulator (distance). A nil abort pointer
-// disables cancellation; when abort becomes true, kernels not yet started
-// return immediately and the corresponding verdicts are unspecified.
-// Kernel panics are captured into the verdict's Err instead of killing
-// device workers. verdicts must have len(tasks) elements.
+// tasks[i]. Each SoA task's cross product is split into kernel launches,
+// strips of whole blocks of A × all of B (see stripRows); kernels of one
+// task share a hit flag (intersection early-exit) and a CAS-min accumulator
+// (distance). A nil abort pointer disables cancellation; when abort becomes
+// true, kernels not yet started return immediately and the corresponding
+// verdicts are unspecified. Kernel panics are captured into the verdict's
+// Err instead of killing device workers. verdicts must have len(tasks)
+// elements.
 func (d *Device) EvalPairBatch(tasks []PairTask, verdicts []PairVerdict, abort *atomic.Bool) {
 	if len(verdicts) != len(tasks) {
 		panic("gpusim: verdicts length does not match tasks")
@@ -122,16 +91,11 @@ func (d *Device) EvalPairBatch(tasks []PairTask, verdicts []PairVerdict, abort *
 	states := d.getStates(len(tasks))
 	defer d.putStates(states)
 
-	var totalPairs int64
 	var wg sync.WaitGroup
 	for ti := range tasks {
-		totalPairs += d.launch(&tasks[ti], &states[ti], &wg, abort)
+		d.launch(&tasks[ti], &states[ti], &wg, abort)
 	}
 	wg.Wait()
-
-	d.batch.batches.Add(1)
-	d.batch.batchPairs.Add(totalPairs)
-	d.batch.hist[histBucket(totalPairs)].Add(1)
 
 	for ti := range tasks {
 		verdicts[ti] = states[ti].verdict()
@@ -141,8 +105,7 @@ func (d *Device) EvalPairBatch(tasks []PairTask, verdicts []PairVerdict, abort *
 // evalOne evaluates a single task outside any batch: the entry point of the
 // per-pair device calls (Intersects, MinDist2Bounded), which the GPU
 // accelerators issue from host closures. It runs the same kernels as a
-// batched task but is not itself a batch, so the batch statistics keep
-// counting pipeline submissions only.
+// batched task.
 func (d *Device) evalOne(t *PairTask) PairVerdict {
 	var st taskState
 	var wg sync.WaitGroup
@@ -158,9 +121,8 @@ func (d *Device) evalOne(t *PairTask) PairVerdict {
 }
 
 // launch resets st for t and starts t's kernels (or, for a host task, runs
-// its closure inline), registering each kernel with wg. It returns the face
-// pairs the task spans.
-func (d *Device) launch(t *PairTask, st *taskState, wg *sync.WaitGroup, abort *atomic.Bool) int64 {
+// its closure inline), registering each kernel with wg.
+func (d *Device) launch(t *PairTask, st *taskState, wg *sync.WaitGroup, abort *atomic.Bool) {
 	// Reset the (possibly pooled) state: distance kernels are seeded with
 	// the task's bound so they can prune against it from the first pair on.
 	st.hit.Store(false)
@@ -172,14 +134,17 @@ func (d *Device) launch(t *PairTask, st *taskState, wg *sync.WaitGroup, abort *a
 	st.best.bits.Store(math.Float64bits(seed))
 	if t.Kind == PairHost {
 		runHostTask(st, t, abort)
-		return 0
+		return
 	}
 
-	total := t.A.Len() * t.B.Len()
-	for start := 0; start < total; start += d.batchSize {
-		end := min(start+d.batchSize, total)
+	an, bn := t.A.Len(), t.B.Len()
+	if bn == 0 {
+		return
+	}
+	rows := d.stripRows(bn)
+	for i := 0; i < an; i += rows {
+		start, end := i*bn, min(i+rows, an)*bn
 		wg.Add(1)
-		d.kernelLaunches.Add(1)
 		d.tasks <- func() {
 			defer wg.Done()
 			defer func() {
@@ -191,20 +156,27 @@ func (d *Device) launch(t *PairTask, st *taskState, wg *sync.WaitGroup, abort *a
 				return
 			}
 			if t.Kind == PairIntersect {
-				if st.hit.Load() {
-					return
-				}
-				d.pairsEvaluated.Add(int64(end - start))
-				if geom.IntersectsBatchRange(t.A, t.B, start, end) {
+				if !st.hit.Load() && geom.IntersectsBatchRange(t.A, t.B, start, end) {
 					st.hit.Store(true)
 				}
 				return
 			}
-			d.pairsEvaluated.Add(int64(end - start))
-			st.best.min(geom.MinDist2BatchRange(t.A, t.B, start, end, st.best.load()))
+			// A kernel that starts after the task is decided skips, as an
+			// intersect kernel does after a hit.
+			if best := st.best.load(); best > t.Stop2 {
+				st.best.min(geom.MinDist2BatchRange(t.A, t.B, start, end, best, t.Stop2))
+			}
 		}
 	}
-	return int64(total)
+}
+
+// stripRows returns how many rows of A one kernel covers against a B of
+// bn > 0 faces: the fewest whole blocks of geom.BlockSize rows that span at
+// least batchSize face pairs. A kernel then gates block against block over
+// its whole strip (geom.MinDist2BatchRange) instead of row by row.
+func (d *Device) stripRows(bn int) int {
+	rows := (d.batchSize + bn - 1) / bn
+	return (rows + geom.BlockSize - 1) &^ (geom.BlockSize - 1)
 }
 
 // verdict reads the task's folded outcome once its kernels have finished.
@@ -235,18 +207,6 @@ func runHostTask(st *taskState, t *PairTask, abort *atomic.Bool) {
 		st.hit.Store(true)
 	}
 	st.best.min(v.D2)
-}
-
-// histBucket maps a batch's pair count to its power-of-two bucket index.
-func histBucket(pairs int64) int {
-	if pairs <= 1 {
-		return 0
-	}
-	b := bits.Len64(uint64(pairs)) - 1
-	if b >= numHistBuckets {
-		b = numHistBuckets - 1
-	}
-	return b
 }
 
 // getStates returns a taskState slice of length n from the pool. States are

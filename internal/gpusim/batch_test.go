@@ -66,18 +66,6 @@ func TestEvalPairBatchMatchesReference(t *testing.T) {
 			t.Fatalf("round %d: bounded dist %v want seed %v", round, verdicts[2].D2, wantD2*0.5)
 		}
 	}
-	if d.BatchesDispatched() != 50 {
-		t.Fatalf("BatchesDispatched=%d want 50", d.BatchesDispatched())
-	}
-	buckets := d.PairsPerBatchBuckets()
-	if buckets[len(buckets)-1] != 50 {
-		t.Fatalf("+Inf bucket %d want 50", buckets[len(buckets)-1])
-	}
-	for i := 1; i < len(buckets); i++ {
-		if buckets[i] < buckets[i-1] {
-			t.Fatal("histogram buckets not cumulative")
-		}
-	}
 }
 
 func TestEvalPairBatchHostClosures(t *testing.T) {
@@ -138,36 +126,36 @@ func TestStreamOrderAndBackpressure(t *testing.T) {
 	}
 }
 
+// TestStreamAbortStopsKernels submits to an aborted stream a task whose A
+// has no box lanes: a kernel that ran would index them, panic, and leave
+// the panic in the verdict — as the same task shows on a live stream.
 func TestStreamAbortStopsKernels(t *testing.T) {
 	d := New(2, 8)
 	defer d.Close()
-	s := d.NewStream()
-
-	var ran atomic.Int64
-	// A wide SoA task: many kernels. Abort before submission; every kernel
-	// must see the flag and return without evaluating.
 	rng := rand.New(rand.NewSource(9))
-	a := randSoA(rng, 40, 0)
+	poisoned := &geom.TriSoA{AX: make([]float64, 40)}
 	b := randSoA(rng, 40, 100)
-	s.Abort()
-	before := d.PairsEvaluated()
-	s.Submit([]PairTask{
-		{Kind: PairMinDist, A: a.SoA, B: b.SoA, Upper2: math.Inf(1)},
-		{Kind: PairHost, Fn: func() PairVerdict { ran.Add(1); return PairVerdict{} }},
-	})
-	s.CloseSubmit()
-	for {
-		_, verdicts, ok := s.Collect()
-		if !ok {
-			break
+	run := func(abort bool) (PairVerdict, int64) {
+		s := d.NewStream()
+		if abort {
+			s.Abort()
 		}
+		var ran atomic.Int64
+		s.Submit([]PairTask{
+			{Kind: PairMinDist, A: poisoned, B: b.SoA, Upper2: math.Inf(1)},
+			{Kind: PairHost, Fn: func() PairVerdict { ran.Add(1); return PairVerdict{} }},
+		})
+		s.CloseSubmit()
+		_, verdicts, _ := s.Collect()
+		v := verdicts[0]
 		d.PutVerdicts(verdicts)
+		return v, ran.Load()
 	}
-	if got := d.PairsEvaluated() - before; got != 0 {
-		t.Fatalf("aborted stream still evaluated %d pairs", got)
+	if v, ran := run(false); v.Err == nil || ran != 1 {
+		t.Fatalf("live stream: kernel error %v, host closure ran %d times; want a captured panic and one run", v.Err, ran)
 	}
-	if ran.Load() != 0 {
-		t.Fatal("aborted stream still ran host closure")
+	if v, ran := run(true); v.Err != nil || ran != 0 {
+		t.Fatalf("aborted stream: kernel error %v, host closure ran %d times; want neither", v.Err, ran)
 	}
 }
 
@@ -205,7 +193,7 @@ func BenchmarkEvalPairBatch(b *testing.B) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			for i := 0; i < b.N; i++ {
 				for _, t := range tasks {
-					sinkD2 = geom.MinDist2BatchRange(t.A, t.B, 0, t.A.Len()*t.B.Len(), t.Upper2)
+					sinkD2 = geom.MinDist2BatchRange(t.A, t.B, 0, t.A.Len()*t.B.Len(), t.Upper2, t.Stop2)
 				}
 			}
 		})

@@ -1,19 +1,21 @@
 package gpusim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/index/aabbtree"
 	"repro/internal/mesh"
 )
 
 // minDist is the unbounded device distance the older tests were written
 // against.
 func minDist(dev *Device, a, b []geom.Triangle) float64 {
-	return math.Sqrt(dev.MinDist2Bounded(geom.SoAFromTriangles(a), geom.SoAFromTriangles(b), math.Inf(1)))
+	return math.Sqrt(dev.MinDist2Bounded(geom.SoAFromTriangles(a), geom.SoAFromTriangles(b), math.Inf(1), 0))
 }
 
 func TestIntersectsMatchesBrute(t *testing.T) {
@@ -82,30 +84,28 @@ func TestEmptyInputs(t *testing.T) {
 	if dev.Intersects(none, tris) || dev.Intersects(tris, none) {
 		t.Error("empty input intersects")
 	}
-	if !math.IsInf(dev.MinDist2Bounded(none, tris, math.Inf(1)), 1) {
+	if !math.IsInf(dev.MinDist2Bounded(none, tris, math.Inf(1), 0), 1) {
 		t.Error("empty unbounded distance not +Inf")
 	}
-	if got := dev.MinDist2Bounded(tris, none, 2.5); got != 2.5 {
+	if got := dev.MinDist2Bounded(tris, none, 2.5, 0); got != 2.5 {
 		t.Errorf("empty bounded distance = %v, want the seed back", got)
 	}
 }
 
+// TestCounters pins how many face pairs one kernel launch covers: whole
+// blocks of geom.BlockSize rows of A against all of B, the fewest that span
+// at least the batch size, so a kernel gates block against block over its
+// whole strip and meets a partial block of A only at A's end.
 func TestCounters(t *testing.T) {
-	dev := New(2, 32)
-	defer dev.Close()
-	a := mesh.Icosphere(1, 1).Triangles()
-	b := mesh.Icosphere(1, 1).Triangles()
-	for i := range b {
-		b[i].A.X += 10
-		b[i].B.X += 10
-		b[i].C.X += 10
-	}
-	minDist(dev, a, b)
-	if dev.KernelLaunches() == 0 {
-		t.Error("no kernel launches recorded")
-	}
-	if got := dev.PairsEvaluated(); got != int64(len(a)*len(b)) {
-		t.Errorf("pairs evaluated = %d, want %d", got, len(a)*len(b))
+	for _, batch := range []int{1, 32, 512, 4096, 10000} {
+		dev := New(1, batch)
+		for _, bn := range []int{1, 16, 17, 320, 5000} {
+			rows := dev.stripRows(bn)
+			if rows%geom.BlockSize != 0 || rows*bn < batch || (rows-geom.BlockSize)*bn >= batch {
+				t.Errorf("batch %d, |B| = %d: a kernel covers %d rows, want the fewest whole blocks spanning the batch", batch, bn, rows)
+			}
+		}
+		dev.Close()
 	}
 }
 
@@ -120,21 +120,21 @@ func TestBoundedMinDist(t *testing.T) {
 		b[i].C.X += 9
 	}
 	sa, sb := geom.SoAFromTriangles(a), geom.SoAFromTriangles(b)
-	unbounded := dev.MinDist2Bounded(sa, sb, math.Inf(1))
-	if bounded := dev.MinDist2Bounded(sa, sb, unbounded*4); bounded != unbounded {
+	unbounded := dev.MinDist2Bounded(sa, sb, math.Inf(1), 0)
+	if bounded := dev.MinDist2Bounded(sa, sb, unbounded*4, 0); bounded != unbounded {
 		t.Errorf("bounded %v != unbounded %v", bounded, unbounded)
 	}
 	// An upper bound below the true distance is returned unchanged.
-	if tight := dev.MinDist2Bounded(sa, sb, unbounded/4); tight != unbounded/4 {
+	if tight := dev.MinDist2Bounded(sa, sb, unbounded/4, 0); tight != unbounded/4 {
 		t.Errorf("tight bound %v came back as %v", unbounded/4, tight)
 	}
 	// A bound exactly equal to the true squared distance is not beaten
 	// (kernels require strictly less), so callers that must find it inflate
 	// the bound; the next float up is enough.
-	if got := dev.MinDist2Bounded(sa, sb, unbounded); got != unbounded {
+	if got := dev.MinDist2Bounded(sa, sb, unbounded, 0); got != unbounded {
 		t.Errorf("bound == distance: got %v want %v", got, unbounded)
 	}
-	if got := dev.MinDist2Bounded(sa, sb, math.Nextafter(unbounded, math.Inf(1))); got != unbounded {
+	if got := dev.MinDist2Bounded(sa, sb, math.Nextafter(unbounded, math.Inf(1)), 0); got != unbounded {
 		t.Errorf("bound just above distance: got %v want exact %v", got, unbounded)
 	}
 }
@@ -194,15 +194,37 @@ func BenchmarkDeviceMinDist(b *testing.B) {
 	sx, sy := geom.SoAFromTriangles(x), geom.SoAFromTriangles(y)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dev.MinDist2Bounded(sx, sy, math.Inf(1))
+		dev.MinDist2Bounded(sx, sy, math.Inf(1), 0)
+	}
+}
+
+// layoutsOf packs ts as lane sets that came to be in different ways, each
+// with block lanes of its own making: packed by Set, gathered in reverse,
+// sliced out of a larger set at offset 5, and laid out in tree order.
+func layoutsOf(ts, pad []geom.Triangle) map[string]*geom.TriSoA {
+	packed := geom.SoAFromTriangles(ts)
+	order := make([]int32, len(ts))
+	for i := range order {
+		order[i] = int32(len(ts) - 1 - i)
+	}
+	padded := append(append(append([]geom.Triangle{}, pad[:5]...), ts...), pad[5:]...)
+	sliced := geom.SoAFromTriangles(padded).Slice(5, 5+len(ts))
+	return map[string]*geom.TriSoA{
+		"packed":       packed,
+		"gathered":     packed.Gather(order),
+		"sliced":       &sliced,
+		"tree-ordered": aabbtree.BuildSoA(packed).SoA(),
 	}
 }
 
 // TestDeviceKernelsMatchPairwiseAcrossBatchSizes runs the per-pair device
-// calls over cross products that are smaller than, equal to, one more than
-// and many times the batch size, against the unpruned pairwise loops. The
-// second shape has rows longer than two lane blocks, so kernel launches
-// begin and end inside, on and across block boundaries of the column set.
+// calls over cross products smaller than, equal to, one more than and many
+// times the batch size, against the unpruned pairwise loops: A lengths
+// around a block (so strips end in whole and partial blocks of A), B
+// lengths from none to twenty blocks, every lane layout, and batch sizes
+// from one pair to a launch of whole 320-face rows. A distance is asked for
+// exactly, seeded a float above the answer, and with a stop bound at the
+// answer, which must then still come back.
 func TestDeviceKernelsMatchPairwiseAcrossBatchSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tris := func(n int, cx float64) []geom.Triangle {
@@ -217,32 +239,47 @@ func TestDeviceKernelsMatchPairwiseAcrossBatchSizes(t *testing.T) {
 	}
 	// 7×9 = 63 face pairs against batch sizes around it; 5×37 = 185 against
 	// the same sizes, none of which divides a row of 37 into whole blocks.
-	for _, shape := range [][2]int{{7, 9}, {5, 2*geom.BlockSize + 5}} {
-		for _, batch := range []int{1, 8, 62, 63, 64, 1000} {
-			dev := New(3, batch)
-			for _, gap := range []float64{0, 3, 9} {
-				a, b := tris(shape[0], 0), tris(shape[1], gap)
-				wantHit, want2 := false, math.Inf(1)
-				for _, x := range a {
-					for _, y := range b {
-						wantHit = wantHit || geom.TriTriIntersect(x, y)
-						want2 = math.Min(want2, geom.TriTriDist2(x, y))
-					}
-				}
-				sa, sb := geom.SoAFromTriangles(a), geom.SoAFromTriangles(b)
-				if got := dev.Intersects(sa, sb); got != wantHit {
-					t.Errorf("%v batch %d gap %v: Intersects = %v want %v", shape, batch, gap, got, wantHit)
-				}
-				if got := dev.MinDist2Bounded(sa, sb, math.Inf(1)); got != want2 {
-					t.Errorf("%v batch %d gap %v: MinDist2 = %v want %v", shape, batch, gap, got, want2)
-				}
-				// Seeded just above the answer, the gates prune from the
-				// first pair on and the answer must not move.
-				if got := dev.MinDist2Bounded(sa, sb, math.Nextafter(want2, math.Inf(1))); got != want2 {
-					t.Errorf("%v batch %d gap %v: MinDist2 under a tight bound = %v want %v", shape, batch, gap, got, want2)
+	shapes := [][2]int{{7, 9}, {5, 2*geom.BlockSize + 5}}
+	for _, an := range []int{1, 15, 16, 17, 33} {
+		for _, bn := range []int{0, 1, 16, 17, 320} {
+			shapes = append(shapes, [2]int{an, bn})
+		}
+	}
+	var devs []*Device
+	for _, batch := range []int{1, 8, 62, 63, 64, 512, 1000, 4096} {
+		devs = append(devs, New(3, batch))
+	}
+	defer func() {
+		for _, dev := range devs {
+			dev.Close()
+		}
+	}()
+	pad := tris(8, -50)
+	for _, shape := range shapes {
+		for _, gap := range []float64{0, 3, 9} {
+			a, b := tris(shape[0], 0), tris(shape[1], gap)
+			wantHit, want2 := false, math.Inf(1)
+			for _, x := range a {
+				for _, y := range b {
+					wantHit = wantHit || geom.TriTriIntersect(x, y)
+					want2 = math.Min(want2, geom.TriTriDist2(x, y))
 				}
 			}
-			dev.Close()
+			as, bs := layoutsOf(a, pad), layoutsOf(b, pad)
+			for layout, sa := range as {
+				sb := bs[layout]
+				for _, dev := range devs {
+					where := fmt.Sprintf("%v %s batch %d gap %v", shape, layout, dev.batchSize, gap)
+					if got := dev.Intersects(sa, sb); got != wantHit {
+						t.Errorf("%s: Intersects = %v want %v", where, got, wantHit)
+					}
+					for _, c := range [][2]float64{{math.Inf(1), 0}, {math.Nextafter(want2, math.Inf(1)), 0}, {math.Inf(1), want2}} {
+						if got := dev.MinDist2Bounded(sa, sb, c[0], c[1]); got != want2 {
+							t.Errorf("%s seed %v stop %v: MinDist2 = %v want %v", where, c[0], c[1], got, want2)
+						}
+					}
+				}
+			}
 		}
 	}
 }

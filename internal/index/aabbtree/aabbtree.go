@@ -103,12 +103,9 @@ func (b *builder) build(lo, hi int32) int32 {
 	s := b.s
 	box := geom.EmptyBox()
 	for _, i := range b.order[lo:hi] {
-		box.Min.X = math.Min(box.Min.X, s.MinX[i])
-		box.Min.Y = math.Min(box.Min.Y, s.MinY[i])
-		box.Min.Z = math.Min(box.Min.Z, s.MinZ[i])
-		box.Max.X = math.Max(box.Max.X, s.MaxX[i])
-		box.Max.Y = math.Max(box.Max.Y, s.MaxY[i])
-		box.Max.Z = math.Max(box.Max.Z, s.MaxZ[i])
+		box.Min.X, box.Max.X = geom.GrowInterval(box.Min.X, box.Max.X, s.MinX[i], s.MaxX[i])
+		box.Min.Y, box.Max.Y = geom.GrowInterval(box.Min.Y, box.Max.Y, s.MinY[i], s.MaxY[i])
+		box.Min.Z, box.Max.Z = geom.GrowInterval(box.Min.Z, box.Max.Z, s.MinZ[i], s.MaxZ[i])
 	}
 	idx := int32(len(b.nodes))
 	b.nodes = append(b.nodes, node{box: box, left: -1, right: -1, start: lo, end: hi})
@@ -218,7 +215,7 @@ func intersectsDual(a *Tree, ai int32, b *Tree, bi int32) bool {
 // that hold a plain distance: the bound is squared here and nudged one
 // float up, so that a distance equal to upper is still below it.
 func (t *Tree) DistToTreeBounded(o *Tree, upper float64) float64 {
-	return math.Sqrt(t.MinDist2Bounded(o, math.Nextafter(upper*upper, math.Inf(1))))
+	return math.Sqrt(t.MinDist2Bounded(o, math.Nextafter(upper*upper, math.Inf(1)), 0))
 }
 
 // MinDist2Bounded returns the squared minimum distance between the two
@@ -226,13 +223,15 @@ func (t *Tree) DistToTreeBounded(o *Tree, upper float64) float64 {
 // empty set). The bound seeds the branch-and-bound descent of both trees:
 // subtree pairs whose boxes are at or beyond it are pruned without ever
 // touching their triangles, and the leaves fold through geom.MinDist2Rect
-// under the best distance found so far.
-func (t *Tree) MinDist2Bounded(o *Tree, upper2 float64) float64 {
+// under the best distance found so far. The descent unwinds as soon as
+// that best is ≤ stop2 (below upper2; 0 for an exact minimum), with the
+// contract of geom.MinDist2BatchRange.
+func (t *Tree) MinDist2Bounded(o *Tree, upper2, stop2 float64) float64 {
 	if t.root < 0 || o.root < 0 {
 		return math.Inf(1)
 	}
 	d2 := t.nodes[t.root].box.MinDist2(o.nodes[o.root].box)
-	if best := distDual(t, t.root, o, o.root, d2, upper2); best < upper2 {
+	if best := distDual(t, t.root, o, o.root, d2, upper2, stop2); best < upper2 {
 		return best
 	}
 	return math.Inf(1)
@@ -242,14 +241,14 @@ func (t *Tree) MinDist2Bounded(o *Tree, upper2 float64) float64 {
 // b.nodes[bi], whose boxes are boxD2 apart, into best. A caller computes
 // the box distance of a node pair once — to order the two children by it —
 // and hands it down for the pruning test.
-func distDual(a *Tree, ai int32, b *Tree, bi int32, boxD2, best float64) float64 {
-	if boxD2 >= best {
+func distDual(a *Tree, ai int32, b *Tree, bi int32, boxD2, best, stop2 float64) float64 {
+	if boxD2 >= best || best <= stop2 {
 		return best
 	}
 	an, bn := &a.nodes[ai], &b.nodes[bi]
 	aLeaf, bLeaf := an.left < 0, bn.left < 0
 	if aLeaf && bLeaf {
-		return geom.MinDist2Rect(a.s, int(an.start), int(an.end), b.s, int(bn.start), int(bn.end), best)
+		return geom.MinDist2Rect(a.s, int(an.start), int(an.end), b.s, int(bn.start), int(bn.end), best, stop2)
 	}
 	// Split the larger node; nearer child first, for tighter pruning.
 	if bLeaf || (!aLeaf && an.box.Volume() >= bn.box.Volume()) {
@@ -258,16 +257,16 @@ func distDual(a *Tree, ai int32, b *Tree, bi int32, boxD2, best float64) float64
 		if ld > rd {
 			l, r, ld, rd = r, l, rd, ld
 		}
-		best = distDual(a, l, b, bi, ld, best)
-		return distDual(a, r, b, bi, rd, best)
+		best = distDual(a, l, b, bi, ld, best, stop2)
+		return distDual(a, r, b, bi, rd, best, stop2)
 	}
 	l, r := bn.left, bn.right
 	ld, rd := an.box.MinDist2(b.nodes[l].box), an.box.MinDist2(b.nodes[r].box)
 	if ld > rd {
 		l, r, ld, rd = r, l, rd, ld
 	}
-	best = distDual(a, ai, b, l, ld, best)
-	return distDual(a, ai, b, r, rd, best)
+	best = distDual(a, ai, b, l, ld, best, stop2)
+	return distDual(a, ai, b, r, rd, best, stop2)
 }
 
 // ContainsPoint reports whether p is inside the closed surface indexed by
