@@ -8,18 +8,8 @@ CHAOSTIME ?= 20s
 # suite always runs — it is stdlib-only).
 STATICCHECK_PKG ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK_PKG ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
-# Benchmark reproducibility knobs: the Table 1 suite seeds its datasets
-# (bench.QuickConfig, seed 42), and the counts are pinned so reruns are
-# comparable. BENCHOUT is the committed artifact.
-BENCHCOUNT ?= 3
-BENCHOUT ?= BENCH_12.json
-# Extra label=file pairs merged into BENCHOUT (e.g. a saved baseline run).
-BENCHMERGE ?=
-# bench-smoke tolerance: one unwarmed iteration is noisy, so the gate only
-# catches order-of-magnitude regressions, not percent-level drift.
-SMOKE_THRESHOLD ?= 200
 
-.PHONY: build test vet lint lint-fixtures staticcheck govulncheck race fuzz-short fuzz chaos-short chaos-net benchmark-check ci bench bench-smoke loc
+.PHONY: build test vet lint lint-fixtures staticcheck govulncheck race fuzz-short fuzz chaos-short chaos-net benchmark-check ci loc
 
 build:
 	$(GO) build ./...
@@ -101,28 +91,7 @@ chaos-net:
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
-ci: vet lint staticcheck govulncheck race fuzz-short chaos-short chaos-net benchmark-check bench-smoke
-
-# One short iteration of the same benchmarks, diffed against the committed
-# baseline via `benchjson -compare` with a generous threshold. This is a
-# tripwire for order-of-magnitude perf regressions and bench bit-rot, not a
-# substitute for `make bench`. The Table 1 FPR cells run under SchedMargin
-# (the suite default), so the margin scheduler's full path — plan, jump,
-# online calibration — is exercised on every smoke run.
-bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkTable1_Cell' -count=1 -benchtime=1x . | tee /tmp/bench_smoke_table1.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkDecode|BenchmarkCacheHit' -count=1 -benchtime=100x ./internal/cache | tee /tmp/bench_smoke_decode.txt
-	$(GO) run ./cmd/benchjson -o /tmp/bench_smoke.json table1=/tmp/bench_smoke_table1.txt decode=/tmp/bench_smoke_decode.txt
-	$(GO) run ./cmd/benchjson -compare -threshold $(SMOKE_THRESHOLD) $(BENCHOUT) /tmp/bench_smoke.json
-
-# Run the FPR query benchmarks (Table 1 cells) and the decode/cache
-# micro-benchmarks, then fold the text output into $(BENCHOUT) as JSON.
-# Results land under the "table1" and "decode" labels; pass
-# BENCHMERGE="baseline=old.txt" to merge a saved run for comparison.
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkTable1_Cell' -benchmem -count=$(BENCHCOUNT) -benchtime=2x . | tee /tmp/bench_table1.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkDecode|BenchmarkCacheHit' -benchmem -count=$(BENCHCOUNT) ./internal/cache | tee /tmp/bench_decode.txt
-	$(GO) run ./cmd/benchjson -o $(BENCHOUT) table1=/tmp/bench_table1.txt decode=/tmp/bench_decode.txt $(BENCHMERGE)
+ci: vet lint staticcheck govulncheck race fuzz-short chaos-short chaos-net benchmark-check
 
 # Go lines that are neither tests nor analyzer fixtures, per internal/*
 # package (subpackages included) and for the whole module — benchmark/ is a

@@ -12,6 +12,6 @@
 // evaluation (bench).
 //
 // Entry points: cmd/3dpro (CLI), cmd/experiments (evaluation driver), and
-// the runnable examples under examples/. The root-level benchmarks
-// (bench_test.go) expose one testing.B benchmark per table and figure.
+// the runnable examples under examples/. The repository benchmark is the
+// separate module under benchmark/ (see BENCHMARK.json).
 package repro

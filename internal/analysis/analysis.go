@@ -150,13 +150,3 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
 }
-
-// IsPkgFunc reports whether obj is the named function from the package with
-// the exact import path pkgPath (e.g. "context", "sync/atomic").
-func IsPkgFunc(obj types.Object, pkgPath, name string) bool {
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Name() != name {
-		return false
-	}
-	return fn.Pkg() != nil && fn.Pkg().Path() == pkgPath
-}

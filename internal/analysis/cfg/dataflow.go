@@ -44,14 +44,3 @@ func Forward[F any](g *Graph, entry F, transfer func(*Block, F) F, join func(F, 
 	}
 	return in
 }
-
-// Out recomputes a block's OUT fact from a Forward result, for clients that
-// need facts after a block rather than before it.
-func Out[F any](in map[*Block]F, b *Block, transfer func(*Block, F) F) (F, bool) {
-	f, ok := in[b]
-	if !ok {
-		var zero F
-		return zero, false
-	}
-	return transfer(b, f), true
-}

@@ -48,9 +48,9 @@ func TestSuiteCleanOverRepo(t *testing.T) {
 		t.Errorf("unsuppressed finding: %s", d)
 	}
 	// The vetted false positives (tritri's guarded da == db, the KNN sort
-	// tie-breaks, the WKB closing-vertex test, the shutdown drain context)
-	// must stay visible as suppressions, not silently vanish: if this count
-	// drops to zero the directives rotted and the analyzers lost coverage.
+	// tie-breaks, the shutdown drain context) must stay visible as
+	// suppressions, not silently vanish: if this count drops to zero the
+	// directives rotted and the analyzers lost coverage.
 	if len(res.Suppressed) == 0 {
 		t.Error("expected vetted //lint:ignore suppressions in the tree, found none")
 	}

@@ -7,11 +7,9 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -98,13 +96,6 @@ type Suite struct {
 	// benchmark workload itself.
 	Exec core.Exec
 
-	// Sched selects the LOD scheduler RunCell uses. SchedMargin (the zero
-	// value, the engine default) lets the online calibrator derive each FPR
-	// cell's ladder; SchedStatic pins the paper's §4.4 reference rule, with
-	// the profiled per-test schedules applied exactly as before. The
-	// equivalence tests run both and require byte-identical results.
-	Sched core.Sched
-
 	NucleiA *core.Dataset
 	NucleiB *core.Dataset
 	Nuclei1 *core.Dataset
@@ -116,34 +107,6 @@ type Suite struct {
 	MeshesA, MeshesB, Meshes1, Meshes2, MeshesT, MeshesV []*mesh.Mesh
 
 	BuildTime time.Duration
-
-	mu        sync.Mutex
-	schedules map[TestID][]int
-}
-
-// ProfiledLODs returns (caching per test) the LOD schedule selected by the
-// §4.4 rule from a single-cuboid profiling run.
-func (s *Suite) ProfiledLODs(test TestID) ([]int, error) {
-	s.mu.Lock()
-	if s.schedules == nil {
-		s.schedules = make(map[TestID][]int)
-	}
-	if lods, ok := s.schedules[test]; ok {
-		s.mu.Unlock()
-		return lods, nil
-	}
-	s.mu.Unlock()
-
-	target, source := s.datasets(test)
-	lods, _, err := s.Engine.ProfileLODs(context.Background(), target, source, test.Kind(), s.Cfg.WithinDist,
-		core.QueryOptions{Workers: s.Cfg.Workers}, core.DefaultPruneThreshold)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.schedules[test] = lods
-	s.mu.Unlock()
-	return lods, nil
 }
 
 // NewSuite generates all datasets and ingests them. The build is

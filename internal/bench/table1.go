@@ -75,21 +75,12 @@ type Cell struct {
 }
 
 // RunCell executes one test under one paradigm/accelerator combination.
-// The decode cache is cleared first so cells are independent. Under
-// SchedStatic, FPR runs use the test's profiled LOD schedule (§6.5),
-// exactly as the paper does; under SchedMargin (the default) the engine's
-// online calibrator derives the ladder instead, so no profiled schedule is
-// pinned.
+// The decode cache is cleared first so cells are independent. FPR cells run
+// under the engine's default margin scheduler, whose online calibrator
+// derives each ladder, so no profiled schedule is pinned.
 func (s *Suite) RunCell(test TestID, paradigm core.Paradigm, accel core.Accel) (Cell, error) {
 	target, source := s.datasets(test)
-	q := core.QueryOptions{Paradigm: paradigm, Accel: accel, Workers: s.Cfg.Workers, Exec: s.Exec, Sched: s.Sched}
-	if paradigm == core.FPR && s.Sched == core.SchedStatic {
-		lods, err := s.ProfiledLODs(test)
-		if err != nil {
-			return Cell{}, err
-		}
-		q.LODs = lods
-	}
+	q := core.QueryOptions{Paradigm: paradigm, Accel: accel, Workers: s.Cfg.Workers, Exec: s.Exec}
 	s.Engine.Cache().Clear()
 
 	var (

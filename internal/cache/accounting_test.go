@@ -95,7 +95,7 @@ func TestAccountingTracksMemos(t *testing.T) {
 				buildMemo(m, rng.Intn(3))
 			}
 		default:
-			c.InvalidateObject(key.Object)
+			c.Clear()
 		}
 		checkAccounting(t, c, "step")
 		if t.Failed() {

@@ -63,7 +63,7 @@ func BenchmarkDecodeCacheLadder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for lod := 0; lod <= comp.MaxLOD(); lod++ {
 			key := Key{Object: int64(i), LOD: lod} // fresh object: all misses
-			if _, err := c.GetOrDecodeProgressive(key, comp, nil); err != nil {
+			if _, err := c.GetOrDecodeProgressiveCounted(key, comp, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -75,13 +75,13 @@ func BenchmarkCacheHit(b *testing.B) {
 	comp := benchComp(b)
 	c := New(64 << 20)
 	key := Key{Object: 1, LOD: comp.MaxLOD()}
-	if _, err := c.GetOrDecodeProgressive(key, comp, nil); err != nil {
+	if _, err := c.GetOrDecodeProgressiveCounted(key, comp, nil, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.GetOrDecodeProgressive(key, comp, nil); err != nil {
+		if _, err := c.GetOrDecodeProgressiveCounted(key, comp, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,7 +12,7 @@
 //
 // Two refinements on top of the paper's design:
 //
-//   - Warm-start decoding (GetOrDecodeProgressive): the cache retains one
+//   - Warm-start decoding (GetOrDecodeProgressiveCounted): the cache retains one
 //     progressive ppvp.Decoder per object, so a miss at LOD k resumes from
 //     the highest previously decoded LOD instead of replaying every round
 //     from LOD 0. Under Filter-Progressive-Refine a candidate walks the LOD
@@ -346,12 +346,6 @@ func (c *Cache) GetOrDecode(key Key, decode func() (*mesh.Mesh, error)) (*mesh.M
 	return m, err
 }
 
-// GetOrDecodeProgressive is GetOrDecodeProgressiveCounted without a
-// per-request counter sink.
-func (c *Cache) GetOrDecodeProgressive(key Key, comp *ppvp.Compressed, onMiss func() error) (*mesh.Mesh, error) {
-	return c.GetOrDecodeProgressiveCounted(key, comp, onMiss, nil)
-}
-
 // GetOrDecodeProgressiveCounted returns the cached mesh for key, decoding
 // through the per-object progressive decoder pool on a miss: if a retained
 // decoder for key.Object sits at a LOD ≤ key.LOD, decoding resumes from its
@@ -580,20 +574,6 @@ func (s *shard) removeLocked(e *entry) {
 	e.elem = nil
 	delete(s.entries, e.key)
 	s.used -= e.bytes
-}
-
-// InvalidateObject removes every cached LOD of the given object, and its
-// retained decoder.
-func (c *Cache) InvalidateObject(obj int64) {
-	s := c.shardFor(obj)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for key, e := range s.entries {
-		if key.Object == obj && e.elem != nil {
-			s.removeLocked(e)
-		}
-	}
-	s.dropDecoderLocked(obj)
 }
 
 // Clear drops all complete entries and every idle retained decoder.

@@ -149,21 +149,6 @@ func TestSingleFlightDeduplication(t *testing.T) {
 	}
 }
 
-func TestInvalidateObject(t *testing.T) {
-	c := New(1 << 20)
-	for lod := 0; lod < 3; lod++ {
-		c.GetOrDecode(Key{5, lod}, func() (*mesh.Mesh, error) { return sphere(1), nil })
-	}
-	c.GetOrDecode(Key{6, 0}, func() (*mesh.Mesh, error) { return sphere(1), nil })
-	c.InvalidateObject(5)
-	if c.Get(Key{5, 0}) != nil || c.Get(Key{5, 2}) != nil {
-		t.Error("invalidated entries still present")
-	}
-	if c.Get(Key{6, 0}) == nil {
-		t.Error("unrelated entry dropped")
-	}
-}
-
 func TestClear(t *testing.T) {
 	c := New(1 << 20)
 	c.GetOrDecode(Key{1, 0}, func() (*mesh.Mesh, error) { return sphere(1), nil })

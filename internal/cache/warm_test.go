@@ -45,7 +45,7 @@ func TestProgressiveWarmStartMatchesCold(t *testing.T) {
 	c := New(1 << 20)
 	coldRounds := 0
 	for lod := 0; lod <= comp.MaxLOD(); lod++ {
-		m, err := c.GetOrDecodeProgressive(Key{Object: 1, LOD: lod}, comp, nil)
+		m, err := c.GetOrDecodeProgressiveCounted(Key{Object: 1, LOD: lod}, comp, nil, nil)
 		if err != nil {
 			t.Fatalf("lod %d: %v", lod, err)
 		}
@@ -83,10 +83,10 @@ func TestProgressiveDownwardMiss(t *testing.T) {
 	comp := compressSphere(t, 10, 3)
 	top := comp.MaxLOD()
 	c := New(1 << 20)
-	if _, err := c.GetOrDecodeProgressive(Key{Object: 1, LOD: top}, comp, nil); err != nil {
+	if _, err := c.GetOrDecodeProgressiveCounted(Key{Object: 1, LOD: top}, comp, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	m, err := c.GetOrDecodeProgressive(Key{Object: 1, LOD: 1}, comp, nil)
+	m, err := c.GetOrDecodeProgressiveCounted(Key{Object: 1, LOD: 1}, comp, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestProgressiveDownwardMiss(t *testing.T) {
 	// The retained decoder must still be the advanced one: a later request
 	// at top+0 LOD... resume from it without replaying everything.
 	before := c.Stats().RoundsApplied
-	if _, err := c.GetOrDecodeProgressive(Key{Object: 1, LOD: top - 1}, comp, nil); err != nil {
+	if _, err := c.GetOrDecodeProgressiveCounted(Key{Object: 1, LOD: top - 1}, comp, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Stats().RoundsApplied - before; got != int64(comp.RoundsForLOD(top-1)) {
@@ -116,10 +116,10 @@ func TestProgressiveOnMissError(t *testing.T) {
 	comp := compressSphere(t, 5, 2)
 	c := New(1 << 20)
 	boom := errors.New("boom")
-	if _, err := c.GetOrDecodeProgressive(Key{Object: 3, LOD: 1}, comp, func() error { return boom }); !errors.Is(err, boom) {
+	if _, err := c.GetOrDecodeProgressiveCounted(Key{Object: 3, LOD: 1}, comp, func() error { return boom }, nil); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	m, err := c.GetOrDecodeProgressive(Key{Object: 3, LOD: 1}, comp, nil)
+	m, err := c.GetOrDecodeProgressiveCounted(Key{Object: 3, LOD: 1}, comp, nil, nil)
 	if err != nil || m == nil {
 		t.Fatalf("retry after onMiss error: %v", err)
 	}
@@ -131,7 +131,7 @@ func TestProgressiveZeroCapacity(t *testing.T) {
 	comp := compressSphere(t, 5, 2)
 	c := New(0)
 	for i := 0; i < 2; i++ {
-		m, err := c.GetOrDecodeProgressive(Key{Object: 1, LOD: 2}, comp, nil)
+		m, err := c.GetOrDecodeProgressiveCounted(Key{Object: 1, LOD: 2}, comp, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestDecoderPoolConcurrentHammer(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				lod := rng.Intn(comp.NumLODs())
 				obj := int64(rng.Intn(3))
-				m, err := c.GetOrDecodeProgressive(Key{Object: obj, LOD: lod}, comp, nil)
+				m, err := c.GetOrDecodeProgressiveCounted(Key{Object: obj, LOD: lod}, comp, nil, nil)
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
@@ -194,7 +194,7 @@ func TestDecoderPoolBounded(t *testing.T) {
 	comp := compressSphere(t, 5, 1)
 	c := NewSharded(1<<24, 1) // one shard: pool cap is exact
 	for i := 0; i < 3*maxDecodersPerShard; i++ {
-		if _, err := c.GetOrDecodeProgressive(Key{Object: int64(i), LOD: 1}, comp, nil); err != nil {
+		if _, err := c.GetOrDecodeProgressiveCounted(Key{Object: int64(i), LOD: 1}, comp, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,7 +213,7 @@ func TestShardingSpreadsObjects(t *testing.T) {
 	}
 	for obj := int64(0); obj < 32; obj++ {
 		for lod := 0; lod <= comp.MaxLOD(); lod++ {
-			if _, err := c.GetOrDecodeProgressive(Key{Object: obj, LOD: lod}, comp, nil); err != nil {
+			if _, err := c.GetOrDecodeProgressiveCounted(Key{Object: obj, LOD: lod}, comp, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -206,7 +206,7 @@ func runChaosCampaign(t *testing.T, seed int64) {
 	if e2.Quarantine().Len() == 0 {
 		t.Fatal("quarantine empty after salvage drops")
 	}
-	srv := server.New(e2)
+	srv := server.NewWithConfig(e2, server.Config{})
 	srv.AddDataset(a2)
 	srv.AddDataset(b2)
 	hs := httptest.NewServer(srv.Handler())

@@ -58,6 +58,15 @@ type filterScratch struct {
 	maxd []float64
 }
 
+// addNew appends id to ids unless the target's filter has already seen it.
+func (f *filterScratch) addNew(ids []int64, id int64) []int64 {
+	if _, dup := f.seen[id]; dup {
+		return ids
+	}
+	f.seen[id] = struct{}{}
+	return append(ids, id)
+}
+
 // reset clears the scratch for the next target and returns it.
 func (f *filterScratch) reset() *filterScratch {
 	if f.seen == nil {

@@ -91,9 +91,6 @@ func (a Accel) String() string {
 // UsesPartition reports whether the accelerator needs skeletons.
 func (a Accel) UsesPartition() bool { return a == Partition || a == PartitionGPU }
 
-// UsesGPU reports whether the accelerator needs the simulated device.
-func (a Accel) UsesGPU() bool { return a == GPU || a == PartitionGPU }
-
 // Exec selects how IntersectJoin and WithinJoin drive their refinement
 // stages (pipeline.go). Both values run the same filter, plan, decode,
 // evaluate and settle code and return the same answer; the other query kinds

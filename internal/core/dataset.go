@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/datagen"
 	"repro/internal/geom"
 	"repro/internal/index/rtree"
 	"repro/internal/mesh"
@@ -220,14 +219,4 @@ func (d *Dataset) filterTree(a Accel) *rtree.Tree {
 		return d.partTree
 	}
 	return d.tree
-}
-
-// BuildNucleiDataset is a convenience ingest of synthetic nuclei.
-func (e *Engine) BuildNucleiDataset(name string, gen datagen.NucleiOptions, opts DatasetOptions) (*Dataset, error) {
-	return e.BuildDataset(name, datagen.Nuclei(gen), opts)
-}
-
-// BuildVesselDataset is a convenience ingest of synthetic vessels.
-func (e *Engine) BuildVesselDataset(name string, gen datagen.VesselOptions, opts DatasetOptions) (*Dataset, error) {
-	return e.BuildDataset(name, datagen.Vessels(gen), opts)
 }

@@ -117,14 +117,6 @@ func (d *degrader) uncertain(w int, p Pair) {
 	d.uncBuf[w] = append(d.uncBuf[w], p)
 }
 
-// uncertainAll marks every remaining candidate of a target as unsettled
-// (the target object itself failed mid-refinement).
-func (d *degrader) uncertainAll(w int, target int64, ids []int64) {
-	for _, id := range ids {
-		d.uncertain(w, Pair{Target: target, Source: id})
-	}
-}
-
 // uncertainID marks one object of a single-dataset query as unsettled. Only
 // used by the single-threaded query paths (ContainingObjects, RangeQuery).
 func (d *degrader) uncertainID(id int64) {

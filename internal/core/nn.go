@@ -46,7 +46,7 @@ func (e *Engine) KNNJoin(ctx context.Context, target, source *Dataset, q QueryOp
 
 	// Per-worker neighbor buffers, merged after the run (no lock on the
 	// hot path; runPerTarget guarantees slot exclusivity).
-	sinkBuf := make([][]Neighbor, maxInt(q.workers(e), 1))
+	sinkBuf := make([][]Neighbor, max(q.workers(e), 1))
 
 	err := runPerTarget(ctx, target, q.workers(e), func(w int, o *storage.Object) error {
 		// Filtering step: R-tree NN candidate generation with

@@ -412,16 +412,27 @@ func (x *joinRun) feed(slot int, o *storage.Object, emit func(s int64, li int)) 
 }
 
 // filterIntersect is the IntersectJoin filtering step: MBB intersection
-// against the global index with per-worker dedup scratch.
+// against the global index with per-worker dedup scratch. Under a Partition
+// accelerator the index holds surface patches, which a target wholly inside
+// a source's interior meets none of; its MBB then lies inside the source's,
+// so the whole-object tree supplies those sources as well. They walk the
+// ladder like any other candidate: every rung tests containment of
+// MBB-nested pairs (gatherOne).
 func (x *joinRun) filterIntersect(o *storage.Object, sc *filterScratch) {
 	self := x.target.seq == x.source.seq
-	x.ftree.SearchIntersect(o.MBB(), func(ent rtree.Entry) bool {
-		if self && ent.ID == o.ID {
-			return true
+	tb := o.MBB()
+	x.ftree.SearchIntersect(tb, func(ent rtree.Entry) bool {
+		if !self || ent.ID != o.ID {
+			sc.ids = sc.addNew(sc.ids, ent.ID)
 		}
-		if _, dup := sc.seen[ent.ID]; !dup {
-			sc.seen[ent.ID] = struct{}{}
-			sc.ids = append(sc.ids, ent.ID)
+		return true
+	})
+	if x.ftree == x.source.tree {
+		return
+	}
+	x.source.tree.SearchIntersect(tb, func(ent rtree.Entry) bool {
+		if (!self || ent.ID != o.ID) && ent.Box.Contains(tb) {
+			sc.ids = sc.addNew(sc.ids, ent.ID)
 		}
 		return true
 	})
@@ -434,12 +445,8 @@ func (x *joinRun) filterWithin(o *storage.Object, sc *filterScratch) {
 	self := x.target.seq == x.source.seq
 	dedup := func(ents []rtree.Entry, ids []int64) []int64 {
 		for _, ent := range ents {
-			if self && ent.ID == o.ID {
-				continue
-			}
-			if _, dup := sc.seen[ent.ID]; !dup {
-				sc.seen[ent.ID] = struct{}{}
-				ids = append(ids, ent.ID)
+			if !self || ent.ID != o.ID {
+				ids = sc.addNew(ids, ent.ID)
 			}
 		}
 		return ids

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -112,6 +113,22 @@ func TestPipelineMatchesPerPairEveryLOD(t *testing.T) {
 	}
 }
 
+// exactDistance is the distance between two stored objects at their top
+// LOD, measured by the engine's own decode and distance path.
+func exactDistance(t *testing.T, e *Engine, a *Dataset, aid int64, b *Dataset, bid int64, q QueryOptions) float64 {
+	t.Helper()
+	ec := newEvalCtx(e, q, newCollector(max(a.maxLOD, b.maxLOD), q, time.Now()))
+	ao, err := ec.decode(a, aid, a.maxLOD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bo, err := ec.decode(b, bid, b.maxLOD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ec.minDist(ao, bo, math.Inf(1), 0)
+}
+
 // TestPipelineNearThresholdProperty is the randomized near-miss/near-hit
 // property: datasets placed so many pair distances land close to the query
 // threshold, swept with distances sampled around the true inter-object
@@ -139,10 +156,7 @@ func TestPipelineNearThresholdProperty(t *testing.T) {
 		dists := []float64{0.25, 1, 4}
 		for i := 0; i < 3; i++ {
 			ta, sb := rng.Int63n(int64(da.Len())), rng.Int63n(int64(db.Len()))
-			d, err := e.ExactDistance(da, ta, db, sb, QueryOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			d := exactDistance(t, e, da, ta, db, sb, QueryOptions{})
 			dists = append(dists, d, d*(1-1e-9), d*(1+1e-9))
 		}
 		ladders := [][]int{nil, {0}, {0, da.MaxLOD()}}

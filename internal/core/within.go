@@ -1,10 +1,6 @@
 package core
 
-import (
-	"context"
-	"math"
-	"time"
-)
+import "context"
 
 // WithinJoin returns, for each object o of target, every object of source
 // whose distance to o is ≤ dist. When target and source are the same
@@ -21,27 +17,4 @@ import (
 // pipeline.go.
 func (e *Engine) WithinJoin(ctx context.Context, target, source *Dataset, dist float64, q QueryOptions) ([]Pair, *Stats, error) {
 	return e.join(ctx, WithinKind, target, source, dist, q)
-}
-
-// ExactDistance returns the exact distance between two stored objects,
-// measured at the highest LOD (used by examples and tests).
-func (e *Engine) ExactDistance(a *Dataset, aid int64, b *Dataset, bid int64, q QueryOptions) (float64, error) {
-	col := newCollector(maxInt(a.maxLOD, b.maxLOD), q, time.Now())
-	ec := newEvalCtx(e, q, col)
-	ao, err := ec.decode(a, aid, a.maxLOD)
-	if err != nil {
-		return 0, err
-	}
-	bo, err := ec.decode(b, bid, b.maxLOD)
-	if err != nil {
-		return 0, err
-	}
-	return ec.minDist(ao, bo, math.Inf(1), 0), nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

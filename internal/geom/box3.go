@@ -100,15 +100,6 @@ func (b Box3) Volume() float64 {
 	return s.X * s.Y * s.Z
 }
 
-// SurfaceArea returns the total surface area of the box.
-func (b Box3) SurfaceArea() float64 {
-	if b.IsEmpty() {
-		return 0
-	}
-	s := b.Size()
-	return 2 * (s.X*s.Y + s.Y*s.Z + s.Z*s.X)
-}
-
 // Diagonal returns the length of the box's main diagonal. This is the
 // MAXDIST ingredient from the paper: the diagonal of the union of two MBBs
 // bounds the distance between any points covered by them.
@@ -162,21 +153,6 @@ func (b Box3) MinDist2(c Box3) float64 {
 // own MBB, which is always true for minimal bounding boxes.
 func (b Box3) MaxDist(c Box3) float64 {
 	return b.Union(c).Diagonal()
-}
-
-// FarDist returns the maximum possible distance between any point of b and
-// any point of c (the supremum over point pairs). This is a looser bound
-// than MaxDist for object distance but is exact for point sets filling the
-// boxes; it is used by the R-tree's MINMAXDIST-style pruning tests.
-func (b Box3) FarDist(c Box3) float64 {
-	var d2 float64
-	for i := 0; i < 3; i++ {
-		lo := math.Abs(b.Min.Component(i) - c.Max.Component(i))
-		hi := math.Abs(b.Max.Component(i) - c.Min.Component(i))
-		m := math.Max(lo, hi)
-		d2 += m * m
-	}
-	return math.Sqrt(d2)
 }
 
 // Corner returns the i-th corner of the box (i in [0,8)). Bit k of i selects

@@ -16,7 +16,7 @@ func TestEmptyBox(t *testing.T) {
 	if !e.IsEmpty() {
 		t.Fatal("EmptyBox not empty")
 	}
-	if e.Volume() != 0 || e.SurfaceArea() != 0 || e.Diagonal() != 0 {
+	if e.Volume() != 0 || e.Diagonal() != 0 {
 		t.Error("empty box should have zero measures")
 	}
 	b := e.ExtendPoint(V(1, 2, 3))
@@ -83,9 +83,6 @@ func TestBoxMeasures(t *testing.T) {
 	if got := b.Volume(); got != 24 {
 		t.Errorf("Volume = %v", got)
 	}
-	if got := b.SurfaceArea(); got != 2*(6+12+8) {
-		t.Errorf("SurfaceArea = %v", got)
-	}
 	if got := b.Diagonal(); math.Abs(got-math.Sqrt(4+9+16)) > 1e-12 {
 		t.Errorf("Diagonal = %v", got)
 	}
@@ -128,17 +125,6 @@ func TestBoxMaxDist(t *testing.T) {
 	// MINDIST ≤ MAXDIST always.
 	if a.MinDist(b) > a.MaxDist(b) {
 		t.Error("MinDist > MaxDist")
-	}
-}
-
-func TestBoxFarDist(t *testing.T) {
-	a := box(0, 0, 0, 1, 0, 0)
-	b := box(3, 0, 0, 4, 0, 0)
-	if got := a.FarDist(b); got != 4 {
-		t.Errorf("FarDist = %v, want 4", got)
-	}
-	if got := a.FarDist(a); got != 1 {
-		t.Errorf("FarDist self = %v, want 1", got)
 	}
 }
 
@@ -201,8 +187,8 @@ func TestBoxMinDistProperty(t *testing.T) {
 			if d := pa.Dist(pb); d < md-1e-9 {
 				t.Fatalf("point pair dist %v < MinDist %v", d, md)
 			}
-			if d := pa.Dist(pb); d > a.FarDist(b)+1e-9 {
-				t.Fatalf("point pair dist %v > FarDist %v", d, a.FarDist(b))
+			if d := pa.Dist(pb); d > a.MaxDist(b)+1e-9 {
+				t.Fatalf("point pair dist %v > MaxDist %v", d, a.MaxDist(b))
 			}
 		}
 	}

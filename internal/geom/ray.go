@@ -18,14 +18,10 @@ const (
 	hitDegenerate                // grazing a vertex/edge or parallel — re-cast
 )
 
-// IntersectTriangle runs the Möller–Trumbore ray-triangle intersection.
-// It returns the parameter t (point = Origin + t*Dir) when the ray crosses
-// the triangle's interior with t > 0.
-func (r Ray) IntersectTriangle(t Triangle) (float64, bool) {
-	tt, kind := r.intersectTriangleEx(t)
-	return tt, kind == hitInside
-}
-
+// intersectTriangleEx runs the Möller–Trumbore ray-triangle intersection.
+// It returns the parameter t (point = Origin + t*Dir) and whether the ray
+// crosses the triangle's interior with t > 0, misses it, or grazes it and
+// must be re-cast.
 func (r Ray) intersectTriangleEx(tri Triangle) (float64, hitKind) {
 	const eps = 1e-12
 	e1 := tri.B.Sub(tri.A)

@@ -33,20 +33,20 @@ func unitCubeTris() []Triangle {
 func TestRayIntersectTriangle(t *testing.T) {
 	tr := Tri(V(0, 0, 0), V(2, 0, 0), V(0, 2, 0))
 	r := Ray{Origin: V(0.3, 0.3, -1), Dir: V(0, 0, 1)}
-	tt, ok := r.IntersectTriangle(tr)
-	if !ok || tt != 1 {
-		t.Errorf("hit = %v,%v, want t=1,true", tt, ok)
+	tt, kind := r.intersectTriangleEx(tr)
+	if kind != hitInside || tt != 1 {
+		t.Errorf("hit = %v,%v, want t=1 inside", tt, kind)
 	}
 
 	// Miss.
 	r2 := Ray{Origin: V(5, 5, -1), Dir: V(0, 0, 1)}
-	if _, ok := r2.IntersectTriangle(tr); ok {
+	if _, kind := r2.intersectTriangleEx(tr); kind != hitNone {
 		t.Error("miss reported as hit")
 	}
 
 	// Ray pointing away.
 	r3 := Ray{Origin: V(0.3, 0.3, -1), Dir: V(0, 0, -1)}
-	if _, ok := r3.IntersectTriangle(tr); ok {
+	if _, kind := r3.intersectTriangleEx(tr); kind != hitNone {
 		t.Error("backward ray reported as hit")
 	}
 }

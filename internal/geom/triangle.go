@@ -22,9 +22,6 @@ func (t Triangle) Normal() Vec3 {
 // degenerate triangles.
 func (t Triangle) UnitNormal() Vec3 { return t.Normal().Normalize() }
 
-// Area returns the triangle's area.
-func (t Triangle) Area() float64 { return t.Normal().Len() / 2 }
-
 // Centroid returns the triangle's centroid.
 func (t Triangle) Centroid() Vec3 {
 	return Vec3{

@@ -8,8 +8,8 @@ import (
 
 func TestTriangleBasics(t *testing.T) {
 	tr := Tri(V(0, 0, 0), V(1, 0, 0), V(0, 1, 0))
-	if got := tr.Area(); got != 0.5 {
-		t.Errorf("Area = %v, want 0.5", got)
+	if got := tr.Normal(); got != V(0, 0, 1) {
+		t.Errorf("Normal = %v, want twice the area along +Z", got)
 	}
 	if got := tr.UnitNormal(); got != V(0, 0, 1) {
 		t.Errorf("UnitNormal = %v, want +Z", got)

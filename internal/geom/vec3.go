@@ -102,31 +102,11 @@ func (v Vec3) Component(i int) float64 {
 	}
 }
 
-// SetComponent returns a copy of v with the i-th component set to x.
-func (v Vec3) SetComponent(i int, x float64) Vec3 {
-	switch i {
-	case 0:
-		v.X = x
-	case 1:
-		v.Y = x
-	default:
-		v.Z = x
-	}
-	return v
-}
-
 // ApproxEqual reports whether v and w agree within tol in every component.
 func (v Vec3) ApproxEqual(w Vec3, tol float64) bool {
 	return math.Abs(v.X-w.X) <= tol &&
 		math.Abs(v.Y-w.Y) <= tol &&
 		math.Abs(v.Z-w.Z) <= tol
-}
-
-// IsFinite reports whether all components are finite numbers.
-func (v Vec3) IsFinite() bool {
-	return !math.IsNaN(v.X) && !math.IsInf(v.X, 0) &&
-		!math.IsNaN(v.Y) && !math.IsInf(v.Y, 0) &&
-		!math.IsNaN(v.Z) && !math.IsInf(v.Z, 0)
 }
 
 // String implements fmt.Stringer.

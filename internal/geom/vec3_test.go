@@ -130,9 +130,6 @@ func TestVecMinMaxComponent(t *testing.T) {
 			t.Errorf("Component(%d) = %v, want %v", i, got, want)
 		}
 	}
-	if got := a.SetComponent(1, 9); got != V(1, 9, 3) {
-		t.Errorf("SetComponent = %v", got)
-	}
 }
 
 func TestVecDist(t *testing.T) {
@@ -143,18 +140,6 @@ func TestVecDist(t *testing.T) {
 	}
 	if got := a.Dist2(b); got != 25 {
 		t.Errorf("Dist2 = %v, want 25", got)
-	}
-}
-
-func TestVecIsFinite(t *testing.T) {
-	if !V(1, 2, 3).IsFinite() {
-		t.Error("finite vector reported non-finite")
-	}
-	if V(math.NaN(), 0, 0).IsFinite() {
-		t.Error("NaN vector reported finite")
-	}
-	if V(0, math.Inf(1), 0).IsFinite() {
-		t.Error("Inf vector reported finite")
 	}
 }
 

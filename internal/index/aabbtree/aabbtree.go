@@ -165,9 +165,6 @@ func selectNth(idx []int32, key []float64, k int) {
 	}
 }
 
-// NumTriangles returns the number of indexed triangles.
-func (t *Tree) NumTriangles() int { return t.s.Len() }
-
 // SoA returns the indexed triangles as lanes in tree order. The set is
 // shared with the tree and read-only.
 func (t *Tree) SoA() *geom.TriSoA { return t.s }

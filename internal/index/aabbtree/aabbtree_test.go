@@ -24,8 +24,8 @@ func randomTris(rng *rand.Rand, n int, space, size float64) []geom.Triangle {
 
 func TestEmptyTree(t *testing.T) {
 	tr := aabbtree.Build(nil)
-	if tr.NumTriangles() != 0 {
-		t.Error("NumTriangles != 0")
+	if tr.SoA().Len() != 0 {
+		t.Error("triangles != 0")
 	}
 	if !tr.Bounds().IsEmpty() {
 		t.Error("Bounds not empty")
@@ -51,8 +51,8 @@ func TestSingleTriangleTreeMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tris := randomTris(rng, 300, 20, 2)
 	tr := aabbtree.Build(tris)
-	if tr.NumTriangles() != 300 {
-		t.Fatalf("NumTriangles = %d", tr.NumTriangles())
+	if tr.SoA().Len() != 300 {
+		t.Fatalf("triangles = %d", tr.SoA().Len())
 	}
 
 	for trial := 0; trial < 200; trial++ {
@@ -237,9 +237,8 @@ func BenchmarkIntersectsTree(b *testing.B) {
 func TestContainsPointMultiComponent(t *testing.T) {
 	// Multi-component surfaces (like the vessel tube unions) must keep
 	// containment parity working: build two disjoint cubes as one mesh.
-	c1 := mesh.Cube(geom.V(0, 0, 0), geom.V(2, 2, 2))
+	v := mesh.Cube(geom.V(0, 0, 0), geom.V(2, 2, 2))
 	c2 := mesh.Cube(geom.V(5, 0, 0), geom.V(8, 3, 3))
-	v := c1.Clone()
 	off := int32(len(v.Vertices))
 	v.Vertices = append(v.Vertices, c2.Vertices...)
 	for _, f := range c2.Faces {
@@ -315,8 +314,8 @@ func TestBuildSoAMatchesBuild(t *testing.T) {
 	aos := aabbtree.Build(tris)
 	soa := aabbtree.BuildSoA(geom.SoAFromTriangles(tris))
 
-	if soa.NumTriangles() != aos.NumTriangles() {
-		t.Fatalf("NumTriangles = %d want %d", soa.NumTriangles(), aos.NumTriangles())
+	if soa.SoA().Len() != aos.SoA().Len() {
+		t.Fatalf("triangles = %d want %d", soa.SoA().Len(), aos.SoA().Len())
 	}
 	if soa.Bounds() != aos.Bounds() {
 		t.Fatalf("Bounds = %v want %v", soa.Bounds(), aos.Bounds())
@@ -340,7 +339,7 @@ func TestBuildSoAMatchesBuild(t *testing.T) {
 
 func TestBuildSoAEmpty(t *testing.T) {
 	tr := aabbtree.BuildSoA(geom.SoAFromTriangles(nil))
-	if tr.NumTriangles() != 0 || !tr.Bounds().IsEmpty() {
+	if tr.SoA().Len() != 0 || !tr.Bounds().IsEmpty() {
 		t.Fatal("empty SoA tree not empty")
 	}
 }

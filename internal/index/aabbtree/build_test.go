@@ -16,8 +16,8 @@ import (
 func checkStructure(t *testing.T, tr *Tree, input []geom.Triangle) {
 	t.Helper()
 	n := len(input)
-	if tr.NumTriangles() != n {
-		t.Fatalf("NumTriangles = %d, want %d", tr.NumTriangles(), n)
+	if tr.SoA().Len() != n {
+		t.Fatalf("triangles = %d, want %d", tr.SoA().Len(), n)
 	}
 	if n == 0 {
 		if tr.root != -1 || len(tr.nodes) != 0 || !tr.Bounds().IsEmpty() {

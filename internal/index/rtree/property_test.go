@@ -7,15 +7,14 @@ import (
 	"repro/internal/geom"
 )
 
-// Property: for random box sets and random query boxes, both construction
-// methods return exactly the brute-force hit set.
-func TestPropertyBothBuildsMatchBrute(t *testing.T) {
+// Property: for random box sets and random query boxes, the bulk-loaded
+// tree returns exactly the brute-force hit set.
+func TestPropertyBulkLoadMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(120)
 		es := randomEntries(rng, n, 40, 1+rng.Float64()*8)
-		bulk := BulkLoad(es)
-		ins := insertAll(es)
+		tr := BulkLoad(es)
 
 		for q := 0; q < 8; q++ {
 			p := geom.V(rng.Float64()*50-5, rng.Float64()*50-5, rng.Float64()*50-5)
@@ -27,19 +26,17 @@ func TestPropertyBothBuildsMatchBrute(t *testing.T) {
 					want[e.ID] = true
 				}
 			}
-			for name, tr := range map[string]*Tree{"bulk": bulk, "insert": ins} {
-				got := map[int64]bool{}
-				tr.SearchIntersect(query, func(e Entry) bool {
-					got[e.ID] = true
-					return true
-				})
-				if len(got) != len(want) {
-					t.Fatalf("trial %d %s: %d hits, want %d", trial, name, len(got), len(want))
-				}
-				for id := range want {
-					if !got[id] {
-						t.Fatalf("trial %d %s: missing %d", trial, name, id)
-					}
+			got := map[int64]bool{}
+			tr.SearchIntersect(query, func(e Entry) bool {
+				got[e.ID] = true
+				return true
+			})
+			if len(got) != len(want) {
+				t.Fatalf("trial %d: %d hits, want %d", trial, len(got), len(want))
+			}
+			for id := range want {
+				if !got[id] {
+					t.Fatalf("trial %d: missing %d", trial, id)
 				}
 			}
 		}
@@ -78,21 +75,14 @@ func TestPropertyWithinExact(t *testing.T) {
 	}
 }
 
-// Property: inserting entries one by one never loses any (tree size and
-// full enumeration agree with the input).
-func TestPropertyInsertPreservesAll(t *testing.T) {
+// Property: bulk loading never loses or duplicates an entry.
+func TestPropertyBulkLoadPreservesAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(400)
 		es := randomEntries(rng, n, 100, 3)
-		tr := insertAll(es)
-		if tr.Len() != n {
-			t.Fatalf("Len = %d, want %d", tr.Len(), n)
-		}
-		seen := map[int64]bool{}
-		tr.All(func(e Entry) bool { seen[e.ID] = true; return true })
-		if len(seen) != n {
-			t.Fatalf("enumerated %d of %d", len(seen), n)
+		if got := enumerate(BulkLoad(es)); !sameIDs(got, idsOf(es)) {
+			t.Fatalf("enumerated %d of %d", len(got), n)
 		}
 	}
 }

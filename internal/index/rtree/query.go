@@ -110,7 +110,7 @@ type Candidate struct {
 // always retained. An optional skip callback excludes entries (e.g. the
 // query object itself when joining a dataset with itself).
 func (t *Tree) NNCandidates(q geom.Box3, k int, skip func(Entry) bool) []Candidate {
-	if t.root == nil || t.size == 0 || k <= 0 {
+	if t.root == nil || (t.root.leaf && len(t.root.entries) == 0) || k <= 0 {
 		return nil
 	}
 
@@ -184,42 +184,4 @@ func (t *Tree) NNCandidates(q geom.Box3, k int, skip func(Entry) bool) []Candida
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].MinDist < out[j].MinDist })
 	return out
-}
-
-// All visits every entry in the tree.
-func (t *Tree) All(visit func(Entry) bool) {
-	if t.root == nil {
-		return
-	}
-	var walk func(n *node) bool
-	walk = func(n *node) bool {
-		if n.leaf {
-			for _, e := range n.entries {
-				if !visit(e) {
-					return false
-				}
-			}
-			return true
-		}
-		for _, c := range n.children {
-			if !walk(c) {
-				return false
-			}
-		}
-		return true
-	}
-	walk(t.root)
-}
-
-// Height returns the height of the tree (1 for a single leaf root).
-func (t *Tree) Height() int {
-	h := 0
-	for n := t.root; n != nil; {
-		h++
-		if n.leaf {
-			break
-		}
-		n = n.children[0]
-	}
-	return h
 }

@@ -1,6 +1,6 @@
 // Package rtree implements a 3D R-tree over object minimal bounding boxes —
 // the global spatial index of the paper's filtering step. It supports STR
-// bulk loading, quadratic-split insertion, box-intersection search, the
+// bulk loading of static datasets, box-intersection search, the
 // within-distance traversal of §4.2 (MINDIST/MAXDIST pruning with early
 // whole-subtree acceptance), and the nearest-neighbor candidate generation
 // of §4.3 (MINMAXDIST-style pruning that returns every object whose distance
@@ -14,12 +14,8 @@ import (
 	"repro/internal/geom"
 )
 
-const (
-	// MaxEntries is the node fan-out M.
-	MaxEntries = 16
-	// MinEntries is the minimum node occupancy m after splits.
-	MinEntries = 6
-)
+// MaxEntries is the node fan-out M.
+const MaxEntries = 16
 
 // Entry is one indexed object: its MBB and an opaque identifier.
 type Entry struct {
@@ -48,20 +44,11 @@ func (n *node) recomputeBox() {
 	n.box = b
 }
 
-// Tree is a 3D R-tree. The zero value is an empty usable tree. It is safe
-// for concurrent readers once loading/insertion is complete.
+// Tree is a 3D R-tree built by BulkLoad. The zero value is an empty usable
+// tree. It is immutable and safe for concurrent readers.
 type Tree struct {
 	root *node
-	size int
 }
-
-// New returns an empty R-tree.
-func New() *Tree {
-	return &Tree{root: &node{leaf: true}}
-}
-
-// Len returns the number of indexed entries.
-func (t *Tree) Len() int { return t.size }
 
 // Bounds returns the box covering all entries (empty box when empty).
 func (t *Tree) Bounds() geom.Box3 {
@@ -73,9 +60,9 @@ func (t *Tree) Bounds() geom.Box3 {
 
 // BulkLoad builds a tree from the given entries using Sort-Tile-Recursive
 // packing, which yields well-shaped nodes for static datasets such as the
-// paper's per-tissue object sets. Any existing contents are replaced.
+// paper's per-tissue object sets.
 func BulkLoad(entries []Entry) *Tree {
-	t := &Tree{size: len(entries)}
+	t := &Tree{}
 	if len(entries) == 0 {
 		t.root = &node{leaf: true}
 		return t
@@ -146,173 +133,6 @@ func strPackNodes(nodes []*node) []*node {
 		}
 	}
 	return parents
-}
-
-// Insert adds an entry using the classic choose-leaf + quadratic-split
-// algorithm.
-func (t *Tree) Insert(e Entry) {
-	if t.root == nil {
-		t.root = &node{leaf: true}
-	}
-	split := insert(t.root, e)
-	if split != nil {
-		old := t.root
-		t.root = &node{children: []*node{old, split}}
-		t.root.recomputeBox()
-	}
-	t.size++
-}
-
-// insert descends to the best leaf and returns a new sibling when the node
-// splits.
-func insert(n *node, e Entry) *node {
-	n.box = n.box.Union(e.Box)
-	if n.leaf {
-		n.entries = append(n.entries, e)
-		if len(n.entries) > MaxEntries {
-			return splitLeaf(n)
-		}
-		return nil
-	}
-	best := chooseSubtree(n.children, e.Box)
-	split := insert(n.children[best], e)
-	if split != nil {
-		n.children = append(n.children, split)
-		if len(n.children) > MaxEntries {
-			return splitInner(n)
-		}
-	}
-	return nil
-}
-
-// chooseSubtree picks the child needing the least volume enlargement
-// (ties broken by smaller volume).
-func chooseSubtree(children []*node, b geom.Box3) int {
-	best := 0
-	bestEnlarge := math.Inf(1)
-	bestVol := math.Inf(1)
-	for i, c := range children {
-		vol := c.box.Volume()
-		enlarge := c.box.Union(b).Volume() - vol
-		if enlarge < bestEnlarge || (enlarge == bestEnlarge && vol < bestVol) {
-			best, bestEnlarge, bestVol = i, enlarge, vol
-		}
-	}
-	return best
-}
-
-// splitLeaf splits an overfull leaf with the quadratic method and returns
-// the new sibling.
-func splitLeaf(n *node) *node {
-	boxes := make([]geom.Box3, len(n.entries))
-	for i, e := range n.entries {
-		boxes[i] = e.Box
-	}
-	g1, g2 := quadraticSplit(boxes)
-	e1 := make([]Entry, 0, len(g1))
-	e2 := make([]Entry, 0, len(g2))
-	for _, i := range g1 {
-		e1 = append(e1, n.entries[i])
-	}
-	for _, i := range g2 {
-		e2 = append(e2, n.entries[i])
-	}
-	sib := &node{leaf: true, entries: e2}
-	sib.recomputeBox()
-	n.entries = e1
-	n.recomputeBox()
-	return sib
-}
-
-func splitInner(n *node) *node {
-	boxes := make([]geom.Box3, len(n.children))
-	for i, c := range n.children {
-		boxes[i] = c.box
-	}
-	g1, g2 := quadraticSplit(boxes)
-	c1 := make([]*node, 0, len(g1))
-	c2 := make([]*node, 0, len(g2))
-	for _, i := range g1 {
-		c1 = append(c1, n.children[i])
-	}
-	for _, i := range g2 {
-		c2 = append(c2, n.children[i])
-	}
-	sib := &node{children: c2}
-	sib.recomputeBox()
-	n.children = c1
-	n.recomputeBox()
-	return sib
-}
-
-// quadraticSplit partitions box indices into two groups per Guttman's
-// quadratic algorithm, respecting MinEntries.
-func quadraticSplit(boxes []geom.Box3) (g1, g2 []int) {
-	n := len(boxes)
-	// Pick seeds: the pair wasting the most volume if grouped.
-	s1, s2 := 0, 1
-	worst := math.Inf(-1)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			waste := boxes[i].Union(boxes[j]).Volume() - boxes[i].Volume() - boxes[j].Volume()
-			if waste > worst {
-				worst, s1, s2 = waste, i, j
-			}
-		}
-	}
-	g1 = []int{s1}
-	g2 = []int{s2}
-	b1, b2 := boxes[s1], boxes[s2]
-	assigned := make([]bool, n)
-	assigned[s1], assigned[s2] = true, true
-	remaining := n - 2
-
-	for remaining > 0 {
-		// Force-assign when a group must take all the rest.
-		if len(g1)+remaining == MinEntries {
-			for i := 0; i < n; i++ {
-				if !assigned[i] {
-					g1 = append(g1, i)
-					b1 = b1.Union(boxes[i])
-					assigned[i] = true
-				}
-			}
-			break
-		}
-		if len(g2)+remaining == MinEntries {
-			for i := 0; i < n; i++ {
-				if !assigned[i] {
-					g2 = append(g2, i)
-					b2 = b2.Union(boxes[i])
-					assigned[i] = true
-				}
-			}
-			break
-		}
-		// Pick the unassigned box with the greatest preference difference.
-		pick, pickDiff, pickTo1 := -1, -1.0, true
-		for i := 0; i < n; i++ {
-			if assigned[i] {
-				continue
-			}
-			d1 := b1.Union(boxes[i]).Volume() - b1.Volume()
-			d2 := b2.Union(boxes[i]).Volume() - b2.Volume()
-			diff := math.Abs(d1 - d2)
-			if diff > pickDiff {
-				pick, pickDiff, pickTo1 = i, diff, d1 < d2
-			}
-		}
-		if pickTo1 {
-			g1 = append(g1, pick)
-			b1 = b1.Union(boxes[pick])
-		} else {
-			g2 = append(g2, pick)
-			b2 = b2.Union(boxes[pick])
-		}
-		assigned[pick] = true
-		remaining--
-	}
-	return g1, g2
 }
 
 func minInt(a, b int) int {

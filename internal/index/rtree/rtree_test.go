@@ -40,40 +40,95 @@ func sameIDs(a, b []int64) bool {
 	return true
 }
 
-func TestEmptyTree(t *testing.T) {
-	tr := New()
-	if tr.Len() != 0 {
-		t.Error("empty tree Len != 0")
+// bulkSizes are entry counts whose STR trees span every height the search
+// paths meet at MaxEntries = 16: an empty leaf, one entry, one full leaf, a
+// root over leaves, and three and four levels.
+var bulkSizes = []struct{ n, height int }{{0, 1}, {1, 1}, {16, 1}, {17, 2}, {257, 3}, {5000, 4}}
+
+// bulkTrees bulk-loads one random entry set per bulkSizes count, checking
+// each tree's height, that every node box covers its contents, and that the
+// tree holds every entry exactly once.
+func bulkTrees(t *testing.T, rng *rand.Rand, space, size float64) ([][]Entry, []*Tree) {
+	t.Helper()
+	var sets [][]Entry
+	var trees []*Tree
+	for _, bs := range bulkSizes {
+		es := randomEntries(rng, bs.n, space, size)
+		tr := BulkLoad(es)
+		if h := height(tr); h != bs.height {
+			t.Fatalf("%d entries: height %d, want %d", bs.n, h, bs.height)
+		}
+		checkNode(t, tr.root)
+		if got := enumerate(tr); !sameIDs(got, idsOf(es)) {
+			t.Fatalf("%d entries: tree holds %d", bs.n, len(got))
+		}
+		sets, trees = append(sets, es), append(trees, tr)
 	}
-	hits := 0
-	tr.SearchIntersect(geom.Box3{Min: geom.V(0, 0, 0), Max: geom.V(1, 1, 1)}, func(Entry) bool {
-		hits++
+	return sets, trees
+}
+
+func height(tr *Tree) int {
+	h := 1
+	for n := tr.root; !n.leaf; n = n.children[0] {
+		h++
+	}
+	return h
+}
+
+func checkNode(t *testing.T, n *node) {
+	t.Helper()
+	if n.leaf {
+		for _, e := range n.entries {
+			if !n.box.Contains(e.Box) {
+				t.Fatal("leaf box does not contain entry")
+			}
+		}
+		return
+	}
+	for _, c := range n.children {
+		if !n.box.Contains(c.box) {
+			t.Fatal("inner box does not contain child")
+		}
+		checkNode(t, c)
+	}
+}
+
+// enumerate returns the sorted IDs of every entry, found by searching the
+// tree's own bounds.
+func enumerate(tr *Tree) []int64 {
+	var got []Entry
+	tr.SearchIntersect(tr.Bounds(), func(e Entry) bool {
+		got = append(got, e)
 		return true
 	})
-	if hits != 0 {
-		t.Error("hits in empty tree")
-	}
-	if got := tr.NNCandidates(geom.BoxOf(geom.V(0, 0, 0)), 1, nil); got != nil {
-		t.Error("NN candidates in empty tree")
-	}
-	res := tr.SearchWithin(geom.BoxOf(geom.V(0, 0, 0)), 5)
-	if len(res.Definite)+len(res.Candidates) != 0 {
-		t.Error("within results in empty tree")
-	}
-	bl := BulkLoad(nil)
-	if bl.Len() != 0 {
-		t.Error("BulkLoad(nil) not empty")
+	return idsOf(got)
+}
+
+func TestEmptyTree(t *testing.T) {
+	for name, tr := range map[string]*Tree{"zero": {}, "bulk": BulkLoad(nil)} {
+		hits := 0
+		tr.SearchIntersect(geom.Box3{Min: geom.V(0, 0, 0), Max: geom.V(1, 1, 1)}, func(Entry) bool {
+			hits++
+			return true
+		})
+		if hits != 0 {
+			t.Errorf("%s: hits in empty tree", name)
+		}
+		if got := tr.NNCandidates(geom.BoxOf(geom.V(0, 0, 0)), 1, nil); got != nil {
+			t.Errorf("%s: NN candidates in empty tree", name)
+		}
+		res := tr.SearchWithin(geom.BoxOf(geom.V(0, 0, 0)), 5)
+		if len(res.Definite)+len(res.Candidates) != 0 {
+			t.Errorf("%s: within results in empty tree", name)
+		}
 	}
 }
 
 func TestSearchIntersectMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	es := randomEntries(rng, 500, 100, 5)
-
-	for name, tr := range map[string]*Tree{"bulk": BulkLoad(es), "insert": insertAll(es)} {
-		if tr.Len() != len(es) {
-			t.Fatalf("%s: Len = %d", name, tr.Len())
-		}
+	sets, trees := bulkTrees(t, rng, 100, 5)
+	for i, tr := range trees {
+		es := sets[i]
 		for trial := 0; trial < 50; trial++ {
 			p := geom.V(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100)
 			q := geom.Box3{Min: p, Max: p.Add(geom.V(10, 10, 10))}
@@ -90,18 +145,10 @@ func TestSearchIntersectMatchesBrute(t *testing.T) {
 				}
 			}
 			if !sameIDs(idsOf(got), idsOf(want)) {
-				t.Fatalf("%s trial %d: got %d hits, want %d", name, trial, len(got), len(want))
+				t.Fatalf("%d entries, trial %d: got %d hits, want %d", len(es), trial, len(got), len(want))
 			}
 		}
 	}
-}
-
-func insertAll(es []Entry) *Tree {
-	tr := New()
-	for _, e := range es {
-		tr.Insert(e)
-	}
-	return tr
 }
 
 func TestSearchIntersectEarlyStop(t *testing.T) {
@@ -119,95 +166,100 @@ func TestSearchIntersectEarlyStop(t *testing.T) {
 
 func TestSearchWithinCorrect(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	es := randomEntries(rng, 400, 100, 3)
-	tr := BulkLoad(es)
+	sets, trees := bulkTrees(t, rng, 100, 3)
+	for i, tr := range trees {
+		es := sets[i]
+		for trial := 0; trial < 40; trial++ {
+			p := geom.V(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100)
+			q := geom.Box3{Min: p, Max: p.Add(geom.V(4, 4, 4))}
+			d := rng.Float64() * 20
 
-	for trial := 0; trial < 40; trial++ {
-		p := geom.V(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100)
-		q := geom.Box3{Min: p, Max: p.Add(geom.V(4, 4, 4))}
-		d := rng.Float64() * 20
+			res := tr.SearchWithin(q, d)
 
-		res := tr.SearchWithin(q, d)
-
-		// Soundness: definite entries must have MAXDIST ≤ d; candidates
-		// must have MINDIST ≤ d.
-		for _, e := range res.Definite {
-			if q.MaxDist(e.Box) > d+1e-9 {
-				t.Fatalf("definite entry with MAXDIST %v > %v", q.MaxDist(e.Box), d)
+			// Soundness: definite entries must have MAXDIST ≤ d; candidates
+			// must have MINDIST ≤ d.
+			for _, e := range res.Definite {
+				if q.MaxDist(e.Box) > d+1e-9 {
+					t.Fatalf("definite entry with MAXDIST %v > %v", q.MaxDist(e.Box), d)
+				}
 			}
-		}
-		for _, e := range res.Candidates {
-			if e.Box.MinDist(q) > d+1e-9 {
-				t.Fatalf("candidate with MINDIST > d")
+			for _, e := range res.Candidates {
+				if e.Box.MinDist(q) > d+1e-9 {
+					t.Fatalf("candidate with MINDIST > d")
+				}
 			}
-		}
-		// Completeness: every entry with MINDIST ≤ d appears somewhere.
-		want := 0
-		for _, e := range es {
-			if e.Box.MinDist(q) <= d {
-				want++
+			// Completeness: every entry with MINDIST ≤ d appears somewhere.
+			want := 0
+			for _, e := range es {
+				if e.Box.MinDist(q) <= d {
+					want++
+				}
 			}
-		}
-		if got := len(res.Definite) + len(res.Candidates); got != want {
-			t.Fatalf("trial %d: got %d entries, want %d", trial, got, want)
+			if got := len(res.Definite) + len(res.Candidates); got != want {
+				t.Fatalf("%d entries, trial %d: got %d entries, want %d", len(es), trial, got, want)
+			}
 		}
 	}
 }
 
 func TestNNCandidatesContainTrueNN(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	es := randomEntries(rng, 300, 100, 2)
-	tr := BulkLoad(es)
+	sets, trees := bulkTrees(t, rng, 100, 2)
+	for i, tr := range trees {
+		es := sets[i]
+		if len(es) == 0 {
+			continue
+		}
+		for trial := 0; trial < 60; trial++ {
+			p := geom.V(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100)
+			q := geom.BoxOf(p, p.Add(geom.V(1, 1, 1)))
 
-	for trial := 0; trial < 60; trial++ {
-		p := geom.V(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100)
-		q := geom.BoxOf(p, p.Add(geom.V(1, 1, 1)))
-
-		cands := tr.NNCandidates(q, 1, nil)
-		if len(cands) == 0 {
-			t.Fatal("no candidates")
-		}
-		// The entry with the minimum MINDIST (a fortiori the true nearest
-		// object whatever its geometry) must be among the candidates,
-		// because its range overlaps every other range's upper bound.
-		best := math.Inf(1)
-		bestID := int64(-1)
-		for _, e := range es {
-			if d := e.Box.MinDist(q); d < best {
-				best, bestID = d, e.ID
+			cands := tr.NNCandidates(q, 1, nil)
+			if len(cands) == 0 {
+				t.Fatal("no candidates")
 			}
-		}
-		found := false
-		for _, c := range cands {
-			if c.ID == bestID {
-				found = true
+			// The entry with the minimum MINDIST (a fortiori the true nearest
+			// object whatever its geometry) must be among the candidates,
+			// because its range overlaps every other range's upper bound.
+			best := math.Inf(1)
+			bestID := int64(-1)
+			for _, e := range es {
+				if d := e.Box.MinDist(q); d < best {
+					best, bestID = d, e.ID
+				}
 			}
-			if c.MinDist != c.Box.MinDist(q) {
-				t.Fatal("candidate MinDist inconsistent")
+			found := false
+			for _, c := range cands {
+				if c.ID == bestID {
+					found = true
+				}
+				if c.MinDist != c.Box.MinDist(q) {
+					t.Fatal("candidate MinDist inconsistent")
+				}
+				if c.MaxDist < c.MinDist {
+					t.Fatal("candidate MaxDist < MinDist")
+				}
 			}
-			if c.MaxDist < c.MinDist {
-				t.Fatal("candidate MaxDist < MinDist")
+			if !found {
+				t.Fatalf("%d entries: closest-MBB entry %d not among %d candidates", len(es), bestID, len(cands))
 			}
-		}
-		if !found {
-			t.Fatalf("closest-MBB entry %d not among %d candidates", bestID, len(cands))
-		}
-		// Every non-candidate must be provably farther: its MINDIST must
-		// exceed some candidate's MAXDIST.
-		minmax := math.Inf(1)
-		for _, c := range cands {
-			if c.MaxDist < minmax {
-				minmax = c.MaxDist
+			// Every non-candidate must be provably farther: its MINDIST must
+			// exceed some candidate's MAXDIST.
+			minmax := math.Inf(1)
+			for _, c := range cands {
+				if c.MaxDist < minmax {
+					minmax = c.MaxDist
+				}
 			}
-		}
-		inCands := map[int64]bool{}
-		for _, c := range cands {
-			inCands[c.ID] = true
-		}
-		for _, e := range es {
-			if !inCands[e.ID] && e.Box.MinDist(q) <= minmax-1e-9 {
-				t.Fatalf("entry %d excluded but MINDIST %v <= MINMAXDIST %v",
-					e.ID, e.Box.MinDist(q), minmax)
+			inCands := map[int64]bool{}
+			for _, c := range cands {
+				inCands[c.ID] = true
+			}
+			for _, e := range es {
+				if !inCands[e.ID] && e.Box.MinDist(q) <= minmax-1e-9 {
+					t.Fatalf("entry %d excluded but MINDIST %v <= MINMAXDIST %v",
+						e.ID, e.Box.MinDist(q), minmax)
+				}
 			}
 		}
 	}
@@ -239,75 +291,6 @@ func TestNNCandidatesK(t *testing.T) {
 	}
 	if got := tr.NNCandidates(q, 0, nil); got != nil {
 		t.Error("k=0 should return nil")
-	}
-}
-
-func TestInsertSplitsKeepInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	tr := New()
-	es := randomEntries(rng, 1000, 100, 2)
-	for _, e := range es {
-		tr.Insert(e)
-	}
-	if tr.Len() != 1000 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	// Every entry findable by its own box.
-	for _, e := range es[:50] {
-		found := false
-		tr.SearchIntersect(e.Box, func(got Entry) bool {
-			if got.ID == e.ID {
-				found = true
-				return false
-			}
-			return true
-		})
-		if !found {
-			t.Fatalf("entry %d not found after insert", e.ID)
-		}
-	}
-	// Structural invariants: node boxes contain their contents.
-	checkNode(t, tr.root)
-	if tr.Height() < 2 {
-		t.Errorf("height = %d for 1000 entries", tr.Height())
-	}
-}
-
-func checkNode(t *testing.T, n *node) {
-	t.Helper()
-	if n.leaf {
-		for _, e := range n.entries {
-			if !n.box.Contains(e.Box) {
-				t.Fatal("leaf box does not contain entry")
-			}
-		}
-		return
-	}
-	for _, c := range n.children {
-		if !n.box.Contains(c.box) {
-			t.Fatal("inner box does not contain child")
-		}
-		checkNode(t, c)
-	}
-}
-
-func TestAllVisitsEverything(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	es := randomEntries(rng, 321, 50, 1)
-	tr := BulkLoad(es)
-	seen := map[int64]bool{}
-	tr.All(func(e Entry) bool {
-		seen[e.ID] = true
-		return true
-	})
-	if len(seen) != len(es) {
-		t.Errorf("All visited %d of %d", len(seen), len(es))
-	}
-	// Early stop.
-	count := 0
-	tr.All(func(Entry) bool { count++; return false })
-	if count != 1 {
-		t.Errorf("All early-stop visited %d", count)
 	}
 }
 

@@ -1,9 +1,6 @@
 package mesh
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // EdgeKey identifies an undirected edge by its sorted vertex pair.
 type EdgeKey struct {
@@ -68,25 +65,4 @@ func (f Face) ringEdge(v int32) (from, to int32) {
 	default:
 		return f[0], f[1]
 	}
-}
-
-// Edges returns all undirected edges of the mesh, sorted for determinism.
-func (m *Mesh) Edges() []EdgeKey {
-	set := make(map[EdgeKey]struct{}, 3*len(m.Faces)/2+1)
-	for _, f := range m.Faces {
-		for k := 0; k < 3; k++ {
-			set[MakeEdgeKey(f[k], f[(k+1)%3])] = struct{}{}
-		}
-	}
-	edges := make([]EdgeKey, 0, len(set))
-	for e := range set {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Lo != edges[j].Lo {
-			return edges[i].Lo < edges[j].Lo
-		}
-		return edges[i].Hi < edges[j].Hi
-	})
-	return edges
 }

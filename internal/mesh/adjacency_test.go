@@ -1,7 +1,6 @@
 package mesh
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -20,7 +19,7 @@ func incident(m *Mesh, v int32) []Face {
 
 func TestOneRingIcosahedron(t *testing.T) {
 	m := Icosahedron(1)
-	edges := m.Edges()
+	edges := edgeSet(m)
 	for v := int32(0); v < int32(m.NumVertices()); v++ {
 		ring, ok := OneRing(v, incident(m, v), nil)
 		if !ok {
@@ -32,7 +31,7 @@ func TestOneRingIcosahedron(t *testing.T) {
 		// Each consecutive ring pair must share an edge with v via a face.
 		for i := range ring {
 			j := (i + 1) % len(ring)
-			if !slices.Contains(edges, MakeEdgeKey(ring[i], ring[j])) {
+			if !edges[MakeEdgeKey(ring[i], ring[j])] {
 				t.Errorf("vertex %d: ring edge %v-%v not in mesh", v, ring[i], ring[j])
 			}
 		}
@@ -94,20 +93,6 @@ func TestOneRingRejectsNonDisk(t *testing.T) {
 	// Two faces leaving the same neighbor: a non-manifold fan.
 	if _, ok := OneRing(0, []Face{{0, 1, 2}, {0, 1, 3}, {0, 3, 1}}, nil); ok {
 		t.Error("a duplicated fan edge should not yield a one-ring")
-	}
-}
-
-func TestEdgesSorted(t *testing.T) {
-	m := Icosahedron(1)
-	edges := m.Edges()
-	if len(edges) != 30 {
-		t.Errorf("icosahedron edges = %d, want 30", len(edges))
-	}
-	for i := 1; i < len(edges); i++ {
-		a, b := edges[i-1], edges[i]
-		if a.Lo > b.Lo || (a.Lo == b.Lo && a.Hi >= b.Hi) {
-			t.Fatal("edges not strictly sorted")
-		}
 	}
 }
 

@@ -53,17 +53,6 @@ func New(nv, nf int) *Mesh {
 	}
 }
 
-// Clone returns a deep copy of the mesh.
-func (m *Mesh) Clone() *Mesh {
-	c := &Mesh{
-		Vertices: make([]geom.Vec3, len(m.Vertices)),
-		Faces:    make([]Face, len(m.Faces)),
-	}
-	copy(c.Vertices, m.Vertices)
-	copy(c.Faces, m.Faces)
-	return c
-}
-
 // NumVertices returns the vertex count.
 func (m *Mesh) NumVertices() int { return len(m.Vertices) }
 
@@ -159,15 +148,6 @@ func (m *Mesh) Bounds() geom.Box3 {
 		b = b.ExtendPoint(v)
 	}
 	return b
-}
-
-// SurfaceArea returns the total area of all faces.
-func (m *Mesh) SurfaceArea() float64 {
-	var a float64
-	for i := range m.Faces {
-		a += m.Triangle(i).Area()
-	}
-	return a
 }
 
 // Volume returns the signed volume enclosed by the mesh via the divergence

@@ -15,8 +15,8 @@ func TestCubeMeasures(t *testing.T) {
 	if got := m.Volume(); math.Abs(got-8) > 1e-12 {
 		t.Errorf("Volume = %v, want 8", got)
 	}
-	if got := m.SurfaceArea(); math.Abs(got-24) > 1e-12 {
-		t.Errorf("SurfaceArea = %v, want 24", got)
+	if got := surfaceArea(m); math.Abs(got-24) > 1e-12 {
+		t.Errorf("surface area = %v, want 24", got)
 	}
 	if got := m.Centroid(); !got.ApproxEqual(geom.V(1, 1, 1), 1e-9) {
 		t.Errorf("Centroid = %v, want (1,1,1)", got)
@@ -25,7 +25,7 @@ func TestCubeMeasures(t *testing.T) {
 	if b.Min != geom.V(0, 0, 0) || b.Max != geom.V(2, 2, 2) {
 		t.Errorf("Bounds = %v", b)
 	}
-	if got := m.EulerCharacteristic(); got != 2 {
+	if got := eulerCharacteristic(m); got != 2 {
 		t.Errorf("Euler characteristic = %d, want 2", got)
 	}
 }
@@ -38,7 +38,7 @@ func TestTetrahedronValid(t *testing.T) {
 	if m.Volume() <= 0 {
 		t.Errorf("Volume = %v, want > 0", m.Volume())
 	}
-	if got := m.EulerCharacteristic(); got != 2 {
+	if got := eulerCharacteristic(m); got != 2 {
 		t.Errorf("Euler characteristic = %d, want 2", got)
 	}
 }
@@ -127,16 +127,6 @@ func TestContainsPoint(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	m := Cube(geom.V(0, 0, 0), geom.V(1, 1, 1))
-	c := m.Clone()
-	c.Vertices[0] = geom.V(99, 99, 99)
-	c.Faces[0] = Face{0, 0, 0}
-	if m.Vertices[0] == c.Vertices[0] || m.Faces[0] == c.Faces[0] {
-		t.Error("Clone shares storage with original")
-	}
-}
-
 func TestTranslateScale(t *testing.T) {
 	m := Cube(geom.V(0, 0, 0), geom.V(1, 1, 1))
 	m.Translate(geom.V(10, 0, 0))
@@ -186,38 +176,11 @@ func TestValidateCatchesDefects(t *testing.T) {
 	}
 }
 
-func TestIsClosed(t *testing.T) {
-	if !Cube(geom.V(0, 0, 0), geom.V(1, 1, 1)).IsClosed() {
-		t.Error("cube should be closed")
-	}
-	open := &Mesh{Vertices: []geom.Vec3{geom.V(0, 0, 0), geom.V(1, 0, 0), geom.V(0, 1, 0)}, Faces: []Face{{0, 1, 2}}}
-	if open.IsClosed() {
-		t.Error("single triangle should not be closed")
-	}
-}
-
-func TestCompactVertices(t *testing.T) {
-	m := Cube(geom.V(0, 0, 0), geom.V(1, 1, 1))
-	// Add two orphan vertices.
-	m.Vertices = append(m.Vertices, geom.V(50, 50, 50), geom.V(60, 60, 60))
-	nBefore := m.NumVertices()
-	remap := m.CompactVertices()
-	if m.NumVertices() != nBefore-2 {
-		t.Errorf("vertices after compact = %d, want %d", m.NumVertices(), nBefore-2)
-	}
-	if remap[nBefore-1] != -1 || remap[nBefore-2] != -1 {
-		t.Error("orphan vertices not marked dropped")
-	}
-	if err := m.Validate(); err != nil {
-		t.Errorf("mesh invalid after compact: %v", err)
-	}
-}
-
 func TestVolumeAdditivity(t *testing.T) {
 	// Two disjoint cubes as one mesh: volume adds.
 	a := Cube(geom.V(0, 0, 0), geom.V(1, 1, 1))
 	b := Cube(geom.V(5, 0, 0), geom.V(6, 1, 1))
-	combined := a.Clone()
+	combined := clone(a)
 	off := int32(len(combined.Vertices))
 	combined.Vertices = append(combined.Vertices, b.Vertices...)
 	for _, f := range b.Faces {

@@ -2,42 +2,9 @@ package mesh
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
-	"strconv"
-	"strings"
-
-	"repro/internal/geom"
 )
-
-// PLY support covers the subset produced by common mesh tools: ascii 1.0
-// and binary_little_endian 1.0 files with a vertex element carrying float32
-// or float64 x/y/z properties (extra scalar properties are skipped) and a
-// face element with a uchar/int list of vertex indices. Faces with more
-// than three vertices are fan-triangulated.
-
-type plyFormat int
-
-const (
-	plyASCII plyFormat = iota
-	plyBinaryLE
-)
-
-type plyProp struct {
-	name string
-	typ  string // float, double, uchar, int, ...; "list" handled separately
-	list bool
-	countType,
-	elemType string
-}
-
-type plyElement struct {
-	name  string
-	count int
-	props []plyProp
-}
 
 // WritePLY writes the mesh as an ascii PLY 1.0 file.
 func (m *Mesh) WritePLY(w io.Writer) error {
@@ -55,289 +22,4 @@ func (m *Mesh) WritePLY(w io.Writer) error {
 		fmt.Fprintf(bw, "3 %d %d %d\n", f[0], f[1], f[2])
 	}
 	return bw.Flush()
-}
-
-// ReadPLY parses an ascii or binary_little_endian PLY file.
-func ReadPLY(r io.Reader) (*Mesh, error) {
-	br := bufio.NewReader(r)
-
-	line, err := readPLYLine(br)
-	if err != nil || line != "ply" {
-		return nil, fmt.Errorf("mesh: not a PLY file")
-	}
-
-	format := plyASCII
-	var elements []plyElement
-	var cur *plyElement
-	for {
-		line, err = readPLYLine(br)
-		if err != nil {
-			return nil, fmt.Errorf("mesh: reading PLY header: %w", err)
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		switch fields[0] {
-		case "comment", "obj_info":
-			continue
-		case "format":
-			if len(fields) < 2 {
-				return nil, fmt.Errorf("mesh: bad PLY format line %q", line)
-			}
-			switch fields[1] {
-			case "ascii":
-				format = plyASCII
-			case "binary_little_endian":
-				format = plyBinaryLE
-			default:
-				return nil, fmt.Errorf("mesh: unsupported PLY format %q", fields[1])
-			}
-		case "element":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("mesh: bad element line %q", line)
-			}
-			n, err := strconv.Atoi(fields[2])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("mesh: bad element count in %q", line)
-			}
-			elements = append(elements, plyElement{name: fields[1], count: n})
-			cur = &elements[len(elements)-1]
-		case "property":
-			if cur == nil {
-				return nil, fmt.Errorf("mesh: property before element")
-			}
-			switch {
-			case len(fields) == 3:
-				cur.props = append(cur.props, plyProp{name: fields[2], typ: fields[1]})
-			case len(fields) == 5 && fields[1] == "list":
-				cur.props = append(cur.props, plyProp{
-					name: fields[4], list: true, countType: fields[2], elemType: fields[3],
-				})
-			default:
-				return nil, fmt.Errorf("mesh: bad property line %q", line)
-			}
-		case "end_header":
-			goto body
-		default:
-			return nil, fmt.Errorf("mesh: unknown PLY header keyword %q", fields[0])
-		}
-	}
-
-body:
-	m := &Mesh{}
-	for _, el := range elements {
-		switch el.name {
-		case "vertex":
-			if err := readPLYVertices(br, format, el, m); err != nil {
-				return nil, err
-			}
-		case "face":
-			if err := readPLYFaces(br, format, el, m); err != nil {
-				return nil, err
-			}
-		default:
-			if err := skipPLYElement(br, format, el); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return m, nil
-}
-
-func readPLYLine(br *bufio.Reader) (string, error) {
-	line, err := br.ReadString('\n')
-	if err != nil && line == "" {
-		return "", err
-	}
-	return strings.TrimSpace(line), nil
-}
-
-func plyScalarSize(typ string) (int, error) {
-	switch typ {
-	case "char", "uchar", "int8", "uint8":
-		return 1, nil
-	case "short", "ushort", "int16", "uint16":
-		return 2, nil
-	case "int", "uint", "int32", "uint32", "float", "float32":
-		return 4, nil
-	case "double", "float64":
-		return 8, nil
-	default:
-		return 0, fmt.Errorf("mesh: unknown PLY type %q", typ)
-	}
-}
-
-func readPLYScalar(br *bufio.Reader, typ string) (float64, error) {
-	size, err := plyScalarSize(typ)
-	if err != nil {
-		return 0, err
-	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return 0, err
-	}
-	switch typ {
-	case "char", "int8":
-		return float64(int8(buf[0])), nil
-	case "uchar", "uint8":
-		return float64(buf[0]), nil
-	case "short", "int16":
-		return float64(int16(binary.LittleEndian.Uint16(buf))), nil
-	case "ushort", "uint16":
-		return float64(binary.LittleEndian.Uint16(buf)), nil
-	case "int", "int32":
-		return float64(int32(binary.LittleEndian.Uint32(buf))), nil
-	case "uint", "uint32":
-		return float64(binary.LittleEndian.Uint32(buf)), nil
-	case "float", "float32":
-		return float64(math.Float32frombits(binary.LittleEndian.Uint32(buf))), nil
-	default: // double
-		return math.Float64frombits(binary.LittleEndian.Uint64(buf)), nil
-	}
-}
-
-func readPLYVertices(br *bufio.Reader, format plyFormat, el plyElement, m *Mesh) error {
-	xi, yi, zi := -1, -1, -1
-	for i, p := range el.props {
-		if p.list {
-			return fmt.Errorf("mesh: list property on vertex element unsupported")
-		}
-		switch p.name {
-		case "x":
-			xi = i
-		case "y":
-			yi = i
-		case "z":
-			zi = i
-		}
-	}
-	if xi < 0 || yi < 0 || zi < 0 {
-		return fmt.Errorf("mesh: PLY vertex element missing x/y/z")
-	}
-	m.Vertices = make([]geom.Vec3, 0, el.count)
-	vals := make([]float64, len(el.props))
-	for n := 0; n < el.count; n++ {
-		if format == plyASCII {
-			line, err := readPLYLine(br)
-			if err != nil {
-				return fmt.Errorf("mesh: reading vertex %d: %w", n, err)
-			}
-			fields := strings.Fields(line)
-			if len(fields) < len(el.props) {
-				return fmt.Errorf("mesh: short vertex line %q", line)
-			}
-			for i := range el.props {
-				v, err := strconv.ParseFloat(fields[i], 64)
-				if err != nil {
-					return fmt.Errorf("mesh: bad vertex value %q", fields[i])
-				}
-				vals[i] = v
-			}
-		} else {
-			for i, p := range el.props {
-				v, err := readPLYScalar(br, p.typ)
-				if err != nil {
-					return fmt.Errorf("mesh: reading vertex %d: %w", n, err)
-				}
-				vals[i] = v
-			}
-		}
-		m.Vertices = append(m.Vertices, geom.V(vals[xi], vals[yi], vals[zi]))
-	}
-	return nil
-}
-
-func readPLYFaces(br *bufio.Reader, format plyFormat, el plyElement, m *Mesh) error {
-	if len(el.props) != 1 || !el.props[0].list {
-		return fmt.Errorf("mesh: PLY face element must have exactly one list property")
-	}
-	p := el.props[0]
-	nv := int32(len(m.Vertices))
-	for n := 0; n < el.count; n++ {
-		var idx []int32
-		if format == plyASCII {
-			line, err := readPLYLine(br)
-			if err != nil {
-				return fmt.Errorf("mesh: reading face %d: %w", n, err)
-			}
-			fields := strings.Fields(line)
-			if len(fields) < 1 {
-				return fmt.Errorf("mesh: empty face line")
-			}
-			k, err := strconv.Atoi(fields[0])
-			if err != nil || k < 3 || len(fields) < 1+k {
-				return fmt.Errorf("mesh: bad face line %q", line)
-			}
-			idx = make([]int32, k)
-			for i := 0; i < k; i++ {
-				v, err := strconv.Atoi(fields[1+i])
-				if err != nil {
-					return fmt.Errorf("mesh: bad face index %q", fields[1+i])
-				}
-				idx[i] = int32(v)
-			}
-		} else {
-			cnt, err := readPLYScalar(br, p.countType)
-			if err != nil {
-				return fmt.Errorf("mesh: reading face %d count: %w", n, err)
-			}
-			k := int(cnt)
-			if k < 3 || k > 1<<16 {
-				return fmt.Errorf("mesh: bad face vertex count %d", k)
-			}
-			idx = make([]int32, k)
-			for i := 0; i < k; i++ {
-				v, err := readPLYScalar(br, p.elemType)
-				if err != nil {
-					return fmt.Errorf("mesh: reading face %d: %w", n, err)
-				}
-				idx[i] = int32(v)
-			}
-		}
-		for _, v := range idx {
-			if v < 0 || v >= nv {
-				return fmt.Errorf("mesh: face index %d out of range [0,%d)", v, nv)
-			}
-		}
-		for i := 1; i+1 < len(idx); i++ {
-			m.Faces = append(m.Faces, Face{idx[0], idx[i], idx[i+1]})
-		}
-	}
-	return nil
-}
-
-func skipPLYElement(br *bufio.Reader, format plyFormat, el plyElement) error {
-	for n := 0; n < el.count; n++ {
-		if format == plyASCII {
-			if _, err := readPLYLine(br); err != nil {
-				return err
-			}
-			continue
-		}
-		for _, p := range el.props {
-			if p.list {
-				cnt, err := readPLYScalar(br, p.countType)
-				if err != nil {
-					return err
-				}
-				size, err := plyScalarSize(p.elemType)
-				if err != nil {
-					return err
-				}
-				if _, err := io.CopyN(io.Discard, br, int64(size)*int64(cnt)); err != nil {
-					return err
-				}
-				continue
-			}
-			size, err := plyScalarSize(p.typ)
-			if err != nil {
-				return err
-			}
-			if _, err := io.CopyN(io.Discard, br, int64(size)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -68,53 +68,3 @@ func (m *Mesh) Validate() error {
 	}
 	return nil
 }
-
-// EulerCharacteristic returns V - E + F. A closed surface of genus g has
-// characteristic 2 - 2g (2 for a topological sphere).
-func (m *Mesh) EulerCharacteristic() int {
-	return len(m.Vertices) - len(m.Edges()) + len(m.Faces)
-}
-
-// IsClosed reports whether every edge is shared by exactly two faces.
-func (m *Mesh) IsClosed() bool {
-	counts := make(map[EdgeKey]int, 3*len(m.Faces)/2+1)
-	for _, f := range m.Faces {
-		for k := 0; k < 3; k++ {
-			counts[MakeEdgeKey(f[k], f[(k+1)%3])]++
-		}
-	}
-	for _, c := range counts {
-		if c != 2 {
-			return false
-		}
-	}
-	return true
-}
-
-// CompactVertices removes unreferenced vertices and remaps face indices.
-// It returns the mapping from old vertex index to new index (-1 if dropped).
-func (m *Mesh) CompactVertices() []int32 {
-	used := make([]bool, len(m.Vertices))
-	for _, f := range m.Faces {
-		used[f[0]] = true
-		used[f[1]] = true
-		used[f[2]] = true
-	}
-	remap := make([]int32, len(m.Vertices))
-	kept := m.Vertices[:0]
-	var next int32
-	for i, u := range used {
-		if u {
-			remap[i] = next
-			kept = append(kept, m.Vertices[i])
-			next++
-		} else {
-			remap[i] = -1
-		}
-	}
-	m.Vertices = kept
-	for i, f := range m.Faces {
-		m.Faces[i] = Face{remap[f[0]], remap[f[1]], remap[f[2]]}
-	}
-	return remap
-}

@@ -2,14 +2,11 @@ package mesh
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
 	"math"
-
-	"repro/internal/geom"
 )
 
-// WKB support for PostGIS interop: meshes serialize as the EWKB/ISO-WKB
+// WKB export for PostGIS interop: meshes serialize as the EWKB/ISO-WKB
 // POLYHEDRALSURFACE Z geometry PostGIS's 3D functions consume (the paper
 // loads its polyhedrons into PostGIS for the §6.6 comparison). Each
 // triangle becomes one POLYGON Z patch whose ring repeats the first vertex
@@ -40,170 +37,4 @@ func (m *Mesh) WriteWKB(w io.Writer) error {
 	}
 	_, err := w.Write(buf)
 	return err
-}
-
-// wkbReader consumes WKB with either byte order, latching errors.
-type wkbReader struct {
-	b   []byte
-	off int
-	le  bool
-	err error
-}
-
-func (r *wkbReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("mesh: "+format, args...)
-	}
-}
-
-func (r *wkbReader) byteOrder() {
-	if r.err != nil {
-		return
-	}
-	if r.off >= len(r.b) {
-		r.fail("truncated WKB")
-		return
-	}
-	switch r.b[r.off] {
-	case 0:
-		r.le = false
-	case 1:
-		r.le = true
-	default:
-		r.fail("bad WKB byte order %d", r.b[r.off])
-	}
-	r.off++
-}
-
-func (r *wkbReader) uint32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+4 > len(r.b) {
-		r.fail("truncated WKB")
-		return 0
-	}
-	var v uint32
-	if r.le {
-		v = binary.LittleEndian.Uint32(r.b[r.off:])
-	} else {
-		v = binary.BigEndian.Uint32(r.b[r.off:])
-	}
-	r.off += 4
-	return v
-}
-
-func (r *wkbReader) float64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.b) {
-		r.fail("truncated WKB")
-		return 0
-	}
-	var bits uint64
-	if r.le {
-		bits = binary.LittleEndian.Uint64(r.b[r.off:])
-	} else {
-		bits = binary.BigEndian.Uint64(r.b[r.off:])
-	}
-	r.off += 8
-	return math.Float64frombits(bits)
-}
-
-// ReadWKB parses a POLYHEDRALSURFACE Z (or TIN Z, type 1016) WKB blob into
-// a mesh. Polygon patches with more than three distinct vertices are
-// fan-triangulated; vertices shared across patches are merged by exact
-// coordinate equality so the result can satisfy the closed-manifold
-// validation when the surface is watertight.
-func ReadWKB(data []byte) (*Mesh, error) {
-	r := &wkbReader{b: data}
-	r.byteOrder()
-	typ := r.uint32()
-	// Accept the EWKB Z-flag form (0x80000000 | 15/16) too.
-	const ewkbZ = 0x80000000
-	base := typ &^ uint32(ewkbZ)
-	hasZ := typ&ewkbZ != 0 || typ >= 1000
-	if hasZ && base >= 1000 {
-		base -= 1000
-	}
-	if base != 15 && base != 16 { // PolyhedralSurface, TIN
-		return nil, fmt.Errorf("mesh: WKB type %d is not a polyhedral surface", typ)
-	}
-	nPatches := r.uint32()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if nPatches > 1<<24 {
-		return nil, fmt.Errorf("mesh: implausible WKB patch count %d", nPatches)
-	}
-
-	m := &Mesh{}
-	vertIdx := make(map[geom.Vec3]int32)
-	addVert := func(v geom.Vec3) int32 {
-		if idx, ok := vertIdx[v]; ok {
-			return idx
-		}
-		idx := int32(len(m.Vertices))
-		m.Vertices = append(m.Vertices, v)
-		vertIdx[v] = idx
-		return idx
-	}
-
-	for p := uint32(0); p < nPatches; p++ {
-		r.byteOrder()
-		ptyp := r.uint32()
-		pbase := ptyp &^ uint32(ewkbZ)
-		if pbase >= 1000 {
-			pbase -= 1000
-		}
-		if pbase != 3 && pbase != 17 { // Polygon, Triangle
-			return nil, fmt.Errorf("mesh: WKB patch %d has type %d, want polygon/triangle", p, ptyp)
-		}
-		nRings := r.uint32()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if nRings == 0 {
-			continue
-		}
-		for ring := uint32(0); ring < nRings; ring++ {
-			nPts := r.uint32()
-			if r.err != nil {
-				return nil, r.err
-			}
-			if nPts > 1<<20 {
-				return nil, fmt.Errorf("mesh: implausible ring size %d", nPts)
-			}
-			pts := make([]geom.Vec3, 0, nPts)
-			for i := uint32(0); i < nPts; i++ {
-				x := r.float64()
-				y := r.float64()
-				z := r.float64()
-				pts = append(pts, geom.V(x, y, z))
-			}
-			if r.err != nil {
-				return nil, r.err
-			}
-			if ring > 0 {
-				continue // interior rings (holes) are not supported; skip
-			}
-			// Drop the closing repeat.
-			//lint:ignore floateq the WKB closing vertex is a byte-identical repeat of the first; exact equality is the spec'd test
-			if len(pts) >= 2 && pts[0] == pts[len(pts)-1] {
-				pts = pts[:len(pts)-1]
-			}
-			if len(pts) < 3 {
-				return nil, fmt.Errorf("mesh: WKB patch %d ring too short", p)
-			}
-			idx := make([]int32, len(pts))
-			for i, pt := range pts {
-				idx[i] = addVert(pt)
-			}
-			for i := 1; i+1 < len(idx); i++ {
-				m.Faces = append(m.Faces, Face{idx[0], idx[i], idx[i+1]})
-			}
-		}
-	}
-	return m, r.err
 }

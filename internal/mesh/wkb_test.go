@@ -3,35 +3,46 @@ package mesh
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"strings"
 	"testing"
-
-	"repro/internal/geom"
 )
 
-func TestWKBRoundTrip(t *testing.T) {
-	orig := Icosphere(4, 2)
+// TestWriteWKBGolden pins the exact little-endian bytes of the WKB export
+// for the tetrahedron on four corners of the cube [-1, 1]³ (Tetrahedron(√3)):
+// a POLYHEDRALSURFACE Z header, then per face a POLYGON Z with one closed
+// four-point ring. 000000000000f03f is 1.0 and 000000000000f0bf is -1.0.
+func TestWriteWKBGolden(t *testing.T) {
+	const want = `
+01 f7030000 04000000
+01 eb030000 01000000 04000000
+	000000000000f03f 000000000000f03f 000000000000f03f
+	000000000000f03f 000000000000f0bf 000000000000f0bf
+	000000000000f0bf 000000000000f03f 000000000000f0bf
+	000000000000f03f 000000000000f03f 000000000000f03f
+01 eb030000 01000000 04000000
+	000000000000f03f 000000000000f03f 000000000000f03f
+	000000000000f0bf 000000000000f0bf 000000000000f03f
+	000000000000f03f 000000000000f0bf 000000000000f0bf
+	000000000000f03f 000000000000f03f 000000000000f03f
+01 eb030000 01000000 04000000
+	000000000000f03f 000000000000f03f 000000000000f03f
+	000000000000f0bf 000000000000f03f 000000000000f0bf
+	000000000000f0bf 000000000000f0bf 000000000000f03f
+	000000000000f03f 000000000000f03f 000000000000f03f
+01 eb030000 01000000 04000000
+	000000000000f03f 000000000000f0bf 000000000000f0bf
+	000000000000f0bf 000000000000f0bf 000000000000f03f
+	000000000000f0bf 000000000000f03f 000000000000f0bf
+	000000000000f03f 000000000000f0bf 000000000000f0bf
+`
 	var buf bytes.Buffer
-	if err := orig.WriteWKB(&buf); err != nil {
-		t.Fatalf("WriteWKB: %v", err)
+	if err := Tetrahedron(math.Sqrt(3)).WriteWKB(&buf); err != nil {
+		t.Fatal(err)
 	}
-	got, err := ReadWKB(buf.Bytes())
-	if err != nil {
-		t.Fatalf("ReadWKB: %v", err)
-	}
-	if got.NumFaces() != orig.NumFaces() {
-		t.Fatalf("faces: %d vs %d", got.NumFaces(), orig.NumFaces())
-	}
-	// Vertex merging must reconstruct the shared-vertex structure, so the
-	// mesh is a valid closed manifold again.
-	if got.NumVertices() != orig.NumVertices() {
-		t.Fatalf("vertices: %d vs %d", got.NumVertices(), orig.NumVertices())
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatalf("round-tripped mesh invalid: %v", err)
-	}
-	if math.Abs(got.Volume()-orig.Volume()) > 1e-9 {
-		t.Errorf("volume: %v vs %v", got.Volume(), orig.Volume())
+	if got, want := hex.EncodeToString(buf.Bytes()), strings.Join(strings.Fields(want), ""); got != want {
+		t.Errorf("WriteWKB:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -55,83 +66,5 @@ func TestWKBHeaderShape(t *testing.T) {
 	want := 9 + 4*(1+4+4+4+96)
 	if len(b) != want {
 		t.Errorf("blob size = %d, want %d", len(b), want)
-	}
-}
-
-func TestReadWKBBigEndian(t *testing.T) {
-	// Hand-encode one big-endian triangle patch.
-	var buf bytes.Buffer
-	buf.WriteByte(0) // big endian
-	binary.Write(&buf, binary.BigEndian, uint32(1015))
-	binary.Write(&buf, binary.BigEndian, uint32(1)) // one patch
-	buf.WriteByte(0)
-	binary.Write(&buf, binary.BigEndian, uint32(1003))
-	binary.Write(&buf, binary.BigEndian, uint32(1)) // one ring
-	binary.Write(&buf, binary.BigEndian, uint32(4))
-	for _, p := range [][3]float64{{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {0, 0, 0}} {
-		for _, c := range p {
-			binary.Write(&buf, binary.BigEndian, c)
-		}
-	}
-	m, err := ReadWKB(buf.Bytes())
-	if err != nil {
-		t.Fatalf("ReadWKB: %v", err)
-	}
-	if m.NumFaces() != 1 || m.NumVertices() != 3 {
-		t.Fatalf("got %v", m)
-	}
-	if m.Vertices[1] != geom.V(1, 0, 0) {
-		t.Errorf("vertex decode: %v", m.Vertices[1])
-	}
-}
-
-func TestReadWKBQuadPatch(t *testing.T) {
-	// A quad patch fan-triangulates into two faces.
-	var buf bytes.Buffer
-	buf.WriteByte(1)
-	binary.Write(&buf, binary.LittleEndian, uint32(1015))
-	binary.Write(&buf, binary.LittleEndian, uint32(1))
-	buf.WriteByte(1)
-	binary.Write(&buf, binary.LittleEndian, uint32(1003))
-	binary.Write(&buf, binary.LittleEndian, uint32(1))
-	binary.Write(&buf, binary.LittleEndian, uint32(5))
-	for _, p := range [][3]float64{{0, 0, 0}, {1, 0, 0}, {1, 1, 0}, {0, 1, 0}, {0, 0, 0}} {
-		for _, c := range p {
-			binary.Write(&buf, binary.LittleEndian, c)
-		}
-	}
-	m, err := ReadWKB(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumFaces() != 2 || m.NumVertices() != 4 {
-		t.Fatalf("got %v", m)
-	}
-}
-
-func TestReadWKBErrors(t *testing.T) {
-	m := Tetrahedron(1)
-	var buf bytes.Buffer
-	m.WriteWKB(&buf)
-	good := buf.Bytes()
-
-	if _, err := ReadWKB(nil); err == nil {
-		t.Error("empty blob accepted")
-	}
-	if _, err := ReadWKB(good[:len(good)/2]); err == nil {
-		t.Error("truncated blob accepted")
-	}
-	bad := append([]byte(nil), good...)
-	bad[0] = 7
-	if _, err := ReadWKB(bad); err == nil {
-		t.Error("bad byte order accepted")
-	}
-	// A POINT Z blob is not a surface.
-	var pt bytes.Buffer
-	pt.WriteByte(1)
-	binary.Write(&pt, binary.LittleEndian, uint32(1001))
-	binary.Write(&pt, binary.LittleEndian, [3]float64{1, 2, 3})
-	if _, err := ReadWKB(pt.Bytes()); err == nil {
-		t.Error("point blob accepted")
 	}
 }

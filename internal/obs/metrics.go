@@ -236,9 +236,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.Add(v)
 }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // HistogramSnapshot is a point-in-time read-back of a histogram's state:
 // the bucket bounds, the per-bucket counts (non-cumulative; the final
 // element is the +Inf bucket), and the running sum/count.

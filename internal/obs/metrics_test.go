@@ -83,8 +83,8 @@ func TestHistogramExposition(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	if h.Count() != 5 {
-		t.Errorf("Count() = %d, want 5", h.Count())
+	if n := h.count.Load(); n != 5 {
+		t.Errorf("count = %d, want 5", n)
 	}
 
 	// An observation exactly on a bound lands in that bound's bucket.

@@ -14,9 +14,10 @@ func TestSkeletonCounts(t *testing.T) {
 		if len(pts) != k {
 			t.Errorf("Skeleton(%d) returned %d points", k, len(pts))
 		}
+		inside := m.Bounds().Expand(1e-9)
 		for _, p := range pts {
-			if !p.IsFinite() {
-				t.Errorf("non-finite skeleton point %v", p)
+			if !inside.ContainsPoint(p) {
+				t.Errorf("skeleton point %v outside the mesh bounds", p)
 			}
 		}
 	}

@@ -61,11 +61,6 @@ func clampCap(claimed, have, blobLen int) int {
 	return claimed
 }
 
-// CurrentLOD returns the LOD the decoder state currently represents.
-func (d *Decoder) CurrentLOD() int {
-	return (d.roundsApplied + d.c.roundsPerLOD - 1) / d.c.roundsPerLOD
-}
-
 // RoundsApplied returns how many decode rounds the decoder has replayed so
 // far. A warm-start consumer resuming this decoder skips exactly this many
 // rounds compared to a cold decode.

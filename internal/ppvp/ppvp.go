@@ -118,15 +118,6 @@ type Stats struct {
 	RoundsRun int
 }
 
-// ProtrudingFraction returns the fraction of examined vertices that were
-// protruding (the paper reports ≈99 % for nuclei, ≈75 % for vessels).
-func (s Stats) ProtrudingFraction() float64 {
-	if s.VerticesExamined == 0 {
-		return 0
-	}
-	return float64(s.VerticesProtruding) / float64(s.VerticesExamined)
-}
-
 // op records one vertex removal. Decoding re-inserts the vertex by deleting
 // the patch triangles and restoring the original fan around the vertex.
 type op struct {

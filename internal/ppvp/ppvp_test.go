@@ -340,14 +340,14 @@ func TestDecoderSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.CurrentLOD() != 0 {
-		t.Errorf("fresh decoder LOD = %d", d.CurrentLOD())
+	if d.RoundsApplied() != 0 {
+		t.Errorf("fresh decoder applied %d rounds", d.RoundsApplied())
 	}
 	if _, err := d.DecodeTo(2); err != nil {
 		t.Fatal(err)
 	}
-	if d.CurrentLOD() != 2 {
-		t.Errorf("LOD after DecodeTo(2) = %d", d.CurrentLOD())
+	if d.RoundsApplied() != c.RoundsForLOD(2) {
+		t.Errorf("rounds after DecodeTo(2) = %d, want %d", d.RoundsApplied(), c.RoundsForLOD(2))
 	}
 	// Rewinding is refused.
 	if _, err := d.DecodeTo(1); err == nil {
@@ -580,18 +580,6 @@ func TestProfileProtruding(t *testing.T) {
 	}
 	if frac := float64(p2) / float64(e2); frac < 0.4 {
 		t.Errorf("tube protruding fraction = %v suspiciously low", frac)
-	}
-}
-
-func TestStatsProtrudingFraction(t *testing.T) {
-	var s Stats
-	if s.ProtrudingFraction() != 0 {
-		t.Error("empty stats fraction should be 0")
-	}
-	s.VerticesExamined = 10
-	s.VerticesProtruding = 9
-	if got := s.ProtrudingFraction(); got != 0.9 {
-		t.Errorf("fraction = %v", got)
 	}
 }
 

@@ -37,7 +37,7 @@ func degradeServer(t *testing.T) (*httptest.Server, *core.Engine, *core.Dataset,
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(eng)
+	s := NewWithConfig(eng, Config{})
 	s.AddDataset(a)
 	s.AddDataset(b)
 	ts := httptest.NewServer(s.Handler())

@@ -64,10 +64,6 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// SetReady overrides the /readyz state; Serve flips it to false on its own
-// when shutdown begins.
-func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain")
 	w.WriteHeader(http.StatusOK)

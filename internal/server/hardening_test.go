@@ -234,11 +234,11 @@ func TestHealthAndReadiness(t *testing.T) {
 	if code := get("/readyz"); code != http.StatusOK {
 		t.Fatalf("readyz = %d", code)
 	}
-	s.SetReady(false)
+	s.ready.Store(false)
 	if code := get("/readyz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz while draining = %d", code)
 	}
-	s.SetReady(true)
+	s.ready.Store(true)
 
 	// A server with no datasets is alive but not ready.
 	empty := NewWithConfig(core.NewEngine(core.EngineOptions{}), Config{Logger: log.New(io.Discard, "", 0)})

@@ -58,9 +58,6 @@ type Server struct {
 	datasets map[string]*core.Dataset
 }
 
-// New returns a server bound to the engine with the default Config.
-func New(eng *core.Engine) *Server { return NewWithConfig(eng, Config{}) }
-
 // NewWithConfig returns a server bound to the engine with explicit limits.
 func NewWithConfig(eng *core.Engine, cfg Config) *Server {
 	return newServer(eng, nil, cfg)

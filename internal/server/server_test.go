@@ -43,7 +43,7 @@ func testServer(t *testing.T) *httptest.Server {
 		if srvErr != nil {
 			return
 		}
-		s := New(eng)
+		s := NewWithConfig(eng, Config{})
 		s.AddDataset(a)
 		s.AddDataset(b)
 		srv = httptest.NewServer(s.Handler())
@@ -134,7 +134,8 @@ func TestGetObjectFormats(t *testing.T) {
 	var buf bytes.Buffer
 	buf.ReadFrom(resp.Body)
 	resp.Body.Close()
-	if m, err := mesh.ReadOFF(&buf); err != nil || m.NumFaces() == 0 {
+	m, err := mesh.ReadOFF(&buf)
+	if err != nil || m.NumFaces() == 0 {
 		t.Fatalf("OFF endpoint: %v", err)
 	}
 	resp, err = http.Get(ts.URL + "/datasets/alpha/objects/0?format=ply")
@@ -144,8 +145,14 @@ func TestGetObjectFormats(t *testing.T) {
 	buf.Reset()
 	buf.ReadFrom(resp.Body)
 	resp.Body.Close()
-	if m, err := mesh.ReadPLY(&buf); err != nil || m.NumFaces() == 0 {
-		t.Fatalf("PLY endpoint: %v", err)
+	// OFF carries every coordinate exactly (%g), so the object read back
+	// from it must export to the same PLY bytes the endpoint served.
+	var want bytes.Buffer
+	if err := m.WritePLY(&want); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != want.String() {
+		t.Fatalf("PLY endpoint served:\n%s\nwant:\n%s", buf.String(), want.String())
 	}
 
 	// Errors.

@@ -45,14 +45,6 @@ func NewWorker(node *shard.Node, cfg Config) *Worker {
 	return w
 }
 
-// Node exposes the wrapped shard node (tests).
-func (w *Worker) Node() *shard.Node { return w.node }
-
-// SetReady overrides the /readyz state; Serve flips it to false on its own
-// when shutdown begins, which tells the coordinator's prober to keep the
-// worker's breaker open while it drains.
-func (w *Worker) SetReady(ready bool) { w.ready.Store(ready) }
-
 // Handler returns the worker's full route set with its middleware stack.
 func (w *Worker) Handler() http.Handler {
 	mux := shard.WorkerMux(w.node)

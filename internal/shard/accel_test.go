@@ -51,7 +51,7 @@ func TestShardedWarmEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotNN, st3, err := c.NNJoin(ctx, "disjA", "disjB", q)
+				gotNN, st3, err := c.KNNJoin(ctx, "disjA", "disjB", q)
 				if err != nil {
 					t.Fatal(err)
 				}

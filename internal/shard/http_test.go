@@ -236,7 +236,7 @@ func TestShardedEquivalenceHTTP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := c.NNJoin(ctx, "disjA", "disjB", q)
+		got, _, err := c.KNNJoin(ctx, "disjA", "disjB", q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -136,9 +136,6 @@ func NewHTTPTransport(addrs []string) *HTTPTransport {
 // Close releases the pooled connections.
 func (t *HTTPTransport) Close() { t.client.CloseIdleConnections() }
 
-// Shards returns the number of workers the transport addresses.
-func (t *HTTPTransport) Shards() int { return len(t.addrs) }
-
 // Send implements Transport. Loans go out as references; a worker missing
 // some of their blobs gets one resend, within the attempt, carrying those.
 func (t *HTTPTransport) Send(ctx context.Context, shard int, req *Request) (*Response, error) {

@@ -35,9 +35,6 @@ func NewNode(id int, opts core.EngineOptions) *Node {
 	return &Node{id: id, eng: core.NewEngine(opts), datasets: make(map[string]map[int]*core.Dataset), lent: make(map[string]map[int64]*storage.Object)}
 }
 
-// ID returns the shard index.
-func (n *Node) ID() int { return n.id }
-
 // Engine exposes the node's engine (for statistics and tests).
 func (n *Node) Engine() *core.Engine { return n.eng }
 

@@ -261,18 +261,6 @@ func (c *Coordinator) dataset(name string) (*dsEntry, error) {
 	return e, nil
 }
 
-// Datasets lists the dataset names the coordinator serves, sorted.
-func (c *Coordinator) Datasets() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.datasets))
-	for name := range c.datasets {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // IntersectJoin is the sharded core.Engine.IntersectJoin.
 func (c *Coordinator) IntersectJoin(ctx context.Context, target, source string, q core.QueryOptions) ([]core.Pair, *core.Stats, error) {
 	resp, st, err := c.joinQuery(ctx, KindIntersect, target, source, 0, q)
@@ -285,12 +273,6 @@ func (c *Coordinator) IntersectJoin(ctx context.Context, target, source string, 
 // WithinJoin is the sharded core.Engine.WithinJoin.
 func (c *Coordinator) WithinJoin(ctx context.Context, target, source string, dist float64, q core.QueryOptions) ([]core.Pair, *core.Stats, error) {
 	return c.joinQuery(ctx, KindWithin, target, source, dist, q)
-}
-
-// NNJoin is the sharded core.Engine.NNJoin.
-func (c *Coordinator) NNJoin(ctx context.Context, target, source string, q core.QueryOptions) ([]core.Neighbor, *core.Stats, error) {
-	q.K = 1
-	return c.KNNJoin(ctx, target, source, q)
 }
 
 // KNNJoin is the sharded core.Engine.KNNJoin.

@@ -134,7 +134,7 @@ func TestShardedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := c.NNJoin(ctx, "disjA", "disjB", q)
+		got, _, err := c.KNNJoin(ctx, "disjA", "disjB", q)
 		if err != nil {
 			t.Fatal(err)
 		}

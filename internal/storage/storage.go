@@ -64,9 +64,6 @@ func axisCount(extent, edge float64) int {
 	return int(f)
 }
 
-// NumCuboids returns the total cuboid count.
-func (g Grid) NumCuboids() int { return g.Nx * g.Ny * g.Nz }
-
 // CuboidOf returns the cuboid index of a point (clamped into the grid).
 func (g Grid) CuboidOf(p geom.Vec3) int {
 	size := g.Space.Size()
@@ -91,23 +88,6 @@ func clampIdx(off, size float64, n int) int {
 		return n - 1
 	}
 	return int(f)
-}
-
-// CuboidBox returns the spatial extent of cuboid i.
-func (g Grid) CuboidBox(i int) geom.Box3 {
-	ix := i % g.Nx
-	iy := (i / g.Nx) % g.Ny
-	iz := i / (g.Nx * g.Ny)
-	size := g.Space.Size()
-	dx := size.X / float64(g.Nx)
-	dy := size.Y / float64(g.Ny)
-	dz := size.Z / float64(g.Nz)
-	min := geom.V(
-		g.Space.Min.X+float64(ix)*dx,
-		g.Space.Min.Y+float64(iy)*dy,
-		g.Space.Min.Z+float64(iz)*dz,
-	)
-	return geom.Box3{Min: min, Max: min.Add(geom.V(dx, dy, dz))}
 }
 
 // Object is one stored object: its ID, MBB, cuboid, and compressed form.

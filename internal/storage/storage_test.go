@@ -22,11 +22,20 @@ func compress(t *testing.T, m *mesh.Mesh) *ppvp.Compressed {
 	return c
 }
 
+// cuboidBox returns the spatial extent of cuboid i of g.
+func cuboidBox(g Grid, i int) geom.Box3 {
+	size := g.Space.Size()
+	d := geom.V(size.X/float64(g.Nx), size.Y/float64(g.Ny), size.Z/float64(g.Nz))
+	min := g.Space.Min.Add(geom.V(float64(i%g.Nx)*d.X, float64(i/g.Nx%g.Ny)*d.Y, float64(i/(g.Nx*g.Ny))*d.Z))
+	return geom.Box3{Min: min, Max: min.Add(d)}
+}
+
 func TestGridBasics(t *testing.T) {
 	space := geom.Box3{Min: geom.V(0, 0, 0), Max: geom.V(100, 100, 100)}
 	g := NewGrid(space, 27)
-	if g.NumCuboids() < 8 || g.NumCuboids() > 64 {
-		t.Errorf("NumCuboids = %d, want near 27", g.NumCuboids())
+	n := g.Nx * g.Ny * g.Nz
+	if n < 8 || n > 64 {
+		t.Errorf("%d cuboids, want near 27", n)
 	}
 
 	// Every point maps into range and its cuboid box contains it.
@@ -36,10 +45,10 @@ func TestGridBasics(t *testing.T) {
 	}
 	for _, p := range pts {
 		i := g.CuboidOf(p)
-		if i < 0 || i >= g.NumCuboids() {
+		if i < 0 || i >= n {
 			t.Fatalf("CuboidOf(%v) = %d out of range", p, i)
 		}
-		box := g.CuboidBox(i)
+		box := cuboidBox(g, i)
 		clamped := space.ClosestPoint(p)
 		if !box.Expand(1e-9).ContainsPoint(clamped) {
 			t.Fatalf("cuboid %d box %v does not contain %v", i, box, clamped)
@@ -48,8 +57,8 @@ func TestGridBasics(t *testing.T) {
 
 	// Cuboid boxes tile the space.
 	var vol float64
-	for i := 0; i < g.NumCuboids(); i++ {
-		vol += g.CuboidBox(i).Volume()
+	for i := 0; i < n; i++ {
+		vol += cuboidBox(g, i).Volume()
 	}
 	if diff := vol - space.Volume(); diff > 1e-6 || diff < -1e-6 {
 		t.Errorf("cuboid volumes sum to %v, space is %v", vol, space.Volume())
@@ -58,13 +67,13 @@ func TestGridBasics(t *testing.T) {
 
 func TestGridDegenerate(t *testing.T) {
 	g := NewGrid(geom.EmptyBox(), 10)
-	if g.NumCuboids() < 1 {
+	if g.Nx < 1 || g.Ny < 1 || g.Nz < 1 {
 		t.Error("degenerate grid has no cuboids")
 	}
-	if i := g.CuboidOf(geom.V(1, 2, 3)); i < 0 || i >= g.NumCuboids() {
+	if i := g.CuboidOf(geom.V(1, 2, 3)); i < 0 || i >= g.Nx*g.Ny*g.Nz {
 		t.Errorf("CuboidOf on degenerate grid = %d", i)
 	}
-	if NewGrid(geom.Box3{}, 0).NumCuboids() < 1 {
+	if z := NewGrid(geom.Box3{}, 0); z.Nx < 1 || z.Ny < 1 || z.Nz < 1 {
 		t.Error("zero-cuboid request not clamped")
 	}
 }
@@ -186,7 +195,7 @@ func TestNonFiniteCoordinatesClampToCuboidZero(t *testing.T) {
 		{X: nan, Y: 50, Z: 50},
 		{X: math.Inf(-1), Y: 50, Z: 50},
 	} {
-		if i := g.CuboidOf(p); i < 0 || i >= g.NumCuboids() {
+		if i := g.CuboidOf(p); i < 0 || i >= g.Nx*g.Ny*g.Nz {
 			t.Errorf("CuboidOf(%v) = %d out of range", p, i)
 		}
 	}
@@ -194,7 +203,7 @@ func TestNonFiniteCoordinatesClampToCuboidZero(t *testing.T) {
 	if i := g.CuboidOf(geom.V(nan, nan, nan)); i != 0 {
 		t.Errorf("CuboidOf(NaN) = %d, want 0", i)
 	}
-	if i := g.CuboidOf(geom.V(math.Inf(1), math.Inf(1), math.Inf(1))); i != g.NumCuboids()-1 {
+	if i := g.CuboidOf(geom.V(math.Inf(1), math.Inf(1), math.Inf(1))); i != g.Nx*g.Ny*g.Nz-1 {
 		t.Errorf("CuboidOf(+Inf) = %d, want last cuboid", i)
 	}
 }
@@ -206,10 +215,10 @@ func TestNewGridNonFiniteSpace(t *testing.T) {
 		{Min: geom.V(0, 0, 0), Max: geom.V(math.Inf(1), 10, 10)},
 	} {
 		g := NewGrid(space, 64)
-		if g.NumCuboids() < 1 || g.NumCuboids() > 1<<21 {
-			t.Errorf("NewGrid(%v) cuboids = %d", space, g.NumCuboids())
+		if g.Nx*g.Ny*g.Nz < 1 || g.Nx*g.Ny*g.Nz > 1<<21 {
+			t.Errorf("NewGrid(%v) cuboids = %d", space, g.Nx*g.Ny*g.Nz)
 		}
-		if i := g.CuboidOf(geom.V(1, 2, 3)); i < 0 || i >= g.NumCuboids() {
+		if i := g.CuboidOf(geom.V(1, 2, 3)); i < 0 || i >= g.Nx*g.Ny*g.Nz {
 			t.Errorf("CuboidOf on non-finite grid = %d", i)
 		}
 	}
