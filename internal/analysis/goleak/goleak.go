@@ -1,5 +1,5 @@
 // Package goleak statically checks that every goroutine launched in the
-// concurrency tiers — the pipelined executor (internal/core/pipeline.go),
+// concurrency tiers — the join refine driver (internal/core/pipeline.go),
 // the shard coordinator (internal/shard), and the device simulator
 // (internal/gpusim) — has a termination path on every CFG path.
 //
@@ -42,8 +42,8 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // scopePackages are checked in full; in internal/core only pipeline.go is
-// in scope (the rest of the package predates the pipelined executor and is
-// covered by the runtime leak checker).
+// in scope (the rest of the package is covered by the runtime leak
+// checker).
 var scopePackages = []string{"internal/shard", "internal/gpusim"}
 
 func run(pass *analysis.Pass) error {

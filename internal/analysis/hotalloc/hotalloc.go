@@ -21,17 +21,6 @@
 //     candidate pair costs more than the sort. slices.Sort / slices.SortFunc
 //     are the typed equivalents.
 //
-// One more from the PR-7 batch pipeline:
-//
-//  4. The pipeline's stage goroutines — every `go func() { ... }()` inside a
-//     driver that opens a device stream (calls a method named NewStream) —
-//     must not allocate slices per batch (nor sort by reflection): the pack
-//     and gather stages recycle their batch buffers through a sync.Pool. The
-//     same package-local
-//     reachability applies, rooted at the stage goroutine bodies. The
-//     runPerTarget dispatcher itself is exempt (its body runs once per
-//     query; its callbacks are already per-pair roots via rule 2).
-//
 // And one from the PR-18 encoder work: internal/ppvp is the write path's hot
 // package — the decimation round runs its inner loop per candidate vertex —
 // and has no dispatcher to root a reachability walk at, so there rules 1
@@ -51,18 +40,16 @@ var Analyzer = &analysis.Analyzer{
 		"In internal/core, internal/index/aabbtree, internal/shard, and internal/gpusim,\n" +
 		"(*mesh.Mesh).Triangles() must not be called (use SoA()), functions reachable from runPerTarget\n" +
 		"callbacks must not allocate slices (use per-worker scratch or a pool) nor\n" +
-		"call sort.Slice/sort.SliceStable (use slices.SortFunc), and goroutines\n" +
-		"launched by pipeline drivers (functions calling NewStream) must not do\n" +
-		"either per batch (use pooled batch buffers). In internal/ppvp, Triangles() and\n" +
+		"call sort.Slice/sort.SliceStable (use slices.SortFunc). In internal/ppvp, Triangles() and\n" +
 		"sort.Slice/sort.SliceStable must not be called anywhere.",
 	Run: run,
 }
 
 // hotPackages are the path-segment suffixes of packages on the refine hot
 // path. Fixture packages match by the same suffixes. internal/shard and
-// internal/gpusim joined in issue 8: the coordinator's merge path and the
-// simulated device's stage goroutines run per query and per batch
-// respectively, so the same allocation discipline applies.
+// internal/gpusim joined in issue 8: the coordinator's merge path runs per
+// query and the simulated device's kernels per pair, so the same allocation
+// discipline applies.
 var hotPackages = []string{"internal/core", "internal/index/aabbtree", "internal/shard", "internal/gpusim", "internal/ppvp"}
 
 // encoderPackages are the hot packages whose every function is on the hot
@@ -120,11 +107,10 @@ func checkTrianglesCalls(pass *analysis.Pass) {
 }
 
 // checkHotPathAllocs builds the package-local static call graph, marks
-// everything reachable from the two kinds of hot roots — function literals
-// passed to runPerTarget (per-pair) and stage goroutines of NewStream-calling
-// pipeline drivers (per-batch) — and flags slice allocations (make of a slice
-// type, slice composite literals) and reflection-based sorts inside the
-// reachable region.
+// everything reachable from the function literals passed to runPerTarget
+// (per-pair) and flags slice allocations (make of a slice type, slice
+// composite literals) and reflection-based sorts inside the reachable
+// region.
 func checkHotPathAllocs(pass *analysis.Pass) {
 	// Map every function declaration's object to its body node, so static
 	// calls can be followed.
@@ -164,57 +150,7 @@ func checkHotPathAllocs(pass *analysis.Pass) {
 		})
 	}
 
-	// Per-batch roots: a function that opens a device stream (calls a
-	// method named NewStream) is a pipeline driver; every goroutine literal
-	// it launches is a stage whose body runs once per work item or batch.
-	var stageRoots []ast.Node
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !callsNewStream(pass, fd.Body) {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if g, ok := n.(*ast.GoStmt); ok {
-					if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
-						stageRoots = append(stageRoots, lit.Body)
-					}
-				}
-				return true
-			})
-		}
-	}
-
-	// Flag the per-pair region first: helpers shared by both regions then
-	// report the runPerTarget wording deterministically.
-	visited := make(map[ast.Node]bool)
-	reachedFns := make(map[*types.Func]bool)
-	flagReachable(pass, decls, perPairRoots, visited, reachedFns,
-		"a runPerTarget callback (per-pair hot path)", "use per-worker scratch or a sync.Pool")
-	flagReachable(pass, decls, stageRoots, visited, reachedFns,
-		"a pipeline stage goroutine (per-batch hot path)", "use pooled batch buffers")
-}
-
-// callsNewStream reports whether body contains a call to any function or
-// method named NewStream — the marker that a function drives a device
-// stream pipeline.
-func callsNewStream(pass *analysis.Pass, body ast.Node) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if callee := analysis.CalleeFunc(pass.Info, call); callee != nil && callee.Name() == "NewStream" {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
+	flagReachable(pass, decls, perPairRoots)
 }
 
 // buildsOnce reports whether callee runs its closure argument at most once
@@ -228,12 +164,13 @@ func buildsOnce(callee *types.Func) bool {
 
 // flagReachable walks the package-local static call graph from the given
 // root bodies, flagging slice allocations and reflection sorts in every
-// newly visited body, naming the hot region and, for allocations, the
-// sanctioned alternative. Edges into build-once
-// closures (see buildsOnce) are not followed; edges into
-// runPerTarget are not followed either — the dispatcher body runs once per
-// query, and its callbacks are already roots of the per-pair region.
-func flagReachable(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, worklist []ast.Node, visited map[ast.Node]bool, reachedFns map[*types.Func]bool, region, allocAdvice string) {
+// newly visited body. Edges into build-once closures (see buildsOnce) are
+// not followed; edges into runPerTarget are not followed either — the
+// dispatcher body runs once per query, and its callbacks are already roots
+// of the per-pair region.
+func flagReachable(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, worklist []ast.Node) {
+	visited := make(map[ast.Node]bool)
+	reachedFns := make(map[*types.Func]bool)
 	for len(worklist) > 0 {
 		body := worklist[len(worklist)-1]
 		worklist = worklist[:len(worklist)-1]
@@ -241,7 +178,7 @@ func flagReachable(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, wor
 			continue
 		}
 		visited[body] = true
-		flagSliceAllocs(pass, body, region, allocAdvice)
+		flagSliceAllocs(pass, body)
 		ast.Inspect(body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -270,7 +207,7 @@ func flagReachable(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, wor
 // sort.SliceStable calls inside body, skipping subtrees of build-once calls
 // and runPerTarget calls (whose callback literals are flagged as their own
 // roots).
-func flagSliceAllocs(pass *analysis.Pass, body ast.Node, region, allocAdvice string) {
+func flagSliceAllocs(pass *analysis.Pass, body ast.Node) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
@@ -280,8 +217,8 @@ func flagSliceAllocs(pass *analysis.Pass, body ast.Node, region, allocAdvice str
 					return false
 				}
 				if isReflectionSort(callee) {
-					pass.Reportf(n.Pos(), "sort.%s sorts through reflection and is reachable from %s; use slices.SortFunc",
-						callee.Name(), region)
+					pass.Reportf(n.Pos(), "sort.%s sorts through reflection and is reachable from a runPerTarget callback (per-pair hot path); use slices.SortFunc",
+						callee.Name())
 				}
 				if callee.Name() == "runPerTarget" {
 					// The callback literal is a per-pair root of its own;
@@ -292,13 +229,13 @@ func flagSliceAllocs(pass *analysis.Pass, body ast.Node, region, allocAdvice str
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "make" {
 				if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); isBuiltin && len(n.Args) > 0 {
 					if isSliceType(pass.Info.Types[n.Args[0]].Type) {
-						pass.Reportf(n.Pos(), "slice allocation reachable from %s; %s", region, allocAdvice)
+						pass.Reportf(n.Pos(), "slice allocation reachable from a runPerTarget callback (per-pair hot path); use per-worker scratch or a sync.Pool")
 					}
 				}
 			}
 		case *ast.CompositeLit:
 			if isSliceType(pass.Info.Types[n].Type) {
-				pass.Reportf(n.Pos(), "slice literal reachable from %s; %s", region, allocAdvice)
+				pass.Reportf(n.Pos(), "slice literal reachable from a runPerTarget callback (per-pair hot path); use per-worker scratch or a sync.Pool")
 				return false // don't double-report nested element literals
 			}
 		}

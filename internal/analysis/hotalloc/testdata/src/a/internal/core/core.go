@@ -12,8 +12,7 @@ import (
 
 // runPerTarget mimics the engine's per-object dispatcher; hotalloc treats
 // function literals passed to any callee named runPerTarget as hot roots.
-// Its own body runs once per query, so its allocation is exempt even when a
-// pipeline stage goroutine calls it (see PipelinedFeeder).
+// Its own body runs once per query, so its allocation is exempt.
 func runPerTarget(workers int, fn func(w int, o int) error) error {
 	order := make([]int, 0, 4) // per-query dispatch scratch: dispatcher body is exempt
 	for o := 0; o < 4; o++ {

@@ -90,12 +90,6 @@ type Suite struct {
 	Cfg    Config
 	Engine *core.Engine
 
-	// Exec selects the refine executor RunCell uses (ExecAuto, the zero
-	// value, picks the engine default — the batch pipeline). The parity
-	// tests set it to pin pipeline and per-pair answers equal on the
-	// benchmark workload itself.
-	Exec core.Exec
-
 	NucleiA *core.Dataset
 	NucleiB *core.Dataset
 	Nuclei1 *core.Dataset

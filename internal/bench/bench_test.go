@@ -232,28 +232,3 @@ func TestStatsShape(t *testing.T) {
 		t.Error("compression costs not measured")
 	}
 }
-
-// TestRunCellExecutorParity pins the pipelined and the inline drive of the
-// refinement stages to identical result counts on the experiment workload
-// itself — the same datasets and cells Table 1 is timed on — so a pipeline
-// speedup can never be the product of silently skipped work.
-func TestRunCellExecutorParity(t *testing.T) {
-	s := testSuite(t)
-	for _, test := range AllTests {
-		for _, p := range []core.Paradigm{core.FR, core.FPR} {
-			s.Exec = core.ExecPerPair
-			per, err := s.RunCell(test, p, core.BruteForce)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.Exec = core.ExecAuto
-			pipe, err := s.RunCell(test, p, core.BruteForce)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if per.Results != pipe.Results {
-				t.Errorf("%v/%v: per-pair %d results, pipeline %d", test, p, per.Results, pipe.Results)
-			}
-		}
-	}
-}

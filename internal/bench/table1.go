@@ -80,7 +80,7 @@ type Cell struct {
 // derives each ladder, so no profiled schedule is pinned.
 func (s *Suite) RunCell(test TestID, paradigm core.Paradigm, accel core.Accel) (Cell, error) {
 	target, source := s.datasets(test)
-	q := core.QueryOptions{Paradigm: paradigm, Accel: accel, Workers: s.Cfg.Workers, Exec: s.Exec}
+	q := core.QueryOptions{Paradigm: paradigm, Accel: accel, Workers: s.Cfg.Workers}
 	s.Engine.Cache().Clear()
 
 	var (

@@ -117,27 +117,25 @@ func TestWarmEngineEquivalence(t *testing.T) {
 		// the bounded kernels to the unpruned pairwise reference.
 		var ref any
 		for _, accel := range allAccels {
-			for _, exec := range []Exec{ExecAuto, ExecPerPair} {
-				for _, policy := range []ErrorPolicy{FailFast, Degrade} {
-					q := QueryOptions{Paradigm: FPR, Accel: accel, Exec: exec, OnError: policy}
-					name := fmt.Sprintf("%s/%v/%v/%v", c.kind, accel, exec, policy)
+			for _, policy := range []ErrorPolicy{FailFast, Degrade} {
+				q := QueryOptions{Paradigm: FPR, Accel: accel, OnError: policy}
+				name := fmt.Sprintf("%s/%v/%v", c.kind, accel, policy)
 
-					// Fresh: nothing decoded, nothing memoized.
-					cold.Cache().Clear()
-					ct, cs := c.pick(dc)
-					want, _ := runQuery(t, cold, c.kind, ct, cs, q)
-					if ref == nil {
-						ref = want
-					} else if !reflect.DeepEqual(want, ref) {
-						t.Errorf("%s: answer differs from the brute-force reference\n got %v\nwant %v", name, want, ref)
-					}
+				// Fresh: nothing decoded, nothing memoized.
+				cold.Cache().Clear()
+				ct, cs := c.pick(dc)
+				want, _ := runQuery(t, cold, c.kind, ct, cs, q)
+				if ref == nil {
+					ref = want
+				} else if !reflect.DeepEqual(want, ref) {
+					t.Errorf("%s: answer differs from the brute-force reference\n got %v\nwant %v", name, want, ref)
+				}
 
-					// Warm: whatever every earlier iteration left behind.
-					wt, ws := c.pick(dw)
-					got, _ := runQuery(t, warm, c.kind, wt, ws, q)
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s: warm engine differs from fresh\n got %v\nwant %v", name, got, want)
-					}
+				// Warm: whatever every earlier iteration left behind.
+				wt, ws := c.pick(dw)
+				got, _ := runQuery(t, warm, c.kind, wt, ws, q)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: warm engine differs from fresh\n got %v\nwant %v", name, got, want)
 				}
 			}
 		}
@@ -150,33 +148,30 @@ func TestWarmEngineEquivalence(t *testing.T) {
 // builds come back.
 func TestAccelBuildsOnlyWhenCold(t *testing.T) {
 	for _, accel := range []Accel{AABB, Partition, PartitionGPU} {
-		for _, exec := range []Exec{ExecAuto, ExecPerPair} {
-			e := testEngine(t)
-			_, _, a, b := buildPartitionedPairs(t, e)
-			q := QueryOptions{Paradigm: FPR, Accel: accel, Exec: exec}
-			name := fmt.Sprintf("%v/%v", accel, exec)
+		e := testEngine(t)
+		_, _, a, b := buildPartitionedPairs(t, e)
+		q := QueryOptions{Paradigm: FPR, Accel: accel}
 
-			want, first := runQuery(t, e, "within", a, b, q)
-			if first.AccelBuilds == 0 {
-				t.Fatalf("%s: cold query built no accelerators: %v", name, first)
-			}
-			got, second := runQuery(t, e, "within", a, b, q)
-			if second.AccelBuilds != 0 || second.AccelReuses == 0 {
-				t.Errorf("%s: warm query builds=%d reuses=%d, want 0 and > 0",
-					name, second.AccelBuilds, second.AccelReuses)
-			}
-			if second.Decodes != 0 {
-				t.Errorf("%s: warm query decoded %d objects; the cache evicted under the memo charge", name, second.Decodes)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: warm answer differs", name)
-			}
+		want, first := runQuery(t, e, "within", a, b, q)
+		if first.AccelBuilds == 0 {
+			t.Fatalf("%v: cold query built no accelerators: %v", accel, first)
+		}
+		got, second := runQuery(t, e, "within", a, b, q)
+		if second.AccelBuilds != 0 || second.AccelReuses == 0 {
+			t.Errorf("%v: warm query builds=%d reuses=%d, want 0 and > 0",
+				accel, second.AccelBuilds, second.AccelReuses)
+		}
+		if second.Decodes != 0 {
+			t.Errorf("%v: warm query decoded %d objects; the cache evicted under the memo charge", accel, second.Decodes)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: warm answer differs", accel)
+		}
 
-			e.Cache().Clear()
-			_, third := runQuery(t, e, "within", a, b, q)
-			if third.AccelBuilds == 0 {
-				t.Errorf("%s: query after eviction built no accelerators: the memo outlived its cache entry", name)
-			}
+		e.Cache().Clear()
+		_, third := runQuery(t, e, "within", a, b, q)
+		if third.AccelBuilds == 0 {
+			t.Errorf("%v: query after eviction built no accelerators: the memo outlived its cache entry", accel)
 		}
 	}
 }
@@ -189,7 +184,7 @@ func TestAcceleratorsChargedToCache(t *testing.T) {
 	a, b := buildDisjointPair(t, e)
 	ctx := context.Background()
 
-	if _, _, err := e.WithinJoin(ctx, a, b, 12, QueryOptions{Paradigm: FR, Accel: BruteForce, Exec: ExecPerPair}); err != nil {
+	if _, _, err := e.WithinJoin(ctx, a, b, 12, QueryOptions{Paradigm: FR, Accel: BruteForce}); err != nil {
 		t.Fatal(err)
 	}
 	plain := e.Cache().Stats().BytesUsed

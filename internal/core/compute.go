@@ -30,15 +30,9 @@ type evalCtx struct {
 	col  *collector
 
 	// scratch holds per-worker filter buffers, indexed by the worker slot
-	// runPerTarget hands to each callback; no locking needed.
+	// runPerTarget hands to each callback; no locking needed. The degrader
+	// and the joins' result sink size their per-slot buffers the same way.
 	scratch []filterScratch
-
-	// slots is how many actors can record on the query at once, each on a
-	// slot of its own and therefore without locking: the W runPerTarget
-	// workers [0, W), and — in the joins' pipelined drive — W decode workers
-	// [W, 2W) and the gather goroutine 2W. The degrader and the joins'
-	// result sink size their per-slot buffers by it.
-	slots int
 
 	// deg collects per-object failures when the query runs under the
 	// Degrade error policy; nil under FailFast.
@@ -86,10 +80,9 @@ func newEvalCtx(e *Engine, opts QueryOptions, col *collector) *evalCtx {
 		opts:    opts,
 		col:     col,
 		scratch: make([]filterScratch, workers),
-		slots:   2*workers + 1,
 	}
 	if opts.OnError == Degrade {
-		c.deg = newDegrader(c.slots, opts.ErrorBudget)
+		c.deg = newDegrader(workers, opts.ErrorBudget)
 	}
 	return c
 }
@@ -325,6 +318,16 @@ func (c *evalCtx) minDist(a, b obj, upper, stop2 float64) float64 {
 		d2 = geom.MinDist2BatchRange(sa, sb, 0, sa.Len()*sb.Len(), up2, stop2)
 	}
 	return plainDist(d2, up2)
+}
+
+// plainDist converts a bounded kernel's answer — the squared distance, or
+// the untouched seed upper2 when no face pair beat it — to minDist's form:
+// the plain distance, +Inf standing for "greater than the bound".
+func plainDist(d2, upper2 float64) float64 {
+	if d2 >= upper2 {
+		return math.Inf(1)
+	}
+	return math.Sqrt(d2)
 }
 
 // withinStop2 is the stop bound of a within evaluation against dist, fl(dist²):

@@ -91,24 +91,17 @@ func (a Accel) String() string {
 // UsesPartition reports whether the accelerator needs skeletons.
 func (a Accel) UsesPartition() bool { return a == Partition || a == PartitionGPU }
 
-// Exec selects how IntersectJoin and WithinJoin drive their refinement
-// stages (pipeline.go). Both values run the same filter, plan, decode,
-// evaluate and settle code and return the same answer; the other query kinds
-// have one ladder each and ignore it.
+// Exec names a drive of the IntersectJoin and WithinJoin refinement stages.
+// There is one drive (pipeline.go): each filter worker walks its candidates
+// up the ladder one pair at a time. Both values run it, so they give the same
+// answer and the same Stats; the values remain because callers still set
+// and print them.
 type Exec int
 
 const (
-	// ExecAuto — the default — overlaps the stages: decode workers, batches
-	// on the device stream, a gather goroutine.
+	// ExecAuto is the zero value: the one drive.
 	ExecAuto Exec = iota
-	// ExecPerPair drives the stages inline: each filter worker walks its
-	// candidates up the ladder one pair at a time, with no queue, stream or
-	// device batch. It stays an option because it is the sequential
-	// reference the overlapped drive is tested against (and the benchmark
-	// oracle pins it). Its Stats differ from ExecAuto's only in
-	// BatchesDispatched and BatchPairs, which stay 0. Like ExecAuto it looks
-	// the target object up in the cache once per evaluated pair, not once
-	// per LOD, and CacheHits counts every lookup.
+	// ExecPerPair also runs the one drive.
 	ExecPerPair
 )
 
@@ -263,8 +256,7 @@ type QueryOptions struct {
 	// (phase, LOD) is returned in Stats.Trace. Off by default — each traced
 	// span takes a mutex on the hot path.
 	Trace bool
-	// Exec selects the drive of the IntersectJoin/WithinJoin refinement
-	// stages: overlapped batches (the default) or inline per pair.
+	// Exec is ignored: both values run the one refinement drive (see Exec).
 	Exec Exec
 	// Sched selects the LOD scheduling policy: SchedMargin (the default)
 	// routes each candidate pair by its distance margin over an

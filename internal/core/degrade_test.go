@@ -385,7 +385,7 @@ func TestRunPerTargetOnErr(t *testing.T) {
 	var mu sync.Mutex
 	processed := map[int64]bool{}
 	var hookErrs []error
-	err := runPerTarget(context.Background(), a, 4, func(w int, o *storage.Object) error {
+	err := runPerTarget(context.Background(), a, 4, func(_ context.Context, w int, o *storage.Object) error {
 		if o.ID%3 == 0 {
 			return errors.New("boom")
 		}
@@ -411,7 +411,7 @@ func TestRunPerTargetOnErr(t *testing.T) {
 		}
 	}
 
-	err = runPerTarget(context.Background(), a, 4, func(w int, o *storage.Object) error {
+	err = runPerTarget(context.Background(), a, 4, func(_ context.Context, w int, o *storage.Object) error {
 		return errors.New("boom")
 	}, func(w int, o *storage.Object, err error) error {
 		return err

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/datagen"
@@ -117,29 +116,6 @@ func (c driveCase) want(t *testing.T) map[Pair]bool {
 	return ref.withinJoin(t, c.dist)
 }
 
-// sameDriveStats asserts the statistics that describe the ladder — as
-// opposed to how a drive scheduled it — are equal between the two drives.
-func sameDriveStats(t *testing.T, name string, auto, inline *Stats) {
-	t.Helper()
-	type ladder struct {
-		Results, Candidates                 int64
-		PairsEvaluated, PairsPruned         []int64
-		LODsSkippedByMargin, BoundsDecisive int64
-		Uncertain                           []Pair
-		UncertainIDs                        []int64
-	}
-	of := func(s *Stats) ladder {
-		return ladder{s.Results, s.Candidates, s.PairsEvaluated, s.PairsPruned,
-			s.LODsSkippedByMargin, s.BoundsDecisive, s.Uncertain, s.UncertainIDs}
-	}
-	if a, i := of(auto), of(inline); !reflect.DeepEqual(a, i) {
-		t.Errorf("%s: ladder stats differ between drives\n  auto %+v\ninline %+v", name, a, i)
-	}
-	if inline.BatchesDispatched != 0 || inline.BatchPairs != 0 {
-		t.Errorf("%s: inline drive reported batches: %d/%d", name, inline.BatchesDispatched, inline.BatchPairs)
-	}
-}
-
 // soundDegraded asserts the Degrade contract against the full answer: no
 // invented pair, and every missing pair flagged uncertain.
 func soundDegraded(t *testing.T, name string, got []Pair, st *Stats, want map[Pair]bool) {
@@ -159,8 +135,7 @@ func soundDegraded(t *testing.T, name string, got []Pair, st *Stats, want map[Pa
 
 // TestDrivesMatchReference is the one differential check behind "one refine
 // ladder": every intersect and within case, under every accelerator,
-// paradigm, scheduler and ladder shape, run through both drives of the
-// refinement stages and compared with sdbms and with each other.
+// paradigm, scheduler and ladder shape, compared with sdbms.
 func TestDrivesMatchReference(t *testing.T) {
 	e := testEngine(t)
 	f := buildDriveFixture(t, e)
@@ -168,9 +143,6 @@ func TestDrivesMatchReference(t *testing.T) {
 	for i := range full {
 		full[i] = i
 	}
-	// Ladders are pinned so the per-LOD counters of two runs are comparable:
-	// an unpinned SchedMargin ladder is re-derived per query from the
-	// calibrator the previous run fed.
 	ladders := [][]int{full, {0, len(full) - 1}}
 	scheds := []struct {
 		par   Paradigm
@@ -187,18 +159,11 @@ func TestDrivesMatchReference(t *testing.T) {
 				for _, lods := range ladders {
 					name := fmt.Sprintf("%s/%v/%v/%v/%v", c.name, accel, s.par, s.sched, lods)
 					q := QueryOptions{Paradigm: s.par, Sched: s.sched, Accel: accel, LODs: lods}
-					auto, stAuto, err := c.run(e, q)
+					got, _, err := c.run(e, q)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					q.Exec = ExecPerPair
-					inline, stInline, err := c.run(e, q)
-					if err != nil {
-						t.Fatalf("%s inline: %v", name, err)
-					}
-					sameSets(t, name+" auto", auto, want)
-					sameSets(t, name+" inline", inline, want)
-					sameDriveStats(t, name, stAuto, stInline)
+					sameSets(t, name, got, want)
 				}
 			}
 		}
@@ -211,7 +176,7 @@ func TestDrivesMatchReference(t *testing.T) {
 	}
 
 	// Degrade with two objects the quarantine refuses to decode: a partial
-	// failure both drives must report identically.
+	// failure, reported soundly.
 	t.Run("quarantined", func(t *testing.T) {
 		c := f.named("intersect/overlap")
 		want := c.want(t)
@@ -222,37 +187,28 @@ func TestDrivesMatchReference(t *testing.T) {
 		}
 		e.Quarantine().Trip(quarantine.Key{Dataset: c.target.Seq(), Object: some.Target}, "test trip")
 		e.Quarantine().Trip(quarantine.Key{Dataset: c.source.Seq(), Object: (some.Source + 1) % int64(c.source.Len())}, "test trip")
-		q := QueryOptions{OnError: Degrade, LODs: full}
-		auto, stAuto, err := c.run(e, q)
+		got, st, err := c.run(e, QueryOptions{OnError: Degrade, LODs: full})
 		if err != nil {
 			t.Fatal(err)
 		}
-		q.Exec = ExecPerPair
-		inline, stInline, err := c.run(e, q)
-		if err != nil {
-			t.Fatal(err)
+		soundDegraded(t, "quarantined", got, st, want)
+		if len(st.Uncertain) == 0 || len(st.Degraded) == 0 {
+			t.Errorf("uncertain %v; degraded %v; want both non-empty", st.Uncertain, st.Degraded)
 		}
-		samePairs(t, "quarantined", inline, auto)
-		soundDegraded(t, "quarantined", auto, stAuto, want)
-		sameDriveStats(t, "quarantined", stAuto, stInline)
-		if len(stAuto.Uncertain) == 0 || !reflect.DeepEqual(stAuto.Degraded, stInline.Degraded) {
-			t.Errorf("uncertain %v; degraded auto %v inline %v", stAuto.Uncertain, stAuto.Degraded, stInline.Degraded)
-		}
-		if _, _, err := c.run(e, QueryOptions{Exec: ExecPerPair}); !errors.Is(err, ErrQuarantined) {
-			t.Errorf("fail-fast inline err = %v, want ErrQuarantined", err)
+		if _, _, err := c.run(e, QueryOptions{}); !errors.Is(err, ErrQuarantined) {
+			t.Errorf("fail-fast err = %v, want ErrQuarantined", err)
 		}
 	})
 }
 
 // TestDrivesInjectedDecodeFault arms a decode fault that fails every decode
-// on a cold cache and checks both drives give it the same meaning: FailFast
-// aborts with the injected error; Degrade keeps exactly what bounds alone
-// prove and flags every other candidate uncertain.
+// on a cold cache: FailFast aborts with the injected error; Degrade keeps
+// exactly what bounds alone prove and flags every other candidate uncertain.
 func TestDrivesInjectedDecodeFault(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	// A fresh engine per run: the quarantine remembers failures, and the
-	// second drive must meet the fault itself, not the first drive's breaker.
-	run := func(exec Exec, policy ErrorPolicy) ([]Pair, *Stats, map[Pair]bool, error) {
+	// second run must meet the fault itself, not the first run's breaker.
+	run := func(policy ErrorPolicy) ([]Pair, *Stats, map[Pair]bool, error) {
 		e := NewEngine(EngineOptions{CacheBytes: 64 << 20, Workers: 4, DecodeRetries: -1})
 		defer e.Close()
 		f := buildDriveFixture(t, e)
@@ -261,31 +217,23 @@ func TestDrivesInjectedDecodeFault(t *testing.T) {
 		e.Cache().Clear()
 		faultinject.Arm(faultinject.PointCoreDecode, faultinject.Fault{Err: faultinject.ErrInjected})
 		defer faultinject.Reset()
-		got, st, err := c.run(e, QueryOptions{Exec: exec, OnError: policy, ErrorBudget: -1})
+		got, st, err := c.run(e, QueryOptions{OnError: policy, ErrorBudget: -1})
 		return got, st, want, err
 	}
 
-	for _, exec := range []Exec{ExecAuto, ExecPerPair} {
-		if _, st, _, err := run(exec, FailFast); !errors.Is(err, faultinject.ErrInjected) || st == nil {
-			t.Errorf("%v fail-fast: err = %v (stats %v), want the injected error and the work done so far", exec, err, st)
-		}
+	if _, st, _, err := run(FailFast); !errors.Is(err, faultinject.ErrInjected) || st == nil {
+		t.Errorf("fail-fast: err = %v (stats %v), want the injected error and the work done so far", err, st)
 	}
-	auto, stAuto, want, err := run(ExecAuto, Degrade)
+	got, st, want, err := run(Degrade)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inline, stInline, _, err := run(ExecPerPair, Degrade)
-	if err != nil {
-		t.Fatal(err)
+	soundDegraded(t, "degrade", got, st, want)
+	if n := int64(len(got)); n == 0 || n > st.BoundsDecisive {
+		t.Errorf("%d pairs returned with every decode failing, %d decided by bounds; want 0 < pairs ≤ decided", n, st.BoundsDecisive)
 	}
-	samePairs(t, "degrade", inline, auto)
-	soundDegraded(t, "degrade", auto, stAuto, want)
-	sameDriveStats(t, "degrade", stAuto, stInline)
-	if n := int64(len(auto)); n == 0 || n > stAuto.BoundsDecisive {
-		t.Errorf("%d pairs returned with every decode failing, %d decided by bounds; want 0 < pairs ≤ decided", n, stAuto.BoundsDecisive)
-	}
-	if len(stAuto.Degraded) == 0 || !reflect.DeepEqual(stAuto.Degraded, stInline.Degraded) {
-		t.Errorf("degraded auto %v inline %v", stAuto.Degraded, stInline.Degraded)
+	if len(st.Degraded) == 0 {
+		t.Error("every decode failed, yet nothing degraded")
 	}
 }
 
@@ -321,15 +269,12 @@ func TestWithinZeroFindsTouchingObjects(t *testing.T) {
 		t.Fatalf("fixture: reference within(0) = %v, distance %v; want the touching pair alone", want, ref.dist(0, 0))
 	}
 	for _, accel := range allAccels {
-		for _, exec := range []Exec{ExecAuto, ExecPerPair} {
-			for _, par := range []Paradigm{FR, FPR} {
-				q := QueryOptions{Paradigm: par, Accel: accel, Exec: exec}
-				got, _, err := e.WithinJoin(context.Background(), a, b, 0, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameSets(t, fmt.Sprintf("within(0)/%v/%v/%v", accel, exec, par), got, want)
+		for _, par := range []Paradigm{FR, FPR} {
+			got, _, err := e.WithinJoin(context.Background(), a, b, 0, QueryOptions{Paradigm: par, Accel: accel})
+			if err != nil {
+				t.Fatal(err)
 			}
+			sameSets(t, fmt.Sprintf("within(0)/%v/%v", accel, par), got, want)
 		}
 	}
 }

@@ -48,7 +48,7 @@ func (e *Engine) KNNJoin(ctx context.Context, target, source *Dataset, q QueryOp
 	// hot path; runPerTarget guarantees slot exclusivity).
 	sinkBuf := make([][]Neighbor, max(q.workers(e), 1))
 
-	err := runPerTarget(ctx, target, q.workers(e), func(w int, o *storage.Object) error {
+	err := runPerTarget(ctx, target, q.workers(e), func(_ context.Context, w int, o *storage.Object) error {
 		// Filtering step: R-tree NN candidate generation with
 		// MINMAXDIST-style pruning. With the sub-object tree one object can
 		// yield several entries; they merge by taking the minimum of both
@@ -220,45 +220,8 @@ func (e *Engine) KNNJoin(ctx context.Context, target, source *Dataset, q QueryOp
 			cands = kept
 			prevEvalLOD = lod
 		}
-
-		// Settle any remainder exactly (only reachable when the candidate
-		// list shrank to k before the top LOD — their current MAXDISTs are
-		// upper bounds, but ranking requires exact values).
-		if !targetFailed && !allExact(cands) {
-			top := lods[len(lods)-1]
-			to, err := ec.decode(target, o.ID, top)
-			if err != nil {
-				skip, aerr := ec.degradeErr(w, target, o.ID, err)
-				if !skip {
-					return aerr
-				}
-				targetFailed = true
-			} else {
-				kept := cands[:0]
-				for _, c := range cands {
-					if c.exact {
-						kept = append(kept, c)
-						continue
-					}
-					so, err := ec.decode(source, c.id, top)
-					if err != nil {
-						skip, aerr := ec.degradeErr(w, source, c.id, err)
-						if !skip {
-							return aerr
-						}
-						failed = append(failed, c)
-						continue
-					}
-					col.evalPair(top)
-					d := ec.minDist(to, so, c.maxDist*(1+1e-12), 0)
-					c.minDist = math.Min(d, c.maxDist)
-					c.maxDist = c.minDist
-					c.exact = true
-					kept = append(kept, c)
-				}
-				cands = kept
-			}
-		}
+		// Every ladder ends at the top LOD, whose pass leaves each kept
+		// candidate exact: unless the target failed, cands rank exactly.
 
 		if targetFailed {
 			// Nothing can be ranked without the target's geometry: every

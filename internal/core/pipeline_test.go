@@ -14,10 +14,11 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/geom"
 	"repro/internal/leakcheck"
+	"repro/internal/mesh"
 )
 
 // samePairs asserts two join answers are identical (both are sorted by the
-// executors' deterministic output contract).
+// joins' deterministic output contract).
 func samePairs(t *testing.T, name string, got, want []Pair) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -27,89 +28,6 @@ func samePairs(t *testing.T, name string, got, want []Pair) {
 		if got[i] != want[i] {
 			t.Fatalf("%s: pair %d = %v, want %v", name, i, got[i], want[i])
 		}
-	}
-}
-
-// TestPipelineMatchesPerPairAllAccels proves the pipelined drive result-equal
-// to the inline (ExecPerPair) drive across every accelerator and both
-// paradigms, for intersection and within-distance joins.
-func TestPipelineMatchesPerPairAllAccels(t *testing.T) {
-	e := testEngine(t)
-	a, b := buildPair(t, e)
-	da, db := buildDisjointPair(t, e)
-
-	accels := []Accel{BruteForce, AABB, Partition, GPU, PartitionGPU}
-	for _, par := range []Paradigm{FPR, FR} {
-		for _, ac := range accels {
-			name := fmt.Sprintf("%v/%v", par, ac)
-			t.Run("intersect/"+name, func(t *testing.T) {
-				q := QueryOptions{Paradigm: par, Accel: ac}
-				q.Exec = ExecPerPair
-				want, _, err := e.IntersectJoin(context.Background(), a, b, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				q.Exec = ExecAuto
-				got, st, err := e.IntersectJoin(context.Background(), a, b, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				samePairs(t, name, got, want)
-				if st.BatchesDispatched == 0 && st.Candidates > 0 {
-					t.Error("pipeline run reported no batches")
-				}
-			})
-			t.Run("within/"+name, func(t *testing.T) {
-				q := QueryOptions{Paradigm: par, Accel: ac}
-				for _, dist := range []float64{0, 0.5, 2, 8} {
-					q.Exec = ExecPerPair
-					want, _, err := e.WithinJoin(context.Background(), da, db, dist, q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					q.Exec = ExecAuto
-					got, _, err := e.WithinJoin(context.Background(), da, db, dist, q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					samePairs(t, fmt.Sprintf("%s dist=%v", name, dist), got, want)
-				}
-			})
-		}
-	}
-}
-
-// TestPipelineMatchesPerPairEveryLOD pins the equivalence at each single-LOD
-// ladder: settling early at LOD l through the batch kernels must accept and
-// reject exactly the pairs the per-pair evaluator does at that LOD.
-func TestPipelineMatchesPerPairEveryLOD(t *testing.T) {
-	e := testEngine(t)
-	a, b := buildPair(t, e)
-	da, db := buildDisjointPair(t, e)
-	maxLOD := minInt(a.MaxLOD(), b.MaxLOD())
-
-	for lod := 0; lod <= maxLOD; lod++ {
-		q := QueryOptions{LODs: []int{lod}}
-		q.Exec = ExecPerPair
-		wantI, _, err := e.IntersectJoin(context.Background(), a, b, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantW, _, err := e.WithinJoin(context.Background(), da, db, 1.5, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q.Exec = ExecAuto
-		gotI, _, err := e.IntersectJoin(context.Background(), a, b, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotW, _, err := e.WithinJoin(context.Background(), da, db, 1.5, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		samePairs(t, fmt.Sprintf("intersect lod=%d", lod), gotI, wantI)
-		samePairs(t, fmt.Sprintf("within lod=%d", lod), gotW, wantW)
 	}
 }
 
@@ -132,8 +50,9 @@ func exactDistance(t *testing.T, e *Engine, a *Dataset, aid int64, b *Dataset, b
 // TestPipelineNearThresholdProperty is the randomized near-miss/near-hit
 // property: datasets placed so many pair distances land close to the query
 // threshold, swept with distances sampled around the true inter-object
-// distances. The pipeline and per-pair executors must agree on every single
-// accept/reject decision, at full ladders and truncated ones.
+// distances. Progressive refinement must make every single accept/reject
+// decision the full-resolution (FR) join makes, at full ladders and
+// truncated ones.
 func TestPipelineNearThresholdProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for round := 0; round < 3; round++ {
@@ -162,14 +81,11 @@ func TestPipelineNearThresholdProperty(t *testing.T) {
 		ladders := [][]int{nil, {0}, {0, da.MaxLOD()}}
 		for _, lods := range ladders {
 			for _, dist := range dists {
-				q := QueryOptions{LODs: lods}
-				q.Exec = ExecPerPair
-				want, _, err := e.WithinJoin(context.Background(), da, db, dist, q)
+				want, _, err := e.WithinJoin(context.Background(), da, db, dist, QueryOptions{Paradigm: FR})
 				if err != nil {
 					t.Fatal(err)
 				}
-				q.Exec = ExecAuto
-				got, _, err := e.WithinJoin(context.Background(), da, db, dist, q)
+				got, _, err := e.WithinJoin(context.Background(), da, db, dist, QueryOptions{LODs: lods})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -180,54 +96,17 @@ func TestPipelineNearThresholdProperty(t *testing.T) {
 	}
 }
 
-// TestPipelineBatchCounters checks the batch accounting: the pipelined drive
-// reports batches and face pairs, the inline drive reports zero, and every
-// batch carries between one and maxBatchTasks of the pairs evaluated.
-func TestPipelineBatchCounters(t *testing.T) {
-	e := testEngine(t)
-	a, b := buildPair(t, e)
-
-	_, stPer, err := e.IntersectJoin(context.Background(), a, b, QueryOptions{Exec: ExecPerPair})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stPer.BatchesDispatched != 0 || stPer.BatchPairs != 0 {
-		t.Fatalf("per-pair run reported batches: %d/%d", stPer.BatchesDispatched, stPer.BatchPairs)
-	}
-
-	_, st, err := e.IntersectJoin(context.Background(), a, b, QueryOptions{Exec: ExecAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.BatchesDispatched == 0 {
-		t.Fatal("pipeline run dispatched no batches")
-	}
-	if st.BatchPairs == 0 {
-		t.Fatal("pipeline run reported no batch pairs")
-	}
-	if st.BatchPairs < st.BatchesDispatched {
-		t.Fatalf("BatchPairs=%d < BatchesDispatched=%d", st.BatchPairs, st.BatchesDispatched)
-	}
-	var tasks int64
-	for _, n := range st.PairsEvaluated {
-		tasks += n
-	}
-	if tasks < st.BatchesDispatched || tasks > maxBatchTasks*st.BatchesDispatched {
-		t.Fatalf("%d pairs evaluated in %d batches of at most %d", tasks, st.BatchesDispatched, maxBatchTasks)
-	}
-}
-
 // TestPipelineHammerCancellation is the race-detector hammer: concurrent
-// pipelined joins with contexts cancelled at random points mid-batch. Every
-// run must terminate promptly with either a clean answer or a context error
-// — never a deadlock, never a corrupted result.
+// joins with contexts cancelled at staggered points mid-ladder. Every run
+// must terminate promptly with either a clean answer or a context error —
+// never a deadlock, never a corrupted result.
 func TestPipelineHammerCancellation(t *testing.T) {
-	leakcheck.Check(t) // before testEngine: the diff must run after Close drains the stages
+	leakcheck.Check(t) // before testEngine: the diff must run after Close stops the device
 	t.Cleanup(faultinject.Reset)
 	e := testEngine(t)
 	a, b := buildPair(t, e)
 
-	want, _, err := e.IntersectJoin(context.Background(), a, b, QueryOptions{Exec: ExecAuto})
+	want, _, err := e.IntersectJoin(context.Background(), a, b, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,12 +120,12 @@ func TestPipelineHammerCancellation(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			// Stagger cancellation across the pipeline's lifetime, from
-			// before the feeder starts to after the gather likely drained.
+			// Stagger cancellation across the join's lifetime, from before
+			// the first target to after the last pair likely settled.
 			delay := time.Duration(i) * 500 * time.Microsecond
 			timer := time.AfterFunc(delay, cancel)
 			defer timer.Stop()
-			got, _, err := e.IntersectJoin(ctx, a, b, QueryOptions{Exec: ExecAuto})
+			got, _, err := e.IntersectJoin(ctx, a, b, QueryOptions{})
 			if err != nil {
 				if !errors.Is(err, context.Canceled) {
 					errs[i] = err
@@ -275,11 +154,45 @@ func TestPipelineHammerCancellation(t *testing.T) {
 	}
 }
 
+// TestPipelineCancelStopsBetweenPairs cancels a one-worker join during the
+// first decode miss of a target with several candidates: the join must stop
+// before the next pair (or the pair's next rung), not finish the target.
+func TestPipelineCancelStopsBetweenPairs(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	e := testEngine(t)
+	sphere := func(r float64, at geom.Vec3) *mesh.Mesh {
+		m := mesh.Icosphere(r, 2)
+		m.Translate(at)
+		return m
+	}
+	a, err := e.BuildDataset("cancelA", []*mesh.Mesh{sphere(10, geom.V(0, 0, 0))}, fastDatasetOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := e.BuildDataset("cancelB", []*mesh.Mesh{sphere(2, geom.V(10, 0, 0)), sphere(2, geom.V(-10, 0, 0)),
+		sphere(2, geom.V(0, 10, 0)), sphere(2, geom.V(0, -10, 0))}, fastDatasetOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Cache().Clear()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	faultinject.Arm(faultinject.PointCoreDecode, faultinject.Fault{Times: 1, Hook: func() error { cancel(); return nil }})
+	_, st, err := e.IntersectJoin(ctx, a, b, QueryOptions{Workers: 1})
+	var evaluated int64
+	for _, n := range st.PairsEvaluated {
+		evaluated += n
+	}
+	if !errors.Is(err, context.Canceled) || evaluated > 1 {
+		t.Fatalf("err = %v after %d pair evaluations; want context.Canceled after at most 1", err, evaluated)
+	}
+}
+
 // TestPipelineDegradedObjectsInBatch floods the decode point with transient
-// faults while a join runs under Degrade, in either drive: pipelined batches
-// then mix healthy and failing pairs, and the inline drive meets the same
-// failures pair by pair. The soundness contract is the same for both — no
-// invented pairs, and every dropped clean pair flagged uncertain.
+// faults while a join runs under Degrade: the join meets the failures pair
+// by pair. The soundness contract holds — no invented pairs, and every
+// dropped clean pair flagged uncertain. It runs once per accepted Exec
+// value; both run the one drive, so the contract must hold under each.
 func TestPipelineDegradedObjectsInBatch(t *testing.T) {
 	for _, exec := range []Exec{ExecAuto, ExecPerPair} {
 		t.Run(exec.String(), func(t *testing.T) {

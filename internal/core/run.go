@@ -21,17 +21,19 @@ import (
 // per-worker scratch state (filter buffers, result shards) without locking.
 //
 // The first error (or a cancellation of ctx) cancels a derived context, so
-// the spawning loop and every worker abort promptly; already-running fn
-// calls finish. A panic inside fn — a bad geometry, a corrupt blob tripping
-// an unchecked path — is recovered per object and surfaces as an error for
-// this query instead of crashing the process.
+// the spawning loop and every worker abort promptly. fn receives that
+// context: an fn that loops over many pairs checks it between them and
+// returns context.Cause, which is the first error when another worker's
+// failure cancelled it. A panic inside fn — a bad geometry, a corrupt blob
+// tripping an unchecked path — is recovered per object and surfaces as an
+// error for this query instead of crashing the process.
 //
 // onErr, when non-nil, intercepts each per-object error (including
 // recovered panics) before it aborts the run: returning nil swallows the
 // failure and the worker continues with the next object (degraded-mode
 // execution); returning an error — the same or another — aborts as before.
 // Nil onErr preserves strict fail-fast semantics.
-func runPerTarget(ctx context.Context, target *Dataset, workers int, fn func(w int, o *storage.Object) error, onErr func(w int, o *storage.Object, err error) error) error {
+func runPerTarget(ctx context.Context, target *Dataset, workers int, fn func(ctx context.Context, w int, o *storage.Object) error, onErr func(w int, o *storage.Object, err error) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -83,7 +85,7 @@ spawn:
 				if ctx.Err() != nil {
 					return
 				}
-				if err := callRecovered(fn, w, o); err != nil {
+				if err := callRecovered(ctx, fn, w, o); err != nil {
 					if onErr != nil {
 						err = onErr(w, o, err)
 					}
@@ -105,15 +107,15 @@ spawn:
 	return nil
 }
 
-// callRecovered runs fn(w, o), converting a panic into an error so one bad
-// object fails the query, not the process.
-func callRecovered(fn func(w int, o *storage.Object) error, w int, o *storage.Object) (err error) {
+// callRecovered runs fn(ctx, w, o), converting a panic into an error so one
+// bad object fails the query, not the process.
+func callRecovered(ctx context.Context, fn func(ctx context.Context, w int, o *storage.Object) error, w int, o *storage.Object) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: worker panic on object %d: %v\n%s", o.ID, r, debug.Stack())
 		}
 	}()
-	return fn(w, o)
+	return fn(ctx, w, o)
 }
 
 // resultSink collects pairs from concurrent workers into per-worker buffers

@@ -35,7 +35,7 @@ func runJoin(t *testing.T, e *Engine, kind QueryKind, target, source *Dataset, d
 }
 
 // TestMarginStaticEquivalence is the margin scheduler's core contract: for
-// every query kind, both executors, and the Degrade policy (no faults
+// every query kind, under FailFast and the Degrade policy (no faults
 // injected), SchedMargin returns byte-identical results to the SchedStatic
 // reference — including repeated margin runs, which exercise the
 // online-calibrated ladders the first run seeds.
@@ -58,20 +58,18 @@ func TestMarginStaticEquivalence(t *testing.T) {
 		{WithinKind, wa, wa},
 	}
 	for _, c := range cases {
-		for _, exec := range []Exec{ExecAuto, ExecPerPair} {
-			for _, policy := range []ErrorPolicy{FailFast, Degrade} {
-				q := QueryOptions{Paradigm: FPR, Exec: exec, OnError: policy}
-				q.Sched = SchedStatic
-				want, _ := runJoin(t, e, c.kind, c.target, c.source, dist, q)
-				// Three margin runs: run 1 on the uncalibrated full ladder,
-				// runs 2-3 on ladders derived from the calibrator it fed.
-				for i := 0; i < 3; i++ {
-					q.Sched = SchedMargin
-					got, _ := runJoin(t, e, c.kind, c.target, c.source, dist, q)
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%v/%v/%v margin run %d: results differ from static\n got %v\nwant %v",
-							c.kind, exec, policy, i, got, want)
-					}
+		for _, policy := range []ErrorPolicy{FailFast, Degrade} {
+			q := QueryOptions{Paradigm: FPR, OnError: policy}
+			q.Sched = SchedStatic
+			want, _ := runJoin(t, e, c.kind, c.target, c.source, dist, q)
+			// Three margin runs: run 1 on the uncalibrated full ladder,
+			// runs 2-3 on ladders derived from the calibrator it fed.
+			for i := 0; i < 3; i++ {
+				q.Sched = SchedMargin
+				got, _ := runJoin(t, e, c.kind, c.target, c.source, dist, q)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%v/%v margin run %d: results differ from static\n got %v\nwant %v",
+						c.kind, policy, i, got, want)
 				}
 			}
 		}

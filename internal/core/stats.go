@@ -84,10 +84,9 @@ type Stats struct {
 	// diffed from the shared cache's global counters.
 	DecodeFailures int64
 
-	// BatchesDispatched counts the face-pair batches this query's pipelined
-	// executor submitted to the batch evaluator, and BatchPairs the total
-	// face pairs those batches spanned (BatchPairs/BatchesDispatched is the
-	// mean batch width). Zero under the per-pair executor.
+	// BatchesDispatched and BatchPairs are always zero: the joins refine
+	// one pair at a time and submit no batches. The fields remain for the
+	// readers that still report them.
 	BatchesDispatched int64
 	BatchPairs        int64
 
@@ -254,8 +253,6 @@ type collector struct {
 	cacheHits       atomic.Int64
 	quarantineSkips atomic.Int64
 	decodeRetries   atomic.Int64
-	batches         atomic.Int64
-	batchPairs      atomic.Int64
 	lodsSkipped     atomic.Int64
 	boundsDecisive  atomic.Int64
 	accelBuilds     atomic.Int64
@@ -320,14 +317,6 @@ func (c *collector) geomDone(lod int, t0 time.Time) {
 	c.tr.Observe("geom", lod, t0, d)
 }
 
-// geomBatch credits one batch-kernel launch's wall time to the geometry
-// phase. SoA launches span pairs at multiple LODs, so the span carries no
-// single LOD.
-func (c *collector) geomBatch(d time.Duration) {
-	c.geomNs.Add(d.Nanoseconds())
-	c.tr.Observe("geom", obs.NoLOD, time.Now().Add(-d), d)
-}
-
 // evalPair counts one candidate pair evaluated at lod.
 func (c *collector) evalPair(lod int) {
 	c.evaluated[lod].Add(1)
@@ -372,8 +361,6 @@ func (c *collector) snapshot(elapsed time.Duration) *Stats {
 		CacheHits:           c.cacheHits.Load(),
 		QuarantineSkips:     c.quarantineSkips.Load(),
 		DecodeRetries:       c.decodeRetries.Load(),
-		BatchesDispatched:   c.batches.Load(),
-		BatchPairs:          c.batchPairs.Load(),
 		LODsSkippedByMargin: c.lodsSkipped.Load(),
 		BoundsDecisive:      c.boundsDecisive.Load(),
 		AccelBuilds:         c.accelBuilds.Load(),

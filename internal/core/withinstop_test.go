@@ -16,12 +16,11 @@ import (
 
 // TestWithinStopKeepsStats runs a within join whose accepted pairs have
 // up to thousands of face pairs inside dist — the evaluations the kernels stop on
-// the first of — under every accelerator, paradigm, scheduler and drive.
-// The answer must be sdbms's, and the statistics that describe the ladder
-// must be the values the exact kernels produced, recorded with this test
-// before within evaluations stopped early: per-LOD pairs evaluated and
-// pruned, candidates, bound-decided pairs, margin-skipped LODs, and the
-// face pairs the pipelined drive batched.
+// the first of — under every accelerator, paradigm and scheduler. The answer
+// must be sdbms's, and the statistics that describe the ladder must be the
+// values the exact kernels produced, recorded with this test before within
+// evaluations stopped early: per-LOD pairs evaluated and pruned, candidates,
+// bound-decided pairs and margin-skipped LODs.
 func TestWithinStopKeepsStats(t *testing.T) {
 	e := testEngine(t)
 	opts := fastDatasetOptions()
@@ -65,12 +64,11 @@ func TestWithinStopKeepsStats(t *testing.T) {
 		Results, Candidates                 int64
 		PairsEvaluated, PairsPruned         []int64
 		LODsSkippedByMargin, BoundsDecisive int64
-		BatchPairs                          int64
 	}
 	golden := map[string]ladder{
-		"FR/static":  {12, 14, []int64{0, 0, 0, 14}, []int64{0, 0, 0, 14}, 0, 0, 665600},
-		"FPR/static": {12, 14, []int64{14, 5, 3, 3}, []int64{9, 2, 0, 3}, 0, 0, 427780},
-		"FPR/margin": {12, 14, []int64{14, 4, 2, 3}, []int64{9, 2, 0, 3}, 2, 0, 392420},
+		"FR/static":  {12, 14, []int64{0, 0, 0, 14}, []int64{0, 0, 0, 14}, 0, 0},
+		"FPR/static": {12, 14, []int64{14, 5, 3, 3}, []int64{9, 2, 0, 3}, 0, 0},
+		"FPR/margin": {12, 14, []int64{14, 4, 2, 3}, []int64{9, 2, 0, 3}, 2, 0},
 	}
 	full := make([]int, a.MaxLOD()+1)
 	for i := range full {
@@ -81,25 +79,17 @@ func TestWithinStopKeepsStats(t *testing.T) {
 		sched Sched
 	}{{FR, SchedStatic}, {FPR, SchedStatic}, {FPR, SchedMargin}} {
 		for _, accel := range allAccels {
-			for _, exec := range []Exec{ExecAuto, ExecPerPair} {
-				q := QueryOptions{Paradigm: s.par, Sched: s.sched, Accel: accel, Exec: exec, LODs: full}
-				name := fmt.Sprintf("%v/%v/%v/%v", s.par, s.sched, accel, exec)
-				got, st, err := e.WithinJoin(context.Background(), a, b, dist, q)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				sameSets(t, name, got, want)
-				key := fmt.Sprintf("%v/%v", s.par, s.sched)
-				l := ladder{st.Results, st.Candidates, st.PairsEvaluated, st.PairsPruned, st.LODsSkippedByMargin, st.BoundsDecisive, st.BatchPairs}
-				if exec == ExecPerPair {
-					if l.BatchPairs != 0 {
-						t.Errorf("%s: inline drive batched %d face pairs", name, l.BatchPairs)
-					}
-					l.BatchPairs = golden[key].BatchPairs
-				}
-				if !reflect.DeepEqual(l, golden[key]) {
-					t.Errorf("%s: ladder stats %+v, want %+v", name, l, golden[key])
-				}
+			q := QueryOptions{Paradigm: s.par, Sched: s.sched, Accel: accel, LODs: full}
+			name := fmt.Sprintf("%v/%v/%v", s.par, s.sched, accel)
+			got, st, err := e.WithinJoin(context.Background(), a, b, dist, q)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			sameSets(t, name, got, want)
+			key := fmt.Sprintf("%v/%v", s.par, s.sched)
+			l := ladder{st.Results, st.Candidates, st.PairsEvaluated, st.PairsPruned, st.LODsSkippedByMargin, st.BoundsDecisive}
+			if !reflect.DeepEqual(l, golden[key]) {
+				t.Errorf("%s: ladder stats %+v, want %+v", name, l, golden[key])
 			}
 		}
 	}

@@ -5,8 +5,8 @@ import "math"
 // TriSoA is a struct-of-arrays triangle set: nine vertex-coordinate lanes,
 // six per-triangle bounding-box lanes and six block-box lanes (one box per
 // BlockSize consecutive triangles), all contiguous []float64. It is the
-// packed representation the batch refinement executor ships to the batch
-// kernels below and to the simulated GPU: iterating flat lanes keeps the
+// packed representation the refinement hands to the batch kernels below
+// and to the simulated GPU: iterating flat lanes keeps the
 // tri-tri inner loops walking sequential memory instead of chasing
 // []Triangle elements, and the two box levels let a kernel skip BlockSize
 // face pairs with one box test, and a single pair with another, before

@@ -5,15 +5,9 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/geom"
 )
-
-// StreamDepth is the number of launches a Stream keeps in flight before
-// Submit applies backpressure: one batch evaluating while the next is
-// queued, the simulated analogue of double-buffered kernel launches.
-const StreamDepth = 2
 
 // PairKind selects the kernel a PairTask runs.
 type PairKind uint8
@@ -25,34 +19,20 @@ const (
 	// PairMinDist asks for the squared minimum pair distance, seeded with
 	// Upper2 (a verdict D2 ≥ Upper2 only means "no pair beat the bound").
 	PairMinDist
-	// PairHost runs the task's Fn closure. It exists so refinement work
-	// that cannot be expressed as a flat cross product (tree-accelerated
-	// paths, partitioned evaluation) still rides the same batches and
-	// keeps the pipeline's ordering and accounting. Host closures execute
-	// on the EvalPairBatch caller's goroutine, never on a device worker:
-	// a closure may itself launch device kernels (the GPU accelerators
-	// do), and occupying a worker while waiting for sub-kernels would
-	// deadlock a saturated pool.
-	PairHost
 )
 
 // PairTask is one unit of refinement work in a batch: a full A×B face-pair
-// cross product in SoA form, or a host closure. A PairMinDist task's
-// kernels stop once their shared best is ≤ Stop2, with the contract of
-// geom.MinDist2BatchRange; the zero value asks for the exact minimum.
+// cross product in SoA form. A PairMinDist task's kernels stop once their
+// shared best is ≤ Stop2, with the contract of geom.MinDist2BatchRange; the
+// zero value asks for the exact minimum.
 type PairTask struct {
 	Kind          PairKind
 	A, B          *geom.TriSoA
 	Upper2, Stop2 float64
-	// Tag is caller-owned correlation state, carried through untouched.
-	Tag any
-	// Fn is the host closure for PairHost tasks.
-	Fn func() PairVerdict
 }
 
 // PairVerdict is the outcome of one PairTask. Err is non-nil only when a
-// host closure returned an error or a kernel panicked; the geometry fields
-// are then meaningless.
+// kernel panicked; the geometry fields are then meaningless.
 type PairVerdict struct {
 	Hit bool
 	D2  float64
@@ -104,7 +84,7 @@ func (d *Device) EvalPairBatch(tasks []PairTask, verdicts []PairVerdict, abort *
 
 // evalOne evaluates a single task outside any batch: the entry point of the
 // per-pair device calls (Intersects, MinDist2Bounded), which the GPU
-// accelerators issue from host closures. It runs the same kernels as a
+// accelerators issue while refining a pair. It runs the same kernels as a
 // batched task.
 func (d *Device) evalOne(t *PairTask) PairVerdict {
 	var st taskState
@@ -120,8 +100,10 @@ func (d *Device) evalOne(t *PairTask) PairVerdict {
 	return v
 }
 
-// launch resets st for t and starts t's kernels (or, for a host task, runs
-// its closure inline), registering each kernel with wg.
+// launch resets st for t and starts t's kernels, registering each with wg.
+// On a closed device the kernels run on the calling goroutine instead: the
+// same functions, so the same answers. The closed check and the sends hold
+// d.mu for reading, which Close takes for writing before it closes d.tasks.
 func (d *Device) launch(t *PairTask, st *taskState, wg *sync.WaitGroup, abort *atomic.Bool) {
 	// Reset the (possibly pooled) state: distance kernels are seeded with
 	// the task's bound so they can prune against it from the first pair on.
@@ -132,20 +114,18 @@ func (d *Device) launch(t *PairTask, st *taskState, wg *sync.WaitGroup, abort *a
 		seed = t.Upper2
 	}
 	st.best.bits.Store(math.Float64bits(seed))
-	if t.Kind == PairHost {
-		runHostTask(st, t, abort)
-		return
-	}
 
 	an, bn := t.A.Len(), t.B.Len()
 	if bn == 0 {
 		return
 	}
 	rows := d.stripRows(bn)
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	for i := 0; i < an; i += rows {
 		start, end := i*bn, min(i+rows, an)*bn
 		wg.Add(1)
-		d.tasks <- func() {
+		kernel := func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
@@ -167,6 +147,11 @@ func (d *Device) launch(t *PairTask, st *taskState, wg *sync.WaitGroup, abort *a
 				st.best.min(geom.MinDist2BatchRange(t.A, t.B, start, end, best, t.Stop2))
 			}
 		}
+		if d.closed {
+			kernel()
+		} else {
+			d.tasks <- kernel
+		}
 	}
 }
 
@@ -187,28 +172,6 @@ func (st *taskState) verdict() PairVerdict {
 	return PairVerdict{Hit: st.hit.Load(), D2: st.best.load()}
 }
 
-// runHostTask executes a PairHost closure inline with the same abort gate
-// and panic capture as a dispatched kernel.
-func runHostTask(st *taskState, t *PairTask, abort *atomic.Bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			st.setErr(fmt.Errorf("gpusim: kernel panic: %v", r))
-		}
-	}()
-	if abort != nil && abort.Load() {
-		return
-	}
-	v := t.Fn()
-	if v.Err != nil {
-		st.setErr(v.Err)
-		return
-	}
-	if v.Hit {
-		st.hit.Store(true)
-	}
-	st.best.min(v.D2)
-}
-
 // getStates returns a taskState slice of length n from the pool. States are
 // reset per task inside EvalPairBatch, so no zeroing happens here.
 func (d *Device) getStates(n int) []taskState {
@@ -220,83 +183,4 @@ func (d *Device) getStates(n int) []taskState {
 
 func (d *Device) putStates(s []taskState) {
 	d.statePool.Put(&s)
-}
-
-// GetVerdicts returns a pooled verdict slice of length n. Callers return it
-// with PutVerdicts once the verdicts have been consumed.
-func (d *Device) GetVerdicts(n int) []PairVerdict {
-	if p, _ := d.verdictPool.Get().(*[]PairVerdict); p != nil && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]PairVerdict, n)
-}
-
-// PutVerdicts returns a slice obtained from GetVerdicts to the pool.
-func (d *Device) PutVerdicts(v []PairVerdict) {
-	d.verdictPool.Put(&v)
-}
-
-// Stream is a double-buffered launch queue on a Device: Submit enqueues a
-// batch and returns once fewer than StreamDepth launches are in flight;
-// Collect returns completed launches in submission order. One goroutine
-// submits and one collects; the two may be (and in the pipeline are)
-// different goroutines.
-type Stream struct {
-	d        *Device
-	inflight chan *launch
-	abort    atomic.Bool
-
-	// OnBatchDone, when set before the first Submit, receives each
-	// launch's evaluation wall time. The callback runs on the launch
-	// goroutine and must be cheap and concurrency-safe.
-	OnBatchDone func(time.Duration)
-}
-
-type launch struct {
-	tasks    []PairTask
-	verdicts []PairVerdict
-	done     chan struct{}
-}
-
-// NewStream returns a stream with StreamDepth launch slots.
-func (d *Device) NewStream() *Stream {
-	return &Stream{d: d, inflight: make(chan *launch, StreamDepth)}
-}
-
-// Submit launches tasks asynchronously. It blocks while StreamDepth
-// launches are already in flight (submitted but not collected) — this is
-// the pipeline's backpressure point. The tasks slice must not be mutated
-// until Collect hands it back.
-func (s *Stream) Submit(tasks []PairTask) {
-	l := &launch{tasks: tasks, verdicts: s.d.GetVerdicts(len(tasks)), done: make(chan struct{})}
-	s.inflight <- l
-	go func() {
-		defer close(l.done)
-		t0 := time.Now()
-		s.d.EvalPairBatch(l.tasks, l.verdicts, &s.abort)
-		if s.OnBatchDone != nil {
-			s.OnBatchDone(time.Since(t0))
-		}
-	}()
-}
-
-// CloseSubmit signals that no further batches will be submitted. Collect
-// drains the in-flight launches and then reports ok=false.
-func (s *Stream) CloseSubmit() { close(s.inflight) }
-
-// Abort asks in-flight kernels to stop early. Launches still complete and
-// must still be collected; their verdicts are unspecified.
-func (s *Stream) Abort() { s.abort.Store(true) }
-
-// Collect returns the oldest in-flight launch's tasks and verdicts, waiting
-// for its kernels to finish. ok is false once the stream is closed and
-// drained. The verdict slice should be returned via Device.PutVerdicts
-// after processing.
-func (s *Stream) Collect() (tasks []PairTask, verdicts []PairVerdict, ok bool) {
-	l, open := <-s.inflight
-	if !open {
-		return nil, nil, false
-	}
-	<-l.done
-	return l.tasks, l.verdicts, true
 }

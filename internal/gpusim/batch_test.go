@@ -1,12 +1,10 @@
 package gpusim
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/datagen"
@@ -65,97 +63,6 @@ func TestEvalPairBatchMatchesReference(t *testing.T) {
 		if wantD2 > 0 && verdicts[2].D2 != wantD2*0.5 {
 			t.Fatalf("round %d: bounded dist %v want seed %v", round, verdicts[2].D2, wantD2*0.5)
 		}
-	}
-}
-
-func TestEvalPairBatchHostClosures(t *testing.T) {
-	d := New(2, 0)
-	defer d.Close()
-	boom := errors.New("boom")
-	tasks := []PairTask{
-		{Kind: PairHost, Fn: func() PairVerdict { return PairVerdict{Hit: true} }},
-		{Kind: PairHost, Fn: func() PairVerdict { return PairVerdict{D2: 2.5} }},
-		{Kind: PairHost, Fn: func() PairVerdict { return PairVerdict{Err: boom} }},
-		{Kind: PairHost, Fn: func() PairVerdict { panic("kernel oops") }},
-	}
-	verdicts := make([]PairVerdict, len(tasks))
-	d.EvalPairBatch(tasks, verdicts, nil)
-	if !verdicts[0].Hit {
-		t.Fatal("host hit verdict lost")
-	}
-	if verdicts[1].D2 != 2.5 {
-		t.Fatalf("host dist verdict %v want 2.5", verdicts[1].D2)
-	}
-	if !errors.Is(verdicts[2].Err, boom) {
-		t.Fatalf("host error verdict %v want boom", verdicts[2].Err)
-	}
-	if verdicts[3].Err == nil {
-		t.Fatal("kernel panic not captured into verdict")
-	}
-}
-
-func TestStreamOrderAndBackpressure(t *testing.T) {
-	d := New(1, 0)
-	defer d.Close()
-	s := d.NewStream()
-
-	// Submit more launches than StreamDepth from a second goroutine; the
-	// main goroutine collects in order. Tags prove FIFO delivery.
-	const n = StreamDepth * 3
-	go func() {
-		for i := 0; i < n; i++ {
-			s.Submit([]PairTask{{Kind: PairHost, Tag: i, Fn: func() PairVerdict { return PairVerdict{Hit: true} }}})
-		}
-		s.CloseSubmit()
-	}()
-	for i := 0; i < n; i++ {
-		tasks, verdicts, ok := s.Collect()
-		if !ok {
-			t.Fatalf("stream drained after %d launches, want %d", i, n)
-		}
-		if got := tasks[0].Tag.(int); got != i {
-			t.Fatalf("launch %d collected out of order (tag %d)", i, got)
-		}
-		if !verdicts[0].Hit {
-			t.Fatal("verdict lost in stream")
-		}
-		d.PutVerdicts(verdicts)
-	}
-	if _, _, ok := s.Collect(); ok {
-		t.Fatal("Collect reported a launch after drain")
-	}
-}
-
-// TestStreamAbortStopsKernels submits to an aborted stream a task whose A
-// has no box lanes: a kernel that ran would index them, panic, and leave
-// the panic in the verdict — as the same task shows on a live stream.
-func TestStreamAbortStopsKernels(t *testing.T) {
-	d := New(2, 8)
-	defer d.Close()
-	rng := rand.New(rand.NewSource(9))
-	poisoned := &geom.TriSoA{AX: make([]float64, 40)}
-	b := randSoA(rng, 40, 100)
-	run := func(abort bool) (PairVerdict, int64) {
-		s := d.NewStream()
-		if abort {
-			s.Abort()
-		}
-		var ran atomic.Int64
-		s.Submit([]PairTask{
-			{Kind: PairMinDist, A: poisoned, B: b.SoA, Upper2: math.Inf(1)},
-			{Kind: PairHost, Fn: func() PairVerdict { ran.Add(1); return PairVerdict{} }},
-		})
-		s.CloseSubmit()
-		_, verdicts, _ := s.Collect()
-		v := verdicts[0]
-		d.PutVerdicts(verdicts)
-		return v, ran.Load()
-	}
-	if v, ran := run(false); v.Err == nil || ran != 1 {
-		t.Fatalf("live stream: kernel error %v, host closure ran %d times; want a captured panic and one run", v.Err, ran)
-	}
-	if v, ran := run(true); v.Err != nil || ran != 0 {
-		t.Fatalf("aborted stream: kernel error %v, host closure ran %d times; want neither", v.Err, ran)
 	}
 }
 

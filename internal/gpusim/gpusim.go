@@ -6,11 +6,13 @@
 // into tasks of a fixed number of face-pair evaluations and completed by
 // whichever worker is free.
 //
-// The simulation exercises the same code path as the real device (pack →
-// dispatch kernels → gather results, with early termination for
-// intersection kernels and decided within tasks). A kernel is a strip of
-// whole geom.BlockSize-row blocks of A × all of B, at least the batch size
-// in face pairs. BenchmarkEvalPairBatch — one batch of 27 unbounded
+// The simulation exercises the same code path as the real device (split
+// into kernels → dispatch → fold the results, with early termination for
+// intersection kernels and decided within tasks). The GPU accelerators call
+// it once per evaluated pair (Intersects, MinDist2Bounded); EvalPairBatch
+// runs several pairs as one launch. A kernel is a strip of whole
+// geom.BlockSize-row blocks of A × all of B, at least the batch size in
+// face pairs. BenchmarkEvalPairBatch — one batch of 27 unbounded
 // nucleus × vessel distance tasks — measured a median 6.6 ms through the
 // device against 8.6 ms for the same tasks one after another on the
 // calling goroutine at GOMAXPROCS 2, and 6.9 against 11.1 ms at 4, on a
@@ -39,12 +41,13 @@ type Device struct {
 	batchSize int
 	tasks     chan func()
 	wg        sync.WaitGroup
-	closed    atomic.Bool
 
-	// Pools for the per-launch scratch of the batch executor (batch.go), so
-	// steady-state batches allocate nothing.
-	statePool   sync.Pool
-	verdictPool sync.Pool
+	// mu guards closed against the sends on tasks (see launch).
+	mu     sync.RWMutex
+	closed bool
+
+	// statePool recycles EvalPairBatch's per-task scratch.
+	statePool sync.Pool
 }
 
 // New returns a device with the given number of kernel workers (defaults to
@@ -73,12 +76,18 @@ func New(workers, batchSize int) *Device {
 	return d
 }
 
-// Close shuts the worker pool down. Pending tasks complete first.
+// Close shuts the worker pool down. Pending tasks complete first; later
+// launches run their kernels on the calling goroutine.
 func (d *Device) Close() {
-	if d.closed.CompareAndSwap(false, true) {
-		close(d.tasks)
-		d.wg.Wait()
+	d.mu.Lock()
+	if d.closed {
+		d.mu.Unlock()
+		return
 	}
+	d.closed = true
+	close(d.tasks)
+	d.mu.Unlock()
+	d.wg.Wait()
 }
 
 // Intersects evaluates the a×b face-pair cross product on the device and

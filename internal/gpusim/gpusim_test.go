@@ -181,6 +181,58 @@ func TestCloseIdempotent(t *testing.T) {
 	dev.Close() // must not panic
 }
 
+// closeFixture is a pair of icospheres 7 apart whose cross product spans
+// many kernels at batch size 64, and an overlapping copy of the second.
+func closeFixture() (a, b, c *geom.TriSoA) {
+	x, y, z := mesh.Icosphere(2, 2), mesh.Icosphere(2, 2), mesh.Icosphere(2, 2)
+	y.Translate(geom.V(7, 0, 0))
+	z.Translate(geom.V(1, 0, 0))
+	return x.SoA(), y.SoA(), z.SoA()
+}
+
+// TestClosedDeviceAnswers calls a closed device: its kernels run on the
+// caller and give the open device's answers.
+func TestClosedDeviceAnswers(t *testing.T) {
+	a, b, c := closeFixture()
+	dev := New(2, 64)
+	want := dev.MinDist2Bounded(a, b, math.Inf(1), 0)
+	dev.Close()
+	if got := dev.MinDist2Bounded(a, b, math.Inf(1), 0); got != want {
+		t.Errorf("closed device distance %v, open %v", got, want)
+	}
+	if dev.Intersects(a, b) || !dev.Intersects(a, c) {
+		t.Error("closed device intersection verdicts wrong")
+	}
+}
+
+// TestCloseWhileEvaluating closes a device while goroutines evaluate on it
+// (run under -race): every call answers, before and after the close.
+func TestCloseWhileEvaluating(t *testing.T) {
+	a, b, _ := closeFixture()
+	dev := New(2, 64)
+	want := dev.MinDist2Bounded(a, b, math.Inf(1), 0)
+	var wg sync.WaitGroup
+	errs := make(chan float64, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if got := dev.MinDist2Bounded(a, b, math.Inf(1), 0); got != want {
+					errs <- got
+					return
+				}
+			}
+		}()
+	}
+	dev.Close()
+	wg.Wait()
+	close(errs)
+	for got := range errs {
+		t.Errorf("distance %v during close, want %v", got, want)
+	}
+}
+
 func BenchmarkDeviceMinDist(b *testing.B) {
 	dev := New(0, 0)
 	defer dev.Close()

@@ -438,8 +438,8 @@ type statsJSON struct {
 	WarmStarts    int64 `json:"warm_starts"`
 	RoundsApplied int64 `json:"rounds_applied"`
 	RoundsSkipped int64 `json:"rounds_skipped"`
-	// Batch-pipeline counters: device batches the refine stage dispatched
-	// and the face pairs those batches spanned (0 under ExecPerPair).
+	// Device-batch counters, always 0: joins refine one pair at a time and
+	// dispatch no batches (see core.Stats.BatchesDispatched).
 	BatchesDispatched int64 `json:"batches_dispatched"`
 	BatchPairs        int64 `json:"batch_pairs"`
 	// Margin-scheduler counters: ladder entries skipped by margin routing
