@@ -223,17 +223,17 @@ func TestParseProbTimesCombined(t *testing.T) {
 func TestParseModifierErrors(t *testing.T) {
 	t.Cleanup(Reset)
 	for _, bad := range []string{
-		"p=prob:error",       // prob value missing / not a number
-		"p=prob:0:error",     // prob out of range
-		"p=prob:1.5:error",   // prob out of range
-		"p=times:0:error",    // times < 1
-		"p=times:x:error",    // times not a number
-		"p=prob:0.5",         // modifier with no mode
-		"p=times:3",          // modifier with no mode
-		"p=prob:0.5:times:2", // two modifiers, still no mode
-		"p=delay:error",      // delay value not a duration
-		"p=delay:-5ms:error", // negative delay
-		"p=delay:10ms",       // delay with no mode (pure latency is sleep:DUR)
+		"p=prob:error",          // prob value missing / not a number
+		"p=prob:0:error",        // prob out of range
+		"p=prob:1.5:error",      // prob out of range
+		"p=times:0:error",       // times < 1
+		"p=times:x:error",       // times not a number
+		"p=prob:0.5",            // modifier with no mode
+		"p=times:3",             // modifier with no mode
+		"p=prob:0.5:times:2",    // two modifiers, still no mode
+		"p=delay:error",         // delay value not a duration
+		"p=delay:-5ms:error",    // negative delay
+		"p=delay:10ms",          // delay with no mode (pure latency is sleep:DUR)
 		"p=delay:10ms:prob:0.5", // delay+prob, still no mode
 	} {
 		if err := Parse(bad); err == nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"repro/internal/geom"
@@ -17,13 +18,30 @@ func (m *Mesh) WriteOFF(w io.Writer) error {
 	if _, err := fmt.Fprintf(bw, "OFF\n%d %d 0\n", len(m.Vertices), len(m.Faces)); err != nil {
 		return err
 	}
+	return m.writeLines(bw)
+}
+
+// writeLines writes the vertex and face lines OFF and PLY share, then
+// flushes: "x y z" with each coordinate as fmt's %g prints it, and
+// "3 i j k". Each line is appended to the writer's free buffer with strconv
+// rather than formatted by fmt, byte-identically.
+func (m *Mesh) writeLines(bw *bufio.Writer) error {
 	for _, v := range m.Vertices {
-		if _, err := fmt.Fprintf(bw, "%g %g %g\n", v.X, v.Y, v.Z); err != nil {
+		b := strconv.AppendFloat(bw.AvailableBuffer(), v.X, 'g', -1, 64)
+		b = append(b, ' ')
+		b = strconv.AppendFloat(b, v.Y, 'g', -1, 64)
+		b = append(b, ' ')
+		b = strconv.AppendFloat(b, v.Z, 'g', -1, 64)
+		if _, err := bw.Write(append(b, '\n')); err != nil {
 			return err
 		}
 	}
 	for _, f := range m.Faces {
-		if _, err := fmt.Fprintf(bw, "3 %d %d %d\n", f[0], f[1], f[2]); err != nil {
+		b := append(bw.AvailableBuffer(), '3')
+		for _, i := range f {
+			b = strconv.AppendInt(append(b, ' '), int64(i), 10)
+		}
+		if _, err := bw.Write(append(b, '\n')); err != nil {
 			return err
 		}
 	}

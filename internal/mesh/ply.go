@@ -15,11 +15,5 @@ func (m *Mesh) WritePLY(w io.Writer) error {
 	fmt.Fprintf(bw, "element face %d\n", len(m.Faces))
 	fmt.Fprintf(bw, "property list uchar int vertex_indices\n")
 	fmt.Fprintf(bw, "end_header\n")
-	for _, v := range m.Vertices {
-		fmt.Fprintf(bw, "%g %g %g\n", v.X, v.Y, v.Z)
-	}
-	for _, f := range m.Faces {
-		fmt.Fprintf(bw, "3 %d %d %d\n", f[0], f[1], f[2])
-	}
-	return bw.Flush()
+	return m.writeLines(bw)
 }

@@ -207,10 +207,11 @@ func (s *Server) limitBody(next http.Handler) http.Handler {
 	})
 }
 
-// query wraps a query handler with admission control and the per-query
-// deadline. Admission never queues: when MaxInFlight requests are already
-// running, the request is shed immediately with 503 + Retry-After so the
-// client can back off or try a replica.
+// query wraps a query handler — or an object fetch, which decodes a whole
+// object on the request goroutine — with admission control and the
+// per-query deadline. Admission never queues: when MaxInFlight requests are
+// already running, the request is shed immediately with 503 + Retry-After
+// so the client can back off or try a replica.
 func (s *Server) query(h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {

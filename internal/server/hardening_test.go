@@ -125,8 +125,8 @@ func TestQueryTimeoutReturns504(t *testing.T) {
 }
 
 // TestAdmissionControlSheds503 fills the single admission slot with a query
-// blocked inside the engine, then checks the next query is shed with 503 +
-// Retry-After while non-query endpoints stay available.
+// blocked inside the engine, then checks the next query and an object fetch
+// are shed with 503 + Retry-After while non-query endpoints stay available.
 func TestAdmissionControlSheds503(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	s := newHardenedServer(t, Config{MaxInFlight: 1, QueryTimeout: -1})
@@ -169,6 +169,20 @@ func TestAdmissionControlSheds503(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("503 without Retry-After")
+	}
+
+	// An object fetch decodes a whole object: it is admitted like a query.
+	// Its checks report with Error, not Fatal, so a failure still releases
+	// the held query below instead of hanging the server's Close.
+	if oresp, err := http.Get(ts.URL + "/datasets/alpha/objects/0?format=ply"); err != nil {
+		t.Error(err)
+	} else {
+		oresp.Body.Close()
+		if oresp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("object fetch during saturation: status %d, want 503", oresp.StatusCode)
+		} else if oresp.Header.Get("Retry-After") == "" {
+			t.Error("object fetch 503 without Retry-After")
+		}
 	}
 
 	// Non-query endpoints are not subject to admission control.

@@ -111,10 +111,10 @@ func (s *Server) dataset(name string) (*core.Dataset, bool) {
 
 // Handler returns the HTTP handler: the API routes wrapped in the
 // request-ID/access-log, panic-recovery and body-limit middleware, with the
-// query endpoints additionally behind admission control and per-query
-// deadlines. /metrics serves the Prometheus registry and /debug/queries the
-// recent-query ring; the pprof endpoints mount only when Config.EnablePprof
-// is set.
+// query endpoints and object fetches additionally behind admission control
+// and per-query deadlines. /metrics serves the Prometheus registry and
+// /debug/queries the recent-query ring; the pprof endpoints mount only when
+// Config.EnablePprof is set.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -124,7 +124,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /debug/queries", s.handleDebugQueries)
 	mux.HandleFunc("GET /datasets", s.handleListDatasets)
 	mux.HandleFunc("GET /datasets/{name}", s.handleDataset)
-	mux.HandleFunc("GET /datasets/{name}/objects/{id}", s.handleObject)
+	mux.Handle("GET /datasets/{name}/objects/{id}", s.query(s.handleObject))
 	mux.Handle("POST /query/intersect", s.query(s.handleIntersect))
 	mux.Handle("POST /query/within", s.query(s.handleWithin))
 	mux.Handle("POST /query/nn", s.query(s.handleNN))
@@ -155,13 +155,11 @@ func notFound(format string, args ...any) *httpError {
 	return &httpError{code: http.StatusNotFound, msg: fmt.Sprintf(format, args...)}
 }
 
-// writeJSON encodes v into a buffer first so an encoding failure can still
-// become a 500 instead of a silently truncated 200.
+// writeJSON encodes v as compact JSON into a buffer first so an encoding
+// failure can still become a 500 instead of a silently truncated 200.
 func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
 		s.log.Printf("server: encoding response: %v", err)
 		writeErrStatus(w, http.StatusInternalServerError, fmt.Sprintf("encoding response: %v", err))
 		return

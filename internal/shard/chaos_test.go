@@ -8,6 +8,7 @@ package shard_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -15,6 +16,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/geom"
+	"repro/internal/index/rtree"
 	"repro/internal/leakcheck"
 	"repro/internal/shard"
 )
@@ -128,6 +131,115 @@ func TestDeadShardsDegrade(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRoutedIDQueriesDegradeExactly kills one of two shards and checks that
+// point and range queries lose exactly what the coordinator's R-tree routed
+// to it: a point whose candidates all live on the live shard answers under
+// FailFast with no degradation, and a box meeting both groups degrades with
+// UncertainIDs equal to the dead group's candidates — not its home objects.
+func TestRoutedIDQueriesDegradeExactly(t *testing.T) {
+	leakcheck.Check(t)
+	defer faultinject.Reset()
+	e := core.NewEngine(testEngineOptions())
+	defer e.Close()
+	a, _ := buildPair(t, e)
+	const shards, dead = 2, 1
+	home := homeShards(a, shards)
+	ctx := context.Background()
+	candidates := func(box geom.Box3) (live, lost []int64) {
+		a.Tree().SearchIntersect(box, func(ent rtree.Entry) bool {
+			if home[ent.ID] == dead {
+				lost = append(lost, ent.ID)
+			} else {
+				live = append(live, ent.ID)
+			}
+			return true
+		})
+		slices.Sort(lost)
+		return live, lost
+	}
+
+	// A point inside a live-group object whose MBB meets no dead-group MBB.
+	var p geom.Vec3
+	found := false
+	for _, o := range a.Tileset.Objects {
+		if home[o.ID] == dead {
+			continue
+		}
+		if _, lost := candidates(geom.BoxOf(o.MBB().Center())); len(lost) == 0 {
+			p, found = o.MBB().Center(), true
+			break
+		}
+	}
+	// A box spanning two object centres that meets both groups, but only
+	// some of the dead group's objects.
+	var box geom.Box3
+	var deadCands []int64
+	deadHome := 0
+	for _, s := range home {
+		if s == dead {
+			deadHome++
+		}
+	}
+search:
+	for _, o := range a.Tileset.Objects {
+		for _, o2 := range a.Tileset.Objects {
+			b := geom.BoxOf(o.MBB().Center()).ExtendPoint(o2.MBB().Center())
+			if live, lost := candidates(b); len(live) > 0 && len(lost) > 0 && len(lost) < deadHome {
+				box, deadCands = b, lost
+				break search
+			}
+		}
+	}
+	if !found || deadCands == nil {
+		t.Fatalf("fixture has no live-only point (%v) or two-group box (%v)", found, deadCands)
+	}
+	wantPoint, _, err := e.ContainingObjects(ctx, a, p, core.QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBox, _, err := e.RangeQuery(ctx, a, box, core.QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c := testCoordinator(t, shard.Options{Shards: shards, Replicas: 1, Retries: -1}, a)
+	faultinject.Arm(killPoint(dead), faultinject.Fault{Err: faultinject.ErrInjected})
+
+	got, st, err := c.ContainingObjects(ctx, "nucleiA", p, core.QueryOptions{})
+	if err != nil {
+		t.Fatalf("FailFast point routed only to the live shard failed: %v", err)
+	}
+	if !sameSlice(got, wantPoint) || len(st.Degraded) != 0 || len(st.UncertainIDs) != 0 {
+		t.Fatalf("point: got %v (degraded %v, uncertain %v), want %v clean", got, st.Degraded, st.UncertainIDs, wantPoint)
+	}
+	if st.Shards[dead].Status != "skipped" {
+		t.Fatalf("dead shard status %q for a point it owns no candidate of, want skipped", st.Shards[dead].Status)
+	}
+
+	if _, _, err := c.RangeQuery(ctx, "nucleiA", box, core.QueryOptions{}); !errors.Is(err, shard.ErrShardFailed) {
+		t.Fatalf("FailFast box meeting the dead group: err %v, want ErrShardFailed", err)
+	}
+	got, st, err = c.RangeQuery(ctx, "nucleiA", box, core.QueryOptions{OnError: core.Degrade})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantCertain []int64
+	for _, id := range wantBox {
+		if home[id] != dead {
+			wantCertain = append(wantCertain, id)
+		}
+	}
+	if !sameSlice(got, wantCertain) {
+		t.Fatalf("degraded box: got %v, want %v", got, wantCertain)
+	}
+	if !slices.Equal(st.UncertainIDs, deadCands) {
+		t.Fatalf("UncertainIDs %v, want the dead group's candidates %v", st.UncertainIDs, deadCands)
+	}
+	if len(st.Degraded) != 1 {
+		t.Fatalf("Degraded %v, want one entry for the dead shard", st.Degraded)
 	}
 }
 

@@ -284,7 +284,7 @@ func (c *Coordinator) KNNJoin(ctx context.Context, target, source string, q core
 	if err != nil {
 		return nil, nil, err
 	}
-	resps, st, err := c.scatter(ctx, tgt, target, KindKNN, q, reqs)
+	resps, st, err := c.scatter(ctx, target, KindKNN, q, reqs, tgt.homeIDs)
 	if err != nil {
 		return nil, st, err
 	}
@@ -311,29 +311,41 @@ func (c *Coordinator) KNNJoin(ctx context.Context, target, source string, q core
 
 // RangeQuery is the sharded core.Engine.RangeQuery.
 func (c *Coordinator) RangeQuery(ctx context.Context, name string, box geom.Box3, q core.QueryOptions) ([]int64, *core.Stats, error) {
-	return c.idQuery(ctx, &Request{Kind: KindRange, Target: name, Box: box, Opts: q}, name)
+	return c.idQuery(ctx, &Request{Kind: KindRange, Target: name, Box: box, Opts: q}, box)
 }
 
 // ContainingObjects is the sharded core.Engine.ContainingObjects.
 func (c *Coordinator) ContainingObjects(ctx context.Context, name string, p geom.Vec3, q core.QueryOptions) ([]int64, *core.Stats, error) {
-	return c.idQuery(ctx, &Request{Kind: KindContains, Target: name, Point: p, Opts: q}, name)
+	return c.idQuery(ctx, &Request{Kind: KindContains, Target: name, Point: p, Opts: q}, geom.BoxOf(p))
 }
 
-func (c *Coordinator) idQuery(ctx context.Context, proto *Request, name string) ([]int64, *core.Stats, error) {
-	tgt, err := c.dataset(name)
+// idQuery routes a point or range query by the coordinator's R-tree: only
+// the groups owning a candidate — an object whose MBB meets the query box,
+// the same whole-object filter the worker runs first — get a leg, so the
+// answer and every merged counter match a leg to every group. A group with
+// no candidate is "skipped"; a failed group leaves only its candidates
+// unsettled.
+func (c *Coordinator) idQuery(ctx context.Context, proto *Request, box geom.Box3) ([]int64, *core.Stats, error) {
+	tgt, err := c.dataset(proto.Target)
 	if err != nil {
 		return nil, nil, err
 	}
+	cands := make([][]int64, c.opts.Shards)
+	tgt.full.Tree().SearchIntersect(box, func(ent rtree.Entry) bool {
+		g := tgt.groupOf[ent.ID]
+		cands[g] = append(cands[g], ent.ID)
+		return true
+	})
 	reqs := make([]*Request, c.opts.Shards)
-	for s := range reqs {
-		if len(tgt.homeIDs[s]) == 0 {
+	for g := range reqs {
+		if len(cands[g]) == 0 {
 			continue
 		}
 		r := *proto
-		r.Group = s
-		reqs[s] = &r
+		r.Group = g
+		reqs[g] = &r
 	}
-	resps, st, err := c.scatter(ctx, tgt, name, proto.Kind, proto.Opts, reqs)
+	resps, st, err := c.scatter(ctx, proto.Target, proto.Kind, proto.Opts, reqs, cands)
 	if err != nil {
 		return nil, st, err
 	}
@@ -352,7 +364,7 @@ func (c *Coordinator) joinQuery(ctx context.Context, kind Kind, target, source s
 	if err != nil {
 		return nil, nil, err
 	}
-	resps, st, err := c.scatter(ctx, tgt, target, kind, q, reqs)
+	resps, st, err := c.scatter(ctx, target, kind, q, reqs, tgt.homeIDs)
 	if err != nil {
 		return nil, st, err
 	}
@@ -463,10 +475,11 @@ func (c *Coordinator) loansFor(kind Kind, tgt, src *dsEntry, g int, dist float64
 // builds the merged Stats whose counters are exactly the sum of the
 // per-shard Stats (Stats.Shards carries the per-shard breakdown). A shard
 // that fails all attempts — or whose breaker is open — degrades the query
-// under core.Degrade: its home target objects are recorded as uncertain.
-// Under core.FailFast (the default) the first shard failure aborts the
-// query, as a single engine's first object failure would.
-func (c *Coordinator) scatter(ctx context.Context, tgt *dsEntry, targetName string, kind Kind, q core.QueryOptions, reqs []*Request) ([]*Response, *core.Stats, error) {
+// under core.Degrade: unsettled[g], the target objects group g's request
+// covered, are recorded as uncertain. Under core.FailFast (the default) the
+// first shard failure aborts the query, as a single engine's first object
+// failure would.
+func (c *Coordinator) scatter(ctx context.Context, targetName string, kind Kind, q core.QueryOptions, reqs []*Request, unsettled [][]int64) ([]*Response, *core.Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -514,7 +527,7 @@ func (c *Coordinator) scatter(ctx context.Context, tgt *dsEntry, targetName stri
 			}
 			// Degraded accounting lives in a synthesized per-shard Stats so
 			// the Σ-per-shard invariant covers the uncertainty lists too.
-			ss.Stats = c.degradeStats(tgt, targetName, kind, s, ss.Err)
+			ss.Stats = degradeStats(unsettled[s], targetName, kind, s, ss.Err)
 		}
 		merged.Merge(ss.Stats)
 	}
@@ -539,15 +552,17 @@ func (c *Coordinator) scatter(ctx context.Context, tgt *dsEntry, targetName stri
 }
 
 // degradeStats synthesizes the degradation accounting of a failed shard:
-// every home target object of the shard is unsettled. IDs go to
-// UncertainIDs at object granularity; join kinds additionally record the
-// pair-granularity marker {target, -1} ("unknown candidate set of that
-// target", the convention core's degrader uses when a target decode
+// the target objects its request covered (ids) are unsettled — every home
+// target for a join, the routed candidates for a point or range query. IDs
+// go to UncertainIDs at object granularity, sorted; join kinds additionally
+// record the pair-granularity marker {target, -1} ("unknown candidate set
+// of that target", the convention core's degrader uses when a target decode
 // fails). One Degraded entry records the shard failure itself.
-func (c *Coordinator) degradeStats(tgt *dsEntry, targetName string, kind Kind, s int, errMsg string) *core.Stats {
-	ids := tgt.homeIDs[s]
+func degradeStats(ids []int64, targetName string, kind Kind, s int, errMsg string) *core.Stats {
+	ids = slices.Clone(ids)
+	slices.Sort(ids)
 	st := &core.Stats{
-		UncertainIDs: slices.Clone(ids),
+		UncertainIDs: ids,
 		Degraded: []core.ObjectError{{
 			Dataset: targetName,
 			Object:  -1,

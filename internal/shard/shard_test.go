@@ -3,6 +3,8 @@ package shard_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -199,6 +201,66 @@ func TestShardedEquivalence(t *testing.T) {
 		}
 		if !sameSlice(got, want) {
 			t.Fatalf("sharded contains differs:\n got %v\nwant %v", got, want)
+		}
+	})
+	// Routed point and range queries: the same answer, candidate and result
+	// counts as the single engine, for random probes across the dataset.
+	t.Run("routed-random", func(t *testing.T) {
+		bounds := a.Tree().Bounds()
+		rng := rand.New(rand.NewSource(7))
+		at := func() geom.Vec3 {
+			return geom.V(
+				bounds.Min.X+rng.Float64()*(bounds.Max.X-bounds.Min.X),
+				bounds.Min.Y+rng.Float64()*(bounds.Max.Y-bounds.Min.Y),
+				bounds.Min.Z+rng.Float64()*(bounds.Max.Z-bounds.Min.Z))
+		}
+		same := func(what string, got, want []int64, gst, wst *core.Stats) {
+			t.Helper()
+			if !sameSlice(got, want) || gst.Candidates != wst.Candidates || gst.Results != wst.Results {
+				t.Fatalf("%s: sharded %v (candidates %d, results %d), single engine %v (%d, %d)",
+					what, got, gst.Candidates, gst.Results, want, wst.Candidates, wst.Results)
+			}
+		}
+		for i := 0; i < 40; i++ {
+			p := at()
+			want, wst, err := e.ContainingObjects(ctx, a, p, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gst, err := c.ContainingObjects(ctx, "nucleiA", p, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(fmt.Sprintf("point %v", p), got, want, gst, wst)
+
+			r := 1 + 6*rng.Float64()
+			box := geom.Box3{Min: p.Sub(geom.V(r, r, r)), Max: p.Add(geom.V(r, r, r))}
+			want, wst, err = e.RangeQuery(ctx, a, box, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gst, err = c.RangeQuery(ctx, "nucleiA", box, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(fmt.Sprintf("box %v", box), got, want, gst, wst)
+		}
+	})
+	// A box meeting no MBB sends no leg and answers empty without error.
+	t.Run("range-miss", func(t *testing.T) {
+		far := a.Tree().Bounds().Max.Add(geom.V(10, 10, 10))
+		calls := c.Metrics().ShardCalls
+		got, st, err := c.RangeQuery(ctx, "nucleiA", geom.Box3{Min: far, Max: far.Add(geom.V(5, 5, 5))}, q)
+		if err != nil || len(got) != 0 {
+			t.Fatalf("box beyond every MBB: got %v, err %v", got, err)
+		}
+		if n := c.Metrics().ShardCalls - calls; n != 0 {
+			t.Fatalf("box beyond every MBB made %d shard calls, want 0", n)
+		}
+		for _, ss := range st.Shards {
+			if ss.Status != "skipped" {
+				t.Fatalf("shard %d status %q, want skipped", ss.Shard, ss.Status)
+			}
 		}
 	})
 }
