@@ -27,7 +27,8 @@ test:
 	$(GO) test ./...
 
 # Project-specific analyzers (hotalloc, ctxflow, atomiccounter, floateq,
-# goleak, lockbalance, chandiscipline, wgbalance, statsexhaustive).
+# goleak, lockbalance, chandiscipline, wgbalance). Stats counters need no
+# analyzer: they are one table, core.Counters, checked by a reflect test.
 # Fails on any unsuppressed finding; see README "Static analysis".
 lint:
 	$(GO) run ./cmd/3dpro-lint ./...
@@ -87,7 +88,7 @@ chaos-short:
 # the missing path and its CRC check) and re-added datasets (see
 # internal/shard/http_test.go, failover_test.go and loans_test.go).
 chaos-net:
-	$(GO) test -race -run 'TestHTTPChaosCampaign|TestShardedEquivalenceHTTP|TestHTTPAnySingleWorkerDeathIsExact|TestHTTPBothReplicasDeadDegrades|TestHTTPRecvCorruptionIsTransportError|TestWorkerDrainPreservesInFlight|TestWorkerEchoesRequestID|TestReplicaFailoverExact|TestBothReplicasDeadDegrades|TestProberRejoinsShard|TestLoansHitWorkerCache|TestHTTPLoansMissingAndCRC|TestReAddDatasetReplacesGroups|TestHTTPLoansConcurrentColdJoins' -count=1 ./internal/shard
+	$(GO) test -race -run 'TestHTTPChaosCampaign|TestShardedEquivalenceHTTP|TestHTTPAnySingleWorkerDeathIsExact|TestHTTPBothReplicasDeadDegrades|TestHTTPRecvCorruptionIsTransportError|TestWorkerDrainPreservesInFlight|TestWorkerEchoesRequestID|TestReplicaFailoverExact|TestBothReplicasDeadDegrades|TestProberRejoinsShard|TestLoansHitWorkerCache|TestHTTPLoansMissingAndCRC|TestReAddDatasetReplacesGroups|TestHTTPLoansConcurrentColdJoins|TestHTTPBadLegCountersAreTransportErrors' -count=1 ./internal/shard
 
 # The repository benchmark (benchmark/, see BENCHMARK.json) is a Go module of
 # its own, so the root `go build ./... && go test ./...` never compiles it

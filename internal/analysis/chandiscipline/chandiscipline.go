@@ -1,5 +1,5 @@
 // Package chandiscipline enforces the channel ownership and cancellation
-// conventions of the shard and pipeline tiers:
+// conventions of the concurrency tiers (core, shard, gpusim, server):
 //
 //  1. Blocking send in a cancelable path: inside a function that takes a
 //     context.Context, a bare `ch <- v` (not a select arm, and not to a

@@ -1,7 +1,6 @@
 // Package goleak statically checks that every goroutine launched in the
-// concurrency tiers — the join refine driver (internal/core/pipeline.go),
-// the shard coordinator (internal/shard), and the device simulator
-// (internal/gpusim) — has a termination path on every CFG path.
+// concurrency tiers — the shard coordinator (internal/shard) and the device
+// simulator (internal/gpusim) — has a termination path on every CFG path.
 //
 // The check is reachability over the goroutine body's control-flow graph:
 // a block that is reachable from entry but can never reach the function
@@ -23,7 +22,6 @@ package goleak
 import (
 	"go/ast"
 	"go/types"
-	"path/filepath"
 	"strconv"
 
 	"repro/internal/analysis"
@@ -32,24 +30,21 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "goleak",
-	Doc: "goroutines in the pipeline/shard/gpusim tiers must have a termination path on every CFG path\n\n" +
-		"Every `go` statement in internal/core/pipeline.go, internal/shard, and\n" +
-		"internal/gpusim must launch a body whose every reachable block can reach the\n" +
-		"function exit — via return, a select arm on ctx.Done()/abort, or ranging over\n" +
-		"a channel that the owner closes. A `for {}` or single-armed select loop with\n" +
-		"no structural exit leaks the goroutine when the query is canceled.",
+	Doc: "goroutines in the shard/gpusim tiers must have a termination path on every CFG path\n\n" +
+		"Every `go` statement in internal/shard and internal/gpusim must launch a body\n" +
+		"whose every reachable block can reach the function exit — via return, a select\n" +
+		"arm on ctx.Done()/abort, or ranging over a channel that the owner closes. A\n" +
+		"`for {}` or single-armed select loop with no structural exit leaks the\n" +
+		"goroutine when the query is canceled.",
 	Run: run,
 }
 
-// scopePackages are checked in full; in internal/core only pipeline.go is
-// in scope (the rest of the package is covered by the runtime leak
-// checker).
+// scopePackages are the packages checked; goroutines elsewhere are covered
+// by the runtime leak checker.
 var scopePackages = []string{"internal/shard", "internal/gpusim"}
 
 func run(pass *analysis.Pass) error {
-	wholePkg := analysis.PathHasAnySuffix(pass.PkgPath, scopePackages...)
-	isCore := analysis.PathHasSuffix(pass.PkgPath, "internal/core")
-	if !wholePkg && !isCore {
+	if !analysis.PathHasAnySuffix(pass.PkgPath, scopePackages...) {
 		return nil
 	}
 
@@ -67,11 +62,6 @@ func run(pass *analysis.Pass) error {
 	}
 
 	for _, f := range pass.Files {
-		if isCore && !wholePkg {
-			if filepath.Base(pass.Fset.Position(f.Pos()).Filename) != "pipeline.go" {
-				continue
-			}
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			g, ok := n.(*ast.GoStmt)
 			if !ok {

@@ -8,8 +8,5 @@ import (
 )
 
 func TestGoleak(t *testing.T) {
-	analysistest.Run(t, "testdata", goleak.Analyzer,
-		"g/internal/shard",
-		"g/internal/core",
-	)
+	analysistest.Run(t, "testdata", goleak.Analyzer, "g/internal/shard")
 }

@@ -16,12 +16,11 @@ import (
 	"repro/internal/analysis/goleak"
 	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/lockbalance"
-	"repro/internal/analysis/statsexhaustive"
 	"repro/internal/analysis/wgbalance"
 )
 
 // All lists every analyzer the suite enforces, in report order: the four
-// type-based checks from the original suite, then the five CFG/dataflow
+// type-based checks from the original suite, then the four CFG/dataflow
 // concurrency-invariant checks.
 var All = []*analysis.Analyzer{
 	hotalloc.Analyzer,
@@ -32,7 +31,6 @@ var All = []*analysis.Analyzer{
 	lockbalance.Analyzer,
 	chandiscipline.Analyzer,
 	wgbalance.Analyzer,
-	statsexhaustive.Analyzer,
 }
 
 // KnownNames is the directive-validation set for //lint:ignore.

@@ -99,7 +99,7 @@ func TestKnownNames(t *testing.T) {
 	names := suite.KnownNames()
 	for _, want := range []string{
 		"hotalloc", "ctxflow", "atomiccounter", "floateq",
-		"goleak", "lockbalance", "chandiscipline", "wgbalance", "statsexhaustive",
+		"goleak", "lockbalance", "chandiscipline", "wgbalance",
 	} {
 		if !names[want] {
 			t.Errorf("analyzer %q not registered", want)

@@ -117,7 +117,7 @@ func (c *evalCtx) decode(ds *Dataset, id int64, lod int) (obj, error) {
 	}
 	qk := quarantine.Key{Dataset: ds.seq, Object: id}
 	if !c.e.quar.Allow(qk) {
-		c.col.quarantineSkips.Add(1)
+		c.col.n[rowQuarantineSkips].Add(1)
 		return obj{}, fmt.Errorf("core: object %d of %q skipped: %w", id, ds.Name, ErrQuarantined)
 	}
 	o, err := c.decodeGuarded(ds, sto, id, lod, qk)
@@ -164,7 +164,7 @@ func (c *evalCtx) decodeGuarded(ds *Dataset, sto *storage.Object, id int64, lod 
 		if try+1 >= attempts {
 			break
 		}
-		c.col.decodeRetries.Add(1)
+		c.col.n[rowDecodeRetries].Add(1)
 		if b := c.e.opts.DecodeRetryBackoff; b > 0 {
 			time.Sleep(b << uint(try))
 		}
@@ -193,7 +193,7 @@ func (c *evalCtx) decodeOnce(sto *storage.Object, lod int) (m *mesh.Mesh, err er
 	t0 := time.Now()
 	m, err = c.e.cache.GetOrDecodeProgressiveCounted(key, sto.Comp, func() error {
 		missed = true
-		c.col.decodes.Add(1)
+		c.col.n[rowDecodes].Add(1)
 		return faultinject.Fire(faultinject.PointCoreDecode)
 	}, &c.col.cacheCtrs)
 	if err != nil {

@@ -70,7 +70,7 @@ func (e *Engine) KNNJoin(ctx context.Context, target, source *Dataset, q QueryOp
 				c.maxDist = math.Min(c.maxDist, rc.MaxDist)
 			}
 		})
-		col.candidates.Add(int64(len(cands)))
+		col.n[rowCandidates].Add(int64(len(cands)))
 		if len(cands) == 0 {
 			return nil
 		}
@@ -242,7 +242,7 @@ func (e *Engine) KNNJoin(ctx context.Context, target, source *Dataset, q QueryOp
 		}
 		for _, c := range cands[:k] {
 			sinkBuf[w] = append(sinkBuf[w], Neighbor{Target: o.ID, Source: c.id, Dist: c.minDist})
-			col.results.Add(1)
+			col.n[rowResults].Add(1)
 		}
 		// Degrade: a parked candidate whose MINDIST lower bound does not
 		// exceed the k-th reported distance could displace a neighbor, so

@@ -215,11 +215,11 @@ func TestStatsOnCancellationSingleThreaded(t *testing.T) {
 // decode failures (it used to print the degraded clause without them).
 func TestStatsStringDecodeFailures(t *testing.T) {
 	s := &Stats{DecodeFailures: 3}
-	if got := s.String(); !strings.Contains(got, "decodeFailures=3") {
+	if got := s.String(); !strings.Contains(got, "decode_failures=3") {
 		t.Errorf("String() omits decode failures: %q", got)
 	}
 	clean := &Stats{}
-	if got := clean.String(); strings.Contains(got, "decodeFailures") {
+	if got := clean.String(); strings.Contains(got, "decode_failures") {
 		t.Errorf("clean query should not print the degraded clause: %q", got)
 	}
 }

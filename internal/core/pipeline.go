@@ -86,7 +86,7 @@ func (x *joinRun) upper(li int) float64 {
 // accept reports (t, s) as a result on the caller's slot.
 func (x *joinRun) accept(slot int, t, s int64) {
 	x.sink.add(slot, Pair{Target: t, Source: s})
-	x.col.results.Add(1)
+	x.col.n[rowResults].Add(1)
 }
 
 // drive runs the stages: each runPerTarget worker feeds its target and
@@ -136,7 +136,7 @@ func (x *joinRun) feed(slot int, o *storage.Object, emit func(s int64, li int)) 
 			x.filterWithin(o, sc)
 		}
 	})
-	x.col.candidates.Add(int64(len(sc.def) + len(sc.ids)))
+	x.col.n[rowCandidates].Add(int64(len(sc.def) + len(sc.ids)))
 	sortIDs(sc.def)
 	for _, id := range sc.def {
 		x.col.boundsDecided() // filter-phase MAXDIST acceptance

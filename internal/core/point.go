@@ -35,7 +35,7 @@ func (e *Engine) ContainingObjects(ctx context.Context, d *Dataset, p geom.Vec3,
 			return true
 		})
 	})
-	col.candidates.Add(int64(len(cands)))
+	col.n[rowCandidates].Add(int64(len(cands)))
 	sortIDs(cands)
 
 	var out []int64
@@ -69,7 +69,7 @@ func (e *Engine) ContainingObjects(ctx context.Context, d *Dataset, p geom.Vec3,
 				// Subset property: inside a low LOD ⇒ inside the object.
 				col.settlePair(lod)
 				out = append(out, id)
-				col.results.Add(1)
+				col.n[rowResults].Add(1)
 				continue
 			}
 			if last {
@@ -128,9 +128,9 @@ func (e *Engine) RangeQuery(ctx context.Context, d *Dataset, box geom.Box3, q Qu
 			return true
 		})
 	})
-	col.candidates.Add(int64(len(cands) + len(definite)))
+	col.n[rowCandidates].Add(int64(len(cands) + len(definite)))
 	out := append([]int64(nil), definite...)
-	col.results.Add(int64(len(definite)))
+	col.n[rowResults].Add(int64(len(definite)))
 	sortIDs(cands)
 
 	boxTris := boxTriangles(box)
@@ -179,7 +179,7 @@ func (e *Engine) RangeQuery(ctx context.Context, d *Dataset, box geom.Box3, q Qu
 			if hit {
 				col.settlePair(lod)
 				out = append(out, id)
-				col.results.Add(1)
+				col.n[rowResults].Add(1)
 				continue
 			}
 			if last {
@@ -187,7 +187,7 @@ func (e *Engine) RangeQuery(ctx context.Context, d *Dataset, box geom.Box3, q Qu
 				// still contain the whole box.
 				if ec.pointInside(o, box.Center()) {
 					out = append(out, id)
-					col.results.Add(1)
+					col.n[rowResults].Add(1)
 				}
 				col.settlePair(lod)
 				continue

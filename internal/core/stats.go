@@ -14,7 +14,8 @@ import (
 // breakdown the paper profiles in Fig. 10 (filtering, decompression,
 // geometric computation), and the per-LOD evaluation/pruning counts behind
 // Fig. 12. Phase times are summed across workers, so they represent CPU
-// time and can exceed Elapsed.
+// time and can exceed Elapsed. Every int64 and time.Duration field is a
+// counter with one row in Counters.
 type Stats struct {
 	Elapsed    time.Duration
 	FilterTime time.Duration
@@ -134,20 +135,71 @@ type ShardStat struct {
 	Err string `json:"error,omitempty"`
 	// Elapsed is the shard call's wall-clock time as seen by the
 	// coordinator (queueing, retries, and transport included).
-	Elapsed time.Duration `json:"elapsed_ns"`
+	Elapsed time.Duration `json:"-"`
 	// Stats is the shard's own execution statistics (nil when the shard
 	// never produced a response). Σ over non-nil per-shard Stats equals
 	// the coordinator's merged counters.
 	Stats *Stats `json:"-"`
 }
 
-// Merge folds other into s: phase times and counters add, the per-LOD
-// slices add element-wise (growing s as needed, so an early-abort shard
-// whose slices are short — or nil — never truncates a survivor's), and the
-// degradation and shard lists append. Elapsed takes the maximum: per-shard
-// wall clocks overlap, so summing them would double-count; coordinators
-// overwrite it with their own wall clock anyway. Merging nil (a shard that
-// died before producing statistics) is a no-op.
+// Counter is one row of the counter table. Name is the counter's name in
+// every output — the front's JSON key, the String label and the /metrics
+// family threedpro_query_<Name>_total — and a name ending in "_ms" marks a
+// time.Duration field, which outputs report in milliseconds. Field returns
+// the counter's field of s.
+type Counter struct {
+	Name  string
+	Field func(s *Stats) *int64
+}
+
+// Counters is the counter table: every int64 and time.Duration field of
+// Stats, once, in output order. Merge, String, the collector, the front's
+// JSON, the shard-leg wire and /metrics are loops over it, so a new counter
+// is one Stats field plus one row here.
+var Counters = [...]Counter{
+	{"elapsed_ms", func(s *Stats) *int64 { return (*int64)(&s.Elapsed) }},
+	{"filter_ms", func(s *Stats) *int64 { return (*int64)(&s.FilterTime) }},
+	{"decode_ms", func(s *Stats) *int64 { return (*int64)(&s.DecodeTime) }},
+	{"geom_ms", func(s *Stats) *int64 { return (*int64)(&s.GeomTime) }},
+	{"candidates", func(s *Stats) *int64 { return &s.Candidates }},
+	{"results", func(s *Stats) *int64 { return &s.Results }},
+	{"decodes", func(s *Stats) *int64 { return &s.Decodes }},
+	{"cache_hits", func(s *Stats) *int64 { return &s.CacheHits }},
+	{"warm_starts", func(s *Stats) *int64 { return &s.WarmStarts }},
+	{"rounds_applied", func(s *Stats) *int64 { return &s.RoundsApplied }},
+	{"rounds_skipped", func(s *Stats) *int64 { return &s.RoundsSkipped }},
+	{"batches_dispatched", func(s *Stats) *int64 { return &s.BatchesDispatched }},
+	{"batch_pairs", func(s *Stats) *int64 { return &s.BatchPairs }},
+	{"lods_skipped_by_margin", func(s *Stats) *int64 { return &s.LODsSkippedByMargin }},
+	{"bounds_decisive", func(s *Stats) *int64 { return &s.BoundsDecisive }},
+	{"accel_builds", func(s *Stats) *int64 { return &s.AccelBuilds }},
+	{"accel_reuses", func(s *Stats) *int64 { return &s.AccelReuses }},
+	{"quarantine_skips", func(s *Stats) *int64 { return &s.QuarantineSkips }},
+	{"decode_retries", func(s *Stats) *int64 { return &s.DecodeRetries }},
+	{"decode_failures", func(s *Stats) *int64 { return &s.DecodeFailures }},
+}
+
+// Millis reports whether the row is a phase time: its field counts
+// nanoseconds, and outputs report it in milliseconds.
+func (c Counter) Millis() bool { return strings.HasSuffix(c.Name, "_ms") }
+
+// Value returns the row's value in s as outputs report it: milliseconds for
+// a phase time, the count otherwise.
+func (c Counter) Value(s *Stats) float64 {
+	v := float64(*c.Field(s))
+	if c.Millis() {
+		return v / float64(time.Millisecond)
+	}
+	return v
+}
+
+// Merge folds other into s: counters add, the per-LOD slices add
+// element-wise (growing s as needed, so an early-abort shard whose slices
+// are short — or nil — never truncates a survivor's), and the degradation
+// and shard lists append. Elapsed takes the maximum: per-shard wall clocks
+// overlap, so summing them would double-count; coordinators overwrite it
+// with their own wall clock anyway. Merging nil (a shard that died before
+// producing statistics) is a no-op.
 //
 // Merge is commutative and associative up to list order: every numeric
 // field is order-independent, and the Uncertain/UncertainIDs/Degraded/
@@ -157,28 +209,11 @@ func (s *Stats) Merge(other *Stats) {
 	if s == nil || other == nil {
 		return
 	}
-	if other.Elapsed > s.Elapsed {
-		s.Elapsed = other.Elapsed
+	elapsed := max(s.Elapsed, other.Elapsed)
+	for _, c := range Counters {
+		*c.Field(s) += *c.Field(other)
 	}
-	s.FilterTime += other.FilterTime
-	s.DecodeTime += other.DecodeTime
-	s.GeomTime += other.GeomTime
-	s.Candidates += other.Candidates
-	s.Results += other.Results
-	s.Decodes += other.Decodes
-	s.CacheHits += other.CacheHits
-	s.WarmStarts += other.WarmStarts
-	s.RoundsApplied += other.RoundsApplied
-	s.RoundsSkipped += other.RoundsSkipped
-	s.QuarantineSkips += other.QuarantineSkips
-	s.DecodeRetries += other.DecodeRetries
-	s.DecodeFailures += other.DecodeFailures
-	s.BatchesDispatched += other.BatchesDispatched
-	s.BatchPairs += other.BatchPairs
-	s.LODsSkippedByMargin += other.LODsSkippedByMargin
-	s.BoundsDecisive += other.BoundsDecisive
-	s.AccelBuilds += other.AccelBuilds
-	s.AccelReuses += other.AccelReuses
+	s.Elapsed = elapsed
 	if n := len(other.PairsEvaluated); n > len(s.PairsEvaluated) {
 		s.PairsEvaluated = append(s.PairsEvaluated, make([]int64, n-len(s.PairsEvaluated))...)
 	}
@@ -207,72 +242,79 @@ func (s *Stats) PrunedFraction(lod int) float64 {
 	return float64(s.PairsPruned[lod]) / float64(s.PairsEvaluated[lod])
 }
 
-// String formats the stats as a one-line summary plus the LOD table.
+// String formats the non-zero counters (phase times in milliseconds), the
+// list lengths and the per-LOD table on one line.
 func (s *Stats) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "elapsed=%v filter=%v decode=%v geom=%v candidates=%d results=%d decodes=%d cacheHits=%d warmStarts=%d roundsApplied=%d roundsSkipped=%d",
-		s.Elapsed.Round(time.Microsecond), s.FilterTime.Round(time.Microsecond),
-		s.DecodeTime.Round(time.Microsecond), s.GeomTime.Round(time.Microsecond),
-		s.Candidates, s.Results, s.Decodes, s.CacheHits,
-		s.WarmStarts, s.RoundsApplied, s.RoundsSkipped)
-	if s.BatchesDispatched > 0 {
-		fmt.Fprintf(&b, " batches=%d batchPairs=%d", s.BatchesDispatched, s.BatchPairs)
+	for _, c := range Counters {
+		switch v := *c.Field(s); {
+		case v == 0:
+		case c.Millis():
+			fmt.Fprintf(&b, " %s=%.3f", c.Name, c.Value(s))
+		default:
+			fmt.Fprintf(&b, " %s=%d", c.Name, v)
+		}
 	}
-	if s.LODsSkippedByMargin > 0 || s.BoundsDecisive > 0 {
-		fmt.Fprintf(&b, " marginSkips=%d boundsDecisive=%d", s.LODsSkippedByMargin, s.BoundsDecisive)
-	}
-	if s.AccelBuilds > 0 || s.AccelReuses > 0 {
-		fmt.Fprintf(&b, " accelBuilds=%d accelReuses=%d", s.AccelBuilds, s.AccelReuses)
-	}
-	if len(s.Degraded) > 0 || len(s.Uncertain) > 0 || len(s.UncertainIDs) > 0 || s.QuarantineSkips > 0 || s.DecodeFailures > 0 {
-		fmt.Fprintf(&b, " degraded=%d uncertain=%d quarantineSkips=%d decodeRetries=%d decodeFailures=%d",
-			len(s.Degraded), len(s.Uncertain)+len(s.UncertainIDs), s.QuarantineSkips, s.DecodeRetries, s.DecodeFailures)
+	if len(s.Degraded) > 0 || len(s.Uncertain) > 0 || len(s.UncertainIDs) > 0 {
+		fmt.Fprintf(&b, " degraded=%d uncertain=%d", len(s.Degraded), len(s.Uncertain)+len(s.UncertainIDs))
 	}
 	if len(s.Shards) > 0 {
 		fmt.Fprintf(&b, " shards=%d", len(s.Shards))
 	}
 	if len(s.Trace) > 0 {
-		fmt.Fprintf(&b, " traceEvents=%d", len(s.Trace))
+		fmt.Fprintf(&b, " trace_events=%d", len(s.Trace))
 	}
 	for l := range s.PairsEvaluated {
 		if s.PairsEvaluated[l] > 0 {
 			fmt.Fprintf(&b, " lod%d=%d/%d", l, s.PairsPruned[l], s.PairsEvaluated[l])
 		}
 	}
-	return b.String()
+	return strings.TrimPrefix(b.String(), " ")
 }
 
 // collector accumulates statistics from concurrent workers.
 type collector struct {
-	filterNs        atomic.Int64
-	decodeNs        atomic.Int64
-	geomNs          atomic.Int64
-	candidates      atomic.Int64
-	results         atomic.Int64
-	decodes         atomic.Int64
-	cacheHits       atomic.Int64
-	quarantineSkips atomic.Int64
-	decodeRetries   atomic.Int64
-	lodsSkipped     atomic.Int64
-	boundsDecisive  atomic.Int64
-	accelBuilds     atomic.Int64
-	accelReuses     atomic.Int64
-	evaluated       []atomic.Int64
-	pruned          []atomic.Int64
+	// n holds the counters, indexed like Counters. Elapsed and the
+	// cache-attributed rows are filled in at snapshot time.
+	n         [len(Counters)]atomic.Int64
+	evaluated []atomic.Int64
+	pruned    []atomic.Int64
 
 	// cacheCtrs is this query's private attribution sink: every cache call
 	// the query makes passes it down, and the cache increments it in step
 	// with its own shard counters. Reading it at snapshot time therefore
 	// yields the query's exact warm-start/rounds/failure numbers, immune to
-	// other queries hammering the shared cache concurrently.
-	//
-	//lint:ignore statsexhaustive Hits/Misses are intentionally unread: the engine counts its own decodes/cacheHits in decodeOnce for per-LOD trace attribution, which the cache-side counters cannot provide
+	// other queries hammering the shared cache concurrently. Hits and Misses
+	// stay unread: decodeOnce counts them per LOD for the trace.
 	cacheCtrs cache.Counters
 
 	// tr aggregates span-style trace events when QueryOptions.Trace is set;
 	// nil otherwise, and every obs.Recorder method is a no-op on nil, so
 	// the hot path pays nothing when tracing is off.
 	tr *obs.Recorder
+}
+
+// The rows the collector adds to.
+var (
+	rowFilter, rowDecode, rowGeom = row("filter_ms"), row("decode_ms"), row("geom_ms")
+	rowCandidates, rowResults     = row("candidates"), row("results")
+	rowDecodes, rowCacheHits      = row("decodes"), row("cache_hits")
+	rowQuarantineSkips            = row("quarantine_skips")
+	rowDecodeRetries              = row("decode_retries")
+	rowLODsSkipped                = row("lods_skipped_by_margin")
+	rowBoundsDecisive             = row("bounds_decisive")
+	rowAccelBuilds                = row("accel_builds")
+	rowAccelReuses                = row("accel_reuses")
+)
+
+// row returns the index of the named counter in Counters.
+func row(name string) int {
+	for i, c := range Counters {
+		if c.Name == name {
+			return i
+		}
+	}
+	panic("core: no counter named " + name)
 }
 
 func newCollector(maxLOD int, q QueryOptions, start time.Time) *collector {
@@ -291,20 +333,20 @@ func (c *collector) filterPhase(fn func()) {
 	t0 := time.Now()
 	fn()
 	d := time.Since(t0)
-	c.filterNs.Add(d.Nanoseconds())
+	c.n[rowFilter].Add(d.Nanoseconds())
 	c.tr.Observe("filter", obs.NoLOD, t0, d)
 }
 
 // decodeMiss records a cache-missing decode that started at t0.
 func (c *collector) decodeMiss(lod int, t0 time.Time) {
 	d := time.Since(t0)
-	c.decodeNs.Add(d.Nanoseconds())
+	c.n[rowDecode].Add(d.Nanoseconds())
 	c.tr.Observe("decode", lod, t0, d)
 }
 
 // cacheHit records a decode request served from the cache.
 func (c *collector) cacheHit(lod int) {
-	c.cacheHits.Add(1)
+	c.n[rowCacheHits].Add(1)
 	c.tr.Count("cache_hit", lod, 1)
 }
 
@@ -313,7 +355,7 @@ func (c *collector) cacheHit(lod int) {
 // time, so no timing closure is needed.
 func (c *collector) geomDone(lod int, t0 time.Time) {
 	d := time.Since(t0)
-	c.geomNs.Add(d.Nanoseconds())
+	c.n[rowGeom].Add(d.Nanoseconds())
 	c.tr.Observe("geom", lod, t0, d)
 }
 
@@ -333,46 +375,36 @@ func (c *collector) settlePair(lod int) {
 // skipLODs counts n ladder entries the margin plan skipped for one pair.
 func (c *collector) skipLODs(n int) {
 	if n > 0 {
-		c.lodsSkipped.Add(int64(n))
+		c.n[rowLODsSkipped].Add(int64(n))
 	}
 }
 
 // boundsDecided counts one pair settled by filter-phase bounds alone.
-func (c *collector) boundsDecided() { c.boundsDecisive.Add(1) }
+func (c *collector) boundsDecided() { c.n[rowBoundsDecisive].Add(1) }
 
 // accel counts one accelerator lookup: a build, or a reuse of the mesh memo.
 func (c *collector) accel(built bool) {
 	if built {
-		c.accelBuilds.Add(1)
+		c.n[rowAccelBuilds].Add(1)
 	} else {
-		c.accelReuses.Add(1)
+		c.n[rowAccelReuses].Add(1)
 	}
 }
 
 func (c *collector) snapshot(elapsed time.Duration) *Stats {
 	s := &Stats{
-		Elapsed:             elapsed,
-		FilterTime:          time.Duration(c.filterNs.Load()),
-		DecodeTime:          time.Duration(c.decodeNs.Load()),
-		GeomTime:            time.Duration(c.geomNs.Load()),
-		Candidates:          c.candidates.Load(),
-		Results:             c.results.Load(),
-		Decodes:             c.decodes.Load(),
-		CacheHits:           c.cacheHits.Load(),
-		QuarantineSkips:     c.quarantineSkips.Load(),
-		DecodeRetries:       c.decodeRetries.Load(),
-		LODsSkippedByMargin: c.lodsSkipped.Load(),
-		BoundsDecisive:      c.boundsDecisive.Load(),
-		AccelBuilds:         c.accelBuilds.Load(),
-		AccelReuses:         c.accelReuses.Load(),
-		WarmStarts:          c.cacheCtrs.WarmStarts.Load(),
-		RoundsApplied:       c.cacheCtrs.RoundsApplied.Load(),
-		RoundsSkipped:       c.cacheCtrs.RoundsSkipped.Load(),
-		DecodeFailures:      c.cacheCtrs.DecodeFailures.Load(),
-		PairsEvaluated:      make([]int64, len(c.evaluated)),
-		PairsPruned:         make([]int64, len(c.pruned)),
-		Trace:               c.tr.Events(),
+		PairsEvaluated: make([]int64, len(c.evaluated)),
+		PairsPruned:    make([]int64, len(c.pruned)),
+		Trace:          c.tr.Events(),
 	}
+	for i, r := range Counters {
+		*r.Field(s) = c.n[i].Load()
+	}
+	s.Elapsed = elapsed
+	s.WarmStarts = c.cacheCtrs.WarmStarts.Load()
+	s.RoundsApplied = c.cacheCtrs.RoundsApplied.Load()
+	s.RoundsSkipped = c.cacheCtrs.RoundsSkipped.Load()
+	s.DecodeFailures = c.cacheCtrs.DecodeFailures.Load()
 	for i := range c.evaluated {
 		s.PairsEvaluated[i] = c.evaluated[i].Load()
 		s.PairsPruned[i] = c.pruned[i].Load()

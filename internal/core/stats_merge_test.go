@@ -19,6 +19,8 @@ func mergeFixture() (*Stats, *Stats, *Stats) {
 		Candidates: 10, Results: 4, Decodes: 7, CacheHits: 2,
 		WarmStarts: 1, RoundsApplied: 12, RoundsSkipped: 6,
 		QuarantineSkips: 1, DecodeRetries: 2, DecodeFailures: 1,
+		BatchesDispatched: 3, BatchPairs: 4, LODsSkippedByMargin: 5,
+		BoundsDecisive: 6, AccelBuilds: 7, AccelReuses: 8,
 		PairsEvaluated: []int64{5, 3, 1}, PairsPruned: []int64{2, 2, 1},
 		Uncertain:    []Pair{{Target: 1, Source: 2}},
 		UncertainIDs: []int64{9},
@@ -126,21 +128,17 @@ func TestStatsMergeNilAndShortSlices(t *testing.T) {
 	nilStats.Merge(a)
 }
 
-// TestStatsMergeSums spot-checks that every counter is the exact sum.
+// TestStatsMergeSums checks that every counter but Elapsed is the exact sum.
 func TestStatsMergeSums(t *testing.T) {
 	a, b, c := mergeFixture()
 	merged := &Stats{}
 	for _, s := range []*Stats{a, b, c} {
 		merged.Merge(s)
 	}
-	if got, want := merged.Decodes, a.Decodes+b.Decodes+c.Decodes; got != want {
-		t.Fatalf("decodes = %d, want %d", got, want)
-	}
-	if got, want := merged.CacheHits, a.CacheHits+b.CacheHits+c.CacheHits; got != want {
-		t.Fatalf("cacheHits = %d, want %d", got, want)
-	}
-	if got, want := merged.FilterTime, a.FilterTime+b.FilterTime+c.FilterTime; got != want {
-		t.Fatalf("filterTime = %v, want %v", got, want)
+	for _, r := range Counters {
+		if got, want := *r.Field(merged), *r.Field(a)+*r.Field(b)+*r.Field(c); got != want && r.Name != "elapsed_ms" {
+			t.Errorf("%s = %d, want %d", r.Name, got, want)
+		}
 	}
 	if got, want := len(merged.UncertainIDs), 3; got != want {
 		t.Fatalf("uncertainIDs = %d entries, want %d", got, want)

@@ -125,7 +125,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		// or not): builds that keep pace with reuses mean the decode cache
 		// is too small to keep the trees it pays for.
 		"accel": map[string]float64{
-			"builds": s.obs.accelBuilds.Value(), "reuses": s.obs.accelReuses.Value(),
+			"builds": s.obs.totals["accel_builds"].Value(), "reuses": s.obs.totals["accel_reuses"].Value(),
 		},
 	}
 

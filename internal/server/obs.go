@@ -24,11 +24,10 @@ type serverObs struct {
 
 	queriesTotal  *obs.CounterVec // kind, status
 	queryDuration *obs.HistogramVec
-	phaseSeconds  *obs.CounterVec // phase
 	decodeRounds  *obs.Histogram
 	admissionRej  *obs.Counter
-	accelBuilds   *obs.Counter
-	accelReuses   *obs.Counter
+	// totals holds threedpro_query_<name>_total by core.Counters name.
+	totals map[string]*obs.Counter
 
 	queryLog *obs.QueryLog
 }
@@ -46,17 +45,16 @@ func (s *Server) initObs() {
 			"Queries served, by query kind and outcome status.", "kind", "status"),
 		queryDuration: reg.HistogramVec("threedpro_query_duration_seconds",
 			"Query wall-clock latency by kind.", obs.DurationBuckets, "kind"),
-		phaseSeconds: reg.CounterVec("threedpro_query_phase_seconds_total",
-			"Cumulative per-phase CPU time across queries (filter/decode/geom).", "phase"),
 		decodeRounds: reg.Histogram("threedpro_query_decode_rounds",
 			"Decode rounds replayed per query.", obs.RoundBuckets),
 		admissionRej: reg.Counter("threedpro_admission_rejected_total",
 			"Query requests shed by admission control."),
-		accelBuilds: reg.Counter("threedpro_accel_builds_total",
-			"Refinement accelerators (AABB trees, partition groups) built by queries."),
-		accelReuses: reg.Counter("threedpro_accel_reuses_total",
-			"Accelerator lookups served from a decoded mesh's memo instead of a build."),
+		totals:   make(map[string]*obs.Counter, len(core.Counters)),
 		queryLog: obs.NewQueryLog(queryLogCapacity),
+	}
+	for _, c := range core.Counters {
+		o.totals[c.Name] = reg.Counter("threedpro_query_"+c.Name+"_total",
+			"The per-query stats."+c.Name+" summed over served queries (phase times in milliseconds).")
 	}
 	reg.GaugeFunc("threedpro_queries_inflight",
 		"Query requests currently admitted.", func() float64 { return float64(len(s.inflight)) })
@@ -181,12 +179,10 @@ func (s *Server) noteQuery(r *http.Request, kind string, st *core.Stats, err err
 	}
 	s.obs.queriesTotal.With(kind, status).Inc()
 	s.obs.queryDuration.With(kind).Observe(st.Elapsed.Seconds())
-	s.obs.phaseSeconds.With("filter").Add(st.FilterTime.Seconds())
-	s.obs.phaseSeconds.With("decode").Add(st.DecodeTime.Seconds())
-	s.obs.phaseSeconds.With("geom").Add(st.GeomTime.Seconds())
 	s.obs.decodeRounds.Observe(float64(st.RoundsApplied))
-	s.obs.accelBuilds.Add(float64(st.AccelBuilds))
-	s.obs.accelReuses.Add(float64(st.AccelReuses))
+	for _, c := range core.Counters {
+		s.obs.totals[c.Name].Add(c.Value(st))
+	}
 
 	s.obs.queryLog.Record(obs.QuerySummary{
 		ID:             requestID(r),

@@ -6,8 +6,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -75,11 +78,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	want := map[string]string{
 		"threedpro_queries_total":               "counter",
 		"threedpro_query_duration_seconds":      "histogram",
-		"threedpro_query_phase_seconds_total":   "counter",
 		"threedpro_query_decode_rounds":         "histogram",
 		"threedpro_admission_rejected_total":    "counter",
-		"threedpro_accel_builds_total":          "counter",
-		"threedpro_accel_reuses_total":          "counter",
 		"threedpro_queries_inflight":            "gauge",
 		"threedpro_cache_hits_total":            "counter",
 		"threedpro_cache_misses_total":          "counter",
@@ -96,6 +96,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"threedpro_quarantine_failures_total":   "counter",
 		"threedpro_quarantine_skips_total":      "counter",
 		"threedpro_quarantine_reinstated_total": "counter",
+	}
+	for _, c := range core.Counters {
+		want["threedpro_query_"+c.Name+"_total"] = "counter"
 	}
 	for name, typ := range want {
 		if got, ok := fams[name]; !ok {
@@ -118,7 +121,10 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestAccelCountersExposed(t *testing.T) {
 	ts, _ := obsServer(t, Config{})
 	var first, second struct {
-		Stats statsJSON `json:"stats"`
+		Stats struct {
+			AccelBuilds int64 `json:"accel_builds"`
+			AccelReuses int64 `json:"accel_reuses"`
+		} `json:"stats"`
 	}
 	const body = `{"target":"alpha","source":"beta","dist":25,"accel":"aabb"}`
 	if resp := postJSON(t, ts.URL+"/query/within", body, &first); resp.StatusCode != 200 {
@@ -144,11 +150,11 @@ func TestAccelCountersExposed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		fmt.Sprintf("threedpro_accel_builds_total %d\n", builds),
-		fmt.Sprintf("threedpro_accel_reuses_total %d\n", reuses),
+		fmt.Sprintf("threedpro_query_accel_builds_total %d\n", builds),
+		fmt.Sprintf("threedpro_query_accel_reuses_total %d\n", reuses),
 	} {
 		if !strings.Contains(string(scrape), want) {
-			t.Errorf("/metrics lacks %q:\n%s", want, grepLines(string(scrape), "threedpro_accel"))
+			t.Errorf("/metrics lacks %q:\n%s", want, grepLines(string(scrape), "threedpro_query_accel"))
 		}
 	}
 
@@ -193,14 +199,55 @@ func TestStatsJSONZeroCounters(t *testing.T) {
 			t.Errorf("stats[%q] = %s, want 0", key, raw)
 		}
 	}
-	// Round-trip: the serialized stats decode back into statsJSON unchanged.
-	var sj statsJSON
-	buf, _ := json.Marshal(out.Stats)
-	if err := json.Unmarshal(buf, &sj); err != nil {
-		t.Fatalf("stats do not round-trip through statsJSON: %v", err)
+}
+
+// goldenStats is a coordinated query's Stats with every counter distinct and
+// non-zero, every list non-empty, a trace event, and one ok and one failed
+// shard, whose LOD slices are nil.
+func goldenStats() *core.Stats {
+	st := &core.Stats{
+		Elapsed: 3456789 * time.Nanosecond, FilterTime: 310007, DecodeTime: 520011, GeomTime: 730013,
+		Candidates: 41, Results: 43, Decodes: 47, CacheHits: 53,
+		WarmStarts: 59, RoundsApplied: 61, RoundsSkipped: 67,
+		QuarantineSkips: 71, DecodeRetries: 73, DecodeFailures: 79,
+		BatchesDispatched: 83, BatchPairs: 89, LODsSkippedByMargin: 97, BoundsDecisive: 101,
+		AccelBuilds: 103, AccelReuses: 107,
+		PairsEvaluated: []int64{13, 7, 3}, PairsPruned: []int64{6, 4, 3},
+		Uncertain:    []core.Pair{{Target: 8, Source: -1}},
+		UncertainIDs: []int64{8},
+		Degraded:     []core.ObjectError{{Dataset: "nuclei", Object: -1, Err: "shard 1: connection refused"}},
+		Trace:        []obs.TraceEvent{{Name: "decode", LOD: 1, Count: 5, FirstUS: 12, LastUS: 340, TotalUS: 290}},
 	}
-	if sj.QuarantineSkips != 0 || sj.DecodeRetries != 0 || sj.DecodeFailures != 0 {
-		t.Errorf("round-tripped counters: %+v", sj)
+	leg := *st
+	st.Shards = []core.ShardStat{
+		{Shard: 0, Status: "ok", Attempts: 2, Hedged: true, HedgeWon: true, Elapsed: 2500003, Stats: &leg},
+		{Shard: 1, Status: "error", Attempts: 3, Replica: -1, Err: "connection refused", Elapsed: 1200007,
+			Stats: &core.Stats{UncertainIDs: []int64{8}, Degraded: st.Degraded}},
+	}
+	return st
+}
+
+// TestFrontStatsGolden pins the front's stats object: testdata/front_stats.json
+// is goldenStats as the front wrote it before the counter table existed, and
+// the table-driven encoder must produce the same keys and values.
+func TestFrontStatsGolden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/front_stats.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal((*frontStats)(goldenStats()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, have map[string]any
+	if err := json.Unmarshal(golden, &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(got, &have); err != nil {
+		t.Fatalf("front stats are not JSON: %v\n%s", err, got)
+	}
+	if !reflect.DeepEqual(have, want) {
+		t.Errorf("front stats differ from the golden:\n got %s\nwant %s", got, golden)
 	}
 }
 

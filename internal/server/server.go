@@ -420,124 +420,65 @@ func options(req queryRequest) (core.QueryOptions, error) {
 	return q, nil
 }
 
-// statsJSON is the serialized execution statistics.
-type statsJSON struct {
-	ElapsedMS  float64 `json:"elapsed_ms"`
-	FilterMS   float64 `json:"filter_ms"`
-	DecodeMS   float64 `json:"decode_ms"`
-	GeomMS     float64 `json:"geom_ms"`
-	Candidates int64   `json:"candidates"`
-	Results    int64   `json:"results"`
-	Decodes    int64   `json:"decodes"`
-	CacheHits  int64   `json:"cache_hits"`
-	// Warm-start counters: misses that resumed a retained progressive
-	// decoder, decode rounds replayed, and rounds the resumes skipped
-	// (cold cost = rounds_applied + rounds_skipped).
-	WarmStarts    int64 `json:"warm_starts"`
-	RoundsApplied int64 `json:"rounds_applied"`
-	RoundsSkipped int64 `json:"rounds_skipped"`
-	// Device-batch counters, always 0: joins refine one pair at a time and
-	// dispatch no batches (see core.Stats.BatchesDispatched).
-	BatchesDispatched int64 `json:"batches_dispatched"`
-	BatchPairs        int64 `json:"batch_pairs"`
-	// Margin-scheduler counters: ladder entries skipped by margin routing
-	// and pairs settled by filter-phase bounds alone (both 0 under
-	// sched=static, except bounds-driven NN prunes which count always).
-	LODsSkippedByMargin int64 `json:"lods_skipped_by_margin"`
-	BoundsDecisive      int64 `json:"bounds_decisive"`
-	// Accelerator-memo counters: AABB trees and partition groups this query
-	// built vs lookups served from a decoded mesh's memo (a repeat query on
-	// a warm cache builds none).
-	AccelBuilds int64   `json:"accel_builds"`
-	AccelReuses int64   `json:"accel_reuses"`
-	Evaluated   []int64 `json:"pairs_evaluated_per_lod"`
-	Pruned      []int64 `json:"pairs_pruned_per_lod"`
-	// Partial-failure accounting (degrade policy). The response's pairs are
-	// the certain answer; uncertain lists relations a failure left
-	// unsettled (source -1 = unknown candidate set of that target) and
-	// degraded the skipped objects with their failures. The numeric
-	// counters serialize even at zero: dashboards and scrapers must be able
-	// to tell "zero failures" apart from "field absent in this version".
-	Uncertain       []core.Pair        `json:"uncertain,omitempty"`
-	UncertainIDs    []int64            `json:"uncertain_ids,omitempty"`
-	Degraded        []core.ObjectError `json:"degraded,omitempty"`
-	QuarantineSkips int64              `json:"quarantine_skips"`
-	DecodeRetries   int64              `json:"decode_retries"`
-	DecodeFailures  int64              `json:"decode_failures"`
-	// Trace carries the aggregated span timeline when the request set
-	// "trace": true.
-	Trace []obs.TraceEvent `json:"trace,omitempty"`
-	// Shards carries the per-shard breakdown of a coordinated query. The
-	// coordinator's counters above are exactly the sum of the per-shard
-	// stats here (degraded shards included — their synthesized stats hold
-	// the uncertainty their loss caused).
-	Shards []shardStatJSON `json:"shards,omitempty"`
+// frontStats is a query's Stats as the front answers it: one key per
+// core.Counters row (phase times in milliseconds), the per-LOD slices, the
+// non-empty lists and the per-shard breakdown. The counters serialize even
+// at zero: a scraper must be able to tell "zero failures" apart from "field
+// absent in this version".
+type frontStats core.Stats
+
+// frontShard is one entry of the front's per-shard breakdown.
+type frontShard struct {
+	core.ShardStat
+	ElapsedMS float64     `json:"elapsed_ms"`
+	Stats     *frontStats `json:"stats,omitempty"`
 }
 
-// shardStatJSON is the serialized per-shard outcome of a coordinated query.
-type shardStatJSON struct {
-	Shard     int        `json:"shard"`
-	Status    string     `json:"status"`
-	Attempts  int        `json:"attempts"`
-	Hedged    bool       `json:"hedged,omitempty"`
-	HedgeWon  bool       `json:"hedge_won,omitempty"`
-	Replica   int        `json:"replica"`
-	Err       string     `json:"error,omitempty"`
-	ElapsedMS float64    `json:"elapsed_ms"`
-	Stats     *statsJSON `json:"stats,omitempty"`
-}
-
-func statsOut(st *core.Stats) statsJSON {
-	out := baseStatsOut(st)
-	for _, ss := range st.Shards {
-		sj := shardStatJSON{
-			Shard:     ss.Shard,
-			Status:    ss.Status,
-			Attempts:  ss.Attempts,
-			Hedged:    ss.Hedged,
-			HedgeWon:  ss.HedgeWon,
-			Replica:   ss.Replica,
-			Err:       ss.Err,
-			ElapsedMS: float64(ss.Elapsed) / float64(time.Millisecond),
-		}
-		if ss.Stats != nil {
-			nested := baseStatsOut(ss.Stats)
-			sj.Stats = &nested
-		}
-		out.Shards = append(out.Shards, sj)
+// MarshalJSON implements json.Marshaler. AppendFloat's 'f' form is what
+// encoding/json writes for any millisecond value of an int64 nanosecond
+// count, so a phase time reads exactly as it did from a float64 field.
+func (fs *frontStats) MarshalJSON() ([]byte, error) {
+	st := (*core.Stats)(fs)
+	shards := make([]frontShard, len(st.Shards))
+	for i, ss := range st.Shards {
+		shards[i] = frontShard{ss, float64(ss.Elapsed) / float64(time.Millisecond), (*frontStats)(ss.Stats)}
 	}
-	return out
+	lists, err := json.Marshal(struct {
+		Evaluated    []int64            `json:"pairs_evaluated_per_lod"`
+		Pruned       []int64            `json:"pairs_pruned_per_lod"`
+		Uncertain    []core.Pair        `json:"uncertain,omitempty"`
+		UncertainIDs []int64            `json:"uncertain_ids,omitempty"`
+		Degraded     []core.ObjectError `json:"degraded,omitempty"`
+		Trace        []obs.TraceEvent   `json:"trace,omitempty"`
+		Shards       []frontShard       `json:"shards,omitempty"`
+	}{st.PairsEvaluated, st.PairsPruned, st.Uncertain, st.UncertainIDs, st.Degraded, st.Trace, shards})
+	if err != nil {
+		return nil, err
+	}
+	b := make([]byte, 0, 512+len(lists))
+	for _, c := range core.Counters {
+		b = append(append(append(b, ",\""...), c.Name...), "\":"...)
+		if c.Millis() {
+			b = strconv.AppendFloat(b, c.Value(st), 'f', -1, 64)
+		} else {
+			b = strconv.AppendInt(b, *c.Field(st), 10)
+		}
+	}
+	b[0] = '{'
+	return append(append(b, ','), lists[1:]...), nil
 }
 
-func baseStatsOut(st *core.Stats) statsJSON {
-	return statsJSON{
-		ElapsedMS:           float64(st.Elapsed) / float64(time.Millisecond),
-		FilterMS:            float64(st.FilterTime) / float64(time.Millisecond),
-		DecodeMS:            float64(st.DecodeTime) / float64(time.Millisecond),
-		GeomMS:              float64(st.GeomTime) / float64(time.Millisecond),
-		Candidates:          st.Candidates,
-		Results:             st.Results,
-		Decodes:             st.Decodes,
-		CacheHits:           st.CacheHits,
-		WarmStarts:          st.WarmStarts,
-		RoundsApplied:       st.RoundsApplied,
-		RoundsSkipped:       st.RoundsSkipped,
-		BatchesDispatched:   st.BatchesDispatched,
-		BatchPairs:          st.BatchPairs,
-		LODsSkippedByMargin: st.LODsSkippedByMargin,
-		BoundsDecisive:      st.BoundsDecisive,
-		AccelBuilds:         st.AccelBuilds,
-		AccelReuses:         st.AccelReuses,
-		Evaluated:           st.PairsEvaluated,
-		Pruned:              st.PairsPruned,
-		Uncertain:           st.Uncertain,
-		UncertainIDs:        st.UncertainIDs,
-		Degraded:            st.Degraded,
-		QuarantineSkips:     st.QuarantineSkips,
-		DecodeRetries:       st.DecodeRetries,
-		DecodeFailures:      st.DecodeFailures,
-		Trace:               st.Trace,
+// answer records an executed query and writes its answer under key, with
+// its stats as the front encodes them, or its error.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, kind, key string, v any, stats *core.Stats, err error) {
+	if stats != nil {
+		s.noteQuery(r, kind, stats, err)
 	}
+	if err != nil {
+		s.writeErr(w, r, err)
+		return
+	}
+	s.writeJSON(w, map[string]any{key: v, "stats": (*frontStats)(stats)})
 }
 
 func (s *Server) handleIntersect(w http.ResponseWriter, r *http.Request) {
@@ -553,14 +494,7 @@ func (s *Server) handleIntersect(w http.ResponseWriter, r *http.Request) {
 	} else {
 		pairs, stats, err = s.eng.IntersectJoin(r.Context(), target, source, q)
 	}
-	if stats != nil {
-		s.noteQuery(r, "intersect", stats, err)
-	}
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	s.writeJSON(w, map[string]any{"pairs": pairs, "stats": statsOut(stats)})
+	s.answer(w, r, "intersect", "pairs", pairs, stats, err)
 }
 
 func (s *Server) handleWithin(w http.ResponseWriter, r *http.Request) {
@@ -580,14 +514,7 @@ func (s *Server) handleWithin(w http.ResponseWriter, r *http.Request) {
 	} else {
 		pairs, stats, err = s.eng.WithinJoin(r.Context(), target, source, req.Dist, q)
 	}
-	if stats != nil {
-		s.noteQuery(r, "within", stats, err)
-	}
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	s.writeJSON(w, map[string]any{"pairs": pairs, "stats": statsOut(stats)})
+	s.answer(w, r, "within", "pairs", pairs, stats, err)
 }
 
 func (s *Server) handleNN(w http.ResponseWriter, r *http.Request) {
@@ -603,14 +530,7 @@ func (s *Server) handleNN(w http.ResponseWriter, r *http.Request) {
 	} else {
 		ns, stats, err = s.eng.KNNJoin(r.Context(), target, source, q)
 	}
-	if stats != nil {
-		s.noteQuery(r, "nn", stats, err)
-	}
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	s.writeJSON(w, map[string]any{"neighbors": ns, "stats": statsOut(stats)})
+	s.answer(w, r, "nn", "neighbors", ns, stats, err)
 }
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
@@ -644,14 +564,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	} else {
 		ids, stats, err = s.eng.RangeQuery(r.Context(), d, box, q)
 	}
-	if stats != nil {
-		s.noteQuery(r, "range", stats, err)
-	}
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	s.writeJSON(w, map[string]any{"objects": ids, "stats": statsOut(stats)})
+	s.answer(w, r, "range", "objects", ids, stats, err)
 }
 
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
@@ -678,12 +591,5 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	} else {
 		ids, stats, err = s.eng.ContainingObjects(r.Context(), d, p, q)
 	}
-	if stats != nil {
-		s.noteQuery(r, "point", stats, err)
-	}
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	s.writeJSON(w, map[string]any{"objects": ids, "stats": statsOut(stats)})
+	s.answer(w, r, "point", "objects", ids, stats, err)
 }

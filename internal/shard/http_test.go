@@ -13,12 +13,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"hash/crc32"
 	"io"
 	"log"
 	"log/slog"
+	"maps"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -54,37 +60,67 @@ type httpCluster struct {
 
 // loanTap reads the query requests crossing one worker's listener, like the
 // benchmark's wireCounter wraps its handler, and counts the loan refs and
-// the loan blobs (by object ID) they carry.
+// the loan blobs (by object ID) they carry. Once forge has been called, it
+// also replaces the counter array of every leg answer it passes back (and
+// the body's CRC header to match), as a worker of another version might.
 type loanTap struct {
-	mu      sync.Mutex
-	refs    int
-	shipped map[int64]int
+	mu       sync.Mutex
+	refs     int
+	shipped  map[int64]int
+	counters json.RawMessage
 }
 
 func (tp *loanTap) wrap(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/shard/query" {
-			body, err := io.ReadAll(r.Body)
-			r.Body = io.NopCloser(bytes.NewReader(body))
-			var req struct {
-				Loans []struct {
-					ID   int64  `json:"id"`
-					Blob []byte `json:"blob"`
-				} `json:"loans"`
-			}
-			if err == nil && json.Unmarshal(body, &req) == nil {
-				tp.mu.Lock()
-				for _, l := range req.Loans {
-					tp.refs++
-					if len(l.Blob) > 0 {
-						tp.shipped[l.ID]++
-					}
+		if r.URL.Path != "/shard/query" {
+			h.ServeHTTP(rw, r)
+			return
+		}
+		body, err := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		var req struct {
+			Loans []struct {
+				ID   int64  `json:"id"`
+				Blob []byte `json:"blob"`
+			} `json:"loans"`
+		}
+		tp.mu.Lock()
+		counters := tp.counters
+		if err == nil && json.Unmarshal(body, &req) == nil {
+			for _, l := range req.Loans {
+				tp.refs++
+				if len(l.Blob) > 0 {
+					tp.shipped[l.ID]++
 				}
-				tp.mu.Unlock()
 			}
 		}
-		h.ServeHTTP(rw, r)
+		tp.mu.Unlock()
+		if counters == nil {
+			h.ServeHTTP(rw, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		out := rec.Body.Bytes()
+		var env, st map[string]json.RawMessage
+		if json.Unmarshal(out, &env) == nil && json.Unmarshal(env["stats"], &st) == nil {
+			st["c"] = counters
+			env["stats"], _ = json.Marshal(st)
+			out, _ = json.Marshal(env)
+		}
+		maps.Copy(rw.Header(), rec.Header())
+		rw.Header().Set("X-Body-Crc32", strconv.FormatUint(uint64(crc32.ChecksumIEEE(out)), 10))
+		rw.WriteHeader(rec.Code)
+		rw.Write(out)
 	})
+}
+
+// forge makes the tap replace every leg answer's counter array with the JSON
+// value counters.
+func (tp *loanTap) forge(counters string) {
+	tp.mu.Lock()
+	tp.counters = json.RawMessage(counters)
+	tp.mu.Unlock()
 }
 
 // take returns the refs and blobs counted since the last take.
@@ -574,6 +610,60 @@ func TestHTTPRecvCorruptionIsTransportError(t *testing.T) {
 	}
 	if m := cl.coord.Metrics(); m.Retries < 1 {
 		t.Fatalf("corrupted response was not retried: %+v", m)
+	}
+}
+
+// TestHTTPBadLegCountersAreTransportErrors: a leg answer whose counter
+// array has the wrong length, or is not an array, is a transport error. The
+// coordinator retries it, fails the group over to its replica, and never
+// merges it: the answer is exact and the counters are still Σ per shard.
+func TestHTTPBadLegCountersAreTransportErrors(t *testing.T) {
+	leakcheck.Check(t)
+	e := core.NewEngine(testEngineOptions())
+	defer e.Close()
+	a, b := buildPair(t, e)
+	ctx := context.Background()
+
+	want, _, err := e.IntersectJoin(ctx, a, b, core.QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := "[" + strings.Repeat("7,", len(core.Counters)) + "7]"
+	for name, counters := range map[string]string{"short": "[1,2,3]", "long": long, "object": `{"candidates":1}`} {
+		t.Run(name, func(t *testing.T) {
+			cl := startHTTPCluster(t, shard.Options{
+				Shards:       2,
+				Replicas:     2,
+				Retries:      1,
+				RetryBackoff: time.Millisecond,
+			}, a, b)
+			cl.taps[0].forge(counters)
+			got, st, err := cl.coord.IntersectJoin(ctx, "nucleiA", "nucleiB", core.QueryOptions{})
+			if err != nil {
+				t.Fatalf("query with forged leg counters failed: %v", err)
+			}
+			if !sameSlice(got, want) {
+				t.Fatalf("answer differs:\n got %v\nwant %v", got, want)
+			}
+			if m := cl.coord.Metrics(); m.Retries < 1 || m.Failovers < 1 {
+				t.Fatalf("forged answer was not retried and failed over: %+v", m)
+			}
+			sum := map[string]int64{}
+			for _, ss := range st.Shards {
+				if ss.Status != "ok" || ss.Stats == nil {
+					t.Fatalf("group %d: status %q (%s)", ss.Shard, ss.Status, ss.Err)
+				}
+				if ss.Shard == 0 && ss.Replica != 1 {
+					t.Fatalf("group 0 served by replica %d, want 1", ss.Replica)
+				}
+				for k, v := range counterSums(ss.Stats) {
+					sum[k] += v
+				}
+			}
+			if total := counterSums(st); !reflect.DeepEqual(sum, total) || total["results"] != int64(len(want)) {
+				t.Fatalf("merged counters %v, Σ per shard %v, %d results", total, sum, len(want))
+			}
+		})
 	}
 }
 

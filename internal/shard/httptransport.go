@@ -12,7 +12,9 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/ppvp"
 	"repro/internal/storage"
 )
@@ -61,15 +63,60 @@ type wireRequest struct {
 	Loans []wireLoan `json:"loans,omitempty"`
 }
 
-// wireResponse is the answer envelope. Error carries an application error
-// (engine failure) verbatim; Missing asks for the blobs of the loan refs
-// the worker could not resolve. Transport-class failures never produce a
-// wireResponse — they surface as connection errors, non-200 statuses, or
-// integrity mismatches.
+// wireResponse is the answer envelope. Resp and Stats are the leg's answer,
+// its Stats in the leg form; Error carries an application error (engine
+// failure) verbatim; Missing asks for the blobs of the loan refs the worker
+// could not resolve. Transport-class failures never produce a wireResponse —
+// they surface as connection errors, non-200 statuses, or integrity
+// mismatches.
 type wireResponse struct {
 	Resp    *Response `json:"resp,omitempty"`
+	Stats   *legStats `json:"stats,omitempty"`
 	Error   string    `json:"error,omitempty"`
 	Missing []int64   `json:"missing,omitempty"`
+}
+
+// legStats is a leg's Stats on the wire: C holds the core.Counters rows in
+// table order as exact integers (phase times in nanoseconds), then come the
+// per-LOD slices (null when nil: the front tells nil from empty) and the
+// lists, left out when empty. A leg's Stats never carries Shards: the
+// coordinator builds that breakdown.
+type legStats struct {
+	C            []int64            `json:"c"`
+	Evaluated    []int64            `json:"e"`
+	Pruned       []int64            `json:"p"`
+	Uncertain    []core.Pair        `json:"u,omitempty"`
+	UncertainIDs []int64            `json:"i,omitempty"`
+	Degraded     []core.ObjectError `json:"d,omitempty"`
+	Trace        []obs.TraceEvent   `json:"t,omitempty"`
+}
+
+func newLegStats(st *core.Stats) *legStats {
+	l := &legStats{
+		C:         make([]int64, len(core.Counters)),
+		Evaluated: st.PairsEvaluated, Pruned: st.PairsPruned,
+		Uncertain: st.Uncertain, UncertainIDs: st.UncertainIDs, Degraded: st.Degraded, Trace: st.Trace,
+	}
+	for i, c := range core.Counters {
+		l.C[i] = *c.Field(st)
+	}
+	return l
+}
+
+// stats rebuilds the leg's Stats. The answer is input from another process,
+// so a missing or wrong-length counter array is an error, never merged.
+func (l *legStats) stats() (*core.Stats, error) {
+	if l == nil || len(l.C) != len(core.Counters) {
+		return nil, fmt.Errorf("leg stats carry no array of %d counters", len(core.Counters))
+	}
+	st := &core.Stats{
+		PairsEvaluated: l.Evaluated, PairsPruned: l.Pruned,
+		Uncertain: l.Uncertain, UncertainIDs: l.UncertainIDs, Degraded: l.Degraded, Trace: l.Trace,
+	}
+	for i, c := range core.Counters {
+		*c.Field(st) = l.C[i]
+	}
+	return st, nil
 }
 
 // wireInstall ships one home group of a dataset to a worker.
@@ -182,6 +229,11 @@ func (t *HTTPTransport) Send(ctx context.Context, shard int, req *Request) (*Res
 	if wresp.Resp == nil {
 		return nil, fmt.Errorf("%w: shard %d: empty response", ErrTransport, shard)
 	}
+	st, err := wresp.Stats.stats()
+	if err != nil {
+		return nil, fmt.Errorf("%w: shard %d: %v", ErrTransport, shard, err)
+	}
+	wresp.Resp.Stats = st
 	return wresp.Resp, nil
 }
 
@@ -328,7 +380,7 @@ func WorkerMux(node *Node) *http.ServeMux {
 		if err != nil {
 			wresp.Error = err.Error()
 		} else {
-			wresp.Resp = resp
+			wresp.Resp, wresp.Stats = resp, newLegStats(resp.Stats)
 		}
 		writeWire(w, &wresp)
 	})

@@ -81,10 +81,11 @@ type Request struct {
 }
 
 // Response is one shard's answer. Exactly one of Pairs/Neighbors/IDs is
-// populated depending on the request kind; Stats always is.
+// populated depending on the request kind; Stats always is, and crosses the
+// HTTP hop beside the Response in its leg form (legStats).
 type Response struct {
 	Pairs     []core.Pair     `json:"pairs,omitempty"`
 	Neighbors []core.Neighbor `json:"neighbors,omitempty"`
 	IDs       []int64         `json:"ids,omitempty"`
-	Stats     *core.Stats     `json:"stats"`
+	Stats     *core.Stats     `json:"-"`
 }

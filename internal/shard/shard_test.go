@@ -265,22 +265,20 @@ func TestShardedEquivalence(t *testing.T) {
 	})
 }
 
-// counterSums extracts the additive counters checked by the Σ-invariant.
+// counterSums extracts the additive counters checked by the Σ-invariant:
+// every counter-table row but elapsed_ms (a maximum, which the coordinator
+// overwrites with its own wall clock), the list lengths and the per-LOD
+// totals.
 func counterSums(s *core.Stats) map[string]int64 {
 	m := map[string]int64{
-		"candidates":      s.Candidates,
-		"results":         s.Results,
-		"decodes":         s.Decodes,
-		"cacheHits":       s.CacheHits,
-		"warmStarts":      s.WarmStarts,
-		"roundsApplied":   s.RoundsApplied,
-		"roundsSkipped":   s.RoundsSkipped,
-		"quarantineSkips": s.QuarantineSkips,
-		"decodeRetries":   s.DecodeRetries,
-		"decodeFailures":  s.DecodeFailures,
-		"uncertain":       int64(len(s.Uncertain)),
-		"uncertainIDs":    int64(len(s.UncertainIDs)),
-		"degraded":        int64(len(s.Degraded)),
+		"uncertain":    int64(len(s.Uncertain)),
+		"uncertainIDs": int64(len(s.UncertainIDs)),
+		"degraded":     int64(len(s.Degraded)),
+	}
+	for _, c := range core.Counters {
+		if c.Name != "elapsed_ms" {
+			m[c.Name] = *c.Field(s)
+		}
 	}
 	for _, v := range s.PairsEvaluated {
 		m["pairsEvaluated"] += v
