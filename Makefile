@@ -20,14 +20,17 @@ fmt:
 	@out=$$(gofmt -l $$(find . -name '*.go' ! -path './.bench_build/*')); \
 	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
+# go vet's copylocks check is the repo's lock-by-value check (lockbalance
+# has none), so it must stay on.
 vet:
 	$(GO) vet ./...
 
 test:
 	$(GO) test ./...
 
-# Project-specific analyzers (hotalloc, ctxflow, atomiccounter, floateq,
-# goleak, lockbalance, chandiscipline, wgbalance). Stats counters need no
+# Project-specific analyzers (hotalloc, ctxflow, floateq, lockbalance):
+# each catches a mutation of production code that go test, -race,
+# leakcheck and go vet miss (DESIGN.md §12). Stats counters need no
 # analyzer: they are one table, core.Counters, checked by a reflect test.
 # Fails on any unsuppressed finding; see README "Static analysis".
 lint:

@@ -7,7 +7,7 @@
 //	3dpro-lint [-run names] [-v] [packages ...]
 //
 // -run takes a comma-separated list of anchored analyzer-name regexps
-// (`goleak`, `goleak,wgbalance`, `.*balance`); an element matching no
+// (`floateq`, `floateq,lockbalance`, `.*flow`); an element matching no
 // registered analyzer is an error, never a silent no-op. With no packages,
 // ./... is analyzed. Findings print in the familiar
 // file:line:col vet format. Vetted false positives are silenced in the

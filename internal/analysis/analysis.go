@@ -6,9 +6,9 @@
 // loader built on `go list -export` plus the standard library's gc export
 // data importer, and `//lint:ignore`-style suppressions.
 //
-// The analyzers themselves live in subpackages (hotalloc, ctxflow,
-// atomiccounter, floateq) and are registered in internal/analysis/suite,
-// which cmd/3dpro-lint drives.
+// The analyzers themselves live in subpackages (hotalloc, ctxflow, floateq,
+// and lockbalance on the cfg and lockflow dataflow layer) and are
+// registered in internal/analysis/suite, which cmd/3dpro-lint drives.
 package analysis
 
 import (

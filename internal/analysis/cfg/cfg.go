@@ -1,6 +1,8 @@
 // Package cfg builds intraprocedural control-flow graphs over Go function
 // bodies, in the spirit of golang.org/x/tools/go/cfg but — like the rest of
 // the internal/analysis suite — self-contained on the standard library.
+// Its client is lockflow: a forward dataflow (Forward) over the graph asks
+// which locks may be held when control reaches Exit.
 //
 // A Graph is a set of basic blocks connected by successor edges. Blocks
 // carry the statements and load-bearing expressions (loop conditions, range
@@ -47,8 +49,6 @@ type Block struct {
 	Nodes []ast.Node
 	// Succs are the possible successors.
 	Succs []*Block
-	// Preds are the predecessors (filled in by New after building).
-	Preds []*Block
 }
 
 func (b *Block) String() string { return fmt.Sprintf("b%d(%s)", b.Index, b.Kind) }
@@ -91,11 +91,6 @@ func New(body *ast.BlockStmt) *Graph {
 			for _, src := range li.pending {
 				addEdge(src, b.g.Exit)
 			}
-		}
-	}
-	for _, blk := range b.g.Blocks {
-		for _, s := range blk.Succs {
-			s.Preds = append(s.Preds, blk)
 		}
 	}
 	return b.g
@@ -149,7 +144,7 @@ func (b *builder) jump(dst *Block) {
 
 // startUnreachable begins a fresh block with no predecessors, for code
 // following a return/branch. It stays in Graph.Blocks so its nodes remain
-// inspectable, but reachability naturally ignores it.
+// inspectable, but Forward never reaches it.
 func (b *builder) startUnreachable() {
 	b.cur = b.newBlock("unreachable")
 }
@@ -449,56 +444,6 @@ func (b *builder) selectStmt(s *ast.SelectStmt, label string) {
 	// done keeps no predecessor, so following code is unreachable — exactly
 	// the semantics.
 	b.cur = done
-}
-
-// ReachableFromEntry returns the set of blocks reachable from Entry.
-func (g *Graph) ReachableFromEntry() map[*Block]bool {
-	seen := make(map[*Block]bool)
-	var walk func(*Block)
-	walk = func(b *Block) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, s := range b.Succs {
-			walk(s)
-		}
-	}
-	walk(g.Entry)
-	return seen
-}
-
-// CanReachExit returns the set of blocks from which Exit is reachable
-// (computed over predecessor edges from Exit).
-func (g *Graph) CanReachExit() map[*Block]bool {
-	seen := make(map[*Block]bool)
-	var walk func(*Block)
-	walk = func(b *Block) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, p := range b.Preds {
-			walk(p)
-		}
-	}
-	walk(g.Exit)
-	return seen
-}
-
-// Diverging returns the blocks that are reachable from Entry but can never
-// reach Exit — code stuck in a loop (or blocked select) with no way out.
-// The result preserves block order.
-func (g *Graph) Diverging() []*Block {
-	reach := g.ReachableFromEntry()
-	exits := g.CanReachExit()
-	var out []*Block
-	for _, b := range g.Blocks {
-		if reach[b] && !exits[b] {
-			out = append(out, b)
-		}
-	}
-	return out
 }
 
 // Debug renders the graph as one line per block, for tests.

@@ -1,21 +1,13 @@
 // Package lockbalance checks Lock/Unlock and RLock/RUnlock pairing along
-// every control-flow path, using the lockflow may-held dataflow.
+// every control-flow path, using the lockflow may-held dataflow, in every
+// package.
 //
-// Three findings:
-//
-//  1. A lock acquired in a function body that may still be held when the
-//     function returns (an early return or panic path skipped the Unlock)
-//     and is not released by a defer. The fix is almost always
-//     `defer mu.Unlock()` right after the Lock.
-//
-//  2. A mutex acquired and released without defer in a function that can
-//     panic between them is a subset of (1): panic edges flow to exit, so
-//     a bare `panic(...)` between Lock and Unlock is reported as held-at-
-//     exit.
-//
-//  3. A lock-bearing struct (transitively containing sync.Mutex, RWMutex,
-//     WaitGroup, Once, or Cond) passed or received by value: the copy's
-//     lock state diverges from the original's. Pointer types are fine.
+// It reports a lock acquired in a function body that may still be held
+// when the function returns — an early return or a panic(...) path skipped
+// the Unlock — and is not released by a defer. The fix is almost always
+// `defer mu.Unlock()` right after the Lock. No test catches this until a
+// later caller blocks on the lock, which is why it is checked statically.
+// Lock-bearing structs passed by value are go vet's copylocks check.
 //
 // Functions whose contract is to return holding the lock (lock helpers)
 // are expected to carry a reasoned //lint:ignore lockbalance directive.
@@ -23,7 +15,6 @@ package lockbalance
 
 import (
 	"go/ast"
-	"go/types"
 	"sort"
 	"strings"
 
@@ -33,27 +24,15 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "lockbalance",
-	Doc: "Lock/Unlock pairing on every CFG path; no lock-bearing structs by value\n\n" +
-		"In the concurrency tiers, every sync.Mutex/RWMutex acquisition must be\n" +
-		"released on every path out of the function (defer preferred), and types\n" +
-		"containing locks must be passed by pointer.",
+	Doc: "Lock/Unlock pairing on every CFG path\n\n" +
+		"Every sync.Mutex/RWMutex acquisition must be released on every path\n" +
+		"out of the function, early returns and panics included (defer preferred).",
 	Run: run,
 }
 
-// scopePackages mirrors the concurrency tiers the suite guards.
-var scopePackages = []string{
-	"internal/core", "internal/shard", "internal/gpusim", "internal/server", "internal/cache",
-}
-
 func run(pass *analysis.Pass) error {
-	if !analysis.PathHasAnySuffix(pass.PkgPath, scopePackages...) {
-		return nil
-	}
 	for _, f := range pass.Files {
-		lockflow.Bodies(f, func(decl *ast.FuncDecl, lit *ast.FuncLit, body *ast.BlockStmt) {
-			checkBalance(pass, body)
-		})
-		checkCopies(pass, f)
+		lockflow.Bodies(f, func(body *ast.BlockStmt) { checkBalance(pass, body) })
 	}
 	return nil
 }
@@ -78,71 +57,4 @@ func checkBalance(pass *analysis.Pass, body *ast.BlockStmt) {
 			"%s.%s() may be held at function exit on some path; release on every path or use defer %s.%s()",
 			name, verb, name, unlock)
 	}
-}
-
-// checkCopies reports function parameters, receivers, and results whose
-// type is a non-pointer struct transitively containing a sync lock type.
-func checkCopies(pass *analysis.Pass, f *ast.File) {
-	check := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			t := pass.Info.Types[field.Type].Type
-			if t == nil {
-				continue
-			}
-			if name := lockCarrier(t, nil); name != "" {
-				pass.Reportf(field.Type.Pos(),
-					"%s passes lock by value: %s contains %s; use a pointer",
-					what, types.TypeString(t, types.RelativeTo(pass.Pkg)), name)
-			}
-		}
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			check(n.Recv, "receiver")
-			check(n.Type.Params, "parameter")
-			check(n.Type.Results, "result")
-		case *ast.FuncLit:
-			check(n.Type.Params, "parameter")
-			check(n.Type.Results, "result")
-		}
-		return true
-	})
-}
-
-// lockCarrier returns the name of the sync lock type t transitively
-// contains by value, or "" if none. Pointers, slices, maps, and channels
-// break the chain (sharing, not copying).
-func lockCarrier(t types.Type, seen map[types.Type]bool) string {
-	if seen == nil {
-		seen = make(map[types.Type]bool)
-	}
-	if seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond":
-				return "sync." + obj.Name()
-			}
-		}
-		return lockCarrier(named.Underlying(), seen)
-	}
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if name := lockCarrier(u.Field(i).Type(), seen); name != "" {
-				return name
-			}
-		}
-	case *types.Array:
-		return lockCarrier(u.Elem(), seen)
-	}
-	return ""
 }

@@ -9,6 +9,6 @@ import (
 
 func TestLockBalance(t *testing.T) {
 	analysistest.Run(t, "testdata", lockbalance.Analyzer,
-		"l/internal/shard",
+		"l/internal/shard", "l/other",
 	)
 }

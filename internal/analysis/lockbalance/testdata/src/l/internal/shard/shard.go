@@ -71,25 +71,6 @@ func (n *node) mismatchedUnlock(key string) int {
 	return v
 }
 
-// byValue passes the lock-bearing struct by value.
-func byValue(n node) int { // want "passes lock by value"
-	return len(n.items)
-}
-
-// wrapped embeds a node by value; still a carrier.
-type wrapped struct {
-	inner node
-}
-
-func byValueNested(w wrapped) int { // want "passes lock by value"
-	return len(w.inner.items)
-}
-
-// okPointer is the correct signature.
-func okPointer(n *node) int {
-	return len(n.items)
-}
-
 // okDistinctLocks: two different receivers do not alias.
 type pair struct {
 	a, b node

@@ -1,6 +1,6 @@
-// Package lockflow is the shared lock-tracking dataflow used by the
-// lockbalance and wgbalance analyzers. It runs a may-analysis ("which locks
-// might be held here?") over a function body's CFG.
+// Package lockflow is the lock-tracking dataflow under the lockbalance
+// analyzer. It runs a may-analysis ("which locks might be held here?") over
+// a function body's CFG.
 //
 // Locks are identified by the source text of the receiver expression
 // (types.ExprString), so `s.mu.Lock()` and `s.mu.Unlock()` pair up while
@@ -168,51 +168,18 @@ func (a *Analysis) HeldAtExit() Fact {
 	return out
 }
 
-// WalkNodes replays the analysis over every reachable block, calling fn for
-// each node with the may-held set in effect immediately BEFORE the node's
-// own lock operations apply. The Fact passed to fn is reused between calls;
-// clone it to retain.
-func (a *Analysis) WalkNodes(fn func(n ast.Node, held Fact)) {
-	for _, b := range a.Graph.Blocks {
-		in, ok := a.In[b]
-		if !ok {
-			continue // unreachable
-		}
-		cur := in.clone()
-		for _, n := range b.Nodes {
-			fn(n, cur)
-			a.transferNode(n, cur)
-		}
-	}
-}
-
-// Bodies yields every function body in file in source order — declarations
-// and function literals alike — so analyzers can run per-body dataflow
-// uniformly. The enclosing FuncDecl is nil for literals not inside one
-// (package-level var initializers).
-func Bodies(file *ast.File, fn func(decl *ast.FuncDecl, lit *ast.FuncLit, body *ast.BlockStmt)) {
-	var curDecl *ast.FuncDecl
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
+// Bodies yields every function body in file, declarations and function
+// literals alike, in source order, so a per-body dataflow covers both.
+func Bodies(file *ast.File, fn func(body *ast.BlockStmt)) {
+	ast.Inspect(file, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncDecl:
-			curDecl = n
 			if n.Body != nil {
-				fn(n, nil, n.Body)
+				fn(n.Body)
 			}
-			ast.Inspect(n, func(m ast.Node) bool {
-				if lit, ok := m.(*ast.FuncLit); ok {
-					fn(n, lit, lit.Body)
-				}
-				return true
-			})
-			curDecl = nil
-			return false
 		case *ast.FuncLit:
-			fn(curDecl, n, n.Body)
-			return false
+			fn(n.Body)
 		}
 		return true
-	}
-	ast.Inspect(file, walk)
+	})
 }

@@ -9,28 +9,21 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/atomiccounter"
-	"repro/internal/analysis/chandiscipline"
 	"repro/internal/analysis/ctxflow"
 	"repro/internal/analysis/floateq"
-	"repro/internal/analysis/goleak"
 	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/lockbalance"
-	"repro/internal/analysis/wgbalance"
 )
 
-// All lists every analyzer the suite enforces, in report order: the four
-// type-based checks from the original suite, then the four CFG/dataflow
-// concurrency-invariant checks.
+// All lists every analyzer the suite enforces, in report order: the three
+// type-based checks, then lockbalance, the one check on the CFG/dataflow
+// layer. Each is kept because it catches a mutation of production code
+// that go test, -race, leakcheck and go vet miss (DESIGN.md §12).
 var All = []*analysis.Analyzer{
 	hotalloc.Analyzer,
 	ctxflow.Analyzer,
-	atomiccounter.Analyzer,
 	floateq.Analyzer,
-	goleak.Analyzer,
 	lockbalance.Analyzer,
-	chandiscipline.Analyzer,
-	wgbalance.Analyzer,
 }
 
 // KnownNames is the directive-validation set for //lint:ignore.
@@ -44,8 +37,8 @@ func KnownNames() map[string]bool {
 
 // Select returns the analyzers matching the pattern (all when it is
 // empty). The pattern is a comma-separated list of anchored regexps —
-// `goleak`, `goleak,wgbalance`, `.*balance` — and every element must match
-// at least one registered analyzer: a typo like `-run goleak,lockblance`
+// `floateq`, `floateq,lockbalance`, `.*flow` — and every element must match
+// at least one registered analyzer: a typo like `-run floateq,lockblance`
 // is an error naming the element, never a silent no-op.
 func Select(pattern string) ([]*analysis.Analyzer, error) {
 	if pattern == "" {

@@ -26,9 +26,10 @@ func moduleRoot(t *testing.T) string {
 }
 
 // TestSuiteCleanOverRepo is the CI gate: the whole repository must lint
-// clean. Reintroducing a mesh.Triangles() call on the hot path, a
-// context.Background() in a query entry point, a mixed atomic access, or a
-// float == in the geometry packages fails this test.
+// clean. Reintroducing a mesh.Triangles() call, a per-pair slice allocation
+// or a reflection sort on the hot path, a context.Background() in a query
+// entry point, a float == in the geometry packages, or a lock left held on
+// some path out of a function fails this test.
 func TestSuiteCleanOverRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and typechecks every package; skipped in -short")
@@ -47,12 +48,18 @@ func TestSuiteCleanOverRepo(t *testing.T) {
 	for _, d := range res.Findings {
 		t.Errorf("unsuppressed finding: %s", d)
 	}
-	// The vetted false positives (tritri's guarded da == db, the KNN sort
-	// tie-breaks, the shutdown drain context) must stay visible as
-	// suppressions, not silently vanish: if this count drops to zero the
-	// directives rotted and the analyzers lost coverage.
-	if len(res.Suppressed) == 0 {
-		t.Error("expected vetted //lint:ignore suppressions in the tree, found none")
+	// The vetted false positives (tritri's guarded da == db, the shutdown
+	// drain contexts) must stay visible as suppressions, not silently
+	// vanish: if one disappears the directive rotted and its analyzer lost
+	// coverage.
+	for _, name := range []string{"floateq", "ctxflow"} {
+		found := false
+		for _, d := range res.Suppressed {
+			found = found || d.Analyzer == name
+		}
+		if !found {
+			t.Errorf("expected a vetted //lint:ignore %s suppression in the tree, found none", name)
+		}
 	}
 }
 
@@ -71,14 +78,14 @@ func TestSelect(t *testing.T) {
 	if _, err := suite.Select("("); err == nil {
 		t.Fatal("Select with a broken regexp should fail")
 	}
-	two, err := suite.Select("goleak,wgbalance")
+	two, err := suite.Select("floateq,lockbalance")
 	if err != nil || len(two) != 2 {
-		t.Fatalf("Select(goleak,wgbalance) = %v, err %v; want 2 analyzers", two, err)
+		t.Fatalf("Select(floateq,lockbalance) = %v, err %v; want 2 analyzers", two, err)
 	}
 	// Regression (issue 8): a typo in a comma-separated -run list must be an
 	// error naming the bad element, not a silent partial run.
-	if _, err := suite.Select("goleak,lockblance"); err == nil {
-		t.Fatal("Select(goleak,lockblance) should fail on the misspelled element")
+	if _, err := suite.Select("floateq,lockblance"); err == nil {
+		t.Fatal("Select(floateq,lockblance) should fail on the misspelled element")
 	} else if !strings.Contains(err.Error(), "lockblance") {
 		t.Fatalf("error should name the bad element, got: %v", err)
 	}
@@ -86,21 +93,18 @@ func TestSelect(t *testing.T) {
 	if _, err := suite.Select("balance"); err == nil {
 		t.Fatal("Select(balance) should fail: names must match fully (use .*balance)")
 	}
-	sub, err := suite.Select(".*balance")
+	sub, err := suite.Select(".*(alloc|balance)")
 	if err != nil || len(sub) != 2 {
-		t.Fatalf("Select(.*balance) = %v, err %v; want lockbalance+wgbalance", sub, err)
+		t.Fatalf("Select(.*(alloc|balance)) = %v, err %v; want hotalloc+lockbalance", sub, err)
 	}
-	if _, err := suite.Select("goleak,,wgbalance"); err == nil {
+	if _, err := suite.Select("floateq,,lockbalance"); err == nil {
 		t.Fatal("Select with an empty element should fail")
 	}
 }
 
 func TestKnownNames(t *testing.T) {
 	names := suite.KnownNames()
-	for _, want := range []string{
-		"hotalloc", "ctxflow", "atomiccounter", "floateq",
-		"goleak", "lockbalance", "chandiscipline", "wgbalance",
-	} {
+	for _, want := range []string{"hotalloc", "ctxflow", "floateq", "lockbalance"} {
 		if !names[want] {
 			t.Errorf("analyzer %q not registered", want)
 		}

@@ -26,7 +26,7 @@ func parseSuppressions(t testing.TB, comment string, known map[string]bool) (*Su
 // malformed diagnostic says. The directive sits on line 4, so it covers
 // diagnostics on lines 4 and 5.
 func TestSuppressionDirectiveForms(t *testing.T) {
-	known := map[string]bool{"floateq": true, "hotalloc": true, "goleak": true}
+	known := map[string]bool{"floateq": true, "hotalloc": true, "ctxflow": true}
 	diag := func(analyzer string) Diagnostic {
 		return Diagnostic{Analyzer: analyzer, Pos: token.Position{Filename: "p.go", Line: 5}}
 	}
@@ -51,7 +51,7 @@ func TestSuppressionDirectiveForms(t *testing.T) {
 			// as "floateq," plus a reason, so the dangling comma is called
 			// out instead of silently ignoring "hotalloc".
 			name:       "spaces after commas end the list",
-			comment:    "//lint:ignore floateq, hotalloc, goleak spaced list",
+			comment:    "//lint:ignore floateq, hotalloc, ctxflow spaced list",
 			suppresses: []string{"floateq"},
 			malformed:  []string{"empty analyzer name"},
 		},

@@ -64,7 +64,8 @@ func runPerTarget(ctx context.Context, target *Dataset, workers int, fn func(ctx
 	// a goroutine owns index w for the duration of its cuboid batch.
 	slots := make(chan int, workers)
 	for i := 0; i < workers; i++ {
-		//lint:ignore chandiscipline semaphore fill: the channel was just made with capacity workers, so these workers sends cannot block
+		// The channel was just made with capacity workers, so these
+		// workers sends cannot block.
 		slots <- i
 	}
 spawn:
@@ -79,7 +80,8 @@ spawn:
 		wg.Add(1)
 		go func(w int, objs []*storage.Object) {
 			defer wg.Done()
-			//lint:ignore chandiscipline slot return: at most `workers` slots are ever outstanding, so the buffered semaphore always has room; the send cannot block
+			// At most workers slots are ever outstanding and the channel's
+			// capacity is workers, so returning the slot cannot block.
 			defer func() { slots <- w }()
 			for _, o := range objs {
 				if ctx.Err() != nil {

@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/index/aabbtree"
+	"repro/internal/leakcheck"
 	"repro/internal/mesh"
 )
 
@@ -175,10 +177,23 @@ type mismatchError struct{}
 
 func (*mismatchError) Error() string { return "mismatch" }
 
+// TestCloseIdempotent closes a device twice, then launches on it: the
+// second Close must neither panic nor return holding the device's lock.
 func TestCloseIdempotent(t *testing.T) {
+	a, b, _ := closeFixture()
 	dev := New(1, 16)
 	dev.Close()
-	dev.Close() // must not panic
+	dev.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		dev.MinDist2Bounded(a, b, math.Inf(1), 0)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a launch after the second Close still blocks after 5 s")
+	}
 }
 
 // closeFixture is a pair of icospheres 7 apart whose cross product spans
@@ -193,6 +208,7 @@ func closeFixture() (a, b, c *geom.TriSoA) {
 // TestClosedDeviceAnswers calls a closed device: its kernels run on the
 // caller and give the open device's answers.
 func TestClosedDeviceAnswers(t *testing.T) {
+	leakcheck.Check(t)
 	a, b, c := closeFixture()
 	dev := New(2, 64)
 	want := dev.MinDist2Bounded(a, b, math.Inf(1), 0)
@@ -208,6 +224,7 @@ func TestClosedDeviceAnswers(t *testing.T) {
 // TestCloseWhileEvaluating closes a device while goroutines evaluate on it
 // (run under -race): every call answers, before and after the close.
 func TestCloseWhileEvaluating(t *testing.T) {
+	leakcheck.Check(t)
 	a, b, _ := closeFixture()
 	dev := New(2, 64)
 	want := dev.MinDist2Bounded(a, b, math.Inf(1), 0)

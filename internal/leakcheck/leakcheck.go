@@ -1,7 +1,6 @@
-// Package leakcheck is a runtime goroutine-leak detector for tests,
-// independent of the static analyzers in internal/analysis: the goleak
-// analyzer proves every goroutine has a termination *path*, this helper
-// proves the paths are actually *taken* under the schedules a test drives.
+// Package leakcheck is a runtime goroutine-leak detector for tests: it
+// proves that every goroutine a test starts has ended once the test and its
+// cleanups are done, under the schedules the test drives.
 //
 // Usage, first line of a test:
 //
