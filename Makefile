@@ -91,7 +91,7 @@ chaos-short:
 # the missing path and its CRC check) and re-added datasets (see
 # internal/shard/http_test.go, failover_test.go and loans_test.go).
 chaos-net:
-	$(GO) test -race -run 'TestHTTPChaosCampaign|TestShardedEquivalenceHTTP|TestHTTPAnySingleWorkerDeathIsExact|TestHTTPBothReplicasDeadDegrades|TestHTTPRecvCorruptionIsTransportError|TestWorkerDrainPreservesInFlight|TestWorkerEchoesRequestID|TestReplicaFailoverExact|TestBothReplicasDeadDegrades|TestProberRejoinsShard|TestLoansHitWorkerCache|TestHTTPLoansMissingAndCRC|TestReAddDatasetReplacesGroups|TestHTTPLoansConcurrentColdJoins|TestHTTPBadLegCountersAreTransportErrors' -count=1 ./internal/shard
+	$(GO) test -race -run 'TestHTTPChaosCampaign|TestShardedEquivalenceHTTP|TestHTTPAnySingleWorkerDeathIsExact|TestHTTPBothReplicasDeadDegrades|TestHTTPRecvCorruptionIsTransportError|TestWorkerDrainPreservesInFlight|TestWorkerEchoesRequestID|TestReplicaFailoverExact|TestBothReplicasDeadDegrades|TestProberRejoinsShard|TestLoansHitWorkerCache|TestHTTPLoansMissingAndCRC|TestReAddDatasetReplacesGroups|TestHTTPLoansConcurrentColdJoins|TestHTTPBadLegCountersAreTransportErrors|TestLoanLegsKeepCalibrationBounded' -count=1 ./internal/shard
 
 # The repository benchmark (benchmark/, see BENCHMARK.json) is a Go module of
 # its own, so the root `go build ./... && go test ./...` never compiles it

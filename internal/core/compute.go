@@ -50,6 +50,9 @@ type filterScratch struct {
 	// KNNJoin); reused across targets so the k-th-distance computation
 	// doesn't allocate per call.
 	maxd []float64
+	// nn and nnp back the KNN filter's merged candidates (nnCands).
+	nn  []nnCand
+	nnp []*nnCand
 }
 
 // addNew appends id to ids unless the target's filter has already seen it.

@@ -117,15 +117,15 @@ type Sched int
 
 const (
 	// SchedMargin — the default — is the margin-governed scheduler: the LOD
-	// ladder is calibrated online from the engine's per-(kind, LOD) pruning
-	// histograms, and each candidate pair is routed by its own distance
-	// margin (derived from the MBB MINDIST/MAXDIST bounds the filter already
-	// computed): bound-decisive pairs go straight to their verdict with no
-	// decode at all, reject-leaning pairs jump directly to the top LOD, and
-	// accept-leaning pairs walk the ladder. Results are byte-identical to
-	// SchedStatic: accepts only ever happen on sound upper bounds and
-	// rejects only at the top LOD, so the final answer is independent of
-	// which intermediate LODs a pair visits.
+	// ladder is calibrated online from the engine's per-(kind, dataset
+	// pair, LOD) pruning histograms, and each candidate pair is routed by
+	// its own distance margin (derived from the MBB MINDIST/MAXDIST bounds
+	// the filter already computed): bound-decisive pairs go straight to
+	// their verdict with no decode at all, reject-leaning pairs jump
+	// directly to the top LOD, and accept-leaning pairs walk the ladder.
+	// Results are byte-identical to SchedStatic: accepts only ever happen
+	// on sound upper bounds and rejects only at the top LOD, so the final
+	// answer is independent of which intermediate LODs a pair visits.
 	SchedMargin Sched = iota
 	// SchedStatic is the paper's §4.4 reference semantics: every candidate
 	// rides the one query-wide ladder (QueryOptions.LODs, typically from a

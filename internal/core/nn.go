@@ -24,6 +24,30 @@ type nnCand struct {
 	exact   bool
 }
 
+// nnCands merges the NN filter's entries into one candidate per object,
+// ordered by ID. With the sub-object tree one object can yield several
+// entries; they merge by taking the minimum of both range endpoints. raw is
+// reordered, and the candidates live in the worker's scratch until its next
+// target.
+func (f *filterScratch) nnCands(raw []rtree.Candidate) []*nnCand {
+	slices.SortFunc(raw, func(a, b rtree.Candidate) int { return cmp.Compare(a.ID, b.ID) })
+	f.nn = f.nn[:0]
+	for _, rc := range raw {
+		if n := len(f.nn); n > 0 && f.nn[n-1].id == rc.ID {
+			c := &f.nn[n-1]
+			c.minDist = math.Min(c.minDist, rc.MinDist)
+			c.maxDist = math.Min(c.maxDist, rc.MaxDist)
+			continue
+		}
+		f.nn = append(f.nn, nnCand{id: rc.ID, minDist: rc.MinDist, maxDist: rc.MaxDist})
+	}
+	f.nnp = f.nnp[:0]
+	for i := range f.nn {
+		f.nnp = append(f.nnp, &f.nn[i])
+	}
+	return f.nnp
+}
+
 // NNJoin returns, for each object of target, its nearest neighbor in
 // source (self excluded when the datasets are identical). Targets with no
 // candidate (empty source) are omitted.
@@ -41,7 +65,8 @@ func (e *Engine) KNNJoin(ctx context.Context, target, source *Dataset, q QueryOp
 	start := time.Now()
 	col := newCollector(source.maxLOD, q, start)
 	ec := newEvalCtx(e, q, col)
-	lods := e.schedule(&q, minInt(target.maxLOD, source.maxLOD), NNKind)
+	pair := pairOf(NNKind, target, source)
+	lods := e.schedule(&q, minInt(target.maxLOD, source.maxLOD), pair)
 	tree := source.filterTree(q.Accel)
 
 	// Per-worker neighbor buffers, merged after the run (no lock on the
@@ -50,25 +75,15 @@ func (e *Engine) KNNJoin(ctx context.Context, target, source *Dataset, q QueryOp
 
 	err := runPerTarget(ctx, target, q.workers(e), func(_ context.Context, w int, o *storage.Object) error {
 		// Filtering step: R-tree NN candidate generation with
-		// MINMAXDIST-style pruning. With the sub-object tree one object can
-		// yield several entries; they merge by taking the minimum of both
-		// range endpoints.
+		// MINMAXDIST-style pruning.
+		sc := &ec.scratch[w]
 		var cands []*nnCand
 		col.filterPhase(func() {
-			skip := func(ent rtree.Entry) bool { return target.seq == source.seq && ent.ID == o.ID }
-			raw := tree.NNCandidates(o.MBB(), q.K, skip)
-			byID := make(map[int64]*nnCand, len(raw))
-			for _, rc := range raw {
-				c, ok := byID[rc.ID]
-				if !ok {
-					c = &nnCand{id: rc.ID, minDist: rc.MinDist, maxDist: rc.MaxDist}
-					byID[rc.ID] = c
-					cands = append(cands, c)
-					continue
-				}
-				c.minDist = math.Min(c.minDist, rc.MinDist)
-				c.maxDist = math.Min(c.maxDist, rc.MaxDist)
+			var skip func(rtree.Entry) bool
+			if target.seq == source.seq {
+				skip = func(ent rtree.Entry) bool { return ent.ID == o.ID }
 			}
+			cands = sc.nnCands(tree.NNCandidates(o.MBB(), q.K, skip))
 		})
 		col.n[rowCandidates].Add(int64(len(cands)))
 		if len(cands) == 0 {
@@ -80,9 +95,8 @@ func (e *Engine) KNNJoin(ctx context.Context, target, source *Dataset, q QueryOp
 			// MINMAXDIST threshold before the long-shot candidates come up —
 			// those then fall to the pre-decode prune and are never decoded.
 			// Order only shifts which LOD settles a pair, never the verdict.
+			// The static reference keeps nnCands' ID order.
 			slices.SortFunc(cands, byMinDistThenID)
-		} else {
-			slices.SortFunc(cands, func(a, b *nnCand) int { return cmp.Compare(a.id, b.id) })
 		}
 
 		// Degrade bookkeeping: candidates whose decode failed are parked
@@ -97,7 +111,6 @@ func (e *Engine) KNNJoin(ctx context.Context, target, source *Dataset, q QueryOp
 		// ascending LODs, shrinking MAXDISTs and pruning with the k-th
 		// smallest MAXDIST, until only k candidates survive or the highest
 		// LOD settles everything.
-		sc := &ec.scratch[w]
 		// kthOver returns the k-th smallest MAXDIST over the two candidate
 		// slices — a sound MINMAXDIST threshold: each MAXDIST upper-bounds
 		// its candidate's true distance, so at least k candidates lie within
@@ -275,7 +288,7 @@ func (e *Engine) KNNJoin(ctx context.Context, target, source *Dataset, q QueryOp
 	})
 	st := ec.finish(start)
 	if q.Paradigm == FPR {
-		e.cal.observe(NNKind, st)
+		e.cal.observe(pair, lods[len(lods)-1], st)
 	}
 	return sink, st, nil
 }

@@ -47,10 +47,11 @@ type joinRun struct {
 // join executes IntersectJoin (dist ignored) or WithinJoin.
 func (e *Engine) join(ctx context.Context, kind QueryKind, target, source *Dataset, dist float64, q QueryOptions) ([]Pair, *Stats, error) {
 	start := time.Now()
+	pair := pairOf(kind, target, source)
 	x := &joinRun{
 		evalCtx: newEvalCtx(e, q, newCollector(source.maxLOD, q, start)),
 		kind:    kind, target: target, source: source, dist: dist, stop2: withinStop2(dist),
-		lods:  e.schedule(&q, minInt(target.maxLOD, source.maxLOD), kind),
+		lods:  e.schedule(&q, minInt(target.maxLOD, source.maxLOD), pair),
 		ftree: source.filterTree(q.Accel),
 	}
 	x.sink = newResultSink(len(x.scratch))
@@ -62,7 +63,7 @@ func (e *Engine) join(ctx context.Context, kind QueryKind, target, source *Datas
 		return nil, st, err
 	}
 	if q.Paradigm == FPR {
-		e.cal.observe(kind, st)
+		e.cal.observe(pair, x.lods[len(x.lods)-1], st)
 	}
 	return x.sink.sorted(), st, nil
 }

@@ -4,10 +4,11 @@ package core
 // direction). Two mechanisms replace the paper's one-shot static §4.4 rule:
 //
 //  1. An engine-level online calibrator: every finished query feeds its
-//     per-LOD pruned fractions into per-(kind, LOD) obs histograms and an
-//     EWMA estimator. Under SchedMargin with no explicit QueryOptions.LODs
-//     the ladder is re-derived per query from the live estimates instead of
-//     a stale sample-cuboid profile.
+//     per-LOD pruned fractions into per-(kind, dataset pair, LOD) obs
+//     histograms and EWMA estimators. Under SchedMargin with no explicit
+//     QueryOptions.LODs the ladder is re-derived per query from the live
+//     estimates of the join being run, as the paper profiles a sample
+//     cuboid of that join, instead of from a stale one-off profile.
 //
 //  2. A per-pair margin plan built from sound bounds. Before the ladder,
 //     the MBB MINDIST/MAXDIST interval [lo, hi] the filter already computed
@@ -34,7 +35,8 @@ package core
 // pins this against the static per-pair reference.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/geom"
@@ -57,13 +59,31 @@ const calProbeEvery = 16
 // bound sits exactly at the §4.4 threshold for r = 2.
 var fractionBuckets = []float64{0.05, 0.1, 0.25, 0.5, 0.75, 0.9}
 
-// calKey is one (query kind, LOD) cell of the calibrator.
-type calKey struct {
-	kind QueryKind
-	lod  int
+// calPair names the join a calibrator estimate belongs to: the query kind
+// and the target and source datasets. Pruning rates follow the geometry of
+// the pair (nuclei × nuclei prunes half its pairs at LOD 0, nuclei ×
+// vessels a sixth), so pairs of one kind keep separate ladders. The
+// datasets are keyed by name, not Dataset.seq: a reload or a shard worker's
+// per-query "<source>@loan" dataset gets a fresh seq every time, which
+// would restart calibration from the full ladder and grow the map without
+// bound, while the name stays the same.
+type calPair struct {
+	kind           QueryKind
+	target, source string
 }
 
-// calCell is the model for one (kind, LOD): the full observation histogram
+// pairOf is the calibrator key of a join of kind over target × source.
+func pairOf(kind QueryKind, target, source *Dataset) calPair {
+	return calPair{kind, target.Name, source.Name}
+}
+
+// calKey is one (kind, dataset pair, LOD) cell of the calibrator.
+type calKey struct {
+	calPair
+	lod int
+}
+
+// calCell is the model for one calKey: the full observation histogram
 // (read back through obs.Histogram.Snapshot) and the recency-weighted EWMA.
 type calCell struct {
 	hist  *obs.Histogram
@@ -84,23 +104,28 @@ func newCalibrator() *calibrator {
 }
 
 // observe feeds one finished query's per-LOD pruned fractions into the
-// model. LODs that evaluated no pairs contribute nothing — an absent
-// observation, not a zero.
-func (c *calibrator) observe(kind QueryKind, st *Stats) {
+// model of its pair. Only LODs below the query's top LOD are recorded:
+// every pair settles at the top, so its fraction says nothing about whether
+// an intermediate LOD pays, yet a later query of the pair with a higher top
+// (a loan dataset's maxLOD varies per query) would read it as one. LODs
+// that evaluated no pairs contribute nothing — an absent observation, not a
+// zero.
+func (c *calibrator) observe(p calPair, top int, st *Stats) {
 	if c == nil || st == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for lod := range st.PairsEvaluated {
+	for lod := 0; lod < min(top, len(st.PairsEvaluated)); lod++ {
 		if st.PairsEvaluated[lod] == 0 {
 			continue
 		}
 		frac := st.PrunedFraction(lod)
-		cell, ok := c.cells[calKey{kind, lod}]
+		key := calKey{p, lod}
+		cell, ok := c.cells[key]
 		if !ok {
 			cell = &calCell{hist: obs.NewHistogram(fractionBuckets), ewma: frac}
-			c.cells[calKey{kind, lod}] = cell
+			c.cells[key] = cell
 		} else {
 			cell.ewma = calEWMAAlpha*frac + (1-calEWMAAlpha)*cell.ewma
 		}
@@ -108,12 +133,12 @@ func (c *calibrator) observe(kind QueryKind, st *Stats) {
 	}
 }
 
-// ladder derives the calibrated LOD schedule for one query: every LOD
-// below the top whose estimated pruned fraction strictly exceeds the §4.4
-// threshold, plus the top LOD. With no evidence for the kind yet, every
-// LOD is included (the paper's uncalibrated default) — those full-ladder
-// queries are what seed the model.
-func (c *calibrator) ladder(kind QueryKind, maxLOD int) []int {
+// ladder derives the calibrated LOD schedule for one query of pair p:
+// every LOD below the top whose estimated pruned fraction strictly exceeds
+// the §4.4 threshold, plus the top LOD. With no evidence for the pair yet,
+// every LOD is included (the paper's uncalibrated default) — those
+// full-ladder queries are what seed the model.
+func (c *calibrator) ladder(p calPair, maxLOD int) []int {
 	full := func() []int {
 		out := make([]int, maxLOD+1)
 		for i := range out {
@@ -128,7 +153,7 @@ func (c *calibrator) ladder(kind QueryKind, maxLOD int) []int {
 	defer c.mu.Unlock()
 	seeded := false
 	for l := 0; l < maxLOD; l++ {
-		if _, ok := c.cells[calKey{kind, l}]; ok {
+		if _, ok := c.cells[calKey{p, l}]; ok {
 			seeded = true
 			break
 		}
@@ -138,12 +163,12 @@ func (c *calibrator) ladder(kind QueryKind, maxLOD int) []int {
 	}
 	out := make([]int, 0, maxLOD+1)
 	for l := 0; l < maxLOD; l++ {
-		cell, ok := c.cells[calKey{kind, l}]
+		cell, ok := c.cells[calKey{p, l}]
 		if !ok {
 			// Never observed (e.g. the seeding queries' pairs all settled
 			// below it): probe it on the same cadence as dropped LODs.
 			cell = &calCell{hist: obs.NewHistogram(fractionBuckets)}
-			c.cells[calKey{kind, l}] = cell
+			c.cells[calKey{p, l}] = cell
 		}
 		snap := cell.hist.Snapshot()
 		if snap.Count > 0 && cell.ewma > DefaultPruneThreshold {
@@ -163,11 +188,13 @@ func (c *calibrator) ladder(kind QueryKind, maxLOD int) []int {
 	return out
 }
 
-// CalibrationEntry is one (kind, LOD) cell of the scheduler calibrator's
-// state, serialized for /statusz and tests.
+// CalibrationEntry is one (kind, dataset pair, LOD) cell of the scheduler
+// calibrator's state, serialized for /statusz and tests.
 type CalibrationEntry struct {
-	Kind string `json:"kind"`
-	LOD  int    `json:"lod"`
+	Kind   string `json:"kind"`
+	Target string `json:"target"`
+	Source string `json:"source"`
+	LOD    int    `json:"lod"`
 	// EWMA is the recency-weighted pruned-fraction estimate the ladder rule
 	// compares against the §4.4 threshold; Count and Mean summarize the full
 	// observation histogram.
@@ -177,7 +204,8 @@ type CalibrationEntry struct {
 }
 
 // SchedCalibration snapshots the online LOD-schedule calibrator, one entry
-// per observed (kind, LOD), ordered by kind then LOD.
+// per observed (kind, dataset pair, LOD), ordered by kind, target, source,
+// then LOD.
 func (e *Engine) SchedCalibration() []CalibrationEntry {
 	c := e.cal
 	c.mu.Lock()
@@ -188,28 +216,27 @@ func (e *Engine) SchedCalibration() []CalibrationEntry {
 			continue
 		}
 		out = append(out, CalibrationEntry{
-			Kind: k.kind.String(), LOD: k.lod,
+			Kind: k.kind.String(), Target: k.target, Source: k.source, LOD: k.lod,
 			EWMA: cell.ewma, Count: snap.Count, Mean: snap.Mean(),
 		})
 	}
 	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].LOD < out[j].LOD
+	slices.SortFunc(out, func(a, b CalibrationEntry) int {
+		return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Target, b.Target),
+			cmp.Compare(a.Source, b.Source), cmp.Compare(a.LOD, b.LOD))
 	})
 	return out
 }
 
-// schedule returns the query's LOD ladder. Explicit q.LODs, FR, and
-// SchedStatic take the static path (lodSchedule); a margin-scheduled FPR
-// query with no pinned LODs gets the online-calibrated ladder.
-func (e *Engine) schedule(q *QueryOptions, maxLOD int, kind QueryKind) []int {
+// schedule returns the LOD ladder of a query of pair p. Explicit q.LODs,
+// FR, and SchedStatic take the static path (lodSchedule); a
+// margin-scheduled FPR query with no pinned LODs gets the pair's
+// online-calibrated ladder.
+func (e *Engine) schedule(q *QueryOptions, maxLOD int, p calPair) []int {
 	if q.Paradigm == FR || q.Sched == SchedStatic || len(q.LODs) > 0 {
 		return q.lodSchedule(maxLOD, q.Paradigm)
 	}
-	return e.cal.ladder(kind, maxLOD)
+	return e.cal.ladder(p, maxLOD)
 }
 
 // pairPlan is the margin scheduler's routing verdict for one candidate.

@@ -76,6 +76,76 @@ func TestMarginStaticEquivalence(t *testing.T) {
 	}
 }
 
+// TestCalibrationPerPair runs within joins over two dataset pairs,
+// interleaved on one engine, and checks that each pair's calibration — and
+// so its ladder — is exactly what an engine running that pair alone
+// learns, that the two ladders differ (a per-kind pool would give both the
+// same one), and that every answer equals the SchedStatic reference.
+func TestCalibrationPerPair(t *testing.T) {
+	type pair struct {
+		build func(*testing.T, *Engine) (*Dataset, *Dataset)
+		dist  float64
+	}
+	pairs := []pair{
+		{buildDisjointPair, 12},
+		{func(t *testing.T, e *Engine) (*Dataset, *Dataset) {
+			return buildNearMissPair(t, e, []float64{8.5, 9.5, 8.5})
+		}, 0.2},
+	}
+	const rounds = 6
+	// round runs one static and one margin query of a pair (both feed the
+	// calibrator) and checks they agree.
+	round := func(e *Engine, a, b *Dataset, dist float64) {
+		want, _ := runJoin(t, e, WithinKind, a, b, dist, QueryOptions{Paradigm: FPR, Sched: SchedStatic})
+		got, _ := runJoin(t, e, WithinKind, a, b, dist, QueryOptions{Paradigm: FPR})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s × %s: margin results differ from static\n got %v\nwant %v", a.Name, b.Name, got, want)
+		}
+	}
+	shared := testEngine(t)
+	var sharedDS [][2]*Dataset
+	for _, p := range pairs {
+		a, b := p.build(t, shared)
+		sharedDS = append(sharedDS, [2]*Dataset{a, b})
+	}
+	for r := 0; r < rounds; r++ {
+		for i, p := range pairs {
+			round(shared, sharedDS[i][0], sharedDS[i][1], p.dist)
+		}
+	}
+	all := shared.SchedCalibration()
+	var ladders [][]int
+	for i, p := range pairs {
+		alone := testEngine(t)
+		a, b := p.build(t, alone)
+		for r := 0; r < rounds; r++ {
+			round(alone, a, b, p.dist)
+		}
+		var mine []CalibrationEntry
+		for _, ce := range all {
+			if ce.Target == a.Name && ce.Source == b.Name {
+				mine = append(mine, ce)
+			}
+		}
+		if len(mine) == 0 {
+			t.Fatalf("pair %d (%s × %s): no calibration cells in %+v", i, a.Name, b.Name, all)
+		}
+		if wantCal := alone.SchedCalibration(); !reflect.DeepEqual(mine, wantCal) {
+			t.Errorf("pair %d (%s × %s): interleaved calibration %+v, alone %+v", i, a.Name, b.Name, mine, wantCal)
+		}
+		top := minInt(a.maxLOD, b.maxLOD)
+		cp := pairOf(WithinKind, a, b)
+		got, want := shared.cal.ladder(cp, top), alone.cal.ladder(cp, top)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("pair %d: interleaved ladder %v, alone %v", i, got, want)
+		}
+		ladders = append(ladders, got)
+	}
+	if reflect.DeepEqual(ladders[0], ladders[1]) {
+		t.Errorf("both pairs got ladder %v; the workload no longer tells per-pair calibration from a pool", ladders[0])
+	}
+}
+
 // TestMarginSkipsLODsOnNearMisses pins the tentpole's work-saving mechanism:
 // on a workload of box-overlapping near-misses whose measured distance sits
 // far above the threshold at every LOD, the margin scheduler routes pairs
@@ -157,9 +227,10 @@ func TestBoundsDecisiveWithin(t *testing.T) {
 // with no evaluated pairs contribute no observation.
 func TestCalibratorObserveAndLadder(t *testing.T) {
 	c := newCalibrator()
+	p := calPair{WithinKind, "nuclei", "vessels"}
 
-	// Unseeded kind: full ladder.
-	if got, want := c.ladder(WithinKind, 3), []int{0, 1, 2, 3}; !reflect.DeepEqual(got, want) {
+	// Unseeded pair: full ladder.
+	if got, want := c.ladder(p, 3), []int{0, 1, 2, 3}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("unseeded ladder = %v, want %v", got, want)
 	}
 
@@ -169,24 +240,69 @@ func TestCalibratorObserveAndLadder(t *testing.T) {
 		PairsEvaluated: []int64{10, 10, 0, 5},
 		PairsPruned:    []int64{6, 1, 0, 5},
 	}
-	c.observe(WithinKind, st)
-	if got, want := c.ladder(WithinKind, 3), []int{0, 3}; !reflect.DeepEqual(got, want) {
+	c.observe(p, 3, st)
+	if got, want := c.ladder(p, 3), []int{0, 3}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("calibrated ladder = %v, want %v", got, want)
 	}
 
-	// Other kinds stay unseeded — the model is per-kind.
-	if got, want := c.ladder(NNKind, 3), []int{0, 1, 2, 3}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("cross-kind ladder = %v, want %v", got, want)
+	// Other kinds and other pairs of the kind stay unseeded — the model is
+	// per (kind, dataset pair).
+	for _, other := range []calPair{
+		{NNKind, "nuclei", "vessels"},
+		{WithinKind, "nuclei", "nuclei"},
+		{WithinKind, "vessels", "nuclei"},
+	} {
+		if got, want := c.ladder(other, 3), []int{0, 1, 2, 3}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("ladder of %+v = %v, want %v", other, got, want)
+		}
 	}
 
 	// EWMA pulls LOD 0 under the threshold after repeated zero-prune
 	// queries: (0.8)^n · 0.6 < 0.25 within a dozen observations.
 	zero := &Stats{PairsEvaluated: []int64{10}, PairsPruned: []int64{0}}
 	for i := 0; i < 12; i++ {
-		c.observe(WithinKind, zero)
+		c.observe(p, 3, zero)
 	}
-	if got, want := c.ladder(WithinKind, 3), []int{3}; !reflect.DeepEqual(got, want) {
+	if got, want := c.ladder(p, 3), []int{3}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-decay ladder = %v, want %v", got, want)
+	}
+}
+
+// TestCalibratorSeparatesPairs pins the per-pair key: two dataset pairs of
+// one kind, one pruning 60% at LOD 0 and the other 10%, keep separate
+// ladders however their observations interleave — a pooled estimate would
+// give both the same one.
+func TestCalibratorSeparatesPairs(t *testing.T) {
+	c := newCalibrator()
+	near := calPair{WithinKind, "nuclei", "nuclei"}
+	far := calPair{WithinKind, "nuclei", "vessels"}
+	for i := 0; i < 10; i++ {
+		c.observe(near, 2, &Stats{PairsEvaluated: []int64{10, 4, 4}, PairsPruned: []int64{6, 2, 4}})
+		c.observe(far, 2, &Stats{PairsEvaluated: []int64{10, 9, 9}, PairsPruned: []int64{1, 1, 9}})
+	}
+	if got, want := c.ladder(near, 2), []int{0, 1, 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("60%%-pruning pair's ladder = %v, want %v", got, want)
+	}
+	if got, want := c.ladder(far, 2), []int{2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("10%%-pruning pair's ladder = %v, want %v", got, want)
+	}
+}
+
+// TestCalibratorObservesBelowTopOnly pins that a query's top LOD, where
+// every pair settles, leaves no estimate: recorded, the ≈ 100% fraction
+// would keep that LOD on the ladder of a query of the pair with a higher
+// top.
+func TestCalibratorObservesBelowTopOnly(t *testing.T) {
+	c := newCalibrator()
+	p := calPair{WithinKind, "nuclei", "vessels@loan"}
+	c.observe(p, 2, &Stats{PairsEvaluated: []int64{13, 0, 13}, PairsPruned: []int64{1, 0, 13}})
+	if got := (&Engine{cal: c}).SchedCalibration(); len(got) != 1 || got[0].LOD != 0 {
+		t.Errorf("calibration = %+v, want one LOD 0 cell (the top-LOD pass creates none)", got)
+	}
+	// A later query of the pair whose top is higher sees LOD 2 as
+	// unobserved, not as a 100%-pruning rung.
+	if got, want := c.ladder(p, 3), []int{3}; !reflect.DeepEqual(got, want) {
+		t.Errorf("ladder with a higher top = %v, want %v", got, want)
 	}
 }
 
@@ -195,12 +311,13 @@ func TestCalibratorObserveAndLadder(t *testing.T) {
 // estimate can recover after a workload shift.
 func TestCalibratorProbesDroppedLODs(t *testing.T) {
 	c := newCalibrator()
+	p := calPair{WithinKind, "a", "b"}
 	// Seed LOD 0 below the threshold so the ladder drops it.
-	c.observe(WithinKind, &Stats{PairsEvaluated: []int64{10, 10}, PairsPruned: []int64{0, 10}})
+	c.observe(p, 1, &Stats{PairsEvaluated: []int64{10, 10}, PairsPruned: []int64{0, 10}})
 
 	probes := 0
 	for i := 0; i < 2*calProbeEvery; i++ {
-		lods := c.ladder(WithinKind, 1)
+		lods := c.ladder(p, 1)
 		for _, l := range lods {
 			if l == 0 {
 				probes++
@@ -214,26 +331,30 @@ func TestCalibratorProbesDroppedLODs(t *testing.T) {
 }
 
 // TestScheduleRouting pins which queries take the static path: FR, explicit
-// LODs, and SchedStatic never consult the calibrator.
+// LODs, and SchedStatic never consult the calibrator; a margin query gets
+// its own pair's ladder.
 func TestScheduleRouting(t *testing.T) {
 	e := testEngine(t)
 	// Bias the calibrator so a calibrated ladder is distinguishable from the
 	// full one.
-	e.cal.observe(WithinKind, &Stats{PairsEvaluated: []int64{10, 10}, PairsPruned: []int64{0, 10}})
+	p := calPair{WithinKind, "a", "b"}
+	e.cal.observe(p, 2, &Stats{PairsEvaluated: []int64{10, 10}, PairsPruned: []int64{0, 10}})
 
 	full := []int{0, 1, 2}
 	cases := []struct {
 		name string
 		q    QueryOptions
+		p    calPair
 		want []int
 	}{
-		{"fr", QueryOptions{Paradigm: FR}, []int{2}},
-		{"static", QueryOptions{Paradigm: FPR, Sched: SchedStatic}, full},
-		{"explicit", QueryOptions{Paradigm: FPR, LODs: []int{1}}, []int{1, 2}},
-		{"margin", QueryOptions{Paradigm: FPR}, []int{1, 2}}, // calibrated: LOD 0 dropped, LOD 1 kept
+		{"fr", QueryOptions{Paradigm: FR}, p, []int{2}},
+		{"static", QueryOptions{Paradigm: FPR, Sched: SchedStatic}, p, full},
+		{"explicit", QueryOptions{Paradigm: FPR, LODs: []int{1}}, p, []int{1, 2}},
+		{"margin", QueryOptions{Paradigm: FPR}, p, []int{1, 2}}, // calibrated: LOD 0 dropped, LOD 1 kept
+		{"margin-other-pair", QueryOptions{Paradigm: FPR}, calPair{WithinKind, "a", "c"}, full},
 	}
 	for _, c := range cases {
-		if got := e.schedule(&c.q, 2, WithinKind); !reflect.DeepEqual(got, c.want) {
+		if got := e.schedule(&c.q, 2, c.p); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: schedule = %v, want %v", c.name, got, c.want)
 		}
 	}

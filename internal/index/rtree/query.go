@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/geom"
 )
@@ -108,80 +107,119 @@ type Candidate struct {
 // then narrows with decoded faces. k sets how many nearest neighbors the
 // caller ultimately wants (k=1 for plain NN); at least k candidates are
 // always retained. An optional skip callback excludes entries (e.g. the
-// query object itself when joining a dataset with itself).
+// query object itself when joining a dataset with itself). The result is
+// unordered. No memory grows with k itself, so a k beyond the tree's size only
+// keeps the threshold from tightening.
 func (t *Tree) NNCandidates(q geom.Box3, k int, skip func(Entry) bool) []Candidate {
 	if t.root == nil || (t.root.leaf && len(t.root.entries) == 0) || k <= 0 {
 		return nil
 	}
-
-	// Best-first traversal over nodes ordered by MINDIST, maintaining the
-	// k-th smallest candidate MAXDIST as the pruning threshold (the paper's
-	// MINMAXDIST variable for k = 1). With sub-object entries one object
-	// can appear several times, and all its entries bound the SAME object
-	// distance — so the threshold must range over distinct IDs (taking each
-	// ID's tightest MAXDIST), or a duplicated near object would wrongly
-	// evict the true k-th nearest.
-	var cands []Candidate
-	threshold := math.Inf(1)
-	bestMax := map[int64]float64{}
-
-	kth := func() float64 {
-		if len(bestMax) < k {
-			return math.Inf(1)
-		}
-		// k is tiny (1 for NN joins); a linear pass is cheaper than a heap.
-		maxd := make([]float64, 0, len(bestMax))
-		for _, d := range bestMax {
-			maxd = append(maxd, d)
-		}
-		sort.Float64s(maxd)
-		return maxd[k-1]
-	}
-
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.box.MinDist(q) > threshold {
-			return
-		}
-		if n.leaf {
-			for _, e := range n.entries {
-				if skip != nil && skip(e) {
-					continue
-				}
-				mind := e.Box.MinDist(q)
-				if mind > threshold {
-					continue
-				}
-				maxd := q.MaxDist(e.Box)
-				cands = append(cands, Candidate{Entry: e, MinDist: mind, MaxDist: maxd})
-				if prev, ok := bestMax[e.ID]; !ok || maxd < prev {
-					bestMax[e.ID] = maxd
-				}
-				threshold = kth()
-			}
-			return
-		}
-		// Visit children in MINDIST order for faster threshold tightening.
-		order := make([]int, len(n.children))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool {
-			return n.children[order[a]].box.MinDist(q) < n.children[order[b]].box.MinDist(q)
-		})
-		for _, i := range order {
-			walk(n.children[i])
-		}
-	}
-	walk(t.root)
+	s := nnSearch{q: q, k: k, skip: skip, threshold: math.Inf(1), best: make([]idMax, 0, min(k+1, nnBestCap))}
+	s.walk(t.root)
 
 	// Final prune with the settled threshold.
-	out := cands[:0]
-	for _, c := range cands {
-		if c.MinDist <= threshold {
+	out := s.cands[:0]
+	for _, c := range s.cands {
+		if c.MinDist <= s.threshold {
 			out = append(out, c)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].MinDist < out[j].MinDist })
 	return out
+}
+
+// nnBestCap caps the per-ID bound list's initial capacity: k comes from
+// request input, so a larger k grows the list by append as IDs are seen.
+const nnBestCap = 16
+
+// idMax is one distinct ID's tightest MAXDIST seen so far.
+type idMax struct {
+	id   int64
+	maxd float64
+}
+
+// nnSearch is one NNCandidates traversal: best-first over nodes ordered by
+// MINDIST, maintaining the k-th smallest candidate MAXDIST as the pruning
+// threshold (the paper's MINMAXDIST variable for k = 1). With sub-object
+// entries one object can appear several times, and all its entries bound
+// the SAME object distance — so the threshold ranges over distinct IDs
+// (taking each ID's tightest MAXDIST), or a duplicated near object would
+// wrongly evict the true k-th nearest.
+type nnSearch struct {
+	q         geom.Box3
+	k         int
+	skip      func(Entry) bool
+	threshold float64
+	cands     []Candidate
+	// best holds the k distinct IDs with the smallest MAXDISTs, ascending,
+	// so the threshold is best[k-1]. An ID that falls out never needs its
+	// value back: the threshold only decreases, so a later entry of that ID
+	// matters only if its MAXDIST beats the threshold — and then it is the
+	// ID's tightest.
+	best []idMax
+}
+
+func (s *nnSearch) walk(n *node) {
+	if n.box.MinDist(s.q) > s.threshold {
+		return
+	}
+	if n.leaf {
+		for _, e := range n.entries {
+			if s.skip != nil && s.skip(e) {
+				continue
+			}
+			mind := e.Box.MinDist(s.q)
+			if mind > s.threshold {
+				continue
+			}
+			maxd := s.q.MaxDist(e.Box)
+			s.cands = append(s.cands, Candidate{Entry: e, MinDist: mind, MaxDist: maxd})
+			s.offer(e.ID, maxd)
+		}
+		return
+	}
+	// Visit children in MINDIST order for faster threshold tightening: an
+	// insertion sort over the node's at most MaxEntries children.
+	var order [MaxEntries]int
+	var dist [MaxEntries]float64
+	for i, c := range n.children {
+		d := c.box.MinDist(s.q)
+		j := i
+		for ; j > 0 && dist[j-1] > d; j-- {
+			order[j], dist[j] = order[j-1], dist[j-1]
+		}
+		order[j], dist[j] = i, d
+	}
+	for _, i := range order[:len(n.children)] {
+		s.walk(n.children[i])
+	}
+}
+
+// offer records maxd for id and lowers the threshold to the k-th smallest
+// per-ID MAXDIST once k distinct IDs have been seen.
+func (s *nnSearch) offer(id int64, maxd float64) {
+	i := 0
+	for i < len(s.best) && s.best[i].id != id {
+		i++
+	}
+	switch {
+	case i < len(s.best) && maxd >= s.best[i].maxd:
+		return // not tighter than the ID's recorded bound
+	case i == len(s.best):
+		if len(s.best) == s.k && maxd >= s.best[s.k-1].maxd {
+			return // beyond the k-th: cannot lower the threshold
+		}
+		s.best = append(s.best, idMax{})
+	}
+	// Shift the entries above maxd up over slot i, then place it.
+	for i > 0 && s.best[i-1].maxd > maxd {
+		s.best[i] = s.best[i-1]
+		i--
+	}
+	s.best[i] = idMax{id, maxd}
+	if len(s.best) > s.k {
+		s.best = s.best[:s.k]
+	}
+	if len(s.best) == s.k {
+		s.threshold = s.best[s.k-1].maxd
+	}
 }

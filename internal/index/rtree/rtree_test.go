@@ -347,3 +347,97 @@ func TestNNCandidatesDuplicateIDs(t *testing.T) {
 		t.Fatalf("k=2 candidates must cover both objects, got %v", cands)
 	}
 }
+
+// TestNNCandidatesMatchBrute checks the traversal against its definition on
+// sub-object entries (two per ID): the threshold is the k-th smallest
+// per-ID tightest MAXDIST, and the candidates are every entry whose MINDIST
+// is within it. Integer coordinates make distance ties common.
+func TestNNCandidatesMatchBrute(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	es := make([]Entry, 400)
+	for i := range es {
+		p := geom.V(float64(rng.Intn(40)), float64(rng.Intn(40)), float64(rng.Intn(40)))
+		es[i] = Entry{Box: geom.Box3{Min: p, Max: p.Add(geom.V(1+float64(rng.Intn(3)), 1, 2))}, ID: int64(i / 2)}
+	}
+	tr := BulkLoad(es)
+	for trial := 0; trial < 50; trial++ {
+		p := geom.V(float64(rng.Intn(40)), float64(rng.Intn(40)), float64(rng.Intn(40)))
+		q := geom.Box3{Min: p, Max: p.Add(geom.V(float64(rng.Intn(6)), 2, 1))}
+		for _, k := range []int{1, 2, 5} {
+			tightest := map[int64]float64{}
+			for _, e := range es {
+				if d, ok := tightest[e.ID]; !ok || q.MaxDist(e.Box) < d {
+					tightest[e.ID] = q.MaxDist(e.Box)
+				}
+			}
+			var maxds []float64
+			for _, d := range tightest {
+				maxds = append(maxds, d)
+			}
+			sort.Float64s(maxds)
+			var want []Candidate
+			for _, e := range es {
+				if mind := e.Box.MinDist(q); mind <= maxds[k-1] {
+					want = append(want, Candidate{Entry: e, MinDist: mind, MaxDist: q.MaxDist(e.Box)})
+				}
+			}
+			got := tr.NNCandidates(q, k, nil)
+			sortByEntry := func(cs []Candidate) {
+				sort.Slice(cs, func(i, j int) bool {
+					a, b := cs[i].Box, cs[j].Box
+					if cs[i].ID != cs[j].ID {
+						return cs[i].ID < cs[j].ID
+					}
+					return a.Min.X < b.Min.X || a.Min.X == b.Min.X && (a.Min.Y < b.Min.Y || a.Min.Y == b.Min.Y && a.Min.Z < b.Min.Z)
+				})
+			}
+			sortByEntry(got)
+			sortByEntry(want)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d k=%d: %d candidates, want %d", trial, k, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d k=%d: candidate %d = %+v, want %+v", trial, k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestNNCandidatesAllocs bounds the traversal's allocations: the per-ID
+// bounds and the child order live in per-call or fixed storage, so a query
+// over a 10,000-entry tree allocates little beyond the candidate slice as
+// it grows.
+func TestNNCandidatesAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tr := BulkLoad(randomEntries(rng, 10000, 1000, 5))
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		p := geom.V(float64(i%990), float64((i*7)%990), float64((i*13)%990))
+		i++
+		tr.NNCandidates(geom.BoxOf(p), 1, nil)
+	})
+	if allocs > 6 {
+		t.Errorf("NNCandidates allocates %.1f times per query, want ≤ 6", allocs)
+	}
+}
+
+// TestNNCandidatesHugeK checks that k comes from outside input without
+// sizing anything: a k far beyond the tree's size returns every entry (the
+// threshold never tightens) at the cost of a k=1 query's allocations plus
+// the candidate slice's growth.
+func TestNNCandidatesHugeK(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	es := randomEntries(rng, 500, 100, 2)
+	tr := BulkLoad(es)
+	q := geom.BoxOf(geom.V(50, 50, 50))
+	const k = 100_000_000_000
+	if got := tr.NNCandidates(q, k, nil); len(got) != len(es) {
+		t.Fatalf("k=%d: %d candidates, want all %d entries", k, len(got), len(es))
+	}
+	allocs := testing.AllocsPerRun(20, func() { tr.NNCandidates(q, k, nil) })
+	if allocs > 40 {
+		t.Errorf("k=%d allocates %.0f times per query, want ≤ 40", k, allocs)
+	}
+}

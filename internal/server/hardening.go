@@ -158,9 +158,9 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 			"entries": entries,
 		}
 		// The margin scheduler's online calibration state: one entry per
-		// observed (kind, LOD) with its pruned-fraction EWMA and histogram
-		// summary, so operators can see which ladder the next margin query
-		// of each kind will get.
+		// observed (kind, target, source, LOD) with its pruned-fraction
+		// EWMA and histogram summary, so operators can see which ladder the
+		// next margin query of each dataset pair will get.
 		out["sched"] = s.eng.SchedCalibration()
 	}
 

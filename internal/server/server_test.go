@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -288,6 +289,57 @@ func TestSchedOptionAndStats(t *testing.T) {
 	}
 	if static.Stats["lods_skipped_by_margin"].(float64) != 0 {
 		t.Errorf("static run reported margin skips: %v", static.Stats)
+	}
+}
+
+// TestStatuszNamesCalibrationPair: the margin calibrator is keyed by
+// dataset pair, and /statusz says which pair each cell belongs to. The
+// reversed pair beta × alpha is one no other test queries, so its cells
+// are this join's.
+func TestStatuszNamesCalibrationPair(t *testing.T) {
+	ts := testServer(t)
+	if resp := postJSON(t, ts.URL+"/query/within", `{"target":"beta","source":"alpha","dist":25}`, nil); resp.StatusCode != 200 {
+		t.Fatalf("within status %d", resp.StatusCode)
+	}
+	var status struct {
+		Sched []core.CalibrationEntry `json:"sched"`
+	}
+	if resp := getJSON(t, ts.URL+"/statusz", &status); resp.StatusCode != 200 {
+		t.Fatalf("statusz status %d", resp.StatusCode)
+	}
+	cells := 0
+	for i, ce := range status.Sched {
+		if i > 0 {
+			a, b := status.Sched[i-1], ce
+			if cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Target, b.Target),
+				cmp.Compare(a.Source, b.Source), cmp.Compare(a.LOD, b.LOD)) >= 0 {
+				t.Errorf("sched entries out of (kind, target, source, lod) order: %+v before %+v", a, b)
+			}
+		}
+		if ce.Kind == "within" && ce.Target == "beta" && ce.Source == "alpha" {
+			cells++
+			if ce.Count != 1 {
+				t.Errorf("cell %+v: count %d after one join, want 1", ce, ce.Count)
+			}
+		}
+	}
+	if cells == 0 {
+		t.Errorf("/statusz sched has no within beta × alpha cell: %+v", status.Sched)
+	}
+}
+
+// TestNNHugeK: k is request input that nothing caps, so no memory may be
+// sized by it. A k far beyond the source's size answers every pair.
+func TestNNHugeK(t *testing.T) {
+	ts := testServer(t)
+	var nn struct {
+		Neighbors []core.Neighbor `json:"neighbors"`
+	}
+	if resp := postJSON(t, ts.URL+"/query/nn", `{"target":"alpha","source":"beta","k":100000000000}`, &nn); resp.StatusCode != 200 {
+		t.Fatalf("nn status %d", resp.StatusCode)
+	}
+	if len(nn.Neighbors) != 8*8 {
+		t.Fatalf("neighbors = %d, want every alpha × beta pair (64)", len(nn.Neighbors))
 	}
 }
 

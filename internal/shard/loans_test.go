@@ -395,3 +395,61 @@ func TestHTTPLoansConcurrentColdJoins(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestLoanLegsKeepCalibrationBounded: every loan leg assembles a fresh
+// "<source>@loan" dataset, and the engine's LOD calibrator is keyed by
+// dataset name, so 50 loan legs over one source reuse the same calibrator
+// cells instead of adding a set per leg.
+func TestLoanLegsKeepCalibrationBounded(t *testing.T) {
+	e := core.NewEngine(testEngineOptions())
+	defer e.Close()
+	da, db := buildDisjointPair(t, e)
+	c := testCoordinator(t, shard.Options{Shards: 2, Replicas: 1}, da, db)
+	node := c.Nodes()[0]
+	var group int
+	for g := range node.Held(da.Name) {
+		group = g
+	}
+	home := map[int64]bool{}
+	for _, id := range node.Held(db.Name)[group] {
+		home[id] = true
+	}
+	var away []*storage.Object
+	for _, o := range db.Tileset.Objects {
+		if o != nil && !home[o.ID] {
+			away = append(away, o)
+		}
+	}
+	if len(away) < 2 {
+		t.Fatalf("group %d holds %d of %d sources: no loans to make", group, len(home), db.Len())
+	}
+	leg := func(i int) {
+		// Each leg lends every away source but one, rotating.
+		loans := slices.Delete(slices.Clone(away), i%len(away), i%len(away)+1)
+		req := &shard.Request{Kind: shard.KindWithin, Target: da.Name, Source: db.Name, Group: group, Dist: 8, Loans: loans,
+			Opts: core.QueryOptions{Paradigm: core.FPR}}
+		if _, err := node.Handle(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cal := node.Engine().SchedCalibration
+	for i := 0; i < len(away); i++ {
+		leg(i) // one full rotation reaches every ladder the legs will use
+	}
+	before := cal()
+	loanCells := 0
+	for _, ce := range before {
+		if ce.Source == db.Name+"@loan" {
+			loanCells++
+		}
+	}
+	if loanCells == 0 {
+		t.Fatalf("no calibration cell for the loan dataset: %+v", before)
+	}
+	for i := 0; i < 50; i++ {
+		leg(i)
+	}
+	if after := cal(); len(after) != len(before) {
+		t.Errorf("50 loan legs took the calibrator from %d to %d cells:\n before %+v\n after %+v", len(before), len(after), before, after)
+	}
+}
