@@ -77,21 +77,16 @@ fuzz:
 
 # Seeded chaos campaign under the race detector: $(CHAOSTIME) of fresh-seed
 # iterations of TestChaosCampaignExtended (corrupt tiles + probabilistic
-# decode errors + decode panics; see internal/core/chaos_test.go), then the
-# multi-shard campaign (shards killed/corrupted at the transport mid-query;
-# see internal/shard/chaos_test.go).
+# decode errors + decode panics; see internal/core/chaos_test.go).
 chaos-short:
 	_3DPRO_CHAOS=$(CHAOSTIME) $(GO) test -race -run 'TestChaosCampaign' -count=1 ./internal/core
-	$(GO) test -race -run 'TestDeadShardsDegrade|TestRoutedIDQueriesDegradeExactly|TestRetryRecoversTransientFault|TestHedgedRequestBeatsStraggler|TestBreakerOpensAndRecovers|TestRecvCorruptionIsTransportError|TestAllShardsDead' -count=1 ./internal/shard
 
-# The multi-process robustness ladder over real HTTP loopback workers, under
-# the race detector: seeded retry/hedge/failover/breaker/rejoin campaign,
-# replicated-placement failover, both-replicas-dead degradation, wire
-# corruption, graceful worker drain, loans by reference (warm-cache hits,
-# the missing path and its CRC check) and re-added datasets (see
-# internal/shard/http_test.go, failover_test.go and loans_test.go).
+# Every shard and server test under the race detector, uncached: all of them
+# run coordinators over real HTTP loopback workers — dead and corrupted links,
+# retries, hedges, failover, breakers, prober rejoin, graceful drain, loans
+# by reference and re-added datasets. No test list to keep in step.
 chaos-net:
-	$(GO) test -race -run 'TestHTTPChaosCampaign|TestShardedEquivalenceHTTP|TestHTTPAnySingleWorkerDeathIsExact|TestHTTPBothReplicasDeadDegrades|TestHTTPRecvCorruptionIsTransportError|TestWorkerDrainPreservesInFlight|TestWorkerEchoesRequestID|TestReplicaFailoverExact|TestBothReplicasDeadDegrades|TestProberRejoinsShard|TestLoansHitWorkerCache|TestHTTPLoansMissingAndCRC|TestReAddDatasetReplacesGroups|TestHTTPLoansConcurrentColdJoins|TestHTTPBadLegCountersAreTransportErrors|TestLoanLegsKeepCalibrationBounded' -count=1 ./internal/shard
+	$(GO) test -race -count=1 ./internal/shard ./internal/server
 
 # The repository benchmark (benchmark/, see BENCHMARK.json) is a Go module of
 # its own, so the root `go build ./... && go test ./...` never compiles it

@@ -22,13 +22,15 @@
 // internal/faultinject).
 //
 // -shards N (N > 1) serves through the degrade-aware sharded tier
-// (internal/shard): objects are space-partitioned across N in-process
-// engine shards and every query is scatter-gathered with per-shard
-// retries (-shard-retries, -shard-retry-backoff), optional hedging
-// (-shard-hedge-after), per-attempt deadlines (-shard-attempt-timeout),
-// and a per-shard circuit breaker (-shard-breaker-threshold,
-// -shard-breaker-cooldown). A dead shard degrades Degrade-policy queries
-// (its objects are reported uncertain) instead of failing them.
+// (internal/shard): objects are space-partitioned across N shard workers,
+// which this process starts on loopback ports, and every query is
+// scatter-gathered over HTTP with per-shard retries (-shard-retries,
+// -shard-retry-backoff), optional hedging (-shard-hedge-after), per-attempt
+// deadlines (-shard-attempt-timeout), and a per-shard circuit breaker
+// (-shard-breaker-threshold, -shard-breaker-cooldown). A dead shard
+// degrades Degrade-policy queries (its objects are reported uncertain)
+// instead of failing them. On shutdown the front drains first, then the
+// workers behind it.
 //
 // Multi-process serving splits the tier across processes. Each shard runs
 // as a worker:
@@ -50,9 +52,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"log"
 	"log/slog"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -84,9 +88,9 @@ func main() {
 	salvage := flag.Bool("salvage", false, "load -dataset directories in salvage mode: skip and quarantine damaged objects instead of refusing the dataset")
 	quarThreshold := flag.Int("quarantine-threshold", 0, "decode failures before an object is quarantined (default 3)")
 	quarCooldown := flag.Duration("quarantine-cooldown", 0, "how long a quarantined object stays blocked before a probe is admitted (default 30s)")
-	shards := flag.Int("shards", 1, "serve through N in-process shards with a degrade-aware coordinator (1 = single engine)")
-	replicas := flag.Int("replicas", 2, "shards storing each home group in multi-process mode (failover tolerates replicas-1 dead workers per group; in-process mode defaults to 1)")
-	shardWorkers := flag.String("shard-workers", "", "comma-separated worker base URLs; serve through these worker processes over HTTP instead of in-process shards")
+	shards := flag.Int("shards", 1, "serve through N loopback shard workers with a degrade-aware coordinator (1 = single engine)")
+	replicas := flag.Int("replicas", 2, "shards storing each home group in multi-process mode (failover tolerates replicas-1 dead workers per group; -shards N without -shard-workers defaults to 1)")
+	shardWorkers := flag.String("shard-workers", "", "comma-separated worker base URLs; serve through these worker processes instead of loopback workers")
 	shardProbeInterval := flag.Duration("shard-probe-interval", 2*time.Second, "background health-probe interval for tripped shard breakers (0 disables the prober)")
 	shardWorker := flag.Bool("shard-worker", false, "run as a shard worker process serving the shard protocol on -listen")
 	listen := flag.String("listen", "127.0.0.1:7800", "worker listen address (with -shard-worker)")
@@ -154,8 +158,8 @@ func main() {
 	defer eng.Close()
 
 	// The -replicas default (2) targets multi-process serving, where a dead
-	// worker is an expected event; plain -shards N keeps the single-copy
-	// placement of the in-process tier unless -replicas is set explicitly.
+	// worker is an expected event; plain -shards N keeps single-copy
+	// placement on its loopback workers unless -replicas is set explicitly.
 	replicasSet := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "replicas" {
@@ -172,36 +176,39 @@ func main() {
 		BreakerCooldown:  *shardBreakerCooldown,
 	}
 
-	var srv *server.Server
+	var addrs []string
+	var stopWorkers func() error
 	switch {
 	case *shardWorkers != "":
-		addrs := strings.Split(*shardWorkers, ",")
+		addrs = strings.Split(*shardWorkers, ",")
 		for i := range addrs {
 			addrs[i] = strings.TrimSpace(addrs[i])
 		}
 		if *shards > 1 && *shards != len(addrs) {
 			log.Fatalf("-shards %d disagrees with the %d -shard-workers URLs; drop -shards or make them match", *shards, len(addrs))
 		}
+		shardOpts.Replicas = *replicas
+	case *shards > 1:
+		var err error
+		if addrs, stopWorkers, err = startLoopbackWorkers(*shards, engOpts, cfg); err != nil {
+			log.Fatal(err)
+		}
+		if replicasSet {
+			shardOpts.Replicas = *replicas
+		}
+	}
+
+	var srv *server.Server
+	if addrs != nil {
 		tr := shard.NewHTTPTransport(addrs)
 		defer tr.Close()
 		shardOpts.Shards = len(addrs)
-		shardOpts.Replicas = *replicas
 		coord := shard.NewWithTransport(tr, shardOpts)
 		defer coord.Close()
 		coord.StartProber(*shardProbeInterval)
 		srv = server.NewSharded(coord, cfg)
 		log.Printf("sharded serving enabled: %d workers over HTTP, %d replicas per group", len(addrs), coord.Replicas())
-	case *shards > 1:
-		shardOpts.Shards = *shards
-		if replicasSet {
-			shardOpts.Replicas = *replicas
-		}
-		coord := shard.NewInProcess(engOpts, shardOpts)
-		defer coord.Close()
-		coord.StartProber(*shardProbeInterval)
-		srv = server.NewSharded(coord, cfg)
-		log.Printf("sharded serving enabled: %d shards, %d replicas per group", *shards, coord.Replicas())
-	default:
+	} else {
 		srv = server.NewWithConfig(eng, cfg)
 	}
 
@@ -268,8 +275,51 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	log.Printf("3dpro-server listening on http://%s", *addr)
-	if err := srv.Run(ctx, *addr); err != nil {
+	if err := serveFront(ctx, srv, *addr, stopWorkers); err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("3dpro-server: clean shutdown")
+}
+
+// startLoopbackWorkers starts n shard workers on 127.0.0.1 ports, each
+// serving a node with its own engine, and returns their base URLs and a
+// stop function that drains them and releases their nodes.
+func startLoopbackWorkers(n int, engOpts core.EngineOptions, cfg server.Config) (urls []string, stop func() error, err error) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var nodes []*shard.Node
+	done := make(chan error, n)
+	stop = func() error {
+		cancel()
+		var errs error
+		for range nodes {
+			errs = errors.Join(errs, <-done)
+		}
+		for _, node := range nodes {
+			node.Close()
+		}
+		return errs
+	}
+	for i := 0; i < n; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, nil, errors.Join(err, stop())
+		}
+		node := shard.NewNode(i, engOpts)
+		nodes = append(nodes, node)
+		urls = append(urls, "http://"+ln.Addr().String())
+		go func() { done <- server.NewWorker(node, cfg).Serve(ctx, ln) }()
+	}
+	return urls, stop, nil
+}
+
+// serveFront serves srv on addr until ctx is cancelled and the front has
+// drained, and only then drains the loopback workers behind it (stopWorkers
+// may be nil): stopping them first would fail the front's in-flight legs
+// with connection errors.
+func serveFront(ctx context.Context, srv *server.Server, addr string, stopWorkers func() error) error {
+	err := srv.Run(ctx, addr)
+	if stopWorkers != nil {
+		err = errors.Join(err, stopWorkers())
+	}
+	return err
 }

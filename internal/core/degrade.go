@@ -141,7 +141,7 @@ func (d *degrader) fill(st *Stats) {
 	for _, b := range d.uncBuf {
 		st.Uncertain = append(st.Uncertain, b...)
 	}
-	slices.SortFunc(st.Uncertain, comparePairs)
+	slices.SortFunc(st.Uncertain, ComparePairs)
 	st.UncertainIDs = append(st.UncertainIDs, d.uncIDs...)
 	slices.Sort(st.UncertainIDs)
 }

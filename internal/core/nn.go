@@ -282,15 +282,19 @@ func (e *Engine) KNNJoin(ctx context.Context, target, source *Dataset, q QueryOp
 	for _, b := range sinkBuf {
 		sink = append(sink, b...)
 	}
-	slices.SortFunc(sink, func(a, b Neighbor) int {
-		// Distance ties fall through to the deterministic ID order.
-		return cmp.Or(cmp.Compare(a.Target, b.Target), cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Source, b.Source))
-	})
+	slices.SortFunc(sink, CompareNeighbors)
 	st := ec.finish(start)
 	if q.Paradigm == FPR {
 		e.cal.observe(pair, lods[len(lods)-1], st)
 	}
 	return sink, st, nil
+}
+
+// CompareNeighbors orders neighbors by target, then distance, then source —
+// the deterministic result order of KNNJoin; distance ties fall through to
+// the ID order.
+func CompareNeighbors(a, b Neighbor) int {
+	return cmp.Or(cmp.Compare(a.Target, b.Target), cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Source, b.Source))
 }
 
 // byMinDistThenID orders candidates by MINDIST, ties (MBB bounds or settled

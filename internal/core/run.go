@@ -148,13 +148,13 @@ func (r *resultSink) sorted() []Pair {
 	for _, b := range r.buf {
 		pairs = append(pairs, b...)
 	}
-	slices.SortFunc(pairs, comparePairs)
+	slices.SortFunc(pairs, ComparePairs)
 	return pairs
 }
 
-// comparePairs orders pairs by target then source — the deterministic
+// ComparePairs orders pairs by target then source — the deterministic
 // result order every join guarantees regardless of worker interleaving.
-func comparePairs(a, b Pair) int {
+func ComparePairs(a, b Pair) int {
 	if c := cmp.Compare(a.Target, b.Target); c != 0 {
 		return c
 	}

@@ -42,7 +42,7 @@ func mergeFixture() (*Stats, *Stats, *Stats) {
 // normalize sorts the order-free lists so merge results assembled in
 // different orders compare equal.
 func normalize(s *Stats) *Stats {
-	slices.SortFunc(s.Uncertain, comparePairs)
+	slices.SortFunc(s.Uncertain, ComparePairs)
 	slices.Sort(s.UncertainIDs)
 	sort.Slice(s.Degraded, func(i, j int) bool {
 		if s.Degraded[i].Dataset != s.Degraded[j].Dataset {

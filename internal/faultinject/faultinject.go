@@ -13,13 +13,14 @@
 //	core.decode    — the engine's per-object decode (Fire: error/panic/sleep)
 //	ppvp.decode    — progressive mesh decoding (Fire: error/panic/sleep)
 //	storage.tile   — tile file parsing (Corrupt: bit-flips the bytes)
-//	shard.send     — coordinator→shard request dispatch (error/panic/sleep)
-//	shard.recv     — shard→coordinator response path (error/panic/sleep and
-//	                 corrupt, which mangles the encoded response)
-//	shard.net.send — the HTTP transport's wire-level request path
-//	shard.net.recv — the HTTP transport's wire-level response path (corrupt
-//	                 mangles the body bytes before the CRC check, so the
-//	                 fault surfaces exactly as a real flaky link would)
+//	shard.net.send — the shard transport's request path, queries, installs
+//	                 and health probes alike (error/panic/sleep)
+//	shard.net.recv — the shard transport's response path (corrupt mangles
+//	                 the body bytes before the CRC check, so the fault
+//	                 surfaces exactly as a real flaky link would)
+//
+// The two shard points also fire as "<point>.N" for shard N. Parse rejects
+// any other point name, so a misspelt spec fails instead of arming nothing.
 //
 // Spec strings (_3DPRO_FAULTS, -faults) are comma-separated point=mode items:
 //
@@ -56,20 +57,12 @@ const (
 	PointCoreDecode  = "core.decode"
 	PointPPVPDecode  = "ppvp.decode"
 	PointStorageTile = "storage.tile"
-	// Shard-transport fault points (internal/shard): send fires before a
-	// request reaches a shard (error/panic/sleep kill or delay the call);
-	// recv fires on the response path and additionally supports corrupt,
-	// which mangles the encoded response so it fails integrity checking —
-	// the wire-level equivalent of a flaky link.
-	PointShardSend = "shard.send"
-	PointShardRecv = "shard.recv"
-	// Wire-level variants of the shard transport points, fired by the HTTP
-	// transport around the actual network exchange: net.send before the
-	// request leaves the coordinator (delay = link latency, error =
-	// blackhole/partition), net.recv on the raw response bytes before the
-	// CRC integrity check (corrupt = damaged frame). Both support the
-	// per-shard ".N" suffix, so a campaign can partition one worker away
-	// while its replicas keep serving.
+	// Shard-transport fault points, fired by the HTTP transport around the
+	// network exchange: net.send before the request leaves the coordinator
+	// (delay = link latency, error = blackhole/partition), net.recv on the
+	// raw response bytes before the CRC integrity check (corrupt = damaged
+	// frame). Both also fire with the per-shard ".N" suffix, so a campaign
+	// can partition one worker away while its replicas keep serving.
 	PointShardNetSend = "shard.net.send"
 	PointShardNetRecv = "shard.net.recv"
 )
@@ -208,22 +201,6 @@ func Fire(point string) error {
 	return f.Err
 }
 
-// Armed reports whether a fault is currently armed at point. Callers that
-// must pay real work just to give a fault something to chew on (e.g. the
-// shard transport encoding a response so corrupt has bytes to flip) check
-// this first and skip the work in the common unarmed case. The check is
-// advisory: a concurrent Disarm can win the race, in which case the
-// subsequent Fire/FireData is simply a no-op.
-func Armed(point string) bool {
-	if armed.Load() == 0 {
-		return false
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	_, ok := points[point]
-	return ok
-}
-
 // FireData combines Fire and Corrupt for points where both error-style and
 // data-corruption faults make sense (the shard transport's receive path):
 // it sleeps Delay, runs Hook, panics if Panic is set, returns Err if set,
@@ -292,9 +269,26 @@ func flipBytes(data []byte) []byte {
 	return out
 }
 
+// knownPoint reports whether some call site fires point: one of the Point*
+// constants, or a shard point's per-shard variant "<point>.N".
+func knownPoint(point string) bool {
+	switch point {
+	case PointCoreDecode, PointPPVPDecode, PointStorageTile, PointShardNetSend, PointShardNetRecv:
+		return true
+	}
+	for _, base := range []string{PointShardNetSend, PointShardNetRecv} {
+		if n, ok := strings.CutPrefix(point, base+"."); ok {
+			i, err := strconv.Atoi(n)
+			return err == nil && i >= 0 && strconv.Itoa(i) == n
+		}
+	}
+	return false
+}
+
 // Parse arms faults from a spec string: comma-separated point=mode items,
 // where mode is error[:msg], panic[:msg], sleep:duration, or corrupt,
-// optionally prefixed by prob:P and/or times:N modifiers.
+// optionally prefixed by prob:P and/or times:N modifiers. A point no call
+// site fires is an error; Arm, which tests use, takes any name.
 func Parse(spec string) error {
 	for _, item := range strings.Split(spec, ",") {
 		item = strings.TrimSpace(item)
@@ -304,6 +298,10 @@ func Parse(spec string) error {
 		point, mode, ok := strings.Cut(item, "=")
 		if !ok || point == "" {
 			return fmt.Errorf("faultinject: bad spec item %q, want point=mode", item)
+		}
+		if !knownPoint(point) {
+			return fmt.Errorf("faultinject: unknown point %q in %q, want %s, %s, %s, %s[.N] or %s[.N]", point, item,
+				PointCoreDecode, PointPPVPDecode, PointStorageTile, PointShardNetSend, PointShardNetRecv)
 		}
 		var f Fault
 		// Strip leading prob:/times:/delay: modifiers; what remains is the

@@ -3,6 +3,7 @@ package faultinject
 import (
 	"bytes"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -92,29 +93,29 @@ func TestCorruptFault(t *testing.T) {
 
 func TestParse(t *testing.T) {
 	t.Cleanup(Reset)
-	spec := "a=error:bad, b=sleep:1ms ,c=panic:oh no,d=corrupt"
+	spec := "core.decode=error:bad, ppvp.decode=sleep:1ms ,shard.net.send=panic:oh no,storage.tile=corrupt"
 	if err := Parse(spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := Fire("a"); !errors.Is(err, ErrInjected) {
-		t.Fatalf("a: %v", err)
+	if err := Fire(PointCoreDecode); !errors.Is(err, ErrInjected) {
+		t.Fatalf("core.decode: %v", err)
 	}
-	if err := Fire("b"); err != nil {
-		t.Fatalf("b: %v", err)
+	if err := Fire(PointPPVPDecode); err != nil {
+		t.Fatalf("ppvp.decode: %v", err)
 	}
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("c did not panic")
+				t.Error("shard.net.send did not panic")
 			}
 		}()
-		Fire("c")
+		Fire(PointShardNetSend)
 	}()
-	if out := Corrupt("d", []byte("0123456789")); bytes.Equal(out, []byte("0123456789")) {
-		t.Error("d did not corrupt")
+	if out := Corrupt(PointStorageTile, []byte("0123456789")); bytes.Equal(out, []byte("0123456789")) {
+		t.Error("storage.tile did not corrupt")
 	}
 
-	for _, bad := range []string{"noequals", "x=launch", "y=sleep:fast"} {
+	for _, bad := range []string{"noequals", "core.decode=launch", "ppvp.decode=sleep:fast"} {
 		if err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
 		}
@@ -130,25 +131,25 @@ func TestParseWhitespaceOnlyItems(t *testing.T) {
 	if Enabled() {
 		t.Fatal("whitespace-only spec armed something")
 	}
-	if err := Parse(" a=error , , b=corrupt "); err != nil {
+	if err := Parse(" core.decode=error , , storage.tile=corrupt "); err != nil {
 		t.Fatalf("spec with blank items rejected: %v", err)
 	}
-	if err := Fire("a"); !errors.Is(err, ErrInjected) {
-		t.Fatalf("a not armed: %v", err)
+	if err := Fire(PointCoreDecode); !errors.Is(err, ErrInjected) {
+		t.Fatalf("core.decode not armed: %v", err)
 	}
 }
 
 func TestParseDuplicatePointLastWins(t *testing.T) {
 	t.Cleanup(Reset)
-	if err := Parse("p=error:first,p=error:second"); err != nil {
+	if err := Parse("core.decode=error:first,core.decode=error:second"); err != nil {
 		t.Fatal(err)
 	}
-	err := Fire("p")
+	err := Fire(PointCoreDecode)
 	if err == nil || !strings.Contains(err.Error(), "second") {
 		t.Fatalf("duplicate point did not take the last spec: %v", err)
 	}
 	// Only one armed point, not two.
-	Disarm("p")
+	Disarm(PointCoreDecode)
 	if Enabled() {
 		t.Fatal("duplicate arming leaked an armed count")
 	}
@@ -156,15 +157,15 @@ func TestParseDuplicatePointLastWins(t *testing.T) {
 
 func TestParseTimesModifier(t *testing.T) {
 	t.Cleanup(Reset)
-	if err := Parse("p=times:2:error:boom"); err != nil {
+	if err := Parse("core.decode=times:2:error:boom"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := Fire("p"); err == nil {
+		if err := Fire(PointCoreDecode); err == nil {
 			t.Fatalf("firing %d returned nil", i)
 		}
 	}
-	if err := Fire("p"); err != nil {
+	if err := Fire(PointCoreDecode); err != nil {
 		t.Fatalf("times:2 fault fired a third time: %v", err)
 	}
 }
@@ -172,12 +173,12 @@ func TestParseTimesModifier(t *testing.T) {
 func TestParseProbModifier(t *testing.T) {
 	t.Cleanup(Reset)
 	Seed(42)
-	if err := Parse("p=prob:0.5:error"); err != nil {
+	if err := Parse("core.decode=prob:0.5:error"); err != nil {
 		t.Fatal(err)
 	}
 	fired := 0
 	for i := 0; i < 1000; i++ {
-		if Fire("p") != nil {
+		if Fire(PointCoreDecode) != nil {
 			fired++
 		}
 	}
@@ -188,11 +189,11 @@ func TestParseProbModifier(t *testing.T) {
 	Seed(7)
 	var seq1 []bool
 	for i := 0; i < 50; i++ {
-		seq1 = append(seq1, Fire("p") != nil)
+		seq1 = append(seq1, Fire(PointCoreDecode) != nil)
 	}
 	Seed(7)
 	for i, want := range seq1 {
-		if got := Fire("p") != nil; got != want {
+		if got := Fire(PointCoreDecode) != nil; got != want {
 			t.Fatalf("firing %d not reproducible after Seed: got %v want %v", i, got, want)
 		}
 	}
@@ -203,12 +204,12 @@ func TestParseProbTimesCombined(t *testing.T) {
 	Seed(3)
 	// Misses must not consume the times budget: exactly 2 firings happen
 	// even though the probability skips many opportunities.
-	if err := Parse("p=prob:0.2:times:2:error"); err != nil {
+	if err := Parse("core.decode=prob:0.2:times:2:error"); err != nil {
 		t.Fatal(err)
 	}
 	fired := 0
 	for i := 0; i < 500; i++ {
-		if Fire("p") != nil {
+		if Fire(PointCoreDecode) != nil {
 			fired++
 		}
 	}
@@ -223,18 +224,18 @@ func TestParseProbTimesCombined(t *testing.T) {
 func TestParseModifierErrors(t *testing.T) {
 	t.Cleanup(Reset)
 	for _, bad := range []string{
-		"p=prob:error",          // prob value missing / not a number
-		"p=prob:0:error",        // prob out of range
-		"p=prob:1.5:error",      // prob out of range
-		"p=times:0:error",       // times < 1
-		"p=times:x:error",       // times not a number
-		"p=prob:0.5",            // modifier with no mode
-		"p=times:3",             // modifier with no mode
-		"p=prob:0.5:times:2",    // two modifiers, still no mode
-		"p=delay:error",         // delay value not a duration
-		"p=delay:-5ms:error",    // negative delay
-		"p=delay:10ms",          // delay with no mode (pure latency is sleep:DUR)
-		"p=delay:10ms:prob:0.5", // delay+prob, still no mode
+		"core.decode=prob:error",          // prob value missing / not a number
+		"core.decode=prob:0:error",        // prob out of range
+		"core.decode=prob:1.5:error",      // prob out of range
+		"core.decode=times:0:error",       // times < 1
+		"core.decode=times:x:error",       // times not a number
+		"core.decode=prob:0.5",            // modifier with no mode
+		"core.decode=times:3",             // modifier with no mode
+		"core.decode=prob:0.5:times:2",    // two modifiers, still no mode
+		"core.decode=delay:error",         // delay value not a duration
+		"core.decode=delay:-5ms:error",    // negative delay
+		"core.decode=delay:10ms",          // delay with no mode (pure latency is sleep:DUR)
+		"core.decode=delay:10ms:prob:0.5", // delay+prob, still no mode
 	} {
 		if err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
@@ -246,11 +247,11 @@ func TestParseModifierErrors(t *testing.T) {
 // firing sleeps first, then the mode applies.
 func TestParseDelayModifier(t *testing.T) {
 	t.Cleanup(Reset)
-	if err := Parse("p=delay:30ms:error:slow link down"); err != nil {
+	if err := Parse("core.decode=delay:30ms:error:slow link down"); err != nil {
 		t.Fatal(err)
 	}
 	t0 := time.Now()
-	err := Fire("p")
+	err := Fire(PointCoreDecode)
 	if err == nil || !strings.Contains(err.Error(), "slow link down") {
 		t.Fatalf("delayed error mode: %v", err)
 	}
@@ -263,12 +264,12 @@ func TestParseDelayModifier(t *testing.T) {
 // corrupt-slow-link shape the HTTP chaos campaign arms.
 func TestParseDelayCorrupt(t *testing.T) {
 	t.Cleanup(Reset)
-	if err := Parse("p=delay:20ms:corrupt"); err != nil {
+	if err := Parse("shard.net.recv=delay:20ms:corrupt"); err != nil {
 		t.Fatal(err)
 	}
 	data := []byte("response frame on a damaged slow link")
 	t0 := time.Now()
-	out, err := FireData("p", data)
+	out, err := FireData(PointShardNetRecv, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,12 +287,12 @@ func TestParseDelayCorrupt(t *testing.T) {
 func TestParseDelayProbTimes(t *testing.T) {
 	t.Cleanup(Reset)
 	Seed(11)
-	if err := Parse("p=prob:0.5:delay:1ms:times:2:error"); err != nil {
+	if err := Parse("core.decode=prob:0.5:delay:1ms:times:2:error"); err != nil {
 		t.Fatal(err)
 	}
 	fired := 0
 	for i := 0; i < 200; i++ {
-		if Fire("p") != nil {
+		if Fire(PointCoreDecode) != nil {
 			fired++
 		}
 	}
@@ -308,8 +309,8 @@ func TestParseNetPoints(t *testing.T) {
 	if err := Parse("shard.net.send.1=error:partitioned,shard.net.recv=corrupt"); err != nil {
 		t.Fatal(err)
 	}
-	if !Armed(PointShardNetSend+".1") || !Armed(PointShardNetRecv) {
-		t.Fatal("net points not armed by Parse")
+	if err := Fire(PointShardNetSend); err != nil {
+		t.Fatalf("shard.net.send fired for the shard.net.send.1 spec: %v", err)
 	}
 	if err := Fire(PointShardNetSend + ".1"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("shard.net.send.1: %v", err)
@@ -339,28 +340,26 @@ func TestCorruptWithNonCorruptFault(t *testing.T) {
 	}
 }
 
+// TestArmed: Arm affects only the point it names, and Disarm undoes it.
 func TestArmed(t *testing.T) {
 	t.Cleanup(Reset)
-	if Armed("shard.recv") {
-		t.Fatal("armed with nothing installed")
+	Arm(PointShardNetRecv, Fault{Err: errors.New("link down")})
+	if err := Fire(PointShardNetSend); err != nil {
+		t.Fatalf("neighboring point fired: %v", err)
 	}
-	Arm(PointShardRecv, Fault{Corrupt: true})
-	if !Armed(PointShardRecv) {
-		t.Fatal("not armed after Arm")
+	if err := Fire(PointShardNetRecv); err == nil {
+		t.Fatal("armed point did not fire")
 	}
-	if Armed(PointShardSend) {
-		t.Fatal("neighboring point reported armed")
-	}
-	Disarm(PointShardRecv)
-	if Armed(PointShardRecv) {
-		t.Fatal("still armed after Disarm")
+	Disarm(PointShardNetRecv)
+	if err := Fire(PointShardNetRecv); err != nil || Enabled() {
+		t.Fatalf("still armed after Disarm: %v, enabled %v", err, Enabled())
 	}
 }
 
 func TestFireDataDisabledIsNoop(t *testing.T) {
 	Reset()
 	data := []byte("response bytes")
-	out, err := FireData(PointShardRecv, data)
+	out, err := FireData(PointShardNetRecv, data)
 	if err != nil {
 		t.Fatalf("FireData with nothing armed: %v", err)
 	}
@@ -371,12 +370,12 @@ func TestFireDataDisabledIsNoop(t *testing.T) {
 
 func TestFireDataErrorMode(t *testing.T) {
 	t.Cleanup(Reset)
-	Arm(PointShardRecv, Fault{Err: errors.New("link down"), Times: 1})
-	if _, err := FireData(PointShardRecv, []byte("x")); err == nil || err.Error() != "link down" {
+	Arm(PointShardNetRecv, Fault{Err: errors.New("link down"), Times: 1})
+	if _, err := FireData(PointShardNetRecv, []byte("x")); err == nil || err.Error() != "link down" {
 		t.Fatalf("err = %v, want link down", err)
 	}
 	// Times budget consumed: the next call passes through.
-	out, err := FireData(PointShardRecv, []byte("x"))
+	out, err := FireData(PointShardNetRecv, []byte("x"))
 	if err != nil || string(out) != "x" {
 		t.Fatalf("after self-disarm: %q, %v", out, err)
 	}
@@ -384,10 +383,10 @@ func TestFireDataErrorMode(t *testing.T) {
 
 func TestFireDataCorruptMode(t *testing.T) {
 	t.Cleanup(Reset)
-	Arm(PointShardRecv, Fault{Corrupt: true})
+	Arm(PointShardNetRecv, Fault{Corrupt: true})
 	data := []byte("a JSON-encoded shard response travelling the wire")
 	orig := append([]byte(nil), data...)
-	out, err := FireData(PointShardRecv, data)
+	out, err := FireData(PointShardNetRecv, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,37 +398,47 @@ func TestFireDataCorruptMode(t *testing.T) {
 	}
 	// Same damage as Corrupt: deterministic offsets, so the two entry
 	// points are interchangeable for a given payload.
-	if want := Corrupt(PointShardRecv, orig); !bytes.Equal(out, want) {
+	if want := Corrupt(PointShardNetRecv, orig); !bytes.Equal(out, want) {
 		t.Fatalf("FireData damage %q differs from Corrupt damage %q", out, want)
 	}
 }
 
 func TestFireDataPanicMode(t *testing.T) {
 	t.Cleanup(Reset)
-	Arm(PointShardSend, Fault{Panic: "wire fire", Times: 1})
+	Arm(PointShardNetSend, Fault{Panic: "wire fire", Times: 1})
 	defer func() {
 		if r := recover(); r == nil {
 			t.Fatal("no panic")
 		}
 	}()
-	FireData(PointShardSend, []byte("x"))
+	FireData(PointShardNetSend, []byte("x"))
 }
 
+// TestParseShardPoints: a spec naming a point no call site fires is
+// rejected with the point's name, while the per-shard variants of the wire
+// points are accepted and fire.
 func TestParseShardPoints(t *testing.T) {
 	t.Cleanup(Reset)
-	if err := Parse("shard.send=times:2:error:shard unreachable,shard.recv=corrupt"); err != nil {
+	for _, bad := range []string{"shard.send=error", "shard.recv.1=corrupt", "core.decode.1=error",
+		"shard.net.send.x=error", "shard.net.send.-1=error", "shard.net.send.01=error", "shard.net.send.=error"} {
+		point, _, _ := strings.Cut(bad, "=")
+		if err := Parse(bad); err == nil || !strings.Contains(err.Error(), strconv.Quote(point)) {
+			t.Errorf("Parse(%q) = %v, want an error naming %q", bad, err, point)
+		}
+	}
+	if Enabled() {
+		t.Fatal("a rejected spec armed a point")
+	}
+	if err := Parse("shard.net.send.2=times:2:error:shard unreachable,shard.net.recv.0=corrupt"); err != nil {
 		t.Fatal(err)
 	}
-	if !Armed(PointShardSend) || !Armed(PointShardRecv) {
-		t.Fatal("shard points not armed by Parse")
+	if err := Fire(PointShardNetSend + ".2"); !errors.Is(err, ErrInjected) {
+		t.Fatalf("shard.net.send.2: %v", err)
 	}
-	if err := Fire(PointShardSend); !errors.Is(err, ErrInjected) {
-		t.Fatalf("shard.send: %v", err)
-	}
-	if !strings.Contains(Fire(PointShardSend).Error(), "shard unreachable") {
+	if !strings.Contains(Fire(PointShardNetSend+".2").Error(), "shard unreachable") {
 		t.Fatal("error message lost")
 	}
-	out, err := FireData(PointShardRecv, []byte("payload bytes here"))
+	out, err := FireData(PointShardNetRecv+".0", []byte("payload bytes here"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@ import (
 
 // FuzzParse throws arbitrary spec strings at the fault grammar. Invariants:
 // Parse never panics, a rejected spec arms nothing beyond what earlier
-// (valid) items already armed, and an accepted spec arms only points named
-// in it. Sleep-class values are capped by construction of the corpus, not
+// (valid) items already armed, and every point it arms is one a call site
+// fires. Sleep-class values are capped by construction of the corpus, not
 // the fuzzer, so Fire is never called here — only the parser runs.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
@@ -19,19 +19,19 @@ func FuzzParse(f *testing.F) {
 		"shard.send=times:2:error:shard unreachable,shard.recv=corrupt",
 		"shard.net.send.2=prob:0.3:delay:20ms:error:flaky link",
 		"shard.net.recv=delay:5ms:corrupt",
-		"p=prob:0.05:times:3:panic:oh no",
-		"p=delay:10ms",
-		"p=prob:1.5:error",
-		"p=times:0:error",
-		"p=delay:-1ms:error",
-		"p=launch",
+		"core.decode=prob:0.05:times:3:panic:oh no",
+		"core.decode=delay:10ms",
+		"core.decode=prob:1.5:error",
+		"core.decode=times:0:error",
+		"core.decode=delay:-1ms:error",
+		"core.decode=launch",
 		"noequals",
-		" a=error , , b=corrupt ",
+		" core.decode=error , , storage.tile=corrupt ",
 		"=error",
-		"p=prob:0.5:times:2",
-		"p=delay:9999h:error",
-		"p=sleep:fast",
-		strings.Repeat("p=error,", 64),
+		"core.decode=prob:0.5:times:2",
+		"core.decode=delay:9999h:error",
+		"core.decode=sleep:fast",
+		strings.Repeat("ppvp.decode=error,", 64),
 	} {
 		f.Add(seed)
 	}
@@ -41,7 +41,10 @@ func FuzzParse(f *testing.F) {
 		mu.Lock()
 		n := len(points)
 		var totalDelay time.Duration
-		for _, st := range points {
+		for p, st := range points {
+			if !knownPoint(p) {
+				t.Errorf("Parse(%q) armed %q, which no call site fires", spec, p)
+			}
 			if st.f.Delay < 0 {
 				t.Errorf("Parse(%q) armed a negative delay %v", spec, st.f.Delay)
 			}

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/quarantine"
@@ -178,35 +179,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, out)
 }
 
-// recoverPanics converts a handler panic into a 500 and a stack-trace log
-// entry, keeping the process alive. http.ErrAbortHandler (the sanctioned
-// way to abort a response) is re-raised for net/http to handle.
-func (s *Server) recoverPanics(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				if rec == http.ErrAbortHandler {
-					panic(rec)
-				}
-				s.log.Printf("server: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, rec, debug.Stack())
-				writeErrStatus(w, http.StatusInternalServerError, "internal server error")
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
-// limitBody caps every request body at cfg.MaxBodyBytes; reading past the
-// cap fails the read with *http.MaxBytesError, which decodeBody maps to 413.
-func (s *Server) limitBody(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
 // query wraps a query handler — or an object fetch, which decodes a whole
 // object on the request goroutine — with admission control and the
 // per-query deadline. Admission never queues: when MaxInFlight requests are
@@ -233,6 +205,100 @@ func (s *Server) query(h http.HandlerFunc) http.Handler {
 	})
 }
 
+// httpSkeleton is the HTTP plumbing the query front and the shard worker
+// share: request IDs and the access log, panic recovery, the body limit,
+// and serving with a graceful drain. The two differ only in the values
+// below the logger fields.
+type httpSkeleton struct {
+	log   *log.Logger
+	slog  *slog.Logger
+	grace time.Duration
+	// ready gates /readyz; it flips to false when shutdown begins.
+	ready atomic.Bool
+
+	// name prefixes the lifecycle and panic logs ("server: …").
+	name string
+	// accessMsg is the message of the per-request access-log record.
+	accessMsg string
+	// bodyLimit caps every request body; reading past it fails the read
+	// with *http.MaxBytesError.
+	bodyLimit int64
+	// idle is the keep-alive idle timeout of the listener's connections.
+	idle time.Duration
+	// ridInCtx stores the request ID in the request context, where query
+	// handlers and the shard transport read it; a worker only echoes it.
+	ridInCtx bool
+}
+
+// wrap puts h behind the request-ID/access-log, panic-recovery and
+// body-limit middleware.
+func (k *httpSkeleton) wrap(h http.Handler) http.Handler {
+	return k.instrument(k.recoverPanics(k.limitBody(h)))
+}
+
+// recoverPanics converts a handler panic into a 500 and a stack-trace log
+// entry, keeping the process alive; a coordinator sees a worker's 500 as a
+// transport-class error and retries or fails over. http.ErrAbortHandler
+// (the sanctioned way to abort a response) is re-raised for net/http to
+// handle.
+func (k *httpSkeleton) recoverPanics(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			if rec := recover(); rec != nil {
+				if rec == http.ErrAbortHandler {
+					panic(rec)
+				}
+				k.log.Printf("%s: panic serving %s %s: %v\n%s", k.name, r.Method, r.URL.Path, rec, debug.Stack())
+				writeErrStatus(w, http.StatusInternalServerError, "internal server error")
+			}
+		}()
+		next.ServeHTTP(w, r)
+	})
+}
+
+// limitBody caps every request body at bodyLimit; decodeBody maps the
+// failed read to 413.
+func (k *httpSkeleton) limitBody(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Body != nil {
+			r.Body = http.MaxBytesReader(w, r.Body, k.bodyLimit)
+		}
+		next.ServeHTTP(w, r)
+	})
+}
+
+// serve serves h on ln until ctx is cancelled. It then flips /readyz to
+// draining — so probes stop steering traffic here — stops accepting
+// connections, and waits up to the shutdown grace for in-flight requests to
+// finish before closing the stragglers.
+func (k *httpSkeleton) serve(ctx context.Context, ln net.Listener, h http.Handler) error {
+	srv := &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		IdleTimeout:       k.idle,
+		ErrorLog:          k.log,
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	k.ready.Store(false)
+	k.log.Printf("%s: shutdown requested, draining for up to %s", k.name, k.grace)
+	//lint:ignore ctxflow the drain deadline must outlive the run context, which is already canceled at this point; a fresh root is deliberate
+	shCtx, cancel := context.WithTimeout(context.Background(), k.grace)
+	defer cancel()
+	if err := srv.Shutdown(shCtx); err != nil {
+		srv.Close()
+		return fmt.Errorf("%s: drain incomplete: %w", k.name, err)
+	}
+	k.log.Printf("%s: drained cleanly", k.name)
+	return nil
+}
+
 // Run listens on addr and serves until ctx is cancelled, then drains
 // gracefully. Wire ctx to SIGINT/SIGTERM (signal.NotifyContext) for clean
 // operational shutdown; a nil error means every in-flight request finished.
@@ -249,29 +315,5 @@ func (s *Server) Run(ctx context.Context, addr string) error {
 // cfg.ShutdownGrace for in-flight requests to finish before closing the
 // stragglers.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	srv := &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       60 * time.Second,
-		ErrorLog:          s.log,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	s.ready.Store(false)
-	s.log.Printf("server: shutdown requested, draining for up to %s", s.cfg.ShutdownGrace)
-	//lint:ignore ctxflow the drain deadline must outlive the run context, which is already canceled at this point; a fresh root is deliberate
-	shCtx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownGrace)
-	defer cancel()
-	if err := srv.Shutdown(shCtx); err != nil {
-		srv.Close()
-		return fmt.Errorf("server: drain incomplete: %w", err)
-	}
-	s.log.Printf("server: drained cleanly")
-	return nil
+	return s.serve(ctx, ln, s.Handler())
 }

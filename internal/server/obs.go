@@ -249,17 +249,21 @@ func (w *statusRecorder) Write(b []byte) (int, error) {
 
 // instrument assigns every request an ID (honoring an incoming
 // X-Request-ID), echoes it on the response, and emits one structured access
-// log line per request with the ID, method, path, status, and latency.
-func (s *Server) instrument(next http.Handler) http.Handler {
+// log line per request with the ID, method, path, status, and latency, so a
+// query's scatter legs can be correlated across the worker fleet.
+func (k *httpSkeleton) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-ID")
 		if id == "" {
 			id = newRequestID()
 		}
-		// The shard-side copy rides outgoing worker calls (HTTP transport)
-		// so one query's scatter legs correlate across process logs.
-		r = r.WithContext(shard.WithRequestID(
-			context.WithValue(r.Context(), ridKey{}, id), id))
+		if k.ridInCtx {
+			// The shard-side copy rides outgoing worker calls (HTTP
+			// transport) so one query's scatter legs correlate across
+			// process logs.
+			r = r.WithContext(shard.WithRequestID(
+				context.WithValue(r.Context(), ridKey{}, id), id))
+		}
 		w.Header().Set("X-Request-ID", id)
 		rec := &statusRecorder{ResponseWriter: w}
 		start := time.Now()
@@ -267,7 +271,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		if rec.status == 0 {
 			rec.status = http.StatusOK
 		}
-		s.slog.LogAttrs(r.Context(), slog.LevelInfo, "request",
+		k.slog.LogAttrs(r.Context(), slog.LevelInfo, k.accessMsg,
 			slog.String("id", id),
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),

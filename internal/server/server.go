@@ -19,15 +19,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
-	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -40,16 +37,13 @@ import (
 // one engine or — when built with NewSharded — through a sharded
 // coordinator that scatter-gathers over per-shard engines.
 type Server struct {
+	httpSkeleton
 	eng   *core.Engine       // nil in sharded mode
 	coord *shard.Coordinator // nil in single-engine mode
 	cfg   Config
-	log   *log.Logger
-	slog  *slog.Logger
 
 	// inflight is the admission-control semaphore for query endpoints.
 	inflight chan struct{}
-	// ready gates /readyz; it flips to false when shutdown begins.
-	ready atomic.Bool
 
 	// obs holds the /metrics registry and the /debug/queries ring.
 	obs *serverObs
@@ -74,11 +68,13 @@ func NewSharded(coord *shard.Coordinator, cfg Config) *Server {
 func newServer(eng *core.Engine, coord *shard.Coordinator, cfg Config) *Server {
 	cfg.setDefaults()
 	s := &Server{
+		httpSkeleton: httpSkeleton{
+			log: cfg.Logger, slog: cfg.Slog, grace: cfg.ShutdownGrace,
+			name: "server", accessMsg: "request", bodyLimit: cfg.MaxBodyBytes, idle: 60 * time.Second, ridInCtx: true,
+		},
 		eng:      eng,
 		coord:    coord,
 		cfg:      cfg,
-		log:      cfg.Logger,
-		slog:     cfg.Slog,
 		inflight: make(chan struct{}, cfg.MaxInFlight),
 		datasets: make(map[string]*core.Dataset),
 	}
@@ -137,7 +133,7 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-	return s.instrument(s.recoverPanics(s.limitBody(mux)))
+	return s.wrap(mux)
 }
 
 type httpError struct {

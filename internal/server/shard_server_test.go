@@ -17,9 +17,9 @@ import (
 	"repro/internal/shard"
 )
 
-// shardedServer builds a fresh sharded server over two overlapping datasets.
-// Fresh per test: the fault-injection registry and the shard breaker are
-// process-global state the tests mutate.
+// shardedServer builds a fresh sharded server over two overlapping datasets,
+// its shards served by loopback workers. Fresh per test: the fault-injection
+// registry and the shard breaker are process-global state the tests mutate.
 func shardedServer(t *testing.T, opts shard.Options) (*httptest.Server, *shard.Coordinator, *core.Dataset) {
 	t.Helper()
 	eng := core.NewEngine(core.EngineOptions{Workers: 2})
@@ -40,7 +40,17 @@ func shardedServer(t *testing.T, opts shard.Options) (*httptest.Server, *shard.C
 		t.Fatal(err)
 	}
 
-	coord := shard.NewInProcess(core.EngineOptions{Workers: 2}, opts)
+	urls := make([]string, opts.Shards)
+	for i := range urls {
+		node := shard.NewNode(i, core.EngineOptions{Workers: 2})
+		t.Cleanup(node.Close)
+		ws := httptest.NewServer(NewWorker(node, Config{}).Handler())
+		t.Cleanup(ws.Close)
+		urls[i] = ws.URL
+	}
+	tr := shard.NewHTTPTransport(urls)
+	t.Cleanup(tr.Close)
+	coord := shard.NewWithTransport(tr, opts)
 	t.Cleanup(coord.Close)
 	s := NewSharded(coord, Config{})
 	if err := s.AddDataset(a); err != nil {
@@ -122,7 +132,7 @@ func TestShardedServerDeadShardDegrades(t *testing.T) {
 		t.Fatalf("clean status %d", resp.StatusCode)
 	}
 
-	faultinject.Arm(fmt.Sprintf("%s.%d", faultinject.PointShardSend, dead),
+	faultinject.Arm(fmt.Sprintf("%s.%d", faultinject.PointShardNetSend, dead),
 		faultinject.Fault{Err: faultinject.ErrInjected})
 	defer faultinject.Reset()
 
@@ -242,7 +252,7 @@ func TestShardedServerHealthEndpoints(t *testing.T) {
 	}
 
 	// Kill shard 0 and trip its breaker with one degrade query.
-	faultinject.Arm(faultinject.PointShardSend+".0", faultinject.Fault{Err: faultinject.ErrInjected})
+	faultinject.Arm(faultinject.PointShardNetSend+".0", faultinject.Fault{Err: faultinject.ErrInjected})
 	defer faultinject.Reset()
 	if resp := postJSON(t, ts.URL+"/query/intersect", `{"target":"alpha","source":"beta","on_error":"degrade"}`, nil); resp.StatusCode != 200 {
 		t.Fatalf("tripping query status %d", resp.StatusCode)

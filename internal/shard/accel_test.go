@@ -18,7 +18,7 @@ func TestShardedWarmEquivalence(t *testing.T) {
 	defer e.Close()
 	a, b := buildPair(t, e)
 	da, db := buildDisjointPair(t, e)
-	c := testCoordinator(t, shard.Options{Shards: 3}, a, b, da, db)
+	c := startHTTPCluster(t, shard.Options{Shards: 3}, a, b, da, db).coord
 	ctx := context.Background()
 
 	for _, accel := range []core.Accel{core.AABB, core.Partition, core.GPU, core.PartitionGPU, core.BruteForce} {

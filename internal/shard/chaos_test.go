@@ -1,7 +1,7 @@
 package shard_test
 
-// Multi-shard chaos: shards are killed at the transport layer mid-workload
-// and the coordinator must keep answering — certain results shrink by
+// Multi-shard chaos: worker links are severed at the transport's fault
+// points and the coordinator must keep answering — certain results shrink by
 // exactly the dead shards' home objects, which reappear in UncertainIDs.
 // Transient faults must be absorbed by the retry loop without surfacing
 // any uncertainty at all.
@@ -34,9 +34,9 @@ func homeShards(d *core.Dataset, n int) map[int64]int {
 	return out
 }
 
-// killPoint returns the faultinject spec point that severs one shard.
+// killPoint returns the faultinject point that severs one shard's link.
 func killPoint(s int) string {
-	return fmt.Sprintf("%s.%d", faultinject.PointShardSend, s)
+	return fmt.Sprintf("%s.%d", faultinject.PointShardNetSend, s)
 }
 
 // TestDeadShardsDegrade kills K of N shards at the transport and asserts
@@ -58,11 +58,11 @@ func TestDeadShardsDegrade(t *testing.T) {
 	for _, dead := range [][]int{{1}, {1, 3}} {
 		t.Run(fmt.Sprintf("kill=%v", dead), func(t *testing.T) {
 			defer faultinject.Reset()
-			c := testCoordinator(t, shard.Options{
+			c := startHTTPCluster(t, shard.Options{
 				Shards:       shards,
 				Retries:      1,
 				RetryBackoff: time.Millisecond,
-			}, a, b)
+			}, a, b).coord
 			isDead := func(s int) bool { return slices.Contains(dead, s) }
 			for _, s := range dead {
 				faultinject.Arm(killPoint(s), faultinject.Fault{Err: faultinject.ErrInjected})
@@ -205,7 +205,7 @@ search:
 		t.Fatal(err)
 	}
 
-	c := testCoordinator(t, shard.Options{Shards: shards, Replicas: 1, Retries: -1}, a)
+	c := startHTTPCluster(t, shard.Options{Shards: shards, Replicas: 1, Retries: -1}, a).coord
 	faultinject.Arm(killPoint(dead), faultinject.Fault{Err: faultinject.ErrInjected})
 
 	got, st, err := c.ContainingObjects(ctx, "nucleiA", p, core.QueryOptions{})
@@ -257,13 +257,13 @@ func TestRetryRecoversTransientFault(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := testCoordinator(t, shard.Options{
+	c := startHTTPCluster(t, shard.Options{
 		Shards:       4,
 		Retries:      3,
 		RetryBackoff: time.Millisecond,
-	}, a, b)
+	}, a, b).coord
 	// Two one-shot failures: whichever shards draw them recover on retry.
-	faultinject.Arm(faultinject.PointShardSend, faultinject.Fault{Err: faultinject.ErrInjected, Times: 2})
+	faultinject.Arm(faultinject.PointShardNetSend, faultinject.Fault{Err: faultinject.ErrInjected, Times: 2})
 
 	got, st, err := c.IntersectJoin(ctx, "nucleiA", "nucleiB", core.QueryOptions{OnError: core.Degrade})
 	if err != nil {
@@ -304,11 +304,11 @@ func TestHedgedRequestBeatsStraggler(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := testCoordinator(t, shard.Options{
+	c := startHTTPCluster(t, shard.Options{
 		Shards:     4,
 		HedgeAfter: 10 * time.Millisecond,
-	}, a, b)
-	faultinject.Arm(faultinject.PointShardSend, faultinject.Fault{Delay: 300 * time.Millisecond, Times: 1})
+	}, a, b).coord
+	faultinject.Arm(faultinject.PointShardNetSend, faultinject.Fault{Delay: 300 * time.Millisecond, Times: 1})
 
 	start := time.Now()
 	got, st, err := c.IntersectJoin(ctx, "nucleiA", "nucleiB", core.QueryOptions{})
@@ -342,12 +342,12 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	ctx := context.Background()
 	const cooldown = 50 * time.Millisecond
 
-	c := testCoordinator(t, shard.Options{
+	c := startHTTPCluster(t, shard.Options{
 		Shards:           4,
 		Retries:          -1, // no retries: each query is one attempt per shard
 		BreakerThreshold: 1,
 		BreakerCooldown:  cooldown,
-	}, a, b)
+	}, a, b).coord
 	dq := core.QueryOptions{OnError: core.Degrade}
 
 	// Trip: shard 0 dead, first degraded query records the failure.
@@ -403,11 +403,24 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	}
 }
 
-// TestRecvCorruptionIsTransportError proves a corrupted response is caught
-// by the transport integrity check and handled like any transient fault:
-// retried (fresh responses are clean only if the fault disarms) or
-// degraded, never silently accepted.
+// TestRecvCorruptionIsTransportError flips bytes of a worker response on
+// the wire: the CRC integrity header catches it, the attempt is a transport
+// error like any transient fault, and the retry recovers the exact answer —
+// a corrupted response is never silently accepted, nor degraded into
+// uncertainty under Degrade.
 func TestRecvCorruptionIsTransportError(t *testing.T) {
+	checkRecvCorruption(t, core.QueryOptions{OnError: core.Degrade})
+}
+
+// TestHTTPRecvCorruptionIsTransportError is TestRecvCorruptionIsTransportError
+// for a FailFast query: the retried corruption must not fail it.
+func TestHTTPRecvCorruptionIsTransportError(t *testing.T) {
+	checkRecvCorruption(t, core.QueryOptions{})
+}
+
+// checkRecvCorruption corrupts one worker response and checks that query q
+// still returns the clean answer, exactly, after a retry.
+func checkRecvCorruption(t *testing.T, q core.QueryOptions) {
 	leakcheck.Check(t)
 	defer faultinject.Reset()
 	e := core.NewEngine(testEngineOptions())
@@ -419,23 +432,23 @@ func TestRecvCorruptionIsTransportError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := testCoordinator(t, shard.Options{
+	c := startHTTPCluster(t, shard.Options{
 		Shards:       2,
-		Retries:      2,
+		Retries:      1,
 		RetryBackoff: time.Millisecond,
-	}, a, b)
+	}, a, b).coord
 	// One corrupted response; the retry reads a clean one.
-	faultinject.Arm(faultinject.PointShardRecv, faultinject.Fault{Corrupt: true, Times: 1})
+	faultinject.Arm(faultinject.PointShardNetRecv, faultinject.Fault{Corrupt: true, Times: 1})
 
-	got, st, err := c.IntersectJoin(ctx, "nucleiA", "nucleiB", core.QueryOptions{OnError: core.Degrade})
+	got, st, err := c.IntersectJoin(ctx, "nucleiA", "nucleiB", q)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("query with one corrupted response failed: %v", err)
 	}
 	if !sameSlice(got, clean) {
 		t.Fatalf("post-corruption query differs from clean:\n got %v\nwant %v", got, clean)
 	}
-	if len(st.UncertainIDs) != 0 {
-		t.Fatalf("corruption degraded the query despite retry: %v", st.UncertainIDs)
+	if len(st.UncertainIDs) != 0 || len(st.Degraded) != 0 {
+		t.Fatalf("corruption degraded the query despite retry: %v %v", st.UncertainIDs, st.Degraded)
 	}
 	if m := c.Metrics(); m.Retries < 1 {
 		t.Fatalf("corrupted response did not trigger a retry: %+v", m)
@@ -451,8 +464,8 @@ func TestAllShardsDead(t *testing.T) {
 	defer e.Close()
 	a, b := buildPair(t, e)
 
-	c := testCoordinator(t, shard.Options{Shards: 2, Retries: -1}, a, b)
-	faultinject.Arm(faultinject.PointShardSend, faultinject.Fault{Err: faultinject.ErrInjected})
+	c := startHTTPCluster(t, shard.Options{Shards: 2, Retries: -1}, a, b).coord
+	faultinject.Arm(faultinject.PointShardNetSend, faultinject.Fault{Err: faultinject.ErrInjected})
 
 	_, _, err := c.IntersectJoin(context.Background(), "nucleiA", "nucleiB", core.QueryOptions{OnError: core.Degrade})
 	if err == nil {

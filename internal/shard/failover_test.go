@@ -1,7 +1,7 @@
 package shard_test
 
-// Replica failover over the in-process transport: with Replicas > 1 a dead
-// shard must not cost any certainty — the group fails over to the next
+// Replica failover: with Replicas > 1 a dead shard must not cost any
+// certainty — the group fails over to the next
 // replica, whose answer is byte-identical. Only when every replica of a
 // group is dead does the PR-6 degradation contract apply, and the active
 // prober must rejoin a healed shard without query traffic.
@@ -35,12 +35,12 @@ func TestReplicaFailoverExact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := testCoordinator(t, shard.Options{
+	c := startHTTPCluster(t, shard.Options{
 		Shards:       shards,
 		Replicas:     2,
 		Retries:      1,
 		RetryBackoff: time.Millisecond,
-	}, a, b)
+	}, a, b).coord
 	faultinject.Arm(killPoint(1), faultinject.Fault{Err: faultinject.ErrInjected})
 
 	// Even FailFast succeeds: failover is not degradation.
@@ -79,13 +79,29 @@ func TestReplicaFailoverExact(t *testing.T) {
 	}
 }
 
-// TestBothReplicasDeadDegrades kills both physical shards holding one home
-// group and asserts exactly the single-copy degradation contract: the
-// group's home objects go uncertain, every other group — including one
-// whose primary died but whose replica survives — stays exact.
+// TestBothReplicasDeadDegrades severs both links to the workers holding one
+// home group at the transport's fault points and asserts exactly the
+// single-copy degradation contract: the group's home objects go uncertain,
+// every other group — including one whose primary died but whose replica
+// survives — stays exact.
 func TestBothReplicasDeadDegrades(t *testing.T) {
-	leakcheck.Check(t)
 	defer faultinject.Reset()
+	checkBothReplicasDead(t, func(_ *httpCluster, s int) {
+		faultinject.Arm(killPoint(s), faultinject.Fault{Err: faultinject.ErrInjected})
+	})
+}
+
+// TestHTTPBothReplicasDeadDegrades is TestBothReplicasDeadDegrades with the
+// two workers shut down instead: their connections are refused outright,
+// and the same contract holds.
+func TestHTTPBothReplicasDeadDegrades(t *testing.T) {
+	checkBothReplicasDead(t, (*httpCluster).kill)
+}
+
+// checkBothReplicasDead makes workers 1 and 2 of a 4-worker, Replicas 2
+// cluster unreachable with kill and checks the degraded answer.
+func checkBothReplicasDead(t *testing.T, kill func(cl *httpCluster, s int)) {
+	leakcheck.Check(t)
 	e := core.NewEngine(testEngineOptions())
 	defer e.Close()
 	a, b := buildPair(t, e)
@@ -98,17 +114,18 @@ func TestBothReplicasDeadDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := testCoordinator(t, shard.Options{
+	cl := startHTTPCluster(t, shard.Options{
 		Shards:       shards,
 		Replicas:     2,
 		Retries:      -1,
 		RetryBackoff: time.Millisecond,
 	}, a, b)
-	// Group 1 lives on shards 1 and 2: killing both makes it unreachable.
-	// Group 2 (primary shard 2) must fail over to shard 3 and stay exact;
-	// group 0 (shards 0, 1) is served by its primary.
-	faultinject.Arm(killPoint(1), faultinject.Fault{Err: faultinject.ErrInjected})
-	faultinject.Arm(killPoint(2), faultinject.Fault{Err: faultinject.ErrInjected})
+	c := cl.coord
+	// Group 1 lives on workers 1 and 2: killing both makes it unreachable.
+	// Group 2 (primary worker 2) must fail over to worker 3 and stay exact;
+	// group 0 (workers 0, 1) is served by its primary.
+	kill(cl, 1)
+	kill(cl, 2)
 
 	// FailFast: an unreachable group aborts the query.
 	if _, _, err := c.IntersectJoin(ctx, "nucleiA", "nucleiB", core.QueryOptions{}); err == nil {
@@ -174,7 +191,7 @@ func TestReplicatedPlacementCoverage(t *testing.T) {
 	e := core.NewEngine(testEngineOptions())
 	defer e.Close()
 	a, _ := buildPair(t, e)
-	c := testCoordinator(t, shard.Options{Shards: 3, Replicas: 2}, a)
+	c := startHTTPCluster(t, shard.Options{Shards: 3, Replicas: 2}, a).coord
 
 	total := 0
 	for _, h := range c.Health() {
@@ -200,13 +217,13 @@ func TestProberRejoinsShard(t *testing.T) {
 	ctx := context.Background()
 	const cooldown = 30 * time.Millisecond
 
-	c := testCoordinator(t, shard.Options{
+	c := startHTTPCluster(t, shard.Options{
 		Shards:           4,
 		Replicas:         2,
 		Retries:          -1,
 		BreakerThreshold: 1,
 		BreakerCooldown:  cooldown,
-	}, a, b)
+	}, a, b).coord
 	c.StartProber(10 * time.Millisecond)
 
 	clean, _, err := e.IntersectJoin(ctx, a, b, core.QueryOptions{})

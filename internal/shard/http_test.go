@@ -1,13 +1,9 @@
 package shard_test
 
-// Multi-process serving tests: real HTTP workers on loopback behind the
-// HTTPTransport, driven through the same coordinator API as the in-process
-// tier. The contract is identical — byte-equal answers, failover without
-// uncertainty, single-copy degradation only when every replica of a group
-// is dead — plus the process-level concerns the in-process tier cannot
-// exercise: connection failures, CRC integrity over the wire, request-ID
-// propagation, graceful drain, and prober-driven rejoin of a restarted
-// worker.
+// The loopback fleet every coordinator test runs on — real HTTP workers
+// behind the HTTPTransport — and the process-level tests: connection
+// failures, forged leg answers, request-ID propagation, graceful drain, and
+// prober-driven rejoin of a restarted worker.
 
 import (
 	"bytes"
@@ -22,7 +18,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -213,135 +208,6 @@ func (cl *httpCluster) restart(i int) {
 	cl.serveOn(i, ln)
 }
 
-// TestShardedEquivalenceHTTP proves the multi-process tier returns
-// byte-for-byte the single-engine answer for every query kind, including
-// self-joins, with replicated placement on — queries, loans, and answers
-// all crossing real HTTP connections.
-func TestShardedEquivalenceHTTP(t *testing.T) {
-	leakcheck.Check(t)
-	e := core.NewEngine(testEngineOptions())
-	defer e.Close()
-	a, b := buildPair(t, e)
-	da, db := buildDisjointPair(t, e)
-	cl := startHTTPCluster(t, shard.Options{Shards: 4, Replicas: 2}, a, b, da, db)
-	c := cl.coord
-	ctx := context.Background()
-	q := core.QueryOptions{}
-
-	t.Run("intersect", func(t *testing.T) {
-		want, _, err := e.IntersectJoin(ctx, a, b, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := c.IntersectJoin(ctx, "nucleiA", "nucleiB", q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameSlice(got, want) {
-			t.Fatalf("HTTP intersect differs:\n got %v\nwant %v", got, want)
-		}
-	})
-	t.Run("intersect-self", func(t *testing.T) {
-		want, _, err := e.IntersectJoin(ctx, a, a, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := c.IntersectJoin(ctx, "nucleiA", "nucleiA", q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameSlice(got, want) {
-			t.Fatalf("HTTP self-intersect differs:\n got %v\nwant %v", got, want)
-		}
-	})
-	t.Run("within", func(t *testing.T) {
-		want, _, err := e.WithinJoin(ctx, da, db, 8, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := c.WithinJoin(ctx, "disjA", "disjB", 8, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameSlice(got, want) {
-			t.Fatalf("HTTP within differs:\n got %v\nwant %v", got, want)
-		}
-	})
-	t.Run("nn", func(t *testing.T) {
-		want, _, err := e.NNJoin(ctx, da, db, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := c.KNNJoin(ctx, "disjA", "disjB", q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameSlice(got, want) {
-			t.Fatalf("HTTP nn differs:\n got %v\nwant %v", got, want)
-		}
-	})
-	t.Run("knn", func(t *testing.T) {
-		kq := q
-		kq.K = 3
-		want, _, err := e.KNNJoin(ctx, da, db, kq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := c.KNNJoin(ctx, "disjA", "disjB", kq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameSlice(got, want) {
-			t.Fatalf("HTTP knn differs:\n got %v\nwant %v", got, want)
-		}
-	})
-	t.Run("knn-self", func(t *testing.T) {
-		kq := q
-		kq.K = 2
-		want, _, err := e.KNNJoin(ctx, da, da, kq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := c.KNNJoin(ctx, "disjA", "disjA", kq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameSlice(got, want) {
-			t.Fatalf("HTTP self-knn differs:\n got %v\nwant %v", got, want)
-		}
-	})
-	t.Run("range", func(t *testing.T) {
-		bounds := a.Tree().Bounds()
-		rbox := bounds
-		rbox.Max = bounds.Min.Lerp(bounds.Max, 0.5)
-		want, _, err := e.RangeQuery(ctx, a, rbox, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := c.RangeQuery(ctx, "nucleiA", rbox, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameSlice(got, want) {
-			t.Fatalf("HTTP range differs:\n got %v\nwant %v", got, want)
-		}
-	})
-	t.Run("contains", func(t *testing.T) {
-		p := a.Tileset.Object(0).MBB().Center()
-		want, _, err := e.ContainingObjects(ctx, a, p, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := c.ContainingObjects(ctx, "nucleiA", p, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameSlice(got, want) {
-			t.Fatalf("HTTP contains differs:\n got %v\nwant %v", got, want)
-		}
-	})
-}
-
 // TestHTTPChaosCampaign walks the whole robustness ladder over real HTTP
 // workers with a seeded coordinator: transient network faults are retried,
 // a straggling link is hedged past, a killed worker is failed over with
@@ -517,99 +383,6 @@ func TestHTTPAnySingleWorkerDeathIsExact(t *testing.T) {
 			}
 		}
 		cl.restart(victim)
-	}
-}
-
-// TestHTTPBothReplicasDeadDegrades kills both workers holding one home
-// group: over HTTP exactly the single-copy degradation contract applies —
-// that group's homes go uncertain, every other group stays exact (one of
-// them via failover).
-func TestHTTPBothReplicasDeadDegrades(t *testing.T) {
-	leakcheck.Check(t)
-	e := core.NewEngine(testEngineOptions())
-	defer e.Close()
-	a, b := buildPair(t, e)
-	const shards = 4
-	home := homeShards(a, shards)
-	ctx := context.Background()
-
-	clean, _, err := e.IntersectJoin(ctx, a, b, core.QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cl := startHTTPCluster(t, shard.Options{
-		Shards:       shards,
-		Replicas:     2,
-		Retries:      -1,
-		RetryBackoff: time.Millisecond,
-	}, a, b)
-	c := cl.coord
-	// Group 1 lives on workers 1 and 2: killing both makes it unreachable.
-	cl.kill(1)
-	cl.kill(2)
-
-	if _, _, err := c.IntersectJoin(ctx, "nucleiA", "nucleiB", core.QueryOptions{}); err == nil {
-		t.Fatal("FailFast query with an unreachable group did not fail")
-	}
-
-	got, st, err := c.IntersectJoin(ctx, "nucleiA", "nucleiB", core.QueryOptions{OnError: core.Degrade})
-	if err != nil {
-		t.Fatalf("degraded query failed outright: %v", err)
-	}
-	var want []core.Pair
-	for _, p := range clean {
-		if home[p.Target] != 1 {
-			want = append(want, p)
-		}
-	}
-	if !sameSlice(got, want) {
-		t.Fatalf("certain pairs:\n got %v\nwant %v", got, want)
-	}
-	for id, g := range home {
-		if g == 1 && !slices.Contains(st.UncertainIDs, id) {
-			t.Fatalf("unreachable group's object %d missing from UncertainIDs %v", id, st.UncertainIDs)
-		}
-		if g != 1 && slices.Contains(st.UncertainIDs, id) {
-			t.Fatalf("object %d of live group %d reported uncertain", id, g)
-		}
-	}
-	if len(st.Degraded) != 1 {
-		t.Fatalf("Degraded has %d entries, want 1: %v", len(st.Degraded), st.Degraded)
-	}
-}
-
-// TestHTTPRecvCorruptionIsTransportError flips bytes of a worker response
-// on the wire: the CRC integrity header catches it, the attempt is a
-// transport error, and the retry recovers the exact answer.
-func TestHTTPRecvCorruptionIsTransportError(t *testing.T) {
-	leakcheck.Check(t)
-	defer faultinject.Reset()
-	e := core.NewEngine(testEngineOptions())
-	defer e.Close()
-	a, b := buildPair(t, e)
-	ctx := context.Background()
-
-	clean, _, err := e.IntersectJoin(ctx, a, b, core.QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := startHTTPCluster(t, shard.Options{
-		Shards:       2,
-		Retries:      1,
-		RetryBackoff: time.Millisecond,
-	}, a, b)
-
-	faultinject.Arm(faultinject.PointShardNetRecv, faultinject.Fault{Corrupt: true, Times: 1})
-	got, _, err := cl.coord.IntersectJoin(ctx, "nucleiA", "nucleiB", core.QueryOptions{})
-	if err != nil {
-		t.Fatalf("query with one corrupted response failed: %v", err)
-	}
-	if !sameSlice(got, clean) {
-		t.Fatalf("answer after corruption retry differs:\n got %v\nwant %v", got, clean)
-	}
-	if m := cl.coord.Metrics(); m.Retries < 1 {
-		t.Fatalf("corrupted response was not retried: %+v", m)
 	}
 }
 

@@ -35,11 +35,11 @@ import (
 const (
 	queryPath   = "/shard/query"
 	datasetPath = "/shard/dataset"
+	readyPath   = "/readyz"
 
 	// crcHeader carries the CRC32 (IEEE) of the response body in decimal.
 	// The client recomputes over the received bytes; a mismatch is a
-	// transport error — the wire equivalent of the in-process transport's
-	// integrity check.
+	// transport error.
 	crcHeader = "X-Body-Crc32"
 	// ridHeader propagates the coordinator-side request ID to workers so
 	// one query's scatter legs correlate across process logs.
@@ -152,14 +152,19 @@ func requestIDFrom(ctx context.Context) string {
 // the request context (the coordinator derives them), so the transport
 // itself sets no timeouts.
 //
-// Fault-injection points mirror the in-process transport at the network
-// layer:
+// Fault-injection points wrap every exchange — queries, installs and
+// health probes — so chaos tests can sever or degrade the link of any
+// worker without touching the engine behind it:
 //
 //	shard.net.send / shard.net.send.<i> — before the request is written
 //	shard.net.recv / shard.net.recv.<i> — over the raw response body; a
 //	                                      corrupt fault flips bytes, which
 //	                                      the CRC check catches and reports
 //	                                      as a transport error
+//
+// The unnumbered points fire for every shard; the numbered variants target
+// one shard, which is how a chaos campaign kills worker 2 while its
+// neighbors keep serving.
 type HTTPTransport struct {
 	addrs  []string
 	client *http.Client
@@ -256,28 +261,14 @@ func (t *HTTPTransport) InstallDataset(ctx context.Context, shard int, name stri
 
 // CheckHealth implements HealthChecker: a healthy worker answers /readyz
 // with 200. A draining or degraded worker answers 503, which keeps its
-// breaker open until it is genuinely back.
+// breaker open until it is genuinely back. The probe is one exchange like
+// any other, so the shard.net.send points fail it as they fail a query.
 func (t *HTTPTransport) CheckHealth(ctx context.Context, shard int) error {
 	if shard < 0 || shard >= len(t.addrs) {
 		return fmt.Errorf("%w: no shard %d", ErrTransport, shard)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.addrs[shard]+"/readyz", nil)
-	if err != nil {
-		return fmt.Errorf("%w: probe of shard %d: %v", ErrTransport, shard, err)
-	}
-	resp, err := t.client.Do(req)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		return fmt.Errorf("%w: probe of shard %d: %v", ErrTransport, shard, err)
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%w: probe of shard %d: status %d", ErrTransport, shard, resp.StatusCode)
-	}
-	return nil
+	_, err := t.roundTrip(ctx, shard, http.MethodGet, readyPath, nil)
+	return err
 }
 
 // roundTrip performs one HTTP exchange with a worker: network fault

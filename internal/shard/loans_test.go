@@ -68,30 +68,31 @@ func checkLoanJoins(t *testing.T, e *core.Engine, c *shard.Coordinator, a, b, da
 
 // TestLoansHitWorkerCache: with every group on every worker (Shards =
 // Replicas = 2), each loan is a blob the worker holds, so on a warm tier a
-// repeated join decodes nothing and builds no accelerator on any worker —
-// and over HTTP no loan blob ever crosses a worker's listener.
+// repeated join decodes nothing and builds no accelerator on any worker,
+// and no loan blob ever crosses a worker's listener.
 func TestLoansHitWorkerCache(t *testing.T) {
 	leakcheck.Check(t)
 	e := core.NewEngine(testEngineOptions())
 	defer e.Close()
 	a, b := buildPair(t, e)
 	da, db := buildDisjointPair(t, e)
-	opts := shard.Options{Shards: 2, Replicas: 2}
 	q := core.QueryOptions{Accel: core.AABB}
+	// Over the loopback HTTP fleet, the transport every coordinator uses.
+	t.Run("http", func(t *testing.T) {
+		cl := startHTTPCluster(t, shard.Options{Shards: 2, Replicas: 2}, a, b, da, db)
 
-	warmThenRepeat := func(t *testing.T, c *shard.Coordinator, nodes []*shard.Node) {
 		var builds int64
-		for _, st := range checkLoanJoins(t, e, c, a, b, da, db, q) {
+		for _, st := range checkLoanJoins(t, e, cl.coord, a, b, da, db, q) {
 			builds += st.AccelBuilds
 		}
 		if builds == 0 {
 			t.Fatal("the cold run built no accelerators: fixture proves nothing")
 		}
-		misses := make([]int64, len(nodes))
-		for i, n := range nodes {
+		misses := make([]int64, len(cl.nodes))
+		for i, n := range cl.nodes {
 			misses[i] = n.Engine().Cache().Stats().Misses
 		}
-		for _, st := range checkLoanJoins(t, e, c, a, b, da, db, q) {
+		for _, st := range checkLoanJoins(t, e, cl.coord, a, b, da, db, q) {
 			for _, ss := range st.Shards {
 				if ss.Status == "skipped" {
 					continue
@@ -104,20 +105,11 @@ func TestLoansHitWorkerCache(t *testing.T) {
 				}
 			}
 		}
-		for i, n := range nodes {
+		for i, n := range cl.nodes {
 			if got := n.Engine().Cache().Stats().Misses; got != misses[i] {
 				t.Errorf("worker %d: %d cache misses on the warm run", i, got-misses[i])
 			}
 		}
-	}
-
-	t.Run("inproc", func(t *testing.T) {
-		c := testCoordinator(t, opts, a, b, da, db)
-		warmThenRepeat(t, c, c.Nodes())
-	})
-	t.Run("http", func(t *testing.T) {
-		cl := startHTTPCluster(t, opts, a, b, da, db)
-		warmThenRepeat(t, cl.coord, cl.nodes)
 		allRefs := 0
 		for i, tap := range cl.taps {
 			refs, shipped := tap.take()
@@ -287,8 +279,8 @@ func TestHTTPLoansMissingAndCRC(t *testing.T) {
 }
 
 // TestReAddDatasetReplacesGroups re-adds a source with fewer cuboids, so
-// some home groups that held objects are now empty: on both transports
-// every node then holds exactly the new placement — the emptied groups are
+// some home groups that held objects are now empty: every worker then holds
+// exactly the new placement — the emptied groups are
 // deleted, not left behind — and joins match the unsharded engine.
 func TestReAddDatasetReplacesGroups(t *testing.T) {
 	leakcheck.Check(t)
@@ -325,11 +317,13 @@ func TestReAddDatasetReplacesGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reAdd := func(t *testing.T, c *shard.Coordinator, nodes []*shard.Node) {
-		if err := c.AddDataset(b1); err != nil {
+	// Over the loopback HTTP fleet, the transport every coordinator uses.
+	t.Run("http", func(t *testing.T) {
+		cl := startHTTPCluster(t, shard.Options{Shards: shards, Replicas: replicas}, a, b)
+		if err := cl.coord.AddDataset(b1); err != nil {
 			t.Fatal(err)
 		}
-		for s, n := range nodes {
+		for s, n := range cl.nodes {
 			wantHeld := make(map[int][]int64)
 			for id := int64(0); id < int64(b1.Len()); id++ {
 				for k := 0; k < replicas; k++ {
@@ -342,26 +336,17 @@ func TestReAddDatasetReplacesGroups(t *testing.T) {
 				t.Errorf("node %d holds %v, want %v", s, got, wantHeld)
 			}
 		}
-		got, _, err := c.IntersectJoin(ctx, "nucleiA", "nucleiB", core.QueryOptions{})
+		got, _, err := cl.coord.IntersectJoin(ctx, "nucleiA", "nucleiB", core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotRev, _, err := c.IntersectJoin(ctx, "nucleiB", "nucleiA", core.QueryOptions{})
+		gotRev, _, err := cl.coord.IntersectJoin(ctx, "nucleiB", "nucleiA", core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameSlice(got, want) || !sameSlice(gotRev, wantRev) {
 			t.Errorf("joins over the re-added source differ from the unsharded engine's:\n got %v / %v\nwant %v / %v", got, gotRev, want, wantRev)
 		}
-	}
-	opts := shard.Options{Shards: shards, Replicas: replicas}
-	t.Run("inproc", func(t *testing.T) {
-		c := testCoordinator(t, opts, a, b)
-		reAdd(t, c, c.Nodes())
-	})
-	t.Run("http", func(t *testing.T) {
-		cl := startHTTPCluster(t, opts, a, b)
-		reAdd(t, cl.coord, cl.nodes)
 	})
 }
 
@@ -404,8 +389,7 @@ func TestLoanLegsKeepCalibrationBounded(t *testing.T) {
 	e := core.NewEngine(testEngineOptions())
 	defer e.Close()
 	da, db := buildDisjointPair(t, e)
-	c := testCoordinator(t, shard.Options{Shards: 2, Replicas: 1}, da, db)
-	node := c.Nodes()[0]
+	node := startHTTPCluster(t, shard.Options{Shards: 2, Replicas: 1}, da, db).nodes[0]
 	var group int
 	for g := range node.Held(da.Name) {
 		group = g

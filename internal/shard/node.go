@@ -3,7 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -161,7 +161,7 @@ func (n *Node) handleJoin(ctx context.Context, target *core.Dataset, req *Reques
 	}
 	switch req.Kind {
 	case KindIntersect, KindWithin:
-		sortPairs(resp.Pairs)
+		slices.SortFunc(resp.Pairs, core.ComparePairs)
 	case KindKNN:
 		k := req.Opts.K
 		if k <= 0 {
@@ -227,16 +227,7 @@ func mergeTopK(parts [][]core.Neighbor, k int) []core.Neighbor {
 	for _, p := range parts {
 		all = append(all, p...)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Target != all[j].Target {
-			return all[i].Target < all[j].Target
-		}
-		//lint:ignore floateq exact tie-break between settled distances; equality only routes to the deterministic ID order
-		if all[i].Dist != all[j].Dist {
-			return all[i].Dist < all[j].Dist
-		}
-		return all[i].Source < all[j].Source
-	})
+	slices.SortFunc(all, core.CompareNeighbors)
 	out := all[:0]
 	var cur int64 = -1
 	taken := 0
@@ -250,15 +241,4 @@ func mergeTopK(parts [][]core.Neighbor, k int) []core.Neighbor {
 		}
 	}
 	return out
-}
-
-// sortPairs orders pairs by target then source — the same deterministic
-// order the single-engine joins guarantee.
-func sortPairs(pairs []core.Pair) {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Target != pairs[j].Target {
-			return pairs[i].Target < pairs[j].Target
-		}
-		return pairs[i].Source < pairs[j].Source
-	})
 }

@@ -6,9 +6,8 @@ import (
 )
 
 // HealthChecker is the transport capability the background prober uses: a
-// cheap liveness probe of one shard that never touches query state. The
-// in-process transport answers from the fault-injection table; the HTTP
-// transport hits the worker's /readyz.
+// cheap liveness probe of one shard that never touches query state.
+// HTTPTransport hits the worker's /readyz.
 type HealthChecker interface {
 	CheckHealth(ctx context.Context, shard int) error
 }

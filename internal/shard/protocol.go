@@ -73,10 +73,9 @@ type Request struct {
 
 	// Loans are the non-home source objects the coordinator determined this
 	// shard may need: every source whose MBB summary pairs with one of the
-	// shard's home targets under the query predicate. The in-process
-	// transport passes the coordinator's objects, which are the ones it
-	// installed on the other shards; the HTTP transport names each by
-	// (ID, blob CRC) and the worker resolves the names to objects it holds.
+	// shard's home targets under the query predicate. The transport names
+	// each by (ID, blob CRC) and the worker resolves the names to objects it
+	// holds, shipping a blob only when the worker lacks it.
 	Loans []*storage.Object `json:"-"`
 }
 

@@ -105,9 +105,9 @@ func TestAttemptTimeoutFailsOver(t *testing.T) {
 	}
 }
 
-// TestErrAttemptTimeoutClassification pins retryable/failoverEligible
-// directly: transport errors and attempt timeouts qualify, application
-// errors and bare query-deadline expiry do not.
+// TestErrAttemptTimeoutClassification pins retryable, which decides both
+// retries and failover, directly: transport errors and attempt timeouts
+// qualify, application errors and bare query-deadline expiry do not.
 func TestErrAttemptTimeoutClassification(t *testing.T) {
 	live := context.Background()
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
@@ -131,12 +131,6 @@ func TestErrAttemptTimeoutClassification(t *testing.T) {
 		if got := retryable(tc.ctx, tc.err); got != tc.want {
 			t.Errorf("retryable(%s) = %v, want %v", tc.name, got, tc.want)
 		}
-	}
-	if failoverEligible(context.DeadlineExceeded) {
-		t.Error("bare query-deadline expiry must not be failover-eligible")
-	}
-	if !failoverEligible(ErrAttemptTimeout) || !failoverEligible(ErrTransport) {
-		t.Error("attempt timeouts and transport errors must be failover-eligible")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -115,7 +114,6 @@ type dsEntry struct {
 type Coordinator struct {
 	opts    Options
 	tr      Transport
-	nodes   []*Node // non-nil only for the in-process tier
 	breaker *quarantine.Breaker[int]
 
 	mu       sync.RWMutex
@@ -144,23 +142,8 @@ type Coordinator struct {
 	proberDone chan struct{}
 }
 
-// NewInProcess builds the single-binary sharded tier: opts.Shards nodes,
-// each with its own engine configured by engOpts, connected by the
-// in-process transport.
-func NewInProcess(engOpts core.EngineOptions, opts Options) *Coordinator {
-	opts.setDefaults()
-	nodes := make([]*Node, opts.Shards)
-	for i := range nodes {
-		nodes[i] = NewNode(i, engOpts)
-	}
-	c := NewWithTransport(NewInProc(nodes), opts)
-	c.nodes = nodes
-	return c
-}
-
-// NewWithTransport builds a coordinator over an externally managed
-// transport — the multi-process tier (an HTTPTransport over worker
-// processes) or a test double. The transport must implement
+// NewWithTransport builds a coordinator over a transport — an HTTPTransport
+// over worker processes, or a test double. The transport must implement
 // DatasetInstaller for AddDataset to work.
 func NewWithTransport(tr Transport, opts Options) *Coordinator {
 	opts.setDefaults()
@@ -176,14 +159,8 @@ func NewWithTransport(tr Transport, opts Options) *Coordinator {
 	}
 }
 
-// Close stops the health prober (if running) and releases every in-process
-// node's engine.
-func (c *Coordinator) Close() {
-	c.StopProber()
-	for _, n := range c.nodes {
-		n.Close()
-	}
-}
+// Close stops the health prober, if running.
+func (c *Coordinator) Close() { c.StopProber() }
 
 // Shards returns the shard count.
 func (c *Coordinator) Shards() int { return c.opts.Shards }
@@ -191,17 +168,13 @@ func (c *Coordinator) Shards() int { return c.opts.Shards }
 // Replicas returns the replication factor.
 func (c *Coordinator) Replicas() int { return c.opts.Replicas }
 
-// Nodes exposes the shard nodes (tests and statistics).
-func (c *Coordinator) Nodes() []*Node { return c.nodes }
-
 // Breaker exposes the per-shard health breaker.
 func (c *Coordinator) Breaker() *quarantine.Breaker[int] { return c.breaker }
 
 // DatasetInstaller is the transport capability AddDataset requires: it
 // ships one home group's objects to one shard, replacing the group there
-// (an empty objs removes it). The in-process transport installs by
-// function call; the HTTP transport PUTs the compressed blobs to the
-// worker.
+// (an empty objs removes it). The HTTP transport PUTs the compressed blobs
+// to the worker.
 type DatasetInstaller interface {
 	InstallDataset(ctx context.Context, shard int, name string, group int, grid storage.Grid, objs []*storage.Object) error
 }
@@ -296,16 +269,7 @@ func (c *Coordinator) KNNJoin(ctx context.Context, target, source string, q core
 			out = append(out, r.Neighbors...)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Target != out[j].Target {
-			return out[i].Target < out[j].Target
-		}
-		//lint:ignore floateq exact tie-break between settled distances; equality only routes to the deterministic ID order
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].Source < out[j].Source
-	})
+	slices.SortFunc(out, core.CompareNeighbors)
 	return out, st, nil
 }
 
@@ -374,7 +338,7 @@ func (c *Coordinator) joinQuery(ctx context.Context, kind Kind, target, source s
 			out = append(out, r.Pairs...)
 		}
 	}
-	sortPairs(out)
+	slices.SortFunc(out, core.ComparePairs)
 	return out, st, nil
 }
 
@@ -614,7 +578,7 @@ func (c *Coordinator) callGroup(ctx context.Context, g int, req *Request) (resp 
 			return r, ss
 		}
 		lastErr = err
-		if ctx.Err() != nil || !failoverEligible(err) {
+		if !retryable(ctx, err) {
 			break
 		}
 	}
@@ -746,9 +710,11 @@ func (c *Coordinator) attempt(ctx context.Context, s int, req *Request) (resp *R
 	}
 }
 
-// retryable classifies an attempt failure: transport-class errors and
-// per-attempt timeouts are transient (retry); application errors and
-// request cancellation are not. A bare context.DeadlineExceeded is the
+// retryable classifies an attempt failure, both for another attempt on the
+// same replica and for failing over to the next: transport-class errors and
+// per-attempt timeouts are transient; application errors and request
+// cancellation are not. An application error would reproduce identically on
+// a replica holding the same data. A bare context.DeadlineExceeded is the
 // query's own deadline expiring — retrying (or failing over) a dead query
 // would only burn attempts against its corpse, so it deliberately does not
 // qualify; only the ErrAttemptTimeout rebrand (attempt deadline fired while
@@ -757,14 +723,6 @@ func retryable(ctx context.Context, err error) bool {
 	if ctx.Err() != nil {
 		return false
 	}
-	return errors.Is(err, ErrTransport) || errors.Is(err, ErrAttemptTimeout)
-}
-
-// failoverEligible reports whether a replica's exhausted attempts justify
-// advancing to the next replica: only transport-class failures and attempt
-// timeouts do. An application error would reproduce identically on a
-// replica holding the same data.
-func failoverEligible(err error) bool {
 	return errors.Is(err, ErrTransport) || errors.Is(err, ErrAttemptTimeout)
 }
 

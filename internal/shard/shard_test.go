@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/geom"
+	"repro/internal/leakcheck"
 	"repro/internal/ppvp"
 	"repro/internal/shard"
 )
@@ -59,18 +60,6 @@ func buildDisjointPair(t *testing.T, e *core.Engine) (*core.Dataset, *core.Datas
 	return a, b
 }
 
-func testCoordinator(t *testing.T, opts shard.Options, datasets ...*core.Dataset) *shard.Coordinator {
-	t.Helper()
-	c := shard.NewInProcess(testEngineOptions(), opts)
-	t.Cleanup(c.Close)
-	for _, d := range datasets {
-		if err := c.AddDataset(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return c
-}
-
 // sameSlice compares result slices, treating nil and empty as equal (the
 // coordinator concatenates into a nil slice when every shard is empty).
 func sameSlice[T any](got, want []T) bool {
@@ -80,15 +69,42 @@ func sameSlice[T any](got, want []T) bool {
 	return reflect.DeepEqual(got, want)
 }
 
-// TestShardedEquivalence proves the coordinator's scatter-gather returns
-// byte-for-byte the single-engine answer for every query kind, including
-// self-joins (whose cross-shard pairs exercise the loan path heavily).
+// sameAnswer fails the test unless c answered want without error.
+func sameAnswer[T any](t *testing.T, c *shard.Coordinator, got, want []T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("replicas %d: %v", c.Replicas(), err)
+	}
+	if !sameSlice(got, want) {
+		t.Fatalf("replicas %d: sharded answer differs:\n got %v\nwant %v", c.Replicas(), got, want)
+	}
+}
+
+// TestShardedEquivalence proves the coordinator's scatter-gather over HTTP
+// workers returns byte-for-byte the single-engine answer for every query
+// kind, including self-joins (whose cross-shard pairs exercise the loan path
+// heavily), with single-copy placement.
 func TestShardedEquivalence(t *testing.T) {
+	checkShardedEquivalence(t, 1)
+}
+
+// TestShardedEquivalenceHTTP is TestShardedEquivalence with replicated
+// placement on (Replicas 2): every group lives on two workers, so the
+// answers must not depend on which copy serves a leg or a loan.
+func TestShardedEquivalenceHTTP(t *testing.T) {
+	checkShardedEquivalence(t, 2)
+}
+
+// checkShardedEquivalence runs every query kind on a 4-worker loopback
+// cluster with the given replication and compares each answer with the
+// single engine's.
+func checkShardedEquivalence(t *testing.T, replicas int) {
+	leakcheck.Check(t)
 	e := core.NewEngine(testEngineOptions())
 	defer e.Close()
 	a, b := buildPair(t, e)
 	da, db := buildDisjointPair(t, e)
-	c := testCoordinator(t, shard.Options{Shards: 4}, a, b, da, db)
+	c := startHTTPCluster(t, shard.Options{Shards: 4, Replicas: replicas}, a, b, da, db).coord
 	ctx := context.Background()
 	q := core.QueryOptions{}
 
@@ -98,12 +114,7 @@ func TestShardedEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, _, err := c.IntersectJoin(ctx, "nucleiA", "nucleiB", q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameSlice(got, want) {
-			t.Fatalf("sharded intersect differs:\n got %v\nwant %v", got, want)
-		}
+		sameAnswer(t, c, got, want, err)
 	})
 	t.Run("intersect-self", func(t *testing.T) {
 		want, _, err := e.IntersectJoin(ctx, a, a, q)
@@ -111,12 +122,7 @@ func TestShardedEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, _, err := c.IntersectJoin(ctx, "nucleiA", "nucleiA", q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameSlice(got, want) {
-			t.Fatalf("sharded self-intersect differs:\n got %v\nwant %v", got, want)
-		}
+		sameAnswer(t, c, got, want, err)
 	})
 	t.Run("within", func(t *testing.T) {
 		want, _, err := e.WithinJoin(ctx, da, db, 8, q)
@@ -124,12 +130,7 @@ func TestShardedEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, _, err := c.WithinJoin(ctx, "disjA", "disjB", 8, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameSlice(got, want) {
-			t.Fatalf("sharded within differs:\n got %v\nwant %v", got, want)
-		}
+		sameAnswer(t, c, got, want, err)
 	})
 	t.Run("nn", func(t *testing.T) {
 		want, _, err := e.NNJoin(ctx, da, db, q)
@@ -137,12 +138,7 @@ func TestShardedEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, _, err := c.KNNJoin(ctx, "disjA", "disjB", q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameSlice(got, want) {
-			t.Fatalf("sharded nn differs:\n got %v\nwant %v", got, want)
-		}
+		sameAnswer(t, c, got, want, err)
 	})
 	t.Run("knn", func(t *testing.T) {
 		kq := q
@@ -152,12 +148,7 @@ func TestShardedEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, _, err := c.KNNJoin(ctx, "disjA", "disjB", kq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameSlice(got, want) {
-			t.Fatalf("sharded knn differs:\n got %v\nwant %v", got, want)
-		}
+		sameAnswer(t, c, got, want, err)
 	})
 	t.Run("knn-self", func(t *testing.T) {
 		kq := q
@@ -167,12 +158,7 @@ func TestShardedEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, _, err := c.KNNJoin(ctx, "disjA", "disjA", kq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameSlice(got, want) {
-			t.Fatalf("sharded self-knn differs:\n got %v\nwant %v", got, want)
-		}
+		sameAnswer(t, c, got, want, err)
 	})
 	t.Run("range", func(t *testing.T) {
 		bounds := a.Tree().Bounds()
@@ -182,12 +168,7 @@ func TestShardedEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, _, err := c.RangeQuery(ctx, "nucleiA", box, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameSlice(got, want) {
-			t.Fatalf("sharded range differs:\n got %v\nwant %v", got, want)
-		}
+		sameAnswer(t, c, got, want, err)
 	})
 	t.Run("contains", func(t *testing.T) {
 		p := a.Tileset.Object(0).MBB().Center()
@@ -196,12 +177,7 @@ func TestShardedEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, _, err := c.ContainingObjects(ctx, "nucleiA", p, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameSlice(got, want) {
-			t.Fatalf("sharded contains differs:\n got %v\nwant %v", got, want)
-		}
+		sameAnswer(t, c, got, want, err)
 	})
 	// Routed point and range queries: the same answer, candidate and result
 	// counts as the single engine, for random probes across the dataset.
@@ -214,11 +190,11 @@ func TestShardedEquivalence(t *testing.T) {
 				bounds.Min.Y+rng.Float64()*(bounds.Max.Y-bounds.Min.Y),
 				bounds.Min.Z+rng.Float64()*(bounds.Max.Z-bounds.Min.Z))
 		}
-		same := func(what string, got, want []int64, gst, wst *core.Stats) {
+		same := func(what string, c *shard.Coordinator, got, want []int64, gst, wst *core.Stats) {
 			t.Helper()
 			if !sameSlice(got, want) || gst.Candidates != wst.Candidates || gst.Results != wst.Results {
-				t.Fatalf("%s: sharded %v (candidates %d, results %d), single engine %v (%d, %d)",
-					what, got, gst.Candidates, gst.Results, want, wst.Candidates, wst.Results)
+				t.Fatalf("%s, replicas %d: sharded %v (candidates %d, results %d), single engine %v (%d, %d)",
+					what, c.Replicas(), got, gst.Candidates, gst.Results, want, wst.Candidates, wst.Results)
 			}
 		}
 		for i := 0; i < 40; i++ {
@@ -231,7 +207,7 @@ func TestShardedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			same(fmt.Sprintf("point %v", p), got, want, gst, wst)
+			same(fmt.Sprintf("point %v", p), c, got, want, gst, wst)
 
 			r := 1 + 6*rng.Float64()
 			box := geom.Box3{Min: p.Sub(geom.V(r, r, r)), Max: p.Add(geom.V(r, r, r))}
@@ -243,7 +219,7 @@ func TestShardedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			same(fmt.Sprintf("box %v", box), got, want, gst, wst)
+			same(fmt.Sprintf("box %v", box), c, got, want, gst, wst)
 		}
 	})
 	// A box meeting no MBB sends no leg and answers empty without error.
@@ -296,7 +272,7 @@ func TestShardStatsInvariant(t *testing.T) {
 	e := core.NewEngine(testEngineOptions())
 	defer e.Close()
 	a, b := buildPair(t, e)
-	c := testCoordinator(t, shard.Options{Shards: 4}, a, b)
+	c := startHTTPCluster(t, shard.Options{Shards: 4}, a, b).coord
 
 	_, st, err := c.IntersectJoin(context.Background(), "nucleiA", "nucleiB", core.QueryOptions{})
 	if err != nil {
@@ -330,7 +306,7 @@ func TestShardStatsInvariant(t *testing.T) {
 }
 
 func TestUnknownDataset(t *testing.T) {
-	c := testCoordinator(t, shard.Options{Shards: 2})
+	c := startHTTPCluster(t, shard.Options{Shards: 2}).coord
 	_, _, err := c.IntersectJoin(context.Background(), "nope", "nope", core.QueryOptions{})
 	if !errors.Is(err, shard.ErrUnknownDataset) {
 		t.Fatalf("err = %v, want ErrUnknownDataset", err)
@@ -347,7 +323,7 @@ func TestPlacementCoversAllObjects(t *testing.T) {
 	e := core.NewEngine(testEngineOptions())
 	defer e.Close()
 	a, _ := buildPair(t, e)
-	c := testCoordinator(t, shard.Options{Shards: 3}, a)
+	c := startHTTPCluster(t, shard.Options{Shards: 3}, a).coord
 
 	total := 0
 	for _, h := range c.Health() {

@@ -39,7 +39,6 @@ var orphanAllowlist = map[string]string{
 	"(*repro/internal/ppvp.Compressed).RoundsForLOD":      "introspection: TestProgressiveWarmStartMatchesCold and TestRoundsAccounting",
 	"(*repro/internal/quarantine.Breaker[K]).Quarantined": "introspection: TestLoadDatasetSalvage and the breaker tests",
 	"repro/internal/obs.ParsePrometheusText":              "introspection: the /metrics tests parse the exposition with it",
-	"(*repro/internal/shard.Coordinator).Nodes":           "introspection: TestLoansHitWorkerCache reads the workers' caches",
 }
 
 // TestNoOrphanAPI fails on any exported function or method of an internal/
