@@ -65,15 +65,19 @@ race:
 
 # Run just the seed corpus of every fuzz target (fast, deterministic; what CI runs).
 fuzz-short:
-	$(GO) test -run='^Fuzz' ./internal/ppvp ./internal/storage ./internal/analysis ./internal/faultinject ./internal/geom
+	$(GO) test -run='^Fuzz' ./...
 
-# Actual coverage-guided fuzzing, $(FUZZTIME) per target.
+# Actual coverage-guided fuzzing, $(FUZZTIME) per target. The targets are
+# whatever `go test -list` finds in each package, so a new Fuzz function is
+# fuzzed without editing this list.
 fuzz:
-	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/ppvp
-	$(GO) test -fuzz=FuzzDecodeTile -fuzztime=$(FUZZTIME) ./internal/storage
-	$(GO) test -fuzz=FuzzCollectSuppressions -fuzztime=$(FUZZTIME) ./internal/analysis
-	$(GO) test -fuzz=FuzzTriTriDist2Bounded -fuzztime=$(FUZZTIME) ./internal/geom
-	$(GO) test -fuzz=FuzzMinDist2BatchRange -fuzztime=$(FUZZTIME) ./internal/geom
+	@set -e; pkgs=$$($(GO) list ./...); for pkg in $$pkgs; do \
+		list=$$($(GO) test -list '^Fuzz' $$pkg); \
+		for fn in $$(echo "$$list" | grep '^Fuzz' || true); do \
+			echo "$(GO) test -run='^$$' -fuzz='^$$fn\$$' -fuzztime=$(FUZZTIME) $$pkg"; \
+			$(GO) test -run='^$$' -fuzz="^$$fn\$$" -fuzztime=$(FUZZTIME) $$pkg; \
+		done; \
+	done
 
 # Seeded chaos campaign under the race detector: $(CHAOSTIME) of fresh-seed
 # iterations of TestChaosCampaignExtended (corrupt tiles + probabilistic

@@ -227,7 +227,7 @@ func main() {
 				log.Fatalf("salvage-loading %s: %v", dir, err)
 			}
 			if !rep.Clean() {
-				log.Printf("salvaged %s: %d objects loaded, %d tiles skipped, %d objects dropped (quarantined)",
+				log.Printf("salvaged %s: %d objects loaded, %d tiles skipped, %d objects dropped (listed under /statusz dropped)",
 					dir, rep.ObjectsLoaded, len(rep.TilesSkipped), len(rep.ObjectsDropped))
 				for _, dr := range rep.ObjectsDropped {
 					log.Printf("  dropped object %d: %s", dr.ID, dr.Reason)

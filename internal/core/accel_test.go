@@ -226,5 +226,9 @@ func TestAcceleratorsChargedToCache(t *testing.T) {
 
 // cacheKey is the decode-cache key of object id of d at lod.
 func cacheKey(d *Dataset, id int64, lod int) cache.Key {
-	return cache.Key{Object: d.Tileset.Object(id).Comp.ID(), LOD: lod}
+	return cache.Key{Object: blobOf(d, id), LOD: lod}
 }
+
+// blobOf is the blob ID of object id of d: its decode-cache and quarantine
+// identity.
+func blobOf(d *Dataset, id int64) int64 { return d.Tileset.Object(id).Comp.ID() }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/index/aabbtree"
 	"repro/internal/mesh"
 	"repro/internal/partition"
-	"repro/internal/quarantine"
 	"repro/internal/storage"
 )
 
@@ -105,20 +104,21 @@ type obj struct {
 // warm-start protocol), so an FPR candidate walking the LOD ladder replays
 // each decode round at most once.
 //
-// Decodes are gated by the engine's quarantine registry: an object whose
-// breaker is open is refused with ErrQuarantined, and every outcome
-// (success, error, panic) is reported back so repeat offenders trip open.
+// Decodes are gated by the engine's quarantine breaker, keyed by blob: an
+// object whose blob's breaker is open is refused with ErrQuarantined, in
+// every dataset holding it, and every outcome (success, error, panic) is
+// reported back so repeat offenders trip open.
 // Under the Degrade error policy, transient failures are retried with
 // backoff and decode panics are converted to per-object errors; under
 // FailFast both propagate unchanged, preserving strict fault semantics.
 func (c *evalCtx) decode(ds *Dataset, id int64, lod int) (obj, error) {
 	sto := ds.Tileset.Object(id)
 	if sto == nil {
-		// A hole left by salvage loading; the quarantine registry normally
-		// has it tripped already, but refuse regardless.
+		// A hole left by salvage loading (listed in Dataset.Salvage): there
+		// is no blob to decode or to quarantine.
 		return obj{}, fmt.Errorf("core: object %d of %q is not loaded: %w", id, ds.Name, ErrQuarantined)
 	}
-	qk := quarantine.Key{Dataset: ds.seq, Object: id}
+	qk := sto.Comp.ID()
 	if !c.e.quar.Allow(qk) {
 		c.col.n[rowQuarantineSkips].Add(1)
 		return obj{}, fmt.Errorf("core: object %d of %q skipped: %w", id, ds.Name, ErrQuarantined)
@@ -132,11 +132,11 @@ func (c *evalCtx) decode(ds *Dataset, id int64, lod int) (obj, error) {
 
 // decodeGuarded runs the decode attempts for one admitted object and settles
 // its breaker verdict. Exactly one of Success/Failure/Release reaches the
-// registry: success and exhausted retries settle the breaker; a context
+// breaker: success and exhausted retries settle the breaker; a context
 // expiry mid-attempt charges nothing but frees any half-open probe; a panic
 // under FailFast records the failure before resuming the unwind (the cache
 // has already cleaned its own state by re-panicking).
-func (c *evalCtx) decodeGuarded(ds *Dataset, sto *storage.Object, id int64, lod int, qk quarantine.Key) (o obj, err error) {
+func (c *evalCtx) decodeGuarded(ds *Dataset, sto *storage.Object, id int64, lod int, qk int64) (o obj, err error) {
 	settled := false
 	defer func() {
 		if settled {

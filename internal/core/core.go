@@ -23,7 +23,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
@@ -196,12 +195,11 @@ func (o *EngineOptions) setDefaults() {
 // the simulated GPU. Datasets are built through it and queried against each
 // other. An Engine is safe for concurrent use; Close releases the device.
 type Engine struct {
-	opts    EngineOptions
-	cache   *cache.Cache
-	dev     *gpusim.Device
-	quar    *quarantine.Registry
-	cal     *calibrator
-	nextSeq atomic.Int64
+	opts  EngineOptions
+	cache *cache.Cache
+	dev   *gpusim.Device
+	quar  *quarantine.Breaker[int64]
+	cal   *calibrator
 }
 
 // NewEngine creates an engine.
@@ -211,7 +209,7 @@ func NewEngine(opts EngineOptions) *Engine {
 		opts:  opts,
 		cache: cache.New(opts.CacheBytes),
 		dev:   gpusim.New(opts.GPUWorkers, opts.GPUBatch),
-		quar: quarantine.New(quarantine.Options{
+		quar: quarantine.NewBreaker[int64](quarantine.Options{
 			Threshold: opts.QuarantineThreshold,
 			Cooldown:  opts.QuarantineCooldown,
 		}),
@@ -225,9 +223,10 @@ func (e *Engine) Close() { e.dev.Close() }
 // Cache exposes the decode cache (for statistics and experiments).
 func (e *Engine) Cache() *cache.Cache { return e.cache }
 
-// Quarantine exposes the per-object circuit-breaker registry (for
+// Quarantine exposes the circuit breaker keyed by blob (ppvp.Compressed.ID,
+// like the decode cache), which every dataset holding a blob shares (for
 // statistics, readiness probes, and operator inspection).
-func (e *Engine) Quarantine() *quarantine.Registry { return e.quar }
+func (e *Engine) Quarantine() *quarantine.Breaker[int64] { return e.quar }
 
 // QueryOptions configures one join execution.
 type QueryOptions struct {

@@ -44,11 +44,7 @@ func (o *DatasetOptions) setDefaults() {
 
 // Dataset is an ingested, compressed, indexed object collection.
 type Dataset struct {
-	Name string
-	// seq is the engine-unique dataset number: it namespaces quarantine
-	// keys and identifies self-joins (decode-cache keys follow the blob).
-	seq int64
-
+	Name    string
 	Tileset *storage.Tileset
 	// tree indexes whole-object MBBs.
 	tree *rtree.Tree
@@ -65,14 +61,23 @@ type Dataset struct {
 	maxLOD int
 	// CompressStats aggregates encoder statistics over all objects.
 	CompressStats ppvp.Stats
+	// Salvage is the report of the LoadDatasetSalvage that produced the
+	// dataset, listing the objects it dropped; nil for any other dataset.
+	Salvage *storage.SalvageReport
 }
 
 // MaxLOD returns the highest LOD shared by all objects of the dataset.
 func (d *Dataset) MaxLOD() int { return d.maxLOD }
 
-// Seq returns the engine-unique dataset sequence number — the namespace of
-// the dataset's quarantine keys (decoded meshes are cached per blob).
-func (d *Dataset) Seq() int64 { return d.seq }
+// selfID returns the ID of the entry whose stored object is o itself — in a
+// self-join, or a view sharing the target's objects (SampleCuboid) — or -1
+// when the dataset does not hold o. Join filters skip that entry.
+func (d *Dataset) selfID(o *storage.Object) int64 {
+	if d.Tileset.Object(o.ID) == o {
+		return o.ID
+	}
+	return -1
+}
 
 // Len returns the object count.
 func (d *Dataset) Len() int { return len(d.Tileset.Objects) }
@@ -110,7 +115,7 @@ func (e *Engine) BuildDataset(name string, meshes []*mesh.Mesh, opts DatasetOpti
 	grid := storage.NewGrid(space, opts.Cuboids)
 	ts := storage.NewTileset(grid, comps)
 
-	d := &Dataset{Name: name, seq: e.nextSeq.Add(1), Tileset: ts, maxLOD: comps[0].MaxLOD()}
+	d := &Dataset{Name: name, Tileset: ts, maxLOD: comps[0].MaxLOD()}
 	if opts.PartitionTargetFaces > 0 {
 		d.partitionTargetFaces = opts.PartitionTargetFaces
 	}
@@ -193,7 +198,7 @@ func (e *Engine) largestFirst(meshes []*mesh.Mesh, fn func(i int)) {
 // sub-tileset per shard (and per-query loan sets) out of blobs that already
 // exist in memory, sharing their cached decodes with other datasets.
 func (e *Engine) AssembleDataset(name string, ts *storage.Tileset) (*Dataset, error) {
-	d := &Dataset{Name: name, seq: e.nextSeq.Add(1), Tileset: ts, maxLOD: -1}
+	d := &Dataset{Name: name, Tileset: ts, maxLOD: -1}
 	var entries []rtree.Entry
 	for _, o := range ts.Objects {
 		if o == nil {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -66,6 +68,43 @@ func TestAssembledDatasetsShareDecodes(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("answers differ: %v vs %v", got, want)
+	}
+}
+
+// TestAssembledDatasetsShareQuarantine: the quarantine breaker is keyed by
+// blob, like the decode cache, so a blob tripped once is skipped by Degrade
+// queries over every dataset assembled over it — as a shard's per-leg loan
+// datasets are — and stays one tracked key.
+func TestAssembledDatasetsShareQuarantine(t *testing.T) {
+	a, b := buildPair(t, testEngine(t))
+	e := testEngine(t)
+	clean, _, err := e.IntersectJoin(context.Background(), a, b, QueryOptions{})
+	if err != nil || len(clean) == 0 {
+		t.Fatalf("clean join: %d pairs, %v", len(clean), err)
+	}
+	bad := clean[0].Target
+	e.Quarantine().Trip(blobOf(a, bad), "test trip")
+	for view := 0; view < 2; view++ {
+		x, err := e.AssembleDataset(a.Name+"@view", a.Tileset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, st, err := e.IntersectJoin(context.Background(), x, b, QueryOptions{OnError: Degrade})
+		if err != nil {
+			t.Fatal(err)
+		}
+		skipped := slices.ContainsFunc(st.Degraded, func(d ObjectError) bool {
+			return d.Dataset == x.Name && d.Object == bad && strings.Contains(d.Err, "quarantined")
+		})
+		if st.QuarantineSkips == 0 || !skipped {
+			t.Fatalf("view %d: tripped object %d not skipped (skips %d, degraded %+v)", view, bad, st.QuarantineSkips, st.Degraded)
+		}
+		if slices.ContainsFunc(got, func(p Pair) bool { return p.Target == bad }) {
+			t.Fatalf("view %d: tripped object %d answered as certain", view, bad)
+		}
+	}
+	if st := e.Quarantine().Stats(); st.Tracked != 1 || st.Trips != 1 || st.Failures != 0 {
+		t.Errorf("breaker stats %+v, want one tracked key, one trip and no decode failure", st)
 	}
 }
 

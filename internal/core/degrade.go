@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/quarantine"
 	"repro/internal/storage"
 )
 
@@ -45,8 +44,8 @@ type ObjectError struct {
 }
 
 // ErrQuarantined marks decode refusals caused by the engine's quarantine
-// registry (the object's circuit breaker is open, or the object was dropped
-// during salvage loading). Under Degrade these skips are recorded but do not
+// breaker (the blob's circuit breaker is open) or by a hole that salvage
+// loading left. Under Degrade these skips are recorded but do not
 // consume the error budget — the condition is already known and bounded.
 var ErrQuarantined = errors.New("quarantined")
 
@@ -65,7 +64,7 @@ const defaultErrorBudget = 64
 type degrader struct {
 	budget int64 // distinct failed objects allowed; <0 = unlimited
 
-	failed sync.Map // quarantine.Key -> struct{} (dedup across workers)
+	failed sync.Map // ObjectError{Dataset, Object} -> struct{} (dedup across workers)
 	count  atomic.Int64
 
 	errsBuf [][]ObjectError
@@ -95,8 +94,7 @@ func newDegrader(workers, budget int) *degrader {
 // but don't consume the budget. A non-nil return aborts the query (budget
 // exceeded).
 func (d *degrader) fail(w int, ds *Dataset, id int64, err error) error {
-	k := quarantine.Key{Dataset: ds.seq, Object: id}
-	if _, seen := d.failed.LoadOrStore(k, struct{}{}); seen {
+	if _, seen := d.failed.LoadOrStore(ObjectError{Dataset: ds.Name, Object: id}, struct{}{}); seen {
 		return nil
 	}
 	d.errsBuf[w] = append(d.errsBuf[w], ObjectError{Dataset: ds.Name, Object: id, Err: err.Error()})
@@ -159,7 +157,7 @@ func (d *degrader) backstop(e *Engine, ds *Dataset) func(w int, o *storage.Objec
 		if isCtxErr(err) || errors.Is(err, errBudgetExceeded) {
 			return err
 		}
-		e.quar.Failure(quarantine.Key{Dataset: ds.seq, Object: o.ID}, firstLine(err.Error()))
+		e.quar.Failure(o.Comp.ID(), firstLine(err.Error()))
 		if aerr := d.fail(w, ds, o.ID, err); aerr != nil {
 			return aerr
 		}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
-	"repro/internal/quarantine"
 	"repro/internal/storage"
 )
 
@@ -144,9 +143,9 @@ func TestErrorBudgetAborts(t *testing.T) {
 		t.Fatalf("err = %v, want error budget exceeded", err)
 	}
 
-	faultinject.Reset()
-	e.Quarantine().Reset()
-	faultinject.Arm(faultinject.PointCoreDecode, faultinject.Fault{Err: faultinject.ErrInjected})
+	// A fresh engine: the first phase's breaker records must not carry over.
+	e = NewEngine(EngineOptions{CacheBytes: 64 << 20, Workers: 4, DecodeRetries: -1})
+	t.Cleanup(e.Close)
 	got, st, err := e.IntersectJoin(context.Background(), a, b,
 		QueryOptions{OnError: Degrade, ErrorBudget: -1})
 	if err != nil {
@@ -193,8 +192,8 @@ func TestQuarantinedObjectsSkipped(t *testing.T) {
 		t.Fatal("workload produced no pairs")
 	}
 	badTarget, badSource := clean[0].Target, clean[len(clean)-1].Source
-	e.Quarantine().Trip(quarantine.Key{Dataset: a.Seq(), Object: badTarget}, "test trip")
-	e.Quarantine().Trip(quarantine.Key{Dataset: b.Seq(), Object: badSource}, "test trip")
+	e.Quarantine().Trip(blobOf(a, badTarget), "test trip")
+	e.Quarantine().Trip(blobOf(b, badSource), "test trip")
 
 	got, st, err := e.IntersectJoin(context.Background(), a, b, QueryOptions{OnError: Degrade})
 	if err != nil {
@@ -284,7 +283,7 @@ func TestKNNDegradeMarksDisplacedNeighbors(t *testing.T) {
 		t.Fatal("workload produced no neighbors")
 	}
 	bad := clean[0]
-	e.Quarantine().Trip(quarantine.Key{Dataset: b.Seq(), Object: bad.Source}, "test trip")
+	e.Quarantine().Trip(blobOf(b, bad.Source), "test trip")
 
 	got, st, err := e.NNJoin(context.Background(), a, b, QueryOptions{OnError: Degrade})
 	if err != nil {
@@ -315,7 +314,7 @@ func TestWithinDegradeSoundness(t *testing.T) {
 		t.Fatal("workload produced no pairs")
 	}
 	bad := clean[0].Source
-	e.Quarantine().Trip(quarantine.Key{Dataset: b.Seq(), Object: bad}, "test trip")
+	e.Quarantine().Trip(blobOf(b, bad), "test trip")
 
 	got, st, err := e.WithinJoin(context.Background(), a, b, dist, QueryOptions{OnError: Degrade})
 	if err != nil {
@@ -355,7 +354,7 @@ func TestRangeQueryDegradeUncertainIDs(t *testing.T) {
 	box := mbb
 	box.Max.X = (mbb.Min.X + mbb.Max.X) / 2
 
-	e.Quarantine().Trip(quarantine.Key{Dataset: a.Seq(), Object: 0}, "test trip")
+	e.Quarantine().Trip(blobOf(a, 0), "test trip")
 	out, st, err := e.RangeQuery(context.Background(), a, box, QueryOptions{OnError: Degrade})
 	if err != nil {
 		t.Fatal(err)

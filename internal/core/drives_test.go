@@ -10,7 +10,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/geom"
 	"repro/internal/mesh"
-	"repro/internal/quarantine"
 )
 
 // driveFixture is the differential test's data: four dataset pairs chosen so
@@ -185,8 +184,8 @@ func TestDrivesMatchReference(t *testing.T) {
 			some = p
 			break
 		}
-		e.Quarantine().Trip(quarantine.Key{Dataset: c.target.Seq(), Object: some.Target}, "test trip")
-		e.Quarantine().Trip(quarantine.Key{Dataset: c.source.Seq(), Object: (some.Source + 1) % int64(c.source.Len())}, "test trip")
+		e.Quarantine().Trip(blobOf(c.target, some.Target), "test trip")
+		e.Quarantine().Trip(blobOf(c.source, (some.Source+1)%int64(c.source.Len())), "test trip")
 		got, st, err := c.run(e, QueryOptions{OnError: Degrade, LODs: full})
 		if err != nil {
 			t.Fatal(err)

@@ -80,8 +80,8 @@ func (e *Engine) KNNJoin(ctx context.Context, target, source *Dataset, q QueryOp
 		var cands []*nnCand
 		col.filterPhase(func() {
 			var skip func(rtree.Entry) bool
-			if target.seq == source.seq {
-				skip = func(ent rtree.Entry) bool { return ent.ID == o.ID }
+			if self := source.selfID(o); self >= 0 {
+				skip = func(ent rtree.Entry) bool { return ent.ID == self }
 			}
 			cands = sc.nnCands(tree.NNCandidates(o.MBB(), q.K, skip))
 		})

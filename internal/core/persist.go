@@ -12,7 +12,6 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/partition"
 	"repro/internal/ppvp"
-	"repro/internal/quarantine"
 	"repro/internal/storage"
 )
 
@@ -106,7 +105,6 @@ func (e *Engine) LoadDataset(dir string) (*Dataset, error) {
 
 	d := &Dataset{
 		Name:                 man.Name,
-		seq:                  e.nextSeq.Add(1),
 		Tileset:              ts,
 		maxLOD:               ts.Objects[0].Comp.MaxLOD(),
 		partitionTargetFaces: man.PartitionTargetFaces,
@@ -130,11 +128,12 @@ func (e *Engine) LoadDataset(dir string) (*Dataset, error) {
 
 // LoadDatasetSalvage restores as much of a damaged dataset as possible:
 // tiles are read in salvage mode (per-object checksums let undamaged
-// objects survive a corrupted neighbor), every object that could not be
-// loaded is quarantined under the new dataset's sequence number, and the
-// returned report says exactly what was skipped. The load fails only when
-// the manifest is unreadable or no object survives — anything less is a
-// degraded success.
+// objects survive a corrupted neighbor), and the returned report — which
+// the dataset keeps as Dataset.Salvage — says exactly what was skipped.
+// An object that could not be loaded is a hole: queries refuse it with
+// ErrQuarantined, and there is no blob for the breaker to track. The load
+// fails only when the manifest is unreadable or no object survives —
+// anything less is a degraded success.
 func (e *Engine) LoadDatasetSalvage(dir string) (*Dataset, *storage.SalvageReport, error) {
 	man, grid, err := loadManifest(dir)
 	if err != nil {
@@ -152,10 +151,10 @@ func (e *Engine) LoadDatasetSalvage(dir string) (*Dataset, *storage.SalvageRepor
 
 	d := &Dataset{
 		Name:                 man.Name,
-		seq:                  e.nextSeq.Add(1),
 		Tileset:              ts,
 		maxLOD:               -1,
 		partitionTargetFaces: man.PartitionTargetFaces,
+		Salvage:              rep,
 	}
 	entries := make([]rtree.Entry, 0, rep.ObjectsLoaded)
 	for _, o := range ts.Objects {
@@ -172,23 +171,18 @@ func (e *Engine) LoadDatasetSalvage(dir string) (*Dataset, *storage.SalvageRepor
 	}
 	d.tree = rtree.BulkLoad(entries)
 
-	// Quarantine the holes so queries skip them with a recorded reason
-	// instead of tripping the breaker one failure at a time, and make the
-	// report authoritative: a record whose ID field was itself corrupted is
-	// reported under its garbage ID by the tile walk, so every hole not
-	// already covered gets its own entry.
+	// Make the report authoritative: a record whose ID field was itself
+	// corrupted is reported under its garbage ID by the tile walk, so every
+	// hole not already covered gets its own entry.
 	reported := make(map[int64]bool, len(rep.ObjectsDropped))
 	for _, dr := range rep.ObjectsDropped {
 		reported[dr.ID] = true
 	}
 	for i, o := range ts.Objects {
-		if o == nil {
-			e.quar.Trip(quarantine.Key{Dataset: d.seq, Object: int64(i)}, "dropped during salvage load")
-			if !reported[int64(i)] {
-				rep.ObjectsDropped = append(rep.ObjectsDropped, storage.DroppedObject{
-					ID: int64(i), Reason: "not recovered from any tile",
-				})
-			}
+		if o == nil && !reported[int64(i)] {
+			rep.ObjectsDropped = append(rep.ObjectsDropped, storage.DroppedObject{
+				ID: int64(i), Reason: "not recovered from any tile",
+			})
 		}
 	}
 
@@ -203,9 +197,10 @@ func (e *Engine) LoadDatasetSalvage(dir string) (*Dataset, *storage.SalvageRepor
 // rebuildPartitions recomputes skeletons and the sub-object R-tree from the
 // stored objects (decoding each at its highest LOD). With a non-nil salvage
 // report the rebuild is lenient: nil holes are skipped, and an object whose
-// blob passed its checksum but fails to decode is quarantined and recorded
-// as dropped instead of failing the load (it keeps its whole-MBB entry so
-// the filter trees stay consistent; queries will skip it as quarantined).
+// blob passed its checksum but fails to decode has its blob quarantined and
+// is recorded as dropped instead of failing the load (it keeps its whole-MBB
+// entry so the filter trees stay consistent; queries will skip it as
+// quarantined).
 func (d *Dataset) rebuildPartitions(e *Engine, targetFaces int, salvage *storage.SalvageReport) error {
 	d.skeletons = make([][]geom.Vec3, len(d.Tileset.Objects))
 	var (
@@ -227,7 +222,7 @@ func (d *Dataset) rebuildPartitions(e *Engine, targetFaces int, salvage *storage
 			m, err := decodeRecovered(comp)
 			if err != nil {
 				if salvage != nil {
-					e.quar.Trip(quarantine.Key{Dataset: d.seq, Object: int64(i)}, firstLine(err.Error()))
+					e.quar.Trip(comp.ID(), firstLine(err.Error()))
 					mu.Lock()
 					salvage.ObjectsDropped = append(salvage.ObjectsDropped, storage.DroppedObject{
 						ID: int64(i), Reason: "decode failed: " + firstLine(err.Error()),

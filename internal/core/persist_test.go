@@ -4,9 +4,10 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
-	"repro/internal/quarantine"
+	"repro/internal/storage"
 )
 
 func TestSaveLoadDatasetRoundTrip(t *testing.T) {
@@ -77,7 +78,7 @@ func TestLoadDatasetErrors(t *testing.T) {
 
 // TestLoadDatasetSalvage damages one record of a saved dataset and checks
 // the strict load refuses it while the salvage load recovers the rest,
-// quarantines the hole, and still answers queries.
+// reports the hole, and still answers queries.
 func TestLoadDatasetSalvage(t *testing.T) {
 	e := testEngine(t)
 	a, b := buildPair(t, e)
@@ -127,8 +128,14 @@ func TestLoadDatasetSalvage(t *testing.T) {
 	if len(holes) != 1 {
 		t.Fatalf("holes = %v, want exactly one", holes)
 	}
-	if !e.Quarantine().Quarantined(quarantine.Key{Dataset: d2.Seq(), Object: holes[0]}) {
-		t.Fatalf("hole %d not quarantined", holes[0])
+	if d2.Salvage != rep {
+		t.Fatal("dataset does not keep the report of its salvage load")
+	}
+	if !slices.ContainsFunc(rep.ObjectsDropped, func(dr storage.DroppedObject) bool { return dr.ID == holes[0] }) {
+		t.Fatalf("hole %d missing from the report %+v", holes[0], rep.ObjectsDropped)
+	}
+	if st := e.Quarantine().Stats(); st.Tracked != 0 {
+		t.Fatalf("a hole has no blob, yet the breaker tracks %d keys", st.Tracked)
 	}
 
 	// A Degrade query answers with the clean pairs not touching the hole.

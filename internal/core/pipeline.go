@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/index/rtree"
-	"repro/internal/quarantine"
 	"repro/internal/storage"
 )
 
@@ -179,10 +178,10 @@ func (x *joinRun) feed(slot int, o *storage.Object, emit func(s int64, li int)) 
 // ladder like any other candidate: every rung tests containment of
 // MBB-nested pairs (gatherOne).
 func (x *joinRun) filterIntersect(o *storage.Object, sc *filterScratch) {
-	self := x.target.seq == x.source.seq
+	self := x.source.selfID(o)
 	tb := o.MBB()
 	x.ftree.SearchIntersect(tb, func(ent rtree.Entry) bool {
-		if !self || ent.ID != o.ID {
+		if ent.ID != self {
 			sc.ids = sc.addNew(sc.ids, ent.ID)
 		}
 		return true
@@ -191,7 +190,7 @@ func (x *joinRun) filterIntersect(o *storage.Object, sc *filterScratch) {
 		return
 	}
 	x.source.tree.SearchIntersect(tb, func(ent rtree.Entry) bool {
-		if (!self || ent.ID != o.ID) && ent.Box.Contains(tb) {
+		if ent.ID != self && ent.Box.Contains(tb) {
 			sc.ids = sc.addNew(sc.ids, ent.ID)
 		}
 		return true
@@ -202,10 +201,10 @@ func (x *joinRun) filterIntersect(o *storage.Object, sc *filterScratch) {
 // pruning splits the index answer into definite acceptances (sc.def) and
 // refinement candidates (sc.ids).
 func (x *joinRun) filterWithin(o *storage.Object, sc *filterScratch) {
-	self := x.target.seq == x.source.seq
+	self := x.source.selfID(o)
 	dedup := func(ents []rtree.Entry, ids []int64) []int64 {
 		for _, ent := range ents {
-			if !self || ent.ID != o.ID {
+			if ent.ID != self {
 				ids = sc.addNew(ids, ent.ID)
 			}
 		}
@@ -348,7 +347,7 @@ func (x *joinRun) gatherFailure(slot int, w *pairWork, err error, fail func(erro
 		fail(err)
 		return
 	}
-	x.e.quar.Failure(quarantine.Key{Dataset: x.target.seq, Object: w.t}, firstLine(err.Error()))
+	x.e.quar.Failure(x.target.Tileset.Object(w.t).Comp.ID(), firstLine(err.Error()))
 	if aerr := x.deg.fail(slot, x.target, w.t, err); aerr != nil {
 		fail(aerr)
 		return

@@ -39,10 +39,10 @@ const DefaultPruneThreshold = 0.25
 //
 // Aliasing contract: the view is shallow on purpose. It shares the original
 // Tileset's object map, compressed payloads, R-trees, and skeletons — only
-// the Tiles map is replaced with the single-cuboid restriction — and it
-// keeps the dataset's seq, so profiling decodes hit the same engine cache
-// entries as live queries (that sharing is what makes the profile cheap and
-// representative). Both views must be treated as read-only; this is safe
+// the Tiles map is replaced with the single-cuboid restriction — so
+// profiling decodes hit the same blob-keyed cache entries and breakers as
+// live queries (that sharing is what makes the profile cheap and
+// representative), and a self-join profile still skips self-pairs. Both views must be treated as read-only; this is safe
 // concurrently because queries never mutate dataset state, and per-query
 // statistics stay exact because every query attributes cache activity
 // through its own private counter sink (collector.cacheCtrs), never by

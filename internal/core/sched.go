@@ -63,8 +63,8 @@ var fractionBuckets = []float64{0.05, 0.1, 0.25, 0.5, 0.75, 0.9}
 // and the target and source datasets. Pruning rates follow the geometry of
 // the pair (nuclei × nuclei prunes half its pairs at LOD 0, nuclei ×
 // vessels a sixth), so pairs of one kind keep separate ladders. The
-// datasets are keyed by name, not Dataset.seq: a reload or a shard worker's
-// per-query "<source>@loan" dataset gets a fresh seq every time, which
+// datasets are keyed by name: a reload or a shard worker's per-query
+// "<source>@loan" dataset is a new *Dataset every time, and keying by it
 // would restart calibration from the full ladder and grow the map without
 // bound, while the name stays the same.
 type calPair struct {

@@ -7,7 +7,7 @@
 // exposition format (text format version 0.0.4) the server needs: counters,
 // gauges, and histograms, optionally with a fixed label set per family.
 // Callback-backed families (CounterFunc / GaugeFunc) sample external
-// cumulative counters (the decode cache, the quarantine registry) at scrape
+// cumulative counters (the decode cache, the quarantine breaker) at scrape
 // time, so those subsystems need no push-side instrumentation at all.
 package obs
 

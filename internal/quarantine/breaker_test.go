@@ -7,8 +7,8 @@ import (
 
 // TestGenericBreakerIntKeys drives the full lifecycle through a Breaker[int]
 // — the shard-health instantiation — proving the generic core behaves
-// exactly like the object registry: threshold trip, cooldown, half-open
-// probe, reinstatement.
+// exactly like the engine's blob-keyed breaker: threshold trip, cooldown,
+// half-open probe, reinstatement.
 func TestGenericBreakerIntKeys(t *testing.T) {
 	c := &clock{t: time.Unix(1000, 0)}
 	b := NewBreaker[int](Options{Threshold: 2, Cooldown: time.Minute, Now: c.now})
@@ -64,23 +64,5 @@ func TestGenericBreakerEntries(t *testing.T) {
 	e := es[0]
 	if e.Key != 2 || e.State != Open || e.Failures != 1 || e.Reason != "rpc timeout" {
 		t.Fatalf("entry = %+v", e)
-	}
-}
-
-// TestRegistrySnapshotMatchesEntries proves the object registry's ordered
-// Snapshot is a faithful view of the generic Entries.
-func TestRegistrySnapshotMatchesEntries(t *testing.T) {
-	r, _ := newTestRegistry(1, time.Minute)
-	r.Failure(Key{Dataset: 2, Object: 9}, "bad blob")
-	r.Failure(Key{Dataset: 1, Object: 5}, "bad blob")
-	snap := r.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("snapshot = %d entries, want 2", len(snap))
-	}
-	if snap[0].Dataset != 1 || snap[0].Object != 5 || snap[1].Dataset != 2 || snap[1].Object != 9 {
-		t.Fatalf("snapshot not ordered by (dataset, object): %+v", snap)
-	}
-	if snap[0].State != "open" {
-		t.Fatalf("state = %q, want open", snap[0].State)
 	}
 }

@@ -1,13 +1,12 @@
 // Package quarantine implements circuit breakers for the engine's
-// partial-failure tolerance. The original (and still primary) instantiation
-// is the per-object registry: an object whose decode keeps failing (corrupt
-// blob, geometry that panics the evaluator) is tripped open so later queries
-// skip it — with a recorded reason — instead of burning retries or failing
-// whole joins on it forever. The breaker core is generic over its key, so
-// the same lifecycle also guards coarser failure domains: the sharded
-// serving tier (internal/shard) keys a Breaker[int] by shard index, turning
-// a dead or flapping shard into a degraded answer rather than a failed
-// query.
+// partial-failure tolerance. The engine keys a Breaker[int64] by blob
+// (ppvp.Compressed.ID, the same identity as the decode cache's key): a
+// stored object whose decode keeps failing (corrupt blob, geometry that
+// panics the evaluator) is tripped open so later queries skip it — with a
+// recorded reason — instead of burning retries or failing whole joins on it
+// forever, whichever dataset holds the blob. The sharded serving tier
+// (internal/shard) keys a Breaker[int] by shard index, turning a dead or
+// flapping shard into a degraded answer rather than a failed query.
 //
 // The lifecycle mirrors a classic circuit breaker:
 //
@@ -21,18 +20,10 @@
 package quarantine
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// Key identifies one object of one dataset (by the engine's dataset
-// sequence number, which also namespaces decode-cache keys).
-type Key struct {
-	Dataset int64
-	Object  int64
-}
 
 // State is the breaker state of one key.
 type State int
@@ -78,18 +69,6 @@ func (o *Options) setDefaults() {
 	}
 }
 
-// Entry is a snapshot of one tracked object of the object Registry.
-type Entry struct {
-	Key         Key       `json:"-"`
-	Dataset     int64     `json:"dataset_seq"`
-	Object      int64     `json:"object"`
-	State       string    `json:"state"`
-	Failures    int       `json:"failures"`
-	Reason      string    `json:"reason,omitempty"`
-	TrippedAt   time.Time `json:"tripped_at,omitempty"`
-	LastFailure time.Time `json:"last_failure,omitempty"`
-}
-
 // EntryOf is a snapshot of one tracked key of a generic Breaker.
 type EntryOf[K comparable] struct {
 	Key         K
@@ -131,8 +110,8 @@ type object struct {
 }
 
 // Breaker is a generic circuit-breaker table keyed by any comparable
-// failure-domain identifier: quarantine.Key for per-object decode health,
-// a shard index for the sharded serving tier.
+// failure-domain identifier: a blob ID for per-object decode health, a
+// shard index for the sharded serving tier.
 type Breaker[K comparable] struct {
 	opts Options
 
@@ -152,30 +131,8 @@ type Breaker[K comparable] struct {
 
 // NewBreaker returns a generic breaker with the given options.
 func NewBreaker[K comparable](opts Options) *Breaker[K] {
-	b := &Breaker[K]{}
-	b.init(opts)
-	return b
-}
-
-// init prepares a zero Breaker in place (the value may be embedded, so the
-// constructor cannot return it by copy once the mutex is live).
-func (b *Breaker[K]) init(opts Options) {
 	opts.setDefaults()
-	b.opts = opts
-	b.objs = make(map[K]*object)
-}
-
-// Registry is the engine-wide per-object breaker table (the original,
-// object-keyed instantiation of Breaker).
-type Registry struct {
-	Breaker[Key]
-}
-
-// New returns an object registry with the given options.
-func New(opts Options) *Registry {
-	r := &Registry{}
-	r.init(opts)
-	return r
+	return &Breaker[K]{opts: opts, objs: make(map[K]*object)}
 }
 
 // Allow reports whether the key may be processed. Open keys are blocked
@@ -243,8 +200,8 @@ func (b *Breaker[K]) Failure(k K, reason string) bool {
 	return false
 }
 
-// Trip quarantines the key immediately (used for objects dropped during
-// salvage loading, where the damage is already proven).
+// Trip quarantines the key immediately (used for a salvaged blob that fails
+// to decode, where the damage is already proven).
 func (b *Breaker[K]) Trip(k K, reason string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -308,17 +265,6 @@ func (b *Breaker[K]) Release(k K) {
 	}
 }
 
-// Quarantined reports whether the key is currently open or half-open.
-func (b *Breaker[K]) Quarantined(k K) bool {
-	if b.tracked.Load() == 0 {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	o, ok := b.objs[k]
-	return ok && o.state != Closed
-}
-
 // State returns the key's current breaker state (Closed for untracked
 // keys), applying the same cooldown transition Allow would: an open key
 // whose cooldown has elapsed reports HalfOpen.
@@ -369,26 +315,6 @@ func (b *Breaker[K]) Entries() []EntryOf[K] {
 	return out
 }
 
-// Snapshot returns every tracked object, ordered by (dataset, object).
-func (r *Registry) Snapshot() []Entry {
-	raw := r.Entries()
-	out := make([]Entry, len(raw))
-	for i, e := range raw {
-		out[i] = Entry{
-			Key: e.Key, Dataset: e.Key.Dataset, Object: e.Key.Object,
-			State: e.State.String(), Failures: e.Failures, Reason: e.Reason,
-			TrippedAt: e.TrippedAt, LastFailure: e.LastFailure,
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key.Dataset != out[j].Key.Dataset {
-			return out[i].Key.Dataset < out[j].Key.Dataset
-		}
-		return out[i].Key.Object < out[j].Key.Object
-	})
-	return out
-}
-
 // Stats returns a snapshot of the counters.
 func (b *Breaker[K]) Stats() Stats {
 	b.mu.Lock()
@@ -408,14 +334,4 @@ func (b *Breaker[K]) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// Reset forgets every tracked key (counters included).
-func (b *Breaker[K]) Reset() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.tracked.Store(0)
-	b.objs = make(map[K]*object)
-	b.failures, b.trips, b.probes, b.reinstated = 0, 0, 0, 0
-	b.skips.Store(0)
 }

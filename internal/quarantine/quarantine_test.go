@@ -24,14 +24,15 @@ func (c *clock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func newTestRegistry(threshold int, cooldown time.Duration) (*Registry, *clock) {
+// newTestRegistry returns a breaker keyed like the engine's, by blob ID.
+func newTestRegistry(threshold int, cooldown time.Duration) (*Breaker[int64], *clock) {
 	c := &clock{t: time.Unix(1000, 0)}
-	return New(Options{Threshold: threshold, Cooldown: cooldown, Now: c.now}), c
+	return NewBreaker[int64](Options{Threshold: threshold, Cooldown: cooldown, Now: c.now}), c
 }
 
 func TestHealthyFastPath(t *testing.T) {
 	r, _ := newTestRegistry(3, time.Minute)
-	k := Key{Dataset: 1, Object: 7}
+	k := int64(107)
 	if !r.Allow(k) {
 		t.Fatal("untracked object blocked")
 	}
@@ -43,7 +44,7 @@ func TestHealthyFastPath(t *testing.T) {
 
 func TestTripAfterThreshold(t *testing.T) {
 	r, _ := newTestRegistry(3, time.Minute)
-	k := Key{Dataset: 1, Object: 7}
+	k := int64(107)
 	for i := 0; i < 2; i++ {
 		if tripped := r.Failure(k, "decode error"); tripped {
 			t.Fatalf("tripped after %d failures", i+1)
@@ -58,21 +59,21 @@ func TestTripAfterThreshold(t *testing.T) {
 	if r.Allow(k) {
 		t.Fatal("open object allowed")
 	}
-	if !r.Quarantined(k) {
-		t.Fatal("Quarantined false for open object")
+	if r.State(k) != Open {
+		t.Fatal("open object not reported open")
 	}
 	if r.Len() != 1 {
 		t.Fatalf("Len = %d", r.Len())
 	}
-	snap := r.Snapshot()
-	if len(snap) != 1 || snap[0].State != "open" || snap[0].Reason != "decode error #3" {
-		t.Fatalf("snapshot = %+v", snap)
+	snap := r.Entries()
+	if len(snap) != 1 || snap[0].State != Open || snap[0].Reason != "decode error #3" {
+		t.Fatalf("entries = %+v", snap)
 	}
 }
 
 func TestSuccessResetsFailures(t *testing.T) {
 	r, _ := newTestRegistry(3, time.Minute)
-	k := Key{Dataset: 1, Object: 7}
+	k := int64(107)
 	r.Failure(k, "transient")
 	r.Failure(k, "transient")
 	r.Success(k) // resets the count and forgets the record
@@ -81,14 +82,14 @@ func TestSuccessResetsFailures(t *testing.T) {
 	}
 	r.Failure(k, "x")
 	r.Failure(k, "x")
-	if r.Quarantined(k) {
+	if r.State(k) != Closed {
 		t.Fatal("tripped despite intervening success")
 	}
 }
 
 func TestHalfOpenProbation(t *testing.T) {
 	r, c := newTestRegistry(1, time.Minute)
-	k := Key{Dataset: 2, Object: 3}
+	k := int64(203)
 	r.Failure(k, "bad blob")
 	if r.Allow(k) {
 		t.Fatal("open object allowed before cooldown")
@@ -104,7 +105,7 @@ func TestHalfOpenProbation(t *testing.T) {
 	}
 	// Successful probe reinstates the object fully.
 	r.Success(k)
-	if !r.Allow(k) || r.Quarantined(k) {
+	if !r.Allow(k) || r.State(k) != Closed {
 		t.Fatal("object not reinstated after successful probe")
 	}
 	if st := r.Stats(); st.Reinstated != 1 || st.Probes != 1 {
@@ -114,7 +115,7 @@ func TestHalfOpenProbation(t *testing.T) {
 
 func TestFailedProbeReopens(t *testing.T) {
 	r, c := newTestRegistry(1, time.Minute)
-	k := Key{Dataset: 2, Object: 3}
+	k := int64(203)
 	r.Failure(k, "bad blob")
 	c.advance(61 * time.Second)
 	if !r.Allow(k) {
@@ -137,14 +138,14 @@ func TestFailedProbeReopens(t *testing.T) {
 
 func TestTripDirect(t *testing.T) {
 	r, _ := newTestRegistry(5, time.Minute)
-	k := Key{Dataset: 1, Object: 9}
+	k := int64(109)
 	r.Trip(k, "dropped during salvage")
 	if r.Allow(k) {
 		t.Fatal("tripped object allowed")
 	}
-	snap := r.Snapshot()
+	snap := r.Entries()
 	if len(snap) != 1 || snap[0].Reason != "dropped during salvage" {
-		t.Fatalf("snapshot = %+v", snap)
+		t.Fatalf("entries = %+v", snap)
 	}
 	if st := r.Stats(); st.Trips != 1 || st.Open != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -153,25 +154,13 @@ func TestTripDirect(t *testing.T) {
 
 func TestSkipCounter(t *testing.T) {
 	r, _ := newTestRegistry(1, time.Minute)
-	k := Key{Dataset: 1, Object: 1}
+	k := int64(101)
 	r.Failure(k, "x")
 	for i := 0; i < 4; i++ {
 		r.Allow(k)
 	}
 	if st := r.Stats(); st.Skips != 4 {
 		t.Fatalf("skips = %d, want 4", st.Skips)
-	}
-}
-
-func TestReset(t *testing.T) {
-	r, _ := newTestRegistry(1, time.Minute)
-	r.Failure(Key{1, 1}, "x")
-	r.Reset()
-	if r.Len() != 0 || !r.Allow(Key{1, 1}) {
-		t.Fatal("reset did not clear state")
-	}
-	if st := r.Stats(); st != (Stats{}) {
-		t.Fatalf("counters survive reset: %+v", st)
 	}
 }
 
@@ -183,7 +172,7 @@ func TestConcurrentAccess(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			k := Key{Dataset: int64(g % 2), Object: int64(g % 3)}
+			k := int64(g%2*100 + g%3)
 			for i := 0; i < 500; i++ {
 				if r.Allow(k) {
 					if i%3 == 0 {
@@ -195,12 +184,12 @@ func TestConcurrentAccess(t *testing.T) {
 				if i%50 == 0 {
 					c.advance(time.Millisecond)
 				}
-				r.Quarantined(k)
+				r.State(k)
 				r.Len()
 			}
 		}(g)
 	}
 	wg.Wait()
-	r.Snapshot()
+	r.Entries()
 	r.Stats()
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/ppvp"
 	"repro/internal/quarantine"
+	"repro/internal/storage"
 )
 
 // degradeServer builds a private server (its own engine, so quarantine
@@ -58,7 +59,7 @@ func TestReadyzReportsDegraded(t *testing.T) {
 		t.Fatalf("clean readyz = %d %q", resp.StatusCode, body)
 	}
 
-	eng.Quarantine().Trip(quarantine.Key{Dataset: a.Seq(), Object: 0}, "test trip")
+	eng.Quarantine().Trip(a.Tileset.Object(0).Comp.ID(), "test trip")
 	resp, err = http.Get(ts.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +76,8 @@ func TestReadyzReportsDegraded(t *testing.T) {
 
 func TestStatuszExposesQuarantine(t *testing.T) {
 	ts, eng, a, _ := degradeServer(t)
-	eng.Quarantine().Trip(quarantine.Key{Dataset: a.Seq(), Object: 3}, "flaky blob")
+	blob := a.Tileset.Object(3).Comp.ID()
+	eng.Quarantine().Trip(blob, "flaky blob")
 
 	var out struct {
 		Ready    bool     `json:"ready"`
@@ -89,7 +91,7 @@ func TestStatuszExposesQuarantine(t *testing.T) {
 			Stats   quarantine.Stats `json:"stats"`
 			Entries []struct {
 				DatasetName string `json:"dataset"`
-				DatasetSeq  int64  `json:"dataset_seq"`
+				Blob        int64  `json:"blob"`
 				Object      int64  `json:"object"`
 				State       string `json:"state"`
 				Reason      string `json:"reason"`
@@ -115,8 +117,39 @@ func TestStatuszExposesQuarantine(t *testing.T) {
 		t.Fatalf("quarantine entries = %+v", out.Quarantine.Entries)
 	}
 	e := out.Quarantine.Entries[0]
-	if e.DatasetName != "alpha" || e.Object != 3 || e.State != "open" || e.Reason != "flaky blob" {
+	if e.DatasetName != "alpha" || e.Blob != blob || e.Object != 3 || e.State != "open" || e.Reason != "flaky blob" {
 		t.Fatalf("quarantine entry = %+v", e)
+	}
+}
+
+// TestStatuszListsSalvageDrops: an object a salvage load dropped has no
+// blob for a breaker to track; /statusz lists it under its dataset, and
+// /readyz stays degraded while that dataset is registered.
+func TestStatuszListsSalvageDrops(t *testing.T) {
+	ts, _, a, _ := degradeServer(t)
+	a.Salvage = &storage.SalvageReport{ObjectsDropped: []storage.DroppedObject{{ID: 4, Reason: "checksum mismatch"}}}
+
+	var out struct {
+		Dropped    map[string][]storage.DroppedObject `json:"dropped"`
+		Quarantine struct {
+			Stats quarantine.Stats `json:"stats"`
+		} `json:"quarantine"`
+	}
+	getJSON(t, ts.URL+"/statusz", &out)
+	if got := out.Dropped["alpha"]; len(out.Dropped) != 1 || len(got) != 1 || got[0].ID != 4 {
+		t.Fatalf("statusz dropped = %+v, want alpha's object 4", out.Dropped)
+	}
+	if out.Quarantine.Stats.Tracked != 0 {
+		t.Fatalf("a dropped object reached the breaker: %+v", out.Quarantine.Stats)
+	}
+	resp, err := http.Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 || !strings.Contains(string(body), "0 objects quarantined, 1 dropped by salvage") {
+		t.Fatalf("readyz = %d %q, want 200 degraded by the drop", resp.StatusCode, body)
 	}
 }
 
@@ -132,7 +165,7 @@ func TestQueryOnErrorPolicies(t *testing.T) {
 		t.Fatal("workload produced no pairs")
 	}
 	bad := clean[0].Target
-	eng.Quarantine().Trip(quarantine.Key{Dataset: a.Seq(), Object: bad}, "test trip")
+	eng.Quarantine().Trip(a.Tileset.Object(bad).Comp.ID(), "test trip")
 
 	// FailFast (the default) refuses the quarantined object.
 	var errOut map[string]string

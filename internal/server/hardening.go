@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log"
@@ -9,11 +10,12 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/quarantine"
+	"repro/internal/storage"
 )
 
 // Config tunes the production-hardening layer of the server. The zero value
@@ -72,15 +74,23 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz reports whether the server should receive traffic: it is not
-// shutting down and has at least one dataset loaded. A non-empty quarantine
-// — or, in sharded mode, an open shard breaker — keeps the server in
-// rotation (degraded beats dead — Degrade-policy queries still answer with
-// certain results) but the body says so, so operators and probes that
-// scrape the text can tell the states apart.
+// shutting down and has at least one dataset loaded. An open object breaker,
+// an object a salvage load dropped — or, in sharded mode, an open shard
+// breaker — keeps the server in rotation (degraded beats dead —
+// Degrade-policy queries still answer with certain results) but the body
+// says so, so operators and probes that scrape the text can tell the states
+// apart.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	loaded := len(s.datasets)
 	s.mu.RUnlock()
+	quarantined, dropped := 0, 0
+	if s.eng != nil {
+		quarantined = s.eng.Quarantine().Len()
+	}
+	for _, drops := range s.salvageDrops() {
+		dropped += len(drops)
+	}
 	w.Header().Set("Content-Type", "text/plain")
 	switch {
 	case !s.ready.Load():
@@ -94,8 +104,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case s.coord != nil && s.coord.Degraded():
 			fmt.Fprintf(w, "degraded: %d shard breakers open\n", s.coord.Breaker().Len())
-		case s.eng != nil && s.eng.Quarantine().Len() > 0:
-			fmt.Fprintf(w, "degraded: %d objects quarantined\n", s.eng.Quarantine().Len())
+		case quarantined > 0 || dropped > 0:
+			fmt.Fprintf(w, "degraded: %d objects quarantined, %d dropped by salvage\n", quarantined, dropped)
 		default:
 			fmt.Fprintln(w, "ready")
 		}
@@ -103,24 +113,17 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStatusz is the operator inspection endpoint: engine cache counters,
-// the quarantine registry's aggregate stats and per-object entries (with
-// dataset sequence numbers resolved back to names where possible), the
-// admission-control load, and — in sharded mode — per-shard health and the
-// coordinator's retry/hedge/breaker counters.
+// the quarantine breaker's aggregate stats and per-blob entries (each
+// resolved to the registered dataset and object holding the blob), the
+// objects each salvaged dataset dropped, the admission-control load, and —
+// in sharded mode — per-shard health and the coordinator's
+// retry/hedge/breaker counters.
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	seqNames := make(map[int64]string, len(s.datasets))
-	names := make([]string, 0, len(s.datasets))
-	for name, d := range s.datasets {
-		seqNames[d.Seq()] = name
-		names = append(names, name)
-	}
-	s.mu.RUnlock()
-	sort.Strings(names)
-
+	names := s.names()
 	out := map[string]any{
 		"ready":    s.ready.Load(),
 		"datasets": names,
+		"dropped":  s.salvageDrops(),
 		"inflight": map[string]int{"used": len(s.inflight), "max": s.cfg.MaxInFlight},
 		// Accelerator memo effectiveness over every query served (sharded
 		// or not): builds that keep pace with reuses mean the decode cache
@@ -131,22 +134,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if s.eng != nil {
-		type quarEntry struct {
-			quarantine.Entry
-			DatasetName string `json:"dataset,omitempty"`
-		}
-		snap := s.eng.Quarantine().Snapshot()
-		entries := make([]quarEntry, len(snap))
-		for i, e := range snap {
-			entries[i] = quarEntry{Entry: e, DatasetName: seqNames[e.Dataset]}
-		}
-		sort.Slice(entries, func(i, j int) bool {
-			if entries[i].Dataset != entries[j].Dataset {
-				return entries[i].Dataset < entries[j].Dataset
-			}
-			return entries[i].Object < entries[j].Object
-		})
-
 		cs := s.eng.Cache().Stats()
 		out["cache"] = map[string]int64{
 			"hits": cs.Hits, "misses": cs.Misses, "evictions": cs.Evictions,
@@ -156,7 +143,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		}
 		out["quarantine"] = map[string]any{
 			"stats":   s.eng.Quarantine().Stats(),
-			"entries": entries,
+			"entries": s.quarantineEntries(names),
 		}
 		// The margin scheduler's online calibration state: one entry per
 		// observed (kind, target, source, LOD) with its pruned-fraction
@@ -177,6 +164,61 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.writeJSON(w, out)
+}
+
+// salvageDrops maps each registered dataset whose salvage load dropped
+// objects to the report's list of them.
+func (s *Server) salvageDrops() map[string][]storage.DroppedObject {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := map[string][]storage.DroppedObject{}
+	for name, d := range s.datasets {
+		if d.Salvage != nil && len(d.Salvage.ObjectsDropped) > 0 {
+			out[name] = d.Salvage.ObjectsDropped
+		}
+	}
+	return out
+}
+
+// quarEntry is one /statusz breaker entry: the blob, and the dataset and
+// object holding it (the first registered dataset by name; "" and -1 when
+// none does any more, e.g. after the dataset was replaced).
+type quarEntry struct {
+	Blob        int64     `json:"blob"`
+	Dataset     string    `json:"dataset,omitempty"`
+	Object      int64     `json:"object"`
+	State       string    `json:"state"`
+	Failures    int       `json:"failures"`
+	Reason      string    `json:"reason,omitempty"`
+	TrippedAt   time.Time `json:"tripped_at,omitempty"`
+	LastFailure time.Time `json:"last_failure,omitempty"`
+}
+
+// quarantineEntries lists the engine breaker's entries ordered by (dataset,
+// object, blob), resolving each blob against the datasets named in names
+// (sorted). The resolving walk runs only while some blob is unresolved.
+func (s *Server) quarantineEntries(names []string) []quarEntry {
+	raw := s.eng.Quarantine().Entries()
+	out := make([]quarEntry, len(raw))
+	at := make(map[int64]*quarEntry, len(raw))
+	for i, e := range raw {
+		out[i] = quarEntry{Blob: e.Key, Object: -1, State: e.State.String(), Failures: e.Failures,
+			Reason: e.Reason, TrippedAt: e.TrippedAt, LastFailure: e.LastFailure}
+		at[e.Key] = &out[i]
+	}
+	for _, name := range names {
+		d, ok := s.dataset(name)
+		for i := 0; ok && len(at) > 0 && i < len(d.Tileset.Objects); i++ {
+			if o := d.Tileset.Objects[i]; o != nil && at[o.Comp.ID()] != nil {
+				at[o.Comp.ID()].Dataset, at[o.Comp.ID()].Object = name, o.ID
+				delete(at, o.Comp.ID())
+			}
+		}
+	}
+	slices.SortFunc(out, func(a, b quarEntry) int {
+		return cmp.Or(strings.Compare(a.Dataset, b.Dataset), cmp.Compare(a.Object, b.Object), cmp.Compare(a.Blob, b.Blob))
+	})
+	return out
 }
 
 // query wraps a query handler — or an object fetch, which decodes a whole

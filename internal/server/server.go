@@ -98,6 +98,18 @@ func (s *Server) AddDataset(d *core.Dataset) error {
 	return nil
 }
 
+// names returns the registered dataset names, sorted.
+func (s *Server) names() []string {
+	s.mu.RLock()
+	names := make([]string, 0, len(s.datasets))
+	for name := range s.datasets {
+		names = append(names, name)
+	}
+	s.mu.RUnlock()
+	sort.Strings(names)
+	return names
+}
+
 func (s *Server) dataset(name string) (*core.Dataset, bool) {
 	s.mu.RLock()
 	d, ok := s.datasets[name]
@@ -245,13 +257,7 @@ func info(d *core.Dataset) datasetInfo {
 }
 
 func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	names := make([]string, 0, len(s.datasets))
-	for name := range s.datasets {
-		names = append(names, name)
-	}
-	s.mu.RUnlock()
-	sort.Strings(names)
+	names := s.names()
 	out := make([]datasetInfo, 0, len(names))
 	for _, n := range names {
 		if d, ok := s.dataset(n); ok {

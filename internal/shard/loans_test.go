@@ -24,6 +24,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/geom"
 	"repro/internal/leakcheck"
+	"repro/internal/ppvp"
 	"repro/internal/shard"
 	"repro/internal/storage"
 )
@@ -435,5 +436,90 @@ func TestLoanLegsKeepCalibrationBounded(t *testing.T) {
 	}
 	if after := cal(); len(after) != len(before) {
 		t.Errorf("50 loan legs took the calibrator from %d to %d cells:\n before %+v\n after %+v", len(before), len(after), before, after)
+	}
+}
+
+// TestCorruptLoanTripsOnce: a worker assembles a fresh "<source>@loan"
+// dataset for every leg, but the quarantine breaker is keyed by blob, so
+// 20 Degrade legs lending one corrupt blob track one key and trip it once;
+// legs after the trip skip the blob without decoding it. Its failures are
+// reported under the source the client named, not the loan dataset.
+func TestCorruptLoanTripsOnce(t *testing.T) {
+	e := core.NewEngine(testEngineOptions())
+	defer e.Close()
+	da, db := buildPair(t, e)
+	node := startHTTPCluster(t, shard.Options{Shards: 2, Replicas: 1}, da, db).nodes[0]
+	var group int
+	for g := range node.Held(da.Name) {
+		group = g
+	}
+	targets, home := map[int64]bool{}, map[int64]bool{}
+	for _, id := range node.Held(da.Name)[group] {
+		targets[id] = true
+	}
+	for _, id := range node.Held(db.Name)[group] {
+		home[id] = true
+	}
+	// An away source that intersects one of the group's targets: only
+	// geometry proves an intersection, so the legs must decode it.
+	clean, _, err := e.IntersectJoin(context.Background(), da, db, core.QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(clean, func(p core.Pair) bool { return targets[p.Target] && !home[p.Source] })
+	if i < 0 {
+		t.Fatalf("no pair of group %d's targets meets an away source: %v", group, clean)
+	}
+	src := db.Tileset.Object(clean[i].Source)
+
+	// One corrupt copy, parsed once: the first one-byte flip that still
+	// parses but fails to decode its base mesh, so every LOD fails.
+	blob := src.Comp.Bytes()
+	var bad *storage.Object
+	for off := range blob {
+		flipped := slices.Clone(blob)
+		flipped[off] ^= 0xFF
+		if c, err := ppvp.FromBytes(flipped); err != nil {
+			continue
+		} else if _, err := c.Decode(0); err == nil {
+			continue
+		}
+		c, _ := ppvp.FromBytes(flipped)
+		bad = &storage.Object{ID: src.ID, Cuboid: src.Cuboid, Comp: c}
+		break
+	}
+	if bad == nil {
+		t.Fatal("no one-byte flip of the blob parses and fails to decode")
+	}
+
+	quar := node.Engine().Quarantine()
+	tripped := -1
+	for leg := 0; leg < 20; leg++ {
+		failures := quar.Stats().Failures
+		req := &shard.Request{Kind: shard.KindIntersect, Target: da.Name, Source: db.Name, Group: group,
+			Loans: []*storage.Object{bad}, Opts: core.QueryOptions{OnError: core.Degrade}}
+		resp, err := node.Handle(context.Background(), req)
+		if err != nil {
+			t.Fatalf("leg %d: %v", leg, err)
+		}
+		if len(resp.Stats.Degraded) == 0 {
+			t.Fatalf("leg %d: corrupt loan %d not reported", leg, bad.ID)
+		}
+		for _, d := range resp.Stats.Degraded {
+			if d.Dataset != req.Source || d.Object != bad.ID {
+				t.Fatalf("leg %d: degraded entry %+v, want object %d of %q", leg, d, bad.ID, req.Source)
+			}
+		}
+		if tripped >= 0 {
+			if resp.Stats.QuarantineSkips < 1 || quar.Stats().Failures != failures {
+				t.Fatalf("leg %d (tripped at leg %d): %d quarantine skips, breaker failures %d → %d; the blob was decoded again",
+					leg, tripped, resp.Stats.QuarantineSkips, failures, quar.Stats().Failures)
+			}
+		} else if quar.Stats().Trips > 0 {
+			tripped = leg
+		}
+	}
+	if st := quar.Stats(); st.Trips != 1 || st.Tracked != 1 {
+		t.Fatalf("breaker after 20 legs: %+v, want 1 trip and 1 tracked key", st)
 	}
 }

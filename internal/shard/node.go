@@ -135,29 +135,34 @@ func (n *Node) handleJoin(ctx context.Context, target *core.Dataset, req *Reques
 	// Per-source neighbor lists are merged per target afterwards (KNN).
 	var neighborParts [][]core.Neighbor
 	for _, src := range sources {
+		var (
+			pairs []core.Pair
+			nbrs  []core.Neighbor
+			st    *core.Stats
+			err   error
+		)
 		switch req.Kind {
 		case KindIntersect:
-			pairs, st, err := n.eng.IntersectJoin(ctx, target, src, req.Opts)
-			if err != nil {
-				return nil, err
-			}
-			resp.Pairs = append(resp.Pairs, pairs...)
-			resp.Stats.Merge(st)
+			pairs, st, err = n.eng.IntersectJoin(ctx, target, src, req.Opts)
 		case KindWithin:
-			pairs, st, err := n.eng.WithinJoin(ctx, target, src, req.Dist, req.Opts)
-			if err != nil {
-				return nil, err
-			}
-			resp.Pairs = append(resp.Pairs, pairs...)
-			resp.Stats.Merge(st)
+			pairs, st, err = n.eng.WithinJoin(ctx, target, src, req.Dist, req.Opts)
 		case KindKNN:
-			nbrs, st, err := n.eng.KNNJoin(ctx, target, src, req.Opts)
-			if err != nil {
-				return nil, err
-			}
+			nbrs, st, err = n.eng.KNNJoin(ctx, target, src, req.Opts)
 			neighborParts = append(neighborParts, nbrs)
-			resp.Stats.Merge(st)
 		}
+		if err != nil {
+			return nil, err
+		}
+		// A loaned object failed in the per-leg "<source>@loan" dataset,
+		// which keeps that name for the calibrator; the client named the
+		// source, so its failures are reported under req.Source.
+		for i := range st.Degraded {
+			if st.Degraded[i].Dataset == src.Name {
+				st.Degraded[i].Dataset = req.Source
+			}
+		}
+		resp.Pairs = append(resp.Pairs, pairs...)
+		resp.Stats.Merge(st)
 	}
 	switch req.Kind {
 	case KindIntersect, KindWithin:

@@ -15,14 +15,13 @@ import (
 // is a types.Func.FullName() or a package path, which covers every function
 // of the package. An entry that excuses nothing fails the test.
 var orphanAllowlist = map[string]string{
-	"repro/internal/analysis/analysistest":          "fault harness: the analyzers' fixture tests run through it",
-	"repro/internal/leakcheck":                      "fault harness: the serving tests' goroutine-leak check",
-	"repro/internal/faultinject":                    "fault harness: tests arm, disarm and seed fault points through it",
-	"(*repro/internal/quarantine.Breaker[K]).Reset": "fault harness: TestErrorBudgetAborts clears the quarantine between phases",
-	"repro/internal/mesh.Cube":                      "fixture builder",
-	"repro/internal/mesh.Tetrahedron":               "fixture builder",
-	"repro/internal/mesh.Ellipsoid":                 "fixture builder",
-	"(repro/internal/geom.Vec3).ApproxEqual":        "fixture: the geometry tests' tolerance comparison",
+	"repro/internal/analysis/analysistest":   "fault harness: the analyzers' fixture tests run through it",
+	"repro/internal/leakcheck":               "fault harness: the serving tests' goroutine-leak check",
+	"repro/internal/faultinject":             "fault harness: tests arm, disarm and seed fault points through it",
+	"repro/internal/mesh.Cube":               "fixture builder",
+	"repro/internal/mesh.Tetrahedron":        "fixture builder",
+	"repro/internal/mesh.Ellipsoid":          "fixture builder",
+	"(repro/internal/geom.Vec3).ApproxEqual": "fixture: the geometry tests' tolerance comparison",
 
 	"repro/internal/sdbms":                       "reference implementation: the exactness tests compare every join against it",
 	"repro/internal/geom.TriTriDist":             "reference implementation: the bounded TriTriDist2 is tested against it",
@@ -31,14 +30,13 @@ var orphanAllowlist = map[string]string{
 	"(repro/internal/geom.Segment).Dist":         "reference implementation: TestDegenerateConsistency",
 	"(repro/internal/geom.Box3).DistToPoint":     "reference implementation: TestBoxMinDistWitness",
 
-	"(*repro/internal/analysis/cfg.Graph).Debug":          "introspection: the cfg tests print the graph on failure",
-	"(*repro/internal/cache.Cache).NumShards":             "introspection: the cache tests read the shard count",
-	"(*repro/internal/cache.Cache).NumDecoders":           "introspection: the warm-start tests read the retained decoders",
-	"(*repro/internal/cache.Cache).Len":                   "introspection: TestEviction and TestClear read the entry count",
-	"(repro/internal/cache.Stats).Sub":                    "introspection: TestCountersMatchGlobalDelta and the core attribution tests",
-	"(*repro/internal/ppvp.Compressed).RoundsForLOD":      "introspection: TestProgressiveWarmStartMatchesCold and TestRoundsAccounting",
-	"(*repro/internal/quarantine.Breaker[K]).Quarantined": "introspection: TestLoadDatasetSalvage and the breaker tests",
-	"repro/internal/obs.ParsePrometheusText":              "introspection: the /metrics tests parse the exposition with it",
+	"(*repro/internal/analysis/cfg.Graph).Debug":     "introspection: the cfg tests print the graph on failure",
+	"(*repro/internal/cache.Cache).NumShards":        "introspection: the cache tests read the shard count",
+	"(*repro/internal/cache.Cache).NumDecoders":      "introspection: the warm-start tests read the retained decoders",
+	"(*repro/internal/cache.Cache).Len":              "introspection: TestEviction and TestClear read the entry count",
+	"(repro/internal/cache.Stats).Sub":               "introspection: TestCountersMatchGlobalDelta and the core attribution tests",
+	"(*repro/internal/ppvp.Compressed).RoundsForLOD": "introspection: TestProgressiveWarmStartMatchesCold and TestRoundsAccounting",
+	"repro/internal/obs.ParsePrometheusText":         "introspection: the /metrics tests parse the exposition with it",
 }
 
 // TestNoOrphanAPI fails on any exported function or method of an internal/
