@@ -4,8 +4,9 @@ package core_test
 // with tile corruption, probabilistic ppvp decode errors, and unconditional
 // core decode panics armed at once, the process must survive, a FailFast
 // join must name a failing object, a Degrade join must return exactly the
-// clean run's certain pairs minus the failed objects, and /readyz must
-// report degraded (not dead). It lives in package core_test so it can drive
+// clean run's certain pairs minus the failed objects, a point or range
+// query must do the same for its IDs, and /readyz must report degraded (not
+// dead). It lives in package core_test so it can drive
 // the HTTP server against the same engine without an import cycle.
 
 import (
@@ -15,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -109,6 +111,29 @@ func chaosHoles(t *testing.T, d *core.Dataset, rep *storage.SalvageReport) map[i
 	return holes
 }
 
+// chaosProbe is one point or range query of the campaign.
+type chaosProbe struct {
+	name string
+	run  func(ctx context.Context, e *core.Engine, d *core.Dataset, q core.QueryOptions) ([]int64, *core.Stats, error)
+}
+
+// chaosProbes returns a point query at the centre of d's first object and a
+// range query over the lower half of d's space, where some MBBs lie wholly
+// inside the box and others need their geometry.
+func chaosProbes(d *core.Dataset) []chaosProbe {
+	p := d.Tileset.Object(0).MBB().Center()
+	box := d.Tree().Bounds()
+	box.Max.X = (box.Min.X + box.Max.X) / 2
+	return []chaosProbe{
+		{"point", func(ctx context.Context, e *core.Engine, d *core.Dataset, q core.QueryOptions) ([]int64, *core.Stats, error) {
+			return e.ContainingObjects(ctx, d, p, q)
+		}},
+		{"range", func(ctx context.Context, e *core.Engine, d *core.Dataset, q core.QueryOptions) ([]int64, *core.Stats, error) {
+			return e.RangeQuery(ctx, d, box, q)
+		}},
+	}
+}
+
 func runChaosCampaign(t *testing.T, seed int64) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
@@ -123,6 +148,13 @@ func runChaosCampaign(t *testing.T, seed int64) {
 	}
 	if len(clean) == 0 {
 		t.Fatal("clean workload produced no pairs")
+	}
+	probes := chaosProbes(a1)
+	cleanIDs := make([][]int64, len(probes))
+	for i, pr := range probes {
+		if cleanIDs[i], _, err = pr.run(ctx, e1, a1, core.QueryOptions{}); err != nil {
+			t.Fatalf("clean %s: %v", pr.name, err)
+		}
 	}
 	dirA, dirB := t.TempDir(), t.TempDir()
 	if err := a1.SaveDataset(dirA); err != nil {
@@ -168,6 +200,29 @@ func runChaosCampaign(t *testing.T, seed int64) {
 	}
 	if !strings.Contains(ffErr.Error(), "object ") {
 		t.Fatalf("fail-fast error does not name an object: %v", ffErr)
+	}
+
+	// The probe ladder: FailFast names an object too; Degrade answers a
+	// subset of the clean IDs, and each clean ID it drops is a hole or
+	// uncertain.
+	for i, pr := range probes {
+		if _, _, err := pr.run(ctx, e2, a2, core.QueryOptions{}); err == nil || !strings.Contains(err.Error(), "object ") {
+			t.Fatalf("fail-fast %s: err = %v, want one naming an object", pr.name, err)
+		}
+		got, st, err := pr.run(ctx, e2, a2, core.QueryOptions{OnError: core.Degrade, ErrorBudget: -1})
+		if err != nil {
+			t.Fatalf("degrade %s died: %v", pr.name, err)
+		}
+		for _, id := range got {
+			if !slices.Contains(cleanIDs[i], id) || slices.Contains(st.UncertainIDs, id) {
+				t.Fatalf("degrade %s returned %d: clean %v, uncertain %v", pr.name, id, cleanIDs[i], st.UncertainIDs)
+			}
+		}
+		for _, id := range cleanIDs[i] {
+			if !slices.Contains(got, id) && !badA[id] && !slices.Contains(st.UncertainIDs, id) {
+				t.Fatalf("degrade %s dropped %d silently: got %v, clean %v, uncertain %v", pr.name, id, got, cleanIDs[i], st.UncertainIDs)
+			}
+		}
 	}
 
 	// Degrade survives and answers with exactly the certain pairs: the

@@ -182,7 +182,7 @@ func (c *evalCtx) decodeGuarded(ds *Dataset, sto *storage.Object, id int64, lod 
 // decodes, warm decoder and accelerators. Under Degrade, a panic out of the
 // decoder (or the cache's re-panic after its own cleanup) is converted into
 // an error so the attempt can be retried or the object skipped; under
-// FailFast panics propagate to callRecovered.
+// FailFast panics propagate to the caller's recovery, which names the object.
 func (c *evalCtx) decodeOnce(sto *storage.Object, lod int) (m *mesh.Mesh, err error) {
 	if c.deg != nil {
 		defer func() {

@@ -29,11 +29,14 @@ func fastDatasetOptions() DatasetOptions {
 	return DatasetOptions{Compression: c, Cuboids: 8, PartitionTargetFaces: 64}
 }
 
+// pairGen generates buildPair's first dataset.
+var pairGen = datagen.NucleiOptions{Count: 12, SubdivisionLevel: 1, Seed: 21}
+
 // buildPair ingests two overlapping nuclei datasets (the "two segmentation
 // algorithms" workload) — used for intersection joins.
 func buildPair(t *testing.T, e *Engine) (*Dataset, *Dataset) {
 	t.Helper()
-	gen := datagen.NucleiOptions{Count: 12, SubdivisionLevel: 1, Seed: 21}
+	gen := pairGen
 	a, err := e.BuildDataset("nucleiA", datagen.Nuclei(gen), fastDatasetOptions())
 	if err != nil {
 		t.Fatal(err)

@@ -69,7 +69,7 @@ type degrader struct {
 
 	errsBuf [][]ObjectError
 	uncBuf  [][]Pair
-	uncIDs  []int64 // single-object queries only (not under runPerTarget)
+	uncIDs  []int64 // single-dataset queries only (the probe ladder)
 }
 
 func newDegrader(workers, budget int) *degrader {
@@ -115,8 +115,8 @@ func (d *degrader) uncertain(w int, p Pair) {
 	d.uncBuf[w] = append(d.uncBuf[w], p)
 }
 
-// uncertainID marks one object of a single-dataset query as unsettled. Only
-// used by the single-threaded query paths (ContainingObjects, RangeQuery).
+// uncertainID marks one object of a single-dataset query as unsettled: the
+// probe ladder of the point and range queries, not under runPerTarget.
 func (d *degrader) uncertainID(id int64) {
 	d.uncIDs = append(d.uncIDs, id)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -344,34 +345,39 @@ func TestWithinDegradeSoundness(t *testing.T) {
 
 // TestRangeQueryDegradeUncertainIDs trips an object that needs geometry to
 // resolve a range query and checks it lands in UncertainIDs.
+// TestRangeQueryDegradeUncertainIDs: a quarantined candidate of a point or
+// a range query under Degrade is reported in UncertainIDs, never as a
+// result.
 func TestRangeQueryDegradeUncertainIDs(t *testing.T) {
-	e := testEngine(t)
-	a, _ := buildPair(t, e)
-
-	// A box covering half of object 0's MBB: the object is a candidate but
-	// not an MBB-definite accept, so resolving it requires its geometry.
-	mbb := a.Tileset.Object(0).MBB()
-	box := mbb
-	box.Max.X = (mbb.Min.X + mbb.Max.X) / 2
-
-	e.Quarantine().Trip(blobOf(a, 0), "test trip")
-	out, st, err := e.RangeQuery(context.Background(), a, box, QueryOptions{OnError: Degrade})
-	if err != nil {
-		t.Fatal(err)
+	probes := map[string]func(e *Engine, d *Dataset, q QueryOptions) ([]int64, *Stats, error){
+		// A box covering half of object 0's MBB: the object is a candidate
+		// but not an MBB-definite accept, so resolving it requires its
+		// geometry.
+		"range": func(e *Engine, d *Dataset, q QueryOptions) ([]int64, *Stats, error) {
+			box := d.Tileset.Object(0).MBB()
+			box.Max.X = (box.Min.X + box.Max.X) / 2
+			return e.RangeQuery(context.Background(), d, box, q)
+		},
+		"point": func(e *Engine, d *Dataset, q QueryOptions) ([]int64, *Stats, error) {
+			return e.ContainingObjects(context.Background(), d, d.Tileset.Object(0).MBB().Center(), q)
+		},
 	}
-	for _, id := range out {
-		if id == 0 {
-			t.Fatal("quarantined object reported as a certain result")
-		}
-	}
-	found := false
-	for _, id := range st.UncertainIDs {
-		if id == 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("object 0 not in UncertainIDs (%v)", st.UncertainIDs)
+	for name, probe := range probes {
+		t.Run(name, func(t *testing.T) {
+			e := testEngine(t)
+			a, _ := buildPair(t, e)
+			e.Quarantine().Trip(blobOf(a, 0), "test trip")
+			out, st, err := probe(e, a, QueryOptions{OnError: Degrade})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if slices.Contains(out, 0) {
+				t.Fatal("quarantined object reported as a certain result")
+			}
+			if !slices.Contains(st.UncertainIDs, 0) {
+				t.Fatalf("object 0 not in UncertainIDs (%v)", st.UncertainIDs)
+			}
+		})
 	}
 }
 

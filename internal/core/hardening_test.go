@@ -104,29 +104,53 @@ func TestJoinDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicBecomesError forces a panic inside one decode worker and
-// asserts it fails only that query; the engine keeps answering.
+// TestWorkerPanicBecomesError forces a panic inside one decode of a join,
+// a point query and a range query, and asserts it fails only that query
+// with an error naming the object; the engine keeps answering.
 func TestWorkerPanicBecomesError(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
-	e := slowEngine(t)
-	a, b := buildPair(t, e)
+	queries := map[string]func(e *Engine, a, b *Dataset) (int, error){
+		"intersect": func(e *Engine, a, b *Dataset) (int, error) {
+			pairs, _, err := e.IntersectJoin(context.Background(), a, b, QueryOptions{})
+			return len(pairs), err
+		},
+		"point": func(e *Engine, a, _ *Dataset) (int, error) {
+			ids, _, err := e.ContainingObjects(context.Background(), a, a.Tileset.Object(0).MBB().Center(), QueryOptions{})
+			return len(ids), err
+		},
+		// Half of object 0's MBB: the object needs its geometry.
+		"range": func(e *Engine, a, _ *Dataset) (int, error) {
+			box := a.Tileset.Object(0).MBB()
+			box.Max.X = (box.Min.X + box.Max.X) / 2
+			ids, _, err := e.RangeQuery(context.Background(), a, box, QueryOptions{})
+			return len(ids), err
+		},
+	}
+	for name, query := range queries {
+		t.Run(name, func(t *testing.T) {
+			t.Cleanup(faultinject.Reset)
+			e := slowEngine(t)
+			a, b := buildPair(t, e)
 
-	faultinject.Arm(faultinject.PointCoreDecode, faultinject.Fault{Panic: "decode blew up", Times: 1})
-	_, _, err := e.IntersectJoin(context.Background(), a, b, QueryOptions{})
-	if err == nil {
-		t.Fatal("join with injected panic returned nil error")
-	}
-	if !strings.Contains(err.Error(), "worker panic") || !strings.Contains(err.Error(), "decode blew up") {
-		t.Fatalf("panic not surfaced in error: %v", err)
-	}
+			faultinject.Arm(faultinject.PointCoreDecode, faultinject.Fault{Panic: "decode blew up", Times: 1})
+			_, err := query(e, a, b)
+			if err == nil {
+				t.Fatal("query with injected panic returned nil error")
+			}
+			for _, want := range []string{"worker panic", "object ", "decode blew up"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("panic not surfaced in error (no %q): %v", want, err)
+				}
+			}
 
-	// The fault is spent; the same engine must now answer correctly.
-	pairs, _, err := e.IntersectJoin(context.Background(), a, b, QueryOptions{})
-	if err != nil {
-		t.Fatalf("join after recovered panic: %v", err)
-	}
-	if len(pairs) == 0 {
-		t.Fatal("overlapping pair produced no intersections after recovery")
+			// The fault is spent; the same engine must now answer correctly.
+			n, err := query(e, a, b)
+			if err != nil {
+				t.Fatalf("query after recovered panic: %v", err)
+			}
+			if n == 0 {
+				t.Fatal("no answer after recovery")
+			}
+		})
 	}
 }
 

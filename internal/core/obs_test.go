@@ -192,22 +192,40 @@ func TestStatsOnCancellation(t *testing.T) {
 	}
 }
 
-// TestStatsOnCancellationSingleThreaded covers the non-runPerTarget paths
-// (ContainingObjects / RangeQuery), which observe the deadline themselves.
+// TestStatsOnCancellationSingleThreaded covers the probe ladder of the
+// point and range queries, which runs on the calling goroutine rather than
+// under runPerTarget and observes the deadline itself.
 func TestStatsOnCancellationSingleThreaded(t *testing.T) {
 	e := testEngine(t)
 	a, _ := buildPair(t, e)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, st, err := e.ContainingObjects(ctx, a, a.Tileset.Object(0).MBB().Center(), QueryOptions{Paradigm: FPR})
-	if err == nil {
-		t.Fatal("cancelled query returned no error")
+	mbb := a.Tileset.Object(0).MBB()
+	// Half of object 0's MBB: the object needs its geometry, so the ladder
+	// runs past the filter.
+	half := mbb
+	half.Max.X = (mbb.Min.X + mbb.Max.X) / 2
+	probes := map[string]func() (*Stats, error){
+		"point": func() (*Stats, error) {
+			_, st, err := e.ContainingObjects(ctx, a, mbb.Center(), QueryOptions{Paradigm: FPR})
+			return st, err
+		},
+		"range": func() (*Stats, error) {
+			_, st, err := e.RangeQuery(ctx, a, half, QueryOptions{Paradigm: FPR})
+			return st, err
+		},
 	}
-	if st == nil {
-		t.Fatal("cancelled query returned nil stats")
-	}
-	if st.FilterTime <= 0 {
-		t.Error("filter phase ran before the deadline check but was not reported")
+	for name, probe := range probes {
+		st, err := probe()
+		if err == nil {
+			t.Fatalf("%s: cancelled query returned no error", name)
+		}
+		if st == nil {
+			t.Fatalf("%s: cancelled query returned nil stats", name)
+		}
+		if st.FilterTime <= 0 {
+			t.Errorf("%s: filter phase ran before the deadline check but was not reported", name)
+		}
 	}
 }
 

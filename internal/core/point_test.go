@@ -2,52 +2,97 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/geom"
 	"repro/internal/mesh"
 )
 
-func TestContainingObjectsMatchesBrute(t *testing.T) {
-	e := testEngine(t)
-	a, _ := buildPair(t, e)
-	meshes := decodeAll(t, a)
+// probeFixture is the dataset the probe fuzz targets query (buildPair's
+// first dataset), built once per process, with its objects decoded at the
+// top LOD for the brute-force oracles.
+type probeFixture struct {
+	e      *Engine
+	d      *Dataset
+	meshes []*mesh.Mesh
+	space  geom.Box3
+}
 
+var probeData = sync.OnceValues(func() (*probeFixture, error) {
+	e := NewEngine(EngineOptions{CacheBytes: 64 << 20, Workers: 4})
+	d, err := e.BuildDataset("nucleiA", datagen.Nuclei(pairGen), fastDatasetOptions())
+	if err != nil {
+		return nil, err
+	}
+	f := &probeFixture{e: e, d: d, meshes: make([]*mesh.Mesh, d.Len()), space: d.Tree().Bounds()}
+	for i := range f.meshes {
+		if f.meshes[i], err = d.Tileset.Object(int64(i)).Comp.Decode(d.MaxLOD()); err != nil {
+			return nil, err
+		}
+	}
+	return f, nil
+})
+
+func probeFixtureFor(tb testing.TB) *probeFixture {
+	tb.Helper()
+	f, err := probeData()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return f
+}
+
+// randIn draws a point uniformly from box.
+func randIn(rng *rand.Rand, box geom.Box3) geom.Vec3 {
+	return geom.V(
+		box.Min.X+rng.Float64()*box.Size().X,
+		box.Min.Y+rng.Float64()*box.Size().Y,
+		box.Min.Z+rng.Float64()*box.Size().Z,
+	)
+}
+
+// checkIDs fails unless got equals want, under label.
+func checkIDs(t *testing.T, label string, got, want []int64) {
+	t.Helper()
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: got %v, want %v", label, got, want)
+	}
+}
+
+// FuzzContainingObjects checks point containment under both paradigms
+// against a brute-force scan of the top-LOD meshes. The seeds are 150
+// uniform points of the dataset's space.
+func FuzzContainingObjects(f *testing.F) {
+	fx := probeFixtureFor(f)
 	rng := rand.New(rand.NewSource(8))
-	space := a.Tree().Bounds()
-	tested := 0
-	for i := 0; i < 400 && tested < 150; i++ {
-		p := geom.V(
-			space.Min.X+rng.Float64()*space.Size().X,
-			space.Min.Y+rng.Float64()*space.Size().Y,
-			space.Min.Z+rng.Float64()*space.Size().Z,
-		)
+	for i := 0; i < 150; i++ {
+		p := randIn(rng, fx.space)
+		f.Add(p.X, p.Y, p.Z)
+	}
+	f.Fuzz(func(t *testing.T, x, y, z float64) {
+		p := geom.V(x, y, z)
 		var want []int64
-		for j, m := range meshes {
+		for j, m := range fx.meshes {
 			if m.ContainsPoint(p) {
 				want = append(want, int64(j))
 			}
 		}
-		tested++
 		for _, paradigm := range []Paradigm{FR, FPR} {
-			got, stats, err := e.ContainingObjects(context.Background(), a, p, QueryOptions{Paradigm: paradigm, Accel: AABB})
+			got, stats, err := fx.e.ContainingObjects(context.Background(), fx.d, p, QueryOptions{Paradigm: paradigm, Accel: AABB})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%v point %v: got %v, want %v", paradigm, p, got, want)
-			}
-			for k := range got {
-				if got[k] != want[k] {
-					t.Fatalf("%v point %v: got %v, want %v", paradigm, p, got, want)
-				}
 			}
 			if stats == nil {
 				t.Fatal("nil stats")
 			}
+			checkIDs(t, fmt.Sprintf("%v point %v", paradigm, p), got, want)
 		}
-	}
+	})
 }
 
 func TestContainingObjectsEarlySettle(t *testing.T) {
@@ -81,25 +126,21 @@ func TestContainingObjectsEarlySettle(t *testing.T) {
 	}
 }
 
-func TestRangeQueryMatchesBrute(t *testing.T) {
-	e := testEngine(t)
-	a, _ := buildPair(t, e)
-	meshes := decodeAll(t, a)
-	boxTris := func(b geom.Box3) []geom.Triangle { return boxTriangles(b) }
-
+// FuzzRangeQuery checks range queries under both paradigms against a
+// brute-force []Triangle scan of the top-LOD meshes. The seeds are 25
+// cubes of edge 2–27 with a uniform corner in the dataset's space.
+func FuzzRangeQuery(f *testing.F) {
+	fx := probeFixtureFor(f)
 	rng := rand.New(rand.NewSource(12))
-	space := a.Tree().Bounds()
 	for trial := 0; trial < 25; trial++ {
-		lo := geom.V(
-			space.Min.X+rng.Float64()*space.Size().X,
-			space.Min.Y+rng.Float64()*space.Size().Y,
-			space.Min.Z+rng.Float64()*space.Size().Z,
-		)
-		sz := 2 + rng.Float64()*25
-		box := geom.Box3{Min: lo, Max: lo.Add(geom.V(sz, sz, sz))}
-
+		lo := randIn(rng, fx.space)
+		f.Add(lo.X, lo.Y, lo.Z, 2+rng.Float64()*25)
+	}
+	f.Fuzz(func(t *testing.T, x, y, z, sz float64) {
+		box := geom.Box3{Min: geom.V(x, y, z), Max: geom.V(x+sz, y+sz, z+sz)}
+		faces := boxSoA(box)
 		var want []int64
-		for j, m := range meshes {
+		for j, m := range fx.meshes {
 			if !m.Bounds().Intersects(box) {
 				continue
 			}
@@ -109,11 +150,8 @@ func TestRangeQueryMatchesBrute(t *testing.T) {
 					hit = true
 					break
 				}
-				for _, bt := range boxTris(box) {
-					if geom.TriTriIntersect(tri, bt) {
-						hit = true
-						break
-					}
+				for k := 0; k < faces.Len() && !hit; k++ {
+					hit = geom.TriTriIntersect(tri, faces.At(k))
 				}
 				if hit {
 					break
@@ -126,22 +164,14 @@ func TestRangeQueryMatchesBrute(t *testing.T) {
 				want = append(want, int64(j))
 			}
 		}
-
 		for _, paradigm := range []Paradigm{FR, FPR} {
-			got, _, err := e.RangeQuery(context.Background(), a, box, QueryOptions{Paradigm: paradigm})
+			got, _, err := fx.e.RangeQuery(context.Background(), fx.d, box, QueryOptions{Paradigm: paradigm})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("%v box %v: got %v, want %v", paradigm, box, got, want)
-			}
-			for k := range got {
-				if got[k] != want[k] {
-					t.Fatalf("%v box %v: got %v, want %v", paradigm, box, got, want)
-				}
-			}
+			checkIDs(t, fmt.Sprintf("%v box %v", paradigm, box), got, want)
 		}
-	}
+	})
 }
 
 func TestRangeQuerySwallowedBox(t *testing.T) {

@@ -20,7 +20,7 @@ func randomSurface(rng *rand.Rand, n int, center geom.Vec3) []geom.Triangle {
 		p := func() geom.Vec3 {
 			return base.Add(geom.V(rng.Float64(), rng.Float64(), rng.Float64()))
 		}
-		ts[i] = geom.Tri(p(), p(), p())
+		ts[i] = geom.Triangle{A: p(), B: p(), C: p()}
 		if rng.Intn(16) == 0 {
 			ts[i].C = ts[i].A // a degenerate face now and then
 		}

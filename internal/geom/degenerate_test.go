@@ -13,11 +13,11 @@ import (
 
 func needle(a, b Vec3) Triangle {
 	mid := a.Lerp(b, 0.5)
-	return Tri(a, mid, b)
+	return Triangle{a, mid, b}
 }
 
 func TestDegenerateTriTriIntersectFarApart(t *testing.T) {
-	solid := Tri(V(0, 0, 0), V(1, 0, 0), V(0, 1, 0))
+	solid := Triangle{V(0, 0, 0), V(1, 0, 0), V(0, 1, 0)}
 	farNeedle := needle(V(10, 10, 10), V(10, 11, 10))
 	if TriTriIntersect(solid, farNeedle) {
 		t.Error("distant needle reported intersecting")
@@ -25,14 +25,14 @@ func TestDegenerateTriTriIntersectFarApart(t *testing.T) {
 	if TriTriIntersect(farNeedle, solid) {
 		t.Error("distant needle reported intersecting (swapped)")
 	}
-	point := Tri(V(5, 5, 5), V(5, 5, 5), V(5, 5, 5))
+	point := Triangle{V(5, 5, 5), V(5, 5, 5), V(5, 5, 5)}
 	if TriTriIntersect(solid, point) {
 		t.Error("distant point-triangle reported intersecting")
 	}
 }
 
 func TestDegenerateTriTriIntersectTouching(t *testing.T) {
-	solid := Tri(V(0, 0, 0), V(2, 0, 0), V(0, 2, 0))
+	solid := Triangle{V(0, 0, 0), V(2, 0, 0), V(0, 2, 0)}
 	// Needle piercing the triangle's plane inside its area, endpoints on
 	// opposite sides — as a segment it crosses; as a zero-area triangle it
 	// touches the solid triangle at the crossing point.
@@ -53,7 +53,7 @@ func TestDegenerateTriTriIntersectTouching(t *testing.T) {
 }
 
 func TestDegenerateTriTriDist(t *testing.T) {
-	solid := Tri(V(0, 0, 0), V(1, 0, 0), V(0, 1, 0))
+	solid := Triangle{V(0, 0, 0), V(1, 0, 0), V(0, 1, 0)}
 	n := needle(V(0.25, 0.25, 3), V(0.25, 0.25, 5))
 	if got := TriTriDist(solid, n); math.Abs(got-3) > 1e-12 {
 		t.Errorf("needle dist = %v, want 3", got)
@@ -65,7 +65,7 @@ func TestDegenerateTriTriDist(t *testing.T) {
 		t.Errorf("needle-needle dist = %v, want 2", got)
 	}
 	// Point triangle.
-	p := Tri(V(0, 0, 7), V(0, 0, 7), V(0, 0, 7))
+	p := Triangle{V(0, 0, 7), V(0, 0, 7), V(0, 0, 7)}
 	if got := TriTriDist(solid, p); math.Abs(got-7) > 1e-12 {
 		t.Errorf("point dist = %v, want 7", got)
 	}

@@ -104,14 +104,14 @@ func TestTriTriDistTranslationStability(t *testing.T) {
 		d := TriTriDist(A, B)
 
 		off := V(rng.Float64()*10-5, rng.Float64()*10-5, rng.Float64()*10-5)
-		A2 := Tri(A.A.Add(off), A.B.Add(off), A.C.Add(off))
-		B2 := Tri(B.A.Add(off), B.B.Add(off), B.C.Add(off))
+		A2 := Triangle{A.A.Add(off), A.B.Add(off), A.C.Add(off)}
+		B2 := Triangle{B.A.Add(off), B.B.Add(off), B.C.Add(off)}
 		if math.Abs(TriTriDist(A2, B2)-d) > 1e-9 {
 			t.Fatalf("joint translation changed distance")
 		}
 
 		small := V(rng.Float64()*0.2-0.1, rng.Float64()*0.2-0.1, rng.Float64()*0.2-0.1)
-		B3 := Tri(B.A.Add(small), B.B.Add(small), B.C.Add(small))
+		B3 := Triangle{B.A.Add(small), B.B.Add(small), B.C.Add(small)}
 		if math.Abs(TriTriDist(A, B3)-d) > small.Len()+1e-9 {
 			t.Fatalf("distance moved more than the translation: |Δ|=%v > %v",
 				math.Abs(TriTriDist(A, B3)-d), small.Len())

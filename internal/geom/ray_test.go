@@ -24,14 +24,14 @@ func unitCubeTris() []Triangle {
 	var tris []Triangle
 	for _, q := range quads {
 		tris = append(tris,
-			Tri(v[q[0]], v[q[1]], v[q[2]]),
-			Tri(v[q[0]], v[q[2]], v[q[3]]))
+			Triangle{v[q[0]], v[q[1]], v[q[2]]},
+			Triangle{v[q[0]], v[q[2]], v[q[3]]})
 	}
 	return tris
 }
 
 func TestRayIntersectTriangle(t *testing.T) {
-	tr := Tri(V(0, 0, 0), V(2, 0, 0), V(0, 2, 0))
+	tr := Triangle{V(0, 0, 0), V(2, 0, 0), V(0, 2, 0)}
 	r := Ray{Origin: V(0.3, 0.3, -1), Dir: V(0, 0, 1)}
 	tt, kind := r.intersectTriangleEx(tr)
 	if kind != hitInside || tt != 1 {
@@ -165,7 +165,7 @@ func TestIntersectTriangleXMatches(t *testing.T) {
 			return V(rng.Float64()-0.5, rng.Float64()-0.5, rng.Float64()-0.5).Mul(unit)
 		}
 		for i := 0; i < 20000; i++ {
-			tri := Tri(r(), r(), r())
+			tri := Triangle{r(), r(), r()}
 			check(r(), tri)
 			// A point of the triangle (interior, edge or vertex, by turns),
 			// seen from behind along X, from itself, and from just off it.
@@ -186,11 +186,11 @@ func TestIntersectTriangleXMatches(t *testing.T) {
 			check(on, tri)
 			check(on.Add(V(unit*1e-13*(rng.Float64()-0.5), 0, 0)), tri)
 			// Triangles the ray lies in or runs parallel to.
-			flat := Tri(tri.A, tri.A.Add(V(unit, 0, 0)), tri.C)
+			flat := Triangle{tri.A, tri.A.Add(V(unit, 0, 0)), tri.C}
 			check(tri.A.Sub(V(unit, 0, 0)), flat)
 			check(r(), flat)
 			// Axis-aligned faces, as a cube has them.
-			check(r(), Tri(V(tri.A.X, tri.A.Y, tri.A.Z), V(tri.A.X, tri.B.Y, tri.A.Z), V(tri.A.X, tri.B.Y, tri.C.Z)))
+			check(r(), Triangle{V(tri.A.X, tri.A.Y, tri.A.Z), V(tri.A.X, tri.B.Y, tri.A.Z), V(tri.A.X, tri.B.Y, tri.C.Z)})
 		}
 	}
 	for _, k := range []hitKind{hitNone, hitInside, hitDegenerate} {

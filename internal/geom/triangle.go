@@ -9,9 +9,6 @@ type Triangle struct {
 	A, B, C Vec3
 }
 
-// Tri is shorthand for constructing a Triangle.
-func Tri(a, b, c Vec3) Triangle { return Triangle{a, b, c} }
-
 // Normal returns the (non-unit) normal of the triangle: (B-A) × (C-A).
 // Its direction points to the outer side for CCW-oriented faces.
 func (t Triangle) Normal() Vec3 {

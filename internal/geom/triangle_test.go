@@ -7,7 +7,7 @@ import (
 )
 
 func TestTriangleBasics(t *testing.T) {
-	tr := Tri(V(0, 0, 0), V(1, 0, 0), V(0, 1, 0))
+	tr := Triangle{V(0, 0, 0), V(1, 0, 0), V(0, 1, 0)}
 	if got := tr.Normal(); got != V(0, 0, 1) {
 		t.Errorf("Normal = %v, want twice the area along +Z", got)
 	}
@@ -30,19 +30,19 @@ func TestTriangleBasics(t *testing.T) {
 }
 
 func TestTriangleDegenerate(t *testing.T) {
-	if Tri(V(0, 0, 0), V(1, 0, 0), V(0, 1, 0)).IsDegenerate() {
+	if (Triangle{V(0, 0, 0), V(1, 0, 0), V(0, 1, 0)}).IsDegenerate() {
 		t.Error("proper triangle reported degenerate")
 	}
-	if !Tri(V(0, 0, 0), V(1, 0, 0), V(2, 0, 0)).IsDegenerate() {
+	if !(Triangle{V(0, 0, 0), V(1, 0, 0), V(2, 0, 0)}).IsDegenerate() {
 		t.Error("collinear triangle not reported degenerate")
 	}
-	if !Tri(V(1, 1, 1), V(1, 1, 1), V(1, 1, 1)).IsDegenerate() {
+	if !(Triangle{V(1, 1, 1), V(1, 1, 1), V(1, 1, 1)}).IsDegenerate() {
 		t.Error("point triangle not reported degenerate")
 	}
 }
 
 func TestClosestPointToPoint(t *testing.T) {
-	tr := Tri(V(0, 0, 0), V(2, 0, 0), V(0, 2, 0))
+	tr := Triangle{V(0, 0, 0), V(2, 0, 0), V(0, 2, 0)}
 	cases := []struct {
 		p, want Vec3
 	}{
@@ -156,5 +156,5 @@ func randomTriangle(rng *rand.Rand, scale float64) Triangle {
 	r := func() Vec3 {
 		return V(rng.Float64()*2*scale-scale, rng.Float64()*2*scale-scale, rng.Float64()*2*scale-scale)
 	}
-	return Tri(r(), r(), r())
+	return Triangle{r(), r(), r()}
 }

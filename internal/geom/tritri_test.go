@@ -8,21 +8,21 @@ import (
 
 func TestTriTriIntersectBasic(t *testing.T) {
 	// Two triangles crossing like a plus sign.
-	t1 := Tri(V(-1, 0, -1), V(1, 0, -1), V(0, 0, 1))
-	t2 := Tri(V(0, -1, -1), V(0, 1, -1), V(0, 0, 1))
+	t1 := Triangle{V(-1, 0, -1), V(1, 0, -1), V(0, 0, 1)}
+	t2 := Triangle{V(0, -1, -1), V(0, 1, -1), V(0, 0, 1)}
 	if !TriTriIntersect(t1, t2) {
 		t.Error("crossing triangles reported disjoint")
 	}
 
 	// Far apart.
-	t3 := Tri(V(10, 10, 10), V(11, 10, 10), V(10, 11, 10))
+	t3 := Triangle{V(10, 10, 10), V(11, 10, 10), V(10, 11, 10)}
 	if TriTriIntersect(t1, t3) {
 		t.Error("distant triangles reported intersecting")
 	}
 
 	// Parallel planes, no intersection.
-	t4 := Tri(V(-1, 0, 0), V(1, 0, 0), V(0, 1, 0))
-	t5 := Tri(V(-1, 0, 1), V(1, 0, 1), V(0, 1, 1))
+	t4 := Triangle{V(-1, 0, 0), V(1, 0, 0), V(0, 1, 0)}
+	t5 := Triangle{V(-1, 0, 1), V(1, 0, 1), V(0, 1, 1)}
 	if TriTriIntersect(t4, t5) {
 		t.Error("parallel offset triangles reported intersecting")
 	}
@@ -30,20 +30,20 @@ func TestTriTriIntersectBasic(t *testing.T) {
 
 func TestTriTriIntersectCoplanar(t *testing.T) {
 	// Overlapping coplanar triangles.
-	t1 := Tri(V(0, 0, 0), V(4, 0, 0), V(0, 4, 0))
-	t2 := Tri(V(1, 1, 0), V(5, 1, 0), V(1, 5, 0))
+	t1 := Triangle{V(0, 0, 0), V(4, 0, 0), V(0, 4, 0)}
+	t2 := Triangle{V(1, 1, 0), V(5, 1, 0), V(1, 5, 0)}
 	if !TriTriIntersect(t1, t2) {
 		t.Error("overlapping coplanar triangles reported disjoint")
 	}
 
 	// Coplanar, one contains the other.
-	t3 := Tri(V(1, 1, 0), V(2, 1, 0), V(1, 2, 0))
+	t3 := Triangle{V(1, 1, 0), V(2, 1, 0), V(1, 2, 0)}
 	if !TriTriIntersect(t1, t3) {
 		t.Error("contained coplanar triangle reported disjoint")
 	}
 
 	// Coplanar, disjoint.
-	t4 := Tri(V(10, 10, 0), V(12, 10, 0), V(10, 12, 0))
+	t4 := Triangle{V(10, 10, 0), V(12, 10, 0), V(10, 12, 0)}
 	if TriTriIntersect(t1, t4) {
 		t.Error("disjoint coplanar triangles reported intersecting")
 	}
@@ -51,13 +51,13 @@ func TestTriTriIntersectCoplanar(t *testing.T) {
 
 func TestTriTriIntersectTouching(t *testing.T) {
 	// Sharing exactly one vertex.
-	t1 := Tri(V(0, 0, 0), V(1, 0, 0), V(0, 1, 0))
-	t2 := Tri(V(0, 0, 0), V(-1, 0, 1), V(0, -1, 1))
+	t1 := Triangle{V(0, 0, 0), V(1, 0, 0), V(0, 1, 0)}
+	t2 := Triangle{V(0, 0, 0), V(-1, 0, 1), V(0, -1, 1)}
 	if !TriTriIntersect(t1, t2) {
 		t.Error("vertex-touching triangles reported disjoint")
 	}
 	// One vertex of t2 piercing t1's plane through its interior.
-	t3 := Tri(V(0.2, 0.2, -1), V(0.3, 0.2, 1), V(0.2, 0.3, 1))
+	t3 := Triangle{V(0.2, 0.2, -1), V(0.3, 0.2, 1), V(0.2, 0.3, 1)}
 	if !TriTriIntersect(t1, t3) {
 		t.Error("piercing triangle reported disjoint")
 	}
@@ -78,20 +78,20 @@ func TestTriTriIntersectSymmetric(t *testing.T) {
 }
 
 func TestTriTriDistBasic(t *testing.T) {
-	t1 := Tri(V(0, 0, 0), V(1, 0, 0), V(0, 1, 0))
-	t2 := Tri(V(0, 0, 2), V(1, 0, 2), V(0, 1, 2))
+	t1 := Triangle{V(0, 0, 0), V(1, 0, 0), V(0, 1, 0)}
+	t2 := Triangle{V(0, 0, 2), V(1, 0, 2), V(0, 1, 2)}
 	if got := TriTriDist(t1, t2); math.Abs(got-2) > 1e-12 {
 		t.Errorf("parallel dist = %v, want 2", got)
 	}
 
 	// Intersecting triangles have zero distance.
-	t3 := Tri(V(0.2, 0.2, -1), V(0.3, 0.2, 1), V(0.2, 0.3, 1))
+	t3 := Triangle{V(0.2, 0.2, -1), V(0.3, 0.2, 1), V(0.2, 0.3, 1)}
 	if got := TriTriDist(t1, t3); got != 0 {
 		t.Errorf("intersecting dist = %v, want 0", got)
 	}
 
 	// Closest features are edges.
-	t4 := Tri(V(2, -1, 1), V(2, 1, 1), V(3, 0, 1))
+	t4 := Triangle{V(2, -1, 1), V(2, 1, 1), V(3, 0, 1)}
 	want := math.Sqrt(1 + 1) // from edge x=1 side of t1 to vertex region (2,0,1)
 	got := TriTriDist(t1, t4)
 	if math.Abs(got-want) > 1e-9 {

@@ -302,7 +302,7 @@ func TestDeviceKernelsMatchPairwiseAcrossBatchSizes(t *testing.T) {
 			p := func() geom.Vec3 {
 				return geom.V(cx+rng.Float64()*4, rng.Float64()*4, rng.Float64()*4)
 			}
-			out[i] = geom.Tri(p(), p(), p())
+			out[i] = geom.Triangle{A: p(), B: p(), C: p()}
 		}
 		return out
 	}

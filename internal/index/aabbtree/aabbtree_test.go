@@ -17,7 +17,7 @@ func randomTris(rng *rand.Rand, n int, space, size float64) []geom.Triangle {
 		r := func() geom.Vec3 {
 			return base.Add(geom.V(rng.Float64()*size, rng.Float64()*size, rng.Float64()*size))
 		}
-		tris[i] = geom.Tri(r(), r(), r())
+		tris[i] = geom.Triangle{A: r(), B: r(), C: r()}
 	}
 	return tris
 }
@@ -30,7 +30,7 @@ func TestEmptyTree(t *testing.T) {
 	if !tr.Bounds().IsEmpty() {
 		t.Error("Bounds not empty")
 	}
-	one := aabbtree.Build([]geom.Triangle{geom.Tri(geom.V(0, 0, 0), geom.V(1, 0, 0), geom.V(0, 1, 0))})
+	one := aabbtree.Build([]geom.Triangle{{A: geom.V(0, 0, 0), B: geom.V(1, 0, 0), C: geom.V(0, 1, 0)}})
 	if tr.IntersectsTree(one) || one.IntersectsTree(tr) {
 		t.Error("intersection in empty tree")
 	}
@@ -57,9 +57,9 @@ func TestSingleTriangleTreeMatchesBrute(t *testing.T) {
 
 	for trial := 0; trial < 200; trial++ {
 		base := geom.V(rng.Float64()*20, rng.Float64()*20, rng.Float64()*20)
-		q := geom.Tri(base,
-			base.Add(geom.V(rng.Float64()*3, rng.Float64()*3, rng.Float64()*3)),
-			base.Add(geom.V(rng.Float64()*3, rng.Float64()*3, rng.Float64()*3)))
+		q := geom.Triangle{A: base,
+			B: base.Add(geom.V(rng.Float64()*3, rng.Float64()*3, rng.Float64()*3)),
+			C: base.Add(geom.V(rng.Float64()*3, rng.Float64()*3, rng.Float64()*3))}
 
 		want := false
 		for _, x := range tris {
@@ -139,7 +139,7 @@ func TestDistToSingleTriangleTree(t *testing.T) {
 	tr := aabbtree.Build(tris)
 	for trial := 0; trial < 50; trial++ {
 		base := geom.V(rng.Float64()*30-10, rng.Float64()*30-10, rng.Float64()*30-10)
-		q := geom.Tri(base, base.Add(geom.V(1, 0, 0)), base.Add(geom.V(0, 1, 0)))
+		q := geom.Triangle{A: base, B: base.Add(geom.V(1, 0, 0)), C: base.Add(geom.V(0, 1, 0))}
 		want := math.Inf(1)
 		for _, x := range tris {
 			if d := geom.TriTriDist2(x, q); d < want {
@@ -179,7 +179,7 @@ func TestContainsPointSphere(t *testing.T) {
 }
 
 func TestBuildCopiesInput(t *testing.T) {
-	tris := []geom.Triangle{geom.Tri(geom.V(0, 0, 0), geom.V(1, 0, 0), geom.V(0, 1, 0))}
+	tris := []geom.Triangle{{A: geom.V(0, 0, 0), B: geom.V(1, 0, 0), C: geom.V(0, 1, 0)}}
 	tr := aabbtree.Build(tris)
 	if tr.SoA().At(0) != tris[0] {
 		t.Error("SoA().At(0) mismatch")

@@ -87,7 +87,7 @@ func randomSet(rng *rand.Rand, n int, origin geom.Vec3, space, size float64) []g
 		p := func() geom.Vec3 {
 			return base.Add(geom.V(rng.Float64()*size, rng.Float64()*size, rng.Float64()*size))
 		}
-		tris[i] = geom.Tri(p(), p(), p())
+		tris[i] = geom.Triangle{A: p(), B: p(), C: p()}
 	}
 	return tris
 }
@@ -104,28 +104,28 @@ func degenerateSets(rng *rand.Rand) map[string][]geom.Triangle {
 	// All-equal centroids: the same triangle many times over.
 	same := make([]geom.Triangle, 257)
 	for i := range same {
-		same[i] = geom.Tri(geom.V(1, 1, 1), geom.V(2, 1, 1), geom.V(1, 2, 1))
+		same[i] = geom.Triangle{A: geom.V(1, 1, 1), B: geom.V(2, 1, 1), C: geom.V(1, 2, 1)}
 	}
 	sets["identical"] = same
 	// Equal centroids, different extents: concentric scaled copies.
 	conc := make([]geom.Triangle, 100)
 	for i := range conc {
 		r := 1 + float64(i)
-		conc[i] = geom.Tri(geom.V(-r, -r, 0), geom.V(2*r, -r, 0), geom.V(-r, 2*r, 0))
+		conc[i] = geom.Triangle{A: geom.V(-r, -r, 0), B: geom.V(2*r, -r, 0), C: geom.V(-r, 2*r, 0)}
 	}
 	sets["concentric"] = conc
 	// Coplanar and collinear centroids: two axes carry no information.
 	line := make([]geom.Triangle, 130)
 	for i := range line {
 		x := float64(i % 13) // many ties along the one informative axis
-		line[i] = geom.Tri(geom.V(x, 0, 0), geom.V(x+0.5, 0, 0), geom.V(x, 0.5, 0))
+		line[i] = geom.Triangle{A: geom.V(x, 0, 0), B: geom.V(x+0.5, 0, 0), C: geom.V(x, 0.5, 0)}
 	}
 	sets["collinear-ties"] = line
 	// Zero-area triangles.
 	pts := make([]geom.Triangle, 40)
 	for i := range pts {
 		p := geom.V(rng.Float64()*4, rng.Float64()*4, rng.Float64()*4)
-		pts[i] = geom.Tri(p, p, p)
+		pts[i] = geom.Triangle{A: p, B: p, C: p}
 	}
 	sets["points"] = pts
 	return sets

@@ -380,6 +380,22 @@ func (s *Server) parseJoin(r *http.Request) (*core.Dataset, *core.Dataset, core.
 	return target, source, q, req, err
 }
 
+// parseDataset is parseJoin for the single-dataset endpoints (range,
+// point).
+func (s *Server) parseDataset(r *http.Request) (*core.Dataset, core.QueryOptions, queryRequest, error) {
+	var req queryRequest
+	var q core.QueryOptions
+	if err := decodeBody(r, &req); err != nil {
+		return nil, q, req, err
+	}
+	d, ok := s.dataset(req.Dataset)
+	if !ok {
+		return nil, q, req, notFound("dataset %q not loaded", req.Dataset)
+	}
+	q, err := options(req)
+	return d, q, req, err
+}
+
 func options(req queryRequest) (core.QueryOptions, error) {
 	q := core.QueryOptions{Paradigm: core.FPR, K: req.K, LODs: req.LODs}
 	switch req.Paradigm {
@@ -536,17 +552,7 @@ func (s *Server) handleNN(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	d, ok := s.dataset(req.Dataset)
-	if !ok {
-		s.writeErr(w, r, notFound("dataset %q not loaded", req.Dataset))
-		return
-	}
-	q, err := options(req)
+	d, q, req, err := s.parseDataset(r)
 	if err != nil {
 		s.writeErr(w, r, err)
 		return
@@ -570,17 +576,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	d, ok := s.dataset(req.Dataset)
-	if !ok {
-		s.writeErr(w, r, notFound("dataset %q not loaded", req.Dataset))
-		return
-	}
-	q, err := options(req)
+	d, q, req, err := s.parseDataset(r)
 	if err != nil {
 		s.writeErr(w, r, err)
 		return

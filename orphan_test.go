@@ -25,7 +25,7 @@ var orphanAllowlist = map[string]string{
 
 	"repro/internal/sdbms":                       "reference implementation: the exactness tests compare every join against it",
 	"repro/internal/geom.TriTriDist":             "reference implementation: the bounded TriTriDist2 is tested against it",
-	"(*repro/internal/mesh.Mesh).ContainsPoint":  "reference implementation: TestContainingObjectsMatchesBrute and TestRangeQueryMatchesBrute",
+	"(*repro/internal/mesh.Mesh).ContainsPoint":  "reference implementation: FuzzContainingObjects and FuzzRangeQuery",
 	"(repro/internal/geom.Triangle).DistToPoint": "reference implementation: TestDegenerateConsistency and the aabbtree containment tests",
 	"(repro/internal/geom.Segment).Dist":         "reference implementation: TestDegenerateConsistency",
 	"(repro/internal/geom.Box3).DistToPoint":     "reference implementation: TestBoxMinDistWitness",
