@@ -14,6 +14,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/mesh"
 	"repro/internal/ppvp"
+	"repro/internal/storage"
 )
 
 func cmdGenerate(args []string) error {
@@ -195,8 +196,8 @@ func cmdDecode(args []string) error {
 	return nil
 }
 
-// cmdIngest builds a persistent dataset directory (tiles + manifest) from
-// a directory of OFF meshes.
+// cmdIngest builds a persistent dataset directory (one dataset file) from
+// a directory of OFF meshes. A re-ingest into the same -out replaces it.
 func cmdIngest(args []string) error {
 	fs := flag.NewFlagSet("ingest", flag.ExitOnError)
 	in := fs.String("in", "data", "directory of OFF meshes")
@@ -254,9 +255,9 @@ func readOFFDir(dir string) ([]*mesh.Mesh, error) {
 }
 
 // loadDataset ingests a directory of .3dp blobs or .off meshes as a
-// dataset, or loads a persisted dataset directory (dataset.json + tiles).
+// dataset, or loads a persisted dataset directory (storage.FileName).
 func loadDataset(e *core.Engine, name, dir string) (*core.Dataset, error) {
-	if _, err := os.Stat(filepath.Join(dir, "dataset.json")); err == nil {
+	if _, err := os.Stat(filepath.Join(dir, storage.FileName)); err == nil {
 		return e.LoadDataset(dir)
 	}
 	offs, _ := filepath.Glob(filepath.Join(dir, "*.off"))

@@ -60,7 +60,7 @@ func usage() {
 commands:
   generate   create a synthetic nuclei or vessel dataset as OFF files
   compress   PPVP-compress a directory of OFF meshes into .3dp blobs
-  ingest     build a persistent dataset directory (tiles + manifest)
+  ingest     build a persistent dataset directory (one dataset file)
   inspect    print metadata of a .3dp blob
   decode     decode a .3dp blob at a chosen LOD back to OFF
   query      run an intersect/within/nn join between two datasets

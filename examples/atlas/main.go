@@ -31,7 +31,7 @@ func main() {
 	eng := eng()
 	defer eng.Close()
 
-	// Ingest once, persist as tiles + manifest.
+	// Ingest once, persist as one dataset file.
 	t0 := time.Now()
 	ds, err := eng.BuildDataset("tissue", append(nuclei, vessels...), core.DatasetOptions{Cuboids: 27})
 	if err != nil {

@@ -99,7 +99,7 @@ func (e *Engine) BuildDataset(name string, meshes []*mesh.Mesh, opts DatasetOpti
 	comps := make([]*ppvp.Compressed, len(meshes))
 	stats := make([]ppvp.Stats, len(meshes))
 	errs := make([]error, len(meshes))
-	e.largestFirst(meshes, func(i int) {
+	e.largestFirst(len(meshes), func(i int) int { return meshes[i].NumFaces() }, func(i int) {
 		comps[i], stats[i], errs[i] = ppvp.Compress(meshes[i], opts.Compression)
 	})
 	for i, err := range errs {
@@ -138,43 +138,62 @@ func (e *Engine) BuildDataset(name string, meshes []*mesh.Mesh, opts DatasetOpti
 	// Skeleton partitioning + sub-object index.
 	if opts.PartitionTargetFaces > 0 {
 		var partEntries []rtree.Entry
-		d.skeletons, partEntries = e.partitionObjects(meshes, comps, opts.PartitionTargetFaces)
+		d.skeletons, partEntries, _ = e.partitionObjects(ts.Objects, opts.PartitionTargetFaces, func(i int) (*mesh.Mesh, error) {
+			return meshes[i], nil
+		})
 		d.partTree = rtree.BulkLoad(partEntries)
 	}
 	return d, nil
 }
 
 // partitionObjects splits every object of more than targetFaces faces along
-// its skeleton. It returns the skeletons by object id (nil for an object
-// left whole) and the sub-object boxes, collected per object and
-// concatenated in id order — so the R-tree bulk load sees the same entry
-// sequence whichever worker finishes first.
-func (e *Engine) partitionObjects(meshes []*mesh.Mesh, comps []*ppvp.Compressed, targetFaces int) ([][]geom.Vec3, []rtree.Entry) {
-	skeletons := make([][]geom.Vec3, len(meshes))
-	parts := make([][]rtree.Entry, len(meshes))
-	e.largestFirst(meshes, func(i int) {
-		k := partition.GroupCount(meshes[i].NumFaces(), targetFaces)
-		if k <= 1 {
-			parts[i] = []rtree.Entry{{Box: comps[i].MBB(), ID: int64(i)}}
+// its skeleton, on the engine's Workers goroutines; meshOf(i) gives object
+// i's mesh (the source mesh at build, the decoded top LOD at load). It
+// returns the skeletons by object id (nil for an object left whole), the
+// sub-object boxes collected per object and concatenated in id order — so
+// the R-tree bulk load sees the same entry sequence whichever worker
+// finishes first — and meshOf's error per object. A hole gets no entry; an
+// object whose mesh failed keeps its whole-MBB entry.
+func (e *Engine) partitionObjects(objs []*storage.Object, targetFaces int, meshOf func(i int) (*mesh.Mesh, error)) ([][]geom.Vec3, []rtree.Entry, []error) {
+	skeletons := make([][]geom.Vec3, len(objs))
+	parts := make([][]rtree.Entry, len(objs))
+	errs := make([]error, len(objs))
+	size := func(i int) int {
+		if objs[i] == nil {
+			return 0
+		}
+		return objs[i].Comp.TotalSize()
+	}
+	e.largestFirst(len(objs), size, func(i int) {
+		if objs[i] == nil {
 			return
 		}
-		skeletons[i] = partition.Skeleton(meshes[i], k)
-		for _, g := range partition.AssignFaces(meshes[i], skeletons[i]) {
+		m, err := meshOf(i)
+		k := 0
+		if errs[i] = err; err == nil {
+			k = partition.GroupCount(m.NumFaces(), targetFaces)
+		}
+		if k <= 1 {
+			parts[i] = []rtree.Entry{{Box: objs[i].MBB(), ID: int64(i)}}
+			return
+		}
+		skeletons[i] = partition.Skeleton(m, k)
+		for _, g := range partition.AssignFaces(m, skeletons[i]) {
 			parts[i] = append(parts[i], rtree.Entry{Box: g.Box, ID: int64(i)})
 		}
 	})
-	return skeletons, slices.Concat(parts...)
+	return skeletons, slices.Concat(parts...), errs
 }
 
-// largestFirst runs fn(i) once for every mesh on the engine's Workers
-// goroutines, which pull indices in descending face count: the largest
-// object is the long pole of an ingest and must not be the last to start.
-func (e *Engine) largestFirst(meshes []*mesh.Mesh, fn func(i int)) {
-	order := make([]int, len(meshes))
+// largestFirst runs fn(i) once for every i < n on the engine's Workers
+// goroutines, which pull indices in descending size(i): the largest object
+// is the long pole of an ingest and must not be the last to start.
+func (e *Engine) largestFirst(n int, size func(i int) int, fn func(i int)) {
+	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return meshes[b].NumFaces() - meshes[a].NumFaces() })
+	slices.SortStableFunc(order, func(a, b int) int { return size(b) - size(a) })
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < e.opts.Workers; w++ {

@@ -9,14 +9,19 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/datagen"
+	"repro/internal/geom"
 	"repro/internal/index/rtree"
+	"repro/internal/mesh"
 	"repro/internal/ppvp"
+	"repro/internal/storage"
 )
 
 // TestPartitionEntriesDeterministic: the sub-object R-tree is bulk-loaded
 // from per-object entry lists concatenated in id order, so its input does
 // not depend on which worker finishes first. Vessels of very different
-// sizes among nuclei make the finish order vary from build to build.
+// sizes among nuclei make the finish order vary from run to run. Both
+// inputs are checked: the source meshes (build) and the decoded top LODs
+// (load).
 func TestPartitionEntriesDeterministic(t *testing.T) {
 	nuclei, vessels := datagen.Tissue(datagen.TissueOptions{
 		Nuclei:  datagen.NucleiOptions{Count: 12, Seed: 5},
@@ -31,14 +36,21 @@ func TestPartitionEntriesDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, want := e.partitionObjects(meshes, comps, 64)
-	byID := func(a, b rtree.Entry) int { return int(a.ID - b.ID) }
-	if len(want) <= len(meshes) || !slices.IsSortedFunc(want, byID) {
-		t.Fatalf("%d entries for %d objects, or not in id order", len(want), len(meshes))
+	objs := storage.NewTileset(storage.NewGrid(geom.Box3{}, 1), comps).Objects
+	inputs := map[string]func(i int) (*mesh.Mesh, error){
+		"build": func(i int) (*mesh.Mesh, error) { return meshes[i], nil },
+		"load":  func(i int) (*mesh.Mesh, error) { return decodeRecovered(comps[i]) },
 	}
-	for run := 0; run < 8; run++ {
-		if _, got := e.partitionObjects(meshes, comps, 64); !slices.Equal(got, want) {
-			t.Fatalf("run %d: partition entries differ from the first build's", run)
+	for name, meshOf := range inputs {
+		_, want, errs := e.partitionObjects(objs, 64, meshOf)
+		byID := func(a, b rtree.Entry) int { return int(a.ID - b.ID) }
+		if len(want) <= len(meshes) || !slices.IsSortedFunc(want, byID) || slices.ContainsFunc(errs, func(err error) bool { return err != nil }) {
+			t.Fatalf("%s: %d entries for %d objects, not in id order, or errors %v", name, len(want), len(meshes), errs)
+		}
+		for run := 0; run < 8; run++ {
+			if _, got, _ := e.partitionObjects(objs, 64, meshOf); !slices.Equal(got, want) {
+				t.Fatalf("%s run %d: partition entries differ from the first run's", name, run)
+			}
 		}
 	}
 }

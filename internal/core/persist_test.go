@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/storage"
 )
 
@@ -18,8 +21,8 @@ func TestSaveLoadDatasetRoundTrip(t *testing.T) {
 	if err := a.SaveDataset(dir); err != nil {
 		t.Fatalf("SaveDataset: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "dataset.json")); err != nil {
-		t.Fatalf("manifest missing: %v", err)
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 1 || files[0].Name() != storage.FileName {
+		t.Fatalf("saved files: %v (err %v), want only %s", files, err, storage.FileName)
 	}
 
 	loaded, err := e.LoadDataset(dir)
@@ -68,11 +71,14 @@ func TestLoadDatasetErrors(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "dataset.json"), []byte("{not json"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, storage.FileName), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.LoadDataset(dir); err == nil {
-		t.Error("corrupt manifest accepted")
+		t.Error("corrupt dataset file accepted")
+	}
+	if _, _, err := e.LoadDatasetSalvage(dir); err == nil {
+		t.Error("corrupt dataset file salvaged")
 	}
 }
 
@@ -92,17 +98,16 @@ func TestLoadDatasetSalvage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Flip one byte inside the first record's blob of one tile.
-	tiles, err := filepath.Glob(filepath.Join(dir, "tile-*.bin"))
-	if err != nil || len(tiles) == 0 {
-		t.Fatalf("no tiles saved: %v", err)
-	}
-	data, err := os.ReadFile(tiles[0])
+	// Flip one byte inside the first record's blob of the first tile: past
+	// the file header (8 + its JSON + 4), the region header (8) and the
+	// record header (12).
+	path := filepath.Join(dir, storage.FileName)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[8+12+10] ^= 0xFF
-	if err := os.WriteFile(tiles[0], data, 0o644); err != nil {
+	data[8+int(binary.LittleEndian.Uint32(data[4:]))+4+8+12+10] ^= 0xFF
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -117,7 +122,7 @@ func TestLoadDatasetSalvage(t *testing.T) {
 		t.Fatalf("report claims clean load: %+v", rep)
 	}
 	if len(d2.Tileset.Objects) != a.Len() {
-		t.Fatalf("salvaged object slots = %d, want %d (manifest count)", len(d2.Tileset.Objects), a.Len())
+		t.Fatalf("salvaged object slots = %d, want %d (saved count)", len(d2.Tileset.Objects), a.Len())
 	}
 	var holes []int64
 	for i, o := range d2.Tileset.Objects {
@@ -157,4 +162,86 @@ func TestLoadDatasetSalvage(t *testing.T) {
 			t.Fatalf("pair[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
+}
+
+// sameDataset fails unless got is want by name and by every object's blob.
+func sameDataset(t *testing.T, got, want *Dataset) {
+	t.Helper()
+	if got.Name != want.Name || got.Len() != want.Len() {
+		t.Fatalf("loaded %q with %d objects, want %q with %d", got.Name, got.Len(), want.Name, want.Len())
+	}
+	same := 0
+	for i, o := range got.Tileset.Objects {
+		if o != nil && bytes.Equal(o.Comp.Bytes(), want.Tileset.Objects[i].Comp.Bytes()) {
+			same++
+		}
+	}
+	if same != want.Len() {
+		t.Fatalf("%d of %d blobs are %q's", same, want.Len(), want.Name)
+	}
+}
+
+// buildNuclei builds count nuclei of the given seed over the given number
+// of cuboids.
+func buildNuclei(t *testing.T, e *Engine, name string, seed int64, cuboids int) *Dataset {
+	t.Helper()
+	opts := fastDatasetOptions()
+	opts.Cuboids = cuboids
+	d, err := e.BuildDataset(name, datagen.Nuclei(datagen.NucleiOptions{Count: 40, SubdivisionLevel: 1, Seed: seed}), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestResaveLoadsOnlyTheNewDataset: a save into a directory that holds an
+// earlier save of another dataset over more cuboids loads as exactly the
+// new dataset — none of the earlier save's objects mix in.
+func TestResaveLoadsOnlyTheNewDataset(t *testing.T) {
+	e := testEngine(t)
+	dir := t.TempDir()
+	if err := buildNuclei(t, e, "first", 1, 64).SaveDataset(dir); err != nil {
+		t.Fatal(err)
+	}
+	second := buildNuclei(t, e, "second", 2, 8)
+	if err := second.SaveDataset(dir); err != nil {
+		t.Fatal(err)
+	}
+	d, err := e.LoadDataset(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameDataset(t, d, second)
+}
+
+// TestInterruptedSaveKeepsOldDataset: a save that stops before its rename
+// leaves part of the new file under its temporary name; strict and salvage
+// loads both return exactly the old dataset.
+func TestInterruptedSaveKeepsOldDataset(t *testing.T) {
+	e := testEngine(t)
+	dir, other := t.TempDir(), t.TempDir()
+	old := buildNuclei(t, e, "old", 1, 64)
+	if err := old.SaveDataset(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := buildNuclei(t, e, "new", 2, 8).SaveDataset(other); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(other, storage.FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, storage.FileName+".tmp-42"), data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := e.LoadDataset(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameDataset(t, d, old)
+	d, rep, err := e.LoadDatasetSalvage(dir)
+	if err != nil || !rep.Clean() {
+		t.Fatalf("salvage load: err = %v, report = %+v", err, rep)
+	}
+	sameDataset(t, d, old)
 }

@@ -12,7 +12,8 @@
 //
 //	core.decode    — the engine's per-object decode (Fire: error/panic/sleep)
 //	ppvp.decode    — progressive mesh decoding (Fire: error/panic/sleep)
-//	storage.tile   — tile file parsing (Corrupt: bit-flips the bytes)
+//	storage.tile   — the parse of one tile region of a dataset file, once
+//	                 per region (Corrupt: bit-flips the region's bytes)
 //	shard.net.send — the shard transport's request path, queries, installs
 //	                 and health probes alike (error/panic/sleep)
 //	shard.net.recv — the shard transport's response path (corrupt mangles

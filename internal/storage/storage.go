@@ -1,27 +1,30 @@
 // Package storage implements the memory-centered data layout of the paper's
 // §5.3: space is partitioned into fixed-size cuboids, the compressed blobs
 // of the objects in one cuboid are stored contiguously in one tile (one
-// file when persisted, one memory region when loaded), and object MBBs plus
-// blob locations are exposed so the engine can build a single global R-tree
-// over everything without decoding.
+// region of the dataset's one file when persisted, one memory region when
+// loaded), and object MBBs plus blob locations are exposed so the engine
+// can build a single global R-tree over everything without decoding.
 package storage
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/faultinject"
 	"repro/internal/geom"
 	"repro/internal/ppvp"
 )
 
-// ErrBadTile is returned when a tile file cannot be parsed.
-var ErrBadTile = errors.New("storage: corrupt tile file")
+// ErrBadTile is returned when a dataset file or one of its tile regions is
+// damaged.
+var ErrBadTile = errors.New("storage: damaged dataset file")
 
 // Grid divides a space box into nx × ny × nz cuboids.
 type Grid struct {
@@ -106,7 +109,8 @@ func (o *Object) MBB() geom.Box3 { return o.Comp.MBB() }
 //
 // Objects is indexed by ID (Objects[i] is nil or has ID == int64(i)).
 // Strict loading guarantees dense IDs with no holes; salvage loading may
-// leave nil holes where damaged objects were dropped.
+// leave nil holes where damaged objects were dropped. Tiles lists each
+// cuboid's objects in ID order.
 type Tileset struct {
 	Grid    Grid
 	Objects []*Object         // by ID; may contain nil holes after salvage
@@ -144,52 +148,76 @@ func (ts *Tileset) CompressedBytes() int64 {
 	return n
 }
 
-// Tile file layouts.
+// FileName is the one file a saved dataset occupies in its directory:
 //
-// v1 (magic "3DTL"): u32 count, then per object u64 id + u32 blob length +
-// blob bytes, ending with a CRC-32 (IEEE) of everything before it. The file
-// is all-or-nothing: any damage fails the whole tile.
+//	"3DPD" | u32 header length H | header JSON (H bytes) | u32 CRC-32 of
+//	everything before it | one tile region per non-empty cuboid, in cuboid
+//	order, each as long as the header says
 //
-// v2 (magic "3DT2", what SaveTiles writes): the same shape, but each record
-// ends with its own CRC-32 over (id, length, blob), so salvage loading can
-// keep the undamaged objects of a partially corrupted tile — a record whose
-// CRC validates has a trustworthy ID. The trailing whole-file CRC is kept
-// for fast strict validation. v1 files remain readable.
-var (
-	tileMagic   = [4]byte{'3', 'D', 'T', 'L'} // v1: whole-file CRC only
-	tileMagicV2 = [4]byte{'3', 'D', 'T', '2'} // v2: adds per-record CRCs
-)
+// The header records the grid, the object count, each region's byte
+// length, and the caller's metadata as raw JSON. A tile region is
+// "3DT2", a u32 record count, the records — u64 id, u32 blob length, blob,
+// u32 CRC-32 of the record — and a CRC-32 of the region before it. The
+// per-record CRCs let a salvage load keep the undamaged objects of a
+// damaged region: a record whose CRC holds has a trustworthy ID.
+const FileName = "dataset.bin"
 
-// maxSalvageID bounds object IDs accepted during salvage: the Objects slice
-// is sized by the largest surviving ID, so without strict loading's density
-// check a single implausible ID must not force a giant allocation.
-const maxSalvageID = 1 << 24
+const fileMagic, tileMagic = "3DPD", "3DT2"
 
-// SaveTiles persists each cuboid's objects as one file tile-<cuboid>.bin
-// under dir (created if needed). Each tile is written atomically.
-func (ts *Tileset) SaveTiles(dir string) error {
+type header struct {
+	Grid    Grid            `json:"grid"`
+	Objects int             `json:"objects"`
+	Tiles   []int           `json:"tiles"` // region lengths, in cuboid order
+	Meta    json.RawMessage `json:"meta"`
+}
+
+// SaveTiles saves the tileset in dir with no metadata (see Save).
+func (ts *Tileset) SaveTiles(dir string) error { return ts.Save(dir, nil) }
+
+// Save writes the tileset as the one file FileName in dir (created if
+// needed), with meta marshalled into its header. The file is written under
+// a temporary name and renamed into place, and the directory is fsynced:
+// the rename is the commit point, so a load sees the previous save or this
+// one, never a mix.
+func (ts *Tileset) Save(dir string, meta any) error {
+	h := header{Grid: ts.Grid, Objects: len(ts.Objects)}
+	var err error
+	if h.Meta, err = json.Marshal(meta); err != nil {
+		return err
+	}
+	cuboids := make([]int, 0, len(ts.Tiles))
+	for c := range ts.Tiles {
+		cuboids = append(cuboids, c)
+	}
+	slices.Sort(cuboids)
+	var body []byte
+	for _, c := range cuboids {
+		n := len(body)
+		body = encodeTile(body, ts.Tiles[c])
+		h.Tiles = append(h.Tiles, len(body)-n)
+	}
+	js, err := json.Marshal(h)
+	if err != nil {
+		return err
+	}
+	head := binary.LittleEndian.AppendUint32([]byte(fileMagic), uint32(len(js)))
+	head = append(head, js...)
+	head = binary.LittleEndian.AppendUint32(head, crc32.ChecksumIEEE(head))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for cuboid, objs := range ts.Tiles {
-		path := filepath.Join(dir, fmt.Sprintf("tile-%06d.bin", cuboid))
-		if err := writeTile(path, objs); err != nil {
-			return fmt.Errorf("storage: writing %s: %w", path, err)
-		}
+	path := filepath.Join(dir, FileName)
+	if err := atomicWriteFile(path, head, body); err != nil {
+		return fmt.Errorf("storage: writing %s: %w", path, err)
 	}
 	return nil
 }
 
-func writeTile(path string, objs []*Object) error {
-	return AtomicWriteFile(path, encodeTile(objs), 0o644)
-}
-
-// AtomicWriteFile writes data to path via a temp file in the same
-// directory, fsyncs it, and renames it into place, so a crash mid-write
-// leaves either the old file or nothing — never a torn file. The temp name
-// appends ".tmp-" to the base name, so abandoned temps never match the
-// tile-*.bin load glob.
-func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
+// atomicWriteFile writes the chunks to path through a temporary file in the
+// same directory, fsyncs it, renames it into place and fsyncs the
+// directory, so a crash leaves the old file or the new one, never a torn
+// one, and a returned save survives the crash.
+func atomicWriteFile(path string, chunks ...[]byte) error {
 	dir, base := filepath.Split(path)
 	if dir == "" {
 		dir = "."
@@ -198,79 +226,216 @@ func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op once the rename has happened
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	defer os.Remove(tmp.Name()) // no-op once the rename has happened
+	for _, c := range chunks {
+		if err == nil {
+			_, err = tmp.Write(c)
+		}
+	}
+	if err == nil {
+		err = tmp.Chmod(0o644)
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
 		return err
 	}
-	if err := tmp.Chmod(perm); err != nil {
-		tmp.Close()
+	d, err := os.Open(dir)
+	if err != nil {
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmpName, path)
+	defer d.Close()
+	return d.Sync()
 }
 
-// encodeTile serializes one cuboid's objects in the v2 tile layout.
-func encodeTile(objs []*Object) []byte {
-	var buf []byte
-	buf = append(buf, tileMagicV2[:]...)
+// encodeTile appends one cuboid's objects to buf as a tile region.
+func encodeTile(buf []byte, objs []*Object) []byte {
+	start := len(buf)
+	buf = append(buf, tileMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(objs)))
 	for _, o := range objs {
-		start := len(buf)
+		rec := len(buf)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(o.ID))
 		blob := o.Comp.Bytes()
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(blob)))
 		buf = append(buf, blob...)
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[rec:]))
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	return buf
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
 
-// LoadTiles reads every tile-*.bin under dir and rebuilds a Tileset using
-// the given grid, strictly: any unreadable or corrupt tile fails the whole
-// load, and object IDs must be dense 0..n-1.
+// LoadTiles strictly loads the tileset saved in dir, failing unless it was
+// saved over grid.
 func LoadTiles(dir string, grid Grid) (*Tileset, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "tile-*.bin"))
-	if err != nil {
-		return nil, err
+	ts, _, err := Load(dir, false, nil)
+	if err == nil && ts.Grid != grid {
+		return nil, fmt.Errorf("%w: %s was saved over another grid", ErrBadTile, dir)
 	}
-	byID := map[int64]*Object{}
-	var maxID int64 = -1
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
+	return ts, err
+}
+
+// Load reads the dataset file in dir and unmarshals its metadata into meta
+// (unless nil). A strict load (salvage false) fails on any damage. A
+// salvage load keeps every record whose checksum holds: Objects has the
+// saved number of slots, with a nil hole for each object lost, and the
+// report lists every hole; it fails only when the file or its header is
+// unreadable. No other file in dir is opened.
+func Load(dir string, salvage bool, meta any) (*Tileset, *SalvageReport, error) {
+	path := filepath.Join(dir, FileName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	ts, rep, err := decode(data, salvage, meta)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w (%s)", err, path)
+	}
+	return ts, rep, nil
+}
+
+// decode walks a dataset file region by region and record by record,
+// keeping the records whose checksum holds. A salvage decode returns what
+// survived; a strict one fails unless nothing was lost, every region is
+// intact and no bytes follow the last region.
+func decode(data []byte, salvage bool, meta any) (*Tileset, *SalvageReport, error) {
+	h, off, err := decodeHeader(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	if meta != nil {
+		if err := json.Unmarshal(h.Meta, meta); err != nil {
+			return nil, nil, fmt.Errorf("%w: metadata: %v", ErrBadTile, err)
 		}
-		objs, err := parseTile(data)
-		if err != nil {
-			return nil, fmt.Errorf("%w (%s)", err, path)
+	}
+	objs := make([]*Object, h.Objects)
+	rep := &SalvageReport{}
+	var flaw error // the first damage that loses no object
+	for i, n := range h.Tiles {
+		if n < 0 || n > len(data)-off {
+			n = len(data) - off
 		}
-		for _, o := range objs {
-			byID[o.ID] = o
-			if o.ID > maxID {
-				maxID = o.ID
+		region := faultinject.Corrupt(faultinject.PointStorageTile, data[off:off+n])
+		if !walkTile(region, i, objs, rep) && flaw == nil {
+			flaw = fmt.Errorf("%w: tile %d is damaged", ErrBadTile, i)
+		}
+		off += n
+	}
+	if off != len(data) && flaw == nil {
+		flaw = fmt.Errorf("%w: %d bytes after the last tile", ErrBadTile, len(data)-off)
+	}
+
+	ts := &Tileset{Grid: h.Grid, Objects: objs, Tiles: make(map[int][]*Object)}
+	reported := make(map[int64]bool, len(rep.ObjectsDropped))
+	for _, dr := range rep.ObjectsDropped {
+		reported[dr.ID] = true
+	}
+	for id, o := range objs {
+		if o == nil {
+			// A record whose ID field was itself damaged is reported under
+			// its garbage ID, so every hole not yet covered gets an entry.
+			if !reported[int64(id)] {
+				rep.ObjectsDropped = append(rep.ObjectsDropped, DroppedObject{ID: int64(id), Reason: "not recovered from any tile"})
+			}
+			continue
+		}
+		rep.ObjectsLoaded++
+		o.Cuboid = ts.Grid.CuboidOf(o.MBB().Center())
+		ts.Tiles[o.Cuboid] = append(ts.Tiles[o.Cuboid], o)
+	}
+	if salvage {
+		return ts, rep, nil
+	}
+	if flaw == nil && len(rep.ObjectsDropped) > 0 {
+		dr := rep.ObjectsDropped[0]
+		flaw = fmt.Errorf("%w: object %d: %s", ErrBadTile, dr.ID, dr.Reason)
+	}
+	if flaw != nil {
+		return nil, nil, flaw
+	}
+	return ts, rep, nil
+}
+
+// decodeHeader checks the file's magic and header checksum and returns the
+// header and the offset of the first tile region.
+func decodeHeader(data []byte) (header, int, error) {
+	var h header
+	if len(data) < 12 || string(data[:4]) != fileMagic {
+		return h, 0, fmt.Errorf("%w: not a dataset file", ErrBadTile)
+	}
+	end := 8 + int(binary.LittleEndian.Uint32(data[4:]))
+	if end+4 > len(data) || crc32.ChecksumIEEE(data[:end]) != binary.LittleEndian.Uint32(data[end:]) {
+		return h, 0, fmt.Errorf("%w: header checksum mismatch", ErrBadTile)
+	}
+	// The object count sizes the Objects slice before any record is read.
+	if err := json.Unmarshal(data[8:end], &h); err != nil || h.Objects < 0 || h.Objects > 1<<24 {
+		return h, 0, fmt.Errorf("%w: unusable header", ErrBadTile)
+	}
+	return h, end + 4, nil
+}
+
+// walkTile puts into objs every record of one tile region whose checksum
+// holds and whose ID names a free slot, and reports the others. When the
+// region's checksum holds, its count and layout are trusted; otherwise the
+// whole region is walked and the per-record checksums decide, since the
+// count may be the damaged field. It reports whether the region is intact:
+// its checksum holds and its records fill it exactly.
+func walkTile(data []byte, tile int, objs []*Object, rep *SalvageReport) bool {
+	if len(data) < 12 || string(data[:4]) != tileMagic {
+		rep.TilesSkipped = append(rep.TilesSkipped, SkippedTile{Tile: tile, Reason: "not a tile region"})
+		return false
+	}
+	rep.TilesLoaded++
+	crcOK := crc32.ChecksumIEEE(data[:len(data)-4]) == binary.LittleEndian.Uint32(data[len(data)-4:])
+	limit := len(data)
+	if crcOK {
+		limit -= 4
+	}
+	count := int(binary.LittleEndian.Uint32(data[4:8]))
+	off, processed := 8, 0
+	for off+16 <= limit && !(crcOK && processed >= count) {
+		id := int64(binary.LittleEndian.Uint64(data[off:]))
+		end := off + 12 + int(binary.LittleEndian.Uint32(data[off+8:]))
+		if end+4 > limit {
+			break // the length cannot be trusted, so no later record can be located
+		}
+		reason := ""
+		switch {
+		case crc32.ChecksumIEEE(data[off:end]) != binary.LittleEndian.Uint32(data[end:]):
+			reason = "record checksum mismatch"
+		case id < 0 || id >= int64(len(objs)):
+			reason = "implausible object ID"
+		case objs[id] != nil:
+			reason = "duplicate object ID"
+		default:
+			if comp, err := ppvp.FromBytes(data[off+12 : end]); err != nil {
+				reason = "blob rejected: " + err.Error()
+			} else {
+				objs[id] = &Object{ID: id, Comp: comp}
 			}
 		}
+		if reason != "" {
+			rep.ObjectsDropped = append(rep.ObjectsDropped, DroppedObject{ID: id, Reason: reason})
+		}
+		off = end + 4
+		processed++
 	}
-	// IDs must be dense 0..n-1; checking before allocating keeps one tile
-	// claiming a huge ID from forcing a huge slice.
-	if int64(len(byID)) != maxID+1 {
-		return nil, fmt.Errorf("%w: object IDs not dense (%d objects, max ID %d)", ErrBadTile, len(byID), maxID)
+	if crcOK && processed < count {
+		rep.ObjectsDropped = append(rep.ObjectsDropped, DroppedObject{ID: -1, Reason: fmt.Sprintf("%d trailing records unreadable", count-processed)})
+	} else if !crcOK && off+16 <= len(data) {
+		rep.ObjectsDropped = append(rep.ObjectsDropped, DroppedObject{ID: -1, Reason: "unreadable tail"})
 	}
-	return assembleTileset(grid, byID, maxID), nil
+	return crcOK && off == limit
 }
 
-// SalvageReport is the manifest of a LoadTilesSalvage run: what loaded,
-// what was skipped wholesale, and which objects were dropped.
+// SalvageReport is what a salvage load kept and lost: the objects loaded,
+// the tile regions walked and skipped wholesale, and the objects dropped.
 type SalvageReport struct {
 	ObjectsLoaded  int             `json:"objects_loaded"`
 	TilesLoaded    int             `json:"tiles_loaded"`
@@ -283,240 +448,17 @@ func (r *SalvageReport) Clean() bool {
 	return len(r.TilesSkipped) == 0 && len(r.ObjectsDropped) == 0
 }
 
-// SkippedTile records one tile file dropped wholesale.
+// SkippedTile records one tile region dropped wholesale; Tile is its
+// position in the file.
 type SkippedTile struct {
-	Path   string `json:"path"`
+	Tile   int    `json:"tile"`
 	Reason string `json:"reason"`
 }
 
-// DroppedObject records one object dropped from an otherwise loadable
-// tile. ID is best-effort: a record whose checksum failed may report a
-// garbage ID, and ID -1 marks records that could not be located at all.
+// DroppedObject records one object lost by a salvage load. ID is
+// best-effort: a record whose checksum failed may report a garbage ID, and
+// ID -1 marks records that could not be located at all.
 type DroppedObject struct {
-	Path   string `json:"path,omitempty"`
 	ID     int64  `json:"id"`
 	Reason string `json:"reason"`
-}
-
-// LoadTilesSalvage loads what it can from dir: tiles that cannot be read
-// or parsed are skipped, records whose per-object CRC fails (v2 tiles) are
-// dropped, and sparse IDs are tolerated — the returned Tileset's Objects
-// slice has nil holes where objects were lost. The report lists everything
-// lost; it errors only when dir itself is unusable.
-func LoadTilesSalvage(dir string, grid Grid) (*Tileset, *SalvageReport, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "tile-*.bin"))
-	if err != nil {
-		return nil, nil, err
-	}
-	rep := &SalvageReport{}
-	byID := map[int64]*Object{}
-	var maxID int64 = -1
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			rep.TilesSkipped = append(rep.TilesSkipped, SkippedTile{Path: path, Reason: err.Error()})
-			continue
-		}
-		objs, drops, err := salvageTile(data)
-		if err != nil {
-			rep.TilesSkipped = append(rep.TilesSkipped, SkippedTile{Path: path, Reason: err.Error()})
-			continue
-		}
-		rep.TilesLoaded++
-		for i := range drops {
-			drops[i].Path = path
-		}
-		rep.ObjectsDropped = append(rep.ObjectsDropped, drops...)
-		for _, o := range objs {
-			if _, ok := byID[o.ID]; ok {
-				rep.ObjectsDropped = append(rep.ObjectsDropped, DroppedObject{Path: path, ID: o.ID, Reason: "duplicate object ID"})
-				continue
-			}
-			byID[o.ID] = o
-			if o.ID > maxID {
-				maxID = o.ID
-			}
-		}
-	}
-	rep.ObjectsLoaded = len(byID)
-	return assembleTileset(grid, byID, maxID), rep, nil
-}
-
-func assembleTileset(grid Grid, byID map[int64]*Object, maxID int64) *Tileset {
-	ts := &Tileset{Grid: grid, Tiles: make(map[int][]*Object)}
-	ts.Objects = make([]*Object, maxID+1)
-	for id, o := range byID {
-		o.Cuboid = grid.CuboidOf(o.MBB().Center())
-		ts.Objects[id] = o
-		ts.Tiles[o.Cuboid] = append(ts.Tiles[o.Cuboid], o)
-	}
-	return ts
-}
-
-// parseTile strictly parses one tile file of either version.
-func parseTile(data []byte) ([]*Object, error) {
-	data = faultinject.Corrupt(faultinject.PointStorageTile, data)
-	if len(data) < 12 {
-		return nil, ErrBadTile
-	}
-	switch [4]byte(data[:4]) {
-	case tileMagic:
-		return parseTileV1(data)
-	case tileMagicV2:
-		return parseTileV2(data)
-	}
-	return nil, ErrBadTile
-}
-
-func parseTileV1(data []byte) ([]*Object, error) {
-	payload := data[:len(data)-4]
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(payload) != want {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadTile)
-	}
-	data = payload
-	count := binary.LittleEndian.Uint32(data[4:8])
-	// Every object needs at least a 12-byte header, so a larger count is
-	// corrupt; checking first bounds the preallocation by the data present.
-	if int64(count) > int64(len(data)-8)/12 {
-		return nil, fmt.Errorf("%w: object count exceeds file size", ErrBadTile)
-	}
-	off := 8
-	objs := make([]*Object, 0, count)
-	for i := uint32(0); i < count; i++ {
-		if off+12 > len(data) {
-			return nil, ErrBadTile
-		}
-		id := int64(binary.LittleEndian.Uint64(data[off:]))
-		blobLen := int(binary.LittleEndian.Uint32(data[off+8:]))
-		off += 12
-		if off+blobLen > len(data) {
-			return nil, ErrBadTile
-		}
-		comp, err := ppvp.FromBytes(data[off : off+blobLen])
-		if err != nil {
-			return nil, err
-		}
-		off += blobLen
-		objs = append(objs, &Object{ID: id, Comp: comp})
-	}
-	if off != len(data) {
-		return nil, ErrBadTile
-	}
-	return objs, nil
-}
-
-func parseTileV2(data []byte) ([]*Object, error) {
-	payload := data[:len(data)-4]
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(payload) != want {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadTile)
-	}
-	count := binary.LittleEndian.Uint32(payload[4:8])
-	// A v2 record is at least 16 bytes (id + length + record CRC).
-	if int64(count) > int64(len(payload)-8)/16 {
-		return nil, fmt.Errorf("%w: object count exceeds file size", ErrBadTile)
-	}
-	off := 8
-	objs := make([]*Object, 0, count)
-	for i := uint32(0); i < count; i++ {
-		o, next, err := parseRecordV2(payload, off)
-		if err != nil {
-			return nil, err
-		}
-		objs = append(objs, o)
-		off = next
-	}
-	if off != len(payload) {
-		return nil, ErrBadTile
-	}
-	return objs, nil
-}
-
-// parseRecordV2 reads one v2 record at off, verifying its CRC, and returns
-// the object plus the offset of the next record.
-func parseRecordV2(data []byte, off int) (*Object, int, error) {
-	if off+16 > len(data) {
-		return nil, 0, ErrBadTile
-	}
-	id := int64(binary.LittleEndian.Uint64(data[off:]))
-	blobLen := int(binary.LittleEndian.Uint32(data[off+8:]))
-	end := off + 12 + blobLen
-	if end+4 > len(data) {
-		return nil, 0, ErrBadTile
-	}
-	want := binary.LittleEndian.Uint32(data[end:])
-	if crc32.ChecksumIEEE(data[off:end]) != want {
-		return nil, 0, fmt.Errorf("%w: object %d checksum mismatch", ErrBadTile, id)
-	}
-	comp, err := ppvp.FromBytes(data[off+12 : end])
-	if err != nil {
-		return nil, 0, err
-	}
-	return &Object{ID: id, Comp: comp}, end + 4, nil
-}
-
-// salvageTile parses what it can of one tile. v1 tiles are all-or-nothing
-// (there are no per-record CRCs to trust); v2 tiles are walked record by
-// record, dropping records whose CRC fails and stopping when a corrupt
-// length makes the rest of the file unwalkable.
-func salvageTile(data []byte) ([]*Object, []DroppedObject, error) {
-	data = faultinject.Corrupt(faultinject.PointStorageTile, data)
-	if len(data) < 12 {
-		return nil, nil, ErrBadTile
-	}
-	switch [4]byte(data[:4]) {
-	case tileMagic:
-		objs, err := parseTileV1(data)
-		return objs, nil, err
-	case tileMagicV2:
-		objs, drops := salvageTileV2(data)
-		return objs, drops, nil
-	}
-	return nil, nil, fmt.Errorf("%w: unknown magic", ErrBadTile)
-}
-
-func salvageTileV2(data []byte) ([]*Object, []DroppedObject) {
-	// When the whole-file CRC holds, the count field and record layout are
-	// trustworthy; otherwise walk the full file and let per-record CRCs
-	// decide what survives (the count itself may be the corrupted field).
-	crcOK := crc32.ChecksumIEEE(data[:len(data)-4]) == binary.LittleEndian.Uint32(data[len(data)-4:])
-	limit := len(data)
-	if crcOK {
-		limit -= 4
-	}
-	count := int(binary.LittleEndian.Uint32(data[4:8]))
-	var objs []*Object
-	var drops []DroppedObject
-	off, processed := 8, 0
-	for off+16 <= limit && !(crcOK && processed >= count) {
-		id := int64(binary.LittleEndian.Uint64(data[off:]))
-		blobLen := int(binary.LittleEndian.Uint32(data[off+8:]))
-		end := off + 12 + blobLen
-		if end+4 > limit {
-			// The length field cannot be trusted, so no record past this
-			// point can be located.
-			break
-		}
-		switch want := binary.LittleEndian.Uint32(data[end:]); {
-		case crc32.ChecksumIEEE(data[off:end]) != want:
-			drops = append(drops, DroppedObject{ID: id, Reason: "record checksum mismatch"})
-		case id < 0 || id >= maxSalvageID:
-			drops = append(drops, DroppedObject{ID: id, Reason: "implausible object ID"})
-		default:
-			if comp, err := ppvp.FromBytes(data[off+12 : end]); err != nil {
-				drops = append(drops, DroppedObject{ID: id, Reason: "blob rejected: " + err.Error()})
-			} else {
-				objs = append(objs, &Object{ID: id, Comp: comp})
-			}
-		}
-		off = end + 4
-		processed++
-	}
-	if crcOK && processed < count {
-		drops = append(drops, DroppedObject{ID: -1, Reason: fmt.Sprintf("%d trailing records unreadable", count-processed)})
-	} else if !crcOK && off+16 <= len(data) {
-		drops = append(drops, DroppedObject{ID: -1, Reason: "unreadable tail"})
-	}
-	return objs, drops
 }

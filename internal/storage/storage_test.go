@@ -2,10 +2,11 @@ package storage
 
 import (
 	"encoding/binary"
-	"hash/crc32"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -137,6 +138,9 @@ func TestSaveLoadTiles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadTiles: %v", err)
 	}
+	if _, err := LoadTiles(dir, NewGrid(space, 27)); err == nil {
+		t.Error("LoadTiles accepted a grid the tiles were not saved over")
+	}
 	if len(got.Objects) != len(ts.Objects) {
 		t.Fatalf("loaded %d objects, want %d", len(got.Objects), len(ts.Objects))
 	}
@@ -167,22 +171,20 @@ func TestLoadTilesRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	grid := NewGrid(geom.Box3{Min: geom.V(0, 0, 0), Max: geom.V(10, 10, 10)}, 1)
 
-	if err := os.WriteFile(filepath.Join(dir, "tile-000000.bin"), []byte("garbage"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, FileName), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadTiles(dir, grid); err == nil {
-		t.Error("garbage tile accepted")
+	if _, err := LoadTiles(dir, grid); !errors.Is(err, ErrBadTile) {
+		t.Errorf("garbage dataset file: err = %v, want ErrBadTile", err)
 	}
 }
 
+// TestLoadTilesEmptyDir: a directory with no dataset file holds no saved
+// dataset, so loading it is an error, not an empty tileset.
 func TestLoadTilesEmptyDir(t *testing.T) {
 	grid := NewGrid(geom.Box3{Min: geom.V(0, 0, 0), Max: geom.V(10, 10, 10)}, 1)
-	ts, err := LoadTiles(t.TempDir(), grid)
-	if err != nil {
-		t.Fatalf("empty dir: %v", err)
-	}
-	if len(ts.Objects) != 0 {
-		t.Error("objects from empty dir")
+	if ts, err := LoadTiles(t.TempDir(), grid); err == nil {
+		t.Fatalf("empty dir loaded %d objects", len(ts.Objects))
 	}
 }
 
@@ -234,11 +236,8 @@ func TestTileChecksumDetectsBitrot(t *testing.T) {
 	if err := ts.SaveTiles(dir); err != nil {
 		t.Fatal(err)
 	}
-	paths, _ := filepath.Glob(filepath.Join(dir, "tile-*.bin"))
-	if len(paths) != 1 {
-		t.Fatalf("tiles = %d", len(paths))
-	}
-	data, err := os.ReadFile(paths[0])
+	path := filepath.Join(dir, FileName)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +247,7 @@ func TestTileChecksumDetectsBitrot(t *testing.T) {
 	}
 	// Flip one bit in the middle of the payload.
 	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(paths[0], data, 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadTiles(dir, grid); err == nil {
@@ -272,18 +271,19 @@ func saveTileset(t *testing.T, dir string, grid Grid, n int) *Tileset {
 	return ts
 }
 
+// TestSaveTilesLeavesNoTempFiles: a save of several cuboids, repeated,
+// leaves exactly one file in its directory.
 func TestSaveTilesLeavesNoTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	space := geom.Box3{Min: geom.V(0, 0, 0), Max: geom.V(40, 10, 10)}
 	saveTileset(t, dir, NewGrid(space, 4), 6)
+	saveTileset(t, dir, NewGrid(space, 2), 3)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if ok, _ := filepath.Match("tile-*.bin", e.Name()); !ok {
-			t.Errorf("stray file after SaveTiles: %s", e.Name())
-		}
+	if len(entries) != 1 || entries[0].Name() != FileName {
+		t.Errorf("files after SaveTiles: %v, want only %s", entries, FileName)
 	}
 }
 
@@ -293,7 +293,7 @@ func TestLoadTilesIgnoresPartialTemp(t *testing.T) {
 	grid := NewGrid(space, 4)
 	ts := saveTileset(t, dir, grid, 6)
 	// Simulate a crash mid-write: a half-written temp file left behind.
-	tmp := filepath.Join(dir, "tile-000001.bin.tmp-1234")
+	tmp := filepath.Join(dir, FileName+".tmp-1234")
 	if err := os.WriteFile(tmp, []byte("half a tile"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -308,10 +308,10 @@ func TestLoadTilesIgnoresPartialTemp(t *testing.T) {
 
 func TestAtomicWriteFileReplaces(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "f.bin")
-	if err := AtomicWriteFile(path, []byte("old"), 0o644); err != nil {
+	if err := atomicWriteFile(path, []byte("old")); err != nil {
 		t.Fatal(err)
 	}
-	if err := AtomicWriteFile(path, []byte("new content"), 0o644); err != nil {
+	if err := atomicWriteFile(path, []byte("new "), []byte("content")); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -323,56 +323,9 @@ func TestAtomicWriteFileReplaces(t *testing.T) {
 	}
 }
 
-// encodeTileV1 writes the legacy v1 layout (no per-record CRCs).
-func encodeTileV1(objs []*Object) []byte {
-	var buf []byte
-	buf = append(buf, tileMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(objs)))
-	for _, o := range objs {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(o.ID))
-		blob := o.Comp.Bytes()
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(blob)))
-		buf = append(buf, blob...)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	return buf
-}
-
-func TestV1TilesStillReadable(t *testing.T) {
-	dir := t.TempDir()
-	space := geom.Box3{Min: geom.V(0, 0, 0), Max: geom.V(10, 10, 10)}
-	grid := NewGrid(space, 1)
-	m := mesh.Icosphere(2, 1)
-	m.Translate(geom.V(5, 5, 5))
-	ts := NewTileset(grid, []*ppvp.Compressed{compress(t, m)})
-	v1 := encodeTileV1(ts.Tiles[ts.Objects[0].Cuboid])
-	if err := os.WriteFile(filepath.Join(dir, "tile-000000.bin"), v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTiles(dir, grid)
-	if err != nil {
-		t.Fatalf("v1 tile rejected: %v", err)
-	}
-	if len(got.Objects) != 1 || got.Objects[0].MBB() != ts.Objects[0].MBB() {
-		t.Fatal("v1 round-trip mismatch")
-	}
-	// Salvage mode reads v1 too (all-or-nothing).
-	sts, rep, err := LoadTilesSalvage(dir, grid)
-	if err != nil || !rep.Clean() || len(sts.Objects) != 1 {
-		t.Fatalf("v1 salvage: err=%v report=%+v", err, rep)
-	}
-	// A damaged v1 tile is skipped wholesale: no per-record CRCs to trust.
-	v1[len(v1)/2] ^= 0x40
-	if err := os.WriteFile(filepath.Join(dir, "tile-000000.bin"), v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sts, rep, err = LoadTilesSalvage(dir, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.TilesSkipped) != 1 || len(sts.Objects) != 0 {
-		t.Fatalf("damaged v1: report=%+v objects=%d", rep, len(sts.Objects))
-	}
+// regionStart returns the offset of a dataset file's first tile region.
+func regionStart(data []byte) int {
+	return 8 + int(binary.LittleEndian.Uint32(data[4:])) + 4
 }
 
 func TestSalvageKeepsUndamagedObjects(t *testing.T) {
@@ -380,19 +333,16 @@ func TestSalvageKeepsUndamagedObjects(t *testing.T) {
 	space := geom.Box3{Min: geom.V(0, 0, 0), Max: geom.V(20, 20, 20)}
 	grid := NewGrid(space, 1) // single tile holds all objects
 	saveTileset(t, dir, grid, 3)
-	paths, _ := filepath.Glob(filepath.Join(dir, "tile-*.bin"))
-	if len(paths) != 1 {
-		t.Fatalf("tiles = %d", len(paths))
-	}
-	data, err := os.ReadFile(paths[0])
+	path := filepath.Join(dir, FileName)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Damage the blob of the first record (offset 8 = header, 12 = record
+	// Damage the blob of the first record (8 = region header, 12 = record
 	// header, +10 lands inside the blob). Its CRC fails; later records are
 	// intact.
-	data[8+12+10] ^= 0xFF
-	if err := os.WriteFile(paths[0], data, 0o644); err != nil {
+	data[regionStart(data)+8+12+10] ^= 0xFF
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -400,7 +350,7 @@ func TestSalvageKeepsUndamagedObjects(t *testing.T) {
 		t.Fatal("strict load accepted damaged tile")
 	}
 
-	ts, rep, err := LoadTilesSalvage(dir, grid)
+	ts, rep, err := Load(dir, true, nil)
 	if err != nil {
 		t.Fatalf("salvage: %v", err)
 	}
@@ -429,22 +379,107 @@ func TestSalvageKeepsUndamagedObjects(t *testing.T) {
 	}
 }
 
-func TestSalvageSkipsUnreadableTile(t *testing.T) {
+// TestLoadIgnoresStrayFiles: a load opens only the dataset file, so
+// leftovers beside it — a garbage tile file or manifest of another layout,
+// an abandoned temp — change nothing.
+func TestLoadIgnoresStrayFiles(t *testing.T) {
 	dir := t.TempDir()
 	space := geom.Box3{Min: geom.V(0, 0, 0), Max: geom.V(40, 10, 10)}
 	grid := NewGrid(space, 4)
 	ts := saveTileset(t, dir, grid, 6)
-	if err := os.WriteFile(filepath.Join(dir, "tile-999999.bin"), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"tile-000000.bin", "tile-999999.bin", "dataset.json", FileName + ".tmp-1"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("garbage"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got, rep, err := LoadTilesSalvage(dir, grid)
-	if err != nil {
-		t.Fatalf("salvage: %v", err)
+	if got, err := LoadTiles(dir, grid); err != nil || len(got.Objects) != len(ts.Objects) {
+		t.Fatalf("strict load beside stray files: err = %v", err)
 	}
-	if len(rep.TilesSkipped) != 1 || rep.ObjectsLoaded != len(ts.Objects) {
-		t.Fatalf("report = %+v", rep)
+	got, rep, err := Load(dir, true, nil)
+	if err != nil || !rep.Clean() || rep.ObjectsLoaded != len(ts.Objects) {
+		t.Fatalf("salvage load beside stray files: err = %v, report = %+v", err, rep)
 	}
 	if len(got.Objects) != len(ts.Objects) {
 		t.Fatalf("loaded %d objects, want %d", len(got.Objects), len(ts.Objects))
+	}
+}
+
+// TestLoadDamage: every kind of damage fails a strict load, and a salvage
+// load gives the report that damage calls for. The checksum of a region
+// and bytes past the last region lose no object, so salvage is clean there
+// while strict still refuses the file.
+func TestLoadDamage(t *testing.T) {
+	space := geom.Box3{Min: geom.V(0, 0, 0), Max: geom.V(40, 10, 10)}
+	grid := NewGrid(space, 4)
+	const n = 6
+	cases := []struct {
+		name       string
+		damage     func(t *testing.T, dir string, data []byte) []byte
+		salvageErr bool
+		loaded     int  // objects a salvage load keeps
+		clean      bool // whether its report is clean
+		reason     string
+	}{
+		{name: "header flip", salvageErr: true, damage: func(_ *testing.T, _ string, data []byte) []byte {
+			data[10] ^= 0x01
+			return data
+		}},
+		{name: "region checksum", loaded: n, clean: true, damage: func(_ *testing.T, _ string, data []byte) []byte {
+			h, off, _ := decodeHeader(data)
+			data[off+h.Tiles[0]-1] ^= 0x01
+			return data
+		}},
+		{name: "region past end of file", loaded: n - 1, reason: "not recovered from any tile", damage: func(_ *testing.T, _ string, data []byte) []byte {
+			return data[:len(data)-20]
+		}},
+		{name: "bytes after the last region", loaded: n, clean: true, damage: func(_ *testing.T, _ string, data []byte) []byte {
+			return append(data, "trailing"...)
+		}},
+		{name: "duplicate id", loaded: n - 1, reason: "duplicate object ID", damage: func(t *testing.T, dir string, _ []byte) []byte {
+			ts := saveTileset(t, dir, grid, n)
+			ts.Objects[1].ID = 0
+			if err := ts.SaveTiles(dir); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(filepath.Join(dir, FileName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			saveTileset(t, dir, grid, n)
+			path := filepath.Join(dir, FileName)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.damage(t, dir, data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadTiles(dir, grid); !errors.Is(err, ErrBadTile) {
+				t.Fatalf("strict load: err = %v, want ErrBadTile", err)
+			}
+			ts, rep, err := Load(dir, true, nil)
+			if tc.salvageErr {
+				if err == nil {
+					t.Fatalf("salvage load accepted the damage: %+v", rep)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("salvage load: %v", err)
+			}
+			if rep.ObjectsLoaded != tc.loaded || rep.Clean() != tc.clean || len(ts.Objects) != n {
+				t.Fatalf("salvage: %d of %d slots loaded, report %+v; want %d loaded, clean %v",
+					rep.ObjectsLoaded, len(ts.Objects), rep, tc.loaded, tc.clean)
+			}
+			if tc.reason != "" && !slices.ContainsFunc(rep.ObjectsDropped, func(dr DroppedObject) bool { return dr.Reason == tc.reason }) {
+				t.Fatalf("no drop for %q in %+v", tc.reason, rep.ObjectsDropped)
+			}
+		})
 	}
 }
