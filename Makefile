@@ -69,13 +69,16 @@ fuzz-short:
 
 # Actual coverage-guided fuzzing, $(FUZZTIME) per target. The targets are
 # whatever `go test -list` finds in each package, so a new Fuzz function is
-# fuzzed without editing this list.
+# fuzzed without editing this list. Each new interesting input is minimized
+# for at most 1s: at Go's default of 60s, minimizing eats a short budget
+# (FuzzDecodeTile from an empty cache: 2,639 execs in 15s at the default,
+# 46,704 at 1s).
 fuzz:
 	@set -e; pkgs=$$($(GO) list ./...); for pkg in $$pkgs; do \
 		list=$$($(GO) test -list '^Fuzz' $$pkg); \
 		for fn in $$(echo "$$list" | grep '^Fuzz' || true); do \
-			echo "$(GO) test -run='^$$' -fuzz='^$$fn\$$' -fuzztime=$(FUZZTIME) $$pkg"; \
-			$(GO) test -run='^$$' -fuzz="^$$fn\$$" -fuzztime=$(FUZZTIME) $$pkg; \
+			echo "$(GO) test -run='^$$' -fuzz='^$$fn\$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s $$pkg"; \
+			$(GO) test -run='^$$' -fuzz="^$$fn\$$" -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s $$pkg; \
 		done; \
 	done
 

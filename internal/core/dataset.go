@@ -214,8 +214,9 @@ func (e *Engine) largestFirst(n int, size func(i int) int, fn func(i int)) {
 // rebuilt. Skeleton partitioning is not recomputed — the Partition
 // accelerators transparently fall back to the whole-object tree — keeping
 // assembly cheap enough for the sharded serving tier, which assembles one
-// sub-tileset per shard (and per-query loan sets) out of blobs that already
-// exist in memory, sharing their cached decodes with other datasets.
+// sub-tileset per home group (and one source set of home sources and loans
+// per join leg) out of blobs that already exist in memory, sharing their
+// cached decodes with other datasets.
 func (e *Engine) AssembleDataset(name string, ts *storage.Tileset) (*Dataset, error) {
 	d := &Dataset{Name: name, Tileset: ts, maxLOD: -1}
 	var entries []rtree.Entry

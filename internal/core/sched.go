@@ -63,10 +63,10 @@ var fractionBuckets = []float64{0.05, 0.1, 0.25, 0.5, 0.75, 0.9}
 // and the target and source datasets. Pruning rates follow the geometry of
 // the pair (nuclei × nuclei prunes half its pairs at LOD 0, nuclei ×
 // vessels a sixth), so pairs of one kind keep separate ladders. The
-// datasets are keyed by name: a reload or a shard worker's per-query
-// "<source>@loan" dataset is a new *Dataset every time, and keying by it
-// would restart calibration from the full ladder and grow the map without
-// bound, while the name stays the same.
+// datasets are keyed by name: a reload or a shard worker's per-leg source
+// set (home sources plus that query's loans) is a new *Dataset every time,
+// and keying by it would restart calibration from the full ladder and grow
+// the map without bound, while the name stays the same.
 type calPair struct {
 	kind           QueryKind
 	target, source string
@@ -107,8 +107,9 @@ func newCalibrator() *calibrator {
 // model of its pair. Only LODs below the query's top LOD are recorded:
 // every pair settles at the top, so its fraction says nothing about whether
 // an intermediate LOD pays, yet a later query of the pair with a higher top
-// (a loan dataset's maxLOD varies per query) would read it as one. LODs
-// that evaluated no pairs contribute nothing — an absent observation, not a
+// (a shard leg's source set, home sources plus that query's loans, can
+// have another maxLOD each query) would read it as one. LODs that
+// evaluated no pairs contribute nothing — an absent observation, not a
 // zero.
 func (c *calibrator) observe(p calPair, top int, st *Stats) {
 	if c == nil || st == nil {

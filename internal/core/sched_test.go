@@ -294,7 +294,7 @@ func TestCalibratorSeparatesPairs(t *testing.T) {
 // top.
 func TestCalibratorObservesBelowTopOnly(t *testing.T) {
 	c := newCalibrator()
-	p := calPair{WithinKind, "nuclei", "vessels@loan"}
+	p := calPair{WithinKind, "nuclei", "vessels"}
 	c.observe(p, 2, &Stats{PairsEvaluated: []int64{13, 0, 13}, PairsPruned: []int64{1, 0, 13}})
 	if got := (&Engine{cal: c}).SchedCalibration(); len(got) != 1 || got[0].LOD != 0 {
 		t.Errorf("calibration = %+v, want one LOD 0 cell (the top-LOD pass creates none)", got)

@@ -70,6 +70,10 @@ type shardedQueryResponse struct {
 		Target int64 `json:"target"`
 		Source int64 `json:"source"`
 	} `json:"pairs"`
+	Neighbors []struct {
+		Target int64 `json:"target"`
+		Source int64 `json:"source"`
+	} `json:"neighbors"`
 	Stats struct {
 		Results      int64   `json:"results"`
 		UncertainIDs []int64 `json:"uncertain_ids"`
@@ -89,33 +93,44 @@ type shardedQueryResponse struct {
 	} `json:"stats"`
 }
 
-// TestShardedServerQuery proves a sharded server answers the join endpoints
+// TestShardedServerQuery proves a sharded server answers the join endpoints,
+// that stats.results counts the answer — a kNN leg joins each target
+// against all its candidates at once, so it reports each neighbor once —
 // and that the response stats carry the per-shard breakdown.
 func TestShardedServerQuery(t *testing.T) {
 	ts, _, _ := shardedServer(t, shard.Options{Shards: 4})
 
-	var out shardedQueryResponse
-	resp := postJSON(t, ts.URL+"/query/intersect", `{"target":"alpha","source":"beta"}`, &out)
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if len(out.Pairs) == 0 {
-		t.Fatal("sharded intersect found no pairs; fixture too sparse")
-	}
-	if len(out.Stats.Shards) != 4 {
-		t.Fatalf("stats.shards has %d entries, want 4", len(out.Stats.Shards))
-	}
-	var sum int64
-	for _, ss := range out.Stats.Shards {
-		if ss.Status != "ok" && ss.Status != "skipped" {
-			t.Fatalf("shard %d status %q", ss.Shard, ss.Status)
+	for _, tc := range []struct{ path, body string }{
+		{"/query/intersect", `{"target":"alpha","source":"beta"}`},
+		{"/query/nn", `{"target":"alpha","source":"beta","k":3}`},
+	} {
+		var out shardedQueryResponse
+		resp := postJSON(t, ts.URL+tc.path, tc.body, &out)
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d", tc.path, resp.StatusCode)
 		}
-		if ss.Stats != nil {
-			sum += ss.Stats.Results
+		answer := int64(len(out.Pairs) + len(out.Neighbors))
+		if answer == 0 {
+			t.Fatalf("%s: sharded query answered nothing; fixture too sparse", tc.path)
 		}
-	}
-	if sum != out.Stats.Results {
-		t.Fatalf("Σ per-shard results = %d, coordinator total = %d", sum, out.Stats.Results)
+		if out.Stats.Results != answer {
+			t.Errorf("%s: stats.results = %d, answer has %d entries", tc.path, out.Stats.Results, answer)
+		}
+		if len(out.Stats.Shards) != 4 {
+			t.Fatalf("%s: stats.shards has %d entries, want 4", tc.path, len(out.Stats.Shards))
+		}
+		var sum int64
+		for _, ss := range out.Stats.Shards {
+			if ss.Status != "ok" && ss.Status != "skipped" {
+				t.Fatalf("%s: shard %d status %q", tc.path, ss.Shard, ss.Status)
+			}
+			if ss.Stats != nil {
+				sum += ss.Stats.Results
+			}
+		}
+		if sum != out.Stats.Results {
+			t.Fatalf("%s: Σ per-shard results = %d, coordinator total = %d", tc.path, sum, out.Stats.Results)
+		}
 	}
 }
 

@@ -383,9 +383,10 @@ func TestHTTPLoansConcurrentColdJoins(t *testing.T) {
 }
 
 // TestLoanLegsKeepCalibrationBounded: every loan leg assembles a fresh
-// "<source>@loan" dataset, and the engine's LOD calibrator is keyed by
-// dataset name, so 50 loan legs over one source reuse the same calibrator
-// cells instead of adding a set per leg.
+// source dataset of home sources and loans, and the engine's LOD
+// calibrator is keyed by dataset name, so 50 loan legs over one source
+// reuse the same calibrator cells instead of adding a set per leg, and
+// every cell names the source the client named.
 func TestLoanLegsKeepCalibrationBounded(t *testing.T) {
 	e := core.NewEngine(testEngineOptions())
 	defer e.Close()
@@ -422,14 +423,13 @@ func TestLoanLegsKeepCalibrationBounded(t *testing.T) {
 		leg(i) // one full rotation reaches every ladder the legs will use
 	}
 	before := cal()
-	loanCells := 0
-	for _, ce := range before {
-		if ce.Source == db.Name+"@loan" {
-			loanCells++
-		}
+	if len(before) == 0 {
+		t.Fatal("no calibration cell after a rotation of loan legs: fixture proves nothing")
 	}
-	if loanCells == 0 {
-		t.Fatalf("no calibration cell for the loan dataset: %+v", before)
+	for _, ce := range before {
+		if ce.Target != da.Name || ce.Source != db.Name {
+			t.Fatalf("calibration cell %+v, want every cell keyed %q × %q", ce, da.Name, db.Name)
+		}
 	}
 	for i := 0; i < 50; i++ {
 		leg(i)
@@ -439,11 +439,11 @@ func TestLoanLegsKeepCalibrationBounded(t *testing.T) {
 	}
 }
 
-// TestCorruptLoanTripsOnce: a worker assembles a fresh "<source>@loan"
-// dataset for every leg, but the quarantine breaker is keyed by blob, so
-// 20 Degrade legs lending one corrupt blob track one key and trip it once;
-// legs after the trip skip the blob without decoding it. Its failures are
-// reported under the source the client named, not the loan dataset.
+// TestCorruptLoanTripsOnce: a worker assembles a fresh source dataset of
+// home sources and loans for every leg, but the quarantine breaker is
+// keyed by blob, so 20 Degrade legs lending one corrupt blob track one key
+// and trip it once; legs after the trip skip the blob without decoding it.
+// Its failures are reported under the source the client named.
 func TestCorruptLoanTripsOnce(t *testing.T) {
 	e := core.NewEngine(testEngineOptions())
 	defer e.Close()

@@ -83,9 +83,9 @@ func (n *Node) dataset(name string, group int) *core.Dataset {
 }
 
 // Handle executes one request against the requested group's home objects.
-// Join kinds run home-targets × home-sources plus home-targets × loans and
-// merge; the loan set never contains the group's home objects, so the two
-// sub-joins partition the candidate pairs. The context carries the
+// A join kind joins the group's home targets against one source set: the
+// group's home sources plus the request's loans, which never contain a
+// home object, so the set holds each source once. The context carries the
 // per-attempt deadline the coordinator derived from the request context;
 // the engine honors it.
 func (n *Node) Handle(ctx context.Context, req *Request) (*Response, error) {
@@ -117,74 +117,44 @@ func (n *Node) Handle(ctx context.Context, req *Request) (*Response, error) {
 	}
 }
 
-// handleJoin runs the two sub-joins of a join request and merges them.
+// handleJoin makes one engine join of the group's home targets against its
+// home sources and the loans, indexed together as one dataset under the
+// source's name. The coordinator's loans hold every non-home source that
+// can pair with a home target (every kNN candidate included), so the join
+// gives the whole-dataset answer for these targets and counts what the
+// single engine counts for them. Object IDs are global and nothing is
+// parsed or decoded here: the join's decodes hit the cache entries of the
+// blobs themselves, and a self-join still skips each target, whose own
+// *storage.Object is in the list.
 func (n *Node) handleJoin(ctx context.Context, target *core.Dataset, req *Request, start time.Time) (*Response, error) {
-	sources := make([]*core.Dataset, 0, 2)
+	objs := slices.Clone(req.Loans)
 	if home := n.dataset(req.Source, req.Group); home != nil {
-		sources = append(sources, home)
-	}
-	if len(req.Loans) > 0 {
-		loan, err := n.assembleLoans(req.Source, req.Loans)
-		if err != nil {
-			return nil, err
-		}
-		sources = append(sources, loan)
-	}
-
-	resp := &Response{Stats: &core.Stats{}}
-	// Per-source neighbor lists are merged per target afterwards (KNN).
-	var neighborParts [][]core.Neighbor
-	for _, src := range sources {
-		var (
-			pairs []core.Pair
-			nbrs  []core.Neighbor
-			st    *core.Stats
-			err   error
-		)
-		switch req.Kind {
-		case KindIntersect:
-			pairs, st, err = n.eng.IntersectJoin(ctx, target, src, req.Opts)
-		case KindWithin:
-			pairs, st, err = n.eng.WithinJoin(ctx, target, src, req.Dist, req.Opts)
-		case KindKNN:
-			nbrs, st, err = n.eng.KNNJoin(ctx, target, src, req.Opts)
-			neighborParts = append(neighborParts, nbrs)
-		}
-		if err != nil {
-			return nil, err
-		}
-		// A loaned object failed in the per-leg "<source>@loan" dataset,
-		// which keeps that name for the calibrator; the client named the
-		// source, so its failures are reported under req.Source.
-		for i := range st.Degraded {
-			if st.Degraded[i].Dataset == src.Name {
-				st.Degraded[i].Dataset = req.Source
+		for _, o := range home.Tileset.Objects {
+			if o != nil {
+				objs = append(objs, o)
 			}
 		}
-		resp.Pairs = append(resp.Pairs, pairs...)
-		resp.Stats.Merge(st)
 	}
-	switch req.Kind {
-	case KindIntersect, KindWithin:
-		slices.SortFunc(resp.Pairs, core.ComparePairs)
-	case KindKNN:
-		k := req.Opts.K
-		if k <= 0 {
-			k = 1
+	resp := &Response{Stats: &core.Stats{}}
+	if len(objs) > 0 {
+		src, err := n.eng.AssembleDataset(req.Source, tilesetFor(storage.Grid{}, objs))
+		if err != nil {
+			return nil, err
 		}
-		resp.Neighbors = mergeTopK(neighborParts, k)
+		switch req.Kind {
+		case KindIntersect:
+			resp.Pairs, resp.Stats, err = n.eng.IntersectJoin(ctx, target, src, req.Opts)
+		case KindWithin:
+			resp.Pairs, resp.Stats, err = n.eng.WithinJoin(ctx, target, src, req.Dist, req.Opts)
+		case KindKNN:
+			resp.Neighbors, resp.Stats, err = n.eng.KNNJoin(ctx, target, src, req.Opts)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	resp.Stats.Elapsed = time.Since(start)
 	return resp, nil
-}
-
-// assembleLoans indexes the loan objects, which the node already holds, in
-// a per-query dataset; nothing is parsed or decoded, and the join's decodes
-// hit the cache entries of the blobs themselves. Object IDs are global (the
-// coordinator's), so pairs produced against loans line up with pairs
-// produced anywhere else.
-func (n *Node) assembleLoans(source string, loans []*storage.Object) (*core.Dataset, error) {
-	return n.eng.AssembleDataset(source+"@loan", tilesetFor(storage.Grid{}, loans))
 }
 
 // resolveLoans lends the node the blobs shipped with a request over source,
@@ -218,32 +188,4 @@ func (n *Node) resolveLoans(source string, refs []wireLoan, shipped []*storage.O
 		}
 	}
 	return objs, missing
-}
-
-// mergeTopK merges per-source KNN result lists into the top k per target.
-// Each part is a correct top-k against its own source subset and the
-// subsets are disjoint, so the union's k smallest per target are the true
-// top k against the union.
-func mergeTopK(parts [][]core.Neighbor, k int) []core.Neighbor {
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	var all []core.Neighbor
-	for _, p := range parts {
-		all = append(all, p...)
-	}
-	slices.SortFunc(all, core.CompareNeighbors)
-	out := all[:0]
-	var cur int64 = -1
-	taken := 0
-	for _, nb := range all {
-		if nb.Target != cur {
-			cur, taken = nb.Target, 0
-		}
-		if taken < k {
-			out = append(out, nb)
-			taken++
-		}
-	}
-	return out
 }

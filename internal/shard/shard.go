@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -236,41 +237,24 @@ func (c *Coordinator) dataset(name string) (*dsEntry, error) {
 
 // IntersectJoin is the sharded core.Engine.IntersectJoin.
 func (c *Coordinator) IntersectJoin(ctx context.Context, target, source string, q core.QueryOptions) ([]core.Pair, *core.Stats, error) {
-	resp, st, err := c.joinQuery(ctx, KindIntersect, target, source, 0, q)
-	if err != nil {
-		return nil, st, err
-	}
-	return resp, st, nil
+	resps, st, err := c.joinQuery(ctx, KindIntersect, target, source, 0, q)
+	return gather(resps, func(r *Response) []core.Pair { return r.Pairs }, core.ComparePairs), st, err
 }
 
 // WithinJoin is the sharded core.Engine.WithinJoin.
 func (c *Coordinator) WithinJoin(ctx context.Context, target, source string, dist float64, q core.QueryOptions) ([]core.Pair, *core.Stats, error) {
-	return c.joinQuery(ctx, KindWithin, target, source, dist, q)
+	resps, st, err := c.joinQuery(ctx, KindWithin, target, source, dist, q)
+	return gather(resps, func(r *Response) []core.Pair { return r.Pairs }, core.ComparePairs), st, err
 }
 
-// KNNJoin is the sharded core.Engine.KNNJoin.
+// KNNJoin is the sharded core.Engine.KNNJoin. Targets are disjoint across
+// groups, so the gather needs no per-target merge, only the canonical order.
 func (c *Coordinator) KNNJoin(ctx context.Context, target, source string, q core.QueryOptions) ([]core.Neighbor, *core.Stats, error) {
 	if q.K <= 0 {
 		q.K = 1
 	}
-	tgt, reqs, err := c.prepareJoin(KindKNN, target, source, 0, q)
-	if err != nil {
-		return nil, nil, err
-	}
-	resps, st, err := c.scatter(ctx, target, KindKNN, q, reqs, tgt.homeIDs)
-	if err != nil {
-		return nil, st, err
-	}
-	// Targets are disjoint across shards, so concatenation needs no
-	// per-target merge — only the canonical order.
-	var out []core.Neighbor
-	for _, r := range resps {
-		if r != nil {
-			out = append(out, r.Neighbors...)
-		}
-	}
-	slices.SortFunc(out, core.CompareNeighbors)
-	return out, st, nil
+	resps, st, err := c.joinQuery(ctx, KindKNN, target, source, 0, q)
+	return gather(resps, func(r *Response) []core.Neighbor { return r.Neighbors }, core.CompareNeighbors), st, err
 }
 
 // RangeQuery is the sharded core.Engine.RangeQuery.
@@ -310,36 +294,31 @@ func (c *Coordinator) idQuery(ctx context.Context, proto *Request, box geom.Box3
 		reqs[g] = &r
 	}
 	resps, st, err := c.scatter(ctx, proto.Target, proto.Kind, proto.Opts, reqs, cands)
-	if err != nil {
-		return nil, st, err
-	}
-	var out []int64
-	for _, r := range resps {
-		if r != nil {
-			out = append(out, r.IDs...)
-		}
-	}
-	slices.Sort(out)
-	return out, st, nil
+	return gather(resps, func(r *Response) []int64 { return r.IDs }, cmp.Compare[int64]), st, err
 }
 
-func (c *Coordinator) joinQuery(ctx context.Context, kind Kind, target, source string, dist float64, q core.QueryOptions) ([]core.Pair, *core.Stats, error) {
+// joinQuery scatters a join's per-group requests and returns the
+// responses, nil for a skipped group.
+func (c *Coordinator) joinQuery(ctx context.Context, kind Kind, target, source string, dist float64, q core.QueryOptions) ([]*Response, *core.Stats, error) {
 	tgt, reqs, err := c.prepareJoin(kind, target, source, dist, q)
 	if err != nil {
 		return nil, nil, err
 	}
-	resps, st, err := c.scatter(ctx, target, kind, q, reqs, tgt.homeIDs)
-	if err != nil {
-		return nil, st, err
-	}
-	var out []core.Pair
+	return c.scatter(ctx, target, kind, q, reqs, tgt.homeIDs)
+}
+
+// gather concatenates one field of the responses and sorts it by order:
+// each group answers for its own targets, so nothing needs merging. It
+// returns nil when scatter failed (resps is nil then).
+func gather[T any](resps []*Response, field func(*Response) []T, order func(a, b T) int) []T {
+	var out []T
 	for _, r := range resps {
 		if r != nil {
-			out = append(out, r.Pairs...)
+			out = append(out, field(r)...)
 		}
 	}
-	slices.SortFunc(out, core.ComparePairs)
-	return out, st, nil
+	slices.SortFunc(out, order)
+	return out
 }
 
 // prepareJoin resolves the datasets and builds the per-shard requests,

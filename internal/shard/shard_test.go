@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -109,56 +110,74 @@ func checkShardedEquivalence(t *testing.T, replicas int) {
 	q := core.QueryOptions{}
 
 	t.Run("intersect", func(t *testing.T) {
-		want, _, err := e.IntersectJoin(ctx, a, b, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := c.IntersectJoin(ctx, "nucleiA", "nucleiB", q)
-		sameAnswer(t, c, got, want, err)
+		sameCounts(t, q, func(q core.QueryOptions) (*core.Stats, *core.Stats) {
+			want, wst, err := e.IntersectJoin(ctx, a, b, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gst, err := c.IntersectJoin(ctx, "nucleiA", "nucleiB", q)
+			sameAnswer(t, c, got, want, err)
+			return wst, gst
+		})
 	})
 	t.Run("intersect-self", func(t *testing.T) {
-		want, _, err := e.IntersectJoin(ctx, a, a, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := c.IntersectJoin(ctx, "nucleiA", "nucleiA", q)
-		sameAnswer(t, c, got, want, err)
+		sameCounts(t, q, func(q core.QueryOptions) (*core.Stats, *core.Stats) {
+			want, wst, err := e.IntersectJoin(ctx, a, a, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gst, err := c.IntersectJoin(ctx, "nucleiA", "nucleiA", q)
+			sameAnswer(t, c, got, want, err)
+			return wst, gst
+		})
 	})
 	t.Run("within", func(t *testing.T) {
-		want, _, err := e.WithinJoin(ctx, da, db, 8, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := c.WithinJoin(ctx, "disjA", "disjB", 8, q)
-		sameAnswer(t, c, got, want, err)
+		sameCounts(t, q, func(q core.QueryOptions) (*core.Stats, *core.Stats) {
+			want, wst, err := e.WithinJoin(ctx, da, db, 8, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gst, err := c.WithinJoin(ctx, "disjA", "disjB", 8, q)
+			sameAnswer(t, c, got, want, err)
+			return wst, gst
+		})
 	})
 	t.Run("nn", func(t *testing.T) {
-		want, _, err := e.NNJoin(ctx, da, db, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := c.KNNJoin(ctx, "disjA", "disjB", q)
-		sameAnswer(t, c, got, want, err)
+		sameCounts(t, q, func(q core.QueryOptions) (*core.Stats, *core.Stats) {
+			want, wst, err := e.NNJoin(ctx, da, db, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gst, err := c.KNNJoin(ctx, "disjA", "disjB", q)
+			sameAnswer(t, c, got, want, err)
+			return wst, gst
+		})
 	})
 	t.Run("knn", func(t *testing.T) {
 		kq := q
 		kq.K = 3
-		want, _, err := e.KNNJoin(ctx, da, db, kq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := c.KNNJoin(ctx, "disjA", "disjB", kq)
-		sameAnswer(t, c, got, want, err)
+		sameCounts(t, kq, func(q core.QueryOptions) (*core.Stats, *core.Stats) {
+			want, wst, err := e.KNNJoin(ctx, da, db, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gst, err := c.KNNJoin(ctx, "disjA", "disjB", q)
+			sameAnswer(t, c, got, want, err)
+			return wst, gst
+		})
 	})
 	t.Run("knn-self", func(t *testing.T) {
 		kq := q
 		kq.K = 2
-		want, _, err := e.KNNJoin(ctx, da, da, kq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := c.KNNJoin(ctx, "disjA", "disjA", kq)
-		sameAnswer(t, c, got, want, err)
+		sameCounts(t, kq, func(q core.QueryOptions) (*core.Stats, *core.Stats) {
+			want, wst, err := e.KNNJoin(ctx, da, da, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gst, err := c.KNNJoin(ctx, "disjA", "disjA", q)
+			sameAnswer(t, c, got, want, err)
+			return wst, gst
+		})
 	})
 	t.Run("range", func(t *testing.T) {
 		bounds := a.Tree().Bounds()
@@ -239,6 +258,39 @@ func checkShardedEquivalence(t *testing.T, replicas int) {
 			}
 		}
 	})
+}
+
+// sameCounts runs one join on the single engine and the coordinator —
+// run compares the answers and returns the single engine's Stats, then the
+// coordinator's — under q, then under FPR for every accelerator with the
+// default and the static schedule. A leg joins its targets against one
+// source set, home sources and loans, so the coordinator counts what the
+// single engine counts: candidates and results always, and under the
+// static schedule, whose ladder no calibration history shapes, the per-LOD
+// pair counts and the bound-decisive pairs too.
+func sameCounts(t *testing.T, q core.QueryOptions, run func(core.QueryOptions) (want, got *core.Stats)) {
+	t.Helper()
+	want, got := run(q)
+	if got.Candidates != want.Candidates || got.Results != want.Results {
+		t.Errorf("%v: sharded candidates %d, results %d; single engine %d, %d", q.Paradigm, got.Candidates, got.Results, want.Candidates, want.Results)
+	}
+	for _, accel := range []core.Accel{core.BruteForce, core.AABB, core.Partition, core.GPU, core.PartitionGPU} {
+		for _, sched := range []core.Sched{core.SchedMargin, core.SchedStatic} {
+			fq := q
+			fq.Paradigm, fq.Accel, fq.Sched = core.FPR, accel, sched
+			want, got := run(fq)
+			same := got.Candidates == want.Candidates && got.Results == want.Results
+			if sched == core.SchedStatic {
+				same = same && got.BoundsDecisive == want.BoundsDecisive &&
+					slices.Equal(got.PairsEvaluated, want.PairsEvaluated) && slices.Equal(got.PairsPruned, want.PairsPruned)
+			}
+			if !same {
+				t.Errorf("FPR %v %v: sharded counts differ from the single engine's:\n got candidates %d results %d evaluated %v pruned %v decisive %d\nwant candidates %d results %d evaluated %v pruned %v decisive %d",
+					accel, sched, got.Candidates, got.Results, got.PairsEvaluated, got.PairsPruned, got.BoundsDecisive,
+					want.Candidates, want.Results, want.PairsEvaluated, want.PairsPruned, want.BoundsDecisive)
+			}
+		}
+	}
 }
 
 // counterSums extracts the additive counters checked by the Σ-invariant:
