@@ -410,7 +410,6 @@ func cmdProfile(args []string) error {
 	targetDir := fs.String("target", "", "target dataset directory")
 	sourceDir := fs.String("source", "", "source dataset directory")
 	dist := fs.Float64("dist", 1, "distance for within queries")
-	threshold := fs.Float64("threshold", core.DefaultPruneThreshold, "pruned-fraction threshold (1/r²)")
 	fs.Parse(args)
 	if *targetDir == "" || *sourceDir == "" {
 		return fmt.Errorf("-target and -source are required")
@@ -438,7 +437,7 @@ func cmdProfile(args []string) error {
 	if err != nil {
 		return err
 	}
-	lods, stats, err := e.ProfileLODs(context.Background(), target, source, qk, *dist, core.QueryOptions{}, *threshold)
+	lods, stats, err := e.ProfileLODs(context.Background(), target, source, qk, *dist, core.QueryOptions{})
 	if err != nil {
 		return err
 	}

@@ -38,7 +38,7 @@ func main() {
 	}
 
 	// Let profiling choose the LOD ladder, as §6.5 prescribes.
-	lods, _, err := eng.ProfileLODs(context.Background(), dsN, dsV, core.NNKind, 0, core.QueryOptions{}, core.DefaultPruneThreshold)
+	lods, _, err := eng.ProfileLODs(context.Background(), dsN, dsV, core.NNKind, 0, core.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

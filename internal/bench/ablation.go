@@ -92,7 +92,7 @@ func (s *Suite) AblationRoundsPerLOD(w io.Writer) ([]RPLAblationRow, error) {
 			return nil, err
 		}
 		lods, _, err := eng.ProfileLODs(context.Background(), d1, d2, core.WithinKind, s.Cfg.WithinDist,
-			core.QueryOptions{Workers: s.Cfg.Workers}, core.DefaultPruneThreshold)
+			core.QueryOptions{Workers: s.Cfg.Workers})
 		if err != nil {
 			eng.Close()
 			return nil, err

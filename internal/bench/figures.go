@@ -147,7 +147,7 @@ func (s *Suite) Fig12(w io.Writer) ([]Fig12Row, error) {
 		target, source := s.datasets(test)
 		s.Engine.Cache().Clear()
 		lods, stats, err := s.Engine.ProfileLODs(context.Background(), target, source, test.Kind(), s.Cfg.WithinDist,
-			core.QueryOptions{Workers: s.Cfg.Workers}, core.DefaultPruneThreshold)
+			core.QueryOptions{Workers: s.Cfg.Workers})
 		if err != nil {
 			return nil, err
 		}

@@ -3,16 +3,18 @@ package core_test
 // The chaos campaign is the acceptance drill for the partial-failure layer:
 // with tile corruption, probabilistic ppvp decode errors, and unconditional
 // core decode panics armed at once, the process must survive, a FailFast
-// join must name a failing object, a Degrade join must return exactly the
-// clean run's certain pairs minus the failed objects, a point or range
-// query must do the same for its IDs, and /readyz must report degraded (not
-// dead). It lives in package core_test so it can drive
+// query of every kind must name a failing object, a Degrade intersect join
+// must return exactly the clean run's certain pairs minus the failed
+// objects, a Degrade within or kNN join an answer the clean one vouches
+// for, a point or range query the clean IDs minus the failed objects, and
+// /readyz must report degraded (not dead). It lives in package core_test so it can drive
 // the HTTP server against the same engine without an import cycle.
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -31,7 +33,11 @@ import (
 )
 
 // chaosSpec is the acceptance fault mix, in the operator spec grammar.
-const chaosSpec = "storage.tile=corrupt,ppvp.decode=prob:0.05:error,core.decode=panic"
+const chaosSpec = chaosSpecNoPanic + ",core.decode=panic"
+
+// chaosSpecNoPanic is the mix without the core decode panics, which leave a
+// Degrade kNN join nothing to rank.
+const chaosSpecNoPanic = "storage.tile=corrupt,ppvp.decode=prob:0.05:error"
 
 func chaosEngine() *core.Engine {
 	return core.NewEngine(core.EngineOptions{CacheBytes: 64 << 20, Workers: 4})
@@ -149,6 +155,19 @@ func runChaosCampaign(t *testing.T, seed int64) {
 	if len(clean) == 0 {
 		t.Fatal("clean workload produced no pairs")
 	}
+	// The distance joins are self-joins of A: its nuclei never intersect
+	// one another, the precondition of distance queries.
+	cleanWithin, _, err := e1.WithinJoin(ctx, a1, a1, chaosWithinDist, core.QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleanKNN, _, err := e1.KNNJoin(ctx, a1, a1, core.QueryOptions{K: chaosK})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cleanWithin) == 0 || len(cleanKNN) == 0 {
+		t.Fatalf("clean distance joins are empty: within %d pairs, kNN %d neighbours", len(cleanWithin), len(cleanKNN))
+	}
 	probes := chaosProbes(a1)
 	cleanIDs := make([][]int64, len(probes))
 	for i, pr := range probes {
@@ -193,13 +212,26 @@ func runChaosCampaign(t *testing.T, seed int64) {
 	// garbage ID, but the loader's report must still cover every hole.
 	badA, badB := chaosHoles(t, a2, repA), chaosHoles(t, b2, repB)
 
-	// FailFast surfaces the first failure, naming the object.
-	_, _, ffErr := e2.IntersectJoin(ctx, a2, b2, core.QueryOptions{})
-	if ffErr == nil {
-		t.Fatal("fail-fast join succeeded under armed faults")
-	}
-	if !strings.Contains(ffErr.Error(), "object ") {
-		t.Fatalf("fail-fast error does not name an object: %v", ffErr)
+	// FailFast surfaces the first failure of every join kind, naming the
+	// object.
+	for name, join := range map[string]func(q core.QueryOptions) (*core.Stats, error){
+		"intersect": func(q core.QueryOptions) (*core.Stats, error) {
+			_, st, err := e2.IntersectJoin(ctx, a2, b2, q)
+			return st, err
+		},
+		"within": func(q core.QueryOptions) (*core.Stats, error) {
+			_, st, err := e2.WithinJoin(ctx, a2, a2, chaosWithinDist, q)
+			return st, err
+		},
+		"knn": func(q core.QueryOptions) (*core.Stats, error) {
+			q.K = chaosK
+			_, st, err := e2.KNNJoin(ctx, a2, a2, q)
+			return st, err
+		},
+	} {
+		if _, err := join(core.QueryOptions{}); err == nil || !strings.Contains(err.Error(), "object ") {
+			t.Fatalf("fail-fast %s: err = %v, want one naming an object", name, err)
+		}
 	}
 
 	// The probe ladder: FailFast names an object too; Degrade answers a
@@ -259,6 +291,22 @@ func runChaosCampaign(t *testing.T, seed int64) {
 		}
 	}
 
+	chaosDistanceJoins(t, e2, a2, chaosHoles(t, a2, repA), cleanWithin, cleanKNN)
+	// Every decode panics above, so no kNN target there ranks anything.
+	// Without the panics, on a fresh engine, salvage holes and the
+	// probabilistic decode errors are the failures, and targets rank.
+	faultinject.Reset()
+	if err := faultinject.Parse(chaosSpecNoPanic); err != nil {
+		t.Fatal(err)
+	}
+	e3 := chaosEngine()
+	t.Cleanup(e3.Close)
+	a3, repA3, err := e3.LoadDatasetSalvage(dirA)
+	if err != nil {
+		t.Fatalf("salvage load A without panics: %v (report %+v)", err, repA3)
+	}
+	chaosDistanceJoins(t, e3, a3, chaosHoles(t, a3, repA3), cleanWithin, cleanKNN)
+
 	// Salvage dropped objects (report A is not clean), so /readyz must
 	// report degraded while staying in rotation.
 	srv := server.NewWithConfig(e2, server.Config{})
@@ -274,5 +322,75 @@ func runChaosCampaign(t *testing.T, seed int64) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "dropped by salvage") {
 		t.Fatalf("/readyz = %d %q, want 200 degraded", resp.StatusCode, body)
+	}
+}
+
+// chaosWithinDist and chaosK are the campaign's within distance and
+// neighbour count.
+const (
+	chaosWithinDist = 15
+	chaosK          = 2
+)
+
+// chaosDistanceJoins runs the campaign's Degrade within and kNN self-joins
+// of d and checks each against its clean answer. Within: no pair outside
+// the clean answer, and every clean pair it drops touches a hole or a
+// degraded object or is uncertain. kNN: every target that is not itself a
+// hole or degraded, has no uncertain entry, and whose clean neighbours
+// include no hole or degraded object has exactly its clean neighbours,
+// distances to the bit.
+func chaosDistanceJoins(t *testing.T, e *core.Engine, d *core.Dataset, holes map[int64]bool, cleanWithin []core.Pair, cleanKNN []core.Neighbor) {
+	t.Helper()
+	ctx := context.Background()
+	q := core.QueryOptions{OnError: core.Degrade, ErrorBudget: -1}
+	bad := func(st *core.Stats) map[int64]bool {
+		b := maps.Clone(holes)
+		for _, de := range st.Degraded {
+			b[de.Object] = true
+		}
+		return b
+	}
+	uncertain := func(st *core.Stats, p core.Pair) bool {
+		return slices.Contains(st.Uncertain, p) || slices.Contains(st.Uncertain, core.Pair{Target: p.Target, Source: -1})
+	}
+
+	got, st, err := e.WithinJoin(ctx, d, d, chaosWithinDist, q)
+	if err != nil {
+		t.Fatalf("degrade within join died: %v", err)
+	}
+	badW := bad(st)
+	for _, p := range got {
+		if !slices.Contains(cleanWithin, p) {
+			t.Fatalf("degrade within join invented pair %v", p)
+		}
+	}
+	for _, p := range cleanWithin {
+		if !slices.Contains(got, p) && !badW[p.Target] && !badW[p.Source] && !uncertain(st, p) {
+			t.Fatalf("degrade within join dropped %v silently (degraded %+v, uncertain %v)", p, st.Degraded, st.Uncertain)
+		}
+	}
+
+	ns, st, err := e.KNNJoin(ctx, d, d, core.QueryOptions{OnError: core.Degrade, ErrorBudget: -1, K: chaosK})
+	if err != nil {
+		t.Fatalf("degrade kNN join died: %v", err)
+	}
+	badK := bad(st)
+	byTarget := func(ns []core.Neighbor) map[int64][]core.Neighbor {
+		m := map[int64][]core.Neighbor{}
+		for _, n := range ns {
+			m[n.Target] = append(m[n.Target], n)
+		}
+		return m
+	}
+	gotK := byTarget(ns)
+	for target, clean := range byTarget(cleanKNN) {
+		if badK[target] || slices.ContainsFunc(st.Uncertain, func(p core.Pair) bool { return p.Target == target }) ||
+			slices.ContainsFunc(clean, func(n core.Neighbor) bool { return badK[n.Source] }) {
+			continue
+		}
+		if !slices.Equal(gotK[target], clean) {
+			t.Fatalf("degrade kNN target %d: neighbours %v, clean %v (degraded %+v, uncertain %v)",
+				target, gotK[target], clean, st.Degraded, st.Uncertain)
+		}
 	}
 }

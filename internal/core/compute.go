@@ -45,8 +45,8 @@ type filterScratch struct {
 	seen map[int64]struct{}
 	ids  []int64
 	def  []int64
-	// maxd is the KNN refinement's MAXDIST sort buffer (see kth in
-	// KNNJoin); reused across targets so the k-th-distance computation
+	// maxd is the kNN refinement's MAXDIST sort buffer (see kthOver in
+	// nearest); reused across targets so the k-th-distance computation
 	// doesn't allocate per call.
 	maxd []float64
 	// nn and nnp back the KNN filter's merged candidates (nnCands).
@@ -335,7 +335,7 @@ func plainDist(d2, upper2 float64) float64 {
 
 // withinStop2 is the stop bound of a within evaluation against dist, fl(dist²):
 // a face pair with d² ≤ fl(dist²) has sqrt(d²) ≤ fl(sqrt(fl(dist²))) == dist,
-// so gatherOne accepts it as it would the exact minimum. The identity needs
+// so walk accepts it as it would the exact minimum. The identity needs
 // fl(dist²) to be a normal float; otherwise the evaluation stays exact.
 func withinStop2(dist float64) float64 {
 	if s := dist * dist; dist > 0 && s >= 0x1p-1022 && s <= math.MaxFloat64 {

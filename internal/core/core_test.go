@@ -411,14 +411,14 @@ func TestFPRBeatsFRInPairEvaluations(t *testing.T) {
 func TestProfileLODs(t *testing.T) {
 	e := testEngine(t)
 	a, b := buildDisjointPair(t, e)
-	lods, stats, err := e.ProfileLODs(context.Background(), a, b, WithinKind, 8, QueryOptions{}, 0)
+	lods, stats, err := e.ProfileLODs(context.Background(), a, b, WithinKind, 8, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(lods) == 0 {
 		t.Fatal("empty schedule")
 	}
-	top := minInt(a.MaxLOD(), b.MaxLOD())
+	top := min(a.MaxLOD(), b.MaxLOD())
 	if lods[len(lods)-1] != top {
 		t.Errorf("schedule %v does not end at top LOD %d", lods, top)
 	}

@@ -430,7 +430,7 @@ func TestRunPerTargetOnErr(t *testing.T) {
 // slices.SortFunc merge: pairs from different workers merge into one
 // deterministic target-then-source order, duplicates preserved.
 func TestResultSinkOrderingAndDuplicates(t *testing.T) {
-	s := newResultSink(3)
+	s := newResultSink(3, ComparePairs)
 	s.add(2, Pair{Target: 5, Source: 1})
 	s.add(0, Pair{Target: 1, Source: 9})
 	s.add(1, Pair{Target: 1, Source: 2})

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
@@ -72,19 +75,23 @@ type driveCase struct {
 	name           string
 	kind           QueryKind
 	target, source *Dataset
-	dist           float64
+	dist           float64 // WithinKind only
+	k              int     // NNKind only
 }
 
 func (f driveFixture) cases() []driveCase {
 	return []driveCase{
-		{"intersect/overlap", IntersectKind, f.overlapA, f.overlapB, 0},
-		{"intersect/self", IntersectKind, f.overlapA, f.overlapA, 0},
-		{"intersect/nested", IntersectKind, f.nestA, f.nestB, 0},
-		{"intersect/nested-reversed", IntersectKind, f.nestB, f.nestA, 0},
-		{"within/0", WithinKind, f.distA, f.distB, 0},
-		{"within/2", WithinKind, f.distA, f.distB, 2},
-		{"within/12", WithinKind, f.distA, f.distB, 12},
-		{"within/self", WithinKind, f.distA, f.distA, 25},
+		{"intersect/overlap", IntersectKind, f.overlapA, f.overlapB, 0, 0},
+		{"intersect/self", IntersectKind, f.overlapA, f.overlapA, 0, 0},
+		{"intersect/nested", IntersectKind, f.nestA, f.nestB, 0, 0},
+		{"intersect/nested-reversed", IntersectKind, f.nestB, f.nestA, 0, 0},
+		{"within/0", WithinKind, f.distA, f.distB, 0, 0},
+		{"within/2", WithinKind, f.distA, f.distB, 2, 0},
+		{"within/12", WithinKind, f.distA, f.distB, 12, 0},
+		{"within/self", WithinKind, f.distA, f.distA, 25, 0},
+		{"knn/1", NNKind, f.distA, f.distB, 0, 1},
+		{"knn/3", NNKind, f.distA, f.distB, 0, 3},
+		{"knn/self", NNKind, f.distA, f.distA, 0, 2},
 	}
 }
 
@@ -98,7 +105,7 @@ func (f driveFixture) named(name string) driveCase {
 	panic("no drive case " + name)
 }
 
-// run executes the case under q.
+// run executes an intersect or within case under q.
 func (c driveCase) run(e *Engine, q QueryOptions) ([]Pair, *Stats, error) {
 	if c.kind == IntersectKind {
 		return e.IntersectJoin(context.Background(), c.target, c.source, q)
@@ -106,13 +113,36 @@ func (c driveCase) run(e *Engine, q QueryOptions) ([]Pair, *Stats, error) {
 	return e.WithinJoin(context.Background(), c.target, c.source, c.dist, q)
 }
 
-// want is the case's answer by the independent sdbms engine.
+// want is an intersect or within case's answer by the independent sdbms
+// engine.
 func (c driveCase) want(t *testing.T) map[Pair]bool {
 	ref := newReference(t, c.target, c.source)
 	if c.kind == IntersectKind {
 		return ref.intersectJoin(t)
 	}
 	return ref.withinJoin(t, c.dist)
+}
+
+// wantNeighbors is a kNN case's answer by the independent sdbms engine:
+// every source ranked by exact distance, ties by ID, self excluded in a
+// self-join.
+func (c driveCase) wantNeighbors(t *testing.T) []Neighbor {
+	ref := newReference(t, c.target, c.source)
+	var ns []Neighbor
+	for ti := 0; ti < c.target.Len(); ti++ {
+		var row []Neighbor
+		for si := 0; si < c.source.Len(); si++ {
+			if c.source == c.target && si == ti {
+				continue
+			}
+			row = append(row, Neighbor{Target: int64(ti), Source: int64(si), Dist: ref.dist(ti, si)})
+		}
+		slices.SortFunc(row, func(a, b Neighbor) int {
+			return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Source, b.Source))
+		})
+		ns = append(ns, row[:c.k]...)
+	}
+	return ns
 }
 
 // soundDegraded asserts the Degrade contract against the full answer: no
@@ -132,9 +162,11 @@ func soundDegraded(t *testing.T, name string, got []Pair, st *Stats, want map[Pa
 	}
 }
 
-// TestDrivesMatchReference is the one differential check behind "one refine
-// ladder": every intersect and within case, under every accelerator,
-// paradigm, scheduler and ladder shape, compared with sdbms.
+// TestDrivesMatchReference is the one differential check behind "one join
+// executor": every intersect, within and kNN case, under every accelerator,
+// paradigm, scheduler and ladder shape (a nil ladder is the calibrated
+// one), compared with sdbms — kNN neighbours, ranks and distances bit for
+// bit.
 func TestDrivesMatchReference(t *testing.T) {
 	e := testEngine(t)
 	f := buildDriveFixture(t, e)
@@ -142,15 +174,18 @@ func TestDrivesMatchReference(t *testing.T) {
 	for i := range full {
 		full[i] = i
 	}
-	ladders := [][]int{full, {0, len(full) - 1}}
+	ladders := [][]int{full, {0, len(full) - 1}, nil}
 	scheds := []struct {
 		par   Paradigm
 		sched Sched
 	}{{FR, SchedStatic}, {FPR, SchedStatic}, {FPR, SchedMargin}}
 
 	for _, c := range f.cases() {
-		want := c.want(t)
-		if len(want) == 0 && c.name != "intersect/self" {
+		var want map[Pair]bool
+		var wantNs []Neighbor
+		if c.kind == NNKind {
+			wantNs = c.wantNeighbors(t)
+		} else if want = c.want(t); len(want) == 0 && c.name != "intersect/self" {
 			t.Fatalf("%s: reference answer is empty; the case would be vacuous", c.name)
 		}
 		for _, accel := range allAccels {
@@ -158,6 +193,17 @@ func TestDrivesMatchReference(t *testing.T) {
 				for _, lods := range ladders {
 					name := fmt.Sprintf("%s/%v/%v/%v/%v", c.name, accel, s.par, s.sched, lods)
 					q := QueryOptions{Paradigm: s.par, Sched: s.sched, Accel: accel, LODs: lods}
+					if c.kind == NNKind {
+						q.K = c.k
+						got, _, err := e.KNNJoin(context.Background(), c.target, c.source, q)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if !reflect.DeepEqual(got, wantNs) {
+							t.Errorf("%s: neighbours differ from sdbms\n got %v\nwant %v", name, got, wantNs)
+						}
+						continue
+					}
 					got, _, err := c.run(e, q)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)

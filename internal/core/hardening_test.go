@@ -104,14 +104,22 @@ func TestJoinDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicBecomesError forces a panic inside one decode of a join,
-// a point query and a range query, and asserts it fails only that query
-// with an error naming the object; the engine keeps answering.
+// TestWorkerPanicBecomesError forces a panic inside one decode of each join
+// kind, a point query and a range query, and asserts it fails only that
+// query with an error naming the object; the engine keeps answering.
 func TestWorkerPanicBecomesError(t *testing.T) {
 	queries := map[string]func(e *Engine, a, b *Dataset) (int, error){
 		"intersect": func(e *Engine, a, b *Dataset) (int, error) {
 			pairs, _, err := e.IntersectJoin(context.Background(), a, b, QueryOptions{})
 			return len(pairs), err
+		},
+		"within": func(e *Engine, a, b *Dataset) (int, error) {
+			pairs, _, err := e.WithinJoin(context.Background(), a, b, 5, QueryOptions{})
+			return len(pairs), err
+		},
+		"knn": func(e *Engine, a, b *Dataset) (int, error) {
+			ns, _, err := e.KNNJoin(context.Background(), a, b, QueryOptions{K: 2})
+			return len(ns), err
 		},
 		"point": func(e *Engine, a, _ *Dataset) (int, error) {
 			ids, _, err := e.ContainingObjects(context.Background(), a, a.Tileset.Object(0).MBB().Center(), QueryOptions{})

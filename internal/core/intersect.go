@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"slices"
-)
+import "context"
 
 // IntersectJoin returns, for each object o of target, every object of
 // source whose geometry intersects o (touching or containment counts).
@@ -17,14 +14,6 @@ import (
 // face intersection — is resolved at the highest LOD for the survivors.
 // The ladder itself is in pipeline.go.
 func (e *Engine) IntersectJoin(ctx context.Context, target, source *Dataset, q QueryOptions) ([]Pair, *Stats, error) {
-	return e.join(ctx, IntersectKind, target, source, 0, q)
-}
-
-func sortIDs(ids []int64) { slices.Sort(ids) }
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	pairs, _, st, err := e.join(ctx, IntersectKind, target, source, 0, q)
+	return pairs, st, err
 }

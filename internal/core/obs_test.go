@@ -104,8 +104,7 @@ func TestConcurrentProfilingDoesNotPerturbAttribution(t *testing.T) {
 			if i%2 == 1 {
 				// Odd slots profile: same engine, same cache entries via the
 				// shallow sample view.
-				_, st, err := e.ProfileLODs(context.Background(), a, b, IntersectKind, 0,
-					QueryOptions{}, DefaultPruneThreshold)
+				_, st, err := e.ProfileLODs(context.Background(), a, b, IntersectKind, 0, QueryOptions{})
 				if err != nil {
 					t.Error(err)
 					return

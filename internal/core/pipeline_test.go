@@ -156,35 +156,65 @@ func TestPipelineHammerCancellation(t *testing.T) {
 
 // TestPipelineCancelStopsBetweenPairs cancels a one-worker join during the
 // first decode miss of a target with several candidates: the join must stop
-// before the next pair (or the pair's next rung), not finish the target.
+// before the next pair (or the pair's next rung), not finish the target. It
+// runs every join kind under both schedulers. The distance rows keep the
+// small spheres' interiors disjoint from the big one, the precondition of
+// distance queries; the kNN row asks for all four of them, so one target
+// holds every candidate.
 func TestPipelineCancelStopsBetweenPairs(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
-	e := testEngine(t)
 	sphere := func(r float64, at geom.Vec3) *mesh.Mesh {
 		m := mesh.Icosphere(r, 2)
 		m.Translate(at)
 		return m
 	}
-	a, err := e.BuildDataset("cancelA", []*mesh.Mesh{sphere(10, geom.V(0, 0, 0))}, fastDatasetOptions())
-	if err != nil {
-		t.Fatal(err)
+	joins := []struct {
+		name string
+		at   float64 // distance of the small spheres from the big one's centre
+		run  func(e *Engine, ctx context.Context, a, b *Dataset, q QueryOptions) (*Stats, error)
+	}{
+		{"intersect", 10, func(e *Engine, ctx context.Context, a, b *Dataset, q QueryOptions) (*Stats, error) {
+			_, st, err := e.IntersectJoin(ctx, a, b, q)
+			return st, err
+		}},
+		{"within", 14, func(e *Engine, ctx context.Context, a, b *Dataset, q QueryOptions) (*Stats, error) {
+			_, st, err := e.WithinJoin(ctx, a, b, 3, q)
+			return st, err
+		}},
+		{"knn", 14, func(e *Engine, ctx context.Context, a, b *Dataset, q QueryOptions) (*Stats, error) {
+			q.K = 4
+			_, st, err := e.KNNJoin(ctx, a, b, q)
+			return st, err
+		}},
 	}
-	b, err := e.BuildDataset("cancelB", []*mesh.Mesh{sphere(2, geom.V(10, 0, 0)), sphere(2, geom.V(-10, 0, 0)),
-		sphere(2, geom.V(0, 10, 0)), sphere(2, geom.V(0, -10, 0))}, fastDatasetOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Cache().Clear()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	faultinject.Arm(faultinject.PointCoreDecode, faultinject.Fault{Times: 1, Hook: func() error { cancel(); return nil }})
-	_, st, err := e.IntersectJoin(ctx, a, b, QueryOptions{Workers: 1})
-	var evaluated int64
-	for _, n := range st.PairsEvaluated {
-		evaluated += n
-	}
-	if !errors.Is(err, context.Canceled) || evaluated > 1 {
-		t.Fatalf("err = %v after %d pair evaluations; want context.Canceled after at most 1", err, evaluated)
+	for _, j := range joins {
+		for _, sched := range []Sched{SchedStatic, SchedMargin} {
+			t.Run(fmt.Sprintf("%s/%v", j.name, sched), func(t *testing.T) {
+				t.Cleanup(faultinject.Reset)
+				e := testEngine(t)
+				a, err := e.BuildDataset("cancelA", []*mesh.Mesh{sphere(10, geom.V(0, 0, 0))}, fastDatasetOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := e.BuildDataset("cancelB", []*mesh.Mesh{sphere(2, geom.V(j.at, 0, 0)), sphere(2, geom.V(-j.at, 0, 0)),
+					sphere(2, geom.V(0, j.at, 0)), sphere(2, geom.V(0, -j.at, 0))}, fastDatasetOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.Cache().Clear()
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				faultinject.Arm(faultinject.PointCoreDecode, faultinject.Fault{Times: 1, Hook: func() error { cancel(); return nil }})
+				st, err := j.run(e, ctx, a, b, QueryOptions{Workers: 1, Sched: sched})
+				var evaluated int64
+				for _, n := range st.PairsEvaluated {
+					evaluated += n
+				}
+				if !errors.Is(err, context.Canceled) || evaluated > 1 {
+					t.Fatalf("err = %v after %d pair evaluations (per LOD %v); want context.Canceled after at most 1",
+						err, evaluated, st.PairsEvaluated)
+				}
+			})
+		}
 	}
 }
 

@@ -75,7 +75,7 @@ func (e *Engine) probe(ctx context.Context, d *Dataset, box geom.Box3, q QueryOp
 	})
 	col.n[rowCandidates].Add(int64(len(cands) + len(out)))
 	col.n[rowResults].Add(int64(len(out)))
-	sortIDs(cands)
+	slices.Sort(cands)
 
 	remaining := cands
 	for li, lod := range lods {
@@ -116,7 +116,7 @@ func (e *Engine) probe(ctx context.Context, d *Dataset, box geom.Box3, q QueryOp
 
 // probeStep decodes candidate id at lod and runs hit on it. A panic out of
 // either (a FailFast decode panic, an evaluator blowing up) comes back as
-// an error naming the object, as in the joins' decodePair.
+// an error naming the object, as in the joins' walk.
 func (c *evalCtx) probeStep(d *Dataset, id int64, lod int, top bool, hit probeHit) (in bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -66,14 +66,11 @@ func (d *Dataset) SampleCuboid() *Dataset {
 }
 
 // ProfileLODs runs the given join on a single-cuboid sample of the target
-// with refinement at every LOD, then returns the LOD schedule the §4.4
-// rule selects: every LOD whose pruned fraction exceeds threshold, plus the
-// highest LOD. dist is only used for WithinKind. The sample's statistics
-// are returned for inspection (Fig. 12).
-func (e *Engine) ProfileLODs(ctx context.Context, target, source *Dataset, kind QueryKind, dist float64, q QueryOptions, threshold float64) ([]int, *Stats, error) {
-	if threshold <= 0 {
-		threshold = DefaultPruneThreshold
-	}
+// with refinement at every LOD, then returns the LOD schedule the §4.4 rule
+// selects from the sample's statistics (profileLadder). dist is only used
+// for WithinKind. The sample's statistics are returned for inspection
+// (Fig. 12).
+func (e *Engine) ProfileLODs(ctx context.Context, target, source *Dataset, kind QueryKind, dist float64, q QueryOptions) ([]int, *Stats, error) {
 	sample := target.SampleCuboid()
 	pq := q
 	pq.Paradigm = FPR
@@ -101,26 +98,22 @@ func (e *Engine) ProfileLODs(ctx context.Context, target, source *Dataset, kind 
 	if err != nil {
 		return nil, nil, err
 	}
-
-	return selectLODs(stats, minInt(target.maxLOD, source.maxLOD), threshold), stats, nil
+	return profileLadder(stats, min(target.maxLOD, source.maxLOD)), stats, nil
 }
 
-// selectLODs applies the §4.4 rule to a profiled run's statistics: keep
-// every LOD below maxLOD whose pruned fraction strictly exceeds threshold
-// (the rule is "more than 1/r² of the pairs settle", so a fraction exactly
-// at the threshold does not qualify), plus the highest LOD, ascending.
-// LODs that evaluated zero pairs are skipped explicitly: PrunedFraction
-// reports 0 for them, and an unevaluated LOD carries no evidence that
-// refining there pays off.
-func selectLODs(stats *Stats, maxLOD int, threshold float64) []int {
-	var lods []int
-	for l := 0; l < maxLOD; l++ {
-		if l >= len(stats.PairsEvaluated) || stats.PairsEvaluated[l] == 0 {
-			continue
-		}
-		if stats.PrunedFraction(l) > threshold {
-			lods = append(lods, l)
-		}
+// profileLadder is the ladder a fresh calibrator derives from one profiled
+// run's statistics — the §4.4 rule written once, in calibrator.ladder:
+// every LOD below maxLOD whose pruned fraction strictly exceeds
+// DefaultPruneThreshold, plus maxLOD. A LOD that evaluated no pairs carries
+// no evidence and is left out; a run with no evidence at all gets maxLOD
+// alone, where a calibrator that never observed the pair would visit every
+// LOD.
+func profileLadder(st *Stats, maxLOD int) []int {
+	var p calPair
+	c := newCalibrator()
+	c.observe(p, maxLOD, st)
+	if len(c.cells) == 0 {
+		return []int{maxLOD}
 	}
-	return append(lods, maxLOD)
+	return c.ladder(p, maxLOD)
 }

@@ -120,36 +120,35 @@ func callRecovered(ctx context.Context, fn func(ctx context.Context, w int, o *s
 	return fn(ctx, w, o)
 }
 
-// resultSink collects pairs from concurrent workers into per-worker buffers
-// (no locking on the hot path) and merges them in a deterministic order.
-type resultSink struct {
-	buf [][]Pair
+// resultSink collects a join's answers (Pair or Neighbor) from concurrent
+// workers into per-worker buffers (no locking on the hot path) and merges
+// them in the deterministic order of cmp.
+type resultSink[T any] struct {
+	buf [][]T
+	cmp func(a, b T) int
 }
 
-func newResultSink(workers int) *resultSink {
-	if workers < 1 {
-		workers = 1
-	}
-	return &resultSink{buf: make([][]Pair, workers)}
+func newResultSink[T any](workers int, cmp func(a, b T) int) *resultSink[T] {
+	return &resultSink[T]{buf: make([][]T, max(workers, 1)), cmp: cmp}
 }
 
-// add appends a pair to worker w's buffer. Safe without locking because
+// add appends v to worker w's buffer. Safe without locking because
 // runPerTarget guarantees slot exclusivity.
-func (r *resultSink) add(w int, p Pair) {
-	r.buf[w] = append(r.buf[w], p)
+func (r *resultSink[T]) add(w int, v T) {
+	r.buf[w] = append(r.buf[w], v)
 }
 
-func (r *resultSink) sorted() []Pair {
+func (r *resultSink[T]) sorted() []T {
 	n := 0
 	for _, b := range r.buf {
 		n += len(b)
 	}
-	pairs := make([]Pair, 0, n)
+	out := make([]T, 0, n)
 	for _, b := range r.buf {
-		pairs = append(pairs, b...)
+		out = append(out, b...)
 	}
-	slices.SortFunc(pairs, ComparePairs)
-	return pairs
+	slices.SortFunc(out, r.cmp)
+	return out
 }
 
 // ComparePairs orders pairs by target then source — the deterministic

@@ -133,7 +133,7 @@ func TestCalibrationPerPair(t *testing.T) {
 		if wantCal := alone.SchedCalibration(); !reflect.DeepEqual(mine, wantCal) {
 			t.Errorf("pair %d (%s × %s): interleaved calibration %+v, alone %+v", i, a.Name, b.Name, mine, wantCal)
 		}
-		top := minInt(a.maxLOD, b.maxLOD)
+		top := min(a.maxLOD, b.maxLOD)
 		cp := pairOf(WithinKind, a, b)
 		got, want := shared.cal.ladder(cp, top), alone.cal.ladder(cp, top)
 		if !reflect.DeepEqual(got, want) {
@@ -402,21 +402,22 @@ func TestPlanIntersectDegenerateContact(t *testing.T) {
 	}
 }
 
-// TestSelectLODsBoundary pins the §4.4 rule's fixed comparison: a pruned
-// fraction exactly at the threshold (1/r² with r=2 → 0.25) does NOT select
-// the LOD — the paper's criterion is "greater than", and refining at
+// TestSelectLODsBoundary pins the §4.4 rule's fixed comparison, as
+// ProfileLODs applies it (profileLadder): a pruned fraction exactly at the
+// threshold (1/r² with r=2 → 0.25) does NOT select the LOD — the paper's criterion is "greater than", and refining at
 // exactly the break-even fraction saves nothing.
 func TestSelectLODsBoundary(t *testing.T) {
 	st := &Stats{
 		PairsEvaluated: []int64{4, 4, 4, 1},
 		PairsPruned:    []int64{1, 2, 0, 1}, // fractions 0.25, 0.5, 0
 	}
-	if got, want := selectLODs(st, 3, 0.25), []int{1, 3}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("selectLODs = %v, want %v (exactly-threshold LOD 0 must be excluded)", got, want)
+	if got, want := profileLadder(st, 3), []int{1, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("profileLadder = %v, want %v (exactly-threshold LOD 0 must be excluded)", got, want)
 	}
 }
 
-// TestSelectLODsSkipsUnevaluated pins the zero-evaluated-LOD rule: a LOD at
+// TestSelectLODsSkipsUnevaluated pins profileLadder's zero-evaluated-LOD
+// rule: a LOD at
 // which no pairs were evaluated (all candidates settled below it) carries
 // no pruning evidence and is never selected, and the empty-stats edge
 // degenerates to the top LOD alone.
@@ -425,10 +426,10 @@ func TestSelectLODsSkipsUnevaluated(t *testing.T) {
 		PairsEvaluated: []int64{4, 0, 4, 1},
 		PairsPruned:    []int64{4, 0, 4, 1},
 	}
-	if got, want := selectLODs(st, 3, 0.25), []int{0, 2, 3}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("selectLODs = %v, want %v (unevaluated LOD 1 must be skipped)", got, want)
+	if got, want := profileLadder(st, 3), []int{0, 2, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("profileLadder = %v, want %v (unevaluated LOD 1 must be skipped)", got, want)
 	}
-	if got, want := selectLODs(&Stats{}, 3, 0.25), []int{3}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("selectLODs on empty stats = %v, want %v", got, want)
+	if got, want := profileLadder(&Stats{}, 3), []int{3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("profileLadder on empty stats = %v, want %v", got, want)
 	}
 }

@@ -16,5 +16,6 @@ import "context"
 // highest LOD where the decision is exact. The ladder itself is in
 // pipeline.go.
 func (e *Engine) WithinJoin(ctx context.Context, target, source *Dataset, dist float64, q QueryOptions) ([]Pair, *Stats, error) {
-	return e.join(ctx, WithinKind, target, source, dist, q)
+	pairs, _, st, err := e.join(ctx, WithinKind, target, source, dist, q)
+	return pairs, st, err
 }
