@@ -147,12 +147,6 @@ type EngineOptions struct {
 	CacheBytes int64
 	// Workers bounds query parallelism (default GOMAXPROCS).
 	Workers int
-	// GPUWorkers and GPUBatch configure the simulated GPU device: workers,
-	// and the least face pairs one kernel launch covers, rounded up to whole
-	// 16-row blocks of one object × all faces of the other (gpusim.New).
-	GPUWorkers int
-	GPUBatch   int
-
 	// QuarantineThreshold is the per-object failure count that trips the
 	// quarantine circuit breaker open (default 3); QuarantineCooldown is how
 	// long a tripped object stays blocked before a half-open probe is
@@ -208,7 +202,7 @@ func NewEngine(opts EngineOptions) *Engine {
 	return &Engine{
 		opts:  opts,
 		cache: cache.New(opts.CacheBytes),
-		dev:   gpusim.New(opts.GPUWorkers, opts.GPUBatch),
+		dev:   gpusim.New(0, 0),
 		quar: quarantine.NewBreaker[int64](quarantine.Options{
 			Threshold: opts.QuarantineThreshold,
 			Cooldown:  opts.QuarantineCooldown,

@@ -17,7 +17,7 @@ import (
 // testEngine returns a small engine suitable for unit tests.
 func testEngine(t *testing.T) *Engine {
 	t.Helper()
-	e := NewEngine(EngineOptions{CacheBytes: 64 << 20, Workers: 4, GPUWorkers: 2, GPUBatch: 512})
+	e := NewEngine(EngineOptions{CacheBytes: 64 << 20, Workers: 4})
 	t.Cleanup(e.Close)
 	return e
 }

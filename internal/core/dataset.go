@@ -23,10 +23,11 @@ type DatasetOptions struct {
 	// and batch-processed together for cache locality.
 	Cuboids int
 	// PartitionTargetFaces enables skeleton partitioning at ingest: objects
-	// with more than this many faces are split into sub-objects of roughly
-	// this size, and the sub-object boxes are indexed in a second global
-	// R-tree used by the Partition accelerators. Zero uses the default
-	// (256); negative disables partitioning.
+	// of at least twice this many faces are split into sub-objects of
+	// roughly this size, and the sub-object boxes of their decoded top LODs
+	// are indexed in a second global R-tree used by the Partition
+	// accelerators. Zero uses the default (256); negative disables
+	// partitioning.
 	PartitionTargetFaces int
 }
 
@@ -92,10 +93,6 @@ func (d *Dataset) CompressedBytes() int64 { return d.Tileset.CompressedBytes() }
 // meshes. Meshes are compressed in parallel (the paper's 48-thread ingest).
 func (e *Engine) BuildDataset(name string, meshes []*mesh.Mesh, opts DatasetOptions) (*Dataset, error) {
 	opts.setDefaults()
-	if len(meshes) == 0 {
-		return nil, fmt.Errorf("core: dataset %q has no objects", name)
-	}
-
 	comps := make([]*ppvp.Compressed, len(meshes))
 	stats := make([]ppvp.Stats, len(meshes))
 	errs := make([]error, len(meshes))
@@ -112,49 +109,72 @@ func (e *Engine) BuildDataset(name string, meshes []*mesh.Mesh, opts DatasetOpti
 	for _, c := range comps {
 		space = space.Union(c.MBB())
 	}
-	grid := storage.NewGrid(space, opts.Cuboids)
-	ts := storage.NewTileset(grid, comps)
-
-	d := &Dataset{Name: name, Tileset: ts, maxLOD: comps[0].MaxLOD()}
-	if opts.PartitionTargetFaces > 0 {
-		d.partitionTargetFaces = opts.PartitionTargetFaces
+	ts := storage.NewTileset(storage.NewGrid(space, opts.Cuboids), comps)
+	d, err := e.newDataset(name, ts, opts.PartitionTargetFaces, nil)
+	if err != nil {
+		return nil, err
 	}
-	for i, c := range comps {
-		if c.MaxLOD() < d.maxLOD {
-			d.maxLOD = c.MaxLOD()
-		}
-		d.CompressStats.VerticesExamined += stats[i].VerticesExamined
-		d.CompressStats.VerticesProtruding += stats[i].VerticesProtruding
-		d.CompressStats.VerticesRemoved += stats[i].VerticesRemoved
-	}
-
-	// Whole-object index.
-	entries := make([]rtree.Entry, len(comps))
-	for i, c := range comps {
-		entries[i] = rtree.Entry{Box: c.MBB(), ID: int64(i)}
-	}
-	d.tree = rtree.BulkLoad(entries)
-
-	// Skeleton partitioning + sub-object index.
-	if opts.PartitionTargetFaces > 0 {
-		var partEntries []rtree.Entry
-		d.skeletons, partEntries, _ = e.partitionObjects(ts.Objects, opts.PartitionTargetFaces, func(i int) (*mesh.Mesh, error) {
-			return meshes[i], nil
-		})
-		d.partTree = rtree.BulkLoad(partEntries)
+	for _, st := range stats {
+		d.CompressStats.VerticesExamined += st.VerticesExamined
+		d.CompressStats.VerticesProtruding += st.VerticesProtruding
+		d.CompressStats.VerticesRemoved += st.VerticesRemoved
 	}
 	return d, nil
 }
 
-// partitionObjects splits every object of more than targetFaces faces along
-// its skeleton, on the engine's Workers goroutines; meshOf(i) gives object
-// i's mesh (the source mesh at build, the decoded top LOD at load). It
-// returns the skeletons by object id (nil for an object left whole), the
-// sub-object boxes collected per object and concatenated in id order — so
-// the R-tree bulk load sees the same entry sequence whichever worker
-// finishes first — and meshOf's error per object. A hole gets no entry; an
-// object whose mesh failed keeps its whole-MBB entry.
-func (e *Engine) partitionObjects(objs []*storage.Object, targetFaces int, meshOf func(i int) (*mesh.Mesh, error)) ([][]geom.Vec3, []rtree.Entry, []error) {
+// newDataset indexes ts as the dataset name — BuildDataset, the loads and
+// AssembleDataset all construct through it. It takes the highest LOD every
+// object shares, bulk-loads the whole-object R-tree and, when targetFaces is
+// positive, partitions (partitionObjects). A failed decode fails it, unless
+// salvage is non-nil: the object's blob is then quarantined and reported
+// there as dropped, and the object keeps its whole-MBB entry.
+func (e *Engine) newDataset(name string, ts *storage.Tileset, targetFaces int, salvage *storage.SalvageReport) (*Dataset, error) {
+	d := &Dataset{Name: name, Tileset: ts, maxLOD: -1, Salvage: salvage}
+	var entries []rtree.Entry
+	for _, o := range ts.Objects {
+		if o == nil {
+			continue
+		}
+		if d.maxLOD < 0 || o.Comp.MaxLOD() < d.maxLOD {
+			d.maxLOD = o.Comp.MaxLOD()
+		}
+		entries = append(entries, rtree.Entry{Box: o.MBB(), ID: o.ID})
+	}
+	if len(entries) == 0 {
+		return nil, fmt.Errorf("core: dataset %q has no objects", name)
+	}
+	d.tree = rtree.BulkLoad(entries)
+	if targetFaces <= 0 {
+		return d, nil
+	}
+	d.partitionTargetFaces = targetFaces
+	skeletons, parts, errs := e.partitionObjects(ts.Objects, targetFaces)
+	for i, err := range errs {
+		switch {
+		case err == nil:
+		case salvage == nil:
+			return nil, fmt.Errorf("core: partitioning object %d of %q: %w", i, name, err)
+		default:
+			e.quar.Trip(ts.Objects[i].Comp.ID(), firstLine(err.Error()))
+			salvage.ObjectsDropped = append(salvage.ObjectsDropped, storage.DroppedObject{
+				ID: int64(i), Reason: "decode failed: " + firstLine(err.Error()),
+			})
+		}
+	}
+	d.skeletons, d.partTree = skeletons, rtree.BulkLoad(parts)
+	return d, nil
+}
+
+// partitionObjects splits every object whose recorded face count makes more
+// than one group of targetFaces along the skeleton of its decoded top LOD —
+// the mesh queries evaluate, so the sub-object boxes bound it — on the
+// engine's Workers goroutines; no other object is decoded. It returns the
+// skeletons by object id (nil for an object left whole), the sub-object
+// boxes collected per object and concatenated in id order — so the R-tree
+// bulk load sees the same entry sequence whichever worker finishes first —
+// and the decode error per object. A hole gets no entry; an object whose
+// decode failed keeps its whole-MBB entry.
+func (e *Engine) partitionObjects(objs []*storage.Object, targetFaces int) ([][]geom.Vec3, []rtree.Entry, []error) {
 	skeletons := make([][]geom.Vec3, len(objs))
 	parts := make([][]rtree.Entry, len(objs))
 	errs := make([]error, len(objs))
@@ -165,21 +185,24 @@ func (e *Engine) partitionObjects(objs []*storage.Object, targetFaces int, meshO
 		return objs[i].Comp.TotalSize()
 	}
 	e.largestFirst(len(objs), size, func(i int) {
-		if objs[i] == nil {
+		o := objs[i]
+		if o == nil {
 			return
 		}
-		m, err := meshOf(i)
+		var m *mesh.Mesh
 		k := 0
-		if errs[i] = err; err == nil {
-			k = partition.GroupCount(m.NumFaces(), targetFaces)
+		if partition.GroupCount(o.Comp.NumFaces(), targetFaces) > 1 {
+			if m, errs[i] = decodeRecovered(o.Comp); errs[i] == nil {
+				k = partition.GroupCount(m.NumFaces(), targetFaces)
+			}
 		}
 		if k <= 1 {
-			parts[i] = []rtree.Entry{{Box: objs[i].MBB(), ID: int64(i)}}
+			parts[i] = []rtree.Entry{{Box: o.MBB(), ID: o.ID}}
 			return
 		}
 		skeletons[i] = partition.Skeleton(m, k)
 		for _, g := range partition.AssignFaces(m, skeletons[i]) {
-			parts[i] = append(parts[i], rtree.Entry{Box: g.Box, ID: int64(i)})
+			parts[i] = append(parts[i], rtree.Entry{Box: g.Box, ID: o.ID})
 		}
 	})
 	return skeletons, slices.Concat(parts...), errs
@@ -210,30 +233,15 @@ func (e *Engine) largestFirst(n int, size func(i int) int, fn func(i int)) {
 
 // AssembleDataset builds a queryable dataset directly from an existing
 // tileset: object IDs are preserved verbatim (nil holes allowed, as after a
-// salvage load), nothing is re-encoded, and only the whole-object R-tree is
-// rebuilt. Skeleton partitioning is not recomputed — the Partition
+// salvage load), nothing is re-encoded or decoded, and only the whole-object
+// R-tree is built. There is no skeleton partitioning — the Partition
 // accelerators transparently fall back to the whole-object tree — keeping
 // assembly cheap enough for the sharded serving tier, which assembles one
 // sub-tileset per home group (and one source set of home sources and loans
 // per join leg) out of blobs that already exist in memory, sharing their
 // cached decodes with other datasets.
 func (e *Engine) AssembleDataset(name string, ts *storage.Tileset) (*Dataset, error) {
-	d := &Dataset{Name: name, Tileset: ts, maxLOD: -1}
-	var entries []rtree.Entry
-	for _, o := range ts.Objects {
-		if o == nil {
-			continue
-		}
-		if d.maxLOD < 0 || o.Comp.MaxLOD() < d.maxLOD {
-			d.maxLOD = o.Comp.MaxLOD()
-		}
-		entries = append(entries, rtree.Entry{Box: o.MBB(), ID: o.ID})
-	}
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("core: dataset %q has no objects", name)
-	}
-	d.tree = rtree.BulkLoad(entries)
-	return d, nil
+	return e.newDataset(name, ts, 0, nil)
 }
 
 // filterTree returns the R-tree the filtering step should use for the given

@@ -15,7 +15,7 @@ import (
 // decode passes through the core.decode fault-injection point.
 func slowEngine(t *testing.T) *Engine {
 	t.Helper()
-	e := NewEngine(EngineOptions{CacheBytes: -1, Workers: 4, GPUWorkers: 2, GPUBatch: 512})
+	e := NewEngine(EngineOptions{CacheBytes: -1, Workers: 4})
 	t.Cleanup(e.Close)
 	return e
 }

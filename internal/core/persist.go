@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/index/rtree"
 	"repro/internal/mesh"
 	"repro/internal/ppvp"
 	"repro/internal/storage"
@@ -27,7 +26,8 @@ func (d *Dataset) SaveDataset(dir string) error {
 
 // LoadDataset restores a dataset saved with SaveDataset, failing on any
 // damage: the R-trees and skeletons are rebuilt from the compressed objects
-// (decoding the highest LOD once per object when partitioning was enabled).
+// as BuildDataset builds them (decoding the highest LOD once per object that
+// is partitioned).
 func (e *Engine) LoadDataset(dir string) (*Dataset, error) {
 	d, _, err := e.load(dir, false)
 	return d, err
@@ -46,42 +46,23 @@ func (e *Engine) LoadDatasetSalvage(dir string) (*Dataset, *storage.SalvageRepor
 
 // load reads dir's dataset file strictly or by salvage and rebuilds the
 // indexes. A salvage load is lenient in the rebuild too: an object whose
-// blob passed its checksum but fails to decode has its blob quarantined and
-// is reported as dropped instead of failing the load (it keeps its
-// whole-MBB entry, and queries skip it as quarantined).
+// blob passed its checksum but fails to decode for partitioning has its blob
+// quarantined and is reported as dropped instead of failing the load (it
+// keeps its whole-MBB entry, and queries skip it as quarantined).
 func (e *Engine) load(dir string, salvage bool) (*Dataset, *storage.SalvageReport, error) {
 	var meta datasetMeta
 	ts, rep, err := storage.Load(dir, salvage, &meta)
 	if err != nil {
 		return nil, nil, err
 	}
-	d, err := e.AssembleDataset(meta.Name, ts)
+	var drops *storage.SalvageReport
+	if salvage {
+		drops = rep
+	}
+	d, err := e.newDataset(meta.Name, ts, meta.PartitionTargetFaces, drops)
 	if err != nil {
 		return nil, rep, fmt.Errorf("%w in %s", err, dir)
 	}
-	if salvage {
-		d.Salvage = rep
-	}
-	if meta.PartitionTargetFaces <= 0 {
-		return d, rep, nil
-	}
-	d.partitionTargetFaces = meta.PartitionTargetFaces
-	skeletons, entries, errs := e.partitionObjects(ts.Objects, d.partitionTargetFaces, func(i int) (*mesh.Mesh, error) {
-		return decodeRecovered(ts.Objects[i].Comp)
-	})
-	for i, err := range errs {
-		switch {
-		case err == nil:
-		case !salvage:
-			return nil, rep, fmt.Errorf("core: loading %s: object %d: %w", dir, i, err)
-		default:
-			e.quar.Trip(ts.Objects[i].Comp.ID(), firstLine(err.Error()))
-			rep.ObjectsDropped = append(rep.ObjectsDropped, storage.DroppedObject{
-				ID: int64(i), Reason: "decode failed: " + firstLine(err.Error()),
-			})
-		}
-	}
-	d.skeletons, d.partTree = skeletons, rtree.BulkLoad(entries)
 	return d, rep, nil
 }
 

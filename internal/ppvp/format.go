@@ -372,6 +372,10 @@ func (c *Compressed) MBB() geom.Box3 { return c.bounds }
 // NumRounds returns the number of stored decimation rounds.
 func (c *Compressed) NumRounds() int { return c.nRounds }
 
+// NumFaces returns the face count the blob's header records for its highest
+// LOD, known without decoding.
+func (c *Compressed) NumFaces() int { return c.nFacesTotal }
+
 // MaxLOD returns the highest LOD index; LOD MaxLOD reproduces the quantized
 // original mesh.
 func (c *Compressed) MaxLOD() int {

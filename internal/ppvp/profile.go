@@ -2,15 +2,6 @@ package ppvp
 
 import "repro/internal/mesh"
 
-// ProfileProtruding examines every vertex of a mesh once (as the first
-// decimation round would) and reports how many are protruding. This is the
-// dataset profile from the paper's §6.2: ≈99 % of nucleus vertices and
-// ≈75 % of vessel vertices are protruding.
-//
-// A vertex counts as examined when its one-ring is a simple disk and at
-// least one candidate triangulation of the hole is manifold-safe; it counts
-// as protruding when at least one safe triangulation passes the protruding
-// test.
 // SharedFaceFractions reports, for each consecutive LOD pair (k, k+1), the
 // fraction of LOD-k faces that survive unchanged into LOD k+1 — the
 // statistic behind the paper's §6.4 "repeated face pair evaluation"
@@ -89,6 +80,15 @@ func lessTriple(a, b [3]float64) bool {
 	return false
 }
 
+// ProfileProtruding examines every vertex of a mesh once (as the first
+// decimation round would) and reports how many are protruding. This is the
+// dataset profile from the paper's §6.2: ≈99 % of nucleus vertices and
+// ≈75 % of vessel vertices are protruding.
+//
+// A vertex counts as examined when its one-ring is a simple disk and at
+// least one candidate triangulation of the hole is manifold-safe; it counts
+// as protruding when at least one safe triangulation passes the protruding
+// test.
 func ProfileProtruding(m *mesh.Mesh) (protruding, examined int) {
 	w := newWork(m.Vertices, m.Faces)
 	for v := int32(0); int(v) < len(w.verts); v++ {

@@ -18,7 +18,7 @@ import (
 )
 
 func testEngineOptions() core.EngineOptions {
-	return core.EngineOptions{CacheBytes: 64 << 20, Workers: 4, GPUWorkers: 2, GPUBatch: 512}
+	return core.EngineOptions{CacheBytes: 64 << 20, Workers: 4}
 }
 
 func fastDatasetOptions() core.DatasetOptions {
