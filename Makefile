@@ -21,24 +21,24 @@ fmt:
 	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # go vet's copylocks check is the repo's lock-by-value check (lockbalance
-# has none), so it must stay on.
+# checks only where a lock is released), so it must stay on.
 vet:
 	$(GO) vet ./...
 
 test:
 	$(GO) test ./...
 
-# Project-specific analyzers (hotalloc, ctxflow, floateq, lockbalance):
-# each catches a mutation of production code that go test, -race,
-# leakcheck and go vet miss (DESIGN.md §12). Stats counters need no
+# Project-specific analyzers (hotalloc, ctxflow, floateq, lockbalance),
+# each a walk over the typed AST: each catches a mutation of production
+# code that go test, -race, leakcheck and go vet miss (DESIGN.md §12). Stats counters need no
 # analyzer: they are one table, core.Counters, checked by a reflect test.
 # Fails on any unsuppressed finding; see README "Static analysis".
 lint:
 	$(GO) run ./cmd/3dpro-lint ./...
 
-# The analyzers' own test suites: every `// want` fixture, the CFG layer's
-# unit tests, and the suppression-parser tables. -short skips the
-# whole-repo smoke run, which `make lint` already covers.
+# The analyzers' own test suites: every `// want` fixture and the
+# suppression-parser tables. -short skips the whole-repo smoke run, which
+# `make lint` already covers.
 lint-fixtures:
 	$(GO) test -short ./internal/analysis/...
 

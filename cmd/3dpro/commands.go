@@ -213,6 +213,9 @@ func cmdIngest(args []string) error {
 	if err != nil {
 		return err
 	}
+	if len(meshes) == 0 {
+		return fmt.Errorf("no .off files in %s", *in)
+	}
 	opts := core.DatasetOptions{Cuboids: *cuboids}
 	opts.Compression = ppvp.DefaultOptions()
 	opts.Compression.Rounds = *rounds
@@ -229,6 +232,8 @@ func cmdIngest(args []string) error {
 	return nil
 }
 
+// readOFFDir reads every .off mesh in dir in file-name order; a directory
+// without any yields no meshes and no error.
 func readOFFDir(dir string) ([]*mesh.Mesh, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.off"))
 	if err != nil {
@@ -248,9 +253,6 @@ func readOFFDir(dir string) ([]*mesh.Mesh, error) {
 		}
 		meshes = append(meshes, m)
 	}
-	if len(meshes) == 0 {
-		return nil, fmt.Errorf("no .off files in %s", dir)
-	}
 	return meshes, nil
 }
 
@@ -260,24 +262,12 @@ func loadDataset(e *core.Engine, name, dir string) (*core.Dataset, error) {
 	if _, err := os.Stat(filepath.Join(dir, storage.FileName)); err == nil {
 		return e.LoadDataset(dir)
 	}
-	offs, _ := filepath.Glob(filepath.Join(dir, "*.off"))
-	blobs, _ := filepath.Glob(filepath.Join(dir, "*.3dp"))
-	sort.Strings(offs)
-	sort.Strings(blobs)
-
-	var meshes []*mesh.Mesh
-	for _, path := range offs {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		m, err := mesh.ReadOFF(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		meshes = append(meshes, m)
+	meshes, err := readOFFDir(dir)
+	if err != nil {
+		return nil, err
 	}
+	blobs, _ := filepath.Glob(filepath.Join(dir, "*.3dp"))
+	sort.Strings(blobs)
 	for _, path := range blobs {
 		blob, err := os.ReadFile(path)
 		if err != nil {

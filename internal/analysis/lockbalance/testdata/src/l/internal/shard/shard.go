@@ -29,9 +29,11 @@ func (n *node) okDefer(key string) int {
 	return v
 }
 
-// okBalanced releases on both paths explicitly.
-func (n *node) okBalanced(key string) int {
-	n.mu.Lock()
+// releasedInTwoBranches releases on both paths, but the early-return
+// branch leaves the block between the lock and its one straight-line
+// release: decide under the lock, release once, then act.
+func (n *node) releasedInTwoBranches(key string) int {
+	n.mu.Lock() // want "may be held at function exit"
 	v, ok := n.items[key]
 	if !ok {
 		n.mu.Unlock()

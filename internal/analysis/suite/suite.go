@@ -16,9 +16,9 @@ import (
 )
 
 // All lists every analyzer the suite enforces, in report order: the three
-// type-based checks, then lockbalance, the one check on the CFG/dataflow
-// layer. Each is kept because it catches a mutation of production code
-// that go test, -race, leakcheck and go vet miss (DESIGN.md §12).
+// type-based checks, then lockbalance, the one-block lock shape. Each is
+// kept because it catches a mutation of production code that go test,
+// -race, leakcheck and go vet miss (DESIGN.md §12).
 var All = []*analysis.Analyzer{
 	hotalloc.Analyzer,
 	ctxflow.Analyzer,

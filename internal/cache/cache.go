@@ -543,13 +543,15 @@ func (c *Cache) Get(key Key) *mesh.Mesh {
 	s := c.shardFor(key.Object)
 	s.mu.Lock()
 	e, ok := s.entries[key]
-	if !ok || e.elem == nil {
-		s.mu.Unlock()
+	hit := ok && e.elem != nil
+	if hit {
+		s.lru.MoveToFront(e.elem)
+		s.stats.Hits++
+	}
+	s.mu.Unlock()
+	if !hit {
 		return nil
 	}
-	s.lru.MoveToFront(e.elem)
-	s.stats.Hits++
-	s.mu.Unlock()
 	<-e.ready
 	return e.mesh
 }

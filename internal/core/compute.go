@@ -130,6 +130,14 @@ func (c *evalCtx) decode(ds *Dataset, id int64, lod int) (obj, error) {
 	return o, nil
 }
 
+// Degrade-policy queries make decodeRetries extra decode attempts per
+// object, decodeRetryBackoff apart, before recording the failure. FailFast
+// queries never retry: their fault contract is "first failure aborts".
+const (
+	decodeRetries      = 1
+	decodeRetryBackoff = time.Millisecond
+)
+
 // decodeGuarded runs the decode attempts for one admitted object and settles
 // its breaker verdict. Exactly one of Success/Failure/Release reaches the
 // breaker: success and exhausted retries settle the breaker; a context
@@ -151,7 +159,7 @@ func (c *evalCtx) decodeGuarded(ds *Dataset, sto *storage.Object, id int64, lod 
 
 	attempts := 1
 	if c.deg != nil {
-		attempts += c.e.opts.DecodeRetries
+		attempts += decodeRetries
 	}
 	for try := 0; ; try++ {
 		var m *mesh.Mesh
@@ -168,9 +176,7 @@ func (c *evalCtx) decodeGuarded(ds *Dataset, sto *storage.Object, id int64, lod 
 			break
 		}
 		c.col.n[rowDecodeRetries].Add(1)
-		if b := c.e.opts.DecodeRetryBackoff; b > 0 {
-			time.Sleep(b << uint(try))
-		}
+		time.Sleep(decodeRetryBackoff)
 	}
 	settled = true
 	c.e.quar.Failure(qk, firstLine(err.Error()))

@@ -153,14 +153,6 @@ type EngineOptions struct {
 	// admitted (default 30s). See package quarantine.
 	QuarantineThreshold int
 	QuarantineCooldown  time.Duration
-
-	// DecodeRetries is how many extra decode attempts Degrade-policy queries
-	// make per object before recording the failure (default 1; negative
-	// disables retries). FailFast queries never retry: their fault contract
-	// is "first failure aborts". DecodeRetryBackoff is the sleep before the
-	// first retry, doubling each attempt (default 1ms; negative disables).
-	DecodeRetries      int
-	DecodeRetryBackoff time.Duration
 }
 
 func (o *EngineOptions) setDefaults() {
@@ -172,16 +164,6 @@ func (o *EngineOptions) setDefaults() {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.DecodeRetries == 0 {
-		o.DecodeRetries = 1
-	} else if o.DecodeRetries < 0 {
-		o.DecodeRetries = 0
-	}
-	if o.DecodeRetryBackoff == 0 {
-		o.DecodeRetryBackoff = time.Millisecond
-	} else if o.DecodeRetryBackoff < 0 {
-		o.DecodeRetryBackoff = 0
 	}
 }
 

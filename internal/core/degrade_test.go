@@ -132,7 +132,7 @@ func TestDegradeRetryRecoversPanic(t *testing.T) {
 // aborts a heavily failing Degrade query, an unlimited one rides it out.
 func TestErrorBudgetAborts(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	e := NewEngine(EngineOptions{CacheBytes: 64 << 20, Workers: 4, DecodeRetries: -1})
+	e := NewEngine(EngineOptions{CacheBytes: 64 << 20, Workers: 4})
 	t.Cleanup(e.Close)
 	a, b := buildPair(t, e)
 	e.Cache().Clear()
@@ -145,7 +145,7 @@ func TestErrorBudgetAborts(t *testing.T) {
 	}
 
 	// A fresh engine: the first phase's breaker records must not carry over.
-	e = NewEngine(EngineOptions{CacheBytes: 64 << 20, Workers: 4, DecodeRetries: -1})
+	e = NewEngine(EngineOptions{CacheBytes: 64 << 20, Workers: 4})
 	t.Cleanup(e.Close)
 	got, st, err := e.IntersectJoin(context.Background(), a, b,
 		QueryOptions{OnError: Degrade, ErrorBudget: -1})
@@ -248,7 +248,7 @@ func TestQuarantinedObjectsSkipped(t *testing.T) {
 // FailFast query still refuses the object (the breaker outlives the fault).
 func TestRepeatFailuresTripQuarantine(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	e := NewEngine(EngineOptions{CacheBytes: 64 << 20, Workers: 4, DecodeRetries: -1})
+	e := NewEngine(EngineOptions{CacheBytes: 64 << 20, Workers: 4})
 	t.Cleanup(e.Close)
 	a, b := buildPair(t, e)
 

@@ -254,7 +254,7 @@ func TestDrivesInjectedDecodeFault(t *testing.T) {
 	// A fresh engine per run: the quarantine remembers failures, and the
 	// second run must meet the fault itself, not the first run's breaker.
 	run := func(policy ErrorPolicy) ([]Pair, *Stats, map[Pair]bool, error) {
-		e := NewEngine(EngineOptions{CacheBytes: 64 << 20, Workers: 4, DecodeRetries: -1})
+		e := NewEngine(EngineOptions{CacheBytes: 64 << 20, Workers: 4})
 		defer e.Close()
 		f := buildDriveFixture(t, e)
 		c := f.named("within/12") // has filter-definite accepts and refine candidates

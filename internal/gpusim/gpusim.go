@@ -80,14 +80,15 @@ func New(workers, batchSize int) *Device {
 // launches run their kernels on the calling goroutine.
 func (d *Device) Close() {
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return
+	closing := !d.closed
+	if closing {
+		d.closed = true
+		close(d.tasks)
 	}
-	d.closed = true
-	close(d.tasks)
 	d.mu.Unlock()
-	d.wg.Wait()
+	if closing {
+		d.wg.Wait()
+	}
 }
 
 // Intersects evaluates the a×b face-pair cross product on the device and

@@ -30,7 +30,6 @@ var orphanAllowlist = map[string]string{
 	"(repro/internal/geom.Segment).Dist":         "reference implementation: TestDegenerateConsistency",
 	"(repro/internal/geom.Box3).DistToPoint":     "reference implementation: TestBoxMinDistWitness",
 
-	"(*repro/internal/analysis/cfg.Graph).Debug":     "introspection: the cfg tests print the graph on failure",
 	"(*repro/internal/cache.Cache).NumShards":        "introspection: the cache tests read the shard count",
 	"(*repro/internal/cache.Cache).NumDecoders":      "introspection: the warm-start tests read the retained decoders",
 	"(*repro/internal/cache.Cache).Len":              "introspection: TestEviction and TestClear read the entry count",
