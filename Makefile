@@ -9,7 +9,7 @@ CHAOSTIME ?= 20s
 STATICCHECK_PKG ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK_PKG ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: fmt build test vet lint lint-fixtures staticcheck govulncheck race fuzz-short fuzz chaos-short chaos-net benchmark-check ci loc
+.PHONY: fmt build test vet lint lint-fixtures staticcheck govulncheck race fuzz-short fuzz-decode fuzz chaos-short chaos-net benchmark-check ci loc
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,12 @@ race:
 fuzz-short:
 	$(GO) test -run='^Fuzz' ./...
 
+# Coverage-guided fuzzing of the PPVP decoder alone for $(FUZZTIME), the one
+# fuzz run in ci: the seed corpus never drives the decoder's face table
+# (probe, grow, backward-shift delete) through hostile blobs.
+fuzz-decode:
+	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/ppvp
+
 # Actual coverage-guided fuzzing, $(FUZZTIME) per target. The targets are
 # whatever `go test -list` finds in each package, so a new Fuzz function is
 # fuzzed without editing this list. Each new interesting input is minimized
@@ -103,7 +109,7 @@ chaos-net:
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
-ci: fmt vet lint staticcheck govulncheck race fuzz-short chaos-short chaos-net benchmark-check
+ci: fmt vet lint staticcheck govulncheck race fuzz-short fuzz-decode chaos-short chaos-net benchmark-check
 
 # Go lines that are neither tests nor analyzer fixtures, per internal/*
 # package (subpackages included) and for the whole module — benchmark/ is a

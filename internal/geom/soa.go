@@ -136,14 +136,15 @@ func (s *TriSoA) Set(i int, a, b, c Vec3) {
 	s.AX[i], s.AY[i], s.AZ[i] = a.X, a.Y, a.Z
 	s.BX[i], s.BY[i], s.BZ[i] = b.X, b.Y, b.Z
 	s.CX[i], s.CY[i], s.CZ[i] = c.X, c.Y, c.Z
-	s.MinX[i], s.MaxX[i] = minMax3(a.X, b.X, c.X)
-	s.MinY[i], s.MaxY[i] = minMax3(a.Y, b.Y, c.Y)
-	s.MinZ[i], s.MaxZ[i] = minMax3(a.Z, b.Z, c.Z)
+	s.MinX[i], s.MaxX[i] = MinMax3(a.X, b.X, c.X)
+	s.MinY[i], s.MaxY[i] = MinMax3(a.Y, b.Y, c.Y)
+	s.MinZ[i], s.MaxZ[i] = MinMax3(a.Z, b.Z, c.Z)
 	s.growBlock(i)
 }
 
-// minMax3 returns the least and the greatest of three coordinates.
-func minMax3(a, b, c float64) (float64, float64) {
+// MinMax3 returns the least and the greatest of three coordinates: the
+// extent of a triangle's box along one axis, exactly as Set stores it.
+func MinMax3(a, b, c float64) (float64, float64) {
 	lo, hi := GrowInterval(a, a, b, b)
 	return GrowInterval(lo, hi, c, c)
 }

@@ -3,6 +3,7 @@ package aabbtree
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -139,6 +140,26 @@ func TestStructuralInvariants(t *testing.T) {
 	for _, n := range []int{2, 7, 8, 9, 63, 64, 65, 1000, 1025} {
 		set := randomSet(rng, n, geom.Vec3{}, 20, 2)
 		checkStructure(t, Build(set), set)
+	}
+}
+
+// TestBuildFacesMatchesBuildSoA: a tree built from indexed faces is the tree
+// BuildSoA builds over their packing, nodes and lanes alike, on the inputs
+// the median split finds hardest.
+func TestBuildFacesMatchesBuildSoA(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	sets := degenerateSets(rng)
+	sets["random"] = randomSet(rng, 1025, geom.Vec3{}, 20, 2)
+	for name, set := range sets {
+		verts := make([]geom.Vec3, 0, 3*len(set))
+		faces := make([][3]int32, len(set))
+		for i, tri := range set {
+			verts = append(verts, tri.A, tri.B, tri.C)
+			faces[i] = [3]int32{int32(3 * i), int32(3*i + 1), int32(3*i + 2)}
+		}
+		if got, want := BuildFaces(verts, faces), BuildSoA(geom.SoAFromTriangles(set)); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: BuildFaces differs from BuildSoA", name)
+		}
 	}
 }
 

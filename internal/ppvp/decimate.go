@@ -10,7 +10,7 @@ import (
 
 // faceKey identifies a face by its sorted vertex triple. In a valid manifold
 // mesh no two faces share the same vertex set, so the sorted key is unique;
-// the oriented face is kept as the map value.
+// the decoder's faceTable finds the oriented face by it.
 type faceKey [3]int32
 
 func keyOf(f mesh.Face) faceKey {
@@ -156,11 +156,7 @@ func (w *work) decimateRound(policy Policy, minFaces int, stats *Stats) []op {
 	var diag float64
 	if policy == PruneProtruding {
 		faces := w.liveFaces()
-		s := geom.NewTriSoA(len(faces))
-		for i, f := range faces {
-			s.Set(i, w.verts[f[0]], w.verts[f[1]], w.verts[f[2]])
-		}
-		tree = aabbtree.BuildSoA(s)
+		tree = aabbtree.BuildFaces(w.verts, faces)
 		diag = tree.Bounds().Diagonal()
 		w.carved.reset(tree.Bounds(), len(faces))
 	}

@@ -16,8 +16,13 @@ type Decoder struct {
 	c             *Compressed
 	verts         []geom.Vec3
 	faces         []mesh.Face
-	faceIdx       map[faceKey]int32
+	faceIdx       faceTable
 	roundsApplied int
+
+	// Scratch reused by every op: the ring positions and the patch
+	// triangulation's working memory.
+	ringPts []geom.Vec3
+	tri     triScratch
 }
 
 // NewDecoder returns a decoder positioned at LOD 0.
@@ -36,10 +41,10 @@ func (c *Compressed) NewDecoder() (*Decoder, error) {
 		c:       c,
 		verts:   append(make([]geom.Vec3, 0, vcap), base.Vertices...),
 		faces:   append(make([]mesh.Face, 0, fcap), base.Faces...),
-		faceIdx: make(map[faceKey]int32, fcap),
+		faceIdx: newFaceTable(fcap),
 	}
 	for i, f := range d.faces {
-		d.faceIdx[keyOf(f)] = int32(i)
+		d.faceIdx.put(d.faces, keyOf(f), int32(i))
 	}
 	return d, nil
 }
@@ -115,12 +120,12 @@ func (d *Decoder) snapshot() *mesh.Mesh {
 // then the original fan around the vertex is restored.
 func (d *Decoder) applyOp(o *op) error {
 	n := int32(len(d.verts))
-	ringPts := make([]geom.Vec3, len(o.ring))
+	d.ringPts = grown(d.ringPts, len(o.ring))
 	for i, id := range o.ring {
 		if id < 0 || id >= n {
 			return fmt.Errorf("%w: ring reference %d out of %d vertices", ErrCorruptBlob, id, n)
 		}
-		ringPts[i] = d.verts[id]
+		d.ringPts[i] = d.verts[id]
 	}
 	// Recompute the patch triangulation from the recorded strategy; do not
 	// cache it on the shared op, several decoders may work off the same
@@ -128,27 +133,33 @@ func (d *Decoder) applyOp(o *op) error {
 	patch := o.patch
 	if patch == nil {
 		var ok bool
-		patch, ok = patchForStrategy(ringPts, o.strat)
+		patch, ok = patchForStrategy(d.ringPts, o.strat, &d.tri)
 		if !ok {
 			return fmt.Errorf("%w: ring cannot be retriangulated", ErrCorruptBlob)
 		}
 	}
 
-	// Delete the patch faces.
+	// Delete the patch faces: swap-remove each. Its slot goes first, so no
+	// slot names idx when the last face moves there and is re-pointed. (A
+	// moved face with the deleted one's key — two faces on one vertex set,
+	// corrupt input only — stays unindexed, as it would in a map.)
 	for _, t := range patch {
 		f := mesh.Face{o.ring[t[0]], o.ring[t[1]], o.ring[t[2]]}
 		key := keyOf(f)
-		idx, ok := d.faceIdx[key]
-		if !ok {
+		slot := d.faceIdx.find(d.faces, key)
+		if slot < 0 {
 			return fmt.Errorf("%w: patch face %v missing from mesh", ErrCorruptBlob, f)
 		}
+		idx := d.faceIdx.slots[slot] - 1
+		d.faceIdx.remove(d.faces, slot)
 		last := int32(len(d.faces) - 1)
 		if idx != last {
 			d.faces[idx] = d.faces[last]
-			d.faceIdx[keyOf(d.faces[idx])] = idx
+			if moved := keyOf(d.faces[idx]); moved != key {
+				d.faceIdx.put(d.faces, moved, idx)
+			}
 		}
 		d.faces = d.faces[:last]
-		delete(d.faceIdx, key)
 	}
 
 	// Restore the vertex and its fan.
@@ -156,10 +167,108 @@ func (d *Decoder) applyOp(o *op) error {
 	d.verts = append(d.verts, o.pos)
 	for i := range o.ring {
 		f := mesh.Face{vid, o.ring[i], o.ring[(i+1)%len(o.ring)]}
-		d.faceIdx[keyOf(f)] = int32(len(d.faces))
+		d.faceIdx.put(d.faces, keyOf(f), int32(len(d.faces)))
 		d.faces = append(d.faces, f)
 	}
 	return nil
+}
+
+// faceTable maps a live face's sorted vertex triple (keyOf) to its index in
+// the decoder's face list: open addressing with linear probing over int32
+// slots, each holding a face index + 1 (0 is empty). A slot stores no key;
+// a probe compares against the face the slot names, so every slot must name
+// a face with its key — the decoder keeps that true across swap-removes.
+// Deletion shifts the rest of the probe run back, so there are no
+// tombstones, and the table doubles whenever it would pass half full, so a
+// probe always reaches an empty slot.
+type faceTable struct {
+	slots []int32
+	n     int   // occupied slots
+	shift uint8 // 64 - log2(len(slots))
+}
+
+// newFaceTable sizes the table for capacity faces at most half full.
+func newFaceTable(capacity int) faceTable {
+	bits := uint8(3)
+	for 1<<bits < 2*capacity {
+		bits++
+	}
+	return faceTable{slots: make([]int32, 1<<bits), shift: 64 - bits}
+}
+
+// home returns the first slot probed for k: Fibonacci hashing of the
+// triple packed into one word.
+func (t *faceTable) home(k faceKey) int {
+	h := uint64(uint32(k[0]))<<32 | uint64(uint32(k[1]))
+	h = (h ^ uint64(uint32(k[2]))*0xC2B2AE3D27D4EB4F) * 0x9E3779B97F4A7C15
+	return int(h >> t.shift)
+}
+
+// find returns the slot holding k, or -1.
+func (t *faceTable) find(faces []mesh.Face, k faceKey) int {
+	mask := len(t.slots) - 1
+	for i := t.home(k); ; i = (i + 1) & mask {
+		v := t.slots[i]
+		if v == 0 {
+			return -1
+		}
+		if keyOf(faces[v-1]) == k {
+			return i
+		}
+	}
+}
+
+// put maps k to face idx, replacing an existing mapping as a map
+// assignment would. faces need not hold idx yet.
+func (t *faceTable) put(faces []mesh.Face, k faceKey, idx int32) {
+	if i := t.find(faces, k); i >= 0 {
+		t.slots[i] = idx + 1
+		return
+	}
+	if 2*(t.n+1) > len(t.slots) {
+		t.grow(faces)
+	}
+	t.place(k, idx)
+	t.n++
+}
+
+// place stores idx in the first empty slot of k's probe run.
+func (t *faceTable) place(k faceKey, idx int32) {
+	mask := len(t.slots) - 1
+	i := t.home(k)
+	for t.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = idx + 1
+}
+
+// grow doubles the table and re-places every occupied slot.
+func (t *faceTable) grow(faces []mesh.Face) {
+	old := t.slots
+	t.slots = make([]int32, 2*len(old))
+	t.shift--
+	for _, v := range old {
+		if v != 0 {
+			t.place(keyOf(faces[v-1]), v-1)
+		}
+	}
+}
+
+// remove empties slot i and shifts later members of its probe run back
+// into the gap, so that every remaining key is still reachable from home.
+func (t *faceTable) remove(faces []mesh.Face, i int) {
+	mask := len(t.slots) - 1
+	for j := (i + 1) & mask; t.slots[j] != 0; j = (j + 1) & mask {
+		// Move slot j into the gap at i unless its home lies cyclically
+		// in (i, j]: then the gap is not on its probe path.
+		h := t.home(keyOf(faces[t.slots[j]-1]))
+		if (j-h)&mask >= (j-i)&mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = 0
+	t.n--
 }
 
 // Decode reconstructs the object at the given LOD with a fresh decoder.

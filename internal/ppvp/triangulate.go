@@ -7,19 +7,21 @@ import (
 )
 
 // triScratch is the working memory of the hole triangulators: the encoder
-// keeps one per Compress, the decoder hands in an empty one per op.
+// keeps one per Compress, the decoder one per Decoder.
 type triScratch struct {
 	xy   [][2]float64
 	idx  []uint16
 	tris [][3]uint16
 }
 
-// grown returns s resized to n elements, reallocated (by make, which a
-// decoder's empty scratch takes every time) only when its capacity is
-// short; the contents are unspecified.
+// grown returns s resized to n elements, reallocated only when its
+// capacity is short, and then to at least twice the old capacity and at
+// least 16, so scratch reused across many small rings (a vertex has about
+// six neighbours) settles after one or two reallocations; the contents are
+// unspecified.
 func grown[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, 2*cap(s), 16))
 	}
 	return s[:n]
 }
@@ -166,16 +168,17 @@ func fanTriangulation(n, apex int, tris [][3]uint16) [][3]uint16 {
 }
 
 // patchForStrategy materializes the patch selected by an op's strategy
-// byte: 0 re-runs ear clipping, k ≥ 1 builds the fan rooted at k-1.
-func patchForStrategy(pts []geom.Vec3, strat uint16) ([][3]uint16, bool) {
+// byte into s: 0 re-runs ear clipping, k ≥ 1 builds the fan rooted at k-1.
+func patchForStrategy(pts []geom.Vec3, strat uint16, s *triScratch) ([][3]uint16, bool) {
 	if strat == 0 {
-		return triangulateRing(pts, new(triScratch))
+		return triangulateRing(pts, s)
 	}
 	apex := int(strat) - 1
 	if apex >= len(pts) {
 		return nil, false
 	}
-	return fanTriangulation(len(pts), apex, nil), true
+	s.tris = fanTriangulation(len(pts), apex, s.tris)
+	return s.tris, true
 }
 
 // perpTo returns an arbitrary unit vector perpendicular to n.
