@@ -9,7 +9,7 @@ CHAOSTIME ?= 20s
 STATICCHECK_PKG ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK_PKG ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: fmt build test vet lint lint-fixtures staticcheck govulncheck race fuzz-short fuzz-decode fuzz chaos-short chaos-net benchmark-check ci loc
+.PHONY: fmt build test vet lint lint-fixtures staticcheck govulncheck race fuzz-short fuzz-decode fuzz-cache fuzz chaos-short chaos-net benchmark-check ci loc
 
 build:
 	$(GO) build ./...
@@ -73,6 +73,12 @@ fuzz-short:
 fuzz-decode:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/ppvp
 
+# Coverage-guided fuzzing of the decode cache's books and GDSF eviction heap
+# for $(FUZZTIME): random lookups, memo builds, clears and misses that evict
+# while another entry is in flight, checked after every step.
+fuzz-cache:
+	$(GO) test -run='^$$' -fuzz='^FuzzCachePolicy$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/cache
+
 # Actual coverage-guided fuzzing, $(FUZZTIME) per target. The targets are
 # whatever `go test -list` finds in each package, so a new Fuzz function is
 # fuzzed without editing this list. Each new interesting input is minimized
@@ -109,7 +115,7 @@ chaos-net:
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
-ci: fmt vet lint staticcheck govulncheck race fuzz-short fuzz-decode chaos-short chaos-net benchmark-check
+ci: fmt vet lint staticcheck govulncheck race fuzz-short fuzz-decode fuzz-cache chaos-short chaos-net benchmark-check
 
 # Go lines that are neither tests nor analyzer fixtures, per internal/*
 # package (subpackages included) and for the whole module — benchmark/ is a

@@ -11,15 +11,34 @@ import (
 // checkAccounting asserts the cache's books against the meshes it holds:
 // each shard's used bytes equal the sum, over its resident entries, of what
 // the mesh reports right now (memos built since admission included) plus
-// the per-entry overhead, and the budget holds.
+// the per-entry overhead, and the budget holds. It also checks the eviction
+// order: the heap holds exactly the resident entries of the map, each at
+// the index it records, in heap order, none below the aging clock.
 func checkAccounting(t *testing.T, c *Cache, when string) {
 	t.Helper()
 	var total int64
 	for i, s := range c.shards {
 		s.mu.Lock()
 		var sum int64
-		for el := s.lru.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*entry)
+		resident := 0
+		for _, e := range s.entries {
+			if e.idx >= 0 {
+				resident++
+			}
+		}
+		if resident != len(s.resident) {
+			t.Errorf("%s: shard %d map holds %d resident entries, heap %d", when, i, resident, len(s.resident))
+		}
+		for j, e := range s.resident {
+			if e.idx != j || s.entries[e.key] != e {
+				t.Errorf("%s: shard %d heap slot %d holds %v (idx %d), not the map's resident entry", when, i, j, e.key, e.idx)
+			}
+			if j > 0 && s.resident.Less(j, (j-1)/2) {
+				t.Errorf("%s: shard %d heap slot %d ranks below its parent", when, i, j)
+			}
+			if e.h < s.clock {
+				t.Errorf("%s: shard %d entry %v has H %g below the clock %g", when, i, e.key, e.h, s.clock)
+			}
 			sum += e.mesh.FootprintBytes() + entryOverhead
 			if e.bytes != e.mesh.FootprintBytes()+entryOverhead {
 				t.Errorf("%s: shard %d entry %v charged %d, mesh reports %d",

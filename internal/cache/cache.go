@@ -1,9 +1,25 @@
-// Package cache implements the LRU decoding cache of the paper's §5.3: a
+// Package cache implements the decoding cache of the paper's §5.3: a
 // byte-budgeted, thread-safe map from (object ID, LOD) to the decoded faces
 // of that object at that LOD. Decoding is compute-intensive, so reusing a
 // recently decoded representation — one vessel can be the candidate of
 // hundreds of nuclei — dominates the decode cost of distance joins
 // (Table 2 of the paper).
+//
+// The paper evicts in LRU order; this cache evicts by GreedyDual-Size-
+// Frequency (GDSF, Cherkasova 1998) instead. Each resident entry carries
+// the priority
+//
+//	H = L + n · (1 + F_top / F)
+//
+// where n counts the entry's lookups since admission, F is its mesh's face
+// count, F_top the object's full-resolution face count, and L the shard's
+// aging clock, which each eviction raises to its victim's H. The lowest H
+// goes first, ties to the least recently touched entry. A miss costs per
+// entry (a decode and a tree build) more than per byte, so the policy keeps
+// many small, often read low-LOD entries over a few large top-LOD ones; a
+// working set that cycles through more than the budget (join-cold) keeps
+// part of itself resident instead of evicting everything between visits,
+// as LRU does.
 //
 // Concurrent requests for the same key are deduplicated: the first caller
 // decodes while the others wait, matching the paper's decoder/geometry-
@@ -24,10 +40,11 @@
 //     locked shards (all LODs of one object land in one shard), so decode
 //     misses and hits on different objects do not contend on one mutex at
 //     high worker counts. Small caches (< minShardedCapacity) stay on a
-//     single shard and keep exact global LRU semantics.
+//     single shard and keep one aging clock for the whole cache.
 package cache
 
 import (
+	"container/heap"
 	"container/list"
 	"fmt"
 	"sync"
@@ -118,10 +135,46 @@ type entry struct {
 	key   Key
 	mesh  *mesh.Mesh
 	bytes int64
-	elem  *list.Element
+
+	// GDSF state: n lookups since admission, the cost/size term
+	// 1 + F_top/F fixed at admission, the priority h, and the shard tick of
+	// the last touch (the tie-break). idx is the position in the shard's
+	// heap, -1 while in flight and after removal.
+	n       int64
+	ratio   float64
+	h       float64
+	touched uint64
+	idx     int
 
 	ready chan struct{} // closed when mesh is available
 	err   error
+}
+
+// byPriority is a shard's resident entries as a container/heap min-heap:
+// lowest H first, and at equal H the least recently touched.
+type byPriority []*entry
+
+func (q byPriority) Len() int { return len(q) }
+func (q byPriority) Less(i, j int) bool {
+	a, b := q[i], q[j]
+	return a.h < b.h || (a.h == b.h && a.touched < b.touched)
+}
+func (q byPriority) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].idx, q[j].idx = i, j
+}
+func (q *byPriority) Push(x any) {
+	e := x.(*entry)
+	e.idx = len(*q)
+	*q = append(*q, e)
+}
+func (q *byPriority) Pop() any {
+	old := *q
+	e := old[len(old)-1]
+	old[len(old)-1] = nil
+	*q = old[:len(old)-1]
+	e.idx = -1
+	return e
 }
 
 // decoderSlot retains one object's progressive decoder between misses. The
@@ -145,7 +198,9 @@ type shard struct {
 	capacity int64
 	used     int64
 	entries  map[Key]*entry
-	lru      *list.List // front = most recent; stores *entry
+	resident byPriority // complete entries, a GDSF min-heap
+	clock    float64    // L: the H of the last victim
+	tick     uint64     // touch counter, the tie-break
 	stats    Stats
 
 	decoders map[int64]*decoderSlot
@@ -157,14 +212,13 @@ func newShard(capacity int64) *shard {
 	return &shard{
 		capacity: capacity,
 		entries:  make(map[Key]*entry),
-		lru:      list.New(),
 		decoders: make(map[int64]*decoderSlot),
 		decLRU:   list.New(),
 		decObj:   make(map[*decoderSlot]int64),
 	}
 }
 
-// Cache is a byte-budgeted, sharded LRU cache of decoded meshes with a
+// Cache is a byte-budgeted, sharded GDSF cache of decoded meshes with a
 // per-object progressive decoder pool.
 type Cache struct {
 	shards []*shard
@@ -241,20 +295,37 @@ func (s *shard) lookupOrReserve(key Key) (*entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.entries[key]; ok {
-		if e.elem != nil {
-			s.lru.MoveToFront(e.elem)
-		}
+		s.touchLocked(e)
 		s.stats.Hits++
 		return e, true
 	}
-	e := &entry{key: key, ready: make(chan struct{})}
+	e := &entry{key: key, n: 1, idx: -1, ready: make(chan struct{})}
 	s.entries[key] = e
 	s.stats.Misses++
 	return e, false
 }
 
-// complete publishes the decode outcome of an owned in-flight entry.
-func (s *shard) complete(e *entry, m *mesh.Mesh, err error) {
+// touchLocked counts a lookup of e. A resident entry is re-ranked; an
+// in-flight entry only counts, and is first ranked when it completes.
+func (s *shard) touchLocked(e *entry) {
+	e.n++
+	if e.idx >= 0 {
+		s.rankLocked(e)
+		heap.Fix(&s.resident, e.idx)
+	}
+}
+
+// rankLocked sets e's priority H = L + n·(1 + F_top/F) from the current
+// clock and stamps it with the next tick.
+func (s *shard) rankLocked(e *entry) {
+	s.tick++
+	e.h, e.touched = s.clock+float64(e.n)*e.ratio, s.tick
+}
+
+// complete publishes the decode outcome of an owned in-flight entry. top is
+// the object's full-resolution face count; below the mesh's own (as when
+// the caller has no blob to read it from) it counts as the mesh's.
+func (s *shard) complete(e *entry, m *mesh.Mesh, top int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e.mesh, e.err = m, err
@@ -265,23 +336,30 @@ func (s *shard) complete(e *entry, m *mesh.Mesh, err error) {
 		delete(s.entries, e.key)
 		return
 	}
-	e.bytes = meshBytes(m)
-	e.elem = s.lru.PushFront(e)
-	s.used += e.bytes
+	f := max(len(m.Faces), 1)
+	e.ratio = 1 + float64(max(top, f))/float64(f)
+	s.rankLocked(e)
+	// A waiter woken above may already be building a memo on m. Listening
+	// before the footprint is read means a memo published in between is
+	// either in that read or announced to reaccount, never lost.
 	m.OnFootprintChange(func() { s.reaccount(e) })
+	e.bytes = meshBytes(m)
+	heap.Push(&s.resident, e)
+	s.used += e.bytes
 	s.evictLocked()
 }
 
 // reaccount re-reads the footprint of a resident entry after its mesh built
 // (or dropped) a derived memo, charges the difference to the budget, and
-// evicts if that overran it. The growing entry is at or near the LRU front —
-// it was just handed to the query building on it — so the victims are the
-// cold entries, as for an admission. Entries already evicted are ignored:
-// their meshes, memos included, belong to whichever queries still hold them.
+// evicts if that overran it. The priority stays as it is: the growing entry
+// was just handed to the query building on it, so its H is fresh and the
+// victims are the cold entries, as for an admission. Entries already
+// evicted are ignored: their meshes, memos included, belong to whichever
+// queries still hold them.
 func (s *shard) reaccount(e *entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e.elem == nil {
+	if e.idx < 0 {
 		return
 	}
 	now := meshBytes(e.mesh)
@@ -342,7 +420,7 @@ func (c *Cache) GetOrDecode(key Key, decode func() (*mesh.Mesh, error)) (*mesh.M
 		}()
 		return decode()
 	}()
-	s.complete(e, m, err)
+	s.complete(e, m, 0, err)
 	return m, err
 }
 
@@ -408,7 +486,11 @@ func (c *Cache) GetOrDecodeProgressiveCounted(key Key, comp *ppvp.Compressed, on
 		}
 		return s.decodeWarm(c, key, comp, req)
 	}()
-	s.complete(e, m, err)
+	top := 0
+	if err == nil {
+		top = comp.TopFaces(key.LOD, len(m.Faces))
+	}
+	s.complete(e, m, top, err)
 	if err != nil {
 		req.decodeFailure()
 	}
@@ -543,9 +625,9 @@ func (c *Cache) Get(key Key) *mesh.Mesh {
 	s := c.shardFor(key.Object)
 	s.mu.Lock()
 	e, ok := s.entries[key]
-	hit := ok && e.elem != nil
+	hit := ok && e.idx >= 0
 	if hit {
-		s.lru.MoveToFront(e.elem)
+		s.touchLocked(e)
 		s.stats.Hits++
 	}
 	s.mu.Unlock()
@@ -556,24 +638,24 @@ func (c *Cache) Get(key Key) *mesh.Mesh {
 	return e.mesh
 }
 
-// evictLocked drops least-recently-used complete entries until the budget
-// holds. In-flight entries (elem == nil) are never evicted.
+// evictLocked drops the lowest-priority complete entries until the budget
+// holds, raising the aging clock to each victim's H so that no priority
+// stays out of reach. In-flight entries are not in the heap and are never
+// evicted.
 func (s *shard) evictLocked() {
-	for s.used > s.capacity {
-		back := s.lru.Back()
-		if back == nil {
-			return
-		}
-		s.removeLocked(back.Value.(*entry))
+	for s.used > s.capacity && len(s.resident) > 0 {
+		victim := s.resident[0]
+		s.clock = victim.h
+		s.removeLocked(victim)
 		s.stats.Evictions++
 	}
 }
 
 // removeLocked drops a complete entry from the shard and releases its charge.
-// Clearing elem is what tells a late reaccount the entry is gone.
+// Leaving the heap sets idx to -1, which tells a late reaccount the entry is
+// gone.
 func (s *shard) removeLocked(e *entry) {
-	s.lru.Remove(e.elem)
-	e.elem = nil
+	heap.Remove(&s.resident, e.idx)
 	delete(s.entries, e.key)
 	s.used -= e.bytes
 }
@@ -583,7 +665,7 @@ func (c *Cache) Clear() {
 	for _, s := range c.shards {
 		s.mu.Lock()
 		for _, e := range s.entries {
-			if e.elem != nil {
+			if e.idx >= 0 {
 				s.removeLocked(e)
 			}
 		}
@@ -612,7 +694,7 @@ func (c *Cache) Len() int {
 	n := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
-		n += s.lru.Len()
+		n += len(s.resident)
 		s.mu.Unlock()
 	}
 	return n

@@ -70,7 +70,8 @@ func TestEviction(t *testing.T) {
 	if s.Evictions == 0 {
 		t.Error("no evictions recorded")
 	}
-	// LRU order: the most recent entries survive.
+	// Equal, single-use entries tie on H and leave least recently touched
+	// first, so the most recent survive.
 	if c.Get(Key{4, 0}) == nil {
 		t.Error("most recent entry evicted")
 	}
@@ -84,7 +85,7 @@ func TestLRUOrderUpdatedByAccess(t *testing.T) {
 	c := New(2*one + 10)
 	c.GetOrDecode(Key{1, 0}, func() (*mesh.Mesh, error) { return sphere(1), nil })
 	c.GetOrDecode(Key{2, 0}, func() (*mesh.Mesh, error) { return sphere(1), nil })
-	// Touch 1 so 2 becomes LRU.
+	// Touch 1: its second lookup raises its H above 2's, so 2 is the victim.
 	c.Get(Key{1, 0})
 	c.GetOrDecode(Key{3, 0}, func() (*mesh.Mesh, error) { return sphere(1), nil })
 	if c.Get(Key{1, 0}) == nil {

@@ -1,6 +1,6 @@
 // Package core implements the 3DPro query engine: the Filter-Progressive-
 // Refine paradigm of the paper built on PPVP-compressed datasets, a global
-// R-tree, an LRU decode cache, and three interchangeable refinement
+// R-tree, a decode cache, and three interchangeable refinement
 // accelerators (AABB-trees, skeleton partitioning, and the simulated GPU).
 //
 // The engine answers three spatial joins — intersection, within-distance,

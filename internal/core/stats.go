@@ -28,7 +28,7 @@ type Stats struct {
 	Results    int64
 
 	// Decodes counts actual (cache-missing) decode operations; CacheHits
-	// counts decode requests served from the LRU cache during this query.
+	// counts decode requests served from the decode cache during this query.
 	Decodes   int64
 	CacheHits int64
 

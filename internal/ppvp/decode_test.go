@@ -249,6 +249,37 @@ func TestDecodeUnderstatedFaceTotal(t *testing.T) {
 	}
 }
 
+// TestTopFacesBound: on every pinned fixture and LOD, an honest header's
+// face total is within what the blob backs, so TopFaces returns it as is;
+// one rewritten to claim 1<<28 faces is bounded by the rounds left, which
+// at the top LOD leaves exactly the decoded count.
+func TestTopFacesBound(t *testing.T) {
+	for _, fx := range pinnedFixtures() {
+		honest, _, err := Compress(fx.mesh, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hostile, err := FromBytes(withFaceTotal(honest.Bytes(), 1<<28))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lod := 0; lod <= honest.MaxLOD(); lod++ {
+			m, err := honest.Decode(lod)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := len(m.Faces)
+			if got := honest.TopFaces(lod, f); got != honest.NumFaces() {
+				t.Errorf("%s LOD %d: honest TopFaces = %d, header says %d", fx.name, lod, got, honest.NumFaces())
+			}
+			got := hostile.TopFaces(lod, f)
+			if lod == honest.MaxLOD() && got != f || got < f || got >= 1<<28 {
+				t.Errorf("%s LOD %d of %d: overstated TopFaces = %d for %d decoded faces", fx.name, lod, honest.MaxLOD(), got, f)
+			}
+		}
+	}
+}
+
 // TestDecodeAllocationBudget trips when the decoder slides back into
 // allocating per op (a map entry, ring buffer or triangulation scratch per
 // removed vertex): a cold top-LOD decode of a 320-face nucleus whose

@@ -376,6 +376,18 @@ func (c *Compressed) NumRounds() int { return c.nRounds }
 // LOD, known without decoding.
 func (c *Compressed) NumFaces() int { return c.nFacesTotal }
 
+// TopFaces returns NumFaces bounded by what the blob can back, given that
+// its LOD lod decodes to have faces: never fewer than have, and never more
+// than the rounds past lod could add. Each decode op adds two faces and
+// takes at least eight inflated bytes (three position varints, strategy,
+// ring length, three ring varints), and DEFLATE inflates at most 1032×, so
+// the rounds left add at most 258 faces per stored byte. At the top LOD no
+// round is left and the count is have itself, whatever the header says.
+func (c *Compressed) TopFaces(lod, have int) int {
+	rest := len(c.blob) - c.sectionOff[1+c.roundsForLOD(max(lod, 0))]
+	return min(max(c.nFacesTotal, have), have+rest*258)
+}
+
 // MaxLOD returns the highest LOD index; LOD MaxLOD reproduces the quantized
 // original mesh.
 func (c *Compressed) MaxLOD() int {
