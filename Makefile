@@ -67,15 +67,22 @@ race:
 fuzz-short:
 	$(GO) test -run='^Fuzz' ./...
 
-# Coverage-guided fuzzing of the PPVP decoder alone for $(FUZZTIME), the one
-# fuzz run in ci: the seed corpus never drives the decoder's face table
-# (probe, grow, backward-shift delete) through hostile blobs.
+# Coverage-guided fuzzing of the PPVP decoder alone for $(FUZZTIME): the seed
+# corpus never drives the decoder's face table (probe, grow, backward-shift
+# delete) through hostile blobs. Besides never panicking, a decode resumed
+# (ResumeDecoder) from every LOD whose decode succeeds must reach the top
+# LOD with the cold decode's exact mesh, or both must fail.
 fuzz-decode:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/ppvp
 
 # Coverage-guided fuzzing of the decode cache's books and GDSF eviction heap
 # for $(FUZZTIME): random lookups, memo builds, clears and misses that evict
-# while another entry is in flight, checked after every step.
+# while another entry is in flight, checked after every step. Used bytes are
+# the resident entries plus the charged warm bytes, within the budget; the
+# charged warm bytes stay within half of it; every uncharged warm point
+# shares its slices with the resident entry at its LOD; Clear leaves no warm
+# point; and every victim of the lazily re-ranked heap is the eager argmin
+# of the true GDSF keys.
 fuzz-cache:
 	$(GO) test -run='^$$' -fuzz='^FuzzCachePolicy$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/cache
 

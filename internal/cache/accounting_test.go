@@ -11,12 +11,16 @@ import (
 // checkAccounting asserts the cache's books against the meshes it holds:
 // each shard's used bytes equal the sum, over its resident entries, of what
 // the mesh reports right now (memos built since admission included) plus
-// the per-entry overhead, and the budget holds. It also checks the eviction
-// order: the heap holds exactly the resident entries of the map, each at
-// the index it records, in heap order, none below the aging clock.
+// the per-entry overhead, plus the charged warm bytes, and the budget
+// holds. Charged warm points are on the charged ring, charged their bare
+// geometry, and hold at most half the budget; every uncharged one shares
+// its slices with the resident entry at its LOD. It also checks the
+// eviction order: the heap holds exactly the resident entries of the map,
+// each at the index it records, in heap order, none below the aging clock
+// and none with a stored key above its true key.
 func checkAccounting(t *testing.T, c *Cache, when string) {
 	t.Helper()
-	var total int64
+	var total, warmTotal int64
 	for i, s := range c.shards {
 		s.mu.Lock()
 		var sum int64
@@ -39,23 +43,88 @@ func checkAccounting(t *testing.T, c *Cache, when string) {
 			if e.h < s.clock {
 				t.Errorf("%s: shard %d entry %v has H %g below the clock %g", when, i, e.key, e.h, s.clock)
 			}
+			if e.ht > e.touched || e.h > e.trueH() {
+				t.Errorf("%s: shard %d entry %v stored key (%g, %d) above its true key (%g, %d)", when, i, e.key, e.h, e.ht, e.trueH(), e.touched)
+			}
 			sum += e.mesh.FootprintBytes() + entryOverhead
 			if e.bytes != e.mesh.FootprintBytes()+entryOverhead {
 				t.Errorf("%s: shard %d entry %v charged %d, mesh reports %d",
 					when, i, e.key, e.bytes, e.mesh.FootprintBytes()+entryOverhead)
 			}
 		}
-		if s.used != sum {
-			t.Errorf("%s: shard %d used = %d, resident meshes sum to %d", when, i, s.used, sum)
+
+		var warm int64
+		charged := 0
+		for obj, w := range s.warm {
+			if w.obj != obj {
+				t.Errorf("%s: shard %d warm point of object %d filed under %d", when, i, w.obj, obj)
+			}
+			if w.prev == nil {
+				e := s.entries[Key{obj, w.lod}]
+				if e == nil || e.idx < 0 || e != w.payer || !shares(w.mesh, e.mesh) {
+					t.Errorf("%s: shard %d uncharged warm point %d@%d shares no resident entry's slices", when, i, obj, w.lod)
+				}
+				continue
+			}
+			if w.payer != nil {
+				t.Errorf("%s: shard %d charged warm point %d@%d still names a payer", when, i, obj, w.lod)
+			}
+			charged++
+			warm += w.bytes
+			if bare := int64(len(w.mesh.Vertices))*24 + int64(len(w.mesh.Faces))*12 + entryOverhead; w.bytes != bare {
+				t.Errorf("%s: shard %d warm point %d@%d charged %d, its geometry is %d", when, i, obj, w.lod, w.bytes, bare)
+			}
+		}
+		ring := 0
+		for w := s.charged.next; w != &s.charged && ring <= charged; w = w.next {
+			if w.prev == nil || s.warm[w.obj] != w || w.next.prev != w {
+				t.Errorf("%s: shard %d charged ring holds a stale or uncharged warm point %d@%d", when, i, w.obj, w.lod)
+			}
+			ring++
+		}
+		if ring != charged {
+			t.Errorf("%s: shard %d charged ring holds %d warm points, %d are charged", when, i, ring, charged)
+		}
+		if s.warmBytes != warm {
+			t.Errorf("%s: shard %d warmBytes = %d, charged warm points sum to %d", when, i, s.warmBytes, warm)
+		}
+		if warm > s.capacity/2 {
+			t.Errorf("%s: shard %d charged warm bytes %d exceed half the capacity %d", when, i, warm, s.capacity)
+		}
+		if s.used != sum+warm {
+			t.Errorf("%s: shard %d used = %d, resident meshes sum to %d and warm points to %d", when, i, s.used, sum, warm)
 		}
 		if s.used > s.capacity {
 			t.Errorf("%s: shard %d used %d exceeds capacity %d", when, i, s.used, s.capacity)
 		}
 		total += s.used
+		warmTotal += warm
 		s.mu.Unlock()
 	}
-	if got := c.Stats().BytesUsed; got != total {
-		t.Errorf("%s: Stats().BytesUsed = %d, shards hold %d", when, got, total)
+	if got := c.Stats(); got.BytesUsed != total || got.WarmBytes != warmTotal {
+		t.Errorf("%s: Stats() BytesUsed %d, WarmBytes %d; shards hold %d and %d", when, got.BytesUsed, got.WarmBytes, total, warmTotal)
+	}
+}
+
+// shares reports whether a and b are views of the same vertex and face
+// arrays.
+func shares(a, b *mesh.Mesh) bool {
+	return sameArray(a.Vertices, b.Vertices) && sameArray(a.Faces, b.Faces)
+}
+
+func sameArray[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// checkCleared asserts that Clear left no entry and no warm point behind.
+func checkCleared(t *testing.T, c *Cache) {
+	t.Helper()
+	for i, s := range c.shards {
+		s.mu.Lock()
+		if len(s.resident) != 0 || len(s.warm) != 0 || s.used != 0 {
+			t.Errorf("shard %d after Clear: %d resident entries, %d warm points, %d B used", i, len(s.resident), len(s.warm), s.used)
+		}
+		s.mu.Unlock()
 	}
 }
 
@@ -143,9 +212,7 @@ func TestAccountingTracksMemos(t *testing.T) {
 
 	c.Clear()
 	checkAccounting(t, c, "after Clear")
-	if got := c.Stats().BytesUsed; got != 0 {
-		t.Errorf("BytesUsed after Clear = %d", got)
-	}
+	checkCleared(t, c)
 }
 
 // TestMemoGrowthEvicts pins the budget rule in isolation: a mesh admitted

@@ -53,7 +53,7 @@ func BenchmarkDecodeWarmLadder(b *testing.B) {
 }
 
 // BenchmarkDecodeCacheLadder measures the full cache miss path (entry
-// single-flight + decoder pool checkout + warm decode) over the ladder,
+// single-flight + seed choice + warm decode) over the ladder,
 // clearing between iterations so every request is a miss.
 func BenchmarkDecodeCacheLadder(b *testing.B) {
 	comp := benchComp(b)

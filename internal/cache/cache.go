@@ -13,13 +13,13 @@
 //
 // where n counts the entry's lookups since admission, F is its mesh's face
 // count, F_top the object's full-resolution face count, and L the shard's
-// aging clock, which each eviction raises to its victim's H. The lowest H
-// goes first, ties to the least recently touched entry. A miss costs per
-// entry (a decode and a tree build) more than per byte, so the policy keeps
-// many small, often read low-LOD entries over a few large top-LOD ones; a
-// working set that cycles through more than the budget (join-cold) keeps
-// part of itself resident instead of evicting everything between visits,
-// as LRU does.
+// aging clock at the entry's last touch; each eviction raises the clock to
+// its victim's H. The lowest H goes first, ties to the least recently
+// touched entry; the heap re-ranks lazily (see evictLocked). A miss costs
+// per entry (a decode and a tree build) more than per byte, so the policy
+// keeps many small, often read low-LOD entries over a few large top-LOD
+// ones, and a working set that cycles through more than the budget
+// (join-cold) keeps part of itself resident, where LRU keeps none.
 //
 // Concurrent requests for the same key are deduplicated: the first caller
 // decodes while the others wait, matching the paper's decoder/geometry-
@@ -28,13 +28,13 @@
 //
 // Two refinements on top of the paper's design:
 //
-//   - Warm-start decoding (GetOrDecodeProgressiveCounted): the cache retains one
-//     progressive ppvp.Decoder per object, so a miss at LOD k resumes from
-//     the highest previously decoded LOD instead of replaying every round
-//     from LOD 0. Under Filter-Progressive-Refine a candidate walks the LOD
-//     ladder upward, so nearly every refinement decode becomes incremental.
-//     The win is visible in Stats: RoundsSkipped counts rounds the warm
-//     starts did not replay.
+//   - Warm-start decoding (GetOrDecodeProgressiveCounted): a miss at LOD k
+//     resumes (ppvp.Compressed.ResumeDecoder) from decoded geometry the
+//     shard holds — the object's warm point (see warmPoint) or a resident
+//     entry below k — instead of replaying every round from LOD 0. Under
+//     Filter-Progressive-Refine a candidate walks the LOD ladder upward, so
+//     nearly every refinement decode becomes incremental. RoundsSkipped
+//     counts the rounds warm starts did not replay.
 //
 //   - Sharding: large caches split the key space across independently
 //     locked shards (all LODs of one object land in one shard), so decode
@@ -45,7 +45,6 @@ package cache
 
 import (
 	"container/heap"
-	"container/list"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -67,16 +66,19 @@ type Stats struct {
 	Evictions int64
 	// BytesUsed is the current footprint of cached meshes, including every
 	// derived memo (triangle slice, SoA lanes, AABB tree, partition groups)
-	// built on them since admission.
+	// built on them since admission, plus WarmBytes.
 	BytesUsed int64
+	// WarmBytes is the part of BytesUsed charged to warm points whose entry
+	// has left the cache.
+	WarmBytes int64
 
-	// WarmStarts counts misses served by resuming a retained progressive
-	// decoder instead of decoding from LOD 0.
+	// WarmStarts counts misses served from decoded geometry the cache held
+	// (a warm point or a resident lower LOD) instead of decoding from LOD 0.
 	WarmStarts int64
 	// RoundsApplied counts decode rounds actually replayed by misses;
-	// RoundsSkipped counts rounds that warm starts reused from retained
-	// decoder state. Cold-decoding everything would have cost
-	// RoundsApplied + RoundsSkipped.
+	// RoundsSkipped counts rounds that warm starts did not replay.
+	// Cold-decoding everything would have cost RoundsApplied +
+	// RoundsSkipped.
 	RoundsApplied int64
 	RoundsSkipped int64
 
@@ -104,11 +106,15 @@ type Counters struct {
 	DecodeFailures atomic.Int64
 }
 
+// discard stands in for a nil *Counters: what it counts is never read.
+var discard Counters
+
 func (s Stats) add(o Stats) Stats {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
 	s.Evictions += o.Evictions
 	s.BytesUsed += o.BytesUsed
+	s.WarmBytes += o.WarmBytes
 	s.WarmStarts += o.WarmStarts
 	s.RoundsApplied += o.RoundsApplied
 	s.RoundsSkipped += o.RoundsSkipped
@@ -124,6 +130,7 @@ func (s Stats) Sub(o Stats) Stats {
 		Misses:         s.Misses - o.Misses,
 		Evictions:      s.Evictions - o.Evictions,
 		BytesUsed:      s.BytesUsed,
+		WarmBytes:      s.WarmBytes,
 		WarmStarts:     s.WarmStarts - o.WarmStarts,
 		RoundsApplied:  s.RoundsApplied - o.RoundsApplied,
 		RoundsSkipped:  s.RoundsSkipped - o.RoundsSkipped,
@@ -137,27 +144,31 @@ type entry struct {
 	bytes int64
 
 	// GDSF state: n lookups since admission, the cost/size term
-	// 1 + F_top/F fixed at admission, the priority h, and the shard tick of
-	// the last touch (the tie-break). idx is the position in the shard's
-	// heap, -1 while in flight and after removal.
-	n       int64
-	ratio   float64
-	h       float64
-	touched uint64
-	idx     int
+	// 1 + F_top/F fixed at admission, and the clock and shard tick of the
+	// last touch: the true key is (at + n·ratio, touched). The heap orders
+	// by the stored key (h, ht), the true key as of an earlier touch. idx is
+	// the position in the shard's heap, -1 while in flight and after removal.
+	n, ratio, at, h float64
+	touched, ht     uint64
+	idx             int
+
+	progressive bool // decoded from its blob: may seed a warm start
 
 	ready chan struct{} // closed when mesh is available
 	err   error
 }
 
-// byPriority is a shard's resident entries as a container/heap min-heap:
-// lowest H first, and at equal H the least recently touched.
+// trueH is e's priority as of its last touch.
+func (e *entry) trueH() float64 { return e.at + e.n*e.ratio }
+
+// byPriority is a shard's resident entries as a container/heap min-heap on
+// the stored keys: lowest H first, at equal H the least recently touched.
 type byPriority []*entry
 
 func (q byPriority) Len() int { return len(q) }
 func (q byPriority) Less(i, j int) bool {
 	a, b := q[i], q[j]
-	return a.h < b.h || (a.h == b.h && a.touched < b.touched)
+	return a.h < b.h || (a.h == b.h && a.ht < b.ht)
 }
 func (q byPriority) Swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
@@ -177,49 +188,51 @@ func (q *byPriority) Pop() any {
 	return e
 }
 
-// decoderSlot retains one object's progressive decoder between misses. The
-// slot mutex is the per-object single-flight: concurrent misses at different
-// LODs of the same object serialize here, each advancing (or replacing) the
-// retained decoder.
-type decoderSlot struct {
-	mu   sync.Mutex
-	dec  *ppvp.Decoder
-	elem *list.Element // position in the shard's decoder LRU
-	refs int           // checked-out count; slots with refs > 0 are not evicted
+// warmPoint is the highest LOD of one object that the progressive path has
+// decoded, kept so that a later miss resumes from it: a bare mesh on the
+// slices of the entry it came from. While that entry is resident it pays
+// for them. When it leaves, the warm point is charged its vertices, faces
+// and the entry overhead and joins the shard's ring of charged warm points;
+// an entry admitted on its slices again (served from it) pays once more.
+type warmPoint struct {
+	obj        int64
+	lod        int
+	mesh       *mesh.Mesh // no memos, never handed out
+	payer      *entry     // the resident entry on the slices, nil if charged
+	bytes      int64      // the charge while charged
+	prev, next *warmPoint // the charged ring, most recent first; nil if not
 }
-
-// maxDecodersPerShard bounds the decoder pool: each retained decoder holds
-// the mesh state of its current LOD, so the pool is capped and evicted LRU.
-const maxDecodersPerShard = 64
 
 // shard is one independently locked slice of the cache.
 type shard struct {
 	mu       sync.Mutex
 	capacity int64
-	used     int64
+	used     int64 // resident entries plus charged warm points
 	entries  map[Key]*entry
 	resident byPriority // complete entries, a GDSF min-heap
 	clock    float64    // L: the H of the last victim
 	tick     uint64     // touch counter, the tie-break
 	stats    Stats
 
-	decoders map[int64]*decoderSlot
-	decLRU   *list.List // front = most recent; stores *decoderSlot keyed back by object
-	decObj   map[*decoderSlot]int64
+	warm      map[int64]*warmPoint
+	warmBytes int64     // the charged part of used, at most capacity/2
+	charged   warmPoint // sentinel of the charged ring
+
+	evicting func(victim *entry) // test hook: sees each victim first
 }
 
 func newShard(capacity int64) *shard {
-	return &shard{
+	s := &shard{
 		capacity: capacity,
 		entries:  make(map[Key]*entry),
-		decoders: make(map[int64]*decoderSlot),
-		decLRU:   list.New(),
-		decObj:   make(map[*decoderSlot]int64),
+		warm:     make(map[int64]*warmPoint),
 	}
+	s.charged.prev, s.charged.next = &s.charged, &s.charged
+	return s
 }
 
-// Cache is a byte-budgeted, sharded GDSF cache of decoded meshes with a
-// per-object progressive decoder pool.
+// Cache is a byte-budgeted, sharded GDSF cache of decoded meshes that
+// resumes progressive decodes from the geometry it holds.
 type Cache struct {
 	shards []*shard
 	mask   uint64
@@ -266,7 +279,7 @@ func NewSharded(capacity int64, shards int) *Cache {
 func (c *Cache) NumShards() int { return len(c.shards) }
 
 // shardFor hashes the object ID (not the LOD) so that every LOD of one
-// object — and its decoder slot — lives in one shard.
+// object — and its warm point — lives in one shard.
 func (c *Cache) shardFor(object int64) *shard {
 	h := uint64(object)
 	h ^= h >> 33
@@ -295,6 +308,7 @@ func (s *shard) lookupOrReserve(key Key) (*entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.entries[key]; ok {
+		e.n++
 		s.touchLocked(e)
 		s.stats.Hits++
 		return e, true
@@ -305,27 +319,19 @@ func (s *shard) lookupOrReserve(key Key) (*entry, bool) {
 	return e, false
 }
 
-// touchLocked counts a lookup of e. A resident entry is re-ranked; an
-// in-flight entry only counts, and is first ranked when it completes.
+// touchLocked stamps e with the clock and the next tick, its true key's
+// inputs. The heap is left alone: evictLocked re-ranks a stale root.
 func (s *shard) touchLocked(e *entry) {
-	e.n++
-	if e.idx >= 0 {
-		s.rankLocked(e)
-		heap.Fix(&s.resident, e.idx)
-	}
-}
-
-// rankLocked sets e's priority H = L + n·(1 + F_top/F) from the current
-// clock and stamps it with the next tick.
-func (s *shard) rankLocked(e *entry) {
 	s.tick++
-	e.h, e.touched = s.clock+float64(e.n)*e.ratio, s.tick
+	e.at, e.touched = s.clock, s.tick
 }
 
 // complete publishes the decode outcome of an owned in-flight entry. top is
 // the object's full-resolution face count; below the mesh's own (as when
-// the caller has no blob to read it from) it counts as the mesh's.
-func (s *shard) complete(e *entry, m *mesh.Mesh, top int, err error) {
+// the caller has no blob to read it from) it counts as the mesh's. A
+// progressive entry becomes its object's warm point if it is the highest
+// LOD decoded, or uncharges the warm point whose slices it shares.
+func (s *shard) complete(e *entry, m *mesh.Mesh, top int, progressive bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e.mesh, e.err = m, err
@@ -338,7 +344,8 @@ func (s *shard) complete(e *entry, m *mesh.Mesh, top int, err error) {
 	}
 	f := max(len(m.Faces), 1)
 	e.ratio = 1 + float64(max(top, f))/float64(f)
-	s.rankLocked(e)
+	s.touchLocked(e)
+	e.h, e.ht, e.progressive = e.trueH(), e.touched, progressive
 	// A waiter woken above may already be building a memo on m. Listening
 	// before the footprint is read means a memo published in between is
 	// either in that read or announced to reaccount, never lost.
@@ -346,6 +353,18 @@ func (s *shard) complete(e *entry, m *mesh.Mesh, top int, err error) {
 	e.bytes = meshBytes(m)
 	heap.Push(&s.resident, e)
 	s.used += e.bytes
+	// A progressive miss at the warm point's LOD was served from it, so e
+	// is on its slices; a higher one replaces it.
+	if w := s.warm[e.key.Object]; progressive && (w == nil || w.lod <= e.key.LOD) {
+		if w != nil {
+			s.unchargeLocked(w)
+		}
+		if w == nil || w.lod < e.key.LOD {
+			w = &warmPoint{obj: e.key.Object, lod: e.key.LOD, mesh: &mesh.Mesh{Vertices: m.Vertices, Faces: m.Faces}}
+			s.warm[e.key.Object] = w
+		}
+		w.payer = e
+	}
 	s.evictLocked()
 }
 
@@ -420,17 +439,18 @@ func (c *Cache) GetOrDecode(key Key, decode func() (*mesh.Mesh, error)) (*mesh.M
 		}()
 		return decode()
 	}()
-	s.complete(e, m, 0, err)
+	s.complete(e, m, 0, false, err)
 	return m, err
 }
 
 // GetOrDecodeProgressiveCounted returns the cached mesh for key, decoding
-// through the per-object progressive decoder pool on a miss: if a retained
-// decoder for key.Object sits at a LOD ≤ key.LOD, decoding resumes from its
-// state (a warm start) instead of replaying every round from LOD 0. onMiss,
-// when non-nil, runs once before any decode work — the caller's hook for
-// fault injection and decode accounting; a non-nil error from it fails the
-// request without touching the decoder pool.
+// comp progressively on a miss. A miss is served from the object's warm
+// point outright when that sits at key.LOD; otherwise it resumes from the
+// higher of the warm point (if below key.LOD) and the highest resident
+// progressive entry below key.LOD (a warm start), replaying only the
+// rounds above it; otherwise it decodes from LOD 0. onMiss, when non-nil,
+// runs once before any decode work — the caller's hook for fault injection
+// and decode accounting; a non-nil error from it fails the request.
 //
 // req, when non-nil, receives per-request attribution: every counter the
 // call moves on the shard is also added to req, so a caller owning several
@@ -438,44 +458,47 @@ func (c *Cache) GetOrDecode(key Key, decode func() (*mesh.Mesh, error)) (*mesh.M
 // callers hammer the same cache. The decode work of a shared in-flight
 // entry is attributed to the caller that performs it; waiters record a hit.
 //
-// Concurrent misses for different LODs of one object serialize on the
-// object's decoder slot; concurrent callers of the same key share a single
-// decode exactly as GetOrDecode does.
+// Concurrent misses for different LODs of one object decode side by side,
+// each from what the shard held when it began; concurrent callers of the
+// same key share a single decode exactly as GetOrDecode does.
 func (c *Cache) GetOrDecodeProgressiveCounted(key Key, comp *ppvp.Compressed, onMiss func() error, req *Counters) (*mesh.Mesh, error) {
+	if req == nil {
+		req = &discard
+	}
 	s := c.shardFor(key.Object)
 	if s.capacity <= 0 {
 		s.mu.Lock()
 		s.stats.Misses++
 		s.mu.Unlock()
-		req.miss()
+		req.Misses.Add(1)
 		if onMiss != nil {
 			if err := onMiss(); err != nil {
 				s.noteDecodeFailure()
-				req.decodeFailure()
+				req.DecodeFailures.Add(1)
 				return nil, err
 			}
 		}
 		m, err := comp.Decode(key.LOD)
 		if err != nil {
 			s.noteDecodeFailure()
-			req.decodeFailure()
+			req.DecodeFailures.Add(1)
 		}
 		return m, err
 	}
 
 	e, found := s.lookupOrReserve(key)
 	if found {
-		req.hit()
+		req.Hits.Add(1)
 		<-e.ready
 		return e.mesh, e.err
 	}
-	req.miss()
+	req.Misses.Add(1)
 
 	m, err := func() (m *mesh.Mesh, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				s.fail(e, r)
-				req.decodeFailure()
+				req.DecodeFailures.Add(1)
 				panic(r)
 			}
 		}()
@@ -484,140 +507,72 @@ func (c *Cache) GetOrDecodeProgressiveCounted(key Key, comp *ppvp.Compressed, on
 				return nil, err
 			}
 		}
-		return s.decodeWarm(c, key, comp, req)
+		return s.decodeWarm(key, comp, req)
 	}()
 	top := 0
 	if err == nil {
 		top = comp.TopFaces(key.LOD, len(m.Faces))
 	}
-	s.complete(e, m, top, err)
+	s.complete(e, m, top, true, err)
 	if err != nil {
-		req.decodeFailure()
+		req.DecodeFailures.Add(1)
 	}
 	return m, err
 }
 
-// hit/miss/decodeFailure are nil-safe increment helpers so the cache's
-// accounting points stay one-liners.
-func (r *Counters) hit() {
-	if r != nil {
-		r.Hits.Add(1)
+// decodeWarm performs the miss-path decode from the object's warm point if
+// it sits at or below key.LOD, or from a resident progressive entry between
+// the two, or from LOD 0.
+func (s *shard) decodeWarm(key Key, comp *ppvp.Compressed, req *Counters) (*mesh.Mesh, error) {
+	var seed *mesh.Mesh
+	from := -1
+	s.mu.Lock()
+	if w := s.warm[key.Object]; w != nil && w.lod <= key.LOD {
+		seed, from = w.mesh, w.lod
 	}
-}
-
-func (r *Counters) miss() {
-	if r != nil {
-		r.Misses.Add(1)
+	for lod := key.LOD - 1; lod > from; lod-- {
+		if e := s.entries[Key{key.Object, lod}]; e != nil && e.idx >= 0 && e.progressive {
+			seed, from = e.mesh, lod
+			break
+		}
 	}
-}
+	s.mu.Unlock()
 
-func (r *Counters) decodeFailure() {
-	if r != nil {
-		r.DecodeFailures.Add(1)
+	var m *mesh.Mesh
+	var starts, applied, skipped int64
+	if seed != nil {
+		starts, skipped = 1, int64(comp.RoundsForLOD(from))
 	}
-}
-
-// decodeWarm performs the miss-path decode through the shard's decoder pool.
-func (s *shard) decodeWarm(c *Cache, key Key, comp *ppvp.Compressed, req *Counters) (*mesh.Mesh, error) {
-	slot := s.checkoutDecoder(key.Object)
-	defer s.releaseDecoder(slot)
-
-	slot.mu.Lock()
-	defer slot.mu.Unlock()
-
-	warm := slot.dec != nil && slot.dec.CanAdvanceTo(key.LOD)
-	var dec *ppvp.Decoder
-	if warm {
-		dec = slot.dec
+	if seed != nil && from == key.LOD {
+		m = &mesh.Mesh{Vertices: seed.Vertices, Faces: seed.Faces}
 	} else {
+		var dec *ppvp.Decoder
 		var err error
-		dec, err = comp.NewDecoder()
-		if err != nil {
+		if seed != nil {
+			// A seed that no decode of the blob produces is refused: decode cold.
+			dec, err = comp.ResumeDecoder(from, seed)
+		}
+		if dec == nil {
+			starts, skipped = 0, 0
+			if dec, err = comp.NewDecoder(); err != nil {
+				return nil, err
+			}
+		}
+		if m, err = dec.DecodeTo(key.LOD); err != nil {
 			return nil, err
 		}
-	}
-
-	before := dec.RoundsApplied()
-	m, err := dec.DecodeTo(key.LOD)
-	if err != nil {
-		// The decoder state may be mid-round; drop it rather than resume it.
-		if warm {
-			slot.dec = nil
-		}
-		return nil, err
+		applied = int64(dec.RoundsApplied()) - skipped
 	}
 
 	s.mu.Lock()
-	s.stats.RoundsApplied += int64(dec.RoundsApplied() - before)
-	if warm {
-		s.stats.WarmStarts++
-		s.stats.RoundsSkipped += int64(before)
-	}
+	s.stats.WarmStarts += starts
+	s.stats.RoundsApplied += applied
+	s.stats.RoundsSkipped += skipped
 	s.mu.Unlock()
-	if req != nil {
-		req.RoundsApplied.Add(int64(dec.RoundsApplied() - before))
-		if warm {
-			req.WarmStarts.Add(1)
-			req.RoundsSkipped.Add(int64(before))
-		}
-	}
-
-	// Retain whichever decoder state reaches furthest: a cold decode below
-	// the retained decoder's LOD must not clobber the more advanced state.
-	if slot.dec == nil || dec.RoundsApplied() >= slot.dec.RoundsApplied() {
-		slot.dec = dec
-	}
+	req.WarmStarts.Add(starts)
+	req.RoundsApplied.Add(applied)
+	req.RoundsSkipped.Add(skipped)
 	return m, nil
-}
-
-// checkoutDecoder pins (creating if needed) the decoder slot for an object.
-func (s *shard) checkoutDecoder(object int64) *decoderSlot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	slot, ok := s.decoders[object]
-	if !ok {
-		slot = &decoderSlot{}
-		s.decoders[object] = slot
-		s.decObj[slot] = object
-		slot.elem = s.decLRU.PushFront(slot)
-		s.evictDecodersLocked()
-	} else {
-		s.decLRU.MoveToFront(slot.elem)
-	}
-	slot.refs++
-	return slot
-}
-
-// releaseDecoder unpins a checked-out slot.
-func (s *shard) releaseDecoder(slot *decoderSlot) {
-	s.mu.Lock()
-	slot.refs--
-	s.mu.Unlock()
-}
-
-// evictDecodersLocked trims the decoder pool to its cap, skipping slots that
-// are currently checked out.
-func (s *shard) evictDecodersLocked() {
-	for elem := s.decLRU.Back(); elem != nil && s.decLRU.Len() > maxDecodersPerShard; {
-		prev := elem.Prev()
-		slot := elem.Value.(*decoderSlot)
-		if slot.refs == 0 {
-			s.decLRU.Remove(elem)
-			obj := s.decObj[slot]
-			delete(s.decoders, obj)
-			delete(s.decObj, slot)
-		}
-		elem = prev
-	}
-}
-
-// dropDecoderLocked removes an object's decoder slot if it is not in use.
-func (s *shard) dropDecoderLocked(object int64) {
-	if slot, ok := s.decoders[object]; ok && slot.refs == 0 {
-		s.decLRU.Remove(slot.elem)
-		delete(s.decoders, object)
-		delete(s.decObj, slot)
-	}
 }
 
 // Get returns the cached mesh if present (nil otherwise) without decoding.
@@ -627,6 +582,7 @@ func (c *Cache) Get(key Key) *mesh.Mesh {
 	e, ok := s.entries[key]
 	hit := ok && e.idx >= 0
 	if hit {
+		e.n++
 		s.touchLocked(e)
 		s.stats.Hits++
 	}
@@ -640,11 +596,29 @@ func (c *Cache) Get(key Key) *mesh.Mesh {
 
 // evictLocked drops the lowest-priority complete entries until the budget
 // holds, raising the aging clock to each victim's H so that no priority
-// stays out of reach. In-flight entries are not in the heap and are never
-// evicted.
+// stays out of reach, and once no entry is left the oldest charged warm
+// points. A root touched since it was ranked is re-ranked and sifted down
+// instead: stored keys never exceed true ones, so a root with a current key
+// has the lowest true key, as under eager re-ranking. In-flight entries are
+// not in the heap and are never evicted.
 func (s *shard) evictLocked() {
-	for s.used > s.capacity && len(s.resident) > 0 {
+	for s.used > s.capacity {
+		if len(s.resident) == 0 {
+			if s.warmBytes == 0 {
+				return
+			}
+			s.dropWarmLocked(s.charged.prev)
+			continue
+		}
 		victim := s.resident[0]
+		if victim.ht != victim.touched {
+			victim.h, victim.ht = victim.trueH(), victim.touched
+			heap.Fix(&s.resident, 0)
+			continue
+		}
+		if s.evicting != nil {
+			s.evicting(victim)
+		}
 		s.clock = victim.h
 		s.removeLocked(victim)
 		s.stats.Evictions++
@@ -653,24 +627,60 @@ func (s *shard) evictLocked() {
 
 // removeLocked drops a complete entry from the shard and releases its charge.
 // Leaving the heap sets idx to -1, which tells a late reaccount the entry is
-// gone.
+// gone. A warm point on the entry's slices is charged from now on.
 func (s *shard) removeLocked(e *entry) {
 	heap.Remove(&s.resident, e.idx)
 	delete(s.entries, e.key)
 	s.used -= e.bytes
+	if w := s.warm[e.key.Object]; w != nil && w.payer == e {
+		s.chargeLocked(w)
+	}
 }
 
-// Clear drops all complete entries and every idle retained decoder.
+// chargeLocked charges w its bare geometry and puts it at the front of the
+// charged ring, dropping the ring's oldest warm points while they hold more
+// than half the shard's budget.
+func (s *shard) chargeLocked(w *warmPoint) {
+	w.payer = nil
+	w.bytes = int64(len(w.mesh.Vertices))*24 + int64(len(w.mesh.Faces))*12 + entryOverhead
+	s.used += w.bytes
+	s.warmBytes += w.bytes
+	w.prev, w.next = &s.charged, s.charged.next
+	w.prev.next, w.next.prev = w, w
+	for s.warmBytes > s.capacity/2 {
+		s.dropWarmLocked(s.charged.prev)
+	}
+}
+
+// unchargeLocked takes w off the budget and the ring if it is charged.
+func (s *shard) unchargeLocked(w *warmPoint) {
+	if w.prev == nil {
+		return
+	}
+	s.used -= w.bytes
+	s.warmBytes -= w.bytes
+	w.prev.next, w.next.prev = w.next, w.prev
+	w.prev, w.next = nil, nil
+}
+
+// dropWarmLocked forgets a charged warm point.
+func (s *shard) dropWarmLocked(w *warmPoint) {
+	s.unchargeLocked(w)
+	delete(s.warm, w.obj)
+}
+
+// Clear drops all complete entries and every warm point.
 func (c *Cache) Clear() {
 	for _, s := range c.shards {
 		s.mu.Lock()
+		for _, w := range s.warm {
+			s.unchargeLocked(w)
+		}
+		clear(s.warm)
 		for _, e := range s.entries {
 			if e.idx >= 0 {
 				s.removeLocked(e)
 			}
-		}
-		for obj := range s.decoders {
-			s.dropDecoderLocked(obj)
 		}
 		s.mu.Unlock()
 	}
@@ -682,7 +692,7 @@ func (c *Cache) Stats() Stats {
 	for _, s := range c.shards {
 		s.mu.Lock()
 		st := s.stats
-		st.BytesUsed = s.used
+		st.BytesUsed, st.WarmBytes = s.used, s.warmBytes
 		s.mu.Unlock()
 		out = out.add(st)
 	}
@@ -695,17 +705,6 @@ func (c *Cache) Len() int {
 	for _, s := range c.shards {
 		s.mu.Lock()
 		n += len(s.resident)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// NumDecoders returns the number of retained progressive decoders.
-func (c *Cache) NumDecoders() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.decLRU.Len()
 		s.mu.Unlock()
 	}
 	return n

@@ -68,10 +68,33 @@ func TestCountersMatchGlobalDelta(t *testing.T) {
 	}
 	wg.Wait()
 
+	// A miss on an object whose entry was evicted while its warm point
+	// stayed is served from the warm point outright: a warm start that
+	// skips every round and applies none. Cleared first, the cache keeps
+	// the warm point for certain.
+	c.Clear()
+	top := Key{Object: 9, LOD: comp.MaxLOD()}
+	served := new(Counters)
+	ctrs = append(ctrs, served)
+	for i := 0; i < 2; i++ {
+		if _, err := c.GetOrDecodeProgressiveCounted(top, comp, nil, served); err != nil {
+			t.Fatal(err)
+		}
+		s := c.shardFor(top.Object)
+		s.mu.Lock()
+		if e := s.entries[top]; e != nil && e.idx >= 0 {
+			s.removeLocked(e)
+		}
+		s.mu.Unlock()
+	}
+	if served.WarmStarts.Load() != 1 || served.RoundsSkipped.Load() != int64(comp.RoundsForLOD(top.LOD)) {
+		t.Errorf("second miss was not served from the warm point: %+v", sumCounters([]*Counters{served}))
+	}
+
 	delta := c.Stats().Sub(before)
-	// The cache-wide delta also moves Evictions and BytesUsed, which are not
-	// per-request notions; compare only the attributed fields.
-	delta.Evictions, delta.BytesUsed = 0, 0
+	// The cache-wide delta also moves Evictions, BytesUsed and WarmBytes,
+	// which are not per-request notions; compare only the attributed fields.
+	delta.Evictions, delta.BytesUsed, delta.WarmBytes = 0, 0, 0
 	got := sumCounters(ctrs)
 	if got != delta {
 		t.Errorf("per-request counter sum diverges from global delta:\n  sum   = %+v\n  delta = %+v", got, delta)
@@ -96,7 +119,7 @@ func TestCountersDisabledCache(t *testing.T) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	delta := c.Stats().Sub(before)
-	delta.Evictions, delta.BytesUsed = 0, 0
+	delta.Evictions, delta.BytesUsed, delta.WarmBytes = 0, 0, 0
 	got := sumCounters([]*Counters{&ctr})
 	if got != delta {
 		t.Errorf("disabled-cache sum %+v != delta %+v", got, delta)

@@ -10,11 +10,14 @@ import (
 // FuzzCachePolicy drives a small single-shard cache through a fuzzed
 // sequence of lookups, memo builds and clears, two bytes per step (the
 // operation, then the key or the held mesh it acts on), and checks the
-// books and the eviction heap after every step. One blob is honest; the
-// other's header overstates its face total, so its entries carry the
-// largest cost term TopFaces allows. A step may run a second step from
-// inside its miss hook, while its own entry is in flight: that entry must
-// survive whatever the inner step evicts.
+// books, the warm points and the eviction heap after every step
+// (checkAccounting), and that a Clear leaves nothing behind. Every victim
+// must be the one an eagerly ranked heap would pick: the resident entry
+// with the lowest true key, recomputed here from each entry's last touch.
+// One blob is honest; the other's header overstates its face total, so its
+// entries carry the largest cost term TopFaces allows. A step may run a
+// second step from inside its miss hook, while its own entry is in flight:
+// that entry must survive whatever the inner step evicts.
 func FuzzCachePolicy(f *testing.F) {
 	honest := compressSphere(f, 1, 2)
 	hostile, err := ppvp.FromBytes(withFaceTotal(honest.Bytes(), 1<<28))
@@ -41,6 +44,19 @@ func FuzzCachePolicy(f *testing.F) {
 			ops = ops[:128]
 		}
 		c := New(budget)
+		s := c.shards[0]
+		s.evicting = func(victim *entry) {
+			h := func(e *entry) float64 { return e.at + float64(e.n)*e.ratio }
+			want := victim
+			for _, e := range s.resident {
+				if h(e) < h(want) || (h(e) <= h(want) && e.touched < want.touched) {
+					want = e
+				}
+			}
+			if want != victim {
+				t.Errorf("evicted %v (H %g), the eager argmin is %v (H %g)", victim.key, h(victim), want.key, h(want))
+			}
+		}
 		var held []*mesh.Mesh
 		keyOf := func(arg byte) Key {
 			return Key{Object: int64(arg % 6), LOD: int(arg/6) % lods}
@@ -91,6 +107,7 @@ func FuzzCachePolicy(f *testing.F) {
 				}
 			case 5:
 				c.Clear()
+				checkCleared(t, c)
 			}
 			checkAccounting(t, c, "step")
 		}

@@ -21,7 +21,8 @@ func put(t *testing.T, c *Cache, obj int64) {
 	}
 }
 
-// priority returns the H of a resident entry and whether it is resident.
+// priority returns the true H of a resident entry (as of its last touch,
+// whatever its stored heap key) and whether it is resident.
 func priority(c *Cache, key Key) (float64, bool) {
 	s := c.shardFor(key.Object)
 	s.mu.Lock()
@@ -30,7 +31,7 @@ func priority(c *Cache, key Key) (float64, bool) {
 	if !ok || e.idx < 0 {
 		return 0, false
 	}
-	return e.h, true
+	return e.trueH(), true
 }
 
 // TestFrequentEntrySurvivesSweep: an entry read five times outlives a sweep

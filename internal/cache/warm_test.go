@@ -70,48 +70,68 @@ func TestProgressiveWarmStartMatchesCold(t *testing.T) {
 	if s.RoundsSkipped != wantSkipped {
 		t.Errorf("RoundsSkipped = %d, want %d", s.RoundsSkipped, wantSkipped)
 	}
-	if c.NumDecoders() != 1 {
-		t.Errorf("NumDecoders = %d, want 1", c.NumDecoders())
-	}
 }
 
-// TestProgressiveDownwardMiss requests a high LOD first and a lower one
-// second: the retained decoder cannot rewind, so the second miss must cold
-// decode — correctly — and must not clobber the more advanced retained
-// state.
+// TestProgressiveDownwardMiss requests a high LOD first and lower ones
+// after it. The warm point sits above them and cannot rewind, so the first
+// lower miss decodes cold — correctly — and leaves the warm point where it
+// is; the next miss between the two resumes from the resident lower LOD.
 func TestProgressiveDownwardMiss(t *testing.T) {
 	comp := compressSphere(t, 10, 3)
 	top := comp.MaxLOD()
 	c := New(1 << 20)
-	if _, err := c.GetOrDecodeProgressiveCounted(Key{Object: 1, LOD: top}, comp, nil, nil); err != nil {
+	get := func(lod int) {
+		t.Helper()
+		m, err := c.GetOrDecodeProgressiveCounted(Key{Object: 1, LOD: lod}, comp, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold, _ := comp.Decode(lod); !meshesEqual(m, cold) {
+			t.Fatalf("miss at LOD %d returned the wrong mesh", lod)
+		}
+	}
+	get(top)
+	get(1)
+	s := c.Stats()
+	if s.WarmStarts != 0 || s.RoundsApplied != int64(comp.RoundsForLOD(top)+comp.RoundsForLOD(1)) {
+		t.Errorf("after top and LOD 1: WarmStarts %d, RoundsApplied %d; want 0 and two cold decodes", s.WarmStarts, s.RoundsApplied)
+	}
+	if w := c.shards[0].warm[1]; w == nil || w.lod != top {
+		t.Fatalf("warm point %+v, want it left at the top LOD %d", w, top)
+	}
+
+	before := c.Stats()
+	get(top - 1)
+	d := c.Stats().Sub(before)
+	if d.WarmStarts != 1 || d.RoundsSkipped != int64(comp.RoundsForLOD(1)) ||
+		d.RoundsApplied != int64(comp.RoundsForLOD(top-1)-comp.RoundsForLOD(1)) {
+		t.Errorf("miss at LOD %d: %+v, want a warm start from the resident LOD 1", top-1, d)
+	}
+}
+
+// TestGetOrDecodeMeshNeverSeeds: a mesh admitted through GetOrDecode is
+// whatever its caller decoded, so a progressive miss above it on the same
+// object must not resume from it.
+func TestGetOrDecodeMeshNeverSeeds(t *testing.T) {
+	comp := compressSphere(t, 10, 3)
+	c := New(1 << 20)
+	if _, err := c.GetOrDecode(Key{Object: 1, LOD: 0}, func() (*mesh.Mesh, error) { return mesh.Icosphere(2, 1), nil }); err != nil {
 		t.Fatal(err)
 	}
 	m, err := c.GetOrDecodeProgressiveCounted(Key{Object: 1, LOD: 1}, comp, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, _ := comp.Decode(1)
-	if !meshesEqual(m, cold) {
-		t.Fatal("downward miss returned wrong mesh")
+	if cold, _ := comp.Decode(1); !meshesEqual(m, cold) {
+		t.Fatal("miss above a GetOrDecode entry returned the wrong mesh")
 	}
-	s := c.Stats()
-	if s.WarmStarts != 0 {
-		t.Errorf("WarmStarts = %d, want 0 (rewind is a cold decode)", s.WarmStarts)
-	}
-	// The retained decoder must still be the advanced one: a later request
-	// at top+0 LOD... resume from it without replaying everything.
-	before := c.Stats().RoundsApplied
-	if _, err := c.GetOrDecodeProgressiveCounted(Key{Object: 1, LOD: top - 1}, comp, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Stats().RoundsApplied - before; got != int64(comp.RoundsForLOD(top-1)) {
-		t.Errorf("third miss applied %d rounds, want full cold %d (decoder beyond target)",
-			got, comp.RoundsForLOD(top-1))
+	if s := c.Stats(); s.WarmStarts != 0 {
+		t.Errorf("WarmStarts = %d, want 0: a GetOrDecode mesh seeded the decode", s.WarmStarts)
 	}
 }
 
 // TestProgressiveOnMissError checks onMiss failures propagate and do not
-// poison the key or the decoder pool.
+// poison the key or the warm point.
 func TestProgressiveOnMissError(t *testing.T) {
 	comp := compressSphere(t, 5, 2)
 	c := New(1 << 20)
@@ -126,7 +146,7 @@ func TestProgressiveOnMissError(t *testing.T) {
 }
 
 // TestProgressiveZeroCapacity: a disabled cache still decodes correctly
-// (cold every time, no retained decoders).
+// (cold every time, nothing held).
 func TestProgressiveZeroCapacity(t *testing.T) {
 	comp := compressSphere(t, 5, 2)
 	c := New(0)
@@ -140,16 +160,16 @@ func TestProgressiveZeroCapacity(t *testing.T) {
 			t.Fatal("disabled-cache decode differs from cold")
 		}
 	}
-	if c.NumDecoders() != 0 {
-		t.Errorf("disabled cache retained %d decoders", c.NumDecoders())
+	if s := c.Stats(); s.WarmStarts != 0 || s.BytesUsed != 0 || s.WarmBytes != 0 {
+		t.Errorf("disabled cache held something: %+v", s)
 	}
 }
 
-// TestDecoderPoolConcurrentHammer races many goroutines over every LOD of a
-// handful of objects through one cache (run under -race): single-flight on
-// the decoder slots must serialize pool access, and every returned mesh
-// must match its cold decode.
-func TestDecoderPoolConcurrentHammer(t *testing.T) {
+// TestWarmStartConcurrentHammer races many goroutines over every LOD of a
+// handful of objects through one cache (run under -race): misses resume
+// from warm points and resident entries that other goroutines publish,
+// charge and drop, and every returned mesh must match its cold decode.
+func TestWarmStartConcurrentHammer(t *testing.T) {
 	comp := compressSphere(t, 10, 2)
 	cold := make([]*mesh.Mesh, comp.NumLODs())
 	for lod := range cold {
@@ -184,23 +204,62 @@ func TestDecoderPoolConcurrentHammer(t *testing.T) {
 	}
 	wg.Wait()
 	s := c.Stats()
-	if s.RoundsApplied == 0 {
-		t.Error("no rounds applied under hammer")
+	if s.RoundsApplied == 0 || s.WarmStarts == 0 {
+		t.Errorf("hammer applied %d rounds in %d warm starts, want both > 0", s.RoundsApplied, s.WarmStarts)
 	}
+	checkAccounting(t, c, "quiescent")
 }
 
-// TestDecoderPoolBounded checks the pool evicts LRU decoders past its cap.
-func TestDecoderPoolBounded(t *testing.T) {
+// TestWarmBytesBounded decodes many objects through one shard too small to
+// keep them: each evicted top-LOD entry leaves a charged warm point, and
+// the charged warm points must never take more than half the budget, the
+// oldest going first. A miss on a surviving warm point is served from it
+// outright, replaying no round.
+func TestWarmBytesBounded(t *testing.T) {
 	comp := compressSphere(t, 5, 1)
-	c := NewSharded(1<<24, 1) // one shard: pool cap is exact
-	for i := 0; i < 3*maxDecodersPerShard; i++ {
-		if _, err := c.GetOrDecodeProgressiveCounted(Key{Object: int64(i), LOD: 1}, comp, nil, nil); err != nil {
+	top := comp.MaxLOD()
+	m, err := comp.Decode(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewSharded(8*meshBytes(m), 1)
+	const objects = 40
+	for i := int64(0); i < objects; i++ {
+		if _, err := c.GetOrDecodeProgressiveCounted(Key{Object: i, LOD: top}, comp, nil, nil); err != nil {
 			t.Fatal(err)
 		}
+		checkAccounting(t, c, "admission")
 	}
-	if n := c.NumDecoders(); n > maxDecodersPerShard {
-		t.Errorf("pool holds %d decoders, cap %d", n, maxDecodersPerShard)
+	s := c.shards[0]
+	if s.warmBytes == 0 || len(s.warm) == objects {
+		t.Fatalf("%d warm points charging %d B: the budget never dropped one", len(s.warm), s.warmBytes)
 	}
+	if s.warm[0] != nil || s.warm[objects-1] == nil {
+		t.Error("the charged ring did not drop the oldest warm points first")
+	}
+
+	var newest int64 = -1
+	for obj, w := range s.warm {
+		if w.prev != nil && obj > newest {
+			newest = obj
+		}
+	}
+	if newest < 0 {
+		t.Fatal("no charged warm point to serve from")
+	}
+	var req Counters
+	got, err := c.GetOrDecodeProgressiveCounted(Key{Object: newest, LOD: top}, comp, nil, &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !meshesEqual(got, m) {
+		t.Fatal("mesh served from a warm point differs from the cold decode")
+	}
+	if req.Misses.Load() != 1 || req.WarmStarts.Load() != 1 || req.RoundsApplied.Load() != 0 ||
+		req.RoundsSkipped.Load() != int64(comp.RoundsForLOD(top)) {
+		t.Errorf("serve from a warm point: %+v, want 1 miss, 1 warm start, 0 rounds applied", sumCounters([]*Counters{&req}))
+	}
+	checkAccounting(t, c, "served from a warm point")
 }
 
 // TestShardingSpreadsObjects sanity-checks the sharded constructor: entries

@@ -99,10 +99,10 @@ type obj struct {
 }
 
 // decode fetches the mesh of (ds, id) at lod through the engine cache,
-// accounting decode time and cache hits. Misses resume the object's
-// retained progressive decoder when one sits at a lower LOD (the cache's
-// warm-start protocol), so an FPR candidate walking the LOD ladder replays
-// each decode round at most once.
+// accounting decode time and cache hits. Misses resume from decoded
+// geometry the cache holds at a lower LOD (the cache's warm-start
+// protocol), so an FPR candidate walking the LOD ladder replays each decode
+// round at most once.
 //
 // Decodes are gated by the engine's quarantine breaker, keyed by blob: an
 // object whose blob's breaker is open is refused with ErrQuarantined, in
@@ -185,7 +185,7 @@ func (c *evalCtx) decodeGuarded(ds *Dataset, sto *storage.Object, id int64, lod 
 
 // decodeOnce is a single decode attempt through the engine cache, keyed by
 // blob (ppvp.Compressed.ID): datasets holding the same object share its
-// decodes, warm decoder and accelerators. Under Degrade, a panic out of the
+// decodes, warm point and accelerators. Under Degrade, a panic out of the
 // decoder (or the cache's re-panic after its own cleanup) is converted into
 // an error so the attempt can be retried or the object skipped; under
 // FailFast panics propagate to the caller's recovery, which names the object.

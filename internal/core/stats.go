@@ -32,10 +32,11 @@ type Stats struct {
 	Decodes   int64
 	CacheHits int64
 
-	// WarmStarts counts cache misses that resumed a retained progressive
-	// decoder instead of replaying from LOD 0; RoundsApplied counts decode
-	// rounds actually replayed during this query and RoundsSkipped the
-	// rounds warm starts reused. The cold-path cost would have been
+	// WarmStarts counts cache misses served from decoded geometry the cache
+	// held (an object's warm point or a resident lower LOD) instead of
+	// replaying from LOD 0; RoundsApplied counts decode rounds actually
+	// replayed during this query and RoundsSkipped the rounds warm starts
+	// did not replay. The cold-path cost would have been
 	// RoundsApplied + RoundsSkipped. Attribution is exact: the engine
 	// passes a per-query counter set into every cache call and the cache
 	// increments it at the same points it moves its own shard counters, so

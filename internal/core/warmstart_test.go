@@ -48,7 +48,7 @@ func buildNearMissPair(t *testing.T, e *Engine, centerDists []float64) (*Dataset
 
 // TestFPRWarmStartsProveReuse runs the same join under FR and FPR on one
 // engine each and checks (a) identical results, (b) the FPR run's misses
-// warm-start off retained decoders (RoundsSkipped > 0), and (c) FPR's
+// warm-start off geometry the cache holds (RoundsSkipped > 0), and (c) FPR's
 // decoded rounds stay below the cold-path cost RoundsApplied + RoundsSkipped
 // — the measurable form of "decoding to LOD k and later to LOD k+1 reuses
 // the LOD-k state".
@@ -112,7 +112,7 @@ func TestFPRWarmStartsProveReuse(t *testing.T) {
 }
 
 // TestWithinJoinWarmStarts checks the within-distance join also reuses
-// decoder state under FPR with the AABB accelerator (the bounded dual-tree
+// decoded geometry under FPR with the AABB accelerator (the bounded dual-tree
 // path).
 func TestWithinJoinWarmStarts(t *testing.T) {
 	// Threshold 6 between radius-4 spheres: surface gaps of ~5.6 and ~6.4

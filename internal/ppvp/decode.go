@@ -31,20 +31,41 @@ func (c *Compressed) NewDecoder() (*Decoder, error) {
 	if err != nil {
 		return nil, err
 	}
+	return c.decoderAt(0, base)
+}
+
+// ResumeDecoder returns a decoder positioned at lod whose state is m, the
+// mesh a decode of this blob produced at lod: it starts where that decode
+// stopped instead of replaying its rounds, and DecodeTo from it returns
+// exactly what a cold decode returns. m is copied, not retained. Two faces
+// of m on one vertex set, which no decode produces, are an error, so the
+// caller can decode cold instead.
+func (c *Compressed) ResumeDecoder(lod int, m *mesh.Mesh) (*Decoder, error) {
+	if lod < 0 || lod > c.MaxLOD() {
+		return nil, fmt.Errorf("%w: lod %d of [0,%d]", ErrLODOutOfRange, lod, c.MaxLOD())
+	}
+	return c.decoderAt(c.roundsForLOD(lod), m)
+}
+
+// decoderAt returns a decoder holding a copy of m with rounds applied.
+func (c *Compressed) decoderAt(rounds int, m *mesh.Mesh) (*Decoder, error) {
 	// The header totals are only capacity hints; clamp them by what the
 	// blob could possibly inflate to (DEFLATE expands ≤ ~1032×, a vertex
 	// costs ≥ 3 raw bytes) so a corrupt header cannot force a huge
 	// allocation before the sections are even parsed.
-	vcap := clampCap(c.nVertsTotal, len(base.Vertices), len(c.blob))
-	fcap := clampCap(c.nFacesTotal, len(base.Faces), len(c.blob))
+	vcap := clampCap(c.nVertsTotal, len(m.Vertices), len(c.blob))
+	fcap := clampCap(c.nFacesTotal, len(m.Faces), len(c.blob))
 	d := &Decoder{
-		c:       c,
-		verts:   append(make([]geom.Vec3, 0, vcap), base.Vertices...),
-		faces:   append(make([]mesh.Face, 0, fcap), base.Faces...),
-		faceIdx: newFaceTable(fcap),
+		c:             c,
+		verts:         append(make([]geom.Vec3, 0, vcap), m.Vertices...),
+		faces:         append(make([]mesh.Face, 0, fcap), m.Faces...),
+		faceIdx:       newFaceTable(fcap),
+		roundsApplied: rounds,
 	}
 	for i, f := range d.faces {
-		d.faceIdx.put(d.faces, keyOf(f), int32(i))
+		if !d.faceIdx.put(d.faces, keyOf(f), int32(i)) {
+			return nil, fmt.Errorf("%w: two faces on vertices %v", ErrCorruptBlob, keyOf(f))
+		}
 	}
 	return d, nil
 }
@@ -70,13 +91,6 @@ func clampCap(claimed, have, blobLen int) int {
 // far. A warm-start consumer resuming this decoder skips exactly this many
 // rounds compared to a cold decode.
 func (d *Decoder) RoundsApplied() int { return d.roundsApplied }
-
-// CanAdvanceTo reports whether DecodeTo(lod) is legal for this decoder:
-// progressive decoding can only move forward, so the rounds required by lod
-// must be at or beyond the rounds already applied.
-func (d *Decoder) CanAdvanceTo(lod int) bool {
-	return lod >= 0 && lod <= d.c.MaxLOD() && d.c.roundsForLOD(lod) >= d.roundsApplied
-}
 
 // DecodeTo advances the decoder to the given LOD (which must be ≥ the
 // current LOD) and returns an independent snapshot of the mesh at that LOD.
@@ -140,9 +154,7 @@ func (d *Decoder) applyOp(o *op) error {
 	}
 
 	// Delete the patch faces: swap-remove each. Its slot goes first, so no
-	// slot names idx when the last face moves there and is re-pointed. (A
-	// moved face with the deleted one's key — two faces on one vertex set,
-	// corrupt input only — stays unindexed, as it would in a map.)
+	// slot names idx when the last face moves there and is re-pointed.
 	for _, t := range patch {
 		f := mesh.Face{o.ring[t[0]], o.ring[t[1]], o.ring[t[2]]}
 		key := keyOf(f)
@@ -155,19 +167,22 @@ func (d *Decoder) applyOp(o *op) error {
 		last := int32(len(d.faces) - 1)
 		if idx != last {
 			d.faces[idx] = d.faces[last]
-			if moved := keyOf(d.faces[idx]); moved != key {
-				d.faceIdx.put(d.faces, moved, idx)
-			}
+			d.faceIdx.put(d.faces, keyOf(d.faces[idx]), idx)
 		}
 		d.faces = d.faces[:last]
 	}
 
-	// Restore the vertex and its fan.
+	// Restore the vertex and its fan. A fan face on the vertex set of a
+	// live face (a ring that repeats a vertex, corrupt input only) is
+	// refused: every live face keeps a key of its own, which is what lets
+	// ResumeDecoder rebuild the table from the faces alone.
 	vid := n
 	d.verts = append(d.verts, o.pos)
 	for i := range o.ring {
 		f := mesh.Face{vid, o.ring[i], o.ring[(i+1)%len(o.ring)]}
-		d.faceIdx.put(d.faces, keyOf(f), int32(len(d.faces)))
+		if !d.faceIdx.put(d.faces, keyOf(f), int32(len(d.faces))) {
+			return fmt.Errorf("%w: fan face %v duplicates a live face", ErrCorruptBlob, f)
+		}
 		d.faces = append(d.faces, f)
 	}
 	return nil
@@ -219,17 +234,19 @@ func (t *faceTable) find(faces []mesh.Face, k faceKey) int {
 }
 
 // put maps k to face idx, replacing an existing mapping as a map
-// assignment would. faces need not hold idx yet.
-func (t *faceTable) put(faces []mesh.Face, k faceKey, idx int32) {
+// assignment would, and reports whether k was new. faces need not hold idx
+// yet.
+func (t *faceTable) put(faces []mesh.Face, k faceKey, idx int32) bool {
 	if i := t.find(faces, k); i >= 0 {
 		t.slots[i] = idx + 1
-		return
+		return false
 	}
 	if 2*(t.n+1) > len(t.slots) {
 		t.grow(faces)
 	}
 	t.place(k, idx)
 	t.n++
+	return true
 }
 
 // place stores idx in the first empty slot of k's probe run.

@@ -8,9 +8,11 @@ import (
 )
 
 // FuzzDecode feeds arbitrary blobs through the full parse+decode path. The
-// invariant under fuzzing: corrupt input returns a mesh or an error; it
+// invariants under fuzzing: corrupt input returns a mesh or an error; it
 // never panics, never hangs and never allocates unboundedly from
-// header-claimed sizes.
+// header-claimed sizes; and a decode resumed (ResumeDecoder) from the mesh
+// of any LOD whose decode succeeds reaches the top LOD with exactly the
+// cold decode's mesh, or both fail.
 func FuzzDecode(f *testing.F) {
 	seed := func(m *mesh.Mesh, opts Options) {
 		c, _, err := Compress(m, opts)
@@ -45,12 +47,26 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		m, err := d.DecodeTo(c.MaxLOD())
-		if err != nil {
-			return
-		}
-		if m == nil {
+		top, coldErr := d.DecodeTo(c.MaxLOD())
+		if coldErr == nil && top == nil {
 			t.Fatal("DecodeTo returned nil mesh and nil error")
+		}
+		for j := 0; j < c.MaxLOD(); j++ {
+			mj, err := c.Decode(j)
+			if err != nil {
+				continue
+			}
+			r, err := c.ResumeDecoder(j, mj)
+			if err != nil {
+				t.Fatalf("ResumeDecoder(%d) refused the mesh Decode(%d) returned: %v", j, j, err)
+			}
+			got, err := r.DecodeTo(c.MaxLOD())
+			if (err == nil) != (coldErr == nil) {
+				t.Fatalf("from LOD %d: resumed decode err %v, cold decode err %v", j, err, coldErr)
+			}
+			if err == nil && !meshesEqual(got, top) {
+				t.Fatalf("from LOD %d: resumed decode differs from the cold one", j)
+			}
 		}
 	})
 }

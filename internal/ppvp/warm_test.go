@@ -1,6 +1,7 @@
 package ppvp
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/mesh"
@@ -25,55 +26,100 @@ func meshesEqual(a, b *mesh.Mesh) bool {
 }
 
 // TestWarmStartEquivalence is the warm-start soundness property: for every
-// pair j ≤ k, a decoder advanced to LOD j and later resumed to LOD k must
-// produce exactly the mesh a cold Decode(k) produces. The engine's decode
-// cache relies on this to resume retained decoders on misses.
+// pair j ≤ k, a decoder advanced to LOD j and later resumed to LOD k, and a
+// decoder resumed from the snapshot Decode(j) returned, must both produce
+// exactly the mesh a cold Decode(k) produces, vertex and face order
+// included. The engine's decode cache relies on the second to start a miss
+// from decoded geometry it already holds. It runs over every pinned
+// fixture under both policies, plus two icospheres.
 func TestWarmStartEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		m    *mesh.Mesh
-	}{
-		{"sphere", mesh.Icosphere(10, 3)},
-		{"small", mesh.Icosphere(3, 1)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c, _, err := Compress(tc.m, DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			cold := make([]*mesh.Mesh, c.NumLODs())
-			for k := 0; k <= c.MaxLOD(); k++ {
-				cold[k], err = c.Decode(k)
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			for j := 0; j <= c.MaxLOD(); j++ {
-				for k := j; k <= c.MaxLOD(); k++ {
-					d, err := c.NewDecoder()
+	fixtures := append(pinnedFixtures(),
+		fixture{"sphere", mesh.Icosphere(10, 3)}, fixture{"small", mesh.Icosphere(3, 1)})
+	for _, fx := range fixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			for _, policy := range []Policy{PruneProtruding, PruneAny} {
+				opts := DefaultOptions()
+				opts.Policy = policy
+				t.Run(policy.String(), func(t *testing.T) {
+					c, _, err := Compress(fx.mesh, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					mj, err := d.DecodeTo(j)
-					if err != nil {
-						t.Fatalf("DecodeTo(%d): %v", j, err)
-					}
-					if !meshesEqual(mj, cold[j]) {
-						t.Fatalf("warm intermediate at LOD %d differs from cold", j)
-					}
-					if !d.CanAdvanceTo(k) {
-						t.Fatalf("decoder at LOD %d cannot advance to %d", j, k)
-					}
-					mk, err := d.DecodeTo(k)
-					if err != nil {
-						t.Fatalf("resume DecodeTo(%d) from %d: %v", k, j, err)
-					}
-					if !meshesEqual(mk, cold[k]) {
-						t.Errorf("warm decode %d→%d differs from cold Decode(%d)", j, k, k)
-					}
-				}
+					checkWarmEquivalence(t, c)
+				})
 			}
 		})
+	}
+}
+
+func checkWarmEquivalence(t *testing.T, c *Compressed) {
+	t.Helper()
+	cold := make([]*mesh.Mesh, c.NumLODs())
+	var err error
+	for k := range cold {
+		if cold[k], err = c.Decode(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j := range cold {
+		for k := j; k < len(cold); k++ {
+			d, err := c.NewDecoder()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mj, err := d.DecodeTo(j)
+			if err != nil {
+				t.Fatalf("DecodeTo(%d): %v", j, err)
+			}
+			if !meshesEqual(mj, cold[j]) {
+				t.Fatalf("warm intermediate at LOD %d differs from cold", j)
+			}
+			mk, err := d.DecodeTo(k)
+			if err != nil {
+				t.Fatalf("resume DecodeTo(%d) from %d: %v", k, j, err)
+			}
+			if !meshesEqual(mk, cold[k]) {
+				t.Errorf("warm decode %d→%d differs from cold Decode(%d)", j, k, k)
+			}
+
+			r, err := c.ResumeDecoder(j, cold[j])
+			if err != nil {
+				t.Fatalf("ResumeDecoder(%d): %v", j, err)
+			}
+			if r.RoundsApplied() != c.RoundsForLOD(j) {
+				t.Errorf("ResumeDecoder(%d) starts at round %d, want %d", j, r.RoundsApplied(), c.RoundsForLOD(j))
+			}
+			mr, err := r.DecodeTo(k)
+			if err != nil {
+				t.Fatalf("ResumeDecoder(%d).DecodeTo(%d): %v", j, k, err)
+			}
+			if !meshesEqual(mr, cold[k]) {
+				t.Errorf("resumed decode %d→%d differs from cold Decode(%d)", j, k, k)
+			}
+		}
+	}
+}
+
+// TestResumeDecoderRefusesDuplicateFaces hands ResumeDecoder a snapshot in
+// which two faces share a vertex set, the state no decode produces: it must
+// refuse it, so that the caller decodes cold rather than from a face table
+// that a cold decode would not have built.
+func TestResumeDecoderRefusesDuplicateFaces(t *testing.T) {
+	c, _, err := Compress(mesh.Icosphere(3, 1), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := c.Decode(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := m.Faces[0]
+	dup := &mesh.Mesh{Vertices: m.Vertices, Faces: append(append([]mesh.Face(nil), m.Faces...), mesh.Face{f[0], f[2], f[1]})}
+	if _, err := c.ResumeDecoder(1, dup); !errors.Is(err, ErrCorruptBlob) {
+		t.Errorf("ResumeDecoder on a duplicated face: err = %v, want ErrCorruptBlob", err)
+	}
+	if _, err := c.ResumeDecoder(c.NumLODs(), m); !errors.Is(err, ErrLODOutOfRange) {
+		t.Errorf("ResumeDecoder past the top LOD: err = %v, want ErrLODOutOfRange", err)
 	}
 }
 
@@ -111,9 +157,6 @@ func TestRoundsAccounting(t *testing.T) {
 		t.Errorf("skipped %d + applied %d != cold cost %d", skipped, applied, c.RoundsForLOD(top))
 	}
 	// Rewinding is refused, not silently wrong.
-	if d.CanAdvanceTo(0) {
-		t.Error("CanAdvanceTo(0) true on an advanced decoder")
-	}
 	if _, err := d.DecodeTo(0); err == nil {
 		t.Error("DecodeTo(0) on advanced decoder did not error")
 	}

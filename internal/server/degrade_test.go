@@ -107,8 +107,10 @@ func TestStatuszExposesQuarantine(t *testing.T) {
 	if out.Inflight.Max <= 0 {
 		t.Fatalf("inflight.max = %d", out.Inflight.Max)
 	}
-	if _, ok := out.Cache["decode_failures"]; !ok {
-		t.Fatal("cache stats missing decode_failures")
+	for _, k := range []string{"decode_failures", "warm_bytes"} {
+		if _, ok := out.Cache[k]; !ok {
+			t.Fatalf("cache stats missing %s", k)
+		}
 	}
 	if out.Quarantine.Stats.Open != 1 || out.Quarantine.Stats.Trips != 1 {
 		t.Fatalf("quarantine stats = %+v", out.Quarantine.Stats)

@@ -137,7 +137,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		cs := s.eng.Cache().Stats()
 		out["cache"] = map[string]int64{
 			"hits": cs.Hits, "misses": cs.Misses, "evictions": cs.Evictions,
-			"bytes_used": cs.BytesUsed, "warm_starts": cs.WarmStarts,
+			"bytes_used": cs.BytesUsed, "warm_bytes": cs.WarmBytes, "warm_starts": cs.WarmStarts,
 			"rounds_applied": cs.RoundsApplied, "rounds_skipped": cs.RoundsSkipped,
 			"decode_failures": cs.DecodeFailures,
 		}

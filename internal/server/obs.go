@@ -75,13 +75,13 @@ func (s *Server) initObs() {
 	reg.CounterFunc("threedpro_cache_evictions_total",
 		"Decode-cache evictions.", func() float64 { return float64(cache.Stats().Evictions) })
 	reg.CounterFunc("threedpro_cache_warm_starts_total",
-		"Cache misses served by resuming a retained progressive decoder.",
+		"Cache misses served from decoded geometry the cache held (a warm point or a resident lower LOD).",
 		func() float64 { return float64(cache.Stats().WarmStarts) })
 	reg.CounterFunc("threedpro_cache_rounds_applied_total",
 		"Decode rounds actually replayed by cache misses.",
 		func() float64 { return float64(cache.Stats().RoundsApplied) })
 	reg.CounterFunc("threedpro_cache_rounds_skipped_total",
-		"Decode rounds warm starts reused from retained decoder state.",
+		"Decode rounds warm starts did not replay.",
 		func() float64 { return float64(cache.Stats().RoundsSkipped) })
 	reg.CounterFunc("threedpro_cache_decode_failures_total",
 		"Miss-path decodes that returned an error or panicked.",
@@ -89,6 +89,9 @@ func (s *Server) initObs() {
 	reg.GaugeFunc("threedpro_cache_bytes_used",
 		"Estimated bytes of decoded meshes held by the cache.",
 		func() float64 { return float64(cache.Stats().BytesUsed) })
+	reg.GaugeFunc("threedpro_cache_warm_bytes",
+		"Part of the cache's bytes charged to warm points whose entry has left.",
+		func() float64 { return float64(cache.Stats().WarmBytes) })
 
 	quar := s.eng.Quarantine()
 	reg.GaugeFunc("threedpro_quarantine_open",

@@ -89,6 +89,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"threedpro_cache_rounds_skipped_total":  "counter",
 		"threedpro_cache_decode_failures_total": "counter",
 		"threedpro_cache_bytes_used":            "gauge",
+		"threedpro_cache_warm_bytes":            "gauge",
 		"threedpro_quarantine_open":             "gauge",
 		"threedpro_quarantine_half_open":        "gauge",
 		"threedpro_quarantine_tracked":          "gauge",

@@ -30,12 +30,10 @@ var orphanAllowlist = map[string]string{
 	"(repro/internal/geom.Segment).Dist":         "reference implementation: TestDegenerateConsistency",
 	"(repro/internal/geom.Box3).DistToPoint":     "reference implementation: TestBoxMinDistWitness",
 
-	"(*repro/internal/cache.Cache).NumShards":        "introspection: the cache tests read the shard count",
-	"(*repro/internal/cache.Cache).NumDecoders":      "introspection: the warm-start tests read the retained decoders",
-	"(*repro/internal/cache.Cache).Len":              "introspection: TestEviction and TestClear read the entry count",
-	"(repro/internal/cache.Stats).Sub":               "introspection: TestCountersMatchGlobalDelta and the core attribution tests",
-	"(*repro/internal/ppvp.Compressed).RoundsForLOD": "introspection: TestProgressiveWarmStartMatchesCold and TestRoundsAccounting",
-	"repro/internal/obs.ParsePrometheusText":         "introspection: the /metrics tests parse the exposition with it",
+	"(*repro/internal/cache.Cache).NumShards": "introspection: the cache tests read the shard count",
+	"(*repro/internal/cache.Cache).Len":       "introspection: TestEviction and TestClear read the entry count",
+	"(repro/internal/cache.Stats).Sub":        "introspection: TestCountersMatchGlobalDelta and the core attribution tests",
+	"repro/internal/obs.ParsePrometheusText":  "introspection: the /metrics tests parse the exposition with it",
 }
 
 // TestNoOrphanAPI fails on any exported function or method of an internal/
