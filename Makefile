@@ -78,11 +78,13 @@ fuzz-decode:
 # Coverage-guided fuzzing of the decode cache's books and GDSF eviction heap
 # for $(FUZZTIME): random lookups, memo builds, clears and misses that evict
 # while another entry is in flight, checked after every step. Used bytes are
-# the resident entries plus the charged warm bytes, within the budget; the
-# charged warm bytes stay within half of it; every uncharged warm point
-# shares its slices with the resident entry at its LOD; Clear leaves no warm
-# point; and every victim of the lazily re-ranked heap is the eager argmin
-# of the true GDSF keys.
+# the resident entries plus the charged warm bytes, within the budget; a
+# charged warm point is charged its bare mesh (24 B per vertex, 12 B per
+# face, 4 B per face of tree order when its entry built a tree, and the
+# entry overhead); the charged warm bytes stay within half of it; every
+# uncharged warm point shares its slices with the resident entry at its
+# LOD; Clear leaves no warm point; and every victim of the lazily re-ranked
+# heap is the eager argmin of the true GDSF keys.
 fuzz-cache:
 	$(GO) test -run='^$$' -fuzz='^FuzzCachePolicy$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/cache
 

@@ -13,8 +13,10 @@ import (
 // the mesh reports right now (memos built since admission included) plus
 // the per-entry overhead, plus the charged warm bytes, and the budget
 // holds. Charged warm points are on the charged ring, charged their bare
-// geometry, and hold at most half the budget; every uncharged one shares
-// its slices with the resident entry at its LOD. It also checks the
+// mesh — 24 B per vertex, 12 B per face, 4 B per face of tree order when
+// the entry they came from had built a tree, and the entry overhead — and
+// hold at most half the budget; every uncharged one shares its slices with
+// the resident entry at its LOD. It also checks the
 // eviction order: the heap holds exactly the resident entries of the map,
 // each at the index it records, in heap order, none below the aging clock
 // and none with a stored key above its true key.
@@ -71,8 +73,12 @@ func checkAccounting(t *testing.T, c *Cache, when string) {
 			}
 			charged++
 			warm += w.bytes
-			if bare := int64(len(w.mesh.Vertices))*24 + int64(len(w.mesh.Faces))*12 + entryOverhead; w.bytes != bare {
-				t.Errorf("%s: shard %d warm point %d@%d charged %d, its geometry is %d", when, i, obj, w.lod, w.bytes, bare)
+			bare := int64(len(w.mesh.Vertices))*24 + int64(len(w.mesh.Faces))*12 + entryOverhead
+			if ordered := bare + int64(len(w.mesh.Faces))*4; w.bytes != bare && w.bytes != ordered {
+				t.Errorf("%s: shard %d warm point %d@%d charged %d, its geometry is %d, with a tree order %d", when, i, obj, w.lod, w.bytes, bare, ordered)
+			}
+			if w.bytes != meshBytes(w.mesh) {
+				t.Errorf("%s: shard %d warm point %d@%d charged %d, its mesh reports %d", when, i, obj, w.lod, w.bytes, meshBytes(w.mesh))
 			}
 		}
 		ring := 0

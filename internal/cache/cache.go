@@ -74,7 +74,11 @@ type Stats struct {
 
 	// WarmStarts counts misses served from decoded geometry the cache held
 	// (a warm point or a resident lower LOD) instead of decoding from LOD 0.
+	// WarmServes, a subset, counts misses served outright from a warm point
+	// at the requested LOD, with no round replayed: the misses whose AABB
+	// tree is rebuilt from the warm point's tree order in O(n).
 	WarmStarts int64
+	WarmServes int64
 	// RoundsApplied counts decode rounds actually replayed by misses;
 	// RoundsSkipped counts rounds that warm starts did not replay.
 	// Cold-decoding everything would have cost RoundsApplied +
@@ -101,6 +105,7 @@ type Counters struct {
 	Hits           atomic.Int64
 	Misses         atomic.Int64
 	WarmStarts     atomic.Int64
+	WarmServes     atomic.Int64
 	RoundsApplied  atomic.Int64
 	RoundsSkipped  atomic.Int64
 	DecodeFailures atomic.Int64
@@ -116,6 +121,7 @@ func (s Stats) add(o Stats) Stats {
 	s.BytesUsed += o.BytesUsed
 	s.WarmBytes += o.WarmBytes
 	s.WarmStarts += o.WarmStarts
+	s.WarmServes += o.WarmServes
 	s.RoundsApplied += o.RoundsApplied
 	s.RoundsSkipped += o.RoundsSkipped
 	s.DecodeFailures += o.DecodeFailures
@@ -132,6 +138,7 @@ func (s Stats) Sub(o Stats) Stats {
 		BytesUsed:      s.BytesUsed,
 		WarmBytes:      s.WarmBytes,
 		WarmStarts:     s.WarmStarts - o.WarmStarts,
+		WarmServes:     s.WarmServes - o.WarmServes,
 		RoundsApplied:  s.RoundsApplied - o.RoundsApplied,
 		RoundsSkipped:  s.RoundsSkipped - o.RoundsSkipped,
 		DecodeFailures: s.DecodeFailures - o.DecodeFailures,
@@ -191,13 +198,16 @@ func (q *byPriority) Pop() any {
 // warmPoint is the highest LOD of one object that the progressive path has
 // decoded, kept so that a later miss resumes from it: a bare mesh on the
 // slices of the entry it came from. While that entry is resident it pays
-// for them. When it leaves, the warm point is charged its vertices, faces
-// and the entry overhead and joins the shard's ring of charged warm points;
-// an entry admitted on its slices again (served from it) pays once more.
+// for them. When it leaves, the warm point becomes that entry's mesh.Bare —
+// which adds the tree order of the entry's AABB tree, if one was built — is
+// charged its vertices, faces, tree order and the entry overhead, and joins
+// the shard's ring of charged warm points; an entry admitted on its slices
+// again (served from it, through Bare) pays once more and rebuilds the same
+// tree from that order in O(n).
 type warmPoint struct {
 	obj        int64
 	lod        int
-	mesh       *mesh.Mesh // no memos, never handed out
+	mesh       *mesh.Mesh // no memos; handed out through Bare only
 	payer      *entry     // the resident entry on the slices, nil if charged
 	bytes      int64      // the charge while charged
 	prev, next *warmPoint // the charged ring, most recent first; nil if not
@@ -360,7 +370,7 @@ func (s *shard) complete(e *entry, m *mesh.Mesh, top int, progressive bool, err 
 			s.unchargeLocked(w)
 		}
 		if w == nil || w.lod < e.key.LOD {
-			w = &warmPoint{obj: e.key.Object, lod: e.key.LOD, mesh: &mesh.Mesh{Vertices: m.Vertices, Faces: m.Faces}}
+			w = &warmPoint{obj: e.key.Object, lod: e.key.LOD, mesh: m.Bare()}
 			s.warm[e.key.Object] = w
 		}
 		w.payer = e
@@ -539,12 +549,14 @@ func (s *shard) decodeWarm(key Key, comp *ppvp.Compressed, req *Counters) (*mesh
 	s.mu.Unlock()
 
 	var m *mesh.Mesh
-	var starts, applied, skipped int64
+	var starts, serves, applied, skipped int64
 	if seed != nil {
 		starts, skipped = 1, int64(comp.RoundsForLOD(from))
 	}
 	if seed != nil && from == key.LOD {
-		m = &mesh.Mesh{Vertices: seed.Vertices, Faces: seed.Faces}
+		// Only the warm point sits at key.LOD. Its bare mesh carries the
+		// tree order of the last tree built on these slices.
+		m, serves = seed.Bare(), 1
 	} else {
 		var dec *ppvp.Decoder
 		var err error
@@ -566,10 +578,12 @@ func (s *shard) decodeWarm(key Key, comp *ppvp.Compressed, req *Counters) (*mesh
 
 	s.mu.Lock()
 	s.stats.WarmStarts += starts
+	s.stats.WarmServes += serves
 	s.stats.RoundsApplied += applied
 	s.stats.RoundsSkipped += skipped
 	s.mu.Unlock()
 	req.WarmStarts.Add(starts)
+	req.WarmServes.Add(serves)
 	req.RoundsApplied.Add(applied)
 	req.RoundsSkipped.Add(skipped)
 	return m, nil
@@ -627,22 +641,25 @@ func (s *shard) evictLocked() {
 
 // removeLocked drops a complete entry from the shard and releases its charge.
 // Leaving the heap sets idx to -1, which tells a late reaccount the entry is
-// gone. A warm point on the entry's slices is charged from now on.
+// gone. A warm point on the entry's slices becomes the entry's bare mesh,
+// keeping its tree order, and is charged from now on.
 func (s *shard) removeLocked(e *entry) {
 	heap.Remove(&s.resident, e.idx)
 	delete(s.entries, e.key)
 	s.used -= e.bytes
 	if w := s.warm[e.key.Object]; w != nil && w.payer == e {
+		w.mesh = e.mesh.Bare()
 		s.chargeLocked(w)
 	}
 }
 
-// chargeLocked charges w its bare geometry and puts it at the front of the
+// chargeLocked charges w its bare mesh — vertices, faces and tree order,
+// 24 B per vertex and 12 + 4 B per face — and puts it at the front of the
 // charged ring, dropping the ring's oldest warm points while they hold more
 // than half the shard's budget.
 func (s *shard) chargeLocked(w *warmPoint) {
 	w.payer = nil
-	w.bytes = int64(len(w.mesh.Vertices))*24 + int64(len(w.mesh.Faces))*12 + entryOverhead
+	w.bytes = meshBytes(w.mesh)
 	s.used += w.bytes
 	s.warmBytes += w.bytes
 	w.prev, w.next = &s.charged, s.charged.next

@@ -15,6 +15,7 @@ func sumCounters(cs []*Counters) Stats {
 		s.Hits += c.Hits.Load()
 		s.Misses += c.Misses.Load()
 		s.WarmStarts += c.WarmStarts.Load()
+		s.WarmServes += c.WarmServes.Load()
 		s.RoundsApplied += c.RoundsApplied.Load()
 		s.RoundsSkipped += c.RoundsSkipped.Load()
 		s.DecodeFailures += c.DecodeFailures.Load()
@@ -87,7 +88,7 @@ func TestCountersMatchGlobalDelta(t *testing.T) {
 		}
 		s.mu.Unlock()
 	}
-	if served.WarmStarts.Load() != 1 || served.RoundsSkipped.Load() != int64(comp.RoundsForLOD(top.LOD)) {
+	if served.WarmStarts.Load() != 1 || served.WarmServes.Load() != 1 || served.RoundsSkipped.Load() != int64(comp.RoundsForLOD(top.LOD)) {
 		t.Errorf("second miss was not served from the warm point: %+v", sumCounters([]*Counters{served}))
 	}
 
@@ -99,7 +100,7 @@ func TestCountersMatchGlobalDelta(t *testing.T) {
 	if got != delta {
 		t.Errorf("per-request counter sum diverges from global delta:\n  sum   = %+v\n  delta = %+v", got, delta)
 	}
-	if got.Hits == 0 || got.WarmStarts == 0 || got.DecodeFailures == 0 {
+	if got.Hits == 0 || got.WarmStarts == 0 || got.WarmServes == 0 || got.DecodeFailures == 0 {
 		t.Errorf("hammer did not exercise all paths: %+v", got)
 	}
 }

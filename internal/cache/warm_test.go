@@ -3,6 +3,7 @@ package cache
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -260,6 +261,52 @@ func TestWarmBytesBounded(t *testing.T) {
 		t.Errorf("serve from a warm point: %+v, want 1 miss, 1 warm start, 0 rounds applied", sumCounters([]*Counters{&req}))
 	}
 	checkAccounting(t, c, "served from a warm point")
+}
+
+// TestWarmServeRebuildsSameTree: an evicted entry's warm point keeps the
+// tree order of the entry's AABB tree and is charged for it, and a miss
+// served from it outright hands out a mesh whose tree is the evicted one,
+// rebuilt from that very order.
+func TestWarmServeRebuildsSameTree(t *testing.T) {
+	comp := compressSphere(t, 10, 3)
+	key := Key{Object: 1, LOD: comp.MaxLOD()}
+	c := NewSharded(1<<20, 1)
+	first, err := c.GetOrDecodeProgressiveCounted(key, comp, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := first.Tree()
+
+	s := c.shards[0]
+	s.mu.Lock()
+	s.removeLocked(s.entries[key])
+	w := s.warm[key.Object]
+	s.mu.Unlock()
+	nv, nf := int64(len(first.Vertices)), int64(len(first.Faces))
+	if w == nil || w.bytes != 24*nv+16*nf+entryOverhead {
+		t.Fatalf("evicted entry's warm point %+v, want one charged 24 B/vertex + 16 B/face + overhead", w)
+	}
+	checkAccounting(t, c, "evicted")
+
+	var req Counters
+	served, err := c.GetOrDecodeProgressiveCounted(key, comp, nil, &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, built := served.Tree()
+	if served == first || !built {
+		t.Fatal("the serve handed out the evicted mesh, or its tree was not built anew")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("the tree rebuilt from the warm point differs from the evicted entry's")
+	}
+	if &got.Order()[0] != &want.Order()[0] {
+		t.Error("the rebuilt tree did not reuse the evicted tree's order")
+	}
+	if req.WarmServes.Load() != 1 || req.RoundsApplied.Load() != 0 || c.Stats().WarmServes != 1 {
+		t.Errorf("serve counted %+v, cache %+v; want 1 warm serve, 0 rounds applied", sumCounters([]*Counters{&req}), c.Stats())
+	}
+	checkAccounting(t, c, "served")
 }
 
 // TestShardingSpreadsObjects sanity-checks the sharded constructor: entries

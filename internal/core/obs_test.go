@@ -48,17 +48,21 @@ func TestConcurrentQueriesExactAttribution(t *testing.T) {
 	}
 
 	delta := e.Cache().Stats().Sub(before)
-	var hits, misses, warm, applied, skipped, failures int64
+	var hits, misses, warm, serves, applied, skipped, failures int64
 	for _, st := range stats {
 		hits += st.CacheHits
 		misses += st.Decodes
 		warm += st.WarmStarts
+		serves += st.WarmServes
 		applied += st.RoundsApplied
 		skipped += st.RoundsSkipped
 		failures += st.DecodeFailures
 	}
 	if warm != delta.WarmStarts {
 		t.Errorf("sum of per-query WarmStarts = %d, cache delta = %d", warm, delta.WarmStarts)
+	}
+	if serves != delta.WarmServes {
+		t.Errorf("sum of per-query WarmServes = %d, cache delta = %d", serves, delta.WarmServes)
 	}
 	if applied != delta.RoundsApplied {
 		t.Errorf("sum of per-query RoundsApplied = %d, cache delta = %d", applied, delta.RoundsApplied)

@@ -34,15 +34,18 @@ type Stats struct {
 
 	// WarmStarts counts cache misses served from decoded geometry the cache
 	// held (an object's warm point or a resident lower LOD) instead of
-	// replaying from LOD 0; RoundsApplied counts decode rounds actually
-	// replayed during this query and RoundsSkipped the rounds warm starts
-	// did not replay. The cold-path cost would have been
-	// RoundsApplied + RoundsSkipped. Attribution is exact: the engine
+	// replaying from LOD 0; WarmServes, a subset, counts the ones served
+	// outright from a warm point at the requested LOD, with no round
+	// replayed and the AABB tree rebuilt from the warm point's tree order
+	// in O(n). RoundsApplied counts decode rounds actually replayed during
+	// this query and RoundsSkipped the rounds warm starts did not replay.
+	// The cold-path cost would have been RoundsApplied + RoundsSkipped. Attribution is exact: the engine
 	// passes a per-query counter set into every cache call and the cache
 	// increments it at the same points it moves its own shard counters, so
 	// concurrent queries on one engine never bleed into each other's
 	// numbers.
 	WarmStarts    int64
+	WarmServes    int64
 	RoundsApplied int64
 	RoundsSkipped int64
 
@@ -167,6 +170,7 @@ var Counters = [...]Counter{
 	{"decodes", func(s *Stats) *int64 { return &s.Decodes }},
 	{"cache_hits", func(s *Stats) *int64 { return &s.CacheHits }},
 	{"warm_starts", func(s *Stats) *int64 { return &s.WarmStarts }},
+	{"warm_serves", func(s *Stats) *int64 { return &s.WarmServes }},
 	{"rounds_applied", func(s *Stats) *int64 { return &s.RoundsApplied }},
 	{"rounds_skipped", func(s *Stats) *int64 { return &s.RoundsSkipped }},
 	{"batches_dispatched", func(s *Stats) *int64 { return &s.BatchesDispatched }},
@@ -403,6 +407,7 @@ func (c *collector) snapshot(elapsed time.Duration) *Stats {
 	}
 	s.Elapsed = elapsed
 	s.WarmStarts = c.cacheCtrs.WarmStarts.Load()
+	s.WarmServes = c.cacheCtrs.WarmServes.Load()
 	s.RoundsApplied = c.cacheCtrs.RoundsApplied.Load()
 	s.RoundsSkipped = c.cacheCtrs.RoundsSkipped.Load()
 	s.DecodeFailures = c.cacheCtrs.DecodeFailures.Load()

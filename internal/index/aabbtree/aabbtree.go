@@ -6,6 +6,7 @@
 package aabbtree
 
 import (
+	"errors"
 	"math"
 
 	"repro/internal/geom"
@@ -29,9 +30,16 @@ const nodeBytes = 64
 // SoA lanes laid out in tree order, so every leaf is a contiguous run of
 // the lanes and the triangles and their boxes are stored exactly once. It
 // is safe for concurrent queries after construction.
+//
+// The node topology depends on the triangle count alone (ranges halve at
+// (lo+hi)/2 down to leaves of at most maxLeafSize, in preorder) and every
+// box is the exact union of what lies below it, so a tree is a permutation
+// plus geometry: order, which input triangle sits at each tree-ordered
+// lane, rebuilds it in O(n) through BuildOrdered.
 type Tree struct {
 	s     *geom.TriSoA
 	nodes []node
+	order []int32
 	root  int32
 }
 
@@ -66,8 +74,8 @@ func BuildSoA(s *geom.TriSoA) *Tree {
 		key[1][i] = s.AY[i] + s.BY[i] + s.CY[i]
 		key[2][i] = s.AZ[i] + s.BZ[i] + s.CZ[i]
 	}
-	t, order := build([6][]float64{s.MinX, s.MinY, s.MinZ, s.MaxX, s.MaxY, s.MaxZ}, key)
-	t.s = s.Gather(order)
+	t := build([6][]float64{s.MinX, s.MinY, s.MinZ, s.MaxX, s.MaxY, s.MaxZ}, key)
+	t.s = s.Gather(t.order)
 	return t
 }
 
@@ -94,20 +102,100 @@ func BuildFaces[F ~[3]int32](verts []geom.Vec3, faces []F) *Tree {
 		s.MinY[i], s.MaxY[i] = geom.MinMax3(a.Y, b.Y, c.Y)
 		s.MinZ[i], s.MaxZ[i] = geom.MinMax3(a.Z, b.Z, c.Z)
 	}
-	t, order := build([6][]float64{s.MinX, s.MinY, s.MinZ, s.MaxX, s.MaxY, s.MaxZ}, key)
-	for i, o := range order {
-		f := faces[o]
-		s.Set(i, verts[f[0]], verts[f[1]], verts[f[2]])
-	}
+	t := build([6][]float64{s.MinX, s.MinY, s.MinZ, s.MaxX, s.MaxY, s.MaxZ}, key)
+	packOrdered(s, verts, faces, t.order)
 	t.s = s
 	return t
 }
 
+// errNotPermutation is BuildOrdered's refusal of an order that is not a
+// permutation of the faces' indices.
+var errNotPermutation = errors.New("aabbtree: order is not a permutation of the faces")
+
+// BuildOrdered rebuilds, in O(n), the tree whose tree order is order: it
+// packs the faces into the lanes in that order and computes the node boxes
+// bottom-up, a leaf's from its lanes and an inner node's as the union of its
+// children's, with no selection and no top-down box scans. Given the Order
+// of an earlier build over the same vertices and faces, the result is that
+// build's tree, equal in every node and lane. Any other permutation still
+// yields a valid tree with exact boxes, only a looser one, so answers never
+// depend on where order came from. An order that is not a permutation of
+// [0, len(faces)) is refused with an error; the caller then builds with
+// BuildFaces. The tree keeps order as its own Order: the caller must not
+// modify it afterwards.
+func BuildOrdered[F ~[3]int32](verts []geom.Vec3, faces []F, order []int32) (*Tree, error) {
+	n := len(faces)
+	if len(order) != n {
+		return nil, errNotPermutation
+	}
+	seen := make([]uint64, (n+63)/64)
+	for _, o := range order {
+		if o < 0 || int(o) >= n || seen[o>>6]&(1<<(o&63)) != 0 {
+			return nil, errNotPermutation
+		}
+		seen[o>>6] |= 1 << (o & 63)
+	}
+	s := geom.NewTriSoA(n)
+	if n == 0 {
+		return &Tree{s: s, root: -1}, nil
+	}
+	packOrdered(s, verts, faces, order)
+	b := boxFiller{s: s, nodes: make([]node, 0, nodeCount(n))}
+	root := b.fill(0, int32(n))
+	return &Tree{s: s, nodes: b.nodes, order: order, root: root}, nil
+}
+
+// packOrdered lays the faces out in s's lanes in the given tree order.
+func packOrdered[F ~[3]int32](s *geom.TriSoA, verts []geom.Vec3, faces []F, order []int32) {
+	for i, o := range order {
+		f := faces[o]
+		s.Set(i, verts[f[0]], verts[f[1]], verts[f[2]])
+	}
+}
+
+// boxFiller is BuildOrdered's construction state: the tree-ordered lanes
+// and the preorder node array being filled.
+type boxFiller struct {
+	s     *geom.TriSoA
+	nodes []node
+}
+
+// fill appends the subtree over lanes [lo, hi) in preorder, splitting at
+// the midpoint exactly as builder.build does, and returns its root index.
+// A node's box is set once its subtree is filled: the union of its lanes'
+// boxes for a leaf, of its children's boxes otherwise. Both are exact
+// unions, grown with the comparisons builder.build scans its lanes with, so
+// every bound equals the one a full build finds.
+func (b *boxFiller) fill(lo, hi int32) int32 {
+	idx := int32(len(b.nodes))
+	b.nodes = append(b.nodes, node{left: -1, right: -1, start: lo, end: hi})
+	if hi-lo <= maxLeafSize {
+		s, box := b.s, geom.EmptyBox()
+		for i := lo; i < hi; i++ {
+			box.Min.X, box.Max.X = geom.GrowInterval(box.Min.X, box.Max.X, s.MinX[i], s.MaxX[i])
+			box.Min.Y, box.Max.Y = geom.GrowInterval(box.Min.Y, box.Max.Y, s.MinY[i], s.MaxY[i])
+			box.Min.Z, box.Max.Z = geom.GrowInterval(box.Min.Z, box.Max.Z, s.MinZ[i], s.MaxZ[i])
+		}
+		b.nodes[idx].box = box
+		return idx
+	}
+	mid := (lo + hi) / 2
+	left := b.fill(lo, mid)
+	right := b.fill(mid, hi)
+	box, r := b.nodes[left].box, b.nodes[right].box
+	box.Min.X, box.Max.X = geom.GrowInterval(box.Min.X, box.Max.X, r.Min.X, r.Max.X)
+	box.Min.Y, box.Max.Y = geom.GrowInterval(box.Min.Y, box.Max.Y, r.Min.Y, r.Max.Y)
+	box.Min.Z, box.Max.Z = geom.GrowInterval(box.Min.Z, box.Max.Z, r.Min.Z, r.Max.Z)
+	b.nodes[idx].box = box
+	b.nodes[idx].left, b.nodes[idx].right = left, right
+	return idx
+}
+
 // build constructs the node array over n > 0 triangles from their boxes
-// (MinX, MinY, MinZ, MaxX, MaxY, MaxZ lanes) and centroid keys, and returns
-// it with the permutation of the triangles into tree order. The tree's
+// (MinX, MinY, MinZ, MaxX, MaxY, MaxZ lanes) and centroid keys, with the
+// permutation of the triangles into tree order as its Order. The tree's
 // lanes are the caller's to lay out in that order.
-func build(box [6][]float64, key [3][]float64) (*Tree, []int32) {
+func build(box [6][]float64, key [3][]float64) *Tree {
 	n := len(box[0])
 	b := builder{
 		box:   box,
@@ -119,8 +207,8 @@ func build(box [6][]float64, key [3][]float64) (*Tree, []int32) {
 		b.order[i] = int32(i)
 	}
 	t := &Tree{root: b.build(0, int32(n))}
-	t.nodes = b.nodes
-	return t, b.order
+	t.nodes, t.order = b.nodes, b.order
+	return t
 }
 
 // nodeCount returns the exact number of nodes build creates for n > 0
@@ -215,9 +303,16 @@ func selectNth(idx []int32, key []float64, k int) {
 // shared with the tree and read-only.
 func (t *Tree) SoA() *geom.TriSoA { return t.s }
 
-// NodeBytes returns the memory held by the node array — the tree's whole
-// footprint beyond the lanes SoA returns.
-func (t *Tree) NodeBytes() int64 { return int64(cap(t.nodes)) * nodeBytes }
+// Order returns the tree order: Order()[i] is the index, in the input the
+// tree was built from, of the triangle at tree-ordered lane i. It is nil
+// for an empty tree, shared with the tree and read-only. BuildOrdered
+// rebuilds the tree from it in O(n).
+func (t *Tree) Order() []int32 { return t.order }
+
+// NodeBytes returns the memory held by the node array and the tree order
+// (4 B per triangle) — the tree's whole footprint beyond the lanes SoA
+// returns.
+func (t *Tree) NodeBytes() int64 { return int64(cap(t.nodes))*nodeBytes + int64(cap(t.order))*4 }
 
 // Bounds returns the bounding box of all indexed triangles.
 func (t *Tree) Bounds() geom.Box3 {

@@ -1,6 +1,7 @@
 package aabbtree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -151,16 +152,128 @@ func TestBuildFacesMatchesBuildSoA(t *testing.T) {
 	sets := degenerateSets(rng)
 	sets["random"] = randomSet(rng, 1025, geom.Vec3{}, 20, 2)
 	for name, set := range sets {
-		verts := make([]geom.Vec3, 0, 3*len(set))
-		faces := make([][3]int32, len(set))
-		for i, tri := range set {
-			verts = append(verts, tri.A, tri.B, tri.C)
-			faces[i] = [3]int32{int32(3 * i), int32(3*i + 1), int32(3*i + 2)}
-		}
+		verts, faces := indexed(set)
 		if got, want := BuildFaces(verts, faces), BuildSoA(geom.SoAFromTriangles(set)); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: BuildFaces differs from BuildSoA", name)
 		}
 	}
+}
+
+// indexed lists the triangles as an indexed mesh, three vertices each.
+func indexed(set []geom.Triangle) ([]geom.Vec3, [][3]int32) {
+	verts := make([]geom.Vec3, 0, 3*len(set))
+	faces := make([][3]int32, len(set))
+	for i, tri := range set {
+		verts = append(verts, tri.A, tri.B, tri.C)
+		faces[i] = [3]int32{int32(3 * i), int32(3*i + 1), int32(3*i + 2)}
+	}
+	return verts, faces
+}
+
+// TestBuildOrderedMatchesBuildFaces: the tree rebuilt from a build's tree
+// order is that build's tree, nodes, lanes and order alike, on the inputs
+// the median split finds hardest and on random sets of every leaf-boundary
+// size.
+func TestBuildOrderedMatchesBuildFaces(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	sets := degenerateSets(rng)
+	for _, n := range []int{2, 7, 8, 9, 63, 64, 65, 1000, 1025} {
+		sets[fmt.Sprint("random-", n)] = randomSet(rng, n, geom.Vec3{}, 20, 2)
+	}
+	for name, set := range sets {
+		verts, faces := indexed(set)
+		want := BuildFaces(verts, faces)
+		got, err := BuildOrdered(verts, faces, want.Order())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: BuildOrdered from BuildFaces' order differs from BuildFaces", name)
+		}
+	}
+}
+
+// FuzzBuildOrdered rebuilds a random indexed set (shared vertices, as in a
+// mesh) under a random permutation: the tree must pass checkStructure, lay
+// the lanes out in that order, and answer IntersectsTree and
+// MinDist2Bounded against another random set exactly as the pairwise loops
+// do. Orders with a duplicate, an index out of range or the wrong length
+// are refused.
+func FuzzBuildOrdered(f *testing.F) {
+	f.Add(int64(1), uint16(0))
+	f.Add(int64(2), uint16(1))
+	f.Add(int64(3), uint16(maxLeafSize+1))
+	f.Add(int64(4), uint16(97))
+	f.Add(int64(5), uint16(300))
+	f.Fuzz(func(t *testing.T, seed int64, size uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		n := int(size) % 512
+		verts := make([]geom.Vec3, 1+rng.Intn(n+3))
+		for i := range verts {
+			verts[i] = geom.V(rng.Float64()*8, rng.Float64()*8, rng.Float64()*8)
+		}
+		faces := make([][3]int32, n)
+		input := make([]geom.Triangle, n)
+		for i := range faces {
+			for k := range faces[i] {
+				faces[i][k] = int32(rng.Intn(len(verts)))
+			}
+			input[i] = geom.Triangle{A: verts[faces[i][0]], B: verts[faces[i][1]], C: verts[faces[i][2]]}
+		}
+		order := make([]int32, n)
+		for i, p := range rng.Perm(n) {
+			order[i] = int32(p)
+		}
+
+		tr, err := BuildOrdered(verts, faces, order)
+		if err != nil {
+			t.Fatalf("permutation of %d refused: %v", n, err)
+		}
+		checkStructure(t, tr, input)
+		for i, o := range order {
+			if tr.SoA().At(i) != input[o] {
+				t.Fatalf("lane %d holds a triangle other than input %d", i, o)
+			}
+		}
+
+		other := randomSet(rng, 1+rng.Intn(40), geom.V(rng.Float64()*10-1, 0, 0), 6, 1.5)
+		wantHit, want2 := false, math.Inf(1)
+		for _, x := range input {
+			for _, y := range other {
+				wantHit = wantHit || geom.TriTriIntersect(x, y)
+				want2 = math.Min(want2, geom.TriTriDist2(x, y))
+			}
+		}
+		ot := Build(other)
+		if got := tr.IntersectsTree(ot); got != wantHit {
+			t.Errorf("IntersectsTree = %v, brute %v", got, wantHit)
+		}
+		if got := tr.MinDist2Bounded(ot, math.Inf(1), 0); got != want2 {
+			t.Errorf("MinDist2Bounded = %v, brute %v", got, want2)
+		}
+
+		bad := map[string][]int32{"long": append(slices.Clone(order), 0)}
+		if n > 0 {
+			bad["short"] = order[:n-1]
+			out := slices.Clone(order)
+			out[rng.Intn(n)] = int32(n)
+			bad["out of range"] = out
+			neg := slices.Clone(order)
+			neg[rng.Intn(n)] = -1
+			bad["negative"] = neg
+		}
+		if n > 1 {
+			dup := slices.Clone(order)
+			i := rng.Intn(n)
+			dup[i] = dup[(i+1+rng.Intn(n-1))%n]
+			bad["duplicate"] = dup
+		}
+		for name, o := range bad {
+			if _, err := BuildOrdered(verts, faces, o); err == nil {
+				t.Errorf("%s order of %d faces accepted", name, n)
+			}
+		}
+	})
 }
 
 // TestBuildLeavesInputUntouched: callers (the mesh memo, the benchmark's
@@ -277,5 +390,18 @@ func BenchmarkBuildSoA(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BuildSoA(s)
+	}
+}
+
+func BenchmarkBuildOrdered(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	verts, faces := indexed(randomSet(rng, 5120, geom.Vec3{}, 50, 1))
+	order := BuildFaces(verts, faces).Order()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildOrdered(verts, faces, order); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

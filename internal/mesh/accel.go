@@ -10,17 +10,26 @@ import (
 // reports whether this call did. The tree is an artefact of the mesh: it is
 // shared by every query that reaches this mesh and is dropped with it.
 //
+// A mesh that Bare handed the tree order of an earlier build rebuilds that
+// tree in O(n) with aabbtree.BuildOrdered, skipping the median selection;
+// any other mesh, or one whose hint no longer fits its faces, builds with
+// aabbtree.BuildFaces. Both give the same tree for the same order.
+//
 // Publishing the tree also makes its tree-ordered lanes the mesh's SoA
 // memo, so the triangles stay resident once — the tree adds only its node
-// array. The tree packs those lanes straight from Faces, once, whether or
-// not a face-order memo was published before it. Readers still holding the previous packing keep a valid, immutable set;
+// array and its tree order. The tree packs those lanes straight from
+// Faces, once, whether or not a face-order memo was published before it.
+// Readers still holding the previous packing keep a valid, immutable set;
 // it is freed when they finish. Concurrent first calls may race to build;
 // one tree is published and the losers' duplicates are discarded.
 func (m *Mesh) Tree() (t *aabbtree.Tree, built bool) {
 	if t := m.tree.Load(); t != nil {
 		return t, false
 	}
-	t = aabbtree.BuildFaces(m.Vertices, m.Faces)
+	t, err := aabbtree.BuildOrdered(m.Vertices, m.Faces, m.treeOrder)
+	if err != nil { // no hint, or one that does not fit the faces
+		t = aabbtree.BuildFaces(m.Vertices, m.Faces)
+	}
 	if !m.tree.CompareAndSwap(nil, t) {
 		return m.tree.Load(), false
 	}

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -70,6 +71,50 @@ func TestTreeMemoAdoptsTreeOrderedLanes(t *testing.T) {
 	m.Translate(geom.V(1, 0, 0))
 	if again, built := m.Tree(); !built || again == tree {
 		t.Fatal("a mutation did not drop the tree memo")
+	}
+}
+
+// TestBareRebuildsTreeFromOrder: a bare mesh carries the tree order of the
+// mesh it came from, counted once in its footprint, and rebuilds the very
+// tree from it; a hint that no longer fits the faces falls back to a full
+// build, and a mutation drops it.
+func TestBareRebuildsTreeFromOrder(t *testing.T) {
+	m := Icosphere(2, 2)
+	geomBytes := int64(len(m.Vertices))*24 + int64(len(m.Faces))*12
+	if b := m.Bare(); b.treeOrder != nil || b.FootprintBytes() != geomBytes {
+		t.Fatalf("bare mesh of a mesh with no tree carries an order, or costs %d B, not %d", b.FootprintBytes(), geomBytes)
+	}
+	tree, _ := m.Tree()
+	b := m.Bare()
+	if got, want := b.FootprintBytes(), geomBytes+4*int64(len(m.Faces)); got != want {
+		t.Fatalf("bare mesh with a tree order costs %d B, want %d", got, want)
+	}
+	again, built := b.Tree()
+	if !built || !reflect.DeepEqual(again, tree) {
+		t.Fatal("the bare mesh did not rebuild the same tree")
+	}
+	if &again.Order()[0] != &tree.Order()[0] {
+		t.Fatal("the rebuilt tree does not share the hint's order")
+	}
+	if got, want := b.FootprintBytes(), geomBytes+again.SoA().Bytes()+again.NodeBytes(); got != want {
+		t.Fatalf("FootprintBytes = %d, want %d (the order counted once)", got, want)
+	}
+	if b.Bare().treeOrder == nil || m.Bare().Bare().treeOrder == nil {
+		t.Fatal("Bare of a bare mesh dropped the order")
+	}
+
+	short := m.Bare()
+	short.Faces = short.Faces[:len(short.Faces)-1]
+	if tr, _ := short.Tree(); !sameTriangles(short, tr.SoA()) {
+		t.Fatal("a tree built past a stale hint lost or duplicated faces")
+	}
+
+	c := Icosphere(2, 2)
+	c.Tree()
+	moved := c.Bare()
+	moved.Translate(geom.V(1, 0, 0))
+	if moved.treeOrder != nil {
+		t.Fatal("a mutation kept the tree-order hint")
 	}
 }
 

@@ -41,6 +41,11 @@ type Mesh struct {
 	// groups is the sub-object partition (accel.go).
 	groups atomic.Pointer[Groups]
 
+	// treeOrder, set by Bare and dropped by mutating methods, is the tree
+	// order of an earlier AABB-tree build over these faces: Tree rebuilds
+	// that tree from it in O(n) (accel.go).
+	treeOrder []int32
+
 	// onFootprint, when set, is called after every memo change.
 	onFootprint atomic.Pointer[func()]
 }
@@ -103,15 +108,21 @@ func (m *Mesh) SoA() *geom.TriSoA {
 }
 
 // FootprintBytes returns the resident size of the mesh plus whatever derived
-// memos (SoA lanes, AABB-tree nodes, partition groups) are
-// materialized right now. It grows as memos are built; an owner that budgets
-// by it (the decode cache) registers with OnFootprintChange to hear when.
+// memos (SoA lanes, AABB-tree nodes and tree order, partition groups) are
+// materialized right now, and the tree-order hint Bare left on it (4 B per
+// face). The order is counted once: a tree built from the hint shares its
+// slice. It grows as memos are built; an owner that budgets by it (the
+// decode cache) registers with OnFootprintChange to hear when.
 func (m *Mesh) FootprintBytes() int64 {
 	b := int64(len(m.Vertices))*24 + int64(len(m.Faces))*12
 	soa := m.soa.Load()
 	b += soa.Bytes()
-	if t := m.tree.Load(); t != nil {
+	t := m.tree.Load()
+	if t != nil {
 		b += t.NodeBytes()
+	}
+	if h := m.treeOrder; len(h) > 0 && (t == nil || len(t.Order()) == 0 || &t.Order()[0] != &h[0]) {
+		b += int64(cap(h)) * 4
 	}
 	if g := m.groups.Load(); g != nil {
 		b += g.bytes(soa)
@@ -133,8 +144,23 @@ func (m *Mesh) footprintChanged() {
 	}
 }
 
-// invalidateTriangles drops the memoized derived layouts after a mutation.
+// Bare returns a mesh on m's vertex and face slices with no memos, for an
+// owner that keeps m's geometry after m itself is gone (the decode cache's
+// warm points). It carries the tree order of m's built AABB tree, or else
+// the order m was itself handed by Bare, so that its own Tree rebuilds the
+// same tree in O(n). Both meshes share the slices: neither may be mutated.
+func (m *Mesh) Bare() *Mesh {
+	b := &Mesh{Vertices: m.Vertices, Faces: m.Faces, treeOrder: m.treeOrder}
+	if t := m.tree.Load(); t != nil {
+		b.treeOrder = t.Order()
+	}
+	return b
+}
+
+// invalidateTriangles drops the memoized derived layouts and the tree-order
+// hint after a mutation.
 func (m *Mesh) invalidateTriangles() {
+	m.treeOrder = nil
 	m.soa.Store(nil)
 	m.tree.Store(nil)
 	m.groups.Store(nil)

@@ -173,7 +173,8 @@ func TestDecoderMatchesMapReference(t *testing.T) {
 // TestTreeFromFacesMatchesSoABuild holds the tree a mesh builds before any
 // face-order packing exists to the one built from that packing: for every
 // pinned blob at every LOD, aabbtree.BuildFaces over the decoded faces must
-// equal BuildSoA over their SoA, nodes and tree-ordered lanes alike.
+// equal BuildSoA over their SoA, nodes, tree-ordered lanes and tree order
+// alike, and BuildOrdered from that tree order must rebuild the same tree.
 func TestTreeFromFacesMatchesSoABuild(t *testing.T) {
 	for _, b := range pinnedBlobList(t) {
 		d, err := b.c.NewDecoder()
@@ -188,6 +189,10 @@ func TestTreeFromFacesMatchesSoABuild(t *testing.T) {
 			direct := aabbtree.BuildFaces(m.Vertices, m.Faces)
 			if packed := aabbtree.BuildSoA(m.SoA()); !reflect.DeepEqual(direct, packed) {
 				t.Fatalf("%s LOD %d (%d faces): BuildFaces differs from BuildSoA(SoA())", b.name, lod, len(m.Faces))
+			}
+			rebuilt, err := aabbtree.BuildOrdered(m.Vertices, m.Faces, direct.Order())
+			if err != nil || !reflect.DeepEqual(rebuilt, direct) {
+				t.Fatalf("%s LOD %d (%d faces): BuildOrdered from BuildFaces' order differs (err %v)", b.name, lod, len(m.Faces), err)
 			}
 		}
 	}

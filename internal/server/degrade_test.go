@@ -107,7 +107,7 @@ func TestStatuszExposesQuarantine(t *testing.T) {
 	if out.Inflight.Max <= 0 {
 		t.Fatalf("inflight.max = %d", out.Inflight.Max)
 	}
-	for _, k := range []string{"decode_failures", "warm_bytes"} {
+	for _, k := range []string{"decode_failures", "warm_bytes", "warm_serves"} {
 		if _, ok := out.Cache[k]; !ok {
 			t.Fatalf("cache stats missing %s", k)
 		}

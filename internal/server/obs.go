@@ -77,6 +77,9 @@ func (s *Server) initObs() {
 	reg.CounterFunc("threedpro_cache_warm_starts_total",
 		"Cache misses served from decoded geometry the cache held (a warm point or a resident lower LOD).",
 		func() float64 { return float64(cache.Stats().WarmStarts) })
+	reg.CounterFunc("threedpro_cache_warm_serves_total",
+		"Cache misses served outright from a warm point, no round replayed (a subset of warm starts).",
+		func() float64 { return float64(cache.Stats().WarmServes) })
 	reg.CounterFunc("threedpro_cache_rounds_applied_total",
 		"Decode rounds actually replayed by cache misses.",
 		func() float64 { return float64(cache.Stats().RoundsApplied) })
