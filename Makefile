@@ -9,7 +9,7 @@ CHAOSTIME ?= 20s
 STATICCHECK_PKG ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK_PKG ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: fmt build test vet lint lint-fixtures staticcheck govulncheck race fuzz-short fuzz-decode fuzz-cache fuzz chaos-short chaos-net benchmark-check ci loc
+.PHONY: fmt build test vet lint lint-fixtures staticcheck govulncheck race fuzz-short fuzz-decode fuzz-cache fuzz-tree fuzz chaos-short chaos-net benchmark-check ci loc
 
 build:
 	$(GO) build ./...
@@ -88,6 +88,15 @@ fuzz-decode:
 fuzz-cache:
 	$(GO) test -run='^$$' -fuzz='^FuzzCachePolicy$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/cache
 
+# Coverage-guided fuzzing of the AABB-tree builder for $(FUZZTIME): the
+# builder runs on every decode-cache miss, and a tree order handed to it is
+# used only when it is a permutation of the faces. A permutation must give a
+# valid tree laid out in that order whose answers match the pairwise loops;
+# a long, short, out-of-range, negative or duplicate order must give the
+# tree built with no order.
+fuzz-tree:
+	$(GO) test -run='^$$' -fuzz='^FuzzBuildFaces$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/index/aabbtree
+
 # Actual coverage-guided fuzzing, $(FUZZTIME) per target. The targets are
 # whatever `go test -list` finds in each package, so a new Fuzz function is
 # fuzzed without editing this list. Each new interesting input is minimized
@@ -124,7 +133,7 @@ chaos-net:
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
-ci: fmt vet lint staticcheck govulncheck race fuzz-short fuzz-decode fuzz-cache chaos-short chaos-net benchmark-check
+ci: fmt vet lint staticcheck govulncheck race fuzz-short fuzz-decode fuzz-cache fuzz-tree chaos-short chaos-net benchmark-check
 
 # Go lines that are neither tests nor analyzer fixtures, per internal/*
 # package (subpackages included) and for the whole module — benchmark/ is a

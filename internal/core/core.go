@@ -117,7 +117,7 @@ type Sched int
 const (
 	// SchedMargin — the default — is the margin-governed scheduler: the LOD
 	// ladder is calibrated online from the engine's per-(kind, dataset
-	// pair, LOD) pruning histograms, and each candidate pair is routed by
+	// pair, LOD) pruning estimates, and each candidate pair is routed by
 	// its own distance margin (derived from the MBB MINDIST/MAXDIST bounds
 	// the filter already computed): bound-decisive pairs go straight to
 	// their verdict with no decode at all, reject-leaning pairs jump

@@ -4,8 +4,8 @@ package core
 // direction). Two mechanisms replace the paper's one-shot static §4.4 rule:
 //
 //  1. An engine-level online calibrator: every finished query feeds its
-//     per-LOD pruned fractions into per-(kind, dataset pair, LOD) obs
-//     histograms and EWMA estimators. Under SchedMargin with no explicit
+//     per-LOD pruned fractions into per-(kind, dataset pair, LOD) counts,
+//     sums and EWMA estimators. Under SchedMargin with no explicit
 //     QueryOptions.LODs the ladder is re-derived per query from the live
 //     estimates of the join being run, as the paper profiles a sample
 //     cuboid of that join, instead of from a stale one-off profile.
@@ -40,7 +40,6 @@ import (
 	"sync"
 
 	"repro/internal/geom"
-	"repro/internal/obs"
 )
 
 // calEWMAAlpha weights the newest query's pruned fraction in the EWMA —
@@ -54,10 +53,6 @@ const calEWMAAlpha = 0.2
 // Without the probe an excluded LOD would never be evaluated again and its
 // estimate would freeze at the value that excluded it.
 const calProbeEvery = 16
-
-// fractionBuckets bucket pruned fractions (a value in [0, 1]); the 0.25
-// bound sits exactly at the §4.4 threshold for r = 2.
-var fractionBuckets = []float64{0.05, 0.1, 0.25, 0.5, 0.75, 0.9}
 
 // calPair names the join a calibrator estimate belongs to: the query kind
 // and the target and source datasets. Pruning rates follow the geometry of
@@ -83,10 +78,11 @@ type calKey struct {
 	lod int
 }
 
-// calCell is the model for one calKey: the full observation histogram
-// (read back through obs.Histogram.Snapshot) and the recency-weighted EWMA.
+// calCell is the model for one calKey: the count and sum of every
+// observation and the recency-weighted EWMA.
 type calCell struct {
-	hist  *obs.Histogram
+	count int64
+	sum   float64
 	ewma  float64
 	skips int // consecutive ladder exclusions since the last probe
 }
@@ -125,12 +121,13 @@ func (c *calibrator) observe(p calPair, top int, st *Stats) {
 		key := calKey{p, lod}
 		cell, ok := c.cells[key]
 		if !ok {
-			cell = &calCell{hist: obs.NewHistogram(fractionBuckets), ewma: frac}
+			cell = &calCell{ewma: frac}
 			c.cells[key] = cell
 		} else {
 			cell.ewma = calEWMAAlpha*frac + (1-calEWMAAlpha)*cell.ewma
 		}
-		cell.hist.Observe(frac)
+		cell.count++
+		cell.sum += frac
 	}
 }
 
@@ -168,11 +165,10 @@ func (c *calibrator) ladder(p calPair, maxLOD int) []int {
 		if !ok {
 			// Never observed (e.g. the seeding queries' pairs all settled
 			// below it): probe it on the same cadence as dropped LODs.
-			cell = &calCell{hist: obs.NewHistogram(fractionBuckets)}
+			cell = &calCell{}
 			c.cells[calKey{p, l}] = cell
 		}
-		snap := cell.hist.Snapshot()
-		if snap.Count > 0 && cell.ewma > DefaultPruneThreshold {
+		if cell.count > 0 && cell.ewma > DefaultPruneThreshold {
 			cell.skips = 0
 			out = append(out, l)
 			continue
@@ -197,8 +193,8 @@ type CalibrationEntry struct {
 	Source string `json:"source"`
 	LOD    int    `json:"lod"`
 	// EWMA is the recency-weighted pruned-fraction estimate the ladder rule
-	// compares against the §4.4 threshold; Count and Mean summarize the full
-	// observation histogram.
+	// compares against the §4.4 threshold; Count and Mean summarize every
+	// observation.
 	EWMA  float64 `json:"ewma"`
 	Count int64   `json:"count"`
 	Mean  float64 `json:"mean"`
@@ -212,13 +208,12 @@ func (e *Engine) SchedCalibration() []CalibrationEntry {
 	c.mu.Lock()
 	out := make([]CalibrationEntry, 0, len(c.cells))
 	for k, cell := range c.cells {
-		snap := cell.hist.Snapshot()
-		if snap.Count == 0 {
+		if cell.count == 0 {
 			continue
 		}
 		out = append(out, CalibrationEntry{
 			Kind: k.kind.String(), Target: k.target, Source: k.source, LOD: k.lod,
-			EWMA: cell.ewma, Count: snap.Count, Mean: snap.Mean(),
+			EWMA: cell.ewma, Count: cell.count, Mean: cell.sum / float64(cell.count),
 		})
 	}
 	c.mu.Unlock()

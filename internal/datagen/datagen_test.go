@@ -32,7 +32,7 @@ func TestNucleiDisjointWithinDataset(t *testing.T) {
 	nuclei := Nuclei(NucleiOptions{Count: 27, Seed: 2})
 	trees := make([]*aabbtree.Tree, len(nuclei))
 	for i, n := range nuclei {
-		trees[i] = aabbtree.Build(n.Triangles())
+		trees[i] = aabbtree.BuildFaces(n.Vertices, n.Faces, nil)
 	}
 	for i := range trees {
 		for j := i + 1; j < len(trees); j++ {
@@ -72,12 +72,12 @@ func TestSecondSegmentationIntersectsFirst(t *testing.T) {
 	b := Nuclei(NucleiOptions{Count: 8, Seed: 4, Offset: geom.V(0.8, 0.5, 0.3)})
 	hits := 0
 	for i := range a {
-		ta := aabbtree.Build(a[i].Triangles())
+		ta := aabbtree.BuildFaces(a[i].Vertices, a[i].Faces, nil)
 		for j := range b {
 			if !a[i].Bounds().Intersects(b[j].Bounds()) {
 				continue
 			}
-			if ta.IntersectsTree(aabbtree.Build(b[j].Triangles())) {
+			if ta.IntersectsTree(aabbtree.BuildFaces(b[j].Vertices, b[j].Faces, nil)) {
 				hits++
 			}
 		}
@@ -127,7 +127,7 @@ func TestVesselsDisjoint(t *testing.T) {
 	vessels := Vessels(VesselOptions{Count: 4, Seed: 2})
 	trees := make([]*aabbtree.Tree, len(vessels))
 	for i, v := range vessels {
-		trees[i] = aabbtree.Build(v.Triangles())
+		trees[i] = aabbtree.BuildFaces(v.Vertices, v.Faces, nil)
 	}
 	for i := range trees {
 		for j := i + 1; j < len(trees); j++ {

@@ -25,12 +25,12 @@ func Tissue(opts TissueOptions) (nuclei, vessels []*mesh.Mesh) {
 	vessels = Vessels(opts.Vessels)
 	trees := make([]*aabbtree.Tree, len(vessels))
 	for i, v := range vessels {
-		trees[i] = aabbtree.Build(v.Triangles())
+		trees[i] = aabbtree.BuildFaces(v.Vertices, v.Faces, nil)
 	}
 
 	candidates := Nuclei(opts.Nuclei)
 	for _, n := range candidates {
-		tree := aabbtree.Build(n.Triangles())
+		tree := aabbtree.BuildFaces(n.Vertices, n.Faces, nil)
 		ok := true
 		for _, vt := range trees {
 			if !vt.Bounds().Intersects(tree.Bounds()) {

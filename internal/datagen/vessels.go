@@ -100,7 +100,7 @@ func growVessel(rng *rand.Rand, cell geom.Box3, opts VesselOptions) *mesh.Mesh {
 		if t == nil || t.Validate() != nil {
 			continue
 		}
-		tree := aabbtree.Build(t.Triangles())
+		tree := aabbtree.BuildFaces(t.Vertices, t.Faces, nil)
 		ok := true
 		for _, prev := range trees {
 			if tree.IntersectsTree(prev) || prev.ContainsPoint(b.path[0]) {

@@ -149,6 +149,21 @@ func MinMax3(a, b, c float64) (float64, float64) {
 	return GrowInterval(lo, hi, c, c)
 }
 
+// PackFaces stores the indexed faces into s's lanes with Set, lane i
+// receiving faces[order[i]], or faces[i] when order is nil. It is the one
+// packing of an indexed mesh: in face order (the mesh's SoA memo), in group
+// order (a partition) and in tree order (an AABB tree).
+func PackFaces[F ~[3]int32](s *TriSoA, verts []Vec3, faces []F, order []int32) {
+	for i := 0; i < s.Len(); i++ {
+		fi := i
+		if order != nil {
+			fi = int(order[i])
+		}
+		f := faces[fi]
+		s.Set(i, verts[f[0]], verts[f[1]], verts[f[2]])
+	}
+}
+
 // SoAFromTriangles packs ts into freshly allocated lanes.
 func SoAFromTriangles(ts []Triangle) *TriSoA {
 	s := NewTriSoA(len(ts))

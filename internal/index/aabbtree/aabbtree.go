@@ -3,10 +3,12 @@
 // Building the tree over one decoded polyhedron's faces reduces the cost of
 // evaluating two geometries from O(N·N') to O(N·log N') for intersection
 // detection and distance calculation.
+//
+// BuildFaces builds from an indexed mesh, BuildSoA from packed lanes; Tree
+// describes the one construction both run.
 package aabbtree
 
 import (
-	"errors"
 	"math"
 
 	"repro/internal/geom"
@@ -31,11 +33,13 @@ const nodeBytes = 64
 // the lanes and the triangles and their boxes are stored exactly once. It
 // is safe for concurrent queries after construction.
 //
-// The node topology depends on the triangle count alone (ranges halve at
-// (lo+hi)/2 down to leaves of at most maxLeafSize, in preorder) and every
-// box is the exact union of what lies below it, so a tree is a permutation
-// plus geometry: order, which input triangle sits at each tree-ordered
-// lane, rebuilds it in O(n) through BuildOrdered.
+// A tree is a permutation plus geometry. The node topology depends on the
+// triangle count alone (ranges halve at (lo+hi)/2 down to leaves of at most
+// maxLeafSize, in preorder) and every box is the exact union of what lies
+// below it, so the tree order — which input triangle sits at each lane —
+// fixes the whole tree. Every build is the same three steps: find that
+// order (or take it from an earlier build), pack the triangles into lanes
+// in it, and fill the nodes bottom-up over the lanes.
 type Tree struct {
 	s     *geom.TriSoA
 	nodes []node
@@ -43,23 +47,49 @@ type Tree struct {
 	root  int32
 }
 
-// Build constructs a tree over the given triangles. The input slice is not
-// retained. Build returns an empty tree for no triangles.
-func Build(tris []geom.Triangle) *Tree {
-	return BuildSoA(geom.SoAFromTriangles(tris))
+// BuildFaces constructs the tree over an indexed mesh's faces. A valid
+// permutation of [0, len(faces)) in order is used as the tree order: the
+// Order of an earlier build over the same vertices and faces rebuilds that
+// tree, equal in every node and lane, in O(n) with no selection, and any
+// other permutation still yields a valid tree with exact boxes, only a
+// looser one. Otherwise (nil, or anything that is not such a permutation)
+// the order is found by median selection. The faces are then packed into
+// the lanes in tree order, once, and the nodes filled over them. The tree
+// keeps a supplied order as its Order: the caller must not modify it
+// afterwards.
+//
+// Median selection is a top-down split on precomputed centroid keys: each
+// level partitions an index range around the median of the range's longest
+// axis by selection, not by sorting, so it costs O(n log n) key comparisons
+// with no per-comparison centroid arithmetic.
+func BuildFaces[F ~[3]int32](verts []geom.Vec3, faces []F, order []int32) *Tree {
+	n := len(faces)
+	s := geom.NewTriSoA(n)
+	if n == 0 {
+		return &Tree{s: s, root: -1}
+	}
+	if !isPermutation(order, n) {
+		// Scratch in s's own lanes: the box lanes hold face-order boxes and
+		// the A lanes the keys until the order is found, then PackFaces
+		// overwrites every lane in tree order.
+		key := [3][]float64{s.AX, s.AY, s.AZ}
+		for i, f := range faces {
+			a, b, c := verts[f[0]], verts[f[1]], verts[f[2]]
+			key[0][i], key[1][i], key[2][i] = a.X+b.X+c.X, a.Y+b.Y+c.Y, a.Z+b.Z+c.Z
+			s.MinX[i], s.MaxX[i] = geom.MinMax3(a.X, b.X, c.X)
+			s.MinY[i], s.MaxY[i] = geom.MinMax3(a.Y, b.Y, c.Y)
+			s.MinZ[i], s.MaxZ[i] = geom.MinMax3(a.Z, b.Z, c.Z)
+		}
+		order = treeOrder(s, key)
+	}
+	geom.PackFaces(s, verts, faces, order)
+	return newTree(s, order)
 }
 
-// BuildSoA constructs a tree from an SoA triangle set. The input is left
-// untouched; the tree retains a copy of its lanes gathered into tree order,
-// available through SoA so that an owner (mesh.Mesh does this) can adopt
-// the tree-ordered lanes as its one resident packing instead of keeping
-// both. An owner of an indexed mesh (mesh.Mesh) builds with BuildFaces
-// instead, which packs the tree-ordered lanes straight from the faces.
-//
-// Construction is a top-down median split on precomputed centroid keys:
-// each level partitions an index range around the median of the node's
-// longest axis by selection, not by sorting, so a build costs O(n log n)
-// key comparisons with no per-comparison centroid arithmetic.
+// BuildSoA is BuildFaces for triangles that are already packed: the same
+// order selection and the same nodes, over lanes gathered from s into tree
+// order. The input is left untouched; the tree's lanes are available
+// through SoA.
 func BuildSoA(s *geom.TriSoA) *Tree {
 	n := s.Len()
 	if n == 0 {
@@ -74,144 +104,64 @@ func BuildSoA(s *geom.TriSoA) *Tree {
 		key[1][i] = s.AY[i] + s.BY[i] + s.CY[i]
 		key[2][i] = s.AZ[i] + s.BZ[i] + s.CZ[i]
 	}
-	t := build([6][]float64{s.MinX, s.MinY, s.MinZ, s.MaxX, s.MaxY, s.MaxZ}, key)
-	t.s = s.Gather(t.order)
-	return t
+	order := treeOrder(s, key)
+	return newTree(s.Gather(order), order)
 }
 
-// BuildFaces constructs the tree BuildSoA builds over the faces' packing
-// (the same nodes and the same tree-ordered lanes) from an indexed mesh,
-// without packing the faces in face order first. The keys and boxes it
-// selects on are computed from the vertices into the lanes of the set
-// being built, which then receives the triangles in tree order: one
-// packing in all.
-func BuildFaces[F ~[3]int32](verts []geom.Vec3, faces []F) *Tree {
-	n := len(faces)
-	s := geom.NewTriSoA(n)
-	if n == 0 {
-		return &Tree{s: s, root: -1}
-	}
-	// Scratch in s's own lanes: the box lanes hold face-order boxes and the
-	// A lanes the keys until the build is done, then every lane is
-	// overwritten in tree order.
-	key := [3][]float64{s.AX, s.AY, s.AZ}
-	for i, f := range faces {
-		a, b, c := verts[f[0]], verts[f[1]], verts[f[2]]
-		key[0][i], key[1][i], key[2][i] = a.X+b.X+c.X, a.Y+b.Y+c.Y, a.Z+b.Z+c.Z
-		s.MinX[i], s.MaxX[i] = geom.MinMax3(a.X, b.X, c.X)
-		s.MinY[i], s.MaxY[i] = geom.MinMax3(a.Y, b.Y, c.Y)
-		s.MinZ[i], s.MaxZ[i] = geom.MinMax3(a.Z, b.Z, c.Z)
-	}
-	t := build([6][]float64{s.MinX, s.MinY, s.MinZ, s.MaxX, s.MaxY, s.MaxZ}, key)
-	packOrdered(s, verts, faces, t.order)
-	t.s = s
-	return t
-}
-
-// errNotPermutation is BuildOrdered's refusal of an order that is not a
-// permutation of the faces' indices.
-var errNotPermutation = errors.New("aabbtree: order is not a permutation of the faces")
-
-// BuildOrdered rebuilds, in O(n), the tree whose tree order is order: it
-// packs the faces into the lanes in that order and computes the node boxes
-// bottom-up, a leaf's from its lanes and an inner node's as the union of its
-// children's, with no selection and no top-down box scans. Given the Order
-// of an earlier build over the same vertices and faces, the result is that
-// build's tree, equal in every node and lane. Any other permutation still
-// yields a valid tree with exact boxes, only a looser one, so answers never
-// depend on where order came from. An order that is not a permutation of
-// [0, len(faces)) is refused with an error; the caller then builds with
-// BuildFaces. The tree keeps order as its own Order: the caller must not
-// modify it afterwards.
-func BuildOrdered[F ~[3]int32](verts []geom.Vec3, faces []F, order []int32) (*Tree, error) {
-	n := len(faces)
+// isPermutation reports whether order lists every index of [0, n) once.
+func isPermutation(order []int32, n int) bool {
 	if len(order) != n {
-		return nil, errNotPermutation
+		return false
 	}
 	seen := make([]uint64, (n+63)/64)
 	for _, o := range order {
 		if o < 0 || int(o) >= n || seen[o>>6]&(1<<(o&63)) != 0 {
-			return nil, errNotPermutation
+			return false
 		}
 		seen[o>>6] |= 1 << (o & 63)
 	}
-	s := geom.NewTriSoA(n)
-	if n == 0 {
-		return &Tree{s: s, root: -1}, nil
-	}
-	packOrdered(s, verts, faces, order)
-	b := boxFiller{s: s, nodes: make([]node, 0, nodeCount(n))}
-	root := b.fill(0, int32(n))
-	return &Tree{s: s, nodes: b.nodes, order: order, root: root}, nil
+	return true
 }
 
-// packOrdered lays the faces out in s's lanes in the given tree order.
-func packOrdered[F ~[3]int32](s *geom.TriSoA, verts []geom.Vec3, faces []F, order []int32) {
-	for i, o := range order {
-		f := faces[o]
-		s.Set(i, verts[f[0]], verts[f[1]], verts[f[2]])
-	}
-}
-
-// boxFiller is BuildOrdered's construction state: the tree-ordered lanes
-// and the preorder node array being filled.
-type boxFiller struct {
-	s     *geom.TriSoA
-	nodes []node
+// newTree returns the tree over n > 0 triangles laid out in s's lanes in
+// the given tree order, with its nodeCount(n) nodes filled.
+func newTree(s *geom.TriSoA, order []int32) *Tree {
+	t := &Tree{s: s, nodes: make([]node, 0, nodeCount(len(order))), order: order}
+	t.root = t.fill(0, int32(len(order)))
+	return t
 }
 
 // fill appends the subtree over lanes [lo, hi) in preorder, splitting at
-// the midpoint exactly as builder.build does, and returns its root index.
-// A node's box is set once its subtree is filled: the union of its lanes'
-// boxes for a leaf, of its children's boxes otherwise. Both are exact
-// unions, grown with the comparisons builder.build scans its lanes with, so
-// every bound equals the one a full build finds.
-func (b *boxFiller) fill(lo, hi int32) int32 {
-	idx := int32(len(b.nodes))
-	b.nodes = append(b.nodes, node{left: -1, right: -1, start: lo, end: hi})
+// the midpoint, and returns its root index. It is where every node of every
+// tree is made. A node's box is set once its subtree is filled: the union
+// of its lanes' boxes for a leaf, of its children's boxes otherwise. Both
+// are exact unions, so every bound is the smallest box around its lanes.
+func (t *Tree) fill(lo, hi int32) int32 {
+	idx := int32(len(t.nodes))
+	t.nodes = append(t.nodes, node{left: -1, right: -1, start: lo, end: hi})
 	if hi-lo <= maxLeafSize {
-		s, box := b.s, geom.EmptyBox()
+		s, box := t.s, geom.EmptyBox()
 		for i := lo; i < hi; i++ {
 			box.Min.X, box.Max.X = geom.GrowInterval(box.Min.X, box.Max.X, s.MinX[i], s.MaxX[i])
 			box.Min.Y, box.Max.Y = geom.GrowInterval(box.Min.Y, box.Max.Y, s.MinY[i], s.MaxY[i])
 			box.Min.Z, box.Max.Z = geom.GrowInterval(box.Min.Z, box.Max.Z, s.MinZ[i], s.MaxZ[i])
 		}
-		b.nodes[idx].box = box
+		t.nodes[idx].box = box
 		return idx
 	}
 	mid := (lo + hi) / 2
-	left := b.fill(lo, mid)
-	right := b.fill(mid, hi)
-	box, r := b.nodes[left].box, b.nodes[right].box
+	left := t.fill(lo, mid)
+	right := t.fill(mid, hi)
+	box, r := t.nodes[left].box, t.nodes[right].box
 	box.Min.X, box.Max.X = geom.GrowInterval(box.Min.X, box.Max.X, r.Min.X, r.Max.X)
 	box.Min.Y, box.Max.Y = geom.GrowInterval(box.Min.Y, box.Max.Y, r.Min.Y, r.Max.Y)
 	box.Min.Z, box.Max.Z = geom.GrowInterval(box.Min.Z, box.Max.Z, r.Min.Z, r.Max.Z)
-	b.nodes[idx].box = box
-	b.nodes[idx].left, b.nodes[idx].right = left, right
+	t.nodes[idx].box = box
+	t.nodes[idx].left, t.nodes[idx].right = left, right
 	return idx
 }
 
-// build constructs the node array over n > 0 triangles from their boxes
-// (MinX, MinY, MinZ, MaxX, MaxY, MaxZ lanes) and centroid keys, with the
-// permutation of the triangles into tree order as its Order. The tree's
-// lanes are the caller's to lay out in that order.
-func build(box [6][]float64, key [3][]float64) *Tree {
-	n := len(box[0])
-	b := builder{
-		box:   box,
-		key:   key,
-		order: make([]int32, n),
-		nodes: make([]node, 0, nodeCount(n)),
-	}
-	for i := range b.order {
-		b.order[i] = int32(i)
-	}
-	t := &Tree{root: b.build(0, int32(n))}
-	t.nodes, t.order = b.nodes, b.order
-	return t
-}
-
-// nodeCount returns the exact number of nodes build creates for n > 0
+// nodeCount returns the exact number of nodes fill creates for n > 0
 // triangles, so the node array is allocated once at its final size.
 func nodeCount(n int) int {
 	if n <= maxLeafSize {
@@ -220,39 +170,45 @@ func nodeCount(n int) int {
 	return 1 + nodeCount(n/2) + nodeCount(n-n/2)
 }
 
-// builder is the construction-time state: the triangles' box lanes, the
-// permutation being refined into tree order, and the centroid keys it is
-// refined by.
-type builder struct {
-	box   [6][]float64
-	order []int32
-	key   [3][]float64
-	nodes []node
+// treeOrder returns the tree order of the n > 0 triangles whose boxes are
+// in s's box lanes, found by median selection on the centroid keys.
+func treeOrder(s *geom.TriSoA, key [3][]float64) []int32 {
+	b := builder{s: s, key: key, order: make([]int32, s.Len())}
+	for i := range b.order {
+		b.order[i] = int32(i)
+	}
+	b.build(0, int32(len(b.order)))
+	return b.order
 }
 
-// build recursively partitions order[lo:hi] by the median centroid along
-// the longest axis of the range's box.
-func (b *builder) build(lo, hi int32) int32 {
-	minX, minY, minZ := b.box[0], b.box[1], b.box[2]
-	maxX, maxY, maxZ := b.box[3], b.box[4], b.box[5]
+// builder is the state of a median-selection descent: the set whose box
+// lanes it reads, the permutation being refined into tree order, and the
+// centroid keys it is refined by.
+type builder struct {
+	s     *geom.TriSoA
+	order []int32
+	key   [3][]float64
+}
+
+// build refines order[lo:hi] over the ranges fill makes nodes of: a range
+// larger than a leaf is partitioned around the median centroid along the
+// longest axis of its box, and both halves are refined in turn.
+func (b *builder) build(lo, hi int32) {
+	if hi-lo <= maxLeafSize {
+		return
+	}
+	minX, minY, minZ := b.s.MinX, b.s.MinY, b.s.MinZ
+	maxX, maxY, maxZ := b.s.MaxX, b.s.MaxY, b.s.MaxZ
 	box := geom.EmptyBox()
 	for _, i := range b.order[lo:hi] {
 		box.Min.X, box.Max.X = geom.GrowInterval(box.Min.X, box.Max.X, minX[i], maxX[i])
 		box.Min.Y, box.Max.Y = geom.GrowInterval(box.Min.Y, box.Max.Y, minY[i], maxY[i])
 		box.Min.Z, box.Max.Z = geom.GrowInterval(box.Min.Z, box.Max.Z, minZ[i], maxZ[i])
 	}
-	idx := int32(len(b.nodes))
-	b.nodes = append(b.nodes, node{box: box, left: -1, right: -1, start: lo, end: hi})
-	if hi-lo <= maxLeafSize {
-		return idx
-	}
 	mid := (lo + hi) / 2
 	selectNth(b.order[lo:hi], b.key[box.LongestAxis()], int(mid-lo))
-	left := b.build(lo, mid)
-	right := b.build(mid, hi)
-	b.nodes[idx].left = left
-	b.nodes[idx].right = right
-	return idx
+	b.build(lo, mid)
+	b.build(mid, hi)
 }
 
 // selectNth reorders idx so that idx[k] holds the element of rank k by key
@@ -305,7 +261,7 @@ func (t *Tree) SoA() *geom.TriSoA { return t.s }
 
 // Order returns the tree order: Order()[i] is the index, in the input the
 // tree was built from, of the triangle at tree-ordered lane i. It is nil
-// for an empty tree, shared with the tree and read-only. BuildOrdered
+// for an empty tree, shared with the tree and read-only. BuildFaces
 // rebuilds the tree from it in O(n).
 func (t *Tree) Order() []int32 { return t.order }
 

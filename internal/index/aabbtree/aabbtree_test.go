@@ -22,19 +22,24 @@ func randomTris(rng *rand.Rand, n int, space, size float64) []geom.Triangle {
 	return tris
 }
 
+// buildTris builds the tree over a triangle list through its packing.
+func buildTris(tris []geom.Triangle) *aabbtree.Tree {
+	return aabbtree.BuildSoA(geom.SoAFromTriangles(tris))
+}
+
 func TestEmptyTree(t *testing.T) {
-	tr := aabbtree.Build(nil)
+	tr := buildTris(nil)
 	if tr.SoA().Len() != 0 {
 		t.Error("triangles != 0")
 	}
 	if !tr.Bounds().IsEmpty() {
 		t.Error("Bounds not empty")
 	}
-	one := aabbtree.Build([]geom.Triangle{{A: geom.V(0, 0, 0), B: geom.V(1, 0, 0), C: geom.V(0, 1, 0)}})
+	one := buildTris([]geom.Triangle{{A: geom.V(0, 0, 0), B: geom.V(1, 0, 0), C: geom.V(0, 1, 0)}})
 	if tr.IntersectsTree(one) || one.IntersectsTree(tr) {
 		t.Error("intersection in empty tree")
 	}
-	for _, o := range []*aabbtree.Tree{aabbtree.Build(nil), one} {
+	for _, o := range []*aabbtree.Tree{buildTris(nil), one} {
 		if !math.IsInf(tr.DistToTreeBounded(o, math.Inf(1)), 1) || !math.IsInf(o.DistToTreeBounded(tr, 5), 1) {
 			t.Error("distance to an empty tree should be +Inf")
 		}
@@ -50,7 +55,7 @@ func TestEmptyTree(t *testing.T) {
 func TestSingleTriangleTreeMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tris := randomTris(rng, 300, 20, 2)
-	tr := aabbtree.Build(tris)
+	tr := buildTris(tris)
 	if tr.SoA().Len() != 300 {
 		t.Fatalf("triangles = %d", tr.SoA().Len())
 	}
@@ -68,7 +73,7 @@ func TestSingleTriangleTreeMatchesBrute(t *testing.T) {
 				break
 			}
 		}
-		if got := tr.IntersectsTree(aabbtree.Build([]geom.Triangle{q})); got != want {
+		if got := tr.IntersectsTree(buildTris([]geom.Triangle{q})); got != want {
 			t.Fatalf("trial %d: got %v, want %v", trial, got, want)
 		}
 	}
@@ -96,7 +101,7 @@ func TestIntersectsTreeMatchesBrute(t *testing.T) {
 				}
 			}
 		}
-		ta, tb := aabbtree.Build(a), aabbtree.Build(b)
+		ta, tb := buildTris(a), buildTris(b)
 		if got := ta.IntersectsTree(tb); got != want {
 			t.Fatalf("trial %d: got %v, want %v", trial, got, want)
 		}
@@ -126,7 +131,7 @@ func TestDistToTreeMatchesBrute(t *testing.T) {
 			}
 		}
 		want = math.Sqrt(want)
-		got := aabbtree.Build(a).DistToTreeBounded(aabbtree.Build(b), math.Inf(1))
+		got := buildTris(a).DistToTreeBounded(buildTris(b), math.Inf(1))
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d: got %v, want %v", trial, got, want)
 		}
@@ -136,7 +141,7 @@ func TestDistToTreeMatchesBrute(t *testing.T) {
 func TestDistToSingleTriangleTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	tris := randomTris(rng, 100, 10, 2)
-	tr := aabbtree.Build(tris)
+	tr := buildTris(tris)
 	for trial := 0; trial < 50; trial++ {
 		base := geom.V(rng.Float64()*30-10, rng.Float64()*30-10, rng.Float64()*30-10)
 		q := geom.Triangle{A: base, B: base.Add(geom.V(1, 0, 0)), C: base.Add(geom.V(0, 1, 0))}
@@ -147,7 +152,7 @@ func TestDistToSingleTriangleTree(t *testing.T) {
 			}
 		}
 		want = math.Sqrt(want)
-		qt := aabbtree.Build([]geom.Triangle{q})
+		qt := buildTris([]geom.Triangle{q})
 		got := tr.DistToTreeBounded(qt, math.Inf(1))
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("got %v, want %v", got, want)
@@ -163,7 +168,7 @@ func TestDistToSingleTriangleTree(t *testing.T) {
 
 func TestContainsPointSphere(t *testing.T) {
 	m := mesh.Icosphere(5, 3)
-	tr := aabbtree.Build(m.Triangles())
+	tr := aabbtree.BuildFaces(m.Vertices, m.Faces, nil)
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 3000; i++ {
 		p := geom.V(rng.Float64()*12-6, rng.Float64()*12-6, rng.Float64()*12-6)
@@ -179,24 +184,23 @@ func TestContainsPointSphere(t *testing.T) {
 }
 
 func TestBuildCopiesInput(t *testing.T) {
-	tris := []geom.Triangle{{A: geom.V(0, 0, 0), B: geom.V(1, 0, 0), C: geom.V(0, 1, 0)}}
-	tr := aabbtree.Build(tris)
-	if tr.SoA().At(0) != tris[0] {
-		t.Error("SoA().At(0) mismatch")
+	m := mesh.Tetrahedron(1)
+	tr := aabbtree.BuildFaces(m.Vertices, m.Faces, nil)
+	want := tr.SoA().At(0)
+	// BuildFaces must not retain the caller's vertices.
+	for i := range m.Vertices {
+		m.Vertices[i] = geom.V(9, 9, 9)
 	}
-	// Build must not retain the caller's slice.
-	tris[0].A = geom.V(9, 9, 9)
-	if tr.SoA().At(0).A == tris[0].A {
-		t.Error("Build retained input slice")
+	if tr.SoA().At(0) != want {
+		t.Error("BuildFaces retained the input vertices")
 	}
 }
 
-func BenchmarkBuild(b *testing.B) {
+func BenchmarkBuildFaces(b *testing.B) {
 	m := mesh.Icosphere(5, 4) // 5120 faces
-	tris := m.Triangles()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		aabbtree.Build(tris)
+		aabbtree.BuildFaces(m.Vertices, m.Faces, nil)
 	}
 }
 
@@ -207,7 +211,7 @@ func BenchmarkDistToTreeBounded(b *testing.B) {
 	a := mesh.Icosphere(5, 3)
 	c := mesh.Icosphere(5, 3)
 	c.Translate(geom.V(15, 3, 1))
-	ta, tc := aabbtree.Build(a.Triangles()), aabbtree.Build(c.Triangles())
+	ta, tc := aabbtree.BuildFaces(a.Vertices, a.Faces, nil), aabbtree.BuildFaces(c.Vertices, c.Faces, nil)
 	exact := ta.DistToTreeBounded(tc, math.Inf(1))
 	for _, bc := range []struct {
 		name  string
@@ -227,7 +231,7 @@ func BenchmarkIntersectsTree(b *testing.B) {
 	a := mesh.Icosphere(5, 3)
 	c := mesh.Icosphere(5, 3)
 	c.Translate(geom.V(7, 0, 0))
-	ta, tc := aabbtree.Build(a.Triangles()), aabbtree.Build(c.Triangles())
+	ta, tc := aabbtree.BuildFaces(a.Vertices, a.Faces, nil), aabbtree.BuildFaces(c.Vertices, c.Faces, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ta.IntersectsTree(tc)
@@ -244,7 +248,7 @@ func TestContainsPointMultiComponent(t *testing.T) {
 	for _, f := range c2.Faces {
 		v.Faces = append(v.Faces, mesh.Face{f[0] + off, f[1] + off, f[2] + off})
 	}
-	tr := aabbtree.Build(v.Triangles())
+	tr := aabbtree.BuildFaces(v.Vertices, v.Faces, nil)
 	rng := rand.New(rand.NewSource(8))
 	b := v.Bounds().Expand(1)
 	tris := v.Triangles()
@@ -283,7 +287,7 @@ func TestDistToTreeBounded(t *testing.T) {
 			b[i].B.X += shift
 			b[i].C.X += shift
 		}
-		ta, tb := aabbtree.Build(a), aabbtree.Build(b)
+		ta, tb := buildTris(a), buildTris(b)
 		exact := ta.DistToTreeBounded(tb, math.Inf(1))
 
 		// Generous bound: exact answer.
@@ -304,35 +308,6 @@ func TestDistToTreeBounded(t *testing.T) {
 		// Infinite bound degenerates to the exact descent.
 		if got := ta.DistToTreeBounded(tb, math.Inf(1)); math.Abs(got-exact) > 1e-9 {
 			t.Fatalf("trial %d: bounded(inf) = %v, want %v", trial, got, exact)
-		}
-	}
-}
-
-func TestBuildSoAMatchesBuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	tris := randomTris(rng, 200, 20, 2)
-	aos := aabbtree.Build(tris)
-	soa := aabbtree.BuildSoA(geom.SoAFromTriangles(tris))
-
-	if soa.SoA().Len() != aos.SoA().Len() {
-		t.Fatalf("triangles = %d want %d", soa.SoA().Len(), aos.SoA().Len())
-	}
-	if soa.Bounds() != aos.Bounds() {
-		t.Fatalf("Bounds = %v want %v", soa.Bounds(), aos.Bounds())
-	}
-	// Both constructions must answer identically: same split rule over the
-	// same boxes yields the same tree, so query results agree exactly.
-	for trial := 0; trial < 100; trial++ {
-		other := aabbtree.BuildSoA(geom.SoAFromTriangles(randomTris(rng, 30, 20, 2)))
-		if got, want := soa.IntersectsTree(other), aos.IntersectsTree(other); got != want {
-			t.Fatalf("trial %d: IntersectsTree = %v want %v", trial, got, want)
-		}
-		if got, want := soa.DistToTreeBounded(other, math.Inf(1)), aos.DistToTreeBounded(other, math.Inf(1)); got != want {
-			t.Fatalf("trial %d: DistToTreeBounded = %v want %v", trial, got, want)
-		}
-		p := geom.V(rng.Float64()*20, rng.Float64()*20, rng.Float64()*20)
-		if got, want := soa.ContainsPoint(p), aos.ContainsPoint(p); got != want {
-			t.Fatalf("trial %d: ContainsPoint = %v want %v", trial, got, want)
 		}
 	}
 }

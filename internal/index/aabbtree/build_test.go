@@ -136,11 +136,11 @@ func degenerateSets(rng *rand.Rand) map[string][]geom.Triangle {
 func TestStructuralInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for name, set := range degenerateSets(rng) {
-		t.Run(name, func(t *testing.T) { checkStructure(t, Build(set), set) })
+		t.Run(name, func(t *testing.T) { checkStructure(t, buildTris(set), set) })
 	}
 	for _, n := range []int{2, 7, 8, 9, 63, 64, 65, 1000, 1025} {
 		set := randomSet(rng, n, geom.Vec3{}, 20, 2)
-		checkStructure(t, Build(set), set)
+		checkStructure(t, buildTris(set), set)
 	}
 }
 
@@ -153,11 +153,14 @@ func TestBuildFacesMatchesBuildSoA(t *testing.T) {
 	sets["random"] = randomSet(rng, 1025, geom.Vec3{}, 20, 2)
 	for name, set := range sets {
 		verts, faces := indexed(set)
-		if got, want := BuildFaces(verts, faces), BuildSoA(geom.SoAFromTriangles(set)); !reflect.DeepEqual(got, want) {
+		if got, want := BuildFaces(verts, faces, nil), BuildSoA(geom.SoAFromTriangles(set)); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: BuildFaces differs from BuildSoA", name)
 		}
 	}
 }
+
+// buildTris builds the tree over a triangle list through its packing.
+func buildTris(set []geom.Triangle) *Tree { return BuildSoA(geom.SoAFromTriangles(set)) }
 
 // indexed lists the triangles as an indexed mesh, three vertices each.
 func indexed(set []geom.Triangle) ([]geom.Vec3, [][3]int32) {
@@ -170,7 +173,7 @@ func indexed(set []geom.Triangle) ([]geom.Vec3, [][3]int32) {
 	return verts, faces
 }
 
-// TestBuildOrderedMatchesBuildFaces: the tree rebuilt from a build's tree
+// TestBuildOrderedMatchesBuildFaces: the tree built from a build's tree
 // order is that build's tree, nodes, lanes and order alike, on the inputs
 // the median split finds hardest and on random sets of every leaf-boundary
 // size.
@@ -182,24 +185,20 @@ func TestBuildOrderedMatchesBuildFaces(t *testing.T) {
 	}
 	for name, set := range sets {
 		verts, faces := indexed(set)
-		want := BuildFaces(verts, faces)
-		got, err := BuildOrdered(verts, faces, want.Order())
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: BuildOrdered from BuildFaces' order differs from BuildFaces", name)
+		want := BuildFaces(verts, faces, nil)
+		if got := BuildFaces(verts, faces, want.Order()); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: BuildFaces from its own tree order differs from BuildFaces", name)
 		}
 	}
 }
 
-// FuzzBuildOrdered rebuilds a random indexed set (shared vertices, as in a
-// mesh) under a random permutation: the tree must pass checkStructure, lay
-// the lanes out in that order, and answer IntersectsTree and
-// MinDist2Bounded against another random set exactly as the pairwise loops
-// do. Orders with a duplicate, an index out of range or the wrong length
-// are refused.
-func FuzzBuildOrdered(f *testing.F) {
+// FuzzBuildFaces builds a random indexed set (shared vertices, as in a
+// mesh) in a random permutation: the tree must pass checkStructure, lay the
+// lanes out in that order, and answer IntersectsTree and MinDist2Bounded
+// against another random set exactly as the pairwise loops do. Orders with
+// a duplicate, an index out of range or the wrong length are ignored: the
+// tree is the one built with no order.
+func FuzzBuildFaces(f *testing.F) {
 	f.Add(int64(1), uint16(0))
 	f.Add(int64(2), uint16(1))
 	f.Add(int64(3), uint16(maxLeafSize+1))
@@ -225,10 +224,7 @@ func FuzzBuildOrdered(f *testing.F) {
 			order[i] = int32(p)
 		}
 
-		tr, err := BuildOrdered(verts, faces, order)
-		if err != nil {
-			t.Fatalf("permutation of %d refused: %v", n, err)
-		}
+		tr := BuildFaces(verts, faces, order)
 		checkStructure(t, tr, input)
 		for i, o := range order {
 			if tr.SoA().At(i) != input[o] {
@@ -244,7 +240,7 @@ func FuzzBuildOrdered(f *testing.F) {
 				want2 = math.Min(want2, geom.TriTriDist2(x, y))
 			}
 		}
-		ot := Build(other)
+		ot := buildTris(other)
 		if got := tr.IntersectsTree(ot); got != wantHit {
 			t.Errorf("IntersectsTree = %v, brute %v", got, wantHit)
 		}
@@ -268,9 +264,10 @@ func FuzzBuildOrdered(f *testing.F) {
 			dup[i] = dup[(i+1+rng.Intn(n-1))%n]
 			bad["duplicate"] = dup
 		}
+		want := BuildFaces(verts, faces, nil)
 		for name, o := range bad {
-			if _, err := BuildOrdered(verts, faces, o); err == nil {
-				t.Errorf("%s order of %d faces accepted", name, n)
+			if got := BuildFaces(verts, faces, o); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s order of %d faces: tree differs from BuildFaces with no order", name, n)
 			}
 		}
 	})
@@ -304,7 +301,7 @@ func TestDegenerateSetsMatchBrute(t *testing.T) {
 
 	trees := map[string]*Tree{}
 	for name, set := range sets {
-		trees[name] = Build(set)
+		trees[name] = buildTris(set)
 	}
 	for an, a := range sets {
 		for bn, b := range sets {
@@ -393,15 +390,15 @@ func BenchmarkBuildSoA(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildOrdered times BuildFaces given the tree order of an earlier
+// build: a pack and a fill, with no selection.
 func BenchmarkBuildOrdered(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	verts, faces := indexed(randomSet(rng, 5120, geom.Vec3{}, 50, 1))
-	order := BuildFaces(verts, faces).Order()
+	order := BuildFaces(verts, faces, nil).Order()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildOrdered(verts, faces, order); err != nil {
-			b.Fatal(err)
-		}
+		BuildFaces(verts, faces, order)
 	}
 }

@@ -10,10 +10,9 @@ import (
 // reports whether this call did. The tree is an artefact of the mesh: it is
 // shared by every query that reaches this mesh and is dropped with it.
 //
-// A mesh that Bare handed the tree order of an earlier build rebuilds that
-// tree in O(n) with aabbtree.BuildOrdered, skipping the median selection;
-// any other mesh, or one whose hint no longer fits its faces, builds with
-// aabbtree.BuildFaces. Both give the same tree for the same order.
+// The build is aabbtree.BuildFaces with the tree-order hint Bare left on
+// the mesh, if any: a hint that fits the faces rebuilds the earlier tree in
+// O(n), and without one the order is found by median selection.
 //
 // Publishing the tree also makes its tree-ordered lanes the mesh's SoA
 // memo, so the triangles stay resident once — the tree adds only its node
@@ -26,10 +25,7 @@ func (m *Mesh) Tree() (t *aabbtree.Tree, built bool) {
 	if t := m.tree.Load(); t != nil {
 		return t, false
 	}
-	t, err := aabbtree.BuildOrdered(m.Vertices, m.Faces, m.treeOrder)
-	if err != nil { // no hint, or one that does not fit the faces
-		t = aabbtree.BuildFaces(m.Vertices, m.Faces)
-	}
+	t = aabbtree.BuildFaces(m.Vertices, m.Faces, m.treeOrder)
 	if !m.tree.CompareAndSwap(nil, t) {
 		return m.tree.Load(), false
 	}
@@ -107,7 +103,9 @@ func (m *Mesh) Groups(assign func() [][]int32) (g *Groups, built bool) {
 		for _, p := range parts {
 			order = append(order, p...)
 		}
-		g = &Groups{lanes: m.packFaces(order), List: make([]Group, len(parts))}
+		lanes := geom.NewTriSoA(len(order))
+		geom.PackFaces(lanes, m.Vertices, m.Faces, order)
+		g = &Groups{lanes: lanes, List: make([]Group, len(parts))}
 		lo := 0
 		for i, p := range parts {
 			tris := g.lanes.Slice(lo, lo+len(p))
@@ -120,14 +118,4 @@ func (m *Mesh) Groups(assign func() [][]int32) (g *Groups, built bool) {
 	}
 	m.footprintChanged()
 	return g, true
-}
-
-// packFaces packs the listed faces, in that order, into fresh SoA lanes.
-func (m *Mesh) packFaces(faces []int32) *geom.TriSoA {
-	s := geom.NewTriSoA(len(faces))
-	for i, fi := range faces {
-		f := m.Faces[fi]
-		s.Set(i, m.Vertices[f[0]], m.Vertices[f[1]], m.Vertices[f[2]])
-	}
-	return s
 }

@@ -97,9 +97,7 @@ func (m *Mesh) SoA() *geom.TriSoA {
 		return p
 	}
 	s := geom.NewTriSoA(len(m.Faces))
-	for i, f := range m.Faces {
-		s.Set(i, m.Vertices[f[0]], m.Vertices[f[1]], m.Vertices[f[2]])
-	}
+	geom.PackFaces(s, m.Vertices, m.Faces, nil)
 	if m.soa.CompareAndSwap(nil, s) {
 		m.footprintChanged()
 		return s

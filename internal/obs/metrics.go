@@ -212,12 +212,6 @@ type Histogram struct {
 	count  atomic.Int64
 }
 
-// NewHistogram returns a standalone histogram with the given upper bucket
-// bounds (ascending; the +Inf bucket is implicit) that is not registered
-// with any Registry — for subsystems that consume observations themselves
-// (via Snapshot) rather than exposing them for scraping.
-func NewHistogram(buckets []float64) *Histogram { return newHistogram(buckets) }
-
 func newHistogram(buckets []float64) *Histogram {
 	for i := 1; i < len(buckets); i++ {
 		if buckets[i] <= buckets[i-1] {
@@ -234,42 +228,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
-}
-
-// HistogramSnapshot is a point-in-time read-back of a histogram's state:
-// the bucket bounds, the per-bucket counts (non-cumulative; the final
-// element is the +Inf bucket), and the running sum/count.
-type HistogramSnapshot struct {
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"counts"`
-	Sum    float64   `json:"sum"`
-	Count  int64     `json:"count"`
-}
-
-// Mean returns the mean observation (0 before any observation).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
-// Snapshot reads the histogram back for programmatic consumers (the
-// engine's online LOD-schedule calibrator, /statusz). Buckets are read
-// individually without a global lock, so a snapshot taken during
-// concurrent Observe calls is approximate: each bucket value is atomically
-// consistent, but Count may briefly disagree with the bucket total.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Bounds: append([]float64(nil), h.bounds...),
-		Counts: make([]int64, len(h.counts)),
-		Sum:    h.sum.Value(),
-		Count:  h.count.Load(),
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	return s
 }
 
 func (h *Histogram) write(w io.Writer, name, labels string) {

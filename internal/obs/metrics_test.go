@@ -202,40 +202,3 @@ func TestHandlerServesParseableText(t *testing.T) {
 		}
 	}
 }
-
-func TestHistogramSnapshot(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4})
-	if s := h.Snapshot(); s.Count != 0 || s.Sum != 0 || s.Mean() != 0 {
-		t.Fatalf("virgin snapshot not zero: %+v", s)
-	}
-	for _, v := range []float64{0.5, 1.5, 3, 100} {
-		h.Observe(v)
-	}
-	s := h.Snapshot()
-	if got, want := s.Bounds, []float64{1, 2, 4}; len(got) != len(want) {
-		t.Fatalf("bounds = %v, want %v", got, want)
-	}
-	// Buckets are non-cumulative: one observation each in (≤1], (1,2], (2,4]
-	// and one in the implicit +Inf bucket.
-	wantCounts := []int64{1, 1, 1, 1}
-	for i, c := range s.Counts {
-		if c != wantCounts[i] {
-			t.Errorf("counts[%d] = %d, want %d (all: %v)", i, c, wantCounts[i], s.Counts)
-		}
-	}
-	if s.Count != 4 {
-		t.Errorf("count = %d, want 4", s.Count)
-	}
-	if want := 0.5 + 1.5 + 3 + 100; s.Sum != want {
-		t.Errorf("sum = %v, want %v", s.Sum, want)
-	}
-	if want := (0.5 + 1.5 + 3 + 100) / 4; s.Mean() != want {
-		t.Errorf("mean = %v, want %v", s.Mean(), want)
-	}
-	// The snapshot is a copy: mutating it must not touch the histogram.
-	s.Counts[0] = 99
-	s.Bounds[0] = 99
-	if s2 := h.Snapshot(); s2.Counts[0] != 1 || s2.Bounds[0] != 1 {
-		t.Errorf("snapshot aliases histogram state: %+v", s2)
-	}
-}

@@ -156,7 +156,7 @@ func (w *work) decimateRound(policy Policy, minFaces int, stats *Stats) []op {
 	var diag float64
 	if policy == PruneProtruding {
 		faces := w.liveFaces()
-		tree = aabbtree.BuildFaces(w.verts, faces)
+		tree = aabbtree.BuildFaces(w.verts, faces, nil)
 		diag = tree.Bounds().Diagonal()
 		w.carved.reset(tree.Bounds(), len(faces))
 	}

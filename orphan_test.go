@@ -21,6 +21,7 @@ var orphanAllowlist = map[string]string{
 	"repro/internal/mesh.Cube":               "fixture builder",
 	"repro/internal/mesh.Tetrahedron":        "fixture builder",
 	"repro/internal/mesh.Ellipsoid":          "fixture builder",
+	"repro/internal/geom.SoAFromTriangles":   "fixture builder",
 	"(repro/internal/geom.Vec3).ApproxEqual": "fixture: the geometry tests' tolerance comparison",
 
 	"repro/internal/sdbms":                       "reference implementation: the exactness tests compare every join against it",
